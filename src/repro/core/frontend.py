@@ -526,12 +526,16 @@ class Frontend:
     # Progress monitoring
     # ------------------------------------------------------------------
 
-    def poll(self) -> None:
-        """Called by the run loop after every event: check the timeout."""
-        if self.finished or not self.started:
-            return
-        if self.sim.now - self.last_activity > self.inactivity_ns:
+    def poll(self) -> bool:
+        """Called by the run loop after every event: check the inactivity
+        timeout; true once the scenario has finished (the loop's cue to stop)."""
+        if (
+            self.started
+            and not self.finished
+            and self.sim.now - self.last_activity > self.inactivity_ns
+        ):
             self._finish(EndReason.INACTIVITY)
+        return self.finished
 
     def _finish(self, reason: EndReason) -> None:
         if not self.finished:

@@ -37,8 +37,12 @@ from .tables import (
 #: re-enables rule A ...) abort the event instead of hanging the simulator.
 MAX_CASCADE_STEPS = 10_000
 
-#: Flattened action opcodes (see NodeRuntime._condition_ops).
-_OP_ADD, _OP_SET, _OP_GATE = 0, 1, 2
+#: Action opcodes (see NodeRuntime._condition_ops).  ADD/SET/GATE write a
+#: value or enabled slot inline; the _CASCADE forms write a counter that
+#: feeds terms or mirrors, through _set_counter; EXEC is an action with side
+#: effects beyond the tables, through _execute.
+_OP_ADD, _OP_SET, _OP_GATE, _OP_ADD_CASCADE, _OP_SET_CASCADE, _OP_EXEC = range(6)
+_CASCADING = {_OP_ADD: _OP_ADD_CASCADE, _OP_SET: _OP_SET_CASCADE}
 
 
 class RuntimeHooks:
@@ -131,19 +135,18 @@ class NodeRuntime:
         for action in self.my_fault_actions:
             key = (action.pkt_type, action.direction, action.src_node, action.dst_node)
             self._fault_index.setdefault(key, []).append(action)
-        # Non-fault actions per condition, pre-filtered to this node, in
-        # trigger order: _fire_actions runs straight down this list instead
-        # of re-filtering every trigger on every false→true edge.
-        self._condition_actions: Dict[int, List[ActionSpec]] = {}
-        for condition in program.conditions:
-            actions = [
-                program.actions[action_id]
-                for node, action_id in condition.triggers
-                if node == node_name
-                and not program.actions[action_id].is_packet_fault
-            ]
-            if actions:
-                self._condition_actions[condition.condition_id] = actions
+        # Who hears of a term's status change: the remote consumer nodes (to
+        # push to, when this node owns the term) and the local conditions to
+        # re-evaluate (when this node consumes it).
+        self._term_fanout: Dict[int, tuple] = {
+            t.term_id: (
+                [n for n in t.consumer_nodes if n != node_name],
+                [c for c in t.condition_ids if c in self.my_condition_ids]
+                if node_name in t.consumer_nodes
+                else [],
+            )
+            for t in program.terms
+        }
         # Counters whose updates touch nothing beyond the value slot (no
         # terms to re-evaluate, no mirrors to push): _set_counter returns
         # early for these, which is the common case on the packet hot path.
@@ -152,43 +155,46 @@ class NodeRuntime:
             and not (c.home_node == node_name and c.mirror_subscribers)
             for c in program.counters
         ]
-        # Straight-line op programs: when every local action of a condition
-        # is a plain counter write (the Fig 7 "25 actions per match" shape),
-        # the whole trigger list flattens to (op, counter_id, operand)
-        # tuples executed inline — no per-action dispatch through _execute.
-        # Any action with side effects beyond the value/enabled slots keeps
-        # the condition on the general path (docs/PERF.md).
+        # One straight-line op program per condition: its non-fault actions
+        # on this node, in trigger order, as (op, counter_id, operand)
+        # tuples that _fire_actions runs inline (docs/PERF.md).  Packet
+        # faults are absent: they arm via condition state, not by firing.
         self._condition_ops: Dict[int, List[tuple]] = {}
-        for condition_id, actions in self._condition_actions.items():
-            ops: Optional[List[tuple]] = []
-            for action in actions:
-                kind = action.kind
-                if kind is ActionKind.INCR_CNTR:
-                    op = (_OP_ADD, action.counter_id, action.value)
-                elif kind is ActionKind.DECR_CNTR:
-                    op = (_OP_ADD, action.counter_id, -action.value)
-                elif kind is ActionKind.ASSIGN_CNTR:
-                    op = (_OP_SET, action.counter_id, action.value)
-                elif kind is ActionKind.RESET_CNTR:
-                    op = (_OP_SET, action.counter_id, 0)
-                elif kind is ActionKind.ENABLE_CNTR:
-                    op = (_OP_GATE, action.counter_id, True)
-                elif kind is ActionKind.DISABLE_CNTR:
-                    op = (_OP_GATE, action.counter_id, False)
-                else:
-                    ops = None
-                    break
-                if op[0] is not _OP_GATE and not self._counter_plain[op[1]]:
-                    ops = None  # write cascades into terms/mirrors
-                    break
-                ops.append(op)
+        for condition in program.conditions:
+            ops = [
+                self._compile_action(program.actions[action_id])
+                for node, action_id in condition.triggers
+                if node == node_name
+                and not program.actions[action_id].is_packet_fault
+            ]
             if ops:
-                self._condition_ops[condition_id] = ops
+                self._condition_ops[condition.condition_id] = ops
         self._pending_conditions: Set[int] = set()
         self._stats: Optional[EventStats] = None
         self.events_seen = 0
         #: optional audit hook: (kind, detail) -> None; see repro.core.audit.
         self.audit: Optional[Callable[[str, str], None]] = None
+
+    def _compile_action(self, action: ActionSpec) -> tuple:
+        """The op for one non-fault action (see :attr:`_condition_ops`)."""
+        kind = action.kind
+        if kind is ActionKind.ENABLE_CNTR:
+            return (_OP_GATE, action.counter_id, True)
+        if kind is ActionKind.DISABLE_CNTR:
+            return (_OP_GATE, action.counter_id, False)
+        if kind is ActionKind.INCR_CNTR:
+            op, operand = _OP_ADD, action.value
+        elif kind is ActionKind.DECR_CNTR:
+            op, operand = _OP_ADD, -action.value
+        elif kind is ActionKind.ASSIGN_CNTR:
+            op, operand = _OP_SET, action.value
+        elif kind is ActionKind.RESET_CNTR:
+            op, operand = _OP_SET, 0
+        else:
+            return (_OP_EXEC, None, action)
+        if not self._counter_plain[action.counter_id]:
+            op = _CASCADING[op]  # the write feeds terms or mirrors
+        return (op, action.counter_id, operand)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -313,8 +319,9 @@ class NodeRuntime:
                 self._evaluate_mirror_term(term)
 
     def _term_value(self, term: TermSpec) -> bool:
-        lhs = term.lhs.constant if not term.lhs.is_counter else self.values[term.lhs.counter_id]
-        rhs = term.rhs.constant if not term.rhs.is_counter else self.values[term.rhs.counter_id]
+        lhs, rhs = term.lhs, term.rhs
+        lhs = lhs.constant if lhs.counter_id is None else self.values[lhs.counter_id]
+        rhs = rhs.constant if rhs.counter_id is None else self.values[rhs.counter_id]
         if self._stats is not None:
             self._stats.terms_evaluated += 1
         return term.op.evaluate(lhs, rhs)
@@ -325,13 +332,10 @@ class NodeRuntime:
         if new == old and not (broadcast_initial and new):
             return
         self.term_status[term.term_id] = new
-        remote = [n for n in term.consumer_nodes if n != self.node_name]
+        remote, local = self._term_fanout[term.term_id]
         if remote:
-            self.hooks.send_term_status(term.term_id, new, remote)
-        if self.node_name in term.consumer_nodes:
-            for condition_id in term.condition_ids:
-                if condition_id in self.my_condition_ids:
-                    self._pending_conditions.add(condition_id)
+            self.hooks.send_term_status(term.term_id, new, list(remote))
+        self._pending_conditions.update(local)
 
     def _evaluate_mirror_term(self, term: TermSpec) -> None:
         new = self._term_value(term)
@@ -339,9 +343,7 @@ class NodeRuntime:
         if new == old:
             return
         self.term_status[term.term_id] = new
-        for condition_id in term.condition_ids:
-            if condition_id in self.my_condition_ids:
-                self._pending_conditions.add(condition_id)
+        self._pending_conditions.update(self._term_fanout[term.term_id][1])
 
     # ------------------------------------------------------------------
     # Condition settlement and action firing
@@ -386,51 +388,39 @@ class NodeRuntime:
             where = "TRUE rule" if condition.is_true_rule else f"line {condition.line}"
             self.audit("condition", f"{where} satisfied")
         stats = self._stats
-        ops = self._condition_ops.get(condition_id)
-        if ops is not None:
-            # Flattened path: plain counter writes only, so no audit lines,
-            # no hooks, no cascade and no possible CRASH mid-rule.  The
-            # stats mirror the general path exactly: one action fired and
-            # one table touch per op.
-            values = self.values
-            enabled = self.enabled
-            for op, counter_id, operand in ops:
-                if op == _OP_ADD:
-                    values[counter_id] += operand
-                elif op == _OP_SET:
-                    values[counter_id] = operand
+        values = self.values
+        enabled = self.enabled
+        ops = self._condition_ops.get(condition_id, ())
+        fired = len(ops)
+        outlined = 0  # ops whose table touch _set_counter/_execute counts itself
+        for op, counter_id, operand in ops:
+            if op == _OP_ADD:
+                values[counter_id] += operand
+            elif op == _OP_SET:
+                values[counter_id] = operand
+            elif op == _OP_GATE:
+                enabled[counter_id] = operand
+            else:
+                outlined += 1
+                if op == _OP_ADD_CASCADE:
+                    self._set_counter(counter_id, values[counter_id] + operand)
+                elif op == _OP_SET_CASCADE:
+                    self._set_counter(counter_id, operand)
                 else:
-                    enabled[counter_id] = operand
-            if stats is not None:
-                stats.actions_fired += len(ops)
-                stats.counter_touches += len(ops)
-            return
-        # Packet faults are absent from this list: they arm via condition
-        # state rather than firing here.
-        for action in self._condition_actions.get(condition_id, ()):
-            if stats is not None:
-                stats.actions_fired += 1
-            self._execute(action)
-            if self.crashed:
-                return  # a CRASH took the node down mid-rule
+                    self._execute(operand)
+                if self.crashed:
+                    # A CRASH took the node down mid-rule: only the ops up
+                    # to this one (the outlined-th outlined op) have fired.
+                    fired = [i for i, o in enumerate(ops) if o[0] > _OP_GATE][outlined - 1] + 1
+                    break
+        if stats is not None:
+            stats.actions_fired += fired
+            stats.counter_touches += fired - outlined
 
     def _execute(self, action: ActionSpec) -> None:
+        """An action with side effects beyond the counter tables."""
         kind = action.kind
-        if kind is ActionKind.ASSIGN_CNTR:
-            self._set_counter(action.counter_id, action.value)
-        elif kind is ActionKind.ENABLE_CNTR:
-            self.enabled[action.counter_id] = True
-            self._touch()
-        elif kind is ActionKind.DISABLE_CNTR:
-            self.enabled[action.counter_id] = False
-            self._touch()
-        elif kind is ActionKind.INCR_CNTR:
-            self._set_counter(action.counter_id, self.values[action.counter_id] + action.value)
-        elif kind is ActionKind.DECR_CNTR:
-            self._set_counter(action.counter_id, self.values[action.counter_id] - action.value)
-        elif kind is ActionKind.RESET_CNTR:
-            self._set_counter(action.counter_id, 0)
-        elif kind is ActionKind.SET_CURTIME:
+        if kind is ActionKind.SET_CURTIME:
             self.timestamps[action.counter_id] = self.hooks.now()
             self._touch()
         elif kind is ActionKind.ELAPSED_TIME:

@@ -35,7 +35,7 @@ from ..errors import ScenarioError, TopologyError
 from ..net.addresses import IpAddress, MacAddress
 from ..net.topology import Topology
 from ..rll import RllLayer
-from ..sim import Simulator, seconds
+from ..sim import DrainEnd, Simulator, seconds
 from ..stack.costs import CostModel
 from ..stack.node import Host
 from ..trace import TapLayer, TraceRecorder
@@ -351,26 +351,23 @@ class Testbed:
         self.topology.validate(host.nic for host in self.hosts.values())
         frontend = self.frontend
         frontend.start_scenario(program, on_running=workload, inactivity_ns=inactivity_ns)
-        deadline = self.sim.now + max_time
-        events_left = max_events
-        while not frontend.finished:
-            if events_left <= 0:
-                frontend.force_finish(EndReason.MAX_TIME)
-                break
-            upcoming = self.sim.queue.peek_time()
-            if upcoming is None:
+        sim = self.sim
+        first_event = sim.events_processed
+        ended = sim.drain(sim.now + max_time, max_events, until=frontend.poll)
+        if not frontend.finished:
+            if (
+                ended is DrainEnd.DRAINED
+                and sim.events_processed - first_event < max_events
+            ):
                 # Nothing left to happen: the limiting case of inactivity.
                 # (QUIESCED is reserved for runs that never started.)
                 frontend.force_finish(
                     EndReason.INACTIVITY if frontend.started else EndReason.QUIESCED
                 )
-                break
-            if upcoming > deadline:
+            else:
+                # The deadline or the event budget cut the run short (as
+                # would a workload calling ``sim.stop()``).
                 frontend.force_finish(EndReason.MAX_TIME)
-                break
-            self.sim.step()
-            events_left -= 1
-            frontend.poll()
         # Let in-flight shutdown control frames drain briefly so engines
         # disable before the caller inspects them.
         self.sim.run_for(seconds(0.01))

@@ -24,7 +24,7 @@ from .clock import (
 )
 from .events import Callback, EventHandle, EventQueue
 from .random import RandomRegistry, RandomStream
-from .simulator import PeriodicHandle, Simulator
+from .simulator import DrainEnd, PeriodicHandle, Simulator
 
 __all__ = [
     "JIFFY_NS",
@@ -33,6 +33,7 @@ __all__ = [
     "NS_PER_US",
     "Clock",
     "Callback",
+    "DrainEnd",
     "EventHandle",
     "EventQueue",
     "PeriodicHandle",

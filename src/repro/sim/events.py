@@ -139,7 +139,8 @@ class EventQueue:
     def recycle(self, handle: EventHandle) -> None:
         """Return a fired pooled handle to the freelist.
 
-        Called by the simulator's step loop after the callback completed;
+        Called by :meth:`Simulator.step` after the callback completed (the
+        drain loop inlines the same checks);
         anything still referenced elsewhere (cancelled, or somehow back in
         a heap) is left for the garbage collector instead.
         """
@@ -161,13 +162,15 @@ class EventQueue:
             self._compact()
 
     def _compact(self) -> None:
-        """Rebuild the heap from its live entries.
+        """Rebuild the heap from its live entries, in place.
 
         ``heapify`` over the ``(when, seq, handle)`` tuples uses the same
         ordering as the incremental pushes, so firing order — including
-        same-instant insertion-order ties — is unchanged.
+        same-instant insertion-order ties — is unchanged.  The list object
+        must survive: the simulator's drain loop holds it in a local while
+        the callback that triggered this compaction is still running.
         """
-        self._heap = [entry for entry in self._heap if not entry[2].cancelled]
+        self._heap[:] = [entry for entry in self._heap if not entry[2].cancelled]
         heapq.heapify(self._heap)
 
     def peek_time(self) -> Optional[int]:

@@ -5,7 +5,8 @@ and exposes the scheduling API that every other subsystem uses:
 
 * :meth:`Simulator.at` / :meth:`Simulator.after` — schedule one-shot events;
 * :meth:`Simulator.every` — periodic tasks (returns a cancellable handle);
-* :meth:`Simulator.run` / :meth:`run_until` / :meth:`step` — drive the loop.
+* :meth:`Simulator.run` / :meth:`run_until` / :meth:`step` — drive the loop
+  (:meth:`Simulator.drain` is the one loop behind all but ``step``).
 
 The simulator is single-threaded by construction.  "Concurrency" between
 hosts is purely virtual: each scheduled callback runs to completion at one
@@ -15,12 +16,23 @@ node, and the interleaving across nodes is governed only by event timestamps.
 
 from __future__ import annotations
 
+import enum
+import heapq
 from typing import Callable, List, Optional
 
 from ..errors import SchedulingError, SimulationError
 from .clock import Clock, format_time
-from .events import Callback, EventHandle, EventQueue
+from .events import POOL_MAX_FREE, Callback, EventHandle, EventQueue
 from .random import RandomRegistry
+
+
+class DrainEnd(enum.Enum):
+    """Why :meth:`Simulator.drain` returned."""
+
+    DRAINED = "drained"  # no live event is left
+    DEADLINE = "deadline"  # the next event lies past the deadline
+    BUDGET = "budget"  # the event budget ran out with an event still due
+    STOPPED = "stopped"  # stop() or the until predicate ended the loop
 
 
 class PeriodicHandle:
@@ -76,7 +88,7 @@ class Simulator:
     @property
     def now(self) -> int:
         """Current virtual time in nanoseconds."""
-        return self.clock.now
+        return self.clock._now
 
     # -- scheduling ---------------------------------------------------------
 
@@ -101,7 +113,7 @@ class Simulator:
         """Schedule *callback* *delay* nanoseconds from now (see :meth:`at`)."""
         if delay < 0:
             raise SchedulingError(f"negative delay: {delay}")
-        return self.queue.push(self.clock.now + delay, callback, label, pooled=pooled)
+        return self.queue.push(self.clock._now + delay, callback, label, pooled)
 
     def every(self, interval: int, callback: Callback, label: str = "") -> PeriodicHandle:
         """Run *callback* every *interval* nanoseconds until stopped.
@@ -141,25 +153,77 @@ class Simulator:
             self.queue.recycle(handle)
         return True
 
+    def drain(
+        self,
+        deadline: Optional[int] = None,
+        max_events: int = 50_000_000,
+        until: Optional[Callable[[], object]] = None,
+    ) -> DrainEnd:
+        """The event loop every run method shares; returns why it ended.
+
+        Fires events in ``(time, sequence)`` order while the next one is due
+        at or before *deadline* (``None``: no deadline) and fewer than
+        *max_events* have fired, and leaves the clock at the last event
+        fired.  *until* is polled before every event; a true result — like
+        :meth:`stop` from a callback — ends the loop.  One event here is
+        exactly one :meth:`step`, with the queue's dead-entry discard, pop
+        and pooled-handle recycling inlined on local bindings.
+        """
+        self._enter_run()
+        queue, clock, hooks = self.queue, self.clock, self._trace_hooks
+        heap, freelist, heappop = queue._heap, queue._freelist, heapq.heappop
+        limit = float("inf") if deadline is None else deadline
+        remaining = max_events
+        try:
+            while not (self._stop_requested or (until is not None and until())):
+                while heap and heap[0][2].cancelled:
+                    heappop(heap)[2].queue = None
+                if not heap:
+                    return DrainEnd.DRAINED
+                when, _, handle = heap[0]
+                if when > limit:
+                    return DrainEnd.DEADLINE
+                if remaining <= 0:
+                    return DrainEnd.BUDGET
+                remaining -= 1
+                heappop(heap)
+                handle.queue = None
+                queue._live -= 1
+                if when < clock._now:
+                    clock.advance_to(when)  # raises: the clock never runs backwards
+                clock._now = when
+                callback = handle.callback
+                handle.callback = None  # the event is consumed; free the closure
+                for hook in hooks:
+                    hook(handle)
+                self.events_processed += 1
+                if callback is not None:
+                    callback()
+                if (
+                    handle.pooled
+                    and not hooks  # a hook may still hold the handle
+                    and not handle.cancelled
+                    and handle.queue is None
+                    and len(freelist) < POOL_MAX_FREE
+                ):
+                    freelist.append(handle)
+            return DrainEnd.STOPPED
+        finally:
+            self._exit_run()
+
+    def _event_cap_exceeded(self, max_events: int) -> SimulationError:
+        return SimulationError(
+            f"event cap of {max_events} exceeded at t={format_time(self.clock.now)}"
+        )
+
     def run(self, max_events: int = 50_000_000) -> None:
         """Run until the queue drains or *max_events* have been processed.
 
         The event cap guards against accidental infinite self-scheduling
         loops; hitting it raises :class:`SimulationError` rather than hanging.
         """
-        self._enter_run()
-        try:
-            remaining = max_events
-            while self.queue and not self._stop_requested:
-                if remaining <= 0:
-                    raise SimulationError(
-                        f"event cap of {max_events} exceeded at "
-                        f"t={format_time(self.clock.now)}"
-                    )
-                self.step()
-                remaining -= 1
-        finally:
-            self._exit_run()
+        if self.drain(None, max_events) is DrainEnd.BUDGET:
+            raise self._event_cap_exceeded(max_events)
 
     def run_until(self, deadline: int, max_events: int = 50_000_000) -> None:
         """Run events with timestamps <= *deadline*, then set clock = deadline."""
@@ -167,24 +231,11 @@ class Simulator:
             raise SchedulingError(
                 f"deadline {deadline} is before current time {self.clock.now}"
             )
-        self._enter_run()
-        try:
-            remaining = max_events
-            while not self._stop_requested:
-                upcoming = self.queue.peek_time()
-                if upcoming is None or upcoming > deadline:
-                    break
-                if remaining <= 0:
-                    raise SimulationError(
-                        f"event cap of {max_events} exceeded at "
-                        f"t={format_time(self.clock.now)}"
-                    )
-                self.step()
-                remaining -= 1
-            if not self._stop_requested:
-                self.clock.advance_to(deadline)
-        finally:
-            self._exit_run()
+        ended = self.drain(deadline, max_events)
+        if ended is DrainEnd.BUDGET:
+            raise self._event_cap_exceeded(max_events)
+        if ended is not DrainEnd.STOPPED:
+            self.clock.advance_to(deadline)
 
     def run_for(self, duration: int, max_events: int = 50_000_000) -> None:
         """Convenience wrapper: run for *duration* nanoseconds of virtual time."""

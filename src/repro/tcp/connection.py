@@ -67,7 +67,7 @@ class TcpState(enum.Enum):
 class _SentSegment:
     """Bookkeeping for one transmitted, not-yet-acknowledged segment."""
 
-    __slots__ = ("seq", "payload", "flags", "sent_at", "retransmitted")
+    __slots__ = ("seq", "payload", "flags", "sent_at", "retransmitted", "end_seq")
 
     def __init__(self, seq: int, payload: bytes, flags: int, sent_at: int) -> None:
         self.seq = seq
@@ -75,15 +75,9 @@ class _SentSegment:
         self.flags = flags
         self.sent_at = sent_at
         self.retransmitted = False
-
-    @property
-    def seq_space(self) -> int:
-        phantom = (1 if self.flags & FLAG_SYN else 0) + (1 if self.flags & FLAG_FIN else 0)
-        return len(self.payload) + phantom
-
-    @property
-    def end_seq(self) -> int:
-        return seq_add(self.seq, self.seq_space)
+        phantom = (1 if flags & FLAG_SYN else 0) + (1 if flags & FLAG_FIN else 0)
+        #: first sequence number past this segment (SYN and FIN occupy one).
+        self.end_seq = seq_add(seq, len(payload) + phantom)
 
 
 class TcpConnection:
@@ -250,19 +244,9 @@ class TcpConnection:
         if seg.is_rst:
             self._handle_rst(seg)
             return
-        handler = {
-            TcpState.SYN_SENT: self._segment_in_syn_sent,
-            TcpState.SYN_RCVD: self._segment_in_syn_rcvd,
-            TcpState.ESTABLISHED: self._segment_in_established,
-            TcpState.FIN_WAIT_1: self._segment_in_established,
-            TcpState.FIN_WAIT_2: self._segment_in_established,
-            TcpState.CLOSE_WAIT: self._segment_in_established,
-            TcpState.CLOSING: self._segment_in_established,
-            TcpState.LAST_ACK: self._segment_in_established,
-            TcpState.TIME_WAIT: self._segment_in_time_wait,
-        }.get(self.state)
+        handler = _SEGMENT_HANDLERS.get(self.state)
         if handler is not None:
-            handler(seg)
+            handler(self, seg)
 
     def _handle_rst(self, seg: TcpSegment) -> None:
         # Accept the reset only if it is plausibly in-window.
@@ -356,20 +340,24 @@ class TcpConnection:
         # Acks below snd_una are stale duplicates: ignored.
 
     def _ack_unacked_through(self, ack: int) -> None:
-        """Drop fully-acked segments; feed the RTT estimator (Karn's rule)."""
+        """Drop fully-acked segments; feed the RTT estimator (Karn's rule).
+
+        ``_unacked`` is in send order, so the acked segments are a prefix.
+        """
         now = self.sim.now
-        kept: List[_SentSegment] = []
+        unacked = self._unacked
+        acked = 0
         sampled = False
-        for entry in self._unacked:
-            if seq_le(entry.end_seq, ack):
-                if not entry.retransmitted and not sampled:
-                    self.estimator.on_measurement(now - entry.sent_at)
-                    if self._m_rtt is not None:
-                        self._m_rtt.observe(now - entry.sent_at)
-                    sampled = True
-            else:
-                kept.append(entry)
-        self._unacked = kept
+        for entry in unacked:
+            if not seq_le(entry.end_seq, ack):
+                break
+            acked += 1
+            if not entry.retransmitted and not sampled:
+                self.estimator.on_measurement(now - entry.sent_at)
+                if self._m_rtt is not None:
+                    self._m_rtt.observe(now - entry.sent_at)
+                sampled = True
+        del unacked[:acked]
 
     def _fast_retransmit(self) -> None:
         if not self._unacked:
@@ -621,3 +609,18 @@ class TcpConnection:
             f"{self.state.name}, una={self.snd_una}, nxt={self.snd_nxt}, "
             f"{self.congestion!r})"
         )
+
+
+#: Segment input by connection state (CLOSED and LISTEN connections take
+#: none); built once, not per segment.
+_SEGMENT_HANDLERS = {
+    TcpState.SYN_SENT: TcpConnection._segment_in_syn_sent,
+    TcpState.SYN_RCVD: TcpConnection._segment_in_syn_rcvd,
+    TcpState.ESTABLISHED: TcpConnection._segment_in_established,
+    TcpState.FIN_WAIT_1: TcpConnection._segment_in_established,
+    TcpState.FIN_WAIT_2: TcpConnection._segment_in_established,
+    TcpState.CLOSE_WAIT: TcpConnection._segment_in_established,
+    TcpState.CLOSING: TcpConnection._segment_in_established,
+    TcpState.LAST_ACK: TcpConnection._segment_in_established,
+    TcpState.TIME_WAIT: TcpConnection._segment_in_time_wait,
+}

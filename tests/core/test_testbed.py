@@ -201,6 +201,102 @@ class TestRunScenarioGuards:
         assert report.end_reason is EndReason.INACTIVITY
 
 
+def _parent_run_scenario(tb, script, workload=None, max_time=seconds(60),
+                         inactivity_ns=None, max_events=50_000_000):
+    """``run_scenario`` as it was before the shared drain loop: peek, step and
+    poll once per event through the public one-event API.  The reference the
+    fused loop must match, end reason and instant alike."""
+    frontend = tb.frontend
+    frontend.start_scenario(
+        tb.compile_cached(script), on_running=workload, inactivity_ns=inactivity_ns
+    )
+    deadline = tb.sim.now + max_time
+    events_left = max_events
+    while not frontend.finished:
+        if events_left <= 0:
+            frontend.force_finish(EndReason.MAX_TIME)
+            break
+        upcoming = tb.sim.queue.peek_time()
+        if upcoming is None:
+            frontend.force_finish(
+                EndReason.INACTIVITY if frontend.started else EndReason.QUIESCED
+            )
+            break
+        if upcoming > deadline:
+            frontend.force_finish(EndReason.MAX_TIME)
+            break
+        tb.sim.step()
+        events_left -= 1
+        frontend.poll()
+    tb.sim.run_for(seconds(0.01))
+    return frontend.build_report()
+
+
+def _inert_start(frontend, started):
+    def start_scenario(program, on_running=None, inactivity_ns=None):
+        frontend.program = program  # accepted, but nothing scheduled
+        frontend.started = started
+
+    return start_scenario
+
+
+class TestRunScenarioMatchesTheParentLoop:
+    """Every exit of the fused loop lands on the same end reason, at the same
+    ``sim.now`` and ``events_processed``, as the per-event loop it replaced."""
+
+    @pytest.mark.parametrize(
+        "limits, inert, expected",
+        [
+            # event budget: smaller than the INIT handshake, then cut mid-transfer
+            (dict(max_events=3), None, EndReason.MAX_TIME),
+            (dict(max_events=0), None, EndReason.MAX_TIME),
+            (dict(max_events=400), None, EndReason.MAX_TIME),
+            # virtual-time deadline in the middle of the transfer
+            (dict(max_time=ms(3)), None, EndReason.MAX_TIME),
+            # the inactivity timeout, as frontend.poll() sees it after an event
+            (dict(inactivity_ns=ms(1)), None, EndReason.INACTIVITY),
+            (dict(), None, EndReason.INACTIVITY),
+            # the queue drains: before START, and after it
+            (dict(), False, EndReason.QUIESCED),
+            (dict(), True, EndReason.INACTIVITY),
+            # budget and queue run out together: the budget is reported
+            (dict(max_events=1), "one-event", EndReason.MAX_TIME),
+        ],
+    )
+    def test_same_end_at_the_same_instant(self, limits, inert, expected):
+        outcomes = []
+        for run in (Testbed.run_scenario, _parent_run_scenario):
+            tb = _two_node_vw_testbed()
+            node1, node2 = tb.host("node1"), tb.host("node2")
+            finished_at = []
+            finish = tb.frontend._finish
+
+            def recording_finish(reason, tb=tb, finish=finish, finished_at=finished_at):
+                finished_at.append((reason, tb.sim.now, tb.sim.events_processed))
+                finish(reason)
+
+            tb.frontend._finish = recording_finish
+            if inert is not None:
+                tb.frontend.start_scenario = _inert_start(tb.frontend, started=inert is True)
+            if inert == "one-event":
+                tb.sim.after(ms(1), lambda: None)
+
+            def workload(node1=node1, node2=node2):
+                node2.tcp.listen(0x4000)
+                conn = node1.tcp.connect(node2.ip, 0x4000, local_port=0x6000)
+                conn.on_established = lambda: conn.send(bytes(64 * 1024))
+
+            report = run(
+                tb, tcp_congestion_script(tb.node_table_fsl()), workload=workload, **limits
+            )
+            outcomes.append(
+                (report.end_reason, finished_at[0], tb.sim.now, tb.sim.events_processed,
+                 report.counters, report.duration_ns)
+            )
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] is expected
+
+
 class TestCompileCache:
     def _unique_script(self, tag: str) -> str:
         return (

@@ -11,7 +11,9 @@ from repro.net.packet import FrameView
 from repro.sim import Simulator, ms, seconds
 from repro.stack import FREE
 from repro.stack.layers import FrameLayer
+from repro.net.tcp_segment import FLAG_ACK, FLAG_FIN, FLAG_SYN
 from repro.tcp import TcpState
+from repro.tcp.connection import _SentSegment
 from tests.conftest import make_two_hosts
 
 
@@ -156,6 +158,33 @@ class TestDataTransfer:
         conn.send(b"early data")  # queued while SYN_SENT
         sim.run_until(seconds(2))
         assert bytes(got) == b"early data"
+
+
+class TestAckBookkeeping:
+    """``_unacked`` is in send order: an ACK drops its acked prefix and takes
+    at most one RTT sample, never from a retransmitted segment (Karn)."""
+
+    def test_end_seq_counts_payload_and_phantom_bytes(self):
+        assert _SentSegment(100, b"", FLAG_SYN, 0).end_seq == 101
+        assert _SentSegment(100, b"abc", FLAG_ACK, 0).end_seq == 103
+        assert _SentSegment(100, b"", FLAG_FIN | FLAG_ACK, 0).end_seq == 101
+        assert _SentSegment(0xFFFFFFFE, b"abcd", FLAG_ACK, 0).end_seq == 2  # wraps
+
+    def test_ack_drops_the_prefix_and_samples_first_clean_segment(self, sim):
+        _, _, conn, _, _, _ = rig(sim)
+        sim.run_until(ms(50))
+        sent = [_SentSegment(1000 * i, bytes(1000), FLAG_ACK, 10 * i) for i in range(1, 6)]
+        sent[0].retransmitted = True  # Karn: its RTT is ambiguous
+        conn._unacked = list(sent)
+        samples = []
+        conn.estimator.on_measurement = samples.append
+        conn._ack_unacked_through(3500)  # covers the first two, half of the third
+        assert conn._unacked == sent[2:]
+        assert samples == [sim.now - sent[1].sent_at]  # one sample, from the clean one
+        conn._ack_unacked_through(3500)  # a duplicate ACK changes nothing
+        assert conn._unacked == sent[2:] and len(samples) == 1
+        conn._ack_unacked_through(6000)
+        assert conn._unacked == [] and len(samples) == 2
 
 
 class TestTeardown:

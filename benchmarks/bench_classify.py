@@ -2,11 +2,10 @@
 
 The paper attributes Fig 8's linear latency growth to the engine searching
 "linearly through the packet type definitions for the exact match" (§7).
-This benchmark quantifies that design choice: it measures the linear
-reference classifier against the production :class:`IndexedClassifier`
-(promoted from the prototype that used to live here) over growing filter
-tables, and differentially checks that the two stay observationally
-identical on a mixed packet workload.
+This benchmark quantifies that design choice: it measures the linear scan
+(the test oracle, ``tests/oracles``) against the production
+:class:`Classifier` over growing filter tables, and differentially checks
+that the two stay observationally identical on a mixed packet workload.
 
 Real (wall-clock) classification cost is what the index flattens; the
 *virtual-time* cost model still charges the paper's linear scan — see
@@ -24,9 +23,10 @@ from typing import List, Tuple
 import pytest
 
 from conftest import save_table
-from repro.core.classify import Classifier, IndexedClassifier
+from repro.core.classify import Classifier
 from repro.core.tables import FilterEntry, FilterTable, FilterTuple, VarRef
 from repro.net import FLAG_ACK, TcpSegment, build_tcp_frame
+from tests.oracles.classifiers import LinearClassifier
 
 QUICK = os.environ.get("BENCH_CLASSIFY_QUICK", "0") == "1"
 TABLE_SIZES = (5, 50) if QUICK else (5, 25, 100, 400)
@@ -95,8 +95,8 @@ def results() -> List[Tuple[int, float, float]]:
     rows = []
     for size in TABLE_SIZES:
         table = build_table(size)
-        linear = Classifier(table)
-        indexed = IndexedClassifier(table)
+        linear = LinearClassifier(table)
+        indexed = Classifier(table)
         t0 = time.perf_counter()
         for _ in range(PACKETS_PER_ROUND):
             linear.classify(packet)
@@ -154,10 +154,10 @@ class TestClassifyAblation:
         table = build_table(max(TABLE_SIZES))
         packet = sample_packet()
         benchmark.pedantic(
-            lambda: IndexedClassifier(table).classify(packet), rounds=1, iterations=1
+            lambda: Classifier(table).classify(packet), rounds=1, iterations=1
         )
-        linear = Classifier(table)
-        indexed = IndexedClassifier(table)
+        linear = LinearClassifier(table)
+        indexed = Classifier(table)
         for _ in range(50):
             linear.classify(packet)
             indexed.classify(packet)
@@ -170,7 +170,7 @@ class TestClassifyAblation:
         25-entry table size.
         """
         table = build_table(25)
-        classifier = Classifier(table)
+        classifier = LinearClassifier(table)
         packet = sample_packet()
         benchmark(lambda: classifier.classify(packet))
 
@@ -180,7 +180,7 @@ class TestClassifyAblation:
         paper's 25-entry table size.
         """
         table = build_table(25)
-        classifier = IndexedClassifier(table)
+        classifier = Classifier(table)
         packet = sample_packet()
         benchmark(lambda: classifier.classify(packet))
 
@@ -192,8 +192,8 @@ class TestDifferentialSmoke:
         def sweep():
             for size in TABLE_SIZES:
                 table = build_table(size)
-                linear = Classifier(table)
-                indexed = IndexedClassifier(table)
+                linear = LinearClassifier(table)
+                indexed = Classifier(table)
                 for packet in mixed_workload(size):
                     assert indexed.classify(packet) == linear.classify(packet)
                 assert indexed.packets_classified == linear.packets_classified
@@ -222,8 +222,8 @@ class TestDifferentialSmoke:
                 ),
             ]
         )
-        linear = Classifier(table)
-        indexed = IndexedClassifier(table)
+        linear = LinearClassifier(table)
+        indexed = Classifier(table)
         packet = sample_packet()
         result = benchmark.pedantic(
             lambda: indexed.classify(packet), rounds=1, iterations=1

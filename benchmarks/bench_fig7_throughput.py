@@ -15,12 +15,7 @@ The rendered figure (both curves) is saved to benchmarks/results/fig7.txt.
 
 import pytest
 
-from conftest import (
-    campaign_header,
-    record_frames_trajectory,
-    save_table,
-    sweep_backend,
-)
+from conftest import campaign_header, save_table, sweep_backend
 from repro.bench.fig7 import Fig7Point, fig7_campaign, measure_point, render_table
 from repro.sweep import run_sweep
 
@@ -49,7 +44,6 @@ def figure():
         for row in outcome.rows
     ]
     save_table("fig7", campaign_header(outcome) + "\n" + render_table(points))
-    record_frames_trajectory(outcome, "fig7")
     return points
 
 

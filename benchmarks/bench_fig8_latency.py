@@ -16,12 +16,7 @@ benchmarks/results/fig8.txt.
 
 import pytest
 
-from conftest import (
-    campaign_header,
-    record_frames_trajectory,
-    save_table,
-    sweep_backend,
-)
+from conftest import campaign_header, save_table, sweep_backend
 from repro.bench.fig8 import (
     MODES,
     Fig8Point,
@@ -30,8 +25,8 @@ from repro.bench.fig8 import (
     measure_point,
     render_table,
 )
-from repro.core.engine import EngineConfig
 from repro.sweep import run_sweep
+from tests.oracles.classifiers import linear_engines
 
 FILTER_COUNTS = (2, 5, 10, 15, 20, 25)
 PROBES = 40
@@ -70,7 +65,6 @@ def figure(baseline_rtt):
         for row in outcome.rows
     ]
     save_table("fig8", campaign_header(outcome) + "\n" + render_table(points))
-    record_frames_trajectory(outcome, "fig8")
     return points
 
 
@@ -135,28 +129,21 @@ class TestClassifierParity:
     def test_virtual_time_curve_identical_under_indexed_classifier(
         self, benchmark, baseline_rtt
     ):
-        """The indexed fast path must leave Fig 8 untouched: the cost model
+        """The indexed classifier must leave Fig 8 untouched: the cost model
 
-        charges the linear-equivalent scan count either way, so the
-        virtual-time RTT of any figure cell is *exactly* equal under both
-        classifier implementations.
+        charges the linear-equivalent scan count, so the virtual-time RTT
+        of any figure cell is *exactly* equal to a run whose engines scan
+        linearly (the oracle of tests/oracles).
         """
         benchmark.pedantic(lambda: None, rounds=1, iterations=1)
         for n_filters in (5, 25):
-            by_kind = {
-                kind: measure_point(
-                    "filters",
-                    n_filters,
-                    baseline_rtt,
-                    probes=PROBES,
-                    seed=0,
-                    engine_config=EngineConfig(classifier=kind),
-                )
-                for kind in ("linear", "indexed")
-            }
+            cell = ("filters", n_filters, baseline_rtt)
+            indexed = measure_point(*cell, probes=PROBES, seed=0)
+            with linear_engines():
+                linear = measure_point(*cell, probes=PROBES, seed=0)
             assert (
-                by_kind["indexed"].mean_rtt_ns == by_kind["linear"].mean_rtt_ns
-            ), f"classifier choice leaked into virtual time at {n_filters} filters"
+                indexed.mean_rtt_ns == linear.mean_rtt_ns
+            ), f"the index leaked into virtual time at {n_filters} filters"
 
 
 class TestFig8Microbench:

@@ -8,12 +8,13 @@ A separate trivial-task campaign isolates the tcp protocol's dispatch
 overhead per cell (frame encode + loopback round-trip + pool submit).
 
 Tables land in benchmarks/results/; the tcp measurements also append to
-the repo-root BENCH_SWEEP.json trajectory (one entry per PR-era run, the
-same pattern as BENCH_FRAMES.json).
+the repo-root BENCH_SWEEP.json trajectory (an append-only JSON list, one
+entry per PR-era run).
 
 ``slow``-marked: spawns process pools.  Deselect with ``-m "not slow"``.
 """
 
+import json
 import os
 import pathlib
 import platform
@@ -52,6 +53,12 @@ def _sweep_entry(bench: str, note: str = "", **fields) -> dict:
     if note:
         entry["note"] = note
     return entry
+
+
+def append_entry(path: pathlib.Path, entry: dict) -> None:
+    entries = json.loads(path.read_text()) if path.exists() else []
+    entries.append(entry)
+    path.write_text(json.dumps(entries, indent=2) + "\n")
 
 
 #: The bench fleet runs authenticated, like a production fleet would —
@@ -139,8 +146,6 @@ class TestSweepScaling:
         fleet scaling on the real fig5 campaign (2 workers x 2 slots).
         Both merged row sets must stay byte-identical to serial; the >=2x
         fleet speedup claim is only asserted with >=4 cores to back it."""
-        from repro.bench.frames import append_entry
-
         cores = os.cpu_count() or 1
 
         # --- dispatch overhead: trivial cells isolate the protocol cost

@@ -35,38 +35,6 @@ def campaign_header(outcome) -> str:
     )
 
 
-def record_frames_trajectory(outcome, campaign: str) -> None:
-    """Append fresh frame hot-path entries to the repo-root BENCH_FRAMES.json.
-
-    After a figure campaign completes, replay the fig7 hot-path bench under
-    both codecs and append the two measurements, tagged with the campaign's
-    wall time — so every benchmark run extends the per-PR frames/sec
-    trajectory (see repro.bench.frames).
-    """
-    from repro.bench.frames import (
-        append_entry,
-        capture_fig7_stream,
-        measure_hotpath_point,
-        trajectory_entry,
-    )
-
-    path = pathlib.Path(__file__).parent.parent / "BENCH_FRAMES.json"
-    stream, program = capture_fig7_stream()
-    note = (
-        f"{campaign} campaign: {len(outcome.rows)} tasks, "
-        f"{outcome.wall_seconds:.2f}s wall via {outcome.backend}"
-    )
-    for codec in ("reference", "fast"):
-        result = measure_hotpath_point(
-            frame_codec=codec, stream=stream, program=program
-        )
-        append_entry(path, trajectory_entry(result, note=note))
-        print(
-            f"[frames] {result.bench}[{codec}]: "
-            f"{result.frames_per_sec:,.0f} frames/s ({note})"
-        )
-
-
 def save_table(name: str, text: str) -> None:
     """Persist a rendered result table and echo it to stdout.
 

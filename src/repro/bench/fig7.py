@@ -61,22 +61,17 @@ def measure_point(
     duration_ns: int = int(0.3 * NS_PER_SEC),
     seed: int = 0,
     program: Optional[CompiledProgram] = None,
-    frame_codec: str = "fast",
 ) -> Fig7Point:
     """Measure goodput at one offered rate.
 
     *program* is an optional pre-compiled :func:`fig7_script` (the sweep
     engine's compile-once path); without it the script is compiled here.
-    *frame_codec* selects the fast or reference header codec — the figure's
-    numbers are identical either way (tests/differential/); the wall-clock
-    difference is what BENCH_FRAMES.json tracks.
     """
     tb, node1, node2 = two_node_testbed(
         seed=seed,
         medium="hub",
         install_vw=with_virtualwire,
         rll=with_virtualwire,
-        frame_codec=frame_codec,
     )
     receiver = BulkReceiver(node2, RECEIVER_PORT)
     state: Dict[str, PacedSender] = {}

@@ -128,19 +128,12 @@ def measure_point(
     probes: int = 50,
     payload: int = 1000,
     seed: int = 0,
-    engine_config=None,
     program: Optional[CompiledProgram] = None,
-    frame_codec: str = "fast",
 ) -> Fig8Point:
     """Measure one (mode, n_filters) cell.
 
-    *engine_config* selects the engine tuning (e.g. the linear reference
-    classifier); because the cost model charges the *linear-equivalent*
-    scan count either way, the measured virtual-time curve must not
-    depend on it.  Likewise *frame_codec* (fast/reference) must not move
-    any virtual-time number (tests/differential/).  *program* is an
-    optional pre-compiled :func:`fig8_script` (the sweep engine's
-    compile-once path).
+    *program* is an optional pre-compiled :func:`fig8_script` (the sweep
+    engine's compile-once path).
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -148,8 +141,6 @@ def measure_point(
         seed=seed,
         install_vw=True,
         rll=(mode == "actions+rll"),
-        engine_config=engine_config,
-        frame_codec=frame_codec,
     )
     script = (
         program

@@ -1,48 +1,34 @@
-"""Frames-per-second trajectory for the frame hot path (``BENCH_FRAMES.json``).
+"""Frames-per-second measurements of the frame hot path.
 
 Two benches, both driven by the Fig 7 bulk-transfer traffic:
 
-``fig7_hotpath`` (the canonical codec measurement) replays the wire frames
-captured from one Fig 7 cell — RLL-encapsulated TCP data, TCP acks and RLL
-pure acks under the 25-filter/25-action configuration — through exactly the
-per-frame work each codec performs in the pipeline: RLL decap, twice-per-hook
-classification, endpoint lookup, IP+TCP parse with checksum verification,
-and the transmit-side re-serialisation back to wire bytes (asserted equal to
-the captured frame, so the replay is itself a differential check).  Because
-the replay strips the shared simulator/TCP-state-machine cost, its
-frames/sec ratio between ``frame_codec="fast"`` and ``"reference"`` isolates
-the hot path this module's trajectory pins — the ISSUE 7 ≥3x acceptance pair.
+``fig7_hotpath`` replays the wire frames captured from one Fig 7 cell —
+RLL-encapsulated TCP data, TCP acks and RLL pure acks under the
+25-filter/25-action configuration — through exactly the per-frame codec
+work of the pipeline: RLL decap, twice-per-hook classification, endpoint
+lookup, IP+TCP parse with checksum verification, and the transmit-side
+re-serialisation back to wire bytes (asserted equal to the captured frame,
+so the replay checks itself).  The replay strips the shared
+simulator/TCP-state-machine cost, so its frames/sec isolates the codec; the
+performance ledger reports it as ``net.codec.frames_per_s``.
 
 ``fig7_bulk`` times one *end-to-end* Fig 7 cell in wall clock, normalised by
-the frames the two device drivers moved.  Frame counts are a virtual-time
-fact and byte-identical across codecs (tests/differential/), so this entry
-tracks whole-system throughput (event loop + TCP + engine included); its
-codec ratio is naturally smaller than the hotpath ratio because the shared
-simulator cost dilutes it (docs/PERF.md discusses the split).
+the frames the two device drivers moved (event loop + TCP + engine
+included; docs/PERF.md discusses the split).
 
-``BENCH_FRAMES.json`` at the repo root is an append-only JSON list.  Its
-first two entries record the reference and fast codecs of ``fig7_hotpath``
-on the same host, and every benchmark run appends more entries, so per-PR
-regressions are visible as a trajectory.  CI runs
-``python -m repro.bench.frames --codec both --min-speedup 2.4 --check ...``:
-``--min-speedup`` gates the fast/reference ratio (host-independent) and
-``--check`` fails when frames/sec drops more than 20% below the last
-same-bench/same-codec entry (override with ``--min-ratio``).
+Trajectories and regression gates live in ``benchmarks/ledger``; this module
+only measures and prints.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import platform
 import sys
 import time
-from dataclasses import asdict, dataclass
-from datetime import datetime, timezone
-from pathlib import Path
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from ..core.classify import make_classifier
+from ..core.classify import Classifier
 from ..core.tables import CompiledProgram
 from ..core.testbed import Testbed
 from ..errors import ScenarioError
@@ -52,16 +38,9 @@ from ..net.fastpath import (
     parse_ipv4_frame,
     parse_tcp_segment,
 )
-from ..net.frame import ETHERTYPE_IPV4, ETHERTYPE_RLL, EthernetFrame
-from ..net.ip import PROTO_TCP, Ipv4Packet
-from ..net.tcp_segment import TcpSegment
-from ..rll.frames import (
-    KIND_ACK,
-    RllFrame,
-    decap_data_fast,
-    encap_ack_fast,
-    encap_data_fast,
-)
+from ..net.frame import ETHERTYPE_IPV4, ETHERTYPE_RLL
+from ..net.ip import PROTO_TCP
+from ..rll.frames import KIND_ACK, decap_data_fast, encap_ack_fast, encap_data_fast
 from ..sim import NS_PER_SEC, ms, seconds
 from ..workloads.bulk import BulkReceiver, PacedSender
 from .fig7 import _tcp_script
@@ -71,8 +50,6 @@ from .harness import RECEIVER_PORT, SENDER_PORT, two_node_testbed
 #: script compilation and testbed setup in the wall-clock figure.
 DEFAULT_DURATION_NS = int(0.2 * NS_PER_SEC)
 DEFAULT_OFFERED_MBPS = 90.0
-#: The canonical trajectory file, at the repo root.
-DEFAULT_TRAJECTORY = "BENCH_FRAMES.json"
 
 
 @dataclass
@@ -80,7 +57,6 @@ class FramesResult:
     """One wall-clock measurement of the frame hot path."""
 
     bench: str
-    frame_codec: str
     frames: int
     wall_s: float
     frames_per_sec: float
@@ -91,7 +67,6 @@ class FramesResult:
 
 
 def measure_frames_point(
-    frame_codec: str = "fast",
     offered_mbps: float = DEFAULT_OFFERED_MBPS,
     duration_ns: int = DEFAULT_DURATION_NS,
     seed: int = 0,
@@ -99,12 +74,11 @@ def measure_frames_point(
     """Run one Fig 7 bulk-transfer cell and time it in wall clock.
 
     Frames are counted at the two device drivers (tx + rx on both hosts):
-    every data, ack, RLL and control frame that crossed the hot path,
-    whichever codec moved it.
+    every data, ack, RLL and control frame that crossed the hot path.
     """
     started = time.perf_counter()
     tb, node1, node2 = two_node_testbed(
-        seed=seed, medium="hub", install_vw=True, rll=True, frame_codec=frame_codec
+        seed=seed, medium="hub", install_vw=True, rll=True
     )
     receiver = BulkReceiver(node2, RECEIVER_PORT)
     senders = {}
@@ -131,7 +105,6 @@ def measure_frames_point(
     )
     return FramesResult(
         bench="fig7_bulk",
-        frame_codec=frame_codec,
         frames=frames,
         wall_s=round(wall_s, 4),
         frames_per_sec=round(frames / wall_s, 1),
@@ -146,8 +119,7 @@ def measure_frames_point(
 
 #: Virtual capture time for the replay stream: a couple thousand frames.
 HOTPATH_CAPTURE_NS = int(0.05 * NS_PER_SEC)
-#: Replay passes per codec; the stream is identical for both, so repeats
-#: only narrow the wall-clock jitter.
+#: Replay passes; repeats only narrow the wall-clock jitter.
 HOTPATH_REPEATS = 3
 
 
@@ -162,11 +134,10 @@ def capture_fig7_stream(
     stream holds exactly the on-wire bytes in transmission order:
     RLL-encapsulated TCP data and acks plus RLL pure acks.  Control-plane
     frames are filtered out — they cross the engine's control path, not
-    the per-frame hot path this bench times.  Wire bytes are codec-
-    independent (tests/differential/), so one capture serves both codecs.
+    the per-frame hot path this bench times.
     """
     tb, node1, node2 = two_node_testbed(
-        seed=seed, medium="hub", install_vw=True, rll=True, frame_codec="fast"
+        seed=seed, medium="hub", install_vw=True, rll=True
     )
     BulkReceiver(node2, RECEIVER_PORT)
     stream: List[bytes] = []
@@ -213,66 +184,13 @@ def capture_fig7_stream(
     return data_plane, program
 
 
-def _replay_reference(stream: List[bytes], classifier, nodes) -> None:
-    """One pass of the reference per-frame pipeline over *stream*.
+def _replay(stream: List[bytes], classifier, nodes) -> None:
+    """One pass of the per-frame pipeline over *stream*.
 
-    Per frame, the object path's full journey: Ethernet parse, RLL shim
-    parse + unwrap + inner re-serialisation (what the reference RLL layer
-    hands upward), classification at both engine hooks, endpoint lookup,
-    verified IPv4+TCP parse, then the transmit side's object-tree
-    re-serialisation back to wire bytes — checked against the capture.
-    """
-    for data in stream:
-        outer = EthernetFrame.from_bytes(data)
-        if outer.ethertype == ETHERTYPE_RLL:
-            shim = RllFrame.parse(outer.payload)
-            if shim.kind == KIND_ACK:
-                out = RllFrame.pure_ack(shim.ack).wrap(outer.dst, outer.src).to_bytes()
-                if out != data:
-                    raise ScenarioError("reference RLL ack round-trip diverged")
-                continue
-            inner_bytes = shim.unwrap(outer).to_bytes()
-        else:
-            shim = None
-            inner_bytes = data
-        classifier.classify(inner_bytes)  # sender-side hook
-        classifier.classify(inner_bytes)  # receiver-side hook
-        nodes.by_mac_bytes(inner_bytes[6:12])
-        nodes.by_mac_bytes(inner_bytes[0:6])
-        packet = Ipv4Packet.from_bytes(inner_bytes[14:], verify=True)
-        if packet.protocol != PROTO_TCP:
-            continue
-        seg = TcpSegment.from_bytes(packet.payload, packet.src, packet.dst, verify=True)
-        rebuilt = Ipv4Packet(
-            src=packet.src,
-            dst=packet.dst,
-            protocol=packet.protocol,
-            payload=seg.to_bytes(packet.src, packet.dst),
-            ttl=packet.ttl,
-            tos=packet.tos,
-            ident=packet.ident,
-            dont_fragment=packet.dont_fragment,
-        )
-        inner2 = EthernetFrame(outer.dst, outer.src, ETHERTYPE_IPV4, rebuilt.to_bytes())
-        if shim is not None:
-            out = (
-                RllFrame.data_for(inner2, shim.seq, shim.ack)
-                .wrap(outer.dst, outer.src)
-                .to_bytes()
-            )
-        else:
-            out = inner2.to_bytes()
-        if out != data:
-            raise ScenarioError("reference frame round-trip diverged")
-
-
-def _replay_fast(stream: List[bytes], classifier, nodes) -> None:
-    """One pass of the fast per-frame pipeline over *stream*.
-
-    The same journey as :func:`_replay_reference` through the zero-copy
-    codec: splice-based RLL decap, flattened classification, lazy verified
-    parses, and the fast one-shot encoders on the transmit side — checked
-    byte-for-byte against the capture.
+    Per frame: splice-based RLL decap, classification at both engine hooks,
+    endpoint lookup, verified IPv4+TCP parse, then the transmit side's
+    one-shot encoders back to wire bytes — checked byte-for-byte against
+    the capture.
     """
     for data in stream:
         if ((data[12] << 8) | data[13]) == ETHERTYPE_RLL:
@@ -280,7 +198,7 @@ def _replay_fast(stream: List[bytes], classifier, nodes) -> None:
                 ack = (data[18] << 8) | data[19]
                 out = encap_ack_fast(data[:6], data[6:12], ack)
                 if out != data:
-                    raise ScenarioError("fast RLL ack round-trip diverged")
+                    raise ScenarioError("RLL ack round-trip diverged")
                 continue
             shim_seq = (data[16] << 8) | data[17]
             shim_ack = (data[18] << 8) | data[19]
@@ -308,7 +226,7 @@ def _replay_fast(stream: List[bytes], classifier, nodes) -> None:
         )
         out = encap_data_fast(frame2, shim_seq, shim_ack) if rll else frame2
         if out != data:
-            raise ScenarioError("fast frame round-trip diverged")
+            raise ScenarioError("frame round-trip diverged")
 
 
 def measure_hotpath_point(
@@ -322,26 +240,26 @@ def measure_hotpath_point(
 ) -> FramesResult:
     """Time the per-frame hot path over the captured Fig 7 stream.
 
-    Pass the same (*stream*, *program*) from :func:`capture_fig7_stream`
-    to both codecs so the frame counts are identical and only the codec
-    varies; when omitted a fresh capture is made.
+    Pass a (*stream*, *program*) from :func:`capture_fig7_stream` to time
+    the same frames again; when omitted a fresh capture is made.
+    *frame_codec* only accepts ``"fast"``: benchmarks/ledger passes it
+    positionally.
     """
+    if frame_codec != "fast":
+        raise ValueError(f"the only frame codec is 'fast', not {frame_codec!r}")
     if stream is None or program is None:
         stream, program = capture_fig7_stream(
             seed=seed, offered_mbps=offered_mbps, duration_ns=duration_ns
         )
-    kind = "compiled" if frame_codec == "fast" else "indexed"
-    classifier = make_classifier(program.filters, kind)
-    replay = _replay_fast if frame_codec == "fast" else _replay_reference
+    classifier = Classifier(program.filters)
     nodes = program.nodes
     started = time.perf_counter()
     for _ in range(repeats):
-        replay(stream, classifier, nodes)
+        _replay(stream, classifier, nodes)
     wall_s = time.perf_counter() - started
     frames = len(stream) * repeats
     return FramesResult(
         bench="fig7_hotpath",
-        frame_codec=frame_codec,
         frames=frames,
         wall_s=round(wall_s, 4),
         frames_per_sec=round(frames / wall_s, 1),
@@ -352,85 +270,14 @@ def measure_hotpath_point(
     )
 
 
-# -- the trajectory file ----------------------------------------------------
-
-
-def trajectory_entry(result: FramesResult, note: str = "") -> dict:
-    """A JSON-able trajectory entry: the measurement plus host provenance."""
-    entry = {
-        "utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        "host": platform.node(),
-        "python": platform.python_version(),
-        **asdict(result),
-    }
-    if note:
-        entry["note"] = note
-    return entry
-
-
-def load_trajectory(path) -> list:
-    path = Path(path)
-    if not path.exists():
-        return []
-    return json.loads(path.read_text())
-
-
-def append_entry(path, entry: dict) -> None:
-    path = Path(path)
-    entries = load_trajectory(path)
-    entries.append(entry)
-    path.write_text(json.dumps(entries, indent=2) + "\n")
-
-
-def last_entry(
-    path, bench: str = "fig7_hotpath", frame_codec: str = "fast"
-) -> Optional[dict]:
-    """The most recent trajectory entry for (*bench*, *frame_codec*)."""
-    for entry in reversed(load_trajectory(path)):
-        if entry.get("bench") == bench and entry.get("frame_codec") == frame_codec:
-            return entry
-    return None
-
-
-def check_regression(
-    path, result: FramesResult, min_ratio: float = 0.8
-) -> "tuple[bool, str]":
-    """Compare *result* to the last same-codec trajectory entry.
-
-    Returns ``(ok, message)``; *ok* is False when frames/sec fell below
-    ``min_ratio`` of the recorded figure.  A missing baseline passes (the
-    first run on a fresh trajectory has nothing to regress against).
-    """
-    baseline = last_entry(path, bench=result.bench, frame_codec=result.frame_codec)
-    if baseline is None:
-        return True, f"no {result.frame_codec} baseline in {path}; nothing to compare"
-    if baseline.get("host") != platform.node():
-        return True, (
-            f"baseline host {baseline.get('host', '?')} differs from "
-            f"{platform.node()}; wall-clock comparison skipped "
-            "(--min-speedup still gates the codec ratio)"
-        )
-    recorded = float(baseline["frames_per_sec"])
-    ratio = result.frames_per_sec / recorded
-    message = (
-        f"{result.bench}[{result.frame_codec}]: {result.frames_per_sec:,.0f} frames/s "
-        f"vs recorded {recorded:,.0f} ({ratio:.2f}x, floor {min_ratio:.2f}x, "
-        f"baseline host {baseline.get('host', '?')})"
-    )
-    return ratio >= min_ratio, message
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="Measure fig7 frame hot-path frames/sec; maintain BENCH_FRAMES.json"
+        description="Measure fig7 frame hot-path frames/sec"
     )
     parser.add_argument(
         "--bench", choices=("hotpath", "bulk"), default="hotpath",
         help="hotpath replays captured fig7 frames through the codec "
         "pipeline; bulk times the end-to-end fig7 cell",
-    )
-    parser.add_argument(
-        "--codec", choices=("fast", "reference", "both"), default="fast"
     )
     parser.add_argument("--offered-mbps", type=float, default=DEFAULT_OFFERED_MBPS)
     parser.add_argument(
@@ -439,76 +286,31 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
-        "--repeats", type=int, default=HOTPATH_REPEATS,
-        help="hotpath replay passes per codec",
+        "--repeats", type=int, default=HOTPATH_REPEATS, help="hotpath replay passes"
     )
-    parser.add_argument(
-        "--append", metavar="PATH", default=None,
-        help="append each measurement to this trajectory file",
-    )
-    parser.add_argument(
-        "--check", metavar="PATH", default=None,
-        help="fail when frames/sec drops below --min-ratio of the last "
-        "same-bench, same-codec entry in this trajectory file",
-    )
-    parser.add_argument("--min-ratio", type=float, default=0.8)
-    parser.add_argument(
-        "--min-speedup", type=float, default=None,
-        help="with --codec both: fail when fast/reference frames/sec "
-        "falls below this ratio (host-independent gate)",
-    )
-    parser.add_argument("--note", default="")
     args = parser.parse_args(argv)
 
-    codecs = ("reference", "fast") if args.codec == "both" else (args.codec,)
-    results = {}
     if args.bench == "hotpath":
-        duration_ns = args.duration_ns or HOTPATH_CAPTURE_NS
-        stream, program = capture_fig7_stream(
-            seed=args.seed, offered_mbps=args.offered_mbps, duration_ns=duration_ns
+        result = measure_hotpath_point(
+            repeats=args.repeats,
+            offered_mbps=args.offered_mbps,
+            duration_ns=args.duration_ns or HOTPATH_CAPTURE_NS,
+            seed=args.seed,
         )
-        for codec in codecs:
-            results[codec] = measure_hotpath_point(
-                frame_codec=codec,
-                stream=stream,
-                program=program,
-                repeats=args.repeats,
-                offered_mbps=args.offered_mbps,
-                duration_ns=duration_ns,
-                seed=args.seed,
-            )
     else:
-        for codec in codecs:
-            results[codec] = measure_frames_point(
-                frame_codec=codec,
-                offered_mbps=args.offered_mbps,
-                duration_ns=args.duration_ns or DEFAULT_DURATION_NS,
-                seed=args.seed,
-            )
-    for codec, result in results.items():
-        goodput = (
-            f" (goodput {result.goodput_mbps:.1f} Mbps)" if result.goodput_mbps else ""
+        result = measure_frames_point(
+            offered_mbps=args.offered_mbps,
+            duration_ns=args.duration_ns or DEFAULT_DURATION_NS,
+            seed=args.seed,
         )
-        print(
-            f"{result.bench}[{codec}]: {result.frames:,} frames in "
-            f"{result.wall_s:.2f}s = {result.frames_per_sec:,.0f} frames/s{goodput}"
-        )
-        if args.append:
-            append_entry(args.append, trajectory_entry(result, note=args.note))
-    status = 0
-    if len(results) == 2:
-        speedup = results["fast"].frames_per_sec / results["reference"].frames_per_sec
-        print(f"fast/reference speedup: {speedup:.2f}x")
-        if args.min_speedup is not None and speedup < args.min_speedup:
-            print(f"REGRESSION speedup {speedup:.2f}x below floor {args.min_speedup:.2f}x")
-            status = 1
-    if args.check:
-        for result in results.values():
-            ok, message = check_regression(args.check, result, args.min_ratio)
-            print(("OK " if ok else "REGRESSION ") + message)
-            if not ok:
-                status = 1
-    return status
+    goodput = (
+        f" (goodput {result.goodput_mbps:.1f} Mbps)" if result.goodput_mbps else ""
+    )
+    print(
+        f"{result.bench}: {result.frames:,} frames in "
+        f"{result.wall_s:.2f}s = {result.frames_per_sec:,.0f} frames/s{goodput}"
+    )
+    return 0
 
 
 if __name__ == "__main__":

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from ..core.engine import EngineConfig
 from ..core.testbed import Testbed
 from ..stack.costs import CostModel
 from ..stack.node import Host
@@ -28,8 +27,6 @@ def two_node_testbed(
     install_vw: bool = True,
     rll: bool = False,
     costs: Optional[CostModel] = None,
-    engine_config: Optional[EngineConfig] = None,
-    frame_codec: str = "fast",
     **medium_kwargs,
 ) -> Tuple[Testbed, Host, Host]:
     """Build the canonical 2-host testbed.
@@ -37,12 +34,9 @@ def two_node_testbed(
     *medium* is ``"switch"``, ``"hub"`` or ``"link"``.  When *install_vw*
     is False the testbed is the baseline (no engine anywhere); otherwise
     VirtualWire is installed on both hosts with node1 as the control node,
-    optionally with the RLL below the engines and with *engine_config*
-    applied to every engine (e.g. to pin the reference classifier when
-    checking Fig 8 parity).  *frame_codec* selects the fast or reference
-    header codec for the whole testbed (an explicit *engine_config* wins).
+    optionally with the RLL below the engines.
     """
-    tb = Testbed(seed=seed, costs=costs, frame_codec=frame_codec)
+    tb = Testbed(seed=seed, costs=costs)
     node1 = tb.add_host("node1")
     node2 = tb.add_host("node2")
     factory = {
@@ -54,7 +48,7 @@ def two_node_testbed(
     factory("m0", **medium_kwargs)
     tb.connect("m0", node1, node2)
     if install_vw:
-        tb.install_virtualwire(control="node1", rll=rll, engine_config=engine_config)
+        tb.install_virtualwire(control="node1", rll=rll)
     return tb, node1, node2
 
 

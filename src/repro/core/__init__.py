@@ -8,20 +8,12 @@ plane, the programming front-end, and the :class:`Testbed` facade.
 from .audit import AuditEvent, AuditLog
 from .autogen import MessageFlow, ProtocolSpec, ScriptGenerator, rether_spec
 from .chaos import ControlLossLayer
-from .classify import (
-    CLASSIFIER_KINDS,
-    Classifier,
-    ClassifierBase,
-    FilterIndex,
-    IndexedClassifier,
-    VarStore,
-    make_classifier,
-)
+from .classify import Classifier, ClassifierBase, FilterIndex, VarStore
 from .control import FLAG_RELIABLE, ControlMessage, ControlType
 from .reliable import INITIAL_RTO_NS, MAX_RETRIES, MAX_RTO_NS, ReliableControlPlane
 from .lint import Finding, Severity, lint_program, lint_text
 from .matrix import FaultMatrix, MatrixCell, MatrixReport
-from .engine import EngineConfig, EngineStats, VirtualWireEngine
+from .engine import EngineStats, VirtualWireEngine
 from .frontend import DEFAULT_INACTIVITY_NS, Frontend
 from .fsl import compile_script, compile_text, parse_script
 from .report import EndReason, ErrorRecord, ScenarioReport
@@ -53,14 +45,10 @@ __all__ = [
     "AuditEvent",
     "AuditLog",
     "ActionSpec",
-    "CLASSIFIER_KINDS",
     "Classifier",
     "ClassifierBase",
     "CompiledProgram",
-    "EngineConfig",
     "FilterIndex",
-    "IndexedClassifier",
-    "make_classifier",
     "ConditionExpr",
     "ConditionSpec",
     "ControlLossLayer",

@@ -10,30 +10,21 @@ Filter tuples with a VAR pattern bind on first match (node-locally) and
 compare for equality afterwards — the mechanism behind the paper's
 retransmission detectors (Fig 2, ``TCP_data_rt1``).
 
-Two implementations share those semantics (see docs/CLASSIFIER.md):
-
-* :class:`Classifier` — the paper-faithful linear scan, kept as the
-  reference implementation;
-* :class:`IndexedClassifier` — the production fast path.  It consults a
-  :class:`FilterIndex` compiled from the table (entries bucketed by their
-  most selective exact tuple; mask/VAR-keyed entries in an ordered
-  residual chain) so only entries that *could* match are examined.  The
-  **result is split from the cost**: the index returns the same
-  ``(packet_type, scanned)`` pair the linear scan would have produced, so
-  the virtual-time cost model — and the Fig 8 linear-growth reproduction —
-  is unchanged while the real Python-side work becomes ~O(1) per packet.
-* :class:`CompiledClassifier` — the index plus a **flattened
-  match-program** per entry (tuples of ``(offset, end, mask, pattern)``
-  ops) so the candidate walk runs without per-tuple attribute access or
-  bindings-dict allocation.  Selected automatically by the engine when the
-  testbed runs the fast frame codec (docs/PERF.md).
+:class:`Classifier` consults a :class:`FilterIndex` compiled from the table
+(entries bucketed by their most selective exact tuple; mask/VAR-keyed
+entries in an ordered residual chain, each entry flattened into a
+match-program) so only entries that *could* match are examined.  The
+**result is split from the cost**: it returns the same ``(packet_type,
+scanned)`` pair the linear scan would have produced, so the virtual-time
+cost model — and the Fig 8 linear-growth reproduction — is unchanged while
+the real Python-side work becomes ~O(1) per packet.  The linear scan itself
+is the test oracle (``tests/oracles``); see docs/CLASSIFIER.md.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
-from ..errors import EngineError
 from .tables import FilterEntry, FilterTable, FilterTuple, VarRef
 
 #: A bucket/chain element: the entry plus its position in file order.
@@ -60,16 +51,14 @@ class VarStore:
 
 
 class ClassifierBase:
-    """Shared state and tuple-matching semantics of both implementations.
+    """Shared state and tuple-matching semantics of :class:`Classifier` and
+    the test oracles.
 
     Subclasses implement :meth:`classify`; everything observable — the
     returned ``(name, scanned)`` pair, VAR bindings, and the three stats
     counters — must be identical across implementations (enforced by the
     differential property test in ``tests/props/test_props_classify.py``).
     """
-
-    #: registry key, e.g. for ``EngineConfig.classifier``.
-    kind = "abstract"
 
     def __init__(self, filters: FilterTable) -> None:
         self.filters = filters
@@ -79,7 +68,7 @@ class ClassifierBase:
         #: linear-equivalent scan count (what the cost model charges).
         self.entries_scanned_total = 0
         #: entries actually probed by *this* implementation (real work;
-        #: equals entries_scanned_total for the linear reference).
+        #: equals entries_scanned_total for a linear scan).
         self.entries_examined_total = 0
 
     def classify(self, data: bytes) -> Tuple[Optional[str], int]:
@@ -125,22 +114,6 @@ class ClassifierBase:
         return None, scanned
 
 
-class Classifier(ClassifierBase):
-    """The paper-faithful reference: a linear scan in file order."""
-
-    kind = "linear"
-
-    def classify(self, data: bytes) -> Tuple[Optional[str], int]:
-        scanned = 0
-        for entry in self.filters.entries:
-            scanned += 1
-            self.entries_examined_total += 1
-            bindings = self._match(entry, data)
-            if bindings is not None:
-                return self._matched(entry, bindings, scanned)
-        return self._unmatched(scanned)
-
-
 # ---------------------------------------------------------------------------
 # The compiled decision index
 # ---------------------------------------------------------------------------
@@ -163,11 +136,15 @@ class FilterIndex:
     tiny — chain.  Skipping a bucketed entry with a different discriminator
     value is always sound: its exact tuple compares unequal, so the linear
     scan would have rejected it too.
+
+    :attr:`programs` holds each entry's flattened match-program by file
+    position, so index and programs are one artefact per table version.
     """
 
     def __init__(self, table: FilterTable) -> None:
         self.version = table.version
         self.size = len(table.entries)
+        self.programs = [_compile_entry(entry) for entry in table.entries]
         self.key_field: Optional[Tuple[int, int]] = self._pick_key_field(table.entries)
         self.residual: List[_Positioned] = []
         buckets: Dict[int, List[_Positioned]] = {}
@@ -236,35 +213,6 @@ class FilterIndex:
         return index
 
 
-class IndexedClassifier(ClassifierBase):
-    """Production fast path: classify via the compiled :class:`FilterIndex`.
-
-    Observationally identical to :class:`Classifier` — same winner, same
-    VAR bindings, and the same *scanned* count (the linear-equivalent
-    position of the winner, or the full table size on a miss) so the
-    engine's virtual-time cost model still charges the paper's linear
-    scan.  Only ``entries_examined_total`` — the real Python-side work —
-    differs.
-    """
-
-    kind = "indexed"
-
-    def __init__(self, filters: FilterTable) -> None:
-        super().__init__(filters)
-        self._index = FilterIndex.for_table(filters)
-
-    def classify(self, data: bytes) -> Tuple[Optional[str], int]:
-        index = self._index
-        if index.version != self.filters.version:
-            index = self._index = FilterIndex.for_table(self.filters)
-        for position, entry in index.chain_for(data):
-            self.entries_examined_total += 1
-            bindings = self._match(entry, data)
-            if bindings is not None:
-                return self._matched(entry, bindings, position + 1)
-        return self._unmatched(index.size)
-
-
 # ---------------------------------------------------------------------------
 # The flattened match-program
 # ---------------------------------------------------------------------------
@@ -293,38 +241,30 @@ def _compile_entry(entry: FilterEntry) -> Optional[Tuple[_MatchOp, ...]]:
     return tuple(ops)
 
 
-def _compile_table(table: FilterTable) -> List[Optional[Tuple[_MatchOp, ...]]]:
-    """Per-position match programs, aligned with the table's file order."""
-    return [_compile_entry(entry) for entry in table.entries]
+class Classifier(ClassifierBase):
+    """Index-pruned candidates matched by flattened match-programs.
 
-
-class CompiledClassifier(IndexedClassifier):
-    """Index-pruned candidates matched by flattened bytecode.
-
-    Same candidate chains as :class:`IndexedClassifier`, but each non-VAR
-    entry is pre-flattened into a tuple of ``(offset, end, mask, pattern)``
-    ops evaluated in a tight local loop — no :class:`FilterTuple` attribute
-    access, no ``isinstance`` checks, and no per-attempt bindings dict on
-    the hot path.  Entries with VAR patterns fall back to the shared
-    interpreted matcher, so observable behaviour (winner, VAR bindings,
-    scanned counts, stats) stays identical to both other implementations.
+    Observationally identical to a linear scan in file order — same winner,
+    same VAR bindings, and the same *scanned* count (the linear-equivalent
+    position of the winner, or the full table size on a miss) so the
+    engine's virtual-time cost model still charges the paper's linear
+    scan.  Only ``entries_examined_total`` — the real Python-side work —
+    differs.  Each non-VAR entry is a tuple of ``(offset, end, mask,
+    pattern)`` ops evaluated in a tight local loop — no
+    :class:`FilterTuple` attribute access, no ``isinstance`` checks, and no
+    per-attempt bindings dict; entries with VAR patterns go through the
+    shared interpreted matcher.
     """
-
-    kind = "compiled"
 
     def __init__(self, filters: FilterTable) -> None:
         super().__init__(filters)
-        self._programs = _compile_table(filters)
-        self._programs_version = filters.version
+        self._index = FilterIndex.for_table(filters)
 
     def classify(self, data: bytes) -> Tuple[Optional[str], int]:
         index = self._index
         if index.version != self.filters.version:
             index = self._index = FilterIndex.for_table(self.filters)
-        if self._programs_version != self.filters.version:
-            self._programs = _compile_table(self.filters)
-            self._programs_version = self.filters.version
-        programs = self._programs
+        programs = index.programs
         n = len(data)
         for position, entry in index.chain_for(data):
             self.entries_examined_total += 1
@@ -347,34 +287,6 @@ class CompiledClassifier(IndexedClassifier):
 
 #: shared empty-bindings dict for bytecode matches (never mutated).
 _NO_BINDINGS: Dict[str, int] = {}
-
-
-# ---------------------------------------------------------------------------
-# Registry
-# ---------------------------------------------------------------------------
-
-#: classifier-kind knob values (``EngineConfig.classifier``).
-CLASSIFIER_KINDS: Dict[str, type] = {
-    Classifier.kind: Classifier,
-    IndexedClassifier.kind: IndexedClassifier,
-    CompiledClassifier.kind: CompiledClassifier,
-}
-
-
-def make_classifier(
-    filters: FilterTable, kind: Union[str, type] = "indexed"
-) -> ClassifierBase:
-    """Instantiate the classifier implementation named by *kind*."""
-    if isinstance(kind, type):
-        return kind(filters)
-    try:
-        cls = CLASSIFIER_KINDS[kind]
-    except KeyError:
-        raise EngineError(
-            f"unknown classifier kind {kind!r} "
-            f"(expected one of {sorted(CLASSIFIER_KINDS)})"
-        ) from None
-    return cls(filters)
 
 
 def _read_field(data: bytes, tup: FilterTuple) -> Optional[int]:

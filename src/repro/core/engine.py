@@ -21,57 +21,19 @@ CPU.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
 from ..analysis.journey import frame_digest
-from ..errors import ControlChecksumError, ControlPlaneError, EngineError
+from ..errors import ControlChecksumError, ControlPlaneError
 from ..net.bytesutil import read_u16
-from ..net.fastpath import FRAME_CODEC_KINDS
 from ..net.frame import ETHERTYPE_VW_CONTROL, EthernetFrame
 from ..stack.layers import FrameLayer
-from .classify import CLASSIFIER_KINDS, ClassifierBase, make_classifier
+from .classify import Classifier
 from .control import ControlMessage, ControlType
 from .faults import DelayQueue, ReorderBuffer, apply_modify
 from .reliable import ReliableControlPlane
 from .runtime import EventStats, NodeRuntime, RuntimeHooks
 from .tables import ActionKind, CompiledProgram, Direction
-
-
-@dataclass(frozen=True)
-class EngineConfig:
-    """Per-engine tuning knobs (shared by every engine of a testbed).
-
-    *classifier* selects the packet-classification implementation:
-    ``"indexed"`` (default) uses the production
-    :class:`~repro.core.classify.IndexedClassifier` fast path;
-    ``"linear"`` keeps the paper-faithful reference scan.  Both return
-    identical results and identical *scanned* counts, so the virtual-time
-    cost model is unaffected by the choice (docs/CLASSIFIER.md).
-
-    *frame_codec* selects the per-frame header codec for the whole
-    testbed's hot path: ``"fast"`` (default) uses the allocation-lean
-    :mod:`repro.net.fastpath` encoders/parsers plus the engine's
-    allocation-free dispatch; ``"reference"`` keeps the object-per-frame
-    reference path as the differential oracle.  Wire bytes, reports,
-    audit trails and virtual time are byte-identical either way, pinned
-    by tests/differential/ (docs/PERF.md).
-    """
-
-    classifier: str = "indexed"
-    frame_codec: str = "fast"
-
-    def __post_init__(self) -> None:
-        if self.classifier not in CLASSIFIER_KINDS:
-            raise EngineError(
-                f"unknown classifier kind {self.classifier!r} "
-                f"(expected one of {sorted(CLASSIFIER_KINDS)})"
-            )
-        if self.frame_codec not in FRAME_CODEC_KINDS:
-            raise EngineError(
-                f"unknown frame codec {self.frame_codec!r} "
-                f"(expected one of {sorted(FRAME_CODEC_KINDS)})"
-            )
 
 
 class EngineStats:
@@ -112,13 +74,12 @@ class EngineStats:
 class VirtualWireEngine(FrameLayer, RuntimeHooks):
     """The per-node FIE/FAE, implemented as a splice-in frame layer."""
 
-    def __init__(self, sim, config: Optional[EngineConfig] = None) -> None:
+    def __init__(self, sim) -> None:
         FrameLayer.__init__(self, "virtualwire")
         self.sim = sim
-        self.config = config if config is not None else EngineConfig()
         self.program: Optional[CompiledProgram] = None
         self.runtime: Optional[NodeRuntime] = None
-        self.classifier: Optional[ClassifierBase] = None
+        self.classifier: Optional[Classifier] = None
         self.enabled = False
         self.control_mac = None
         #: shared with the front-end: program id -> CompiledProgram.
@@ -185,12 +146,7 @@ class VirtualWireEngine(FrameLayer, RuntimeHooks):
         self._busy_until = 0
         if self.node_name in program.nodes:
             self.runtime = NodeRuntime(self.node_name, program, hooks=self)
-            kind = self.config.classifier
-            if kind == "indexed" and self.config.frame_codec == "fast":
-                # The fast codec's allocation-free twin of the indexed
-                # classifier: same chains, flattened match-programs.
-                kind = "compiled"
-            self.classifier = make_classifier(program.filters, kind)
+            self.classifier = Classifier(program.filters)
             if self.audit_log is not None:
                 self.runtime.audit = self.audit_log.recorder_for(self.node_name)
         else:

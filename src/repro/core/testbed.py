@@ -41,7 +41,7 @@ from ..stack.node import Host
 from ..trace import TapLayer, TraceRecorder
 from .audit import AuditLog
 from .chaos import ControlLossLayer
-from .engine import EngineConfig, VirtualWireEngine
+from .engine import VirtualWireEngine
 from .frontend import Frontend
 from .fsl import compile_text
 from .report import EndReason, ScenarioReport
@@ -101,16 +101,10 @@ class Testbed:
         """
         return cls.compile_cached(script, scenario).content_hash()
 
-    def __init__(
-        self,
-        seed: int = 0,
-        costs: Optional[CostModel] = None,
-        frame_codec: str = "fast",
-    ) -> None:
+    def __init__(self, seed: int = 0, costs: Optional[CostModel] = None) -> None:
         self.sim = Simulator(seed=seed)
         self.topology = Topology(self.sim)
         self.costs = costs if costs is not None else CostModel()
-        self.frame_codec = frame_codec
         self.hosts: Dict[str, Host] = {}
         self.engines: Dict[str, VirtualWireEngine] = {}
         self.rll_layers: Dict[str, RllLayer] = {}
@@ -142,7 +136,6 @@ class Testbed:
             ip if ip is not None else IpAddress.from_index(self._host_index),
             costs=self.costs,
             install_tcp=install_tcp,
-            frame_codec=self.frame_codec,
         )
         self.hosts[name] = host
         for other in self.hosts.values():
@@ -187,7 +180,6 @@ class Testbed:
         capture: bool = False,
         audit: bool = False,
         metrics: bool = False,
-        engine_config: Optional[EngineConfig] = None,
     ) -> Frontend:
         """Splice the FIE/FAE (and optionally the RLL below it) into hosts.
 
@@ -200,20 +192,9 @@ class Testbed:
         *metrics* every instrumented layer feeds a shared
         :class:`~repro.analysis.MetricsRegistry` (``testbed.metrics``,
         exported via ``report.metrics`` — docs/OBSERVABILITY.md).
-        *engine_config* tunes every engine (e.g.
-        ``EngineConfig(classifier="linear")`` selects the reference
-        classifier instead of the indexed fast path).
         """
         if self.frontend is not None:
             raise ScenarioError("VirtualWire is already installed")
-        if engine_config is None:
-            engine_config = EngineConfig(frame_codec=self.frame_codec)
-        elif engine_config.frame_codec != self.frame_codec:
-            # The engine knob wins: re-key every host's stack so one
-            # EngineConfig selects the codec for the whole testbed.
-            self.frame_codec = engine_config.frame_codec
-            for host in self.hosts.values():
-                host.set_frame_codec(engine_config.frame_codec)
         targets = (
             [self.host(ref) for ref in nodes]
             if nodes is not None
@@ -236,14 +217,14 @@ class Testbed:
                 layer = RllLayer(self.sim)
                 host.chain.splice_above_driver(layer)
                 self.rll_layers[host.name] = layer
-            engine = VirtualWireEngine(self.sim, config=engine_config)
+            engine = VirtualWireEngine(self.sim)
             engine.audit_log = self.audit_log
             host.chain.splice_below_ip(engine)
             self.engines[host.name] = engine
             if self.recorder is not None:
                 host.chain.splice_below_ip(TapLayer(self.recorder, host.name))
         if control_host.name not in self.engines:
-            engine = VirtualWireEngine(self.sim, config=engine_config)
+            engine = VirtualWireEngine(self.sim)
             engine.audit_log = self.audit_log
             control_host.chain.splice_below_ip(engine)
             self.engines[control_host.name] = engine

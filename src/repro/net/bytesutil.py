@@ -1,9 +1,8 @@
 """Byte-level helpers shared by the header codecs.
 
 Includes the ones-complement Internet checksum (RFC 1071) used by IPv4, UDP
-and TCP — in a paper-faithful per-word reference form and a vectorised fast
-form (see docs/PERF.md) — big-endian field packing helpers, and a hexdump
-for traces.
+and TCP — in a per-word form and a vectorised form (see docs/PERF.md) —
+big-endian field packing helpers, and a hexdump for traces.
 """
 
 from __future__ import annotations
@@ -20,9 +19,9 @@ _NATIVE_BIG_ENDIAN = sys.byteorder == "big"
 def internet_checksum(data: bytes) -> int:
     """RFC 1071 ones-complement sum over *data* (odd length is zero-padded).
 
-    This is the reference implementation; :func:`internet_checksum_fast`
-    computes the identical value (pinned by tests/props/test_props_codec.py)
-    roughly 20x faster and is what the ``fast`` frame codec uses.
+    The per-word form the readable header classes use; the data path gets
+    the identical value (pinned by tests/props/test_props_codec.py) roughly
+    20x faster from ``fold_checksum(checksum_sum16(data))``.
     """
     if len(data) % 2:
         data = data + b"\x00"
@@ -72,11 +71,6 @@ def fold_checksum(total: int) -> int:
     while total >> 16:
         total = (total & 0xFFFF) + (total >> 16)
     return (~total) & 0xFFFF
-
-
-def internet_checksum_fast(data) -> int:
-    """Vectorised RFC 1071 checksum, byte-identical to :func:`internet_checksum`."""
-    return fold_checksum(checksum_sum16(data))
 
 
 def verify_checksum(data: bytes) -> bool:

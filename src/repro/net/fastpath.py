@@ -1,12 +1,12 @@
-"""The ``fast`` frame codec: allocation-lean header (de)serialisation.
+"""The frame codec of the data path: allocation-lean header (de)serialisation.
 
-This module is the hot-path twin of the reference codecs in
+Every function here produces **byte-identical wire output** and the **same
+accept/reject decisions** as the readable per-layer classes in
 :mod:`repro.net.frame` / :mod:`repro.net.ip` / :mod:`repro.net.tcp_segment` /
-:mod:`repro.net.udp`.  Every function here produces **byte-identical wire
-output** and the **same accept/reject decisions** as the reference path —
-pinned by the differential property tests (tests/props/test_props_codec.py)
-and the golden harness (tests/differential/) — while avoiding the per-frame
-object churn the reference path pays for its readability:
+:mod:`repro.net.udp` — pinned by the differential property tests
+(tests/props/test_props_codec.py) and the golden harness
+(tests/differential/) — while avoiding the per-frame object churn those
+classes pay for their readability:
 
 * checksums are computed from integer field values plus one vectorised
   pass over the payload (:func:`repro.net.bytesutil.checksum_sum16`), so
@@ -20,15 +20,15 @@ object churn the reference path pays for its readability:
   every parse returns the same immutable address objects instead of
   allocating new ones per packet.
 
-The codec is selected per testbed via ``EngineConfig.frame_codec``
-(``"fast"`` default, ``"reference"`` fallback); the reference path stays
-untouched as the differential oracle.  See docs/PERF.md.
+The IP, UDP, TCP and RLL layers call these functions directly; the
+per-layer classes serve traces, journeys, Rether and the control plane.
+See docs/PERF.md.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Dict, Optional
+from typing import Dict
 
 from ..errors import ChecksumError, PacketError
 from .addresses import IpAddress, MacAddress
@@ -40,11 +40,7 @@ from .ip import PROTO_TCP, PROTO_UDP, Ipv4Packet
 from .tcp_segment import TcpSegment
 from .udp import UdpDatagram
 
-#: Valid values for ``EngineConfig.frame_codec`` / ``Host.frame_codec``.
-FRAME_CODEC_KINDS = frozenset({"fast", "reference"})
-
 __all__ = [
-    "FRAME_CODEC_KINDS",
     "intern_ip",
     "intern_mac",
     "pseudo_header_sum",
@@ -54,7 +50,6 @@ __all__ = [
     "parse_ipv4_frame",
     "parse_tcp_segment",
     "parse_udp_datagram",
-    "HeaderView",
 ]
 
 # -- address interning ------------------------------------------------------
@@ -101,7 +96,7 @@ _ETH_IP_HDR = struct.Struct(">6s6sHHHHHBBH4s4s")
 
 
 def encode_tcp_segment(seg: TcpSegment, src_ip: IpAddress, dst_ip: IpAddress) -> bytes:
-    """Byte-identical fast twin of :meth:`TcpSegment.to_bytes`."""
+    """The bytes :meth:`TcpSegment.to_bytes` produces, without the object tree."""
     payload = seg.payload
     data_offset_flags = (5 << 12) | seg.flags
     total = (
@@ -131,7 +126,7 @@ def encode_tcp_segment(seg: TcpSegment, src_ip: IpAddress, dst_ip: IpAddress) ->
 
 
 def encode_udp_datagram(dgram: UdpDatagram, src_ip: IpAddress, dst_ip: IpAddress) -> bytes:
-    """Byte-identical fast twin of :meth:`UdpDatagram.to_bytes`."""
+    """The bytes :meth:`UdpDatagram.to_bytes` produces, without the object tree."""
     payload = dgram.payload
     length = 8 + len(payload)
     total = (
@@ -161,7 +156,7 @@ def encode_ipv4_frame(
 
     Byte-identical to ``EthernetFrame(dst, src, ETHERTYPE_IPV4,
     Ipv4Packet(...).to_bytes()).to_bytes()`` for the defaults the IP layer
-    uses, including the reference path's Ethernet MTU check.
+    uses, including :class:`EthernetFrame`'s MTU check.
     """
     total_len = IP_HEADER_LEN + len(payload)
     if total_len > MAX_PAYLOAD:
@@ -203,12 +198,11 @@ def encode_ipv4_frame(
 
 
 def parse_ipv4_frame(frame_bytes: bytes) -> Ipv4Packet:
-    """Fast twin of ``Ipv4Packet.from_bytes(frame_bytes[14:], verify=True)``.
+    """Equals ``Ipv4Packet.from_bytes(frame_bytes[14:], verify=True)``.
 
     Operates on the whole frame (no intermediate slice of the IP packet)
-    and accepts/rejects exactly the same inputs as the reference parser —
-    every reject raises :class:`PacketError`/:class:`ChecksumError` just
-    like the reference, so the IP layer's drop accounting is unchanged.
+    and accepts/rejects exactly the same inputs as that parser — every
+    reject raises the same :class:`PacketError`/:class:`ChecksumError`.
     """
     n = len(frame_bytes) - ETH_HEADER_LEN
     if n < IP_HEADER_LEN:
@@ -241,7 +235,7 @@ def parse_ipv4_frame(frame_bytes: bytes) -> Ipv4Packet:
 
 
 def parse_tcp_segment(data: bytes, src_ip: IpAddress, dst_ip: IpAddress) -> TcpSegment:
-    """Fast twin of ``TcpSegment.from_bytes(data, src_ip, dst_ip, verify=True)``."""
+    """Equals ``TcpSegment.from_bytes(data, src_ip, dst_ip, verify=True)``."""
     if len(data) < 20:
         raise PacketError(f"TCP segment of {len(data)} bytes is too short")
     data_offset_flags = (data[12] << 8) | data[13]
@@ -264,7 +258,7 @@ def parse_tcp_segment(data: bytes, src_ip: IpAddress, dst_ip: IpAddress) -> TcpS
 
 
 def parse_udp_datagram(data: bytes, src_ip: IpAddress, dst_ip: IpAddress) -> UdpDatagram:
-    """Fast twin of ``UdpDatagram.from_bytes(data, src_ip, dst_ip, verify=True)``."""
+    """Equals ``UdpDatagram.from_bytes(data, src_ip, dst_ip, verify=True)``."""
     if len(data) < 8:
         raise PacketError(f"UDP datagram of {len(data)} bytes is too short")
     length = (data[4] << 8) | data[5]
@@ -282,102 +276,3 @@ def parse_udp_datagram(data: bytes, src_ip: IpAddress, dst_ip: IpAddress) -> Udp
     dgram.dst_port = (data[2] << 8) | data[3]
     dgram.payload = data[8:length]
     return dgram
-
-
-# -- lazy zero-copy view ----------------------------------------------------
-
-
-class HeaderView:
-    """A lazy, zero-copy, parse-on-demand view over raw frame bytes.
-
-    Unlike :class:`repro.net.packet.FrameView` — which materialises whole
-    layer objects (and copies their payloads) on access — a ``HeaderView``
-    never copies: each accessor reads its field straight out of the
-    underlying buffer through a :class:`memoryview` and caches the scalar.
-    Corruption tolerance matches ``FrameView``: a field that does not fit
-    in the frame reads as ``None`` instead of raising.
-    """
-
-    __slots__ = ("_mv", "_len", "_cache")
-
-    def __init__(self, data: bytes) -> None:
-        self._mv = memoryview(data)
-        self._len = len(data)
-        self._cache: Dict[str, Optional[int]] = {}
-
-    def _u(self, key: str, offset: int, nbytes: int) -> Optional[int]:
-        cached = self._cache.get(key, _MISSING)
-        if cached is not _MISSING:
-            return cached
-        if offset + nbytes > self._len:
-            value: Optional[int] = None
-        else:
-            value = int.from_bytes(self._mv[offset : offset + nbytes], "big")
-        self._cache[key] = value
-        return value
-
-    # Ethernet ----------------------------------------------------------
-    @property
-    def dst_mac(self) -> Optional[bytes]:
-        return bytes(self._mv[0:6]) if self._len >= 6 else None
-
-    @property
-    def src_mac(self) -> Optional[bytes]:
-        return bytes(self._mv[6:12]) if self._len >= 12 else None
-
-    @property
-    def ethertype(self) -> Optional[int]:
-        return self._u("ethertype", 12, 2)
-
-    # IPv4 --------------------------------------------------------------
-    @property
-    def is_ipv4(self) -> bool:
-        return self.ethertype == ETHERTYPE_IPV4 and self._u("ver_ihl", 14, 1) == 0x45
-
-    @property
-    def ip_protocol(self) -> Optional[int]:
-        return self._u("proto", 23, 1) if self.is_ipv4 else None
-
-    @property
-    def ip_total_length(self) -> Optional[int]:
-        return self._u("total_len", 16, 2) if self.is_ipv4 else None
-
-    @property
-    def src_ip(self) -> Optional[IpAddress]:
-        if not self.is_ipv4 or self._len < 30:
-            return None
-        return intern_ip(bytes(self._mv[26:30]))
-
-    @property
-    def dst_ip(self) -> Optional[IpAddress]:
-        if not self.is_ipv4 or self._len < 34:
-            return None
-        return intern_ip(bytes(self._mv[30:34]))
-
-    # Transport ---------------------------------------------------------
-    @property
-    def src_port(self) -> Optional[int]:
-        return self._u("src_port", 34, 2) if self.ip_protocol in (PROTO_TCP, PROTO_UDP) else None
-
-    @property
-    def dst_port(self) -> Optional[int]:
-        return self._u("dst_port", 36, 2) if self.ip_protocol in (PROTO_TCP, PROTO_UDP) else None
-
-    @property
-    def tcp_seq(self) -> Optional[int]:
-        return self._u("tcp_seq", 38, 4) if self.ip_protocol == PROTO_TCP else None
-
-    @property
-    def tcp_ack(self) -> Optional[int]:
-        return self._u("tcp_ack", 42, 4) if self.ip_protocol == PROTO_TCP else None
-
-    @property
-    def tcp_flags(self) -> Optional[int]:
-        value = self._u("tcp_flags", 46, 2) if self.ip_protocol == PROTO_TCP else None
-        return value & 0x3F if value is not None else None
-
-    def __len__(self) -> int:
-        return self._len
-
-
-_MISSING = object()

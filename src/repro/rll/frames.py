@@ -124,7 +124,7 @@ class RllFrame:
         return f"RllFrame({kind}, seq={self.seq}, ack={self.ack})"
 
 
-# -- fast-codec helpers (byte-identical to the RllFrame/EthernetFrame path) --
+# -- what RllLayer runs per frame: the shim spliced into raw frame bytes --
 
 #: RLL EtherType + kind + reserved + seq + ack, the 8 bytes inserted at
 #: offset 12 when encapsulating (the inner EtherType slides to offset 20).
@@ -137,7 +137,8 @@ def encap_data_fast(frame_bytes: bytes, seq: int, ack: int) -> bytes:
     Equals ``RllFrame.data_for(frame, seq, ack).wrap(frame.dst,
     frame.src).to_bytes()``: the outer frame keeps the inner addressing, so
     the wire form is the original frame with 8 shim bytes spliced in after
-    the source MAC.  Replicates the wrap path's Ethernet MTU check.
+    the source MAC.  Rejects what :class:`EthernetFrame` would: a shimmed
+    payload over the MTU.
     """
     if len(frame_bytes) - 6 > MAX_PAYLOAD:
         raise PacketError(

@@ -28,14 +28,13 @@ from typing import Deque, Dict, Optional, Tuple
 from ..errors import PacketError
 from ..net.addresses import MacAddress
 from ..net.fastpath import intern_mac
-from ..net.frame import HEADER_LEN, MAX_PAYLOAD, EthernetFrame
+from ..net.frame import HEADER_LEN, MAX_PAYLOAD
 from ..sim import NS_PER_MS, Simulator
 from ..stack.layers import FrameLayer
 from .frames import (
     KIND_ACK,
     KIND_DATA,
     SHIM_LEN,
-    RllFrame,
     decap_data_fast,
     encap_ack_fast,
     encap_data_fast,
@@ -68,9 +67,9 @@ class _PeerState:
     def __init__(self) -> None:
         self.snd_base = 0
         self.snd_next = 0
-        self.window: Deque[Tuple[int, EthernetFrame]] = deque()
+        self.window: Deque[Tuple[int, bytes]] = deque()  # (seq, raw frame)
         self.unacked = 0  # frames currently in the window
-        self.backlog: Deque[EthernetFrame] = deque()
+        self.backlog: Deque[bytes] = deque()
         self.rcv_next = 0
         self.retries = 0
         self.timer = None
@@ -93,10 +92,6 @@ class RllLayer(FrameLayer):
         self.rto_ns = rto_ns
         self.max_retries = max_retries
         self._frame_cost_ns = frame_cost_ns
-        #: Fast codec flag, resolved from the host in attached().  Windows
-        #: and backlogs hold raw frame bytes in fast mode, EthernetFrame
-        #: objects in reference mode — never switch codecs mid-flight.
-        self._fast = False
         self._peers: Dict[MacAddress, _PeerState] = {}
         # Statistics.
         self.data_sent = 0
@@ -106,6 +101,7 @@ class RllLayer(FrameLayer):
         self.retransmissions = 0
         self.duplicates_discarded = 0
         self.out_of_order_discarded = 0
+        self.malformed_discarded = 0
         self.abandoned_frames = 0
         self.bypass_frames = 0
         # Metric handles (repro.analysis); None keeps the hot path free.
@@ -116,17 +112,11 @@ class RllLayer(FrameLayer):
     def attached(self) -> None:
         if self._frame_cost_ns is None:
             self._frame_cost_ns = self.host.costs.rll_frame_ns if self.host else 0
-        self._fast = getattr(self.host, "frame_codec", "reference") == "fast"
         metrics = getattr(self.host, "metrics", None)
         if metrics is not None:
             self._m_rtx = metrics.counter("rll", "retransmissions")
             self._m_abandoned = metrics.counter("rll", "abandoned_frames")
             self._m_backlog = metrics.gauge("rll", "backlog_depth")
-
-    def set_frame_codec(self, codec: str) -> None:
-        """Select fast/reference framing; call only while no frames are
-        windowed (the two modes store different window element types)."""
-        self._fast = codec == "fast"
 
     def _charge(self, thunk, label: str) -> None:
         if self._frame_cost_ns:
@@ -163,40 +153,30 @@ class RllLayer(FrameLayer):
     # ------------------------------------------------------------------
 
     def on_send(self, frame_bytes: bytes) -> None:
-        if self._fast:
-            # Same checks EthernetFrame.from_bytes would have applied;
-            # window/backlog hold the raw bytes, never a parsed frame.
-            n = len(frame_bytes)
-            if n < HEADER_LEN:
-                raise PacketError(f"frame of {n} bytes is shorter than header")
-            if n - HEADER_LEN > MAX_PAYLOAD:
-                raise PacketError(
-                    f"payload of {n - HEADER_LEN} bytes exceeds "
-                    f"Ethernet MTU {MAX_PAYLOAD}"
-                )
-            if frame_bytes[0] & 0x01:
-                self.bypass_frames += 1
-                self.pass_down(frame_bytes)
-                return
-            dst = intern_mac(frame_bytes[:6])
-            frame = frame_bytes
-        else:
-            parsed = EthernetFrame.from_bytes(frame_bytes)
-            if parsed.dst.is_multicast:
-                self.bypass_frames += 1
-                self.pass_down(frame_bytes)
-                return
-            dst = parsed.dst
-            frame = parsed
+        # A frame from the local stack that no Ethernet could carry is a
+        # programming error, not wire input: raise.
+        n = len(frame_bytes)
+        if n < HEADER_LEN:
+            raise PacketError(f"frame of {n} bytes is shorter than header")
+        if n - HEADER_LEN > MAX_PAYLOAD:
+            raise PacketError(
+                f"payload of {n - HEADER_LEN} bytes exceeds "
+                f"Ethernet MTU {MAX_PAYLOAD}"
+            )
+        if frame_bytes[0] & 0x01:
+            self.bypass_frames += 1
+            self.pass_down(frame_bytes)
+            return
+        dst = intern_mac(frame_bytes[:6])
         peer = self._peer(dst)
         if peer.unacked >= self.window_size:
-            peer.backlog.append(frame)
+            peer.backlog.append(frame_bytes)
             if self._m_backlog is not None:
                 self._m_backlog.set(len(peer.backlog))
             return
-        self._charge(lambda: self._send_data(dst, peer, frame), "rll:tx")
+        self._charge(lambda: self._send_data(dst, peer, frame_bytes), "rll:tx")
 
-    def _send_data(self, dst: MacAddress, peer: _PeerState, frame) -> None:
+    def _send_data(self, dst: MacAddress, peer: _PeerState, frame: bytes) -> None:
         seq = peer.snd_next
         peer.snd_next = seq_add(peer.snd_next, 1)
         peer.window.append((seq, frame))
@@ -206,57 +186,32 @@ class RllLayer(FrameLayer):
         if peer.timer is None:
             self._arm_timer(dst, peer)
 
-    def _emit_data(self, dst: MacAddress, frame, seq: int, ack: int) -> None:
-        if self._fast:
-            self.pass_down(encap_data_fast(frame, seq, ack))
-            return
-        shim = RllFrame.data_for(frame, seq, ack)
-        self.pass_down(shim.wrap(dst, frame.src).to_bytes())
+    def _emit_data(self, dst: MacAddress, frame: bytes, seq: int, ack: int) -> None:
+        self.pass_down(encap_data_fast(frame, seq, ack))
 
     # ------------------------------------------------------------------
     # Upward path: decapsulate, ack, deliver in order
     # ------------------------------------------------------------------
 
     def on_receive(self, frame_bytes: bytes) -> None:
-        if self._fast:
-            self._receive_fast(frame_bytes)
+        # Total over wire bytes: a frame no well-formed peer could have
+        # sent is counted and dropped, never raised into the simulation.
+        n = len(frame_bytes)
+        if n < HEADER_LEN or n - HEADER_LEN > MAX_PAYLOAD:
+            self.malformed_discarded += 1
             return
-        outer = EthernetFrame.from_bytes(frame_bytes)
-        shim = RllFrame.maybe_parse(outer)
-        if shim is None:
+        if frame_bytes[12] != 0x88 or frame_bytes[13] != 0xB6:
             # Not RLL traffic (e.g. a peer without RLL, or multicast bypass).
             self.bypass_frames += 1
             self.pass_up(frame_bytes)
             return
-        peer = self._peer(outer.src)
-        if shim.kind == KIND_ACK:
-            self.acks_received += 1
-            self._process_ack(outer.src, peer, shim.ack)
-            return
-        if shim.kind == KIND_DATA:
-            self._charge(
-                lambda: self._process_data(outer, shim, peer), "rll:rx"
-            )
-
-    def _receive_fast(self, frame_bytes: bytes) -> None:
-        # Field-by-field twin of the reference path above, including every
-        # reject the reference parsers would have raised.
-        n = len(frame_bytes)
-        if n < HEADER_LEN:
-            raise PacketError(f"frame of {n} bytes is shorter than header")
-        if n - HEADER_LEN > MAX_PAYLOAD:
-            raise PacketError(
-                f"payload of {n - HEADER_LEN} bytes exceeds Ethernet MTU {MAX_PAYLOAD}"
-            )
-        if frame_bytes[12] != 0x88 or frame_bytes[13] != 0xB6:
-            self.bypass_frames += 1
-            self.pass_up(frame_bytes)
-            return
         if n - HEADER_LEN < SHIM_LEN:
-            raise PacketError(f"RLL shim of {n - HEADER_LEN} bytes is too short")
+            self.malformed_discarded += 1
+            return
         kind = frame_bytes[14]
         if kind != KIND_DATA and kind != KIND_ACK:
-            raise PacketError(f"bad RLL frame kind: {kind}")
+            self.malformed_discarded += 1
+            return
         src = intern_mac(frame_bytes[6:12])
         peer = self._peer(src)
         ack = (frame_bytes[18] << 8) | frame_bytes[19]
@@ -266,13 +221,14 @@ class RllLayer(FrameLayer):
             return
         seq = (frame_bytes[16] << 8) | frame_bytes[17]
         self._charge(
-            lambda: self._process_data_fast(frame_bytes, src, seq, ack, peer),
+            lambda: self._process_data(frame_bytes, src, seq, ack, peer),
             "rll:rx",
         )
 
-    def _process_data_fast(
+    def _process_data(
         self, frame_bytes: bytes, src: MacAddress, seq: int, ack: int, peer: _PeerState
     ) -> None:
+        # Piggybacked cumulative ack is valid on every DATA frame.
         self._process_ack(src, peer, ack)
         delta = seq_diff(seq, peer.rcv_next)
         if delta == 0:
@@ -281,39 +237,19 @@ class RllLayer(FrameLayer):
             self._send_ack(src, peer)
             self.pass_up(decap_data_fast(frame_bytes))
         elif delta < 0:
-            self.duplicates_discarded += 1
-            self._send_ack(src, peer)
-        else:
-            self.out_of_order_discarded += 1
-            self._send_ack(src, peer)
-
-    def _process_data(self, outer: EthernetFrame, shim: RllFrame, peer: _PeerState) -> None:
-        # Piggybacked cumulative ack is valid on every DATA frame.
-        self._process_ack(outer.src, peer, shim.ack)
-        delta = seq_diff(shim.seq, peer.rcv_next)
-        if delta == 0:
-            peer.rcv_next = seq_add(peer.rcv_next, 1)
-            self.data_received += 1
-            self._send_ack(outer.src, peer)
-            self.pass_up(shim.unwrap(outer).to_bytes())
-        elif delta < 0:
             # Duplicate of something we already delivered: re-ack, discard.
             self.duplicates_discarded += 1
-            self._send_ack(outer.src, peer)
+            self._send_ack(src, peer)
         else:
             # Go-back-N: a gap means the earlier frame is in flight again;
             # discard and re-ack the last in-order point.
             self.out_of_order_discarded += 1
-            self._send_ack(outer.src, peer)
+            self._send_ack(src, peer)
 
     def _send_ack(self, dst: MacAddress, peer: _PeerState) -> None:
         self.acks_sent += 1
         src = self.host.mac if self.host is not None else dst
-        if self._fast:
-            self.pass_down(encap_ack_fast(dst.packed, src.packed, peer.rcv_next))
-            return
-        shim = RllFrame.pure_ack(peer.rcv_next)
-        self.pass_down(shim.wrap(dst, src).to_bytes())
+        self.pass_down(encap_ack_fast(dst.packed, src.packed, peer.rcv_next))
 
     def _process_ack(self, dst: MacAddress, peer: _PeerState, ack: int) -> None:
         advanced = False

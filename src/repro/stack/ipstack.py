@@ -12,10 +12,10 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Dict, Union
 
-from ..errors import ChecksumError, PacketError, StackError
+from ..errors import PacketError, StackError
 from ..net.addresses import IpAddress, MacAddress
-from ..net.fastpath import FRAME_CODEC_KINDS, encode_ipv4_frame, parse_ipv4_frame
-from ..net.frame import ETHERTYPE_IPV4, EthernetFrame
+from ..net.fastpath import encode_ipv4_frame, parse_ipv4_frame
+from ..net.frame import ETHERTYPE_IPV4
 from ..net.ip import Ipv4Packet
 from ..sim import Simulator
 from .costs import CostModel
@@ -35,14 +35,12 @@ class IpLayer:
         local_mac: MacAddress,
         local_ip: IpAddress,
         costs: CostModel,
-        frame_codec: str = "fast",
     ) -> None:
         self.sim = sim
         self.demux = demux
         self.local_mac = local_mac
         self.local_ip = local_ip
         self.costs = costs
-        self.set_frame_codec(frame_codec)
         self._neighbors: Dict[IpAddress, MacAddress] = {local_ip: local_mac}
         self._protocols: Dict[int, ProtocolHandler] = {}
         self._ident = itertools.count(1)
@@ -54,16 +52,6 @@ class IpLayer:
         demux.register(ETHERTYPE_IPV4, self._receive_frame)
 
     # -- configuration ------------------------------------------------------
-
-    def set_frame_codec(self, codec: str) -> None:
-        """Select the ``fast`` or ``reference`` header codec (docs/PERF.md)."""
-        if codec not in FRAME_CODEC_KINDS:
-            raise StackError(
-                f"unknown frame codec {codec!r} "
-                f"(expected one of {sorted(FRAME_CODEC_KINDS)})"
-            )
-        self.frame_codec = codec
-        self._fast = codec == "fast"
 
     def add_neighbor(self, ip: Union[str, IpAddress], mac: Union[str, MacAddress]) -> None:
         """Install a static IP-to-MAC binding (the testbed's ARP substitute)."""
@@ -86,70 +74,37 @@ class IpLayer:
 
     def send(self, dst_ip: Union[str, IpAddress], protocol: int, payload: bytes) -> None:
         """Wrap *payload* in IPv4+Ethernet and push it down the frame chain."""
-        if self._fast:
-            # Byte-identical to the reference path below: the ident is
-            # consumed before neighbour resolution (same allocation order),
-            # and the codec replicates the reference MTU check.
-            if not isinstance(dst_ip, IpAddress):
-                dst_ip = IpAddress(dst_ip)
-            ident = next(self._ident) & 0xFFFF
-            frame_bytes = encode_ipv4_frame(
-                self.resolve(dst_ip).packed,
-                self.local_mac.packed,
-                self.local_ip.packed,
-                dst_ip.packed,
-                protocol,
-                ident,
-                payload,
-            )
-            self.tx_packets += 1
-            if self.costs.ip_ns > 0:
-                self.sim.after(
-                    self.costs.ip_ns,
-                    lambda: self.demux.send_frame_bytes(frame_bytes),
-                    "ip:tx",
-                    pooled=True,
-                )
-            else:
-                self.demux.send_frame_bytes(frame_bytes)
-            return
-        dst_ip = IpAddress(dst_ip)
-        packet = Ipv4Packet(
-            src=self.local_ip,
-            dst=dst_ip,
-            protocol=protocol,
-            payload=payload,
-            ident=next(self._ident) & 0xFFFF,
-        )
-        frame = EthernetFrame(
-            dst=self.resolve(dst_ip),
-            src=self.local_mac,
-            ethertype=ETHERTYPE_IPV4,
-            payload=packet.to_bytes(),
+        if not isinstance(dst_ip, IpAddress):
+            dst_ip = IpAddress(dst_ip)
+        # The ident is consumed before neighbour resolution, so a failed
+        # resolve still advances the sequence.
+        ident = next(self._ident) & 0xFFFF
+        frame_bytes = encode_ipv4_frame(
+            self.resolve(dst_ip).packed,
+            self.local_mac.packed,
+            self.local_ip.packed,
+            dst_ip.packed,
+            protocol,
+            ident,
+            payload,
         )
         self.tx_packets += 1
         if self.costs.ip_ns > 0:
             self.sim.after(
                 self.costs.ip_ns,
-                lambda: self.demux.send_frame(frame),
+                lambda: self.demux.send_frame_bytes(frame_bytes),
                 "ip:tx",
                 pooled=True,
             )
         else:
-            self.demux.send_frame(frame)
+            self.demux.send_frame_bytes(frame_bytes)
 
     # -- input path ---------------------------------------------------------
 
     def _receive_frame(self, frame_bytes: bytes) -> None:
         try:
-            if self._fast:
-                packet = parse_ipv4_frame(frame_bytes)
-            else:
-                packet = Ipv4Packet.from_bytes(frame_bytes[14:], verify=True)
-        except ChecksumError:
-            self.checksum_drops += 1
-            return
-        except PacketError:
+            packet = parse_ipv4_frame(frame_bytes)
+        except PacketError:  # malformed header or (ChecksumError) bad checksum
             self.checksum_drops += 1
             return
         if packet.dst != self.local_ip:

@@ -32,24 +32,17 @@ class Host:
         ip: Union[str, IpAddress],
         costs: Optional[CostModel] = None,
         install_tcp: bool = True,
-        frame_codec: str = "fast",
     ) -> None:
         self.sim = sim
         self.name = name
         self.costs = costs if costs is not None else CostModel()
         self.is_alive = True
-        self.frame_codec = frame_codec
         self.nic = Nic(sim, mac, name=f"{name}-eth0")
         self.chain = LayerChain(sim, self)
         self.driver = DriverLayer(sim, self.nic, self.costs)
         self.chain.set_bottom(self.driver)
         self.ip_layer = IpLayer(
-            sim,
-            self.chain.demux,
-            self.nic.mac,
-            IpAddress(ip),
-            self.costs,
-            frame_codec=frame_codec,
+            sim, self.chain.demux, self.nic.mac, IpAddress(ip), self.costs
         )
         self.udp = UdpLayer(sim, self.ip_layer, self.costs)
         self.tcp = None
@@ -84,20 +77,6 @@ class Host:
         """Add neighbour entries for every host in *hosts* (self included OK)."""
         for other in hosts:
             self.ip_layer.add_neighbor(other.ip, other.mac)
-
-    def set_frame_codec(self, codec: str) -> None:
-        """Switch the whole stack between the ``fast`` and ``reference``
-        header codecs (docs/PERF.md).  Call before traffic flows — spliced
-        layers that window frames must not change representation mid-run."""
-        self.ip_layer.set_frame_codec(codec)  # validates the name
-        self.frame_codec = codec
-        self.udp._fast = self.ip_layer._fast
-        if self.tcp is not None:
-            self.tcp._fast = self.ip_layer._fast
-        for layer in self.chain.layers:
-            setter = getattr(layer, "set_frame_codec", None)
-            if setter is not None:
-                setter(codec)
 
     def enable_metrics(self, node_metrics) -> None:
         """Arm telemetry: layers spliced later pick the handle up in

@@ -61,7 +61,6 @@ class UdpLayer:
         self.sim = sim
         self.ip_layer = ip_layer
         self.costs = costs
-        self._fast = ip_layer._fast
         self._sockets: Dict[int, UdpSocket] = {}
         self._next_ephemeral = _EPHEMERAL_BASE
         self.checksum_drops = 0
@@ -105,10 +104,7 @@ class UdpLayer:
         self, src_port: int, dst_ip: IpAddress, dst_port: int, payload: bytes
     ) -> None:
         datagram = UdpDatagram(src_port, dst_port, payload)
-        if self._fast:
-            wire = encode_udp_datagram(datagram, self.ip_layer.local_ip, dst_ip)
-        else:
-            wire = datagram.to_bytes(self.ip_layer.local_ip, dst_ip)
+        wire = encode_udp_datagram(datagram, self.ip_layer.local_ip, dst_ip)
         if self.costs.udp_ns > 0:
             self.sim.after(
                 self.costs.udp_ns,
@@ -121,12 +117,7 @@ class UdpLayer:
 
     def _receive(self, packet: Ipv4Packet) -> None:
         try:
-            if self._fast:
-                datagram = parse_udp_datagram(packet.payload, packet.src, packet.dst)
-            else:
-                datagram = UdpDatagram.from_bytes(
-                    packet.payload, packet.src, packet.dst, verify=True
-                )
+            datagram = parse_udp_datagram(packet.payload, packet.src, packet.dst)
         except (ChecksumError, PacketError):
             self.checksum_drops += 1
             return

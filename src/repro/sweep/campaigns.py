@@ -22,7 +22,6 @@ import time
 from typing import Any, Dict, List, Mapping
 
 from ..bench.harness import RECEIVER_PORT, SENDER_PORT
-from ..core.engine import EngineConfig
 from ..core.tables import CompiledProgram
 from ..core.testbed import Testbed
 from ..sim import ms, seconds
@@ -128,7 +127,7 @@ def run_script_task(task: SweepTask) -> Dict[str, Any]:
     program = _require_program(task)
     seed = int(task.param("seed", task.seed))
     costs = _cost_model(task.param("costs", {}))
-    tb = Testbed(seed=seed, costs=costs, frame_codec=task.param("frame_codec", "fast"))
+    tb = Testbed(seed=seed, costs=costs)
     hosts = [
         tb.add_host(entry.name, mac=str(entry.mac), ip=str(entry.ip))
         for entry in program.nodes.entries
@@ -144,19 +143,12 @@ def run_script_task(task: SweepTask) -> Dict[str, Any]:
         raise SweepError(f"unknown medium {medium!r}")
     factory("m0", **task.param("medium_kwargs", {}))
     tb.connect("m0", *hosts)
-    classifier = task.param("classifier")
-    engine_config = None
-    if classifier:
-        engine_config = EngineConfig(
-            classifier=classifier, frame_codec=tb.frame_codec
-        )
     tb.install_virtualwire(
         control=task.param("control", hosts[0].name),
         rll=bool(task.param("rll", False)),
         capture=bool(task.param("capture", False)),
         audit=bool(task.param("audit", False)),
         metrics=bool(task.param("metrics", False)),
-        engine_config=engine_config,
     )
     for node, rate in sorted(dict(task.param("control_loss", {})).items()):
         tb.add_control_loss(node, float(rate))
@@ -238,7 +230,6 @@ def fig7_point_task(task: SweepTask) -> Dict[str, Any]:
         duration_ns=int(task.param("duration_ns")),
         seed=int(task.param("seed", 0)),
         program=task.param("program"),
-        frame_codec=task.param("frame_codec", "fast"),
     )
     return {
         "offered_mbps": point.offered_mbps,
@@ -260,7 +251,6 @@ def fig8_point_task(task: SweepTask) -> Dict[str, Any]:
         payload=int(task.param("payload", 1000)),
         seed=int(task.param("seed", 0)),
         program=task.param("program"),
-        frame_codec=task.param("frame_codec", "fast"),
     )
     return {
         "mode": point.mode,

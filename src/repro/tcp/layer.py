@@ -69,7 +69,6 @@ class TcpLayer:
         self._listeners: Dict[int, TcpListener] = {}
         self._next_ephemeral = _EPHEMERAL_BASE
         self._iss_stream = sim.random.stream(f"tcp:iss:{host.name}")
-        self._fast = host.ip_layer._fast
         self.checksum_drops = 0
         self.resets_sent = 0
         self.orphan_segments = 0
@@ -124,10 +123,7 @@ class TcpLayer:
 
     def send_segment(self, conn: TcpConnection, seg: TcpSegment) -> None:
         """Serialise and hand a segment to IP, charging the TCP CPU cost."""
-        if self._fast:
-            wire = encode_tcp_segment(seg, self.host.ip_layer.local_ip, conn.remote_ip)
-        else:
-            wire = seg.to_bytes(self.host.ip_layer.local_ip, conn.remote_ip)
+        wire = encode_tcp_segment(seg, self.host.ip_layer.local_ip, conn.remote_ip)
 
         def down() -> None:
             self.host.ip_layer.send(conn.remote_ip, PROTO_TCP, wire)
@@ -193,12 +189,7 @@ class TcpLayer:
 
     def _receive(self, packet: Ipv4Packet) -> None:
         try:
-            if self._fast:
-                seg = parse_tcp_segment(packet.payload, packet.src, packet.dst)
-            else:
-                seg = TcpSegment.from_bytes(
-                    packet.payload, packet.src, packet.dst, verify=True
-                )
+            seg = parse_tcp_segment(packet.payload, packet.src, packet.dst)
         except (ChecksumError, PacketError):
             self.checksum_drops += 1
             return
@@ -235,8 +226,5 @@ class TcpLayer:
             FLAG_RST | FLAG_ACK,
             0,
         )
-        if self._fast:
-            wire = encode_tcp_segment(rst, self.host.ip_layer.local_ip, packet.src)
-        else:
-            wire = rst.to_bytes(self.host.ip_layer.local_ip, packet.src)
+        wire = encode_tcp_segment(rst, self.host.ip_layer.local_ip, packet.src)
         self.host.ip_layer.send(packet.src, PROTO_TCP, wire)

@@ -1,35 +1,34 @@
 """Tests for packet classification: linear scan, masks, VAR binding.
 
-Every behavioural test runs against BOTH implementations (the linear
-reference and the indexed production fast path) via the ``classify``
-fixture — the two must be observationally identical, including the
-*scanned* counts that feed the Fig 8 cost model.
+Every behavioural test runs against the production classifier AND the
+oracles of ``tests/oracles`` via the ``make`` fixture — all must be
+observationally identical, including the *scanned* counts that feed the
+Fig 8 cost model.
 """
 
 import pytest
 
-from repro.core.classify import (
-    CLASSIFIER_KINDS,
-    Classifier,
-    IndexedClassifier,
-    make_classifier,
-)
+from repro.core.classify import Classifier
 from repro.core.tables import FilterEntry, FilterTable, FilterTuple, VarRef
-from repro.errors import EngineError
 from repro.net import FLAG_ACK, FLAG_SYN, TcpSegment, build_tcp_frame
+from tests.oracles.classifiers import IndexedClassifier, LinearClassifier
 
 SRC_MAC = "02:00:00:00:00:01"
 DST_MAC = "02:00:00:00:00:02"
 
 
-@pytest.fixture(params=sorted(CLASSIFIER_KINDS))
-def classify_kind(request):
-    return request.param
+#: "compiled" is production (index + match programs); the others are
+#: the oracles: the index walk without programs, and the linear scan.
+KINDS = {
+    "compiled": Classifier,
+    "indexed": IndexedClassifier,
+    "linear": LinearClassifier,
+}
 
 
-@pytest.fixture
-def make(classify_kind):
-    return lambda table: make_classifier(table, classify_kind)
+@pytest.fixture(params=sorted(KINDS))
+def make(request):
+    return KINDS[request.param]
 
 
 def tcp_frame(src_port, dst_port, flags, seq=100):
@@ -118,7 +117,7 @@ class TestPaperClassification:
 
 
 class TestStatistics:
-    """Pin the three stats counters for both implementations, so the Fig 8
+    """Pin the three stats counters for every implementation, so the Fig 8
 
     cost accounting (which charges ``entries_scanned_total`` comparisons)
     cannot silently drift when the fast path evolves.
@@ -157,12 +156,12 @@ class TestStatistics:
         assert classifier.entries_scanned_total == 0
 
     def test_examined_never_exceeds_scanned_equivalent(self):
-        """The fast path's real work is bounded by the charged scan count;
+        """Production's real work is bounded by the charged scan count;
 
         the linear reference's real work IS the charged scan count.
         """
-        linear = Classifier(paper_filter_table())
-        indexed = IndexedClassifier(paper_filter_table())
+        linear = LinearClassifier(paper_filter_table())
+        indexed = Classifier(paper_filter_table())
         for args, _, _ in self.TRAFFIC:
             linear.classify(tcp_frame(*args))
             indexed.classify(tcp_frame(*args))
@@ -244,17 +243,3 @@ class TestVarBinding:
         name, _ = classifier.classify(tcp_frame(0x6000, 0x4000, FLAG_ACK, seq=555))
         assert name is None
         assert classifier.vars.get("SeqNo") is None
-
-
-class TestRegistry:
-    def test_kinds(self):
-        assert CLASSIFIER_KINDS["linear"] is Classifier
-        assert CLASSIFIER_KINDS["indexed"] is IndexedClassifier
-
-    def test_make_by_class(self):
-        classifier = make_classifier(paper_filter_table(), IndexedClassifier)
-        assert isinstance(classifier, IndexedClassifier)
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(EngineError, match="unknown classifier kind"):
-            make_classifier(paper_filter_table(), "quantum")

@@ -9,7 +9,7 @@ subclass, so script-compilation callers keep catching one type).
 
 import pytest
 
-from repro.core.classify import IndexedClassifier
+from repro.core.classify import Classifier
 from repro.core.tables import (
     MAX_FILTER_REACH,
     FilterEntry,
@@ -90,11 +90,19 @@ class TestIndexInvalidation:
 
     def test_classifier_sees_appended_entry(self):
         table = self.table()
-        classifier = IndexedClassifier(table)
+        classifier = Classifier(table)
         arp = (0x0806).to_bytes(2, "big") + bytes(40)
         assert classifier.classify(arp) == (None, 1)
         table.append(FilterEntry("arp", (FilterTuple(0, 2, 0x0806),)))
         assert classifier.classify(arp) == ("arp", 2)
+
+    def test_classifiers_of_one_table_share_index_and_programs(self):
+        table = self.table()
+        Classifier(table)
+        index = table.cached_index
+        Classifier(table)  # a second engine install compiles nothing
+        assert table.cached_index is index
+        assert len(index.programs) == index.size == 1
 
     def test_restricted_table_gets_fresh_index(self):
         table = self.table()

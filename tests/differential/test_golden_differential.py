@@ -1,171 +1,72 @@
-"""Differential golden harness: fast frame codec ≡ reference, end to end.
+"""Differential golden harness: the production data path ≡ its oracles, end
+to end, and both ≡ the pinned digests.
 
-The allocation-free hot path (``EngineConfig.frame_codec="fast"``) must be
-*invisible* to every observable surface.  Each golden scenario — the Fig 5
-TCP congestion case study, the extended Fig 6 crash/restart case study,
-and one measured point each of the Fig 7 throughput and Fig 8 latency
-benchmarks — is run under both codecs (over multiple seeds where the run
-is cheap) with audit, capture and metrics all enabled, and every output is
-compared byte for byte:
+Each golden scenario of ``tests/differential/golden.py`` — the Fig 5 TCP
+congestion case study, the extended Fig 6 crash/restart case study, and one
+measured point each of the Fig 7 throughput and Fig 8 latency benchmarks —
+runs twice with audit, capture and metrics all enabled: once on the
+production path (byte-level frame codec, indexed classifier) and once with
+``tests/oracles`` patched in (the object-per-layer stack *and* the linear
+filter scan).  Every output is compared byte for byte:
 
 * the JSON-serialised ``report.summary()`` (verdict, counters, timing,
   engine stats, per-node metrics, frame journeys),
 * the rendered report and the audit-trail narrative,
 * the measured benchmark numbers (virtual time must not move at all).
 
-A final pair of sweeps checks the campaign layer: the same spec run with
-``frame_codec`` as a task parameter is byte-identical across codecs AND
-across the serial and process-pool backends.
+``TestPinnedDigests`` then holds the production run against
+``golden_digests.json``, which a change moving both sides equally cannot
+satisfy.
 """
 
 import json
 
 import pytest
 
-from repro.bench.fig7 import measure_point as fig7_point
-from repro.bench.fig8 import measure_baseline, measure_point as fig8_point
-from repro.core.testbed import Testbed
-from repro.rether.install import install_rether
-from repro.scripts import (
-    canonical_node_table,
-    rether_crash_restart_script,
-    tcp_congestion_script,
+from tests.differential.golden import (
+    DIGESTS_PATH,
+    FIG5_SEEDS,
+    FIG6_SEED,
+    GOLDEN_RUNS,
+    digest,
+    run_fig5,
+    run_fig6_crash,
+    run_fig7_point,
+    run_fig8_point,
 )
-from repro.sim import NS_PER_SEC, seconds
-from repro.sweep import SweepSpec, run_script_task, run_sweep
-
-SENDER_PORT = 0x6000
-RECEIVER_PORT = 0x4000
-CODECS = ("fast", "reference")
-#: lowered from the paper-scale 1000 to keep the crash run fast.
-DATA_THRESHOLD = 60
+from tests.oracles.classifiers import linear_engines
+from tests.oracles.reference_layers import reference_layers
 
 
-def blob(value) -> str:
-    """Canonical byte form of a JSON-able structure."""
-    return json.dumps(value, sort_keys=True)
-
-
-def observe(tb, report) -> dict:
-    """Every observable surface of one run, as comparable strings."""
-    return {
-        "summary": blob(report.summary()),
-        "render": report.render(),
-        "audit": tb.audit_log.render(),
-        "metrics": blob(report.metrics),
-        "journeys": blob(report.journeys),
-    }
-
-
-def run_fig5(codec: str, seed: int, transfer: int = 48 * 1024) -> dict:
-    tb = Testbed(seed=seed, frame_codec=codec)
-    node1 = tb.add_host("node1")
-    node2 = tb.add_host("node2")
-    tb.add_switch("sw0")
-    tb.connect("sw0", node1, node2)
-    tb.install_virtualwire(control="node1", audit=True, capture=True, metrics=True)
-    script = tcp_congestion_script(tb.node_table_fsl())
-
-    def workload():
-        node2.tcp.listen(RECEIVER_PORT)
-        conn = node1.tcp.connect(node2.ip, RECEIVER_PORT, local_port=SENDER_PORT)
-        conn.on_established = lambda: conn.send(bytes(transfer))
-
-    report = tb.run_scenario(script, workload=workload, max_time=seconds(60))
-    assert report.passed, f"fig5[{codec}, seed={seed}]: {report.render()}"
-    return observe(tb, report)
-
-
-def run_fig6_crash(codec: str, seed: int) -> dict:
-    tb = Testbed(seed=seed, frame_codec=codec)
-    hosts = [tb.add_host(f"node{i}") for i in range(1, 5)]
-    tb.add_bus("bus0")
-    tb.connect("bus0", *hosts)
-    tb.install_virtualwire(control="node1", audit=True, capture=True, metrics=True)
-    install_rether(hosts)
-    script = rether_crash_restart_script(
-        tb.node_table_fsl(), data_threshold=DATA_THRESHOLD
-    )
-
-    def workload():
-        hosts[3].tcp.listen(RECEIVER_PORT)
-        conn = hosts[0].tcp.connect(hosts[3].ip, RECEIVER_PORT, local_port=SENDER_PORT)
-        conn.on_established = lambda: conn.send(bytes((DATA_THRESHOLD + 40) * 1024))
-
-    report = tb.run_scenario(script, workload=workload, max_time=seconds(60))
-    assert report.passed, f"fig6-crash[{codec}, seed={seed}]: {report.render()}"
-    return observe(tb, report)
+def on_oracles(run, *args) -> dict:
+    """*run* on the object-per-layer stack with linear-scan engines."""
+    with reference_layers(), linear_engines():
+        return run(*args)
 
 
 class TestFig5Golden:
-    @pytest.mark.parametrize("seed", (11, 31))
+    @pytest.mark.parametrize("seed", FIG5_SEEDS)
     def test_byte_identical_across_codecs(self, seed):
-        fast, reference = run_fig5("fast", seed), run_fig5("reference", seed)
-        assert fast == reference
+        assert run_fig5(seed) == on_oracles(run_fig5, seed)
 
 
 class TestFig6CrashGolden:
     def test_byte_identical_across_codecs(self):
-        fast, reference = run_fig6_crash("fast", 5), run_fig6_crash("reference", 5)
-        assert fast == reference
+        assert run_fig6_crash(FIG6_SEED) == on_oracles(run_fig6_crash, FIG6_SEED)
 
 
 class TestBenchPointsGolden:
     def test_fig7_point_identical(self):
         """One Fig 7 cell: goodput/retransmissions are virtual-time facts,
         so the codec must not move them by a single bit."""
-        points = {
-            codec: fig7_point(
-                30.0,
-                True,
-                duration_ns=int(0.05 * NS_PER_SEC),
-                seed=3,
-                frame_codec=codec,
-            )
-            for codec in CODECS
-        }
-        assert points["fast"] == points["reference"]
+        assert run_fig7_point() == on_oracles(run_fig7_point)
 
     def test_fig8_point_identical(self):
-        baseline = measure_baseline(probes=20, payload=300, seed=3)
-        points = {
-            codec: fig8_point(
-                "actions+rll",
-                10,
-                baseline,
-                probes=20,
-                payload=300,
-                seed=3,
-                frame_codec=codec,
-            )
-            for codec in CODECS
-        }
-        assert points["fast"] == points["reference"]
+        assert run_fig8_point() == on_oracles(run_fig8_point)
 
 
-class TestSweepBackendsGolden:
-    def test_codecs_and_backends_all_byte_identical(self):
-        """The campaign layer: same spec, frame_codec as a task param,
-        across both sweep backends.  All four outcomes must serialise
-        identically except for the codec parameter itself."""
-        script = tcp_congestion_script(canonical_node_table(2))
-        outcomes = {}
-        for codec in CODECS:
-            spec = SweepSpec(f"codec-differential-{codec}", base_seed=3)
-            for seed in (0, 1):
-                spec.add(
-                    f"s{seed}",
-                    run_script_task,
-                    script=script,
-                    seed=seed,
-                    frame_codec=codec,
-                    workload={"kind": "tcp_bulk", "bytes": 24 * 1024},
-                )
-            for backend in ("serial", "parallel"):
-                outcome = run_sweep(spec, backend=backend, workers=2)
-                outcomes[(codec, backend)] = blob(
-                    [[row.name, row.ok, row.payload] for row in outcome.rows]
-                )
-        first = next(iter(outcomes.values()))
-        for key, value in outcomes.items():
-            assert value == first, f"diverged at {key}"
+class TestPinnedDigests:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+    def test_production_reproduces_the_pinned_digests(self, name):
+        pinned = json.loads(DIGESTS_PATH.read_text())
+        assert digest(GOLDEN_RUNS[name]()) == pinned[name]

@@ -1,6 +1,7 @@
-"""Differential property test: fast classifiers ≡ linear Classifier.
+"""Differential property test: production Classifier ≡ linear scan.
 
-The indexed and compiled fast paths (repro.core.classify) must be
+The production classifier (repro.core.classify: index + match programs)
+and the index walk without programs (tests/oracles) must be
 observationally identical to the paper-faithful linear scan: same winning
 packet type, same *scanned* count (the cost model's linear-equivalent
 charge), same VAR bindings — including stateful multi-packet sequences
@@ -12,16 +13,12 @@ patterns, overlapping entries and tuples that read past the frame.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.classify import (
-    Classifier,
-    CompiledClassifier,
-    FilterIndex,
-    IndexedClassifier,
-)
+from repro.core.classify import Classifier, FilterIndex
 from repro.core.tables import FilterEntry, FilterTable, FilterTuple, VarRef
+from tests.oracles.classifiers import IndexedClassifier, LinearClassifier
 
-#: both fast implementations must shadow the linear reference.
-FAST_KINDS = (IndexedClassifier, CompiledClassifier)
+#: both index-pruned implementations must shadow the linear reference.
+FAST_KINDS = (IndexedClassifier, Classifier)
 
 VAR_NAMES = ("SeqA", "SeqB", "SeqC")
 WIDTHS = (1, 2, 4)
@@ -83,7 +80,7 @@ def frames_for(draw, table):
 @given(data=st.data())
 def test_fast_classifiers_match_linear_reference(data):
     table = data.draw(filter_tables())
-    linear = Classifier(table)
+    linear = LinearClassifier(table)
     fasts = [cls(table) for cls in FAST_KINDS]
     n_packets = data.draw(st.integers(min_value=1, max_value=8))
     for _ in range(n_packets):
@@ -114,7 +111,7 @@ def test_index_candidate_chains_are_sound_and_ordered(data):
         assert positions == sorted(positions)
     frame = data.draw(frames_for(table))
     chain_positions = {position for position, _ in index.chain_for(frame)}
-    reference = Classifier(table)
+    reference = LinearClassifier(table)
     for position, entry in enumerate(table.entries):
         if position not in chain_positions:
             assert reference._match(entry, frame) is None
@@ -128,7 +125,7 @@ def test_table_append_keeps_implementations_aligned(data):
     agreeing on packets classified after the update.
     """
     table = data.draw(filter_tables())
-    linear = Classifier(table)
+    linear = LinearClassifier(table)
     fasts = [cls(table) for cls in FAST_KINDS]
     frame = data.draw(frames_for(table))
     expected = linear.classify(frame)
@@ -164,7 +161,7 @@ def test_var_bind_then_match_sequence_is_identical():
             FilterEntry("fallback", (FilterTuple(0, 2, 0x6000),)),
         ]
     )
-    linear = Classifier(table)
+    linear = LinearClassifier(table)
     fasts = [cls(table) for cls in FAST_KINDS]
 
     def frame(seq):

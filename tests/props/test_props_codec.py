@@ -1,9 +1,11 @@
-"""Differential property tests: the ``fast`` frame codec ≡ the reference.
+"""Differential property tests: the data path's frame codec ≡ the classes.
 
-Every function in :mod:`repro.net.fastpath` (and the RLL fast helpers in
+Every function in :mod:`repro.net.fastpath` (and the RLL splice helpers in
 :mod:`repro.rll.frames`) claims byte-identical wire output and identical
-accept/reject decisions relative to the reference codecs.  These properties
-pin that claim over arbitrary inputs:
+accept/reject decisions relative to the readable per-layer classes
+(``EthernetFrame``, ``Ipv4Packet``, ``TcpSegment``, ``UdpDatagram``,
+``RllFrame`` — "the reference" below).  These properties pin that claim
+over arbitrary inputs:
 
 * encoders emit the reference's exact bytes, including the RFC 768
   zero-checksum rule and the Ethernet MTU reject;
@@ -13,12 +15,10 @@ pin that claim over arbitrary inputs:
   reserialisation) on accept;
 * checksum rewrites: a MODIFY-fault-style field mutation followed by a
   checksum rewrite through the fast helpers is accepted by both parsers;
-* truncated frames: both parsers reject at the same exception, and the
-  zero-copy :class:`HeaderView` reads exactly the fields that fit — never
-  raising — down to the one-byte-short edge;
+* truncated frames: both parsers reject at the same exception;
 * VAR-reach edges: a classifier VAR tuple whose read ends exactly at the
   frame boundary binds, one byte past does not, identically on the linear
-  and compiled classifiers.
+  oracle and the production classifier.
 """
 
 import pytest
@@ -29,7 +29,6 @@ from repro.errors import ChecksumError, PacketError
 from repro.net import (
     ETHERTYPE_IPV4,
     EthernetFrame,
-    FrameView,
     IpAddress,
     Ipv4Packet,
     MacAddress,
@@ -40,11 +39,9 @@ from repro.net.bytesutil import (
     checksum_sum16,
     fold_checksum,
     internet_checksum,
-    internet_checksum_fast,
     patch_bytes,
 )
 from repro.net.fastpath import (
-    HeaderView,
     encode_ipv4_frame,
     encode_tcp_segment,
     encode_udp_datagram,
@@ -55,7 +52,7 @@ from repro.net.fastpath import (
 )
 from repro.net.frame import MAX_PAYLOAD
 from repro.net.ip import PROTO_TCP, PROTO_UDP
-from repro.core.classify import Classifier, CompiledClassifier
+from repro.core.classify import Classifier
 from repro.core.tables import FilterEntry, FilterTable, FilterTuple, VarRef
 from repro.rll.frames import (
     RllFrame,
@@ -63,6 +60,7 @@ from repro.rll.frames import (
     encap_ack_fast,
     encap_data_fast,
 )
+from tests.oracles.classifiers import LinearClassifier
 
 mac_bytes = st.binary(min_size=6, max_size=6)
 ip_bytes = st.binary(min_size=4, max_size=4)
@@ -309,14 +307,6 @@ class TestChecksumRewrites:
 # -- truncated frames -------------------------------------------------------
 
 
-def u(data, offset, nbytes):
-    """Direct big-endian read, None when the field doesn't fit — the
-    corruption-tolerance contract HeaderView promises."""
-    if offset + nbytes > len(data):
-        return None
-    return int.from_bytes(data[offset : offset + nbytes], "big")
-
-
 class TestTruncatedFrames:
     @given(data=st.data())
     @settings(max_examples=200)
@@ -330,53 +320,6 @@ class TestTruncatedFrames:
         if fast_tag == "ok":
             assert ip_fields(fast_ip) == ip_fields(ref_ip)
 
-    @given(data=st.data())
-    @settings(max_examples=200)
-    def test_header_view_reads_exactly_what_fits(self, data):
-        """Every accessor returns the field when it fits and None when it
-        does not — at any truncation point, without ever raising."""
-        frame = data.draw(ipv4_frames())
-        cut = data.draw(st.integers(min_value=0, max_value=len(frame)))
-        t = frame[:cut]
-        hv = HeaderView(t)
-        assert len(hv) == cut
-        assert hv.dst_mac == (t[0:6] if cut >= 6 else None)
-        assert hv.src_mac == (t[6:12] if cut >= 12 else None)
-        assert hv.ethertype == u(t, 12, 2)
-        is_ipv4 = hv.ethertype == ETHERTYPE_IPV4 and u(t, 14, 1) == 0x45
-        assert hv.is_ipv4 == is_ipv4
-        proto = u(t, 23, 1) if is_ipv4 else None
-        assert hv.ip_protocol == proto
-        assert hv.ip_total_length == (u(t, 16, 2) if is_ipv4 else None)
-        if is_ipv4 and cut >= 34:
-            assert (hv.src_ip.packed, hv.dst_ip.packed) == (t[26:30], t[30:34])
-        transport = proto in (PROTO_TCP, PROTO_UDP)
-        assert hv.src_port == (u(t, 34, 2) if transport else None)
-        assert hv.dst_port == (u(t, 36, 2) if transport else None)
-        assert hv.tcp_seq == (u(t, 38, 4) if proto == PROTO_TCP else None)
-        assert hv.tcp_ack == (u(t, 42, 4) if proto == PROTO_TCP else None)
-        expected_flags = u(t, 46, 2) if proto == PROTO_TCP else None
-        assert hv.tcp_flags == (
-            expected_flags & 0x3F if expected_flags is not None else None
-        )
-        # Cached second reads are stable.
-        assert hv.ethertype == u(t, 12, 2)
-        assert hv.tcp_seq == (u(t, 38, 4) if proto == PROTO_TCP else None)
-
-    @given(frame=ipv4_frames())
-    @settings(max_examples=100)
-    def test_header_view_matches_frame_view_on_full_frames(self, frame):
-        hv, fv = HeaderView(frame), FrameView(frame)
-        assert hv.src_ip == fv.ip.src and hv.dst_ip == fv.ip.dst
-        assert hv.ip_protocol == fv.ip.protocol
-        transport = fv.tcp if fv.ip.protocol == PROTO_TCP else fv.udp
-        assert hv.src_port == transport.src_port
-        assert hv.dst_port == transport.dst_port
-        if fv.tcp is not None:
-            assert hv.tcp_seq == fv.tcp.seq
-            assert hv.tcp_ack == fv.tcp.ack
-            assert hv.tcp_flags == fv.tcp.flags
-
 
 # -- VAR-reach edges --------------------------------------------------------
 
@@ -384,9 +327,9 @@ class TestTruncatedFrames:
 class TestVarReachEdges:
     def test_var_binds_at_exact_boundary_only(self):
         """A VAR read ending exactly at the frame end binds; one byte past
-        must miss — identically on the linear and compiled classifiers."""
+        must miss — identically on the linear oracle and production."""
         table = FilterTable([FilterEntry("edge", (FilterTuple(4, 4, VarRef("V")),))])
-        linear, compiled = Classifier(table), CompiledClassifier(table)
+        linear, compiled = LinearClassifier(table), Classifier(table)
         at_edge = b"\x00" * 4 + (0xDEADBEEF).to_bytes(4, "big")
         for frame in (at_edge, at_edge[:-1], at_edge, b""):
             assert compiled.classify(frame) == linear.classify(frame)
@@ -397,7 +340,7 @@ class TestVarReachEdges:
     @settings(max_examples=150)
     def test_reads_straddling_the_edge_agree(self, data):
         """Exact, masked and VAR tuples whose reads land on, before, or past
-        the frame edge: compiled ≡ linear on match, bindings and stats."""
+        the frame edge: production ≡ linear on match, bindings and stats."""
         nbytes = data.draw(st.sampled_from([1, 2, 4]))
         offset = data.draw(st.integers(min_value=0, max_value=12))
         kind = data.draw(st.sampled_from(["exact", "masked", "var"]))
@@ -408,7 +351,7 @@ class TestVarReachEdges:
         else:
             tup = FilterTuple(offset, nbytes, data.draw(st.integers(0, 3)))
         table = FilterTable([FilterEntry("p", (tup,))])
-        linear, compiled = Classifier(table), CompiledClassifier(table)
+        linear, compiled = LinearClassifier(table), Classifier(table)
         # Lengths clustered on the boundary: end-1, end, end+1 and extremes.
         end = offset + nbytes
         for length in sorted({0, max(0, end - 1), end, end + 1, end + 8}):
@@ -426,13 +369,12 @@ class TestChecksumHelpers:
     @settings(max_examples=300)
     def test_fast_checksum_equals_reference(self, data):
         assert fold_checksum(checksum_sum16(data)) == internet_checksum(data)
-        assert internet_checksum_fast(data) == internet_checksum(data)
 
     @given(data=st.binary(max_size=256))
     def test_accepts_any_buffer_type(self, data):
         expected = internet_checksum(data)
-        assert internet_checksum_fast(bytearray(data)) == expected
-        assert internet_checksum_fast(memoryview(bytes(data))) == expected
+        assert fold_checksum(checksum_sum16(bytearray(data))) == expected
+        assert fold_checksum(checksum_sum16(memoryview(bytes(data)))) == expected
 
     @given(
         head=st.binary(max_size=128).filter(lambda d: len(d) % 2 == 0),

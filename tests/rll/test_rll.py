@@ -152,3 +152,32 @@ class TestReliability:
         assert rx.data_received == 1
         assert rx.acks_sent == 1
         assert tx.acks_received == 1
+
+
+class TestReceiveIsTotal:
+    """Wire bytes no well-formed peer would send are counted and dropped;
+    they must never raise out of the simulation (ROADMAP aim 3)."""
+
+    #: node2's MAC, node1's MAC, the RLL EtherType.
+    RLL_HEADER = bytes.fromhex("020000000002" "020000000001" "88b6")
+
+    @pytest.mark.parametrize(
+        "frame",
+        [
+            RLL_HEADER + bytes([9, 0, 0, 0, 0, 0, 8, 0]) + bytes(50),  # kind 9
+            RLL_HEADER + bytes([KIND_DATA, 0, 0]),  # shim shorter than 8 bytes
+            RLL_HEADER[:9],  # runt: not even an Ethernet header
+            RLL_HEADER + bytes(1600),  # longer than any Ethernet payload
+        ],
+        ids=["bad-kind", "short-shim", "runt", "over-mtu"],
+    )
+    def test_malformed_frame_is_counted_and_dropped(self, frame):
+        sim, h1, h2, layers = build_rll_pair()
+        got = []
+        h2.udp.bind(9).on_receive = lambda p, ip, port: got.append(p)
+        h1.nic.transmit(frame)
+        h1.udp.bind(0).sendto(b"after", h2.ip, 9)
+        sim.run_until(ms(100))  # raised PacketError before
+        assert layers[1].malformed_discarded == 1
+        assert got == [b"after"]  # well-formed traffic is unaffected
+        assert layers[1].data_received == 1

@@ -37,6 +37,7 @@ from ..net.fastpath import (
     encode_tcp_segment,
     parse_ipv4_frame,
     parse_tcp_segment,
+    tcp_flow_sum,
 )
 from ..net.frame import ETHERTYPE_IPV4, ETHERTYPE_RLL
 from ..net.ip import PROTO_TCP
@@ -214,7 +215,8 @@ def _replay(stream: List[bytes], classifier, nodes) -> None:
         packet = parse_ipv4_frame(inner_bytes)
         if packet.protocol != PROTO_TCP:
             continue
-        seg = parse_tcp_segment(packet.payload, packet.src, packet.dst)
+        flow_sum = tcp_flow_sum(packet.src, packet.dst)
+        seg = parse_tcp_segment(packet.payload, flow_sum)
         frame2 = encode_ipv4_frame(
             inner_bytes[:6],
             inner_bytes[6:12],
@@ -222,7 +224,7 @@ def _replay(stream: List[bytes], classifier, nodes) -> None:
             packet.dst.packed,
             packet.protocol,
             packet.ident,
-            encode_tcp_segment(seg, packet.src, packet.dst),
+            encode_tcp_segment(seg, flow_sum),
         )
         out = encap_data_fast(frame2, shim_seq, shim_ack) if rll else frame2
         if out != data:

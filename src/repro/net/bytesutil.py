@@ -1,27 +1,23 @@
 """Byte-level helpers shared by the header codecs.
 
 Includes the ones-complement Internet checksum (RFC 1071) used by IPv4, UDP
-and TCP — in a per-word form and a vectorised form (see docs/PERF.md) —
+and TCP — in a per-word form and a one-pass form (see docs/PERF.md) —
 big-endian field packing helpers, and a hexdump for traces.
 """
 
 from __future__ import annotations
 
-import sys
-from array import array
 from typing import Iterable
 
 from ..errors import PacketError
-
-_NATIVE_BIG_ENDIAN = sys.byteorder == "big"
 
 
 def internet_checksum(data: bytes) -> int:
     """RFC 1071 ones-complement sum over *data* (odd length is zero-padded).
 
     The per-word form the readable header classes use; the data path gets
-    the identical value (pinned by tests/props/test_props_codec.py) roughly
-    20x faster from ``fold_checksum(checksum_sum16(data))``.
+    the identical value (pinned by tests/props/test_props_codec.py) in one
+    C-level pass from ``fold_checksum(checksum_sum16(data))``.
     """
     if len(data) % 2:
         data = data + b"\x00"
@@ -34,36 +30,28 @@ def internet_checksum(data: bytes) -> int:
 
 
 def checksum_sum16(data) -> int:
-    """Unfolded big-endian ones-complement word sum of *data*.
+    """Folded big-endian ones-complement word sum of *data* (not complemented).
 
-    The RFC 1071 trick: summing the native-endian 16-bit words (one C-level
-    ``array`` pass) and byte-swapping the folded result equals the folded
-    big-endian sum, because the end-around carry wraps identically in both
-    byte orders.  Returning the *already re-swapped, folded* partial sum
-    keeps partial sums from different sources addable: callers may combine
-    with integer-derived big-endian sums and fold once at the end.
+    One C-level pass: read *data* as a single big-endian integer and reduce
+    it mod 0xFFFF.  Because 2**16 = 1 (mod 0xFFFF), that integer and the sum
+    of its 16-bit words have the same residue, and the residue is exactly
+    the end-around-carry fold of the sum but for one case — a nonzero sum
+    folds to 0xFFFF where the residue reads 0.  So: all-zero input gives 0,
+    any other multiple of 0xFFFF gives 0xFFFF (all-ones input included),
+    everything else its residue.  An odd length is zero-padded, i.e. the
+    integer is shifted up one byte, like the checksum itself; only the final
+    fragment of a checksum may be odd.
 
-    *data* may be any C-contiguous bytes-like object (``bytes``,
-    ``bytearray``, ``memoryview``); odd lengths are zero-padded like the
-    checksum itself.  Only the final fragment of a checksum may be odd.
+    The result is a plain folded word sum, so partial sums stay addable:
+    callers combine it with sums over other fragments or with
+    integer-derived header sums and fold once at the end
+    (:func:`fold_checksum`).  *data* may be any C-contiguous bytes-like
+    object (``bytes``, ``bytearray``, ``memoryview``).
     """
-    n = len(data)
-    if n & 1:
-        words = array("H", bytes(memoryview(data)[: n - 1]))
-        trailer = data[n - 1]
-    else:
-        words = array("H", bytes(data) if not isinstance(data, (bytes, bytearray)) else data)
-        trailer = 0
-    total = sum(words)
-    if _NATIVE_BIG_ENDIAN:
-        total += trailer << 8
-        while total >> 16:
-            total = (total & 0xFFFF) + (total >> 16)
-        return total
-    total += trailer
-    while total >> 16:
-        total = (total & 0xFFFF) + (total >> 16)
-    return ((total & 0xFF) << 8) | (total >> 8)
+    number = int.from_bytes(data, "big")
+    if len(data) & 1:
+        number <<= 8
+    return number % 0xFFFF or (0xFFFF if number else 0)
 
 
 def fold_checksum(total: int) -> int:

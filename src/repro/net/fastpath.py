@@ -8,7 +8,7 @@ accept/reject decisions** as the readable per-layer classes in
 (tests/differential/) — while avoiding the per-frame object churn those
 classes pay for their readability:
 
-* checksums are computed from integer field values plus one vectorised
+* checksums are computed from integer field values plus one C-level
   pass over the payload (:func:`repro.net.bytesutil.checksum_sum16`), so
   headers are never serialised twice and pseudo-headers never materialise;
 * whole headers are packed/unpacked with precompiled :mod:`struct` layouts
@@ -44,6 +44,7 @@ __all__ = [
     "intern_ip",
     "intern_mac",
     "pseudo_header_sum",
+    "tcp_flow_sum",
     "encode_tcp_segment",
     "encode_udp_datagram",
     "encode_ipv4_frame",
@@ -84,6 +85,14 @@ def pseudo_header_sum(src_packed: bytes, dst_packed: bytes, protocol: int, lengt
     return (s >> 16) + (s & 0xFFFF) + (d >> 16) + (d & 0xFFFF) + protocol + length
 
 
+def tcp_flow_sum(local_ip: IpAddress, remote_ip: IpAddress) -> int:
+    """What a TCP segment's checksum owes the connection, not the segment:
+    the pseudo header's two addresses and protocol number.  Addition
+    commutes, so one value serves both directions of the flow;
+    :func:`encode_tcp_segment` adds the segment length."""
+    return pseudo_header_sum(local_ip.packed, remote_ip.packed, PROTO_TCP, 0)
+
+
 # -- encoders ---------------------------------------------------------------
 
 #: src_port, dst_port, seq, ack, data_offset|flags, window, checksum, urgent.
@@ -95,18 +104,24 @@ _UDP_HDR = struct.Struct(">HHHH")
 _ETH_IP_HDR = struct.Struct(">6s6sHHHHHBBH4s4s")
 
 
-def encode_tcp_segment(seg: TcpSegment, src_ip: IpAddress, dst_ip: IpAddress) -> bytes:
-    """The bytes :meth:`TcpSegment.to_bytes` produces, without the object tree."""
+def encode_tcp_segment(seg: TcpSegment, flow_sum: int) -> bytes:
+    """The bytes :meth:`TcpSegment.to_bytes` produces, without the object tree.
+
+    *flow_sum* is :func:`tcp_flow_sum` of the two endpoints.
+    """
     payload = seg.payload
+    seq, ack = seg.seq, seg.ack
     data_offset_flags = (5 << 12) | seg.flags
     total = (
-        pseudo_header_sum(src_ip.packed, dst_ip.packed, PROTO_TCP, 20 + len(payload))
+        flow_sum
+        + 20
+        + len(payload)
         + seg.src_port
         + seg.dst_port
-        + (seg.seq >> 16)
-        + (seg.seq & 0xFFFF)
-        + (seg.ack >> 16)
-        + (seg.ack & 0xFFFF)
+        + (seq >> 16)
+        + (seq & 0xFFFF)
+        + (ack >> 16)
+        + (ack & 0xFFFF)
         + data_offset_flags
         + seg.window
     )
@@ -115,8 +130,8 @@ def encode_tcp_segment(seg: TcpSegment, src_ip: IpAddress, dst_ip: IpAddress) ->
     header = _TCP_HDR.pack(
         seg.src_port,
         seg.dst_port,
-        seg.seq,
-        seg.ack,
+        seq,
+        ack,
         data_offset_flags,
         seg.window,
         fold_checksum(total),
@@ -234,25 +249,25 @@ def parse_ipv4_frame(frame_bytes: bytes) -> Ipv4Packet:
     return packet
 
 
-def parse_tcp_segment(data: bytes, src_ip: IpAddress, dst_ip: IpAddress) -> TcpSegment:
-    """Equals ``TcpSegment.from_bytes(data, src_ip, dst_ip, verify=True)``."""
+def parse_tcp_segment(data: bytes, flow_sum: int) -> TcpSegment:
+    """Equals ``TcpSegment.from_bytes(data, src_ip, dst_ip, verify=True)``
+    for the endpoints *flow_sum* (:func:`tcp_flow_sum`) was taken over."""
     if len(data) < 20:
         raise PacketError(f"TCP segment of {len(data)} bytes is too short")
-    data_offset_flags = (data[12] << 8) | data[13]
+    src_port, dst_port, seq, ack, data_offset_flags, window, _, _ = _TCP_HDR.unpack_from(data)
     if (data_offset_flags >> 12) * 4 != 20:
         raise PacketError(
             f"TCP options unsupported (header {(data_offset_flags >> 12) * 4} bytes)"
         )
-    total = pseudo_header_sum(src_ip.packed, dst_ip.packed, PROTO_TCP, len(data))
-    if fold_checksum(total + checksum_sum16(data)) != 0:
+    if fold_checksum(flow_sum + len(data) + checksum_sum16(data)) != 0:
         raise ChecksumError("TCP checksum mismatch")
     seg = TcpSegment.__new__(TcpSegment)
-    seg.src_port = (data[0] << 8) | data[1]
-    seg.dst_port = (data[2] << 8) | data[3]
-    seg.seq = int.from_bytes(data[4:8], "big")
-    seg.ack = int.from_bytes(data[8:12], "big")
+    seg.src_port = src_port
+    seg.dst_port = dst_port
+    seg.seq = seq
+    seg.ack = ack
     seg.flags = data_offset_flags & 0x3F
-    seg.window = (data[14] << 8) | data[15]
+    seg.window = window
     seg.payload = data[20:]
     return seg
 

@@ -69,6 +69,8 @@ class Medium:
         self.queue_frames = queue_frames
         self._nics: List[Nic] = []
         self._errors = sim.random.stream(f"medium:{name}:biterrors")
+        self._txdone_label = f"{name}:txdone"
+        self._deliver_label = f"{name}:deliver"
 
     # -- attachment -------------------------------------------------------
 
@@ -120,7 +122,7 @@ class Medium:
             self.sim.after(
                 self.propagation_ns,
                 lambda: deliver(frame_bytes, corrupted),
-                f"{self.name}:deliver",
+                self._deliver_label,
             )
             if tx.queue:
                 self._start_next(tx)
@@ -130,7 +132,7 @@ class Medium:
         self.sim.after(
             self.serialization_ns(frame_bytes),
             finish_transmission,
-            f"{self.name}:txdone",
+            self._txdone_label,
         )
 
     def transmit(self, port: int, frame_bytes: bytes) -> None:

@@ -40,6 +40,7 @@ class LearningSwitch(Medium):
             sim, name, bandwidth_bps=bandwidth_bps, propagation_ns=propagation_ns, **kwargs
         )
         self.forwarding_ns = forwarding_ns
+        self._forward_label = f"{name}:forward"
         self._mac_table: Dict[MacAddress, int] = {}
         self._egress: Dict[int, _Transmitter] = {}
         self.flooded_frames = 0
@@ -62,7 +63,7 @@ class LearningSwitch(Medium):
         self.sim.after(
             self.forwarding_ns,
             lambda: self._forward(ingress_port, dst, frame_bytes),
-            f"{self.name}:forward",
+            self._forward_label,
         )
 
     def _learn(self, frame_bytes: bytes, ingress_port: int) -> None:

@@ -254,6 +254,6 @@ def install_arp(hosts, clear_static: bool = True, **kwargs) -> Dict[str, ArpServ
     services = {}
     for host in hosts:
         if clear_static:
-            host.ip_layer._neighbors = {host.ip: host.mac}
+            host.ip_layer.clear_neighbors()
         services[host.name] = ArpService(host, **kwargs)
     return services

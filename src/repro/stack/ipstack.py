@@ -41,7 +41,9 @@ class IpLayer:
         self.local_mac = local_mac
         self.local_ip = local_ip
         self.costs = costs
-        self._neighbors: Dict[IpAddress, MacAddress] = {local_ip: local_mac}
+        #: The one IP-to-MAC table, keyed by the packed address so the
+        #: per-packet lookup in :meth:`send` hashes ``bytes`` in C.
+        self._neighbors: Dict[bytes, MacAddress] = {local_ip.packed: local_mac}
         self._protocols: Dict[int, ProtocolHandler] = {}
         self._ident = itertools.count(1)
         self.tx_packets = 0
@@ -55,13 +57,18 @@ class IpLayer:
 
     def add_neighbor(self, ip: Union[str, IpAddress], mac: Union[str, MacAddress]) -> None:
         """Install a static IP-to-MAC binding (the testbed's ARP substitute)."""
-        self._neighbors[IpAddress(ip)] = MacAddress(mac)
+        self._neighbors[IpAddress(ip).packed] = MacAddress(mac)
+
+    def clear_neighbors(self) -> None:
+        """Forget every binding but the host's own (ARP then has to work)."""
+        self._neighbors.clear()
+        self._neighbors[self.local_ip.packed] = self.local_mac
 
     def resolve(self, ip: Union[str, IpAddress]) -> MacAddress:
         """Return the MAC for an on-link IP, raising if it is unknown."""
         ip = IpAddress(ip)
         try:
-            return self._neighbors[ip]
+            return self._neighbors[ip.packed]
         except KeyError:
             raise StackError(f"no neighbour entry for {ip} on {self.local_ip}") from None
 
@@ -76,14 +83,18 @@ class IpLayer:
         """Wrap *payload* in IPv4+Ethernet and push it down the frame chain."""
         if not isinstance(dst_ip, IpAddress):
             dst_ip = IpAddress(dst_ip)
+        dst_packed = dst_ip.packed
         # The ident is consumed before neighbour resolution, so a failed
         # resolve still advances the sequence.
         ident = next(self._ident) & 0xFFFF
+        dst_mac = self._neighbors.get(dst_packed)
+        if dst_mac is None:
+            dst_mac = self.resolve(dst_ip)  # raises StackError naming the peer
         frame_bytes = encode_ipv4_frame(
-            self.resolve(dst_ip).packed,
+            dst_mac.packed,
             self.local_mac.packed,
             self.local_ip.packed,
-            dst_ip.packed,
+            dst_packed,
             protocol,
             ident,
             payload,

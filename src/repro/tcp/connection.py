@@ -64,6 +64,16 @@ class TcpState(enum.Enum):
     TIME_WAIT = "TIME_WAIT"
 
 
+#: States in which queued data (and a queued FIN) may go out.
+_SENDING_STATES = (
+    TcpState.ESTABLISHED,
+    TcpState.CLOSE_WAIT,
+    TcpState.FIN_WAIT_1,
+    TcpState.CLOSING,
+    TcpState.LAST_ACK,
+)
+
+
 class _SentSegment:
     """Bookkeeping for one transmitted, not-yet-acknowledged segment."""
 
@@ -93,12 +103,17 @@ class TcpConnection:
         mss: int = DEFAULT_MSS,
         iss: int = 0,
         time_wait_ns: int = DEFAULT_TIME_WAIT_NS,
+        *,
+        flow_sum: int,
     ) -> None:
         self.layer = layer
         self.sim: Simulator = layer.sim
         self.local_port = local_port
         self.remote_ip = remote_ip
         self.remote_port = remote_port
+        #: Checksum share of the two endpoint addresses
+        #: (:func:`repro.net.fastpath.tcp_flow_sum`); the layer's codec reads it.
+        self.flow_sum = flow_sum
         self.congestion = congestion if congestion is not None else CongestionControl()
         self.mss = mss
         self.time_wait_ns = time_wait_ns
@@ -125,6 +140,7 @@ class TcpConnection:
         # Timers.
         self.estimator = RttEstimator()
         self._rtx_timer = None
+        self._rtx_label = f"tcp:{local_port}:rtx"
         self._synack_timer = None
         self._time_wait_timer = None
 
@@ -241,6 +257,13 @@ class TcpConnection:
     def handle_segment(self, seg: TcpSegment) -> None:
         """Entry point from the TCP layer for every segment addressed to us."""
         self.segments_received += 1
+        if seg.flags & ~FLAG_PSH == FLAG_ACK and self.state is TcpState.ESTABLISHED:
+            # The steady state: a plain ACK, with or without data.  What
+            # _segment_in_established does for it, minus the flag tests.
+            self._process_ack(seg)
+            if seg.payload:
+                self._process_receive(seg)
+            return
         if seg.is_rst:
             self._handle_rst(seg)
             return
@@ -422,29 +445,20 @@ class TcpConnection:
         return min(self.congestion.window_segments() * self.mss, self.peer_window)
 
     def _try_send(self) -> None:
-        if self.state not in (
-            TcpState.ESTABLISHED,
-            TcpState.CLOSE_WAIT,
-            TcpState.FIN_WAIT_1,
-            TcpState.CLOSING,
-            TcpState.LAST_ACK,
-        ):
+        if self.state not in _SENDING_STATES:
             return
         sent_any = False
-        while len(self._send_buffer) > 0:
-            budget = self._window_bytes() - self.in_flight_bytes
-            if budget < min(self.mss, len(self._send_buffer)):
+        buffer = self._send_buffer
+        while buffer:
+            size = min(self.mss, len(buffer))
+            if self._window_bytes() - self.in_flight_bytes < size:
                 break
-            chunk = self._send_buffer.pop(min(self.mss, len(self._send_buffer)))
+            chunk = buffer.pop(size)
             self._transmit(self.snd_nxt, chunk, FLAG_ACK | FLAG_PSH, track=True)
-            self.snd_nxt = seq_add(self.snd_nxt, len(chunk))
-            self.bytes_sent += len(chunk)
+            self.snd_nxt = seq_add(self.snd_nxt, size)
+            self.bytes_sent += size
             sent_any = True
-        if (
-            self._fin_queued
-            and not self._fin_sent
-            and len(self._send_buffer) == 0
-        ):
+        if self._fin_queued and not self._fin_sent and not buffer:
             self._send_fin()
             sent_any = True
         if sent_any:
@@ -523,7 +537,7 @@ class TcpConnection:
                 return
             self._rtx_timer.cancel()
         self._rtx_timer = self.sim.after(
-            self.estimator.rto_ns, self._on_rtx_timeout, f"tcp:{self.local_port}:rtx"
+            self.estimator.rto_ns, self._on_rtx_timeout, self._rtx_label
         )
 
     def _cancel_rtx_timer(self) -> None:

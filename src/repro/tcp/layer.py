@@ -6,7 +6,7 @@ from typing import Callable, Dict, Optional, Tuple, Union
 
 from ..errors import ChecksumError, PacketError, SocketError
 from ..net.addresses import IpAddress
-from ..net.fastpath import encode_tcp_segment, parse_tcp_segment
+from ..net.fastpath import encode_tcp_segment, parse_tcp_segment, tcp_flow_sum
 from ..net.ip import PROTO_TCP, Ipv4Packet
 from ..net.tcp_segment import FLAG_ACK, FLAG_RST, TcpSegment
 from ..sim import Simulator
@@ -17,7 +17,8 @@ from .connection import TcpConnection, TcpState
 CongestionFactory = Callable[[], CongestionControl]
 
 _EPHEMERAL_BASE = 32768
-_ConnKey = Tuple[int, str, int]
+#: (local port, packed remote IP, remote port): hashed without leaving C.
+_ConnKey = Tuple[int, bytes, int]
 
 
 class TcpListener:
@@ -123,7 +124,7 @@ class TcpLayer:
 
     def send_segment(self, conn: TcpConnection, seg: TcpSegment) -> None:
         """Serialise and hand a segment to IP, charging the TCP CPU cost."""
-        wire = encode_tcp_segment(seg, self.host.ip_layer.local_ip, conn.remote_ip)
+        wire = encode_tcp_segment(seg, conn.flow_sum)
 
         def down() -> None:
             self.host.ip_layer.send(conn.remote_ip, PROTO_TCP, wire)
@@ -169,6 +170,7 @@ class TcpLayer:
             remote_port=remote_port,
             congestion=congestion,
             iss=self._iss_stream.randint(0, (1 << 31) - 1),
+            flow_sum=tcp_flow_sum(self.host.ip_layer.local_ip, remote_ip),
         )
         self._connections[key] = conn
         return conn
@@ -185,11 +187,11 @@ class TcpLayer:
 
     @staticmethod
     def _key(local_port: int, remote_ip: IpAddress, remote_port: int) -> _ConnKey:
-        return (local_port, str(remote_ip), remote_port)
+        return (local_port, remote_ip.packed, remote_port)
 
     def _receive(self, packet: Ipv4Packet) -> None:
         try:
-            seg = parse_tcp_segment(packet.payload, packet.src, packet.dst)
+            seg = parse_tcp_segment(packet.payload, tcp_flow_sum(packet.dst, packet.src))
         except (ChecksumError, PacketError):
             self.checksum_drops += 1
             return
@@ -226,5 +228,5 @@ class TcpLayer:
             FLAG_RST | FLAG_ACK,
             0,
         )
-        wire = encode_tcp_segment(rst, self.host.ip_layer.local_ip, packet.src)
+        wire = encode_tcp_segment(rst, tcp_flow_sum(self.host.ip_layer.local_ip, packet.src))
         self.host.ip_layer.send(packet.src, PROTO_TCP, wire)

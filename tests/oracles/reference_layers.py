@@ -53,12 +53,18 @@ def _parse_udp_datagram(data, src_ip, dst_ip):
     return UdpDatagram.from_bytes(data, src_ip, dst_ip, verify=True)
 
 
-def _encode_tcp_segment(seg, src_ip, dst_ip):
-    return seg.to_bytes(src_ip, dst_ip)
+def _tcp_flow_sum(local_ip, remote_ip):
+    """The reference arms carry the two addresses themselves where the codec
+    carries their word sum (either order: the pseudo header's sum commutes)."""
+    return local_ip, remote_ip
 
 
-def _parse_tcp_segment(data, src_ip, dst_ip):
-    return TcpSegment.from_bytes(data, src_ip, dst_ip, verify=True)
+def _encode_tcp_segment(seg, flow):
+    return seg.to_bytes(*flow)
+
+
+def _parse_tcp_segment(data, flow):
+    return TcpSegment.from_bytes(data, *flow, verify=True)
 
 
 # -- RLL: windows and backlogs of EthernetFrame objects ---------------------
@@ -136,6 +142,7 @@ _PATCHES = (
     (ipstack, "parse_ipv4_frame", _parse_ipv4_frame),
     (udp_stack, "encode_udp_datagram", _encode_udp_datagram),
     (udp_stack, "parse_udp_datagram", _parse_udp_datagram),
+    (tcp_layer, "tcp_flow_sum", _tcp_flow_sum),
     (tcp_layer, "encode_tcp_segment", _encode_tcp_segment),
     (tcp_layer, "parse_tcp_segment", _parse_tcp_segment),
     (RllLayer, "on_send", _rll_on_send),

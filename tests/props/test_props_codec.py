@@ -49,6 +49,7 @@ from repro.net.fastpath import (
     parse_tcp_segment,
     parse_udp_datagram,
     pseudo_header_sum,
+    tcp_flow_sum,
 )
 from repro.net.frame import MAX_PAYLOAD
 from repro.net.ip import PROTO_TCP, PROTO_UDP
@@ -133,7 +134,7 @@ class TestEncodersMatchReference:
     @settings(max_examples=200)
     def test_tcp_bytes_identical(self, wire):
         src_ip, dst_ip, seg = wire
-        assert encode_tcp_segment(seg, src_ip, dst_ip) == seg.to_bytes(src_ip, dst_ip)
+        assert encode_tcp_segment(seg, tcp_flow_sum(src_ip, dst_ip)) == seg.to_bytes(src_ip, dst_ip)
 
     @given(wire=udp_wire())
     @settings(max_examples=200)
@@ -221,7 +222,9 @@ class TestParseMutateReserialise:
             return
         assert ip_fields(fast_ip) == ip_fields(ref_ip)
         if fast_ip.protocol == PROTO_TCP:
-            fast_t = outcome(parse_tcp_segment, fast_ip.payload, fast_ip.src, fast_ip.dst)
+            fast_t = outcome(
+                parse_tcp_segment, fast_ip.payload, tcp_flow_sum(fast_ip.src, fast_ip.dst)
+            )
             ref_t = outcome(TcpSegment.from_bytes, ref_ip.payload, ref_ip.src, ref_ip.dst)
         elif fast_ip.protocol == PROTO_UDP:
             fast_t = outcome(parse_udp_datagram, fast_ip.payload, fast_ip.src, fast_ip.dst)
@@ -235,11 +238,11 @@ class TestParseMutateReserialise:
     def test_tcp_parse_and_reserialise_round_trip(self, wire):
         src_ip, dst_ip, seg = wire
         data = seg.to_bytes(src_ip, dst_ip)
-        fast = parse_tcp_segment(data, src_ip, dst_ip)
+        fast = parse_tcp_segment(data, tcp_flow_sum(src_ip, dst_ip))
         reference = TcpSegment.from_bytes(data, src_ip, dst_ip, verify=True)
         for field in ("src_port", "dst_port", "seq", "ack", "flags", "window", "payload"):
             assert getattr(fast, field) == getattr(reference, field)
-        assert encode_tcp_segment(fast, src_ip, dst_ip) == data
+        assert encode_tcp_segment(fast, tcp_flow_sum(src_ip, dst_ip)) == data
         assert fast.to_bytes(src_ip, dst_ip) == data
 
     @given(wire=udp_wire())
@@ -271,7 +274,7 @@ class TestChecksumRewrites:
             src_ip.packed, dst_ip.packed, PROTO_TCP, len(zeroed)
         ) + checksum_sum16(zeroed)
         rewritten = patch_bytes(data, 16, fold_checksum(total).to_bytes(2, "big"))
-        fast = parse_tcp_segment(rewritten, src_ip, dst_ip)
+        fast = parse_tcp_segment(rewritten, tcp_flow_sum(src_ip, dst_ip))
         reference = TcpSegment.from_bytes(rewritten, src_ip, dst_ip, verify=True)
         assert fast.dst_port == reference.dst_port == new_port
         assert reference.to_bytes(src_ip, dst_ip) == rewritten
@@ -396,6 +399,96 @@ class TestChecksumHelpers:
         assert fold_checksum(pseudo_header_sum(src, dst, proto, length)) == (
             internet_checksum(wire)
         )
+
+
+def word_loop_sum(data) -> int:
+    """The word-loop reference (``internet_checksum``: one 16-bit big-endian
+    word at a time, an odd tail zero-padded), folded and not complemented."""
+    return internet_checksum(bytes(data)) ^ 0xFFFF
+
+
+def flip_bit(data: bytes, bit: int) -> bytes:
+    return patch_bytes(data, bit // 8, bytes([data[bit // 8] ^ (0x80 >> bit % 8)]))
+
+
+class TestChecksumKernel:
+    """``checksum_sum16`` is one big-integer reduction mod 0xFFFF; these pin
+    it to the word loop, including the 0 / 0xFFFF representation of the
+    folded sum that a bare ``%`` would lose."""
+
+    @given(data=st.binary(max_size=2048))
+    @settings(max_examples=400)
+    def test_equals_the_word_loop_on_every_buffer_type(self, data):
+        expected = word_loop_sum(data)
+        assert checksum_sum16(data) == expected
+        assert checksum_sum16(bytearray(data)) == expected
+        assert checksum_sum16(memoryview(data)) == expected
+
+    @given(length=st.integers(min_value=0, max_value=2048))
+    def test_all_zero_is_zero(self, length):
+        assert checksum_sum16(bytes(length)) == 0
+
+    @given(words=st.integers(min_value=1, max_value=1024))
+    def test_all_ones_is_all_ones(self, words):
+        assert checksum_sum16(b"\xff\xff" * words) == 0xFFFF
+
+    @given(words=st.lists(st.sampled_from([0x0000, 0xFFFF, 0x0001, 0xFFFE]), max_size=64))
+    def test_multiples_of_all_ones_keep_their_representation(self, words):
+        """Sums that are 0 mod 0xFFFF: zero only when every word is zero."""
+        data = b"".join(w.to_bytes(2, "big") for w in words)
+        assert checksum_sum16(data) == word_loop_sum(data)
+        assert (checksum_sum16(data) == 0) == (not any(data))
+
+    @given(data=st.binary(max_size=2047).filter(lambda d: len(d) % 2 == 1))
+    def test_odd_lengths_are_zero_padded(self, data):
+        assert checksum_sum16(data) == checksum_sum16(data + b"\x00")
+
+    @given(data=st.binary(max_size=2048), cut=st.integers(min_value=0, max_value=1024))
+    @settings(max_examples=300)
+    def test_splitting_at_any_even_offset_folds_to_the_whole(self, data, cut):
+        offset = min(2 * cut, len(data) & ~1)
+        parts = checksum_sum16(data[:offset]) + checksum_sum16(data[offset:])
+        assert fold_checksum(parts) == fold_checksum(checksum_sum16(data))
+        assert fold_checksum(parts) == internet_checksum(data)
+
+
+class TestSingleBitFlipsAreRejected:
+    """Every byte is still summed: one flipped bit anywhere the checksum
+    covers is refused, with the exception class the readable parser raises."""
+
+    @given(frame=ipv4_frames(), bit=st.integers(min_value=0, max_value=20 * 8 - 1))
+    @settings(max_examples=300)
+    def test_ip_header(self, frame, bit):
+        mutant = flip_bit(frame, 14 * 8 + bit)
+        fast_tag, _ = outcome(parse_ipv4_frame, mutant)
+        ref_tag, _ = outcome(Ipv4Packet.from_bytes, mutant[14:], True)
+        assert fast_tag == ref_tag != "ok"
+
+    @given(wire=tcp_wire(), data=st.data())
+    @settings(max_examples=300)
+    def test_tcp_segment(self, wire, data):
+        src_ip, dst_ip, seg = wire
+        valid = seg.to_bytes(src_ip, dst_ip)
+        mutant = flip_bit(valid, data.draw(st.integers(0, len(valid) * 8 - 1)))
+        fast_tag, _ = outcome(parse_tcp_segment, mutant, tcp_flow_sum(src_ip, dst_ip))
+        ref_tag, _ = outcome(TcpSegment.from_bytes, mutant, src_ip, dst_ip, True)
+        assert fast_tag == ref_tag != "ok"
+
+    @given(wire=udp_wire(), data=st.data())
+    @settings(max_examples=300)
+    def test_udp_datagram(self, wire, data):
+        src_ip, dst_ip, dgram = wire
+        valid = dgram.to_bytes(src_ip, dst_ip)
+        bit = data.draw(st.integers(0, len(valid) * 8 - 1))
+        mutant = flip_bit(valid, bit)
+        fast_tag, _ = outcome(parse_udp_datagram, mutant, src_ip, dst_ip)
+        ref_tag, _ = outcome(UdpDatagram.from_bytes, mutant, src_ip, dst_ip, True)
+        assert fast_tag == ref_tag
+        # RFC 768: a zero checksum field switches verification off, and a
+        # shorter length field moves what is covered; everywhere else the
+        # flip must be caught.
+        if bit // 8 not in (4, 5) and mutant[6:8] != b"\x00\x00":
+            assert fast_tag == "checksum"
 
 
 # -- RLL fast helpers -------------------------------------------------------

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import PacketError
+from repro.errors import PacketError, StackError
 from repro.sim import ms, seconds
 from repro.stack import FREE
 from repro.stack.arp import ArpMessage, ArpService, OP_REPLY, OP_REQUEST, install_arp
@@ -80,10 +80,25 @@ class TestResolution:
         sim.run_until(seconds(1))
         assert got == [0, 1, 2, 3]
 
+    def test_cleared_table_takes_the_arp_path(self, sim):
+        """install_arp empties the static table through its owner, so the
+        first packet must be resolved on the wire, not from a stale entry."""
+        _, h1, h2 = make_two_hosts(sim, costs=FREE)
+        services = install_arp([h1, h2])
+        for host, peer in ((h1, h2), (h2, h1)):
+            assert host.ip_layer.resolve(host.ip) == host.mac
+            with pytest.raises(StackError):
+                host.ip_layer.resolve(peer.ip)
+        h2.udp.bind(9)
+        h1.udp.bind(0).sendto(b"hi", h2.ip, 9)
+        sim.run_until(seconds(1))
+        assert services["node1"].requests_sent == 1
+        assert h1.ip_layer.resolve(h2.ip) == h2.mac  # learned, in the one table
+
     def test_unresolvable_gives_up_and_drops(self, sim):
         _, h1, h2 = make_two_hosts(sim, costs=FREE)
         services = install_arp([h1])  # h2 does not answer ARP
-        h1.ip_layer._neighbors = {h1.ip: h1.mac}
+        h1.ip_layer.clear_neighbors()
         sender = h1.udp.bind(0)
         sender.sendto(b"void", "192.168.1.99", 9)
         sim.run_until(seconds(2))

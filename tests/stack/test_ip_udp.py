@@ -30,6 +30,34 @@ class TestIpLayer:
         sim.run()
         assert h2.ip_layer.misaddressed_drops == 1
 
+    def test_rebinding_a_neighbor_repoints_the_very_next_frame(self, sim):
+        """One table, one owner: nothing caches the old MAC beside it."""
+        _, h1, h2 = make_two_hosts(sim, costs=FREE)
+        sent = []
+        h1.chain.demux.send_frame_bytes = sent.append
+        h1.ip_layer.send(h2.ip, 17, b"before")
+        h1.ip_layer.add_neighbor(h2.ip, "02:00:00:00:00:99")
+        h1.ip_layer.send(h2.ip, 17, b"after")
+        assert [frame[:6].hex(":") for frame in sent] == [str(h2.mac), "02:00:00:00:00:99"]
+        assert h1.ip_layer.resolve(str(h2.ip)) == h1.ip_layer.resolve(h2.ip.packed)
+
+    def test_clear_neighbors_keeps_only_the_own_binding(self, sim):
+        _, h1, h2 = make_two_hosts(sim, costs=FREE)
+        h1.ip_layer.clear_neighbors()
+        assert h1.ip_layer.resolve(h1.ip) == h1.mac
+        with pytest.raises(StackError, match=str(h2.ip)):
+            h1.ip_layer.send(h2.ip, 17, b"nobody home")
+        assert h1.ip_layer.tx_packets == 0
+
+    def test_failed_resolution_still_consumes_the_ident(self, sim):
+        _, h1, h2 = make_two_hosts(sim, costs=FREE)
+        sent = []
+        h1.chain.demux.send_frame_bytes = sent.append
+        with pytest.raises(StackError):
+            h1.ip_layer.send("10.99.99.99", 17, b"lost")
+        h1.ip_layer.send(h2.ip, 17, b"second")
+        assert int.from_bytes(sent[0][18:20], "big") == 2
+
     def test_unclaimed_protocol_dropped(self, sim):
         _, h1, h2 = make_two_hosts(sim, costs=FREE)
         h1.ip_layer.send(h2.ip, 123, b"proto-mystery")

@@ -33,27 +33,24 @@ from .runner import (
     DEFAULT_RETRIES,
     DEFAULT_TIMEOUT_BACKOFF,
     DEFAULT_TIMEOUT_RETRIES,
+    HOSTS_ENV,
+    SECRET_ENV,
     ExecutorContext,
     SweepExecutor,
     Watchdog,
     backend_names,
     default_backend,
+    default_hosts,
     default_workers,
+    parse_hosts,
     register_backend,
     resolve_backend,
+    resolve_secret,
     run_sweep,
 )
 from .health import FleetHealth
-from .remote import (
-    HOSTS_ENV,
-    PROTOCOL_VERSION,
-    SECRET_ENV,
-    TcpExecutor,
-    WorkerServer,
-    default_hosts,
-    parse_hosts,
-    resolve_secret,
-)
+from .remote import TcpExecutor, WorkerServer
+from .wire import PROTOCOL_VERSION
 from .spec import (
     SweepError,
     SweepOutcome,

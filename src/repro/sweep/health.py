@@ -18,11 +18,14 @@ that flapped during a bad minute earns its way back to full duty instead
 of being written off for the campaign.  Only when the *whole* fleet is
 unusable does the scheduler raise :class:`~repro.sweep.spec.SweepError`;
 one sick worker never fails a campaign on its own.
+
+The tracker reads no clock: every method that judges time takes the
+caller's ``now`` (seconds on any monotonic scale), which is what lets the
+scheduler — and its tests — run in virtual time.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Dict, Optional
 
 from ..analysis.metrics import MetricsRegistry
@@ -143,10 +146,9 @@ class FleetHealth:
             state.level -= 1
             state.rows_since_decay = 0
 
-    def record_heartbeat(self, address: str, now: Optional[float] = None) -> None:
+    def record_heartbeat(self, address: str, now: float) -> None:
         """Score one heartbeat; the gap to the previous one feeds the
         jitter histogram (milliseconds)."""
-        now = time.monotonic() if now is None else now
         state = self._worker(address)
         metrics = self._metrics(address)
         metrics.counter("fleet", "heartbeats").inc()
@@ -155,9 +157,7 @@ class FleetHealth:
             metrics.histogram("fleet", "heartbeat_gap_ms").observe(gap_ms)
         state.last_heartbeat = now
 
-    def record_failure(
-        self, address: str, kind: str, now: Optional[float] = None
-    ) -> Optional[float]:
+    def record_failure(self, address: str, kind: str, now: float) -> Optional[float]:
         """Score one failure (``kind``: ``"loss"`` for a dead/flapping
         connection, ``"error"`` for a worker-reported task casualty,
         ``"timeout"`` for heartbeat silence).
@@ -165,7 +165,6 @@ class FleetHealth:
         Returns the quarantine duration in seconds when this failure
         crossed the threshold and quarantined the worker, else ``None``.
         """
-        now = time.monotonic() if now is None else now
         metrics = self._metrics(address)
         metrics.counter("fleet", f"failures_{kind}").inc()
         state = self._worker(address)
@@ -187,24 +186,19 @@ class FleetHealth:
 
     # -- queries ---------------------------------------------------------
 
-    def is_quarantined(self, address: str, now: Optional[float] = None) -> bool:
-        now = time.monotonic() if now is None else now
+    def is_quarantined(self, address: str, now: float) -> bool:
         state = self._state.get(address)
         return state is not None and now < state.quarantined_until
 
-    def quarantine_remaining(
-        self, address: str, now: Optional[float] = None
-    ) -> float:
-        now = time.monotonic() if now is None else now
+    def quarantine_remaining(self, address: str, now: float) -> float:
         state = self._state.get(address)
         if state is None:
             return 0.0
         return max(0.0, state.quarantined_until - now)
 
-    def snapshot(self, now: Optional[float] = None) -> Dict[str, Dict[str, object]]:
+    def snapshot(self, now: float) -> Dict[str, Dict[str, object]]:
         """Canonical per-worker dump: the metrics-registry snapshot plus
         live quarantine state, sorted by address."""
-        now = time.monotonic() if now is None else now
         merged: Dict[str, Dict[str, object]] = {}
         metrics = self.registry.snapshot()
         for address in sorted(self._state):

@@ -1,107 +1,34 @@
-"""Distributed sweep executor: a self-healing multi-host TCP job fleet.
+"""The ``tcp`` backend's two processes: ``repro worker`` and the parent shell.
 
-The ``tcp`` backend dispatches campaign cells to a fleet of ``repro
-worker`` processes (:class:`WorkerServer`, one per host, each serving N
-local slots) over a small length-prefixed, CRC-framed job protocol.  The
-parent is a **pull-based scheduler**: workers request work whenever a slot
-goes idle, so a heterogeneous fleet self-balances — a fast host simply
-asks more often.  Rows stream back as they complete and re-enter
-:func:`repro.sweep.run_sweep`'s deterministic task-order merge, so the
-``tcp`` backend's ``canonical_bytes()`` is byte-identical to the serial
-reference's (asserted in ``tests/sweep/test_remote.py`` and, under live
-fault injection, ``tests/sweep/test_fleet_chaos.py``).
+The job protocol itself — frames, handshake, program shipping — is
+:mod:`repro.sweep.wire`; every scheduling decision — dispatch, re-queue,
+forgiveness, redial, quarantine, hedging, giving up — is the pure
+:class:`repro.sweep.fleet.FleetScheduler`.  What is left here is I/O:
 
-Wire format — every message is one frame::
-
-    +--------+------+----------+------------------+----------+
-    | magic  | type | length   | payload          | crc32    |
-    | "VWJP" | u8   | u32 (BE) | length bytes     | u32 (BE) |
-    +--------+------+----------+------------------+----------+
-
-The CRC covers the type byte plus the payload, so a corrupted or
-truncated frame is detected before anything is deserialised.  Control
-messages (HELLO/WELCOME/AUTH/GET/ROW/HEARTBEAT/ERROR/BYE) carry canonical
-JSON; PROGRAM and TASK carry pickles (task functions travel by module
-reference, compiled programs by value).
-
-**Authentication** (protocol v2): the job protocol ships pickles, so a
-peer must prove knowledge of the fleet's pre-shared secret *before* any
-pickle-bearing frame is deserialised.  The handshake is a mutual HMAC
-challenge/response folded into HELLO/WELCOME plus one AUTH frame::
-
-    parent                                worker
-      | HELLO {version, nonce_p, meta}      |
-      |------------------------------------>|
-      | WELCOME {version, slots, nonce_w,   |
-      |          proof=HMAC(k,"worker",     |
-      |                     nonce_p|nonce_w)}|
-      |<------------------------------------|   parent verifies proof
-      | AUTH {proof=HMAC(k,"parent",        |
-      |                  nonce_w|nonce_p)}  |
-      |------------------------------------>|   worker verifies proof
-      | GET x slots ...                     |
-
-The secret comes from ``REPRO_SWEEP_SECRET`` or ``--secret-file`` on both
-sides (:func:`resolve_secret`); with no secret configured on either side
-the handshake still runs with an empty key, preserving zero-config
-loopback fleets.  A peer with the wrong (or a missing) secret is rejected
-with a clear error — the worker answers BYE and closes without ever
-unpickling a frame, and a v1 peer (no nonce) is refused with a version
-mismatch message.
-
-Program shipping is content-addressed: a :class:`CompiledProgram` param
-is replaced in the wire task by a :class:`ProgramRef` carrying its
-:meth:`~repro.core.tables.CompiledProgram.content_hash`, and the parent
-pushes the program bytes to a worker at most once per campaign — the
-10k-cell grid over one script ships one program per host, not 10k.
-
-Self-healing (docs/SWEEP.md, "Fleet security & resilience"):
-
-* **Dynamic membership.**  A worker whose socket dies or whose
-  heartbeats stop is declared lost; its in-flight cells re-queue onto the
-  surviving fleet.  Lost (and never-reached) hosts are *redialled* with
-  exponential backoff for the rest of the campaign, so a worker that is
-  SIGKILLed and restarted — or starts late — rejoins mid-campaign and
-  picks up work.  When a lost worker rejoins healthy, one connection-loss
-  per (cell, worker) pair is forgiven: infrastructure flaps do not burn
-  the ``retries`` budget that exists to catch genuinely poisonous cells.
-  Worker-reported slot crashes (ERROR frames) are never forgiven — the
-  cell itself is the prime suspect there.
-* **Health scoring and quarantine.**  A :class:`~repro.sweep.health.
-  FleetHealth` tracker scores every worker (rows, failures, heartbeat
-  jitter) and quarantines repeat offenders with decaying backoff instead
-  of failing the campaign; per-worker stats surface on
-  ``SweepOutcome.fleet``.  Only a fleet with *no* usable worker for
-  ``REPRO_SWEEP_REJOIN_S`` seconds raises :class:`SweepError`.
-* **Straggler hedging.**  Once enough rows have landed to estimate the
-  campaign's p95 cell wall-time, in-flight cells running far past it are
-  speculatively re-dispatched to idle slots on *other* workers.  First
-  completion wins; duplicate rows are discarded by task index and checked
-  byte-for-byte against the landed row (task results are deterministic,
-  so hedging cannot change ``canonical_bytes()``).
+* :class:`WorkerServer` (``repro worker``): accept one parent at a time,
+  run the worker side of the handshake, execute TASK frames on a local
+  process pool, stream ROW / ERROR / GET back and heartbeat.
+* :class:`TcpExecutor`: drive one ``FleetScheduler`` over real sockets —
+  report ``time.monotonic()``, dial and handshake when it says
+  :class:`~repro.sweep.fleet.Dial`, ``recv`` into ``received``, turn EOF
+  and failed sends into ``closed``, write what it says to
+  :class:`~repro.sweep.fleet.Send`.
 """
 
 from __future__ import annotations
 
-import hashlib
 import hmac
-import io
-import json
-import math
 import os
-import pickle
 import selectors
 import socket
-import struct
 import threading
 import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from .health import FleetHealth
+from .fleet import Action, Close, Dial, FleetScheduler
 from .runner import (
     BackendRun,
     ExecutorContext,
@@ -109,483 +36,90 @@ from .runner import (
     Watchdog,
     _pool_context,
     _worker_init,
+    default_hosts,
     default_workers,
     execute_task,
-    _is_failure,
+    parse_hosts,
+    resolve_secret,
 )
-from .spec import SweepError, SweepResult, SweepTask
-
-# ---------------------------------------------------------------------------
-# Protocol constants
-# ---------------------------------------------------------------------------
-
-MAGIC = b"VWJP"
-
-#: v2 added the authenticated HELLO/WELCOME/AUTH handshake; v1 peers are
-#: rejected with a clear version-mismatch error.
-PROTOCOL_VERSION = 2
-
-#: frame payloads larger than this are protocol errors, not allocations.
-MAX_FRAME = 64 * 1024 * 1024
-
-MSG_HELLO = 1  # parent -> worker: version + nonce + campaign meta
-MSG_WELCOME = 2  # worker -> parent: version + slots + nonce + worker proof
-MSG_GET = 3  # worker -> parent: one idle slot requests one task
-MSG_PROGRAM = 4  # parent -> worker: content-addressed compiled program
-MSG_TASK = 5  # parent -> worker: one campaign cell
-MSG_ROW = 6  # worker -> parent: one completed result row
-MSG_HEARTBEAT = 7  # worker -> parent: liveness
-MSG_ERROR = 8  # worker -> parent: a cell died worker-side (slot crash)
-MSG_BYE = 9  # either direction: orderly goodbye
-MSG_AUTH = 10  # parent -> worker: the parent's HMAC proof
-
-_HEADER = struct.Struct("!4sBI")
-_CRC = struct.Struct("!I")
-_INDEX = struct.Struct("!I")
-
-#: Environment knob for the worker fleet; an explicit ``hosts=`` argument
-#: always wins (precedence: argument > env — same convention as
-#: ``REPRO_SWEEP_WORKERS``).
-HOSTS_ENV = "REPRO_SWEEP_HOSTS"
-
-#: Pre-shared fleet secret; an explicit ``secret=``/``--secret-file``
-#: always wins (see :func:`resolve_secret`).
-SECRET_ENV = "REPRO_SWEEP_SECRET"
-
-#: Timing knobs (seconds), env-overridable so tests can tighten them.
-HEARTBEAT_INTERVAL_ENV = "REPRO_SWEEP_HEARTBEAT_S"
-HEARTBEAT_TIMEOUT_ENV = "REPRO_SWEEP_HEARTBEAT_TIMEOUT_S"
-CONNECT_TIMEOUT_ENV = "REPRO_SWEEP_CONNECT_TIMEOUT_S"
-REJOIN_WINDOW_ENV = "REPRO_SWEEP_REJOIN_S"
-DEFAULT_HEARTBEAT_INTERVAL_S = 2.0
-DEFAULT_HEARTBEAT_TIMEOUT_S = 10.0
-DEFAULT_CONNECT_TIMEOUT_S = 10.0
-
-#: How long the scheduler keeps a campaign alive with *zero* usable
-#: workers, waiting for a rejoin, before raising SweepError.
-DEFAULT_REJOIN_WINDOW_S = 10.0
-
-#: Straggler-hedging knobs.  Hedging is on by default; it cannot change
-#: canonical bytes (results are deterministic, duplicates are dropped) so
-#: the only cost is an occasionally wasted slot.
-HEDGE_ENV = "REPRO_SWEEP_HEDGE"  # "0" disables
-HEDGE_FACTOR_ENV = "REPRO_SWEEP_HEDGE_FACTOR"
-HEDGE_MIN_ROWS_ENV = "REPRO_SWEEP_HEDGE_MIN_ROWS"
-DEFAULT_HEDGE_FACTOR = 2.0
-DEFAULT_HEDGE_MIN_ROWS = 8
-
-#: An in-flight cell is never hedged before running at least this long.
-_HEDGE_FLOOR_S = 0.1
-
-#: At most this many concurrent copies of one cell (original + hedges).
-_HEDGE_MAX_COPIES = 2
-
-#: Redial (rejoin) backoff: first attempt after _REDIAL_BASE_S, doubling
-#: per failure up to _REDIAL_CAP_S; each attempt gives the worker
-#: _REDIAL_TIMEOUT_S to finish the handshake so a half-up host cannot
-#: stall the scheduler loop for long.
-_REDIAL_BASE_S = 0.25
-_REDIAL_CAP_S = 5.0
-_REDIAL_TIMEOUT_S = 2.0
+from .spec import SweepError, SweepTask
+from .wire import (
+    HEARTBEAT_INTERVAL_S,
+    MSG_AUTH,
+    MSG_BYE,
+    MSG_ERROR,
+    MSG_GET,
+    MSG_HEARTBEAT,
+    MSG_HELLO,
+    MSG_PROGRAM,
+    MSG_ROW,
+    MSG_TASK,
+    MSG_WELCOME,
+    PROTOCOL_VERSION,
+    ConnectionLost,
+    FrameBuffer,
+    ProgramRef,
+    ProtocolError,
+    Refused,
+    _auth_proof,
+    _json_payload,
+    _loads,
+    _parse_json,
+    answer_welcome,
+    encode_frame,
+    export_task,
+    hello_frame,
+    resolve_task,
+    split_task,
+)
 
 #: Socket send timeout: a peer that cannot drain a frame in this long is
 #: as good as dead.
 _SEND_TIMEOUT_S = 30.0
 
 
-def _env_seconds(name: str, default: float) -> float:
-    """A positive, finite number of seconds from the environment.
-
-    Zero, negative, NaN and infinite values raise :class:`SweepError`
-    naming the variable (the ``REPRO_SWEEP_WORKERS`` convention): a
-    mis-typed knob must never silently configure a broken fleet.
-    """
-    value = os.environ.get(name)
-    if value is None or value == "":
-        return default
-    try:
-        parsed = float(value)
-    except ValueError:
-        raise SweepError(f"{name} must be a number of seconds, got {value!r}") from None
-    if math.isnan(parsed) or math.isinf(parsed) or parsed <= 0:
-        raise SweepError(
-            f"{name} must be a positive finite number of seconds, got {value!r}"
-        )
-    return parsed
-
-
-def _env_count(name: str, default: int) -> int:
-    """A positive integer from the environment (same validation idiom)."""
-    value = os.environ.get(name)
-    if value is None or value == "":
-        return default
-    try:
-        parsed = int(value)
-    except ValueError:
-        raise SweepError(f"{name} must be an integer >= 1, got {value!r}") from None
-    if parsed < 1:
-        raise SweepError(f"{name} must be an integer >= 1, got {value!r}")
-    return parsed
-
-
-class ProtocolError(SweepError):
-    """A peer spoke something that is not the VirtualWire job protocol."""
-
-
-class ConnectionLost(ProtocolError):
-    """The TCP stream ended mid-conversation (EOF or reset)."""
-
-
-# ---------------------------------------------------------------------------
-# Pre-shared-key authentication
-# ---------------------------------------------------------------------------
-
-
-def resolve_secret(
-    secret: Optional[Any] = None, secret_file: Optional[str] = None
-) -> Optional[bytes]:
-    """The fleet's pre-shared secret, or ``None`` when unconfigured.
-
-    Precedence: explicit *secret* (str or bytes) > *secret_file* (its
-    stripped content) > the ``REPRO_SWEEP_SECRET`` environment variable.
-    An unreadable or empty secret file is a :class:`SweepError` — a fleet
-    that *meant* to authenticate must never silently run open.
-    """
-    if secret is not None:
-        data = secret.encode("utf-8") if isinstance(secret, str) else bytes(secret)
-        return data or None
-    if secret_file is not None:
-        try:
-            with open(secret_file, "rb") as handle:
-                data = handle.read().strip()
-        except OSError as exc:
-            raise SweepError(
-                f"cannot read secret file {secret_file!r}: {exc}"
-            ) from None
-        if not data:
-            raise SweepError(f"secret file {secret_file!r} is empty")
-        return data
-    env = os.environ.get(SECRET_ENV)
-    if env:
-        return env.encode("utf-8")
-    return None
-
-
 def _fresh_nonce() -> str:
     return os.urandom(16).hex()
 
 
-def _auth_proof(
-    secret: Optional[bytes], role: str, nonce_a: str, nonce_b: str
-) -> str:
-    """HMAC-SHA256 proof of the shared secret over both handshake nonces.
+def read_frame(sock: socket.socket) -> Tuple[int, bytes]:
+    """Blocking read of exactly one frame through the one parser.
 
-    The *role* prefix and the nonce order differ between the worker's and
-    the parent's proof, so one side's proof can never be replayed as the
-    other's.  With no secret configured the key is empty — both-open
-    peers still agree, a one-sided secret is always a mismatch.
+    Asks the socket for no more than the frame still lacks, so nothing of
+    the next frame is consumed; a header that fails the parser's checks
+    raises before a single payload byte is requested.
     """
-    key = secret if secret is not None else b""
-    message = b"|".join(
-        (b"vwjp-v2", role.encode("ascii"), nonce_a.encode(), nonce_b.encode())
-    )
-    return hmac.new(key, message, hashlib.sha256).hexdigest()
-
-
-# ---------------------------------------------------------------------------
-# Host parsing
-# ---------------------------------------------------------------------------
-
-
-def parse_hosts(value: Any) -> List[Tuple[str, int]]:
-    """Normalise a fleet description into ``[(host, port), ...]``.
-
-    Accepts a ``"host:port,host:port"`` string (whitespace around entries
-    is ignored), an iterable of such strings, or an iterable of ``(host,
-    port)`` pairs.  Mis-specified entries raise :class:`SweepError` —
-    same convention as the ``REPRO_SWEEP_WORKERS`` validation: never a
-    silent fallback.  Duplicate entries are rejected (each worker serves
-    one parent; dialling it twice would deadlock the second connection),
-    and IPv6 bracket/colon syntax is rejected with a clear error — the
-    fleet syntax supports hostnames and IPv4 addresses only.
-    """
-    if isinstance(value, str):
-        entries: Sequence[Any] = [
-            v.strip() for v in value.split(",") if v.strip() != ""
-        ]
-    else:
-        entries = list(value)
-    hosts: List[Tuple[str, int]] = []
-    seen: Set[Tuple[str, int]] = set()
-    for entry in entries:
-        if isinstance(entry, tuple) and len(entry) == 2:
-            host, port = entry
-        elif isinstance(entry, str):
-            entry = entry.strip()
-            if "[" in entry or "]" in entry:
-                raise SweepError(
-                    f"worker host {entry!r}: IPv6 bracket syntax is not "
-                    f"supported — the fleet syntax takes hostnames or "
-                    f"IPv4 addresses ('host:port')"
-                )
-            host, sep, port = entry.rpartition(":")
-            if sep == "" or host == "":
-                raise SweepError(
-                    f"worker host {entry!r} must be 'host:port' (e.g. "
-                    f"127.0.0.1:7777)"
-                )
-            host = host.strip()
-            port = port.strip()
-            if ":" in host:
-                raise SweepError(
-                    f"worker host {entry!r}: multiple ':' separators — "
-                    f"IPv6 addresses are not supported by the fleet "
-                    f"syntax; use a hostname or IPv4 address"
-                )
-        else:
-            raise SweepError(
-                f"worker host entry must be 'host:port' or (host, port), "
-                f"got {entry!r}"
-            )
+    buffer = FrameBuffer()
+    while True:
+        frame = buffer.next_frame()
+        if frame is not None:
+            return frame
         try:
-            port = int(port)
-        except (TypeError, ValueError):
-            raise SweepError(
-                f"worker host {entry!r}: port must be an integer"
-            ) from None
-        if not 1 <= port <= 65535:
-            raise SweepError(
-                f"worker host {entry!r}: port must be in 1..65535, got {port}"
-            )
-        pair = (str(host), port)
-        if pair in seen:
-            raise SweepError(
-                f"duplicate worker host {pair[0]}:{pair[1]} — each worker "
-                f"serves one parent connection; list it once"
-            )
-        seen.add(pair)
-        hosts.append(pair)
-    if not hosts:
-        raise SweepError("worker host list is empty")
-    return hosts
-
-
-def default_hosts() -> Optional[List[Tuple[str, int]]]:
-    """The fleet named by ``REPRO_SWEEP_HOSTS``, or ``None`` when unset."""
-    env = os.environ.get(HOSTS_ENV)
-    if env is None or env == "":
-        return None
-    try:
-        return parse_hosts(env)
-    except SweepError as exc:
-        raise SweepError(f"{HOSTS_ENV}: {exc}") from None
-
-
-# ---------------------------------------------------------------------------
-# Framing
-# ---------------------------------------------------------------------------
-
-
-def encode_frame(mtype: int, payload: bytes) -> bytes:
-    """One wire frame: header, payload, CRC over (type byte + payload)."""
-    if len(payload) > MAX_FRAME:
-        raise ProtocolError(
-            f"frame payload of {len(payload)} bytes exceeds the "
-            f"{MAX_FRAME}-byte protocol limit"
-        )
-    crc = _crc32_frame(mtype, payload)
-    return _HEADER.pack(MAGIC, mtype, len(payload)) + payload + _CRC.pack(crc)
-
-
-def _crc32_frame(mtype: int, payload: bytes) -> int:
-    import zlib
-
-    return zlib.crc32(bytes((mtype,)) + payload) & 0xFFFFFFFF
-
-
-class FrameBuffer:
-    """Incremental frame parser for the parent's non-blocking sockets."""
-
-    def __init__(self) -> None:
-        self._buffer = bytearray()
-
-    def feed(self, data: bytes) -> None:
-        self._buffer.extend(data)
-
-    def next_frame(self) -> Optional[Tuple[int, bytes]]:
-        """Pop one complete frame, or ``None`` if more bytes are needed.
-
-        Raises :class:`ProtocolError` on bad magic, a length prefix above
-        the :data:`MAX_FRAME` limit (checked **before** any payload is
-        buffered — a garbage length can never provoke an allocation) or a
-        CRC mismatch.  The connection is unrecoverable after that.
-        """
-        if len(self._buffer) < _HEADER.size:
-            return None
-        magic, mtype, length = _HEADER.unpack_from(self._buffer)
-        if magic != MAGIC:
-            raise ProtocolError(
-                f"bad frame magic {bytes(magic)!r} (expected {MAGIC!r})"
-            )
-        if length > MAX_FRAME:
-            raise ProtocolError(
-                f"frame length {length} exceeds the {MAX_FRAME}-byte limit"
-            )
-        total = _HEADER.size + length + _CRC.size
-        if len(self._buffer) < total:
-            return None
-        payload = bytes(self._buffer[_HEADER.size:_HEADER.size + length])
-        (crc,) = _CRC.unpack_from(self._buffer, _HEADER.size + length)
-        del self._buffer[:total]
-        if crc != _crc32_frame(mtype, payload):
-            raise ProtocolError("frame CRC mismatch")
-        return mtype, payload
-
-
-def _recv_exact(sock: socket.socket, count: int) -> bytes:
-    chunks = bytearray()
-    while len(chunks) < count:
-        try:
-            chunk = sock.recv(count - len(chunks))
-        except (ConnectionResetError, BrokenPipeError, OSError) as exc:
+            chunk = sock.recv(min(buffer.missing(), 1 << 16))
+        except OSError as exc:
             raise ConnectionLost(f"connection lost mid-frame: {exc}") from None
         if not chunk:
             raise ConnectionLost("connection closed mid-frame")
-        chunks.extend(chunk)
-    return bytes(chunks)
-
-
-def read_frame(sock: socket.socket) -> Tuple[int, bytes]:
-    """Blocking read of one complete frame (the worker's receive path).
-
-    The length prefix is validated against :data:`MAX_FRAME` before any
-    payload byte is read, so a garbage or malicious peer cannot provoke
-    an unbounded allocation.
-    """
-    header = _recv_exact(sock, _HEADER.size)
-    magic, mtype, length = _HEADER.unpack(header)
-    if magic != MAGIC:
-        raise ProtocolError(f"bad frame magic {magic!r} (expected {MAGIC!r})")
-    if length > MAX_FRAME:
-        raise ProtocolError(
-            f"frame length {length} exceeds the {MAX_FRAME}-byte limit"
-        )
-    payload = _recv_exact(sock, length)
-    (crc,) = _CRC.unpack(_recv_exact(sock, _CRC.size))
-    if crc != _crc32_frame(mtype, payload):
-        raise ProtocolError("frame CRC mismatch")
-    return mtype, payload
-
-
-def _json_payload(obj: Any) -> bytes:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
-
-
-def _parse_json(payload: bytes, what: str) -> Any:
-    try:
-        return json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, ValueError) as exc:
-        raise ProtocolError(f"undecodable {what} payload: {exc}") from None
-
-
-class _RestrictedUnpickler(pickle.Unpickler):
-    """Unpickler that refuses the classic RCE gadget modules.
-
-    The handshake already authenticates the peer, but there is no reason
-    to let a stray byte stream reach ``os.system`` — task functions and
-    compiled programs only ever live under ``repro`` or the caller's own
-    campaign modules, so the blocklist costs nothing.
-    """
-
-    def find_class(self, module: str, name: str) -> Any:
-        qualified = f"{module}.{name}"
-        if module in ("os", "subprocess", "posix", "nt") or qualified in (
-            "builtins.eval",
-            "builtins.exec",
-            "builtins.compile",
-            "builtins.open",
-        ):
-            raise ProtocolError(
-                f"refusing to unpickle {qualified} from the job stream"
-            )
-        return super().find_class(module, name)
-
-
-def _loads(payload: bytes, what: str) -> Any:
-    try:
-        return _RestrictedUnpickler(io.BytesIO(payload)).load()
-    except ProtocolError:
-        raise
-    except Exception as exc:  # noqa: BLE001 — any unpickle failure is protocol-level
-        raise ProtocolError(f"undecodable {what} payload: {exc!r}") from None
-
-
-# ---------------------------------------------------------------------------
-# Content-addressed program shipping
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ProgramRef:
-    """Wire placeholder for a :class:`CompiledProgram` param: its content
-    hash.  The worker swaps the real program back in from its
-    per-campaign store (pushed at most once per worker)."""
-
-    hash: str
-
-
-def export_task(task: SweepTask) -> Tuple[SweepTask, Dict[str, Any]]:
-    """Split a task into its wire form and the programs it references.
-
-    Every :class:`CompiledProgram` param becomes a :class:`ProgramRef`;
-    the returned mapping is ``content_hash -> program`` for the scheduler
-    to push (once per worker) before the task.
-    """
-    from ..core.tables import CompiledProgram  # local: avoid import cycle
-
-    programs: Dict[str, Any] = {}
-    params: Dict[str, Any] = {}
-    for key, value in task.params.items():
-        if isinstance(value, CompiledProgram):
-            content = value.content_hash()
-            programs[content] = value
-            params[key] = ProgramRef(content)
-        else:
-            params[key] = value
-    wire = SweepTask(
-        index=task.index,
-        name=task.name,
-        seed=task.seed,
-        fn=task.fn,
-        params=params,
-    )
-    return wire, programs
-
-
-def resolve_task(task: SweepTask, programs: Dict[str, Any]) -> SweepTask:
-    """Swap :class:`ProgramRef` params back to real programs (worker side).
-
-    Raises :class:`ProtocolError` when a referenced program was never
-    pushed — a scheduler bug, not a task failure.
-    """
-    params: Dict[str, Any] = {}
-    for key, value in task.params.items():
-        if isinstance(value, ProgramRef):
-            if value.hash not in programs:
-                raise ProtocolError(
-                    f"task {task.index} references program "
-                    f"{value.hash[:12]}… which was never pushed"
-                )
-            params[key] = programs[value.hash]
-        else:
-            params[key] = value
-    task.params = params
-    return task
+        buffer.feed(chunk)
 
 
 # ---------------------------------------------------------------------------
 # The worker: one host serving N local slots
 # ---------------------------------------------------------------------------
+
+
+def _slot_init(inherited_fds: Tuple[int, ...]) -> None:
+    """Pool-slot initializer.  A forked slot is born holding copies of the
+    server's parent connection and listener; while it lives, a SIGKILLed
+    server's socket never reaches EOF at the parent and its port cannot
+    be rebound.  Close them: the slot talks to the server over the pool's
+    own pipes only."""
+    _worker_init()
+    for fd in inherited_fds:
+        try:
+            os.close(fd)
+        except OSError:
+            pass
 
 
 class WorkerServer:
@@ -624,7 +158,10 @@ class WorkerServer:
             raise SweepError(f"worker slots must be >= 1, got {slots}")
         if max_idle is not None and not max_idle > 0:
             raise SweepError(f"worker max_idle must be > 0 seconds, got {max_idle}")
-        self.slots = slots if slots is not None else default_workers()
+        # Consulted even when slots= is explicit, as run_sweep does for its
+        # backend: a stale REPRO_SWEEP_* name stops a worker too.
+        env_slots = default_workers()
+        self.slots = slots if slots is not None else env_slots
         self.secret = resolve_secret(secret, secret_file)
         self.max_idle = max_idle
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -669,16 +206,12 @@ class WorkerServer:
                 except OSError:
                     break  # listener closed by stop()
                 try:
-                    if self._serve_connection(conn):
-                        self.campaigns_served += 1
+                    with conn:
+                        if self._serve_connection(conn):
+                            self.campaigns_served += 1
                 except (ProtocolError, OSError):
                     pass  # a broken parent must not kill the worker
-                finally:
-                    last_parent = time.monotonic()
-                    try:
-                        conn.close()
-                    except OSError:
-                        pass
+                last_parent = time.monotonic()
         finally:
             self.stop()
 
@@ -691,6 +224,18 @@ class WorkerServer:
         except OSError:
             pass
         return False
+
+    def _new_pool(self, conn: socket.socket) -> ProcessPoolExecutor:
+        context = _pool_context()
+        # Only fork hands descriptors down; a spawned slot inherits none,
+        # and those numbers would name something else there.
+        inherited = (conn.fileno(), self._listener.fileno()) if context else ()
+        return ProcessPoolExecutor(
+            max_workers=self.slots,
+            mp_context=context,
+            initializer=_slot_init,
+            initargs=(inherited,),
+        )
 
     def _serve_connection(self, conn: socket.socket) -> bool:
         """Serve one parent; returns True when a campaign was served."""
@@ -728,23 +273,22 @@ class WorkerServer:
         alive = threading.Event()
         alive.set()
 
-        def send(mtype: int, payload: bytes) -> None:
-            frame = encode_frame(mtype, payload)
+        def send(mtype: int, message: Dict[str, Any]) -> None:
+            frame = encode_frame(mtype, _json_payload(message))
             with send_lock:
                 conn.sendall(frame)
 
+        def report_casualty(index: int, error: str, detail: str) -> None:
+            send(MSG_ERROR, {"index": index, "error": error, "detail": detail})
+
         send(
             MSG_WELCOME,
-            _json_payload(
-                {
-                    "version": PROTOCOL_VERSION,
-                    "slots": self.slots,
-                    "nonce": worker_nonce,
-                    "proof": _auth_proof(
-                        self.secret, "worker", parent_nonce, worker_nonce
-                    ),
-                }
-            ),
+            {
+                "version": PROTOCOL_VERSION,
+                "slots": self.slots,
+                "nonce": worker_nonce,
+                "proof": _auth_proof(self.secret, "worker", parent_nonce, worker_nonce),
+            },
         )
         # The parent must prove itself before ANY pickle-bearing frame is
         # deserialised: the very next frame must be a valid AUTH.
@@ -768,18 +312,14 @@ class WorkerServer:
                 "--secret-file?)",
             )
 
-        interval = _env_seconds(
-            HEARTBEAT_INTERVAL_ENV, DEFAULT_HEARTBEAT_INTERVAL_S
-        )
-
         def heartbeat() -> None:
             while alive.is_set():
-                if self._stop.wait(interval):
+                if self._stop.wait(HEARTBEAT_INTERVAL_S):
                     break
                 if not alive.is_set():
                     break
                 try:
-                    send(MSG_HEARTBEAT, b"{}")
+                    send(MSG_HEARTBEAT, {})
                 except OSError:
                     break
 
@@ -787,11 +327,7 @@ class WorkerServer:
         beat.start()
 
         programs: Dict[str, Any] = {}
-        pool = ProcessPoolExecutor(
-            max_workers=self.slots,
-            mp_context=_pool_context(),
-            initializer=_worker_init,
-        )
+        pool = self._new_pool(conn)
 
         def finish(index: int, future: Any) -> None:
             """Completion callback (executor thread): ROW or ERROR, then
@@ -802,50 +338,36 @@ class WorkerServer:
                 try:
                     row = future.result()
                 except BaseException as exc:  # slot process died
-                    send(
-                        MSG_ERROR,
-                        _json_payload(
-                            {
-                                "index": index,
-                                "error": f"worker died: {type(exc).__name__}",
-                                "detail": f"slot process executing task "
-                                f"{index} died: {exc!r}",
-                            }
-                        ),
+                    report_casualty(
+                        index,
+                        f"worker died: {type(exc).__name__}",
+                        f"slot process executing task {index} died: {exc!r}",
                     )
                 else:
-                    send(MSG_ROW, _json_payload(row.to_record()))
-                send(MSG_GET, b"{}")
+                    send(MSG_ROW, row.to_record())
+                send(MSG_GET, {})
             except OSError:
                 alive.clear()  # parent is gone; stop reporting
 
         try:
             for _ in range(self.slots):
-                send(MSG_GET, b"{}")
+                send(MSG_GET, {})
             while True:
                 mtype, payload = read_frame(conn)
                 if mtype == MSG_PROGRAM:
                     shipment = _loads(payload, "PROGRAM")
                     programs[str(shipment["hash"])] = shipment["program"]
                 elif mtype == MSG_TASK:
-                    (index,) = _INDEX.unpack_from(payload)
+                    index, pickled = split_task(payload)
                     try:
-                        task = _loads(payload[_INDEX.size:], "TASK")
-                        task = resolve_task(task, programs)
+                        task = resolve_task(_loads(pickled, "TASK"), programs)
                     except ProtocolError as exc:
                         # Undeliverable cell: report it instead of dying —
                         # the parent owns the retry/fail decision.
-                        send(
-                            MSG_ERROR,
-                            _json_payload(
-                                {
-                                    "index": index,
-                                    "error": "worker died: UndeliverableTask",
-                                    "detail": str(exc),
-                                }
-                            ),
+                        report_casualty(
+                            index, "worker died: UndeliverableTask", str(exc)
                         )
-                        send(MSG_GET, b"{}")
+                        send(MSG_GET, {})
                         continue
                     try:
                         future = pool.submit(execute_task, task, watchdog)
@@ -853,11 +375,7 @@ class WorkerServer:
                         # A previous casualty broke the pool: rebuild and
                         # retry the submission once on the fresh pool.
                         pool.shutdown(wait=False, cancel_futures=True)
-                        pool = ProcessPoolExecutor(
-                            max_workers=self.slots,
-                            mp_context=_pool_context(),
-                            initializer=_worker_init,
-                        )
+                        pool = self._new_pool(conn)
                         future = pool.submit(execute_task, task, watchdog)
                     future.add_done_callback(
                         lambda fut, idx=task.index: finish(idx, fut)
@@ -879,27 +397,17 @@ class WorkerServer:
 
 
 # ---------------------------------------------------------------------------
-# The parent: pull-based scheduler over the fleet
+# The parent: one FleetScheduler driven over real sockets
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _Conn:
-    """Parent-side state for one worker connection."""
-
-    sock: socket.socket
-    address: str
-    slots: int = 0
-    idle: int = 0
-    pushed: Set[str] = field(default_factory=set)
-    #: task index -> perf_counter() at dispatch on THIS connection.
-    inflight: Dict[int, float] = field(default_factory=dict)
-    buffer: FrameBuffer = field(default_factory=FrameBuffer)
-    last_seen: float = field(default_factory=time.monotonic)
-
-
 class TcpExecutor(SweepExecutor):
-    """The ``tcp`` backend: campaign cells over a ``repro worker`` fleet."""
+    """The ``tcp`` backend: campaign cells over a ``repro worker`` fleet.
+
+    One instance runs one campaign (the registry builds a fresh executor
+    per ``run_sweep``): it owns that campaign's sockets, carries out the
+    scheduler's actions on them and reports back what the network did.
+    """
 
     def initial_workers(self, workers: Optional[int]) -> int:
         if workers is not None and workers < 1:
@@ -909,651 +417,117 @@ class TcpExecutor(SweepExecutor):
         return 0
 
     def run(self, tasks: List[SweepTask], ctx: ExecutorContext) -> BackendRun:
-        hosts = ctx.hosts
-        if hosts is None:
-            hosts = default_hosts()
-        else:
-            hosts = parse_hosts(hosts)
+        hosts = default_hosts() if ctx.hosts is None else parse_hosts(ctx.hosts)
         if not hosts:
             raise SweepError(
                 "the tcp backend needs a worker fleet: pass hosts= "
                 "(--hosts host:port,...) or set REPRO_SWEEP_HOSTS"
             )
-        scheduler = _Scheduler(tasks, ctx, hosts)
-        return scheduler.run()
-
-
-class _Scheduler:
-    """One campaign's self-healing pull-based dispatch loop."""
-
-    def __init__(
-        self,
-        tasks: List[SweepTask],
-        ctx: ExecutorContext,
-        hosts: List[Tuple[str, int]],
-    ) -> None:
         self.ctx = ctx
-        self.tasks = tasks
-        self.tasks_by_index = {task.index: task for task in tasks}
-        self.pending: Deque[SweepTask] = deque(
-            sorted(tasks, key=lambda task: task.index)
-        )
-        self.rows: Dict[int, SweepResult] = {}
-        self.losses: Dict[int, int] = {}
-        self.loss_notes: Dict[int, str] = {}
-        self.started: Dict[int, float] = {}
-        #: live in-flight copy count per task index (hedging makes >1).
-        self.copies: Dict[int, int] = {}
-        #: worker addresses whose connection-death was charged to a task
-        #: and not yet forgiven by a rejoin.
-        self.loss_sources: Dict[int, List[str]] = {}
-        #: (task, worker) pairs already forgiven — one flap, one pardon.
-        self.forgiven: Dict[int, Set[str]] = {}
-        #: parent-observed completion times; feeds the hedging p95.
-        self.durations: List[float] = []
-        self.hosts = hosts
-        self.addresses = {f"{host}:{port}": (host, port) for host, port in hosts}
-        self.conns: Dict[str, _Conn] = {}
-        #: hosts that can never join (e.g. failed authentication).
-        self.dead_hosts: Dict[str, str] = {}
-        #: monotonic time before which each lost host is not redialled.
-        self.redial_at: Dict[str, float] = {}
-        self.redial_backoff: Dict[str, float] = {}
-        self.fleet_down_since: Optional[float] = None
-        self.selector = selectors.DefaultSelector()
-        self.aborted = False
-        self.interrupted = False
+        self.task_count = len(tasks)
         self.secret = resolve_secret(ctx.secret)
-        self.health = FleetHealth()
-        self.heartbeat_timeout = _env_seconds(
-            HEARTBEAT_TIMEOUT_ENV, DEFAULT_HEARTBEAT_TIMEOUT_S
-        )
-        self.rejoin_window = _env_seconds(
-            REJOIN_WINDOW_ENV, DEFAULT_REJOIN_WINDOW_S
-        )
-        self.hedge_enabled = os.environ.get(HEDGE_ENV, "1") != "0"
-        self.hedge_factor = _env_seconds(HEDGE_FACTOR_ENV, DEFAULT_HEDGE_FACTOR)
-        self.hedge_min_rows = _env_count(
-            HEDGE_MIN_ROWS_ENV, DEFAULT_HEDGE_MIN_ROWS
-        )
-        self.stats = {
-            "rejoins": 0,
-            "requeues": 0,
-            "forgiven_losses": 0,
-            "hedges": 0,
-            "hedge_duplicates": 0,
-            "hedge_mismatches": 0,
-        }
-
-    # -- connection management -----------------------------------------
-
-    def _hello_payload(self, nonce: str) -> bytes:
-        meta = self.ctx.meta or {}
-        watchdog = self.ctx.watchdog
-        return _json_payload(
-            {
-                "version": PROTOCOL_VERSION,
-                "nonce": nonce,
-                "spec_name": meta.get("name"),
-                "base_seed": meta.get("base_seed"),
-                "tasks": len(self.tasks),
-                "watchdog": (
-                    {
-                        "timeout": watchdog.timeout,
-                        "retries": watchdog.retries,
-                        "backoff": watchdog.backoff,
-                    }
-                    if watchdog
-                    else None
-                ),
-            }
-        )
-
-    def _handshake(self, sock: socket.socket, address: str) -> _Conn:
-        """Run the parent side of the authenticated handshake; raises
-        :class:`ProtocolError` on version or proof mismatch."""
-        nonce = _fresh_nonce()
-        sock.sendall(encode_frame(MSG_HELLO, self._hello_payload(nonce)))
-        mtype, payload = read_frame(sock)
-        if mtype == MSG_BYE:
-            reason = _parse_json(payload, "BYE").get("error", "refused")
-            raise ProtocolError(f"{address}: {reason}")
-        if mtype != MSG_WELCOME:
-            raise ProtocolError(f"{address}: expected WELCOME, got type {mtype}")
-        welcome = _parse_json(payload, "WELCOME")
-        if welcome.get("version") != PROTOCOL_VERSION:
-            raise ProtocolError(
-                f"{address}: protocol version mismatch "
-                f"(worker speaks {welcome.get('version')}, parent "
-                f"speaks {PROTOCOL_VERSION})"
-            )
-        worker_nonce = welcome.get("nonce")
-        if not isinstance(worker_nonce, str) or len(worker_nonce) < 16:
-            raise ProtocolError(
-                f"{address}: worker sent no handshake nonce (pre-v2 worker?)"
-            )
-        expected = _auth_proof(self.secret, "worker", nonce, worker_nonce)
-        if not hmac.compare_digest(str(welcome.get("proof", "")), expected):
-            raise ProtocolError(
-                f"{address}: worker failed authentication — its proof does "
-                f"not match this parent's secret (wrong or missing "
-                f"REPRO_SWEEP_SECRET / --secret-file?)"
-            )
-        sock.sendall(
-            encode_frame(
-                MSG_AUTH,
-                _json_payload(
-                    {"proof": _auth_proof(self.secret, "parent", worker_nonce, nonce)}
-                ),
-            )
-        )
-        return _Conn(
-            sock=sock,
-            address=address,
-            slots=max(1, int(welcome.get("slots", 1))),
-        )
-
-    def _dial(self, host: str, port: int, timeout: float) -> _Conn:
-        """One connect + handshake attempt (raises OSError/ProtocolError)."""
-        address = f"{host}:{port}"
-        sock = socket.create_connection((host, port), timeout=timeout)
+        self.hosts = {f"{host}:{port}": (host, port) for host, port in hosts}
+        self.scheduler = scheduler = FleetScheduler(tasks, ctx, list(self.hosts))
+        self.socks: Dict[str, socket.socket] = {}
+        self.selector = selectors.DefaultSelector()
+        interrupted = False
         try:
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            sock.settimeout(timeout)
-            conn = self._handshake(sock, address)
-        except BaseException:
-            try:
-                sock.close()
-            except OSError:
-                pass
-            raise
-        return conn
-
-    def _admit(self, conn: _Conn) -> None:
-        """Register a freshly handshaken worker; a rejoin forgives the
-        connection losses previously charged to this address."""
-        conn.sock.settimeout(_SEND_TIMEOUT_S)
-        conn.last_seen = time.monotonic()
-        self.selector.register(conn.sock, selectors.EVENT_READ, conn)
-        self.conns[conn.address] = conn
-        self.fleet_down_since = None
-        self.redial_backoff.pop(conn.address, None)
-        self.redial_at.pop(conn.address, None)
-        rejoined = self.health.record_connect(conn.address)
-        if rejoined:
-            self.stats["rejoins"] += 1
-            self._forgive_losses(conn.address)
-        total = sum(c.slots for c in self.conns.values())
-        if self.ctx.effective_workers is None or total > self.ctx.effective_workers:
-            self.ctx.effective_workers = total
-
-    def _forgive_losses(self, address: str) -> None:
-        """A worker that died and rejoined healthy was an infrastructure
-        flap, not a poisonous cell: refund one charged loss per (cell,
-        worker) pair for cells that have not yet produced a row."""
-        for index, sources in self.loss_sources.items():
-            if index in self.rows:
-                continue
-            pardoned = self.forgiven.setdefault(index, set())
-            if address in sources and address not in pardoned:
-                sources.remove(address)
-                pardoned.add(address)
-                if self.losses.get(index, 0) > 0:
-                    self.losses[index] -= 1
-                    self.stats["forgiven_losses"] += 1
-
-    def _connect_fleet(self) -> None:
-        deadline = time.monotonic() + _env_seconds(
-            CONNECT_TIMEOUT_ENV, DEFAULT_CONNECT_TIMEOUT_S
-        )
-        errors: List[str] = []
-        for host, port in self.hosts:
-            address = f"{host}:{port}"
-            conn: Optional[_Conn] = None
-            while True:
-                try:
-                    conn = self._dial(host, port, timeout=_SEND_TIMEOUT_S)
-                    break
-                except ProtocolError as exc:
-                    errors.append(str(exc))
-                    if "authentication" in str(exc) or "version mismatch" in str(exc):
-                        # A wrong secret or an old peer never heals by
-                        # redialling: write the host off for the campaign.
-                        self.dead_hosts[address] = str(exc)
-                    break
-                except OSError as exc:
-                    if time.monotonic() >= deadline:
-                        errors.append(f"{address}: {exc}")
-                        break
-                    time.sleep(0.05)
-            if conn is not None:
-                self._admit(conn)
-            elif address not in self.dead_hosts:
-                # Not reachable yet: keep redialling — a late worker can
-                # still join the campaign.
-                self._schedule_redial(address, None)
-        if not self.conns:
-            raise SweepError(
-                "tcp backend could not reach any worker: "
-                + "; ".join(errors or ["no hosts"])
-            )
-
-    def _schedule_redial(self, address: str, quarantine_s: Optional[float]) -> None:
-        now = time.monotonic()
-        current = self.redial_backoff.get(address, _REDIAL_BASE_S)
-        delay = max(current, quarantine_s or 0.0)
-        self.redial_at[address] = now + delay
-        self.redial_backoff[address] = min(current * 2, _REDIAL_CAP_S)
-
-    def _maybe_redial(self) -> None:
-        """Attempt at most one due redial per loop tick (a blocking
-        handshake attempt is bounded by ``_REDIAL_TIMEOUT_S``)."""
-        if self.aborted:
-            return
-        if not self.pending and len(self.rows) == len(self.tasks):
-            return
-        now = time.monotonic()
-        for address, (host, port) in self.addresses.items():
-            if address in self.conns or address in self.dead_hosts:
-                continue
-            due = self.redial_at.get(address)
-            if due is None or now < due:
-                continue
-            if self.health.is_quarantined(address, now):
-                self.redial_at[address] = now + self.health.quarantine_remaining(
-                    address, now
-                )
-                continue
-            try:
-                conn = self._dial(host, port, timeout=_REDIAL_TIMEOUT_S)
-            except ProtocolError as exc:
-                if "authentication" in str(exc) or "version mismatch" in str(exc):
-                    self.dead_hosts[address] = str(exc)
-                else:
-                    self._schedule_redial(address, None)
-            except OSError:
-                self._schedule_redial(address, None)
-            else:
-                self._admit(conn)
-            return  # one attempt per tick keeps the loop responsive
-
-    def _send(self, conn: _Conn, mtype: int, payload: bytes) -> None:
-        conn.sock.sendall(encode_frame(mtype, payload))
-
-    def _lose(self, conn: _Conn, reason: str) -> None:
-        """Declare a worker lost: re-queue its in-flight cells, charge the
-        losses to this address (forgivable on rejoin), score its health
-        and schedule a redial."""
-        if self.conns.get(conn.address) is not conn:
-            return
-        del self.conns[conn.address]
-        try:
-            self.selector.unregister(conn.sock)
-        except (KeyError, ValueError):
-            pass
-        try:
-            conn.sock.close()
-        except OSError:
-            pass
-        quarantine = self.health.record_failure(conn.address, "loss")
-        requeued: List[SweepTask] = []
-        for index in sorted(conn.inflight):
-            self.copies[index] = max(0, self.copies.get(index, 1) - 1)
-            if index in self.rows:
-                continue
-            if self.copies[index] > 0:
-                continue  # a hedged copy is still running elsewhere
-            self.loss_sources.setdefault(index, []).append(conn.address)
-            self._record_casualty(index, f"worker {conn.address} lost: {reason}")
-            if index not in self.rows:
-                requeued.append(self.tasks_by_index[index])
-        conn.inflight.clear()
-        if requeued:
-            self.stats["requeues"] += len(requeued)
-            self.pending = deque(
-                sorted(
-                    list(self.pending) + requeued, key=lambda task: task.index
-                )
-            )
-        self._schedule_redial(conn.address, quarantine)
-        if not self.conns and self.fleet_down_since is None:
-            self.fleet_down_since = time.monotonic()
-
-    def _record_casualty(self, index: int, note: str) -> None:
-        """Count one lost execution of the cell; emit the deterministic
-        FAILED row once the budget (``retries`` re-queues) is spent."""
-        task = self.tasks_by_index[index]
-        self.losses[index] = self.losses.get(index, 0) + 1
-        self.loss_notes[index] = note
-        if self.losses[index] <= self.ctx.retries:
-            return
-        row = SweepResult(
-            index=index,
-            name=task.name,
-            seed=task.seed,
-            status=SweepResult.FAILED,
-            error="worker died: connection lost",
-            error_detail=(
-                f"task {index} ({task.name!r}) lost {self.losses[index]} "
-                f"worker(s); last: {note}"
-            ),
-            attempts=self.losses[index],
-            wall_seconds=max(
-                0.0, time.perf_counter() - self.started.get(index, time.perf_counter())
-            ),
-        )
-        self._land(row)
-
-    def _land(self, row: SweepResult) -> None:
-        self.rows[row.index] = row
-        self.ctx.on_row(row)
-        if self.ctx.fail_fast and _is_failure(row):
-            self.aborted = True
-
-    # -- dispatch -------------------------------------------------------
-
-    def _assign(self, conn: _Conn, task: SweepTask, hedge: bool = False) -> bool:
-        """Ship one task to one idle slot; False when the send fails (the
-        connection is then declared lost and the task re-queued)."""
-        wire, programs = export_task(task)
-        try:
-            for content, program in programs.items():
-                if content not in conn.pushed:
-                    self._send(
-                        conn,
-                        MSG_PROGRAM,
-                        pickle.dumps(
-                            {"hash": content, "program": program},
-                            protocol=pickle.HIGHEST_PROTOCOL,
-                        ),
-                    )
-                    conn.pushed.add(content)
-            self._send(
-                conn,
-                MSG_TASK,
-                _INDEX.pack(task.index)
-                + pickle.dumps(wire, protocol=pickle.HIGHEST_PROTOCOL),
-            )
-        except OSError as exc:
-            conn.inflight.pop(task.index, None)
-            self._lose(conn, f"send failed: {exc}")
-            if not hedge and task.index not in self.rows:
-                self.pending = deque(
-                    sorted(list(self.pending) + [task], key=lambda t: t.index)
-                )
-            return False
-        conn.idle -= 1
-        conn.inflight[task.index] = time.perf_counter()
-        self.copies[task.index] = self.copies.get(task.index, 0) + 1
-        if not hedge:
-            self.started.setdefault(task.index, time.perf_counter())
-        return True
-
-    def _dispatch(self) -> None:
-        if self.aborted:
-            return
-        progress = True
-        while progress and self.pending:
-            progress = False
-            for conn in list(self.conns.values()):
-                if not self.pending:
-                    break
-                if self.health.is_quarantined(conn.address):
-                    continue  # connected but benched: no new work
-                if conn.idle > 0:
-                    task = self.pending.popleft()
-                    if self._assign(conn, task):
-                        progress = True
-        if not self.pending:
-            self._hedge_stragglers()
-
-    def _hedge_threshold(self) -> Optional[float]:
-        if not self.hedge_enabled or len(self.durations) < self.hedge_min_rows:
-            return None
-        ordered = sorted(self.durations)
-        p95 = ordered[int(0.95 * (len(ordered) - 1))]
-        return max(self.hedge_factor * p95, _HEDGE_FLOOR_S)
-
-    def _hedge_stragglers(self) -> None:
-        """Speculatively re-dispatch the slowest in-flight cells to idle
-        slots on other workers.  First completion wins; the duplicate row
-        is discarded (and byte-checked) when it arrives."""
-        if self.aborted:
-            return
-        threshold = self._hedge_threshold()
-        if threshold is None:
-            return
-        now = time.perf_counter()
-        elapsed_by_index: Dict[int, float] = {}
-        running_on: Dict[int, Set[str]] = {}
-        for conn in self.conns.values():
-            for index, dispatched in conn.inflight.items():
-                elapsed = now - dispatched
-                elapsed_by_index[index] = max(
-                    elapsed_by_index.get(index, 0.0), elapsed
-                )
-                running_on.setdefault(index, set()).add(conn.address)
-        stragglers = sorted(
-            (
-                (elapsed, index)
-                for index, elapsed in elapsed_by_index.items()
-                if elapsed > threshold
-                and index not in self.rows
-                and self.copies.get(index, 0) < _HEDGE_MAX_COPIES
-            ),
-            reverse=True,
-        )
-        for _elapsed, index in stragglers:
-            for conn in self.conns.values():
-                if (
-                    conn.idle > 0
-                    and conn.address not in running_on.get(index, set())
-                    and not self.health.is_quarantined(conn.address)
-                ):
-                    if self._assign(conn, self.tasks_by_index[index], hedge=True):
-                        self.stats["hedges"] += 1
-                    break
-
-    # -- frame handling -------------------------------------------------
-
-    def _handle_frame(self, conn: _Conn, mtype: int, payload: bytes) -> None:
-        conn.last_seen = time.monotonic()
-        if mtype == MSG_GET:
-            conn.idle += 1
-        elif mtype == MSG_ROW:
-            record = _parse_json(payload, "ROW")
-            row = SweepResult.from_record(record)
-            dispatched = conn.inflight.pop(row.index, None)
-            if dispatched is None:
-                return  # unsolicited row: drop
-            self.copies[row.index] = max(0, self.copies.get(row.index, 1) - 1)
-            self.health.record_row(conn.address, row.wall_seconds)
-            if row.index in self.rows:
-                # The losing copy of a hedged cell (or a cell already
-                # FAILED by the retry budget).  Deterministic tasks make
-                # duplicates byte-identical; verify rather than trust.
-                self.stats["hedge_duplicates"] += 1
-                landed = self.rows[row.index]
-                if landed.status == SweepResult.OK and (
-                    row.canonical() != landed.canonical()
-                ):
-                    self.stats["hedge_mismatches"] += 1
-                return
-            self.durations.append(
-                time.perf_counter()
-                - self.started.get(row.index, time.perf_counter())
-            )
-            self._land(row)
-        elif mtype == MSG_ERROR:
-            report = _parse_json(payload, "ERROR")
-            index = int(report.get("index", -1))
-            dispatched = conn.inflight.pop(index, None)
-            if dispatched is None or index in self.rows:
-                return
-            self.copies[index] = max(0, self.copies.get(index, 1) - 1)
-            # A slot crash is the cell's own doing until proven otherwise:
-            # it burns the retry budget and is never forgiven on rejoin.
-            self.health.record_failure(conn.address, "error")
-            if self.copies[index] > 0:
-                return  # a hedged copy is still running elsewhere
-            self._record_casualty(
-                index,
-                f"worker {conn.address} reported: "
-                f"{report.get('detail') or report.get('error')}",
-            )
-            if index not in self.rows:
-                self.pending = deque(
-                    sorted(
-                        list(self.pending) + [self.tasks_by_index[index]],
-                        key=lambda t: t.index,
-                    )
-                )
-        elif mtype == MSG_HEARTBEAT:
-            self.health.record_heartbeat(conn.address)
-        elif mtype == MSG_BYE:
-            self._lose(conn, "worker said BYE mid-campaign")
-        else:
-            raise ProtocolError(f"unexpected message type {mtype} from worker")
-
-    def _pump(self, conn: _Conn) -> None:
-        try:
-            data = conn.sock.recv(1 << 16)
-        except (BlockingIOError, InterruptedError):
-            return
-        except OSError as exc:
-            self._lose(conn, f"recv failed: {exc}")
-            return
-        if not data:
-            self._lose(conn, "connection closed")
-            return
-        conn.buffer.feed(data)
-        while True:
-            try:
-                frame = conn.buffer.next_frame()
-            except ProtocolError as exc:
-                self._lose(conn, str(exc))
-                return
-            if frame is None:
-                return
-            self._handle_frame(conn, *frame)
-            if self.conns.get(conn.address) is not conn:
-                return  # _handle_frame declared it lost
-
-    # -- the loop -------------------------------------------------------
-
-    def _done(self) -> bool:
-        if self.aborted:
-            return not any(conn.inflight for conn in self.conns.values())
-        return len(self.rows) == len(self.tasks)
-
-    def _check_liveness(self) -> None:
-        now = time.monotonic()
-        for conn in list(self.conns.values()):
-            if now - conn.last_seen > self.heartbeat_timeout:
-                self._lose(
-                    conn,
-                    f"missed heartbeats for {now - conn.last_seen:.1f}s "
-                    f"(timeout {self.heartbeat_timeout:g}s)",
-                )
-
-    def _check_fleet(self) -> None:
-        """Raise only when the *whole* fleet has been unusable for the
-        rejoin window with work still outstanding — a single sick worker
-        (or a restart-in-progress) never fails the campaign."""
-        if self.conns or self.aborted:
-            return
-        if len(self.rows) == len(self.tasks):
-            return
-        now = time.monotonic()
-        if self.fleet_down_since is None:
-            self.fleet_down_since = now
-        unfinished = len(self.tasks) - len(self.rows)
-        if self.addresses and all(
-            address in self.dead_hosts for address in self.addresses
-        ):
-            raise SweepError(
-                f"tcp backend lost every worker with {unfinished} task(s) "
-                f"unfinished and no host can rejoin: "
-                + "; ".join(sorted(self.dead_hosts.values()))
-            )
-        if now - self.fleet_down_since >= self.rejoin_window:
-            raise SweepError(
-                f"tcp backend lost every worker with {unfinished} task(s) "
-                f"unfinished and none rejoined within "
-                f"{self.rejoin_window:g}s (journaled rows are safe; resume "
-                f"with a live fleet, or raise {REJOIN_WINDOW_ENV})"
-            )
-
-    def _fleet_snapshot(self) -> Dict[str, Any]:
-        """What the campaign outcome reports as ``fleet``: per-worker
-        health (MetricsRegistry snapshot + quarantine state) plus the
-        scheduler's own self-healing counters."""
-        return {
-            "workers": self.health.snapshot(),
-            "scheduler": {key: self.stats[key] for key in sorted(self.stats)},
-        }
-
-    def _broadcast_bye(self) -> None:
-        for conn in list(self.conns.values()):
-            try:
-                self._send(conn, MSG_BYE, b"{}")
-            except OSError:
-                pass
-            try:
-                self.selector.unregister(conn.sock)
-            except (KeyError, ValueError):
-                pass
-            try:
-                conn.sock.close()
-            except OSError:
-                pass
-        self.conns.clear()
-        try:
-            self.selector.close()
-        except OSError:
-            pass
-
-    def run(self) -> BackendRun:
-        try:
-            self._connect_fleet()
-            self._dispatch()
-            while not self._done():
-                events = self.selector.select(timeout=0.2)
-                for key, _mask in events:
+            while not scheduler.done:
+                self._execute(scheduler.tick(time.monotonic()))
+                for key, _mask in self.selector.select(timeout=0.2):
                     self._pump(key.data)
-                self._check_liveness()
-                self._maybe_redial()
-                self._check_fleet()
-                if self.aborted and not self.conns:
-                    break  # aborted with the fleet gone: nothing to wait on
-                self._dispatch()
         except KeyboardInterrupt:
             # Graceful abort: the journal already holds every completed
             # row; pending cells stay unsent, in-flight rows are dropped.
-            self.aborted = self.interrupted = True
+            interrupted = True
         finally:
-            self.ctx.fleet_stats = self._fleet_snapshot()
-            self._broadcast_bye()
-        return self.rows, self.aborted, self.interrupted
+            ctx.fleet_stats = scheduler.snapshot(time.monotonic())
+            self._execute(scheduler.shutdown())
+            self.selector.close()
+        return scheduler.rows, scheduler.aborted or interrupted, interrupted
+
+    def _pump(self, address: str) -> None:
+        sock = self.socks.get(address)
+        if sock is None:
+            return  # dropped while an earlier ready socket was handled
+        reason = "connection closed"
+        try:
+            data = sock.recv(1 << 16)
+        except OSError as exc:
+            data, reason = b"", f"recv failed: {exc}"
+        if data:
+            self._execute(self.scheduler.received(address, data, time.monotonic()))
+        else:
+            self._drop(address)
+            self._execute(self.scheduler.closed(address, reason, time.monotonic()))
+
+    def _execute(self, actions: Iterable[Action]) -> None:
+        """Carry out actions in order; what carrying one out reveals (a
+        dial's result, a dead socket) goes back to the scheduler and its
+        answer joins the queue."""
+        queue = deque(actions)
+        while queue:
+            action = queue.popleft()
+            if isinstance(action, Dial):
+                queue.extend(self._dial(action))
+            elif isinstance(action, Close):
+                self._drop(action.address)
+            elif action.address in self.socks:  # else: died earlier in this batch
+                try:
+                    self.socks[action.address].sendall(action.data)
+                except OSError as exc:
+                    self._drop(action.address)
+                    queue.extend(
+                        self.scheduler.closed(
+                            action.address, f"send failed: {exc}", time.monotonic()
+                        )
+                    )
+
+    def _dial(self, action: Dial) -> List[Action]:
+        """One blocking connect + handshake attempt, bounded by the
+        action's timeout."""
+        address = action.address
+        try:
+            sock = socket.create_connection(
+                self.hosts[address], timeout=action.timeout_s
+            )
+        except OSError as exc:
+            return self.scheduler.dial_failed(
+                address, str(exc), False, time.monotonic()
+            )
+        try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            nonce = _fresh_nonce()
+            sock.sendall(
+                hello_frame(nonce, self.ctx.meta, self.task_count, self.ctx.watchdog)
+            )
+            slots, auth = answer_welcome(*read_frame(sock), self.secret, nonce)
+            sock.sendall(auth)
+        except BaseException as exc:
+            sock.close()
+            if not isinstance(exc, (ProtocolError, OSError)):
+                raise
+            return self.scheduler.dial_failed(
+                address, str(exc), isinstance(exc, Refused), time.monotonic()
+            )
+        sock.settimeout(_SEND_TIMEOUT_S)
+        self.socks[address] = sock
+        self.selector.register(sock, selectors.EVENT_READ, address)
+        return self.scheduler.connected(address, slots, time.monotonic())
+
+    def _drop(self, address: str) -> None:
+        sock = self.socks.pop(address, None)
+        if sock is not None:
+            self.selector.unregister(sock)
+            sock.close()
 
 
 __all__ = [
-    "ConnectionLost",
-    "FrameBuffer",
-    "HOSTS_ENV",
-    "MAGIC",
-    "MAX_FRAME",
-    "PROTOCOL_VERSION",
+    "MSG_TASK",
     "ProgramRef",
-    "ProtocolError",
-    "SECRET_ENV",
     "TcpExecutor",
     "WorkerServer",
-    "default_hosts",
     "encode_frame",
     "export_task",
-    "parse_hosts",
     "read_frame",
-    "resolve_secret",
-    "resolve_task",
 ]

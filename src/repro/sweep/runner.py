@@ -11,7 +11,8 @@ execution tiers plug in without touching :func:`run_sweep`:
   :class:`concurrent.futures.ProcessPoolExecutor`;
 * ``backend="tcp"`` (:mod:`repro.sweep.remote`, registered lazily by
   entry-point string) dispatches tasks to a fleet of ``repro worker``
-  processes over a length-prefixed, CRC-framed TCP job protocol.
+  processes over a length-prefixed, CRC-framed TCP job protocol
+  (:mod:`repro.sweep.wire`), scheduled by :mod:`repro.sweep.fleet`.
 
 Because each task is an independent seeded simulation and rows always
 merge in task order, the merged rows are byte-identical across every
@@ -48,7 +49,7 @@ import traceback
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .spec import (
     SweepError,
@@ -70,45 +71,202 @@ DEFAULT_TIMEOUT_RETRIES = 1
 #: Base of the exponential backoff between watchdog retries, in seconds.
 DEFAULT_TIMEOUT_BACKOFF = 0.05
 
-#: Environment knob for the pool size; an explicit ``workers=`` argument
-#: always wins (precedence: argument > env > core-count default).
+# ---------------------------------------------------------------------------
+# Deployment settings: the four REPRO_SWEEP_* variables, read at one site
+# ---------------------------------------------------------------------------
+
+#: Pool size / worker slots.  An explicit ``workers=`` argument always
+#: wins (precedence: argument > env > core-count default).
 WORKERS_ENV = "REPRO_SWEEP_WORKERS"
 
-#: Environment knob for the backend; an explicit ``backend=`` argument
-#: always wins (precedence: argument > env > ``"parallel"``).
+#: Backend name.  An explicit ``backend=`` argument always wins
+#: (precedence: argument > env > ``"parallel"``).
 BACKEND_ENV = "REPRO_SWEEP_BACKEND"
+
+#: The tcp backend's worker fleet; an explicit ``hosts=`` argument always
+#: wins.
+HOSTS_ENV = "REPRO_SWEEP_HOSTS"
+
+#: Pre-shared fleet secret; an explicit ``secret=``/``--secret-file``
+#: always wins (see :func:`resolve_secret`).
+SECRET_ENV = "REPRO_SWEEP_SECRET"
+
+_ENV_PREFIX = "REPRO_SWEEP_"
+_ENV_NAMES = (WORKERS_ENV, BACKEND_ENV, HOSTS_ENV, SECRET_ENV)
+
+
+@dataclass(frozen=True)
+class _SweepEnv:
+    """What the environment says about a campaign's deployment, validated
+    as a whole; ``None`` where a variable is unset or empty."""
+
+    workers: Optional[int]
+    backend: Optional[str]
+    hosts: Optional[List[Tuple[str, int]]]
+    secret: Optional[bytes]
+
+
+def _read_env() -> _SweepEnv:
+    """The one place ``REPRO_SWEEP_*`` is read.
+
+    Every variable that is set must be one of the four and must parse: a
+    mistyped value, or a name this tier does not know (the timing and
+    hedging knobs of earlier versions are constants now), is a
+    :class:`SweepError` — never a setting silently ignored.
+    """
+    found = {
+        name: value
+        for name, value in os.environ.items()
+        if name.startswith(_ENV_PREFIX)
+    }
+    unknown = sorted(set(found) - set(_ENV_NAMES))
+    if unknown:
+        raise SweepError(
+            f"unknown environment variable(s) {', '.join(unknown)}: the "
+            f"sweep tier reads only {', '.join(_ENV_NAMES)} (timing and "
+            f"hedging are constants, see docs/SWEEP.md)"
+        )
+    workers = None
+    env = found.get(WORKERS_ENV, "")
+    if env != "":
+        try:
+            workers = int(env)
+        except ValueError:
+            workers = 0
+        if workers < 1:
+            raise SweepError(f"{WORKERS_ENV} must be an integer >= 1, got {env!r}")
+    backend = found.get(BACKEND_ENV) or None
+    if backend is not None and backend not in _BACKENDS:
+        raise SweepError(
+            f"{BACKEND_ENV} names unknown sweep backend {backend!r} "
+            f"(registered backends: {backend_names()})"
+        )
+    hosts = None
+    if found.get(HOSTS_ENV, "") != "":
+        try:
+            hosts = parse_hosts(found[HOSTS_ENV])
+        except SweepError as exc:
+            raise SweepError(f"{HOSTS_ENV}: {exc}") from None
+    secret = found.get(SECRET_ENV, "").encode("utf-8") or None
+    return _SweepEnv(workers, backend, hosts, secret)
 
 
 def default_workers() -> int:
     """Worker-count default: ``REPRO_SWEEP_WORKERS`` when set, else every
     core up to 4 (campaigns are CPU-bound)."""
-    env = os.environ.get(WORKERS_ENV)
-    if env is not None and env != "":
-        try:
-            value = int(env)
-        except ValueError:
-            raise SweepError(
-                f"{WORKERS_ENV} must be an integer >= 1, got {env!r}"
-            ) from None
-        if value < 1:
-            raise SweepError(f"{WORKERS_ENV} must be an integer >= 1, got {env!r}")
-        return value
-    return max(1, min(4, os.cpu_count() or 1))
+    return _read_env().workers or max(1, min(4, os.cpu_count() or 1))
 
 
 def default_backend() -> str:
     """Backend default: ``REPRO_SWEEP_BACKEND`` when set (validated
     against the registry — a typo'd env value is a :class:`SweepError`,
     not a silent fallback), else ``"parallel"``."""
-    env = os.environ.get(BACKEND_ENV)
-    if env is not None and env != "":
-        if env not in _BACKENDS:
+    return _read_env().backend or "parallel"
+
+
+def default_hosts() -> Optional[List[Tuple[str, int]]]:
+    """The fleet named by ``REPRO_SWEEP_HOSTS``, or ``None`` when unset."""
+    return _read_env().hosts
+
+
+def resolve_secret(
+    secret: Optional[Any] = None, secret_file: Optional[str] = None
+) -> Optional[bytes]:
+    """The fleet's pre-shared secret, or ``None`` when unconfigured.
+
+    Precedence: explicit *secret* (str or bytes) > *secret_file* (its
+    stripped content) > the ``REPRO_SWEEP_SECRET`` environment variable.
+    An unreadable or empty secret file is a :class:`SweepError` — a fleet
+    that *meant* to authenticate must never silently run open.
+    """
+    if secret is not None:
+        data = secret.encode("utf-8") if isinstance(secret, str) else bytes(secret)
+        return data or None
+    if secret_file is not None:
+        try:
+            with open(secret_file, "rb") as handle:
+                data = handle.read().strip()
+        except OSError as exc:
             raise SweepError(
-                f"{BACKEND_ENV} names unknown sweep backend {env!r} "
-                f"(registered backends: {backend_names()})"
+                f"cannot read secret file {secret_file!r}: {exc}"
+            ) from None
+        if not data:
+            raise SweepError(f"secret file {secret_file!r} is empty")
+        return data
+    return _read_env().secret
+
+
+def parse_hosts(value: Any) -> List[Tuple[str, int]]:
+    """Normalise a fleet description into ``[(host, port), ...]``.
+
+    Accepts a ``"host:port,host:port"`` string (whitespace around entries
+    is ignored), an iterable of such strings, or an iterable of ``(host,
+    port)`` pairs.  Mis-specified entries raise :class:`SweepError` —
+    same convention as the ``REPRO_SWEEP_WORKERS`` validation: never a
+    silent fallback.  Duplicate entries are rejected (each worker serves
+    one parent; dialling it twice would deadlock the second connection),
+    and IPv6 bracket/colon syntax is rejected with a clear error — the
+    fleet syntax supports hostnames and IPv4 addresses only.
+    """
+    if isinstance(value, str):
+        entries: Sequence[Any] = [
+            v.strip() for v in value.split(",") if v.strip() != ""
+        ]
+    else:
+        entries = list(value)
+    hosts: List[Tuple[str, int]] = []
+    seen: Set[Tuple[str, int]] = set()
+    for entry in entries:
+        if isinstance(entry, tuple) and len(entry) == 2:
+            host, port = entry
+        elif isinstance(entry, str):
+            entry = entry.strip()
+            if "[" in entry or "]" in entry:
+                raise SweepError(
+                    f"worker host {entry!r}: IPv6 bracket syntax is not "
+                    f"supported — the fleet syntax takes hostnames or "
+                    f"IPv4 addresses ('host:port')"
+                )
+            host, sep, port = entry.rpartition(":")
+            if sep == "" or host == "":
+                raise SweepError(
+                    f"worker host {entry!r} must be 'host:port' (e.g. "
+                    f"127.0.0.1:7777)"
+                )
+            host = host.strip()
+            port = port.strip()
+            if ":" in host:
+                raise SweepError(
+                    f"worker host {entry!r}: multiple ':' separators — "
+                    f"IPv6 addresses are not supported by the fleet "
+                    f"syntax; use a hostname or IPv4 address"
+                )
+        else:
+            raise SweepError(
+                f"worker host entry must be 'host:port' or (host, port), "
+                f"got {entry!r}"
             )
-        return env
-    return "parallel"
+        try:
+            port = int(port)
+        except (TypeError, ValueError):
+            raise SweepError(
+                f"worker host {entry!r}: port must be an integer"
+            ) from None
+        if not 1 <= port <= 65535:
+            raise SweepError(
+                f"worker host {entry!r}: port must be in 1..65535, got {port}"
+            )
+        pair = (str(host), port)
+        if pair in seen:
+            raise SweepError(
+                f"duplicate worker host {pair[0]}:{pair[1]} — each worker "
+                f"serves one parent connection; list it once"
+            )
+        seen.add(pair)
+        hosts.append(pair)
+    if not hosts:
+        raise SweepError("worker host list is empty")
+    return hosts
 
 
 def _pool_context():
@@ -575,8 +733,11 @@ def run_sweep(
     unchanged, so a resumed or warm-cache outcome's canonical bytes are
     identical to a cold uninterrupted run's.
     """
+    # Consulted even when backend= is explicit: a stale REPRO_SWEEP_* name
+    # is refused on every campaign, not only where a default is needed.
+    env_backend = default_backend()
     if backend is None:
-        backend = default_backend()
+        backend = env_backend
     executor = resolve_backend(backend)
     if retries < 0:
         raise SweepError(

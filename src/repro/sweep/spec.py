@@ -155,7 +155,7 @@ class SweepResult:
                 wall_seconds=float(record.get("wall_seconds", 0.0)),
                 cached=bool(record.get("cached", False)),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise SweepError(f"malformed result record: {exc!r}") from None
 
 

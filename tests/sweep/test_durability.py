@@ -17,55 +17,26 @@ import pytest
 
 from repro.sweep import read_journal
 
+from tests.sweep.chaos import ChaosWorker
+
 HELPER = os.path.join(os.path.dirname(__file__), "_durable_helper.py")
 TOTAL = 10  # keep in sync with _durable_helper.TOTAL
-
-#: tcp workers must import the helper campaign's task module
-#: (tests/sweep/_remote_tasks.py) to unpickle its cells.
-_WORKER_ENV = dict(
-    os.environ,
-    PYTHONPATH=os.pathsep.join(
-        [
-            os.path.join(
-                os.path.dirname(os.path.dirname(os.path.dirname(__file__))),
-                "src",
-            ),
-            os.path.dirname(os.path.abspath(__file__)),
-        ]
-    ),
-)
-
 
 @pytest.fixture
 def worker_fleet():
     """Two ``repro worker`` subprocesses (2 slots each), own sessions so
-    killing a parent campaign's process group never touches them."""
-    processes, addresses = [], []
+    killing a parent campaign's process group never touches them.  They
+    must import the helper campaign's task module (``_remote_tasks``, by
+    its top-level name) to unpickle its cells."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    workers = []
     try:
         for _ in range(2):
-            process = subprocess.Popen(
-                [sys.executable, "-m", "repro", "worker", "--slots", "2"],
-                stdout=subprocess.PIPE,
-                stderr=subprocess.PIPE,
-                text=True,
-                env=_WORKER_ENV,
-                start_new_session=True,
-            )
-            processes.append(process)
-            line = process.stdout.readline().strip()
-            assert line.startswith("LISTENING "), line
-            addresses.append(line.split(" ", 1)[1])
-        yield ",".join(addresses)
+            workers.append(ChaosWorker(slots=2, extra_pythonpath=here))
+        yield ",".join(worker.address for worker in workers)
     finally:
-        for process in processes:
-            if process.poll() is None:
-                try:
-                    os.killpg(process.pid, signal.SIGKILL)
-                except ProcessLookupError:
-                    pass
-            process.wait(timeout=30)
-            process.stdout.close()
-            process.stderr.close()
+        for worker in workers:
+            worker.close()
 
 
 def _run_helper(*argv, check=True):

@@ -1,10 +1,13 @@
-"""Fleet chaos: real worker subprocesses, real sockets, real faults.
+"""Fleet chaos: the self-healing fleet's failure model, fault by fault.
 
-The acceptance bar for the self-healing fleet: campaigns whose workers
-are SIGKILLed, SIGSTOPped and restarted mid-run — including rejoin after
-SIGKILL — still complete with rows byte-identical to the serial backend,
-and a peer without the fleet secret is rejected before any pickle is
-deserialised.
+Almost everything here runs in **virtual time** on ``fleet_sim.py``: the
+real ``FleetScheduler`` and real wire bytes against model workers that
+are killed, frozen, cut, corrupted and restarted at scripted protocol
+events, each scenario asserting its outcome *and* byte-identity with the
+serial backend.  Three things keep real sockets and say so: one
+SIGKILL-and-restart-on-the-same-port rejoin, the authentication tests
+(nothing pickle-bearing is decoded before AUTH verifies) and
+``--max-idle``.
 """
 
 import os
@@ -20,60 +23,102 @@ import pytest
 
 from repro.sweep import SweepSpec, WorkerServer, run_sweep
 from repro.sweep import remote
-from repro.sweep.chaos import ChaosProxy, ChaosWorker, kill_restart_loop
-from repro.sweep.remote import (
+from repro.sweep.fleet import DIAL_TIMEOUT_S, Close, Dial, FleetScheduler
+from repro.sweep.remote import _fresh_nonce, read_frame
+from repro.sweep.runner import ExecutorContext
+from repro.sweep.spec import SweepError
+from repro.sweep.wire import (
+    MAGIC,
+    MAX_FRAME,
     MSG_AUTH,
     MSG_BYE,
+    MSG_ERROR,
+    MSG_GET,
     MSG_HELLO,
+    MSG_ROW,
     MSG_TASK,
     MSG_WELCOME,
-    _fresh_nonce,
+    PROTOCOL_VERSION,
     _json_payload,
     _parse_json,
     encode_frame,
-    read_frame,
 )
-from repro.sweep.spec import SweepError, SweepTask
 
 from tests.sweep._remote_tasks import ok_task, sleepy_task
+from tests.sweep.chaos import ChaosWorker
+from tests.sweep.fleet_sim import CRASH_SLOT, FleetSim, ModelWorker, serial_bytes
+from tests.sweep.test_fail_fast import _failing_verdict_task
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
 
 
-def _tight_heartbeats(monkeypatch, timeout="1.0", rejoin="30"):
-    """Fast failure detection, generous rejoin window (tests must never
-    flake on a slow CI box)."""
-    monkeypatch.setenv("REPRO_SWEEP_HEARTBEAT_S", "0.2")
-    monkeypatch.setenv("REPRO_SWEEP_HEARTBEAT_TIMEOUT_S", timeout)
-    monkeypatch.setenv("REPRO_SWEEP_REJOIN_S", rejoin)
-
-
-def _sleepy_campaign(name, cells, sleep_s=0.25, base_seed=21):
+def _campaign(name, cells, base_seed=21, fn=ok_task, **params):
     spec = SweepSpec(name, base_seed=base_seed)
     for i in range(cells):
-        spec.add(f"t{i}", sleepy_task, sleep_s=sleep_s)
+        spec.add(f"t{i}", fn, **params)
     return spec
 
 
-# ---------------------------------------------------------------------------
-# Kill / restart / rejoin
-# ---------------------------------------------------------------------------
+def _pair(**kwargs):
+    return ModelWorker("a:1", **kwargs), ModelWorker("b:1", **kwargs)
+
+
+def _times(fleet, kind, address):
+    return [
+        when
+        for when, action in fleet.actions
+        if isinstance(action, kind) and action.address == address
+    ]
+
+
+def _task_times(fleet, address):
+    """When each TASK frame was sent to *address*, in order."""
+    return sorted(
+        when
+        for sends in fleet.task_sends().values()
+        for when, to in sends
+        if to == address
+    )
+
+
+def _kill_and_restart(worker):
+    worker.kill(restart_after=0.3)
+
+
+class TestSansIO:
+    def test_scheduler_wire_and_health_import_no_io_and_no_clock(self):
+        """What lets every scenario below run in virtual time: the modules
+        that decide never import the modules that touch the world."""
+        import ast
+        import inspect
+
+        from repro.sweep import fleet, health, wire
+
+        for module in (fleet, wire, health):
+            imported = set()
+            for node in ast.walk(ast.parse(inspect.getsource(module))):
+                if isinstance(node, ast.Import):
+                    imported.update(alias.name.split(".")[0] for alias in node.names)
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    imported.add(node.module.split(".")[0])
+            assert not imported & {
+                "socket", "selectors", "time", "os", "threading", "subprocess", "signal"
+            }, module.__name__
 
 
 class TestKillRestartRejoin:
-    def test_sigkill_then_restart_rejoins_byte_identical(self, monkeypatch):
-        """THE acceptance test: SIGKILL a worker mid-campaign, restart it
-        on the same port, and prove (a) the campaign completes, (b) the
-        restarted worker *rejoined* and served, (c) rows are
-        byte-identical to serial."""
-        _tight_heartbeats(monkeypatch)
-        spec = _sleepy_campaign("chaos-kill", 20, sleep_s=0.25)
+    def test_sigkill_then_restart_rejoins_byte_identical(self):
+        """Real processes.  SIGKILL a worker mid-campaign, restart it on
+        the same port, and prove (a) the campaign completes, (b) the
+        restarted worker *rejoined*, (c) rows are byte-identical to
+        serial — at the shipped timing constants: a killed process group
+        closes its sockets at once."""
+        spec = _campaign("chaos-kill", 20, fn=sleepy_task, sleep_s=0.15)
         serial = run_sweep(spec, backend="serial")
         workers = [
             ChaosWorker(slots=1, extra_pythonpath=REPO_ROOT) for _ in range(2)
         ]
         try:
-            hosts = ",".join(w.address for w in workers)
 
             def chaos():
                 time.sleep(0.5)  # mid-campaign: cells are in flight
@@ -83,208 +128,380 @@ class TestKillRestartRejoin:
 
             agent = threading.Thread(target=chaos, daemon=True)
             agent.start()
-            tcp = run_sweep(spec, backend="tcp", hosts=hosts, retries=1)
-            agent.join(timeout=30)
-            assert tcp.passed, tcp.render()
-            assert tcp.canonical_bytes() == serial.canonical_bytes()
-            assert tcp.fleet is not None
-            assert tcp.fleet["scheduler"]["rejoins"] >= 1
-            # The restarted worker really served: both addresses scored rows.
-            rows_by_worker = {
-                addr: stats.get("fleet.rows", 0)
-                for addr, stats in tcp.fleet["workers"].items()
-            }
-            assert rows_by_worker[workers[1].address] >= 1
-        finally:
-            for worker in workers:
-                worker.close()
-
-    def test_kill_restart_loop_under_fire(self, monkeypatch):
-        """The CI smoke shape: a killer loop SIGKILLs and restarts one
-        worker repeatedly while the campaign runs; rows stay
-        byte-identical to serial."""
-        _tight_heartbeats(monkeypatch)
-        spec = _sleepy_campaign("chaos-loop", 14, sleep_s=0.2, base_seed=5)
-        serial = run_sweep(spec, backend="serial")
-        workers = [
-            ChaosWorker(slots=1, extra_pythonpath=REPO_ROOT) for _ in range(2)
-        ]
-        stop = threading.Event()
-        cycles = []
-        try:
-            killer = threading.Thread(
-                target=lambda: cycles.append(
-                    kill_restart_loop(
-                        workers[0], stop, period_s=0.8, grace_s=0.3
-                    )
-                ),
-                daemon=True,
-            )
-            killer.start()
             tcp = run_sweep(
                 spec,
                 backend="tcp",
                 hosts=",".join(w.address for w in workers),
-                retries=3,
+                retries=1,
             )
-            stop.set()
-            killer.join(timeout=30)
+            agent.join(timeout=30)
             assert tcp.passed, tcp.render()
             assert tcp.canonical_bytes() == serial.canonical_bytes()
-            assert cycles and cycles[0] >= 1  # the campaign ran under fire
+            assert tcp.fleet["scheduler"]["rejoins"] >= 1
+            assert tcp.fleet["workers"][workers[1].address]["fleet.rows"] >= 1
         finally:
-            stop.set()
             for worker in workers:
                 worker.close()
 
+    def test_kill_restart_loop_under_fire(self):
+        """A killer loop SIGKILLs and restarts one worker again and again
+        while the campaign runs; rows stay byte-identical to serial."""
+        spec = _campaign("chaos-loop", 14, base_seed=5)
+        a, b = _pair(service_s=0.2)
+        fleet = FleetSim(spec, [a, b], retries=3)
+        cycles = []
 
-# ---------------------------------------------------------------------------
-# Suspend / resume (grey failure)
-# ---------------------------------------------------------------------------
+        def cycle():
+            a.kill(restart_after=0.3)
+            cycles.append(fleet.now)
+            fleet.at(fleet.now + 0.8, cycle)
+
+        fleet.at(0.8, cycle)
+        tcp = fleet.run()
+        assert tcp.passed, tcp.render()
+        assert tcp.canonical_bytes() == serial_bytes(spec)
+        assert len(cycles) >= 1  # the campaign ran under fire
+        assert tcp.fleet["scheduler"]["rejoins"] >= 1
+        assert tcp.fleet["workers"]["a:1"]["fleet.rows"] >= 1
+
+    def test_a_worker_that_starts_late_joins_mid_campaign(self):
+        """The initial connect and the redial are one path: a host that
+        was down at t=0 is dialled again with backoff and serves."""
+        spec = _campaign("late", 12)
+        a, b = ModelWorker("a:1", up=False), ModelWorker("b:1", service_s=0.5)
+        fleet = FleetSim(spec, [a, b])
+        fleet.at(1.0, a.start)
+        tcp = fleet.run()
+        assert tcp.passed and tcp.canonical_bytes() == serial_bytes(spec)
+        assert tcp.fleet["workers"]["a:1"]["fleet.rows"] >= 1
+        assert tcp.fleet["scheduler"]["rejoins"] == 0  # a first join, not a rejoin
+        dials = _times(fleet, Dial, "a:1")
+        assert dials[0] == 0.0 and len(dials) >= 3  # t=0, then backoff
 
 
 class TestSuspendResume:
-    def test_sigstop_worker_is_lost_then_rejoins(self, monkeypatch):
+    def test_sigstop_worker_is_lost_then_rejoins(self):
         """SIGSTOP freezes a worker mid-protocol (sockets stay open,
-        heartbeats stop): the parent declares it lost via heartbeat
-        timeout, re-queues its cell, and the worker rejoins after
-        SIGCONT."""
-        _tight_heartbeats(monkeypatch, timeout="1.0")
-        spec = _sleepy_campaign("chaos-stop", 14, sleep_s=0.2, base_seed=9)
-        serial = run_sweep(spec, backend="serial")
-        workers = [
-            ChaosWorker(slots=1, extra_pythonpath=REPO_ROOT) for _ in range(2)
-        ]
-        try:
-
-            def chaos():
-                time.sleep(0.4)
-                workers[0].suspend()
-                time.sleep(1.6)  # > heartbeat timeout: declared lost
-                workers[0].resume()
-
-            agent = threading.Thread(target=chaos, daemon=True)
-            agent.start()
-            tcp = run_sweep(
-                spec,
-                backend="tcp",
-                hosts=",".join(w.address for w in workers),
-                retries=2,
-            )
-            agent.join(timeout=30)
-            assert tcp.passed, tcp.render()
-            assert tcp.canonical_bytes() == serial.canonical_bytes()
-        finally:
-            for worker in workers:
-                worker.resume()
-                worker.close()
-
-
-# ---------------------------------------------------------------------------
-# Socket-level faults: delay and mid-stream cut via the chaos proxy
-# ---------------------------------------------------------------------------
+        heartbeats stop): the parent declares it lost at the heartbeat
+        timeout — not before — re-queues its cell, and the worker rejoins
+        after SIGCONT and serves again."""
+        spec = _campaign("chaos-stop", 40, base_seed=9)
+        a, b = _pair(service_s=1.0)
+        fleet = FleetSim(spec, [a, b], retries=2)
+        fleet.at(0.4, lambda: a.freeze(15.0))
+        tcp = fleet.run()
+        assert tcp.passed, tcp.render()
+        assert tcp.canonical_bytes() == serial_bytes(spec)
+        (lost_at,) = _times(fleet, Close, "a:1")[:1]
+        assert 10.0 < lost_at < 11.0  # the 10 s timeout, judged every 0.2 s
+        stats = tcp.fleet["workers"]["a:1"]
+        assert stats["fleet.failures_loss"] == 1
+        assert tcp.fleet["scheduler"]["rejoins"] == 1
+        # Dials while it is frozen time out (the kernel accepts, nobody
+        # answers); the first one after SIGCONT gets through.
+        assert any(lost_at < when < 15.4 for when in _times(fleet, Dial, "a:1"))
+        assert any(when > 15.4 for when in _task_times(fleet, "a:1"))
 
 
 class TestSocketChaos:
-    def test_proxy_delay_and_midstream_cut(self, monkeypatch):
-        """Inject latency below the protocol's view, then hard-close the
-        live links mid-stream: the parent re-queues and redials through
-        the proxy, and the campaign stays byte-identical to serial."""
-        _tight_heartbeats(monkeypatch, timeout="2.0")
-        spec = _sleepy_campaign("chaos-proxy", 12, sleep_s=0.2, base_seed=13)
-        serial = run_sweep(spec, backend="serial")
-        behind = ChaosWorker(slots=1, extra_pythonpath=REPO_ROOT)
-        direct = ChaosWorker(slots=1, extra_pythonpath=REPO_ROOT)
-        proxy = ChaosProxy(upstream=(behind.host, behind.port))
-        try:
+    def test_proxy_delay_and_midstream_cut(self):
+        """What the socket proxy used to inject: latency below the
+        protocol's view, then the link cut in the middle of a frame.  The
+        parent re-queues, redials through, and stays byte-identical."""
+        spec = _campaign("chaos-proxy", 12, base_seed=13)
+        a, b = _pair(service_s=0.2)
+        fleet = FleetSim(spec, [a, b], retries=2)
 
-            def chaos():
-                time.sleep(0.4)
-                proxy.set_delay(0.05)
-                time.sleep(0.4)
-                proxy.set_delay(0.0)
-                assert proxy.cut() >= 1  # links were live mid-stream
+        def slow():
+            a.latency_s = 0.05
 
-            agent = threading.Thread(target=chaos, daemon=True)
-            agent.start()
-            tcp = run_sweep(
-                spec,
-                backend="tcp",
-                hosts=f"{proxy.address},{direct.address}",
-                retries=2,
-            )
-            agent.join(timeout=30)
-            assert tcp.passed, tcp.render()
-            assert tcp.canonical_bytes() == serial.canonical_bytes()
-        finally:
-            proxy.stop()
-            behind.close()
-            direct.close()
+        def cut():
+            a.latency_s = 0.001
+            a.cut_next_frame = True
 
-
-# ---------------------------------------------------------------------------
-# Straggler hedging
-# ---------------------------------------------------------------------------
+        fleet.at(0.4, slow)
+        fleet.at(0.8, cut)
+        tcp = fleet.run()
+        assert tcp.passed, tcp.render()
+        assert tcp.canonical_bytes() == serial_bytes(spec)
+        assert tcp.fleet["workers"]["a:1"]["fleet.failures_loss"] == 1
+        assert tcp.fleet["scheduler"]["rejoins"] == 1
+        assert "fleet.failures_loss" not in tcp.fleet["workers"]["b:1"]
 
 
 class TestHedging:
-    def test_stuck_worker_cell_is_hedged_to_an_idle_slot(self, monkeypatch):
-        """A worker that freezes while holding a cell (heartbeat timeout
-        too long to declare it lost) stalls one in-flight cell; once the
-        p95 is known, the scheduler re-dispatches that cell to an idle
-        slot and the campaign completes — byte-identical, duplicates
-        discarded."""
-        monkeypatch.setenv("REPRO_SWEEP_HEARTBEAT_S", "0.2")
-        monkeypatch.setenv("REPRO_SWEEP_HEARTBEAT_TIMEOUT_S", "60")
-        monkeypatch.setenv("REPRO_SWEEP_HEDGE_MIN_ROWS", "4")
-        spec = _sleepy_campaign("chaos-hedge", 14, sleep_s=0.1, base_seed=17)
-        serial = run_sweep(spec, backend="serial")
-        workers = [
-            ChaosWorker(slots=1, extra_pythonpath=REPO_ROOT) for _ in range(2)
+    def test_stuck_worker_cell_is_hedged_to_an_idle_slot(self):
+        """One cell runs 20x longer than the rest (its worker heartbeats
+        on, so it is never declared lost).  Once the p95 is known it is
+        copied to an idle slot on *another* worker — never the idle slot
+        next to it, never a third time — the first row wins, and the
+        second — arriving while a long honest cell keeps the campaign
+        open — is discarded after a byte check."""
+        spec = _campaign("chaos-hedge", 18, base_seed=17)
+        cells = {}
+
+        def service(role):
+            def seconds(index):
+                if role and index >= 10:
+                    cells.setdefault(role, index)  # the first late cell served here
+                return {cells.get("stuck"): 2.0, cells.get("long"): 5.0}.get(index, 0.1)
+
+            return seconds
+
+        workers = [ModelWorker(f"{name}:1", slots=3) for name in "abc"]
+        for worker, role in zip(workers, ("stuck", "long", None)):
+            worker.service_s = service(role)
+        fleet = FleetSim(spec, workers)
+        tcp = fleet.run()
+        assert tcp.passed, tcp.render()
+        assert tcp.canonical_bytes() == serial_bytes(spec)
+        scheduler = tcp.fleet["scheduler"]
+        assert scheduler["hedges"] >= 1
+        assert scheduler["hedge_duplicates"] >= 1
+        assert scheduler["hedge_mismatches"] == 0
+        original, copy = fleet.task_sends()[cells["stuck"]]  # two, not three
+        assert original[1] == "a:1" and copy[1] != "a:1"
+        assert copy[0] - original[0] >= 0.2  # not before twice the p95
+        assert len(fleet.landed) == 18  # the duplicate never landed
+
+
+class TestLossForgiveness:
+    def test_rejoin_refunds_one_charged_loss(self):
+        """A worker dies holding a cell and rejoins healthy: the loss it
+        charged is refunded, so the flap did not burn the cell's budget."""
+        spec = _campaign("pardon", 6)
+        a = ModelWorker("a:1")
+        fleet = FleetSim(spec, [a], retries=1)
+        fleet.on_task(_kill_and_restart, nth=2)
+        tcp = fleet.run()
+        assert tcp.passed and tcp.canonical_bytes() == serial_bytes(spec)
+        assert tcp.fleet["scheduler"]["forgiven_losses"] == 1
+        assert all(row.attempts == 1 for row in tcp.rows)
+
+    def test_each_worker_forgives_a_cell_at_most_once(self):
+        """An assassin cell that keeps killing the same rejoining worker
+        must still burn the budget: one flap, one pardon."""
+        spec = _campaign("assassin", 3)
+        fleet = FleetSim(spec, [ModelWorker("a:1")], retries=1)
+        fleet.on_task(_kill_and_restart, index=0)
+        tcp = fleet.run()
+        assassin = tcp.rows[0]
+        assert assassin.status == "FAILED"
+        assert assassin.attempts == 2
+        assert tcp.fleet["scheduler"]["forgiven_losses"] == 1
+        # retries + 1 executions, plus the one the pardon bought.
+        assert len(fleet.task_sends()[0]) == 3
+        assert [row.ok for row in tcp.rows[1:]] == [True, True]
+
+    def test_landed_rows_are_never_refunded(self):
+        """With no retry budget the first loss lands the FAILED row; the
+        rejoin that follows pardons nothing."""
+        spec = _campaign("landed", 3)
+        fleet = FleetSim(spec, [ModelWorker("a:1")], retries=0)
+        fleet.on_task(_kill_and_restart, index=0)
+        tcp = fleet.run()
+        assert tcp.rows[0].status == "FAILED" and tcp.rows[0].attempts == 1
+        assert tcp.fleet["scheduler"]["rejoins"] == 1
+        assert tcp.fleet["scheduler"]["forgiven_losses"] == 0
+
+
+class TestErrorFrames:
+    def test_error_frame_crash_is_never_forgiven_on_rejoin(self):
+        """A cell crashes its slot wherever it runs (ERROR frames), and
+        once the worker holding it is killed instead.  The rejoin refunds
+        that one connection loss and nothing else: the slot crashes the
+        worker itself reported stay charged — the cell is the prime
+        suspect."""
+        spec = _campaign("slot-crash", 8)
+        fleet = FleetSim(spec, [ModelWorker("a:1")], retries=2)
+        fleet.on_task(lambda worker: CRASH_SLOT, index=0)
+        fleet.on_task(_kill_and_restart, index=0, nth=2)
+        tcp = fleet.run()
+        crashed = tcp.rows[0]
+        assert crashed.status == "FAILED"
+        assert crashed.error == "worker died: connection lost"
+        assert crashed.attempts == 3
+        assert "reported: slot process executing task 0 died" in crashed.error_detail
+        assert tcp.fleet["scheduler"]["rejoins"] == 1
+        assert tcp.fleet["scheduler"]["forgiven_losses"] == 1
+        # crash, kill (pardoned), crash, crash: a pardoned ERROR would
+        # have bought a fifth execution.
+        assert len(fleet.task_sends()[0]) == 4
+        healthy = run_sweep(spec, backend="serial").rows[1:]
+        assert [row.canonical() for row in tcp.rows[1:]] == [
+            row.canonical() for row in healthy
         ]
-        try:
 
-            def chaos():
-                time.sleep(0.6)  # several rows landed: p95 is known
-                workers[0].suspend()  # freezes holding one in-flight cell
 
-            agent = threading.Thread(target=chaos, daemon=True)
-            agent.start()
-            tcp = run_sweep(
-                spec,
-                backend="tcp",
-                hosts=",".join(w.address for w in workers),
-            )
-            agent.join(timeout=30)
-            assert tcp.passed, tcp.render()
-            assert tcp.canonical_bytes() == serial.canonical_bytes()
-            assert tcp.fleet["scheduler"]["hedges"] >= 1
-            assert tcp.fleet["scheduler"]["hedge_mismatches"] == 0
-        finally:
-            for worker in workers:
-                worker.resume()
-                worker.close()
+    def test_a_flap_between_two_crashes_pardons_neither(self):
+        """The same rule, event by event on the bare scheduler: the
+        worker that reported the crash flaps while holding nothing, and
+        its rejoin finds no connection loss to refund."""
+        landed = []
+        ctx = ExecutorContext(
+            workers=0, retries=1, fail_fast=False, watchdog=None, on_row=landed.append
+        )
+        scheduler = FleetScheduler(_campaign("crash", 1).tasks(), ctx, ["a:1"])
+        get = encode_frame(MSG_GET, b"{}")
+        crash = encode_frame(
+            MSG_ERROR, _json_payload({"index": 0, "error": "worker died: X"})
+        )
+        assert scheduler.tick(0.0) == [Dial("a:1", DIAL_TIMEOUT_S)]
+        assert scheduler.connected("a:1", 1, 0.0) == []
+        (task,) = scheduler.received("a:1", get, 0.1)  # cell 0 goes out
+        assert scheduler.received("a:1", crash, 0.2) == []  # charged; nobody idle
+        assert scheduler.closed("a:1", "connection closed", 0.3) == []
+        assert scheduler.tick(1.0) == [Dial("a:1", DIAL_TIMEOUT_S)]
+        scheduler.connected("a:1", 1, 1.0)
+        assert scheduler.stats["rejoins"] == 1
+        assert scheduler.stats["forgiven_losses"] == 0
+        assert scheduler.received("a:1", get, 1.1) == [task]  # cell 0 again
+        scheduler.received("a:1", crash, 1.2)  # retries=1: the budget is spent
+        assert [(row.status, row.attempts) for row in landed] == [("FAILED", 2)]
+        assert scheduler.done
 
-    def test_hedging_can_be_disabled(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SWEEP_HEDGE", "0")
-        spec = SweepSpec("no-hedge", base_seed=3)
-        for i in range(4):
-            spec.add(f"t{i}", ok_task)
-        server = WorkerServer(slots=2)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            outcome = run_sweep(
-                spec, backend="tcp", hosts=[(server.host, server.port)]
-            )
-            assert outcome.passed
-            assert outcome.fleet["scheduler"]["hedges"] == 0
-        finally:
-            server.stop()
+
+class TestQuarantine:
+    def test_three_consecutive_failures_stop_the_redials_until_expiry(self):
+        """Two slot crashes and then a dead connection, no good row in
+        between: the third consecutive failure quarantines the worker,
+        and it is not redialled for the quarantine second although the
+        ordinary backoff (0.25 s) fell due long before."""
+        spec = _campaign("flapper", 30)
+        a, b = ModelWorker("a:1"), ModelWorker("b:1", service_s=0.3)
+        fleet = FleetSim(spec, [a, b], retries=5)
+        fleet.on_task(lambda worker: CRASH_SLOT, worker="a:1", nth=1)
+        fleet.on_task(lambda worker: CRASH_SLOT, worker="a:1", nth=2)
+        fleet.on_task(lambda worker: worker.kill(restart_after=0.05), worker="a:1", nth=3)
+        tcp = fleet.run()
+        assert tcp.passed and tcp.canonical_bytes() == serial_bytes(spec)
+        assert tcp.fleet["workers"]["a:1"]["fleet.quarantines"] == 1
+        killed_at = _task_times(fleet, "a:1")[2]
+        redials = [when for when in _times(fleet, Dial, "a:1") if when > killed_at]
+        assert redials and killed_at + 1.0 <= redials[0] < killed_at + 1.5
+        assert tcp.fleet["scheduler"]["rejoins"] == 1  # and then it is let back
+
+    def test_a_connected_but_quarantined_worker_gets_no_work(self):
+        """Three slot crashes in a row bench a worker that is still
+        connected, still heartbeating and still asking for work."""
+        spec = _campaign("benched", 40)
+        a, b = ModelWorker("a:1", service_s=0.05), ModelWorker("b:1", service_s=0.2)
+        fleet = FleetSim(spec, [a, b], retries=3)
+        for nth in (1, 2, 3):
+            fleet.on_task(lambda worker: CRASH_SLOT, worker="a:1", nth=nth)
+        tcp = fleet.run()
+        assert tcp.passed and tcp.canonical_bytes() == serial_bytes(spec)
+        to_a = _task_times(fleet, "a:1")
+        assert 1.0 <= to_a[3] - to_a[2] < 1.5  # idle and asking, yet benched 1 s
+        assert to_a[2] - to_a[0] < 0.5  # before that it was fed at once
+        assert len(_times(fleet, Close, "a:1")) == 1  # only the final goodbye
+        assert tcp.fleet["workers"]["a:1"]["fleet.quarantines"] == 1
+
+
+class TestFailFast:
+    def test_abort_drains_in_flight_cells_and_sends_nothing_new(self):
+        spec = SweepSpec("fail-fast", base_seed=1)
+        for i in range(8):
+            spec.add(f"t{i}", _failing_verdict_task if i == 1 else ok_task)
+        a, b = _pair(slots=2, service_s=lambda index: 0.05 if index == 1 else 0.3)
+        fleet = FleetSim(spec, [a, b], fail_fast=True)
+        tcp = fleet.run()
+        assert tcp.aborted and not tcp.passed
+        # The four cells in flight when the verdict landed all kept their
+        # rows; nothing was dispatched after it.
+        assert [row.name for row in tcp.rows] == ["t0", "t1", "t2", "t3"]
+        assert sorted(fleet.task_sends()) == [0, 1, 2, 3]
+        assert tcp.wall_seconds < 0.5
+
+
+class TestHostileBytes:
+    """Whatever a worker sends, only that worker is lost."""
+
+    def _run(self, sabotage, cells=12):
+        spec = _campaign("hostile", cells)
+        a, b = _pair(service_s=0.2)
+        fleet = FleetSim(spec, [a, b], retries=2)
+        fleet.at(0.5, lambda: sabotage(a))
+        tcp = fleet.run()
+        assert tcp.passed, tcp.render()
+        assert tcp.canonical_bytes() == serial_bytes(spec)
+        assert len(fleet.landed) == cells  # exactly one row per task
+        assert "fleet.failures_loss" not in tcp.fleet["workers"]["b:1"]
+        return tcp.fleet["workers"]["a:1"].get("fleet.failures_loss", 0), tcp
+
+    def test_garbage_bytes_lose_only_that_worker(self):
+        losses, tcp = self._run(lambda a: a.inject(b"GET / HTTP/1.1\r\n\r\n"))
+        assert losses == 1 and tcp.fleet["scheduler"]["rejoins"] == 1
+
+    def test_oversized_length_prefix_loses_only_that_worker(self):
+        header = struct.pack("!4sBI", MAGIC, MSG_ROW, MAX_FRAME + 1)
+        losses, _tcp = self._run(lambda a: a.inject(header))
+        assert losses == 1
+
+    def test_bad_crc_loses_only_that_worker(self):
+        def corrupt_next_row(a):
+            a.corrupt_rows = 1
+
+        losses, _tcp = self._run(corrupt_next_row)
+        assert losses == 1
+
+    def test_out_of_grammar_frames_lose_only_that_worker(self):
+        row = run_sweep(_campaign("hostile", 1), backend="serial").rows[0].to_record()
+        for frame in (
+            encode_frame(MSG_TASK, b"parents send these"),
+            encode_frame(MSG_ROW, b"[1, 2, 3]"),
+            encode_frame(MSG_ROW, _json_payload({"index": "zero"})),
+            encode_frame(MSG_ROW, _json_payload(dict(row, index=float("inf")))),
+            encode_frame(MSG_ROW, _json_payload(dict(row, wall_seconds=float("nan")))),
+            encode_frame(MSG_ERROR, b"{}"),
+            encode_frame(MSG_ERROR, b'{"index": [0]}'),
+            encode_frame(0, b""),
+        ):
+            losses, _tcp = self._run(lambda a, frame=frame: a.inject(frame))
+            assert losses == 1
+
+    def test_unsolicited_and_duplicate_rows_are_dropped(self):
+        def lie(a):
+            a.duplicate_rows = True
+            stolen = run_sweep(_campaign("hostile", 12), backend="serial").rows[11]
+            a.inject(encode_frame(MSG_ROW, _json_payload(stolen.to_record())))
+
+        losses, tcp = self._run(lie)
+        assert losses == 0  # dropped, not punished
+        assert tcp.fleet["scheduler"]["hedge_duplicates"] == 0
+
+
+class TestRefusal:
+    def test_a_refused_host_is_written_off_and_the_rest_carry_on(self):
+        spec = _campaign("refused", 6)
+        a, b = ModelWorker("a:1", secret="other"), ModelWorker("b:1")
+        fleet = FleetSim(spec, [a, b])
+        tcp = fleet.run()
+        assert tcp.passed and tcp.canonical_bytes() == serial_bytes(spec)
+        assert _times(fleet, Dial, "a:1") == [0.0]  # never redialled
+
+    @pytest.mark.parametrize(
+        "worker, message",
+        [
+            (dict(secret="other"), "authentication"),
+            (dict(version=1), "version mismatch"),
+            (dict(refuse="this worker is retiring"), "retiring"),
+        ],
+    )
+    def test_a_fleet_of_refusals_fails_at_once_with_the_reason(self, worker, message):
+        """Refusals are typed (``wire.Refused``), not recognised by their
+        wording: a BYE that mentions neither authentication nor versions
+        is just as final."""
+        fleet = FleetSim(_campaign("refused", 2), [ModelWorker("a:1", **worker)])
+        with pytest.raises(SweepError, match=message) as failure:
+            fleet.run()
+        assert "could not reach any worker: a:1: " in str(failure.value)
+        assert fleet.now < 1.0  # no ten-second wait for a rejoin that cannot come
+        assert len(_times(fleet, Dial, "a:1")) == 1
 
 
 # ---------------------------------------------------------------------------
-# Authentication: rejected before any pickle is deserialised
+# Authentication: rejected before any pickle is deserialised (real sockets)
 # ---------------------------------------------------------------------------
 
 
@@ -298,7 +515,6 @@ class TestAuthRejection:
         """Parent and worker disagree on the secret: the campaign fails
         with an error naming authentication, and the worker never
         deserialises a byte of the job stream."""
-        monkeypatch.setenv("REPRO_SWEEP_CONNECT_TIMEOUT_S", "2")
         unpickles = []
         real_loads = remote._loads
         monkeypatch.setattr(
@@ -323,7 +539,6 @@ class TestAuthRejection:
             server.stop()
 
     def test_missing_secret_parent_is_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SWEEP_CONNECT_TIMEOUT_S", "2")
         monkeypatch.delenv("REPRO_SWEEP_SECRET", raising=False)
         server = WorkerServer(slots=1, secret="alpha")
         self._serve(server)
@@ -371,7 +586,7 @@ class TestAuthRejection:
                     MSG_HELLO,
                     _json_payload(
                         {
-                            "version": remote.PROTOCOL_VERSION,
+                            "version": PROTOCOL_VERSION,
                             "nonce": _fresh_nonce(),
                         }
                     ),
@@ -400,7 +615,7 @@ class TestAuthRejection:
                     MSG_HELLO,
                     _json_payload(
                         {
-                            "version": remote.PROTOCOL_VERSION,
+                            "version": PROTOCOL_VERSION,
                             "nonce": _fresh_nonce(),
                         }
                     ),
@@ -441,61 +656,7 @@ class TestAuthRejection:
 
 
 # ---------------------------------------------------------------------------
-# Loss forgiveness (scheduler unit: no sockets)
-# ---------------------------------------------------------------------------
-
-
-class TestLossForgiveness:
-    def _scheduler(self):
-        from repro.sweep.runner import ExecutorContext
-
-        tasks = [SweepTask(index=0, name="a", seed=1, fn=ok_task)]
-        ctx = ExecutorContext(
-            workers=0,
-            retries=1,
-            fail_fast=False,
-            watchdog=None,
-            on_row=lambda row: None,
-        )
-        return remote._Scheduler(tasks, ctx, hosts=[("w", 1)])
-
-    def test_rejoin_refunds_one_charged_loss(self):
-        scheduler = self._scheduler()
-        scheduler.losses[0] = 1
-        scheduler.loss_sources[0] = ["w:1"]
-        scheduler._forgive_losses("w:1")
-        assert scheduler.losses[0] == 0
-        assert scheduler.stats["forgiven_losses"] == 1
-
-    def test_each_worker_forgives_a_cell_at_most_once(self):
-        """An assassin cell that keeps killing the same rejoining worker
-        must still burn the budget: one flap, one pardon."""
-        scheduler = self._scheduler()
-        scheduler.losses[0] = 1
-        scheduler.loss_sources[0] = ["w:1"]
-        scheduler._forgive_losses("w:1")
-        scheduler.losses[0] = 1  # lost to the same worker again
-        scheduler.loss_sources[0].append("w:1")
-        scheduler._forgive_losses("w:1")
-        assert scheduler.losses[0] == 1  # no second pardon
-        assert scheduler.stats["forgiven_losses"] == 1
-
-    def test_landed_rows_are_never_refunded(self):
-        from repro.sweep.spec import SweepResult
-
-        scheduler = self._scheduler()
-        scheduler.losses[0] = 1
-        scheduler.loss_sources[0] = ["w:1"]
-        scheduler.rows[0] = SweepResult(
-            index=0, name="a", seed=1, status=SweepResult.FAILED
-        )
-        scheduler._forgive_losses("w:1")
-        assert scheduler.losses[0] == 1
-        assert scheduler.stats["forgiven_losses"] == 0
-
-
-# ---------------------------------------------------------------------------
-# --max-idle: orphaned workers exit on their own
+# --max-idle: orphaned workers exit on their own (real sockets, real clock)
 # ---------------------------------------------------------------------------
 
 

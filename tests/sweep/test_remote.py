@@ -1,27 +1,39 @@
 """The tcp backend: framing, program shipping, the three-way differential
-(serial vs pool vs tcp), fleet configuration and the failure model
-(slot death, server death, heartbeat loss)."""
+(serial vs pool vs tcp), fleet configuration and the failure model.
+
+Real sockets and processes where the thing under test *is* the socket or
+the process — the backend differential, journal + cache over tcp, program
+push, a slot death, a SIGKILLed server whose slots live on.  Everything
+that is a scheduling decision (server death, retry budget, whole-fleet
+loss, heartbeat silence, an unreachable fleet) runs in virtual time on
+``fleet_sim.py``.
+"""
 
 import os
 import pickle
-import signal
 import socket
-import subprocess
-import sys
+import struct
 import threading
 import time
 
 import pytest
 
 from repro.sweep import (
+    HOSTS_ENV,
+    SECRET_ENV,
     SweepError,
     SweepSpec,
     WorkerServer,
+    default_hosts,
     parse_hosts,
+    resolve_secret,
     run_sweep,
 )
-from repro.sweep.remote import (
-    HOSTS_ENV,
+from repro.sweep.remote import _fresh_nonce, read_frame
+from repro.sweep.runner import execute_task
+from repro.sweep.wire import (
+    MAGIC,
+    MAX_FRAME,
     MSG_AUTH,
     MSG_BYE,
     MSG_GET,
@@ -31,37 +43,27 @@ from repro.sweep.remote import (
     MSG_TASK,
     MSG_WELCOME,
     PROTOCOL_VERSION,
-    SECRET_ENV,
+    ConnectionLost,
     FrameBuffer,
     ProgramRef,
     ProtocolError,
+    Refused,
     _auth_proof,
-    _env_seconds,
-    _fresh_nonce,
     _json_payload,
+    _loads,
     _parse_json,
-    default_hosts,
+    answer_welcome,
     encode_frame,
     export_task,
-    read_frame,
-    resolve_secret,
     resolve_task,
+    split_task,
 )
-from repro.sweep.runner import execute_task
 
-from tests.sweep._remote_tasks import (
-    ok_task,
-    server_killer_task,
-    sleepy_task,
-    slot_killer_task,
-)
+from tests.sweep._remote_tasks import ok_task, server_killer_task, slot_killer_task
+from tests.sweep.chaos import ChaosWorker
+from tests.sweep.fleet_sim import FleetSim, ModelWorker, parse_frame, serial_bytes
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
-
-
-# ---------------------------------------------------------------------------
-# Fixtures: in-process worker fleet / subprocess worker fleet
-# ---------------------------------------------------------------------------
 
 
 @pytest.fixture
@@ -77,38 +79,6 @@ def fleet():
     yield [(server.host, server.port) for server in servers]
     for server in servers:
         server.stop()
-
-
-def _spawn_worker(slots=1, env_extra=None):
-    """A real ``repro worker`` subprocess; returns (process, 'host:port')."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [os.path.join(REPO_ROOT, "src"), REPO_ROOT]
-    )
-    env.update(env_extra or {})
-    process = subprocess.Popen(
-        [sys.executable, "-m", "repro", "worker", "--slots", str(slots)],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        text=True,
-        cwd=REPO_ROOT,
-        env=env,
-        start_new_session=True,
-    )
-    line = process.stdout.readline().strip()
-    assert line.startswith("LISTENING "), line
-    return process, line.split(" ", 1)[1]
-
-
-def _reap(process):
-    if process.poll() is None:
-        try:
-            os.killpg(process.pid, signal.SIGKILL)
-        except ProcessLookupError:
-            pass
-    process.wait(timeout=30)
-    process.stdout.close()
-    process.stderr.close()
 
 
 # ---------------------------------------------------------------------------
@@ -163,10 +133,6 @@ class TestFraming:
             buffer.next_frame()
 
     def test_oversized_length_rejected_before_buffering(self):
-        import struct
-
-        from repro.sweep.remote import MAGIC, MAX_FRAME
-
         header = struct.pack("!4sBI", MAGIC, MSG_ROW, MAX_FRAME + 1)
         buffer = FrameBuffer()
         buffer.feed(header)
@@ -174,10 +140,57 @@ class TestFraming:
             buffer.next_frame()
 
     def test_oversized_payload_rejected_on_encode(self):
-        from repro.sweep.remote import MAX_FRAME
-
         with pytest.raises(ProtocolError, match="limit"):
             encode_frame(MSG_ROW, b"\x00" * (MAX_FRAME + 1))
+
+    def test_blocking_read_never_consumes_the_next_frame(self):
+        """``read_frame`` is a blocking feed of the one parser: it asks
+        the socket for exactly what the current frame still lacks."""
+        left, right = socket.socketpair()
+        try:
+            left.sendall(
+                encode_frame(MSG_GET, b"{}")
+                + encode_frame(MSG_ROW, b"x" * 100_000)
+                + encode_frame(MSG_BYE, b"")
+            )
+            assert read_frame(right) == (MSG_GET, b"{}")
+            assert read_frame(right) == (MSG_ROW, b"x" * 100_000)
+            assert read_frame(right) == (MSG_BYE, b"")
+        finally:
+            left.close()
+            right.close()
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda frame: b"NOPE" + frame[4:], "magic"),
+            (lambda frame: struct.pack("!4sBI", MAGIC, MSG_ROW, MAX_FRAME + 1), "limit"),
+            (lambda frame: frame[:-1] + bytes((frame[-1] ^ 1,)), "CRC"),
+        ],
+    )
+    def test_blocking_read_applies_the_same_checks(self, damage, message):
+        left, right = socket.socketpair()
+        try:
+            left.sendall(damage(encode_frame(MSG_ROW, b'{"x":1}')))
+            with pytest.raises(ProtocolError, match=message):
+                read_frame(right)
+        finally:
+            left.close()
+            right.close()
+
+    def test_blocking_read_reports_eof_mid_frame(self):
+        left, right = socket.socketpair()
+        try:
+            left.sendall(encode_frame(MSG_ROW, b'{"x":1}')[:-3])
+            left.close()
+            with pytest.raises(ConnectionLost, match="mid-frame"):
+                read_frame(right)
+        finally:
+            right.close()
+
+    def test_task_payload_too_short_for_an_index(self):
+        with pytest.raises(ProtocolError, match="too short"):
+            split_task(b"\x00\x01")
 
 
 # ---------------------------------------------------------------------------
@@ -260,35 +273,6 @@ class TestParseHosts:
 
 
 # ---------------------------------------------------------------------------
-# Environment knob validation
-# ---------------------------------------------------------------------------
-
-
-class TestEnvSeconds:
-    KNOB = "REPRO_SWEEP_HEARTBEAT_S"
-
-    def test_unset_and_empty_yield_default(self, monkeypatch):
-        monkeypatch.delenv(self.KNOB, raising=False)
-        assert _env_seconds(self.KNOB, 2.5) == 2.5
-        monkeypatch.setenv(self.KNOB, "")
-        assert _env_seconds(self.KNOB, 2.5) == 2.5
-
-    def test_valid_value_parses(self, monkeypatch):
-        monkeypatch.setenv(self.KNOB, "0.25")
-        assert _env_seconds(self.KNOB, 2.5) == 0.25
-
-    @pytest.mark.parametrize(
-        "bad", ["0", "-1", "-0.5", "nan", "NaN", "inf", "-inf", "bogus"]
-    )
-    def test_invalid_values_raise_naming_the_knob(self, bad, monkeypatch):
-        """Zero, negative, NaN and infinite knobs must raise SweepError
-        naming the env var, never silently configure a broken fleet."""
-        monkeypatch.setenv(self.KNOB, bad)
-        with pytest.raises(SweepError, match=self.KNOB):
-            _env_seconds(self.KNOB, 2.5)
-
-
-# ---------------------------------------------------------------------------
 # Pre-shared-key authentication units
 # ---------------------------------------------------------------------------
 
@@ -321,6 +305,48 @@ class TestAuth:
         assert worker != _auth_proof(b"k", "worker", b, a)  # order-bound
         assert worker != _auth_proof(b"other", "worker", a, b)  # key-bound
         assert worker != _auth_proof(None, "worker", a, b)  # secret != open
+
+    def _welcome(self, parent_nonce, secret=b"k", **overrides):
+        worker_nonce = _fresh_nonce()
+        reply = {
+            "version": PROTOCOL_VERSION,
+            "slots": 3,
+            "nonce": worker_nonce,
+            "proof": _auth_proof(secret, "worker", parent_nonce, worker_nonce),
+        }
+        reply.update(overrides)
+        return MSG_WELCOME, _json_payload(reply)
+
+    def test_a_proven_welcome_yields_slots_and_the_auth_frame(self):
+        nonce = _fresh_nonce()
+        slots, auth = answer_welcome(*self._welcome(nonce), b"k", nonce)
+        assert slots == 3
+        mtype, payload = parse_frame(auth)
+        assert mtype == MSG_AUTH and len(_parse_json(payload, "AUTH")["proof"]) == 64
+
+    def test_refusals_are_typed_not_worded(self):
+        """What decides that a host is written off is the exception's
+        type.  BYE is final whatever it says; a reply that merely
+        *mentions* authentication is an ordinary protocol error, and the
+        host stays on the redial list."""
+        nonce = _fresh_nonce()
+        bye = MSG_BYE, _json_payload({"error": "closed for maintenance"})
+        with pytest.raises(Refused, match="maintenance"):
+            answer_welcome(*bye, b"k", nonce)
+        with pytest.raises(Refused, match="authentication"):
+            answer_welcome(*self._welcome(nonce, secret=b"other"), b"k", nonce)
+        with pytest.raises(Refused, match="version mismatch"):
+            answer_welcome(*self._welcome(nonce, version=1), b"k", nonce)
+        with pytest.raises(Refused, match="nonce"):
+            answer_welcome(*self._welcome(nonce, nonce=None), b"k", nonce)
+        for not_a_refusal in (
+            (MSG_ROW, _json_payload({"error": "authentication version mismatch"})),
+            (MSG_WELCOME, b"authentication"),
+            self._welcome(nonce, slots="authentication"),
+        ):
+            with pytest.raises(ProtocolError) as failure:
+                answer_welcome(*not_a_refusal, b"k", nonce)
+            assert not isinstance(failure.value, Refused)
 
 
 # ---------------------------------------------------------------------------
@@ -375,9 +401,15 @@ class TestProgramShipping:
         assert programs == {}
         assert wire.params == {"knob": 3}
 
-    def test_restricted_unpickler_blocks_os_system(self):
-        from repro.sweep.remote import _loads
+    def test_program_ref_pickles_under_its_v2_module_path(self):
+        """A pickle names a class by module path, so the path is wire
+        format: workers of the previous release resolve
+        ``repro.sweep.remote.ProgramRef``, wherever the class lives now."""
+        blob = pickle.dumps(ProgramRef("abc"), protocol=pickle.HIGHEST_PROTOCOL)
+        assert b"repro.sweep.remote" in blob and b"repro.sweep.wire" not in blob
+        assert _loads(blob, "TASK") == ProgramRef("abc")
 
+    def test_restricted_unpickler_blocks_os_system(self):
         payload = pickle.dumps(os.system)
         with pytest.raises(ProtocolError, match="refusing to unpickle"):
             _loads(payload, "TASK")
@@ -393,18 +425,15 @@ class ScriptedWorker(threading.Thread):
 
     Serves one connection with ``slots`` pull slots, executing tasks
     inline (no process pool) and counting every frame type it receives.
-    ``hold_tasks=True`` makes it accept work and then go silent — the
-    heartbeat-loss scenario.
     """
 
-    def __init__(self, slots=1, hold_tasks=False):
+    def __init__(self, slots=1):
         super().__init__(daemon=True)
         self.listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self.listener.bind(("127.0.0.1", 0))
         self.listener.listen(1)
         self.host, self.port = self.listener.getsockname()[:2]
         self.slots = slots
-        self.hold_tasks = hold_tasks
         self.frame_counts = {}
         self.programs = {}
 
@@ -448,11 +477,7 @@ class ScriptedWorker(threading.Thread):
                     shipment = pickle.loads(payload)
                     self.programs[shipment["hash"]] = shipment["program"]
                 elif mtype == MSG_TASK:
-                    if self.hold_tasks:
-                        continue  # accept the cell, never answer
-                    import struct
-
-                    task = pickle.loads(payload[4:])
+                    task = pickle.loads(split_task(payload)[1])
                     task = resolve_task(task, self.programs)
                     row = execute_task(task)
                     conn.sendall(
@@ -585,16 +610,21 @@ class TestFleetConfig:
         # The env names a dead port; an explicit argument must win
         # without ever dialling the env value.
         monkeypatch.setenv(HOSTS_ENV, "127.0.0.1:9")
-        monkeypatch.setenv("REPRO_SWEEP_CONNECT_TIMEOUT_S", "2")
         spec = SweepSpec("argfleet", base_seed=1).add("a", ok_task)
+        started = time.monotonic()
         outcome = run_sweep(spec, backend="tcp", hosts=fleet)
         assert outcome.passed
+        assert time.monotonic() - started < 5.0
 
-    def test_unreachable_fleet_is_sweep_error(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SWEEP_CONNECT_TIMEOUT_S", "0.3")
+    def test_unreachable_fleet_is_sweep_error(self):
+        """Nobody ever answers: after the ten-second window (virtual) the
+        campaign fails, saying it never reached anyone and why."""
         spec = SweepSpec("dead", base_seed=1).add("a", ok_task)
-        with pytest.raises(SweepError, match="could not reach any worker"):
-            run_sweep(spec, backend="tcp", hosts="127.0.0.1:9")
+        sim = FleetSim(spec, [ModelWorker("127.0.0.1:9", up=False)])
+        with pytest.raises(SweepError, match="could not reach any worker") as failure:
+            sim.run()
+        assert "127.0.0.1:9: [Errno 111] Connection refused" in str(failure.value)
+        assert 10.0 <= sim.now < 10.5
 
     def test_invalid_workers_still_validated(self, monkeypatch):
         spec = SweepSpec("w", base_seed=1).add("a", ok_task)
@@ -626,95 +656,112 @@ class TestWorkerLoss:
         assert killer.attempts == 2  # initial + one retry, both lost
         assert len(outcome.rows) == 3
 
-    def test_server_death_requeues_to_surviving_workers(self):
-        """SIGKILL a worker server mid-campaign (socket death): its
-        in-flight cells re-queue onto survivors and the merged rows are
-        byte-identical to serial."""
-        workers = [_spawn_worker(slots=1) for _ in range(2)]
+    def test_a_sigkilled_server_with_a_live_slot_is_noticed_at_once(self):
+        """Real processes.  The cell SIGKILLs the *server* it runs under
+        and its slot sleeps on.  A forked slot used to hold copies of the
+        parent connection and the listener, so the parent saw no EOF
+        (only "missed heartbeats", ten seconds later) and the port could
+        not be rebound while the orphan lived."""
+        workers = [
+            ChaosWorker(slots=1, extra_pythonpath=REPO_ROOT) for _ in range(2)
+        ]
         try:
-            spec = SweepSpec("srvdeath", base_seed=8)
-            for i in range(6):
-                spec.add(f"t{i}", sleepy_task, sleep_s=0.2)
-            hosts = ",".join(addr for _, addr in workers)
-
-            def kill_one_soon():
-                time.sleep(0.4)  # mid-campaign: cells are in flight
-                _reap(workers[0][0])
-
-            killer = threading.Thread(target=kill_one_soon, daemon=True)
-            killer.start()
-            tcp = run_sweep(spec, backend="tcp", hosts=hosts, retries=2)
-            killer.join()
-            serial = run_sweep(spec, backend="serial")
-            assert tcp.passed, tcp.render()
-            assert tcp.canonical_bytes() == serial.canonical_bytes()
+            spec = SweepSpec("orphan", base_seed=8).add("assassin", server_killer_task)
+            for i in range(3):
+                spec.add(f"t{i}", ok_task)
+            started = time.monotonic()
+            outcome = run_sweep(
+                spec,
+                backend="tcp",
+                hosts=",".join(w.address for w in workers),
+                retries=0,
+            )
+            assert time.monotonic() - started < 3.0
+            assassin = outcome.rows[0]
+            assert assassin.status == "FAILED" and assassin.attempts == 1
+            assert "connection closed" in assassin.error_detail
+            assert [row.ok for row in outcome.rows[1:]] == [True] * 3
+            (victim,) = [w for w in workers if not w.alive]
+            victim.restart()  # raises unless the worker prints LISTENING
+            assert victim.alive
         finally:
-            for process, _ in workers:
-                _reap(process)
+            for worker in workers:
+                worker.close()
+
+    def test_server_death_requeues_to_surviving_workers(self):
+        """A worker server dies mid-campaign and stays dead: its
+        in-flight cell re-queues onto the survivor and the merged rows
+        are byte-identical to serial."""
+        spec = SweepSpec("srvdeath", base_seed=8)
+        for i in range(6):
+            spec.add(f"t{i}", ok_task)
+        a, b = ModelWorker("a:1", service_s=0.2), ModelWorker("b:1", service_s=0.2)
+        sim = FleetSim(spec, [a, b], retries=2)
+        sim.on_task(lambda worker: worker.kill(), worker="a:1", nth=2)
+        tcp = sim.run()
+        assert tcp.passed, tcp.render()
+        assert tcp.canonical_bytes() == serial_bytes(spec)
+        assert tcp.fleet["scheduler"]["requeues"] == 1
+        assert tcp.fleet["workers"]["a:1"]["fleet.rows"] == 1
+        # The orphaned cell (2) goes back to the head of the queue: it is
+        # dispatched as soon as a slot frees up, ahead of 4 and 5.
+        order = sorted(
+            (when, index) for index, sends in sim.task_sends().items() for when, _ in sends
+        )
+        assert [index for _, index in order] == [0, 1, 2, 3, 2, 4, 5]
 
     def test_retry_budget_exhaustion_yields_deterministic_failed_row(self):
         """A cell that kills every server it lands on exhausts the retry
         budget (retries=1 -> two losses) and becomes a FAILED row; a
         third worker survives to finish the healthy cells."""
-        workers = [_spawn_worker(slots=1) for _ in range(3)]
-        try:
-            spec = SweepSpec("exhaust", base_seed=9)
-            spec.add("assassin", server_killer_task)
-            for i in range(3):
-                spec.add(f"t{i}", ok_task)
-            hosts = ",".join(addr for _, addr in workers)
-            outcome = run_sweep(spec, backend="tcp", hosts=hosts, retries=1)
-            by_name = {row.name: row for row in outcome.rows}
-            assassin = by_name["assassin"]
-            assert assassin.status == "FAILED"
-            assert assassin.error == "worker died: connection lost"
-            assert assassin.attempts == 2
-            assert "lost 2 worker" in assassin.error_detail
-            for i in range(3):
-                assert by_name[f"t{i}"].ok
-        finally:
-            for process, _ in workers:
-                _reap(process)
+        spec = SweepSpec("exhaust", base_seed=9)
+        spec.add("assassin", ok_task)
+        for i in range(3):
+            spec.add(f"t{i}", ok_task)
+        workers = [ModelWorker(f"w{n}:1") for n in range(3)]
+        sim = FleetSim(spec, workers, retries=1)
+        sim.on_task(lambda worker: worker.kill(), index=0)
+        outcome = sim.run()
+        by_name = {row.name: row for row in outcome.rows}
+        assassin = by_name["assassin"]
+        assert assassin.status == "FAILED"
+        assert assassin.error == "worker died: connection lost"
+        assert assassin.attempts == 2
+        assert assassin.error_detail.startswith(
+            "task 0 ('assassin') lost 2 worker(s); last: worker w"
+        )
+        assert assassin.error_detail.endswith(":1 lost: connection closed")
+        healthy = run_sweep(spec, backend="serial").rows[1:]
+        assert [by_name[f"t{i}"].canonical() for i in range(3)] == [
+            row.canonical() for row in healthy
+        ]
+        assert sorted(w.up for w in workers) == [False, False, True]
 
-    def test_whole_fleet_loss_is_an_honest_sweep_error(self, monkeypatch):
+    def test_whole_fleet_loss_is_an_honest_sweep_error(self):
         """Every worker dead with cells still pending and nobody rejoining
-        within the rejoin window: SweepError, not a silent partial
-        outcome."""
-        monkeypatch.setenv("REPRO_SWEEP_REJOIN_S", "1.5")
-        process, addr = _spawn_worker(slots=1)
-        try:
-            spec = SweepSpec("allgone", base_seed=10)
-            spec.add("assassin", server_killer_task)
-            spec.add("never", ok_task)
-            with pytest.raises(SweepError, match="lost every worker"):
-                run_sweep(spec, backend="tcp", hosts=addr, retries=5)
-        finally:
-            _reap(process)
+        within the window: SweepError, not a silent partial outcome."""
+        spec = SweepSpec("allgone", base_seed=10)
+        spec.add("assassin", ok_task)
+        spec.add("never", ok_task)
+        sim = FleetSim(spec, [ModelWorker("a:1")], retries=5)
+        sim.on_task(lambda worker: worker.kill(), index=0)
+        with pytest.raises(SweepError, match="lost every worker") as failure:
+            sim.run()
+        assert "2 task(s) unfinished and none rejoined within 10s" in str(failure.value)
+        assert 10.0 <= sim.now < 10.5
+        assert sim.landed == []
 
-    def test_heartbeat_silence_requeues_held_cells(self, monkeypatch):
+    def test_heartbeat_silence_requeues_held_cells(self):
         """A worker that accepts a cell and goes silent misses heartbeats;
         the parent declares it lost and the cell completes elsewhere."""
-        monkeypatch.setenv("REPRO_SWEEP_HEARTBEAT_S", "0.2")
-        monkeypatch.setenv("REPRO_SWEEP_HEARTBEAT_TIMEOUT_S", "1.0")
-        silent = ScriptedWorker(slots=1, hold_tasks=True)
-        silent.start()
-        live = WorkerServer(slots=2)
-        live_thread = threading.Thread(target=live.serve_forever, daemon=True)
-        live_thread.start()
-        try:
-            spec = SweepSpec("silence", base_seed=12)
-            for i in range(4):
-                spec.add(f"t{i}", ok_task)
-            outcome = run_sweep(
-                spec,
-                backend="tcp",
-                hosts=[(silent.host, silent.port), (live.host, live.port)],
-                retries=1,
-            )
-            assert outcome.passed, outcome.render()
-            assert len(outcome.rows) == 4
-            serial = run_sweep(spec, backend="serial")
-            assert outcome.canonical_bytes() == serial.canonical_bytes()
-        finally:
-            silent.stop()
-            live.stop()
+        spec = SweepSpec("silence", base_seed=12)
+        for i in range(4):
+            spec.add(f"t{i}", ok_task)
+        silent, live = ModelWorker("silent:1"), ModelWorker("live:1", slots=2)
+        sim = FleetSim(spec, [silent, live], retries=1)
+        sim.on_task(lambda worker: worker.freeze(3600.0), worker="silent:1")
+        outcome = sim.run()
+        assert outcome.passed, outcome.render()
+        assert outcome.canonical_bytes() == serial_bytes(spec)
+        assert outcome.fleet["workers"]["silent:1"]["fleet.failures_loss"] == 1
+        assert 10.0 < sim.now < 10.5  # lost at the timeout, finished at once

@@ -9,7 +9,17 @@ from repro.scripts import (
     rether_failover_script,
     tcp_congestion_script,
 )
-from repro.sweep import SweepError, SweepSpec, run_script_task, run_sweep
+from repro.sweep import (
+    SweepError,
+    SweepSpec,
+    WorkerServer,
+    default_backend,
+    default_hosts,
+    default_workers,
+    resolve_secret,
+    run_script_task,
+    run_sweep,
+)
 
 
 def _ok_task(task):
@@ -218,6 +228,74 @@ class TestWorkersEnvKnob:
         spec = SweepSpec("env").add("a", _ok_task)
         with pytest.raises(SweepError, match="REPRO_SWEEP_WORKERS"):
             run_sweep(spec, backend="parallel")
+
+
+class TestOneEnvSite:
+    """Four deployment settings, read in one place, and nothing ignored."""
+
+    @pytest.mark.parametrize(
+        "stale",
+        [
+            "REPRO_SWEEP_HEDGE",
+            "REPRO_SWEEP_HEARTBEAT_TIMEOUT_S",
+            "REPRO_SWEEP_REJOIN_S",
+            "REPRO_SWEEP_WORKRES",
+        ],
+    )
+    def test_an_unknown_variable_is_an_error_naming_it_and_the_four(
+        self, monkeypatch, stale
+    ):
+        """A knob this tier no longer has (or a typo of one it has) must
+        not be silently ignored — on any backend, with every argument
+        explicit, and on a worker as much as on a parent."""
+        monkeypatch.setenv(stale, "0")
+        spec = SweepSpec("env").add("a", _ok_task)
+        for refuse in (
+            lambda: run_sweep(spec, backend="serial", workers=1),
+            lambda: WorkerServer(slots=1, secret="s"),
+            default_workers,
+        ):
+            with pytest.raises(SweepError, match=stale) as failure:
+                refuse()
+            for name in ("WORKERS", "BACKEND", "HOSTS", "SECRET"):
+                assert f"REPRO_SWEEP_{name}" in str(failure.value)
+
+    def test_every_set_variable_is_validated_whoever_asks(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SWEEP_HOSTS", "nonsense")
+        with pytest.raises(SweepError, match="REPRO_SWEEP_HOSTS"):
+            default_workers()
+
+    def test_empty_values_mean_unset(self, monkeypatch):
+        for name in ("WORKERS", "BACKEND", "HOSTS", "SECRET"):
+            monkeypatch.setenv(f"REPRO_SWEEP_{name}", "")
+        assert default_backend() == "parallel"
+        assert default_hosts() is None and resolve_secret() is None
+        assert default_workers() >= 1
+
+    def test_src_reads_the_environment_for_the_prefix_nowhere_else(self):
+        """Of the modules under ``src`` that touch the process environment
+        at all, only ``sweep/runner.py`` mentions the prefix — and it
+        touches the environment exactly once, inside ``_read_env``."""
+        import inspect
+        import pathlib
+        import re
+
+        import repro
+        from repro.sweep import runner
+
+        reads = re.compile(r"\b(environ|getenv)\b")
+        package = pathlib.Path(repro.__file__).parent
+        sources = {
+            path.relative_to(package).as_posix(): path.read_text(encoding="utf-8")
+            for path in package.rglob("*.py")
+        }
+        readers = {
+            name: len(reads.findall(text))
+            for name, text in sources.items()
+            if reads.search(text) and "REPRO_SWEEP_" in text
+        }
+        assert readers == {"sweep/runner.py": 1}
+        assert reads.search(inspect.getsource(runner._read_env))
 
 
 class TestTaskListInput:

@@ -314,19 +314,18 @@ class VirtualWireEngine(FrameLayer, RuntimeHooks):
         self, cost_ns: int, data: bytes, direction: Direction, duplicate: bool = False
     ) -> None:
         release = self._charge(cost_ns)
-        epoch = self._life_epoch
-
-        def emit() -> None:
-            if epoch != self._life_epoch:
-                return  # the host crashed while this frame sat on the CPU
-            self._forward(data, direction)
-            if duplicate:
-                self._forward(data, direction)
-
+        args = (self._life_epoch, data, direction, duplicate)
         if release <= self.sim.now:
-            emit()
+            self._emit(*args)
         else:
-            self.sim.at(release, emit, "vw:forward", pooled=True)
+            self.sim.at(release, self._emit, "vw:forward", args=args)
+
+    def _emit(self, epoch: int, data: bytes, direction: Direction, duplicate: bool) -> None:
+        if epoch != self._life_epoch:
+            return  # the host crashed while this frame sat on the CPU
+        self._forward(data, direction)
+        if duplicate:
+            self._forward(data, direction)
 
     def _forward(self, data: bytes, direction: Direction) -> None:
         if direction is Direction.SEND:

@@ -14,6 +14,7 @@ are delivered with a flag and discarded by the receiving NIC's FCS check.
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from typing import Callable, Deque, Dict, List, Tuple
 
 from ..errors import TopologyError
@@ -116,24 +117,24 @@ class Medium:
         tx.busy = True
         tx.frames += 1
         tx.bytes += len(frame_bytes)
-
-        def finish_transmission() -> None:
-            corrupted = self._frame_corrupted(frame_bytes)
-            self.sim.after(
-                self.propagation_ns,
-                lambda: deliver(frame_bytes, corrupted),
-                self._deliver_label,
-            )
-            if tx.queue:
-                self._start_next(tx)
-            else:
-                tx.busy = False
-
         self.sim.after(
             self.serialization_ns(frame_bytes),
-            finish_transmission,
+            self._finish_transmission,
             self._txdone_label,
+            args=(tx, frame_bytes, deliver),
         )
+
+    def _finish_transmission(
+        self, tx: _Transmitter, frame_bytes: bytes, deliver: DeliverFn
+    ) -> None:
+        corrupted = self._frame_corrupted(frame_bytes)
+        self.sim.after(
+            self.propagation_ns, deliver, self._deliver_label, args=(frame_bytes, corrupted)
+        )
+        if tx.queue:
+            self._start_next(tx)
+        else:
+            tx.busy = False
 
     def transmit(self, port: int, frame_bytes: bytes) -> None:
         raise NotImplementedError
@@ -167,6 +168,11 @@ class PointToPointLink(Medium):
         return totals
 
 
+def _deliver_to(nics: Tuple[Nic, ...], frame_bytes: bytes, corrupted: bool) -> None:
+    for nic in nics:
+        nic.deliver(frame_bytes, corrupted)
+
+
 class Hub(Medium):
     """A shared half-duplex segment: one transmitter serves every station.
 
@@ -179,17 +185,22 @@ class Hub(Medium):
     def __init__(self, sim: Simulator, name: str = "hub", **kwargs) -> None:
         super().__init__(sim, name, **kwargs)
         self._shared = _Transmitter()
+        #: per ingress port, the delivery to every *other* station; rebuilt
+        #: on attach so a frame costs no closure.
+        self._fan_out: List[DeliverFn] = []
+
+    def attach(self, nic: Nic) -> int:
+        port = super().attach(nic)
+        self._fan_out = [
+            partial(_deliver_to, tuple(n for n in self._nics if n is not skipped))
+            for skipped in self._nics
+        ]
+        return port
 
     def transmit(self, port: int, frame_bytes: bytes) -> None:
         if port >= len(self._nics):
             raise TopologyError(f"{self.name}: unknown port {port}")
-
-        def deliver(data: bytes, corrupted: bool) -> None:
-            for other_port, nic in enumerate(self._nics):
-                if other_port != port:
-                    nic.deliver(data, corrupted)
-
-        self._serve(self._shared, frame_bytes, deliver)
+        self._serve(self._shared, frame_bytes, self._fan_out[port])
 
     def stats(self) -> Dict[str, int]:
         return self._shared.stats()

@@ -62,8 +62,9 @@ class LearningSwitch(Medium):
         dst = MacAddress(frame_bytes[0:6])
         self.sim.after(
             self.forwarding_ns,
-            lambda: self._forward(ingress_port, dst, frame_bytes),
+            self._forward,
             self._forward_label,
+            args=(ingress_port, dst, frame_bytes),
         )
 
     def _learn(self, frame_bytes: bytes, ingress_port: int) -> None:

@@ -118,11 +118,12 @@ class RllLayer(FrameLayer):
             self._m_abandoned = metrics.counter("rll", "abandoned_frames")
             self._m_backlog = metrics.gauge("rll", "backlog_depth")
 
-    def _charge(self, thunk, label: str) -> None:
+    def _charge(self, step, label: str, *args) -> None:
+        """Run ``step(*args)`` once the per-frame CPU cost has elapsed."""
         if self._frame_cost_ns:
-            self.sim.after(self._frame_cost_ns, thunk, label, pooled=True)
+            self.sim.after(self._frame_cost_ns, step, label, args=args)
         else:
-            thunk()
+            step(*args)
 
     def _peer(self, mac: MacAddress) -> _PeerState:
         state = self._peers.get(mac)
@@ -174,9 +175,11 @@ class RllLayer(FrameLayer):
             if self._m_backlog is not None:
                 self._m_backlog.set(len(peer.backlog))
             return
-        self._charge(lambda: self._send_data(dst, peer, frame_bytes), "rll:tx")
+        self._charge(self._send_data, "rll:tx", dst, peer, frame_bytes)
 
     def _send_data(self, dst: MacAddress, peer: _PeerState, frame: bytes) -> None:
+        if self._peers.get(dst) is not peer:
+            return  # the pairing died (host crash, peer reboot) while the frame sat on the CPU
         seq = peer.snd_next
         peer.snd_next = seq_add(peer.snd_next, 1)
         peer.window.append((seq, frame))
@@ -220,14 +223,13 @@ class RllLayer(FrameLayer):
             self._process_ack(src, peer, ack)
             return
         seq = (frame_bytes[16] << 8) | frame_bytes[17]
-        self._charge(
-            lambda: self._process_data(frame_bytes, src, seq, ack, peer),
-            "rll:rx",
-        )
+        self._charge(self._process_data, "rll:rx", frame_bytes, src, seq, ack, peer)
 
     def _process_data(
         self, frame_bytes: bytes, src: MacAddress, seq: int, ack: int, peer: _PeerState
     ) -> None:
+        if self._peers.get(src) is not peer:
+            return  # as in _send_data: a dead pairing's window must not be revived
         # Piggybacked cumulative ack is valid on every DATA frame.
         self._process_ack(src, peer, ack)
         delta = seq_diff(seq, peer.rcv_next)

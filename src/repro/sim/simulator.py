@@ -22,7 +22,7 @@ from typing import Callable, List, Optional
 
 from ..errors import SchedulingError, SimulationError
 from .clock import Clock, format_time
-from .events import POOL_MAX_FREE, Callback, EventHandle, EventQueue
+from .events import Callback, EventHandle, EventQueue
 from .random import RandomRegistry
 
 
@@ -93,27 +93,29 @@ class Simulator:
     # -- scheduling ---------------------------------------------------------
 
     def at(
-        self, when: int, callback: Callback, label: str = "", pooled: bool = False
-    ) -> EventHandle:
+        self, when: int, callback: Callback, label: str = "", args: Optional[tuple] = None
+    ) -> Optional[EventHandle]:
         """Schedule *callback* at absolute virtual time *when*.
 
-        ``pooled=True`` draws the handle from the event queue's freelist
-        and recycles it after firing — for fire-and-forget per-frame
-        deferrals only (never retain or cancel a pooled handle).
+        Returns a cancellable handle — unless *args* is given (a tuple,
+        possibly empty), which makes the event fire-and-forget, as every
+        per-frame deferral is: ``callback(*args)`` runs at *when*, no
+        handle is built and the call returns ``None``, so there is nothing
+        to retain or cancel.
         """
         if when < self.clock.now:
             raise SchedulingError(
                 f"cannot schedule into the past: now={self.clock.now}, when={when}"
             )
-        return self.queue.push(when, callback, label, pooled=pooled)
+        return self.queue.push(when, callback, label, args)
 
     def after(
-        self, delay: int, callback: Callback, label: str = "", pooled: bool = False
-    ) -> EventHandle:
+        self, delay: int, callback: Callback, label: str = "", args: Optional[tuple] = None
+    ) -> Optional[EventHandle]:
         """Schedule *callback* *delay* nanoseconds from now (see :meth:`at`)."""
         if delay < 0:
             raise SchedulingError(f"negative delay: {delay}")
-        return self.queue.push(self.clock._now + delay, callback, label, pooled)
+        return self.queue.push(self.clock._now + delay, callback, label, args)
 
     def every(self, interval: int, callback: Callback, label: str = "") -> PeriodicHandle:
         """Run *callback* every *interval* nanoseconds until stopped.
@@ -135,7 +137,11 @@ class Simulator:
     # -- execution ----------------------------------------------------------
 
     def step(self) -> bool:
-        """Run the single next event.  Returns False when the queue is empty."""
+        """Run the single next event.  Returns False when the queue is empty.
+
+        The readable reference for :meth:`drain`: ``queue.pop()`` hands back
+        a handle for either entry shape.
+        """
         if not self.queue:
             return False
         handle = self.queue.pop()
@@ -147,10 +153,6 @@ class Simulator:
         self.events_processed += 1
         if callback is not None:
             callback()
-        if handle.pooled and not self._trace_hooks:
-            # Recycle only when no trace hook could still be holding the
-            # handle (hooks may retain it for post-run inspection).
-            self.queue.recycle(handle)
         return True
 
     def drain(
@@ -166,32 +168,43 @@ class Simulator:
         *max_events* have fired, and leaves the clock at the last event
         fired.  *until* is polled before every event; a true result — like
         :meth:`stop` from a callback — ends the loop.  One event here is
-        exactly one :meth:`step`, with the queue's dead-entry discard, pop
-        and pooled-handle recycling inlined on local bindings.
+        exactly one :meth:`step`, with the queue's dead-entry discard and
+        pop inlined on local bindings; a fire-and-forget entry is fired
+        straight from its tuple, and gets a detached handle only while a
+        trace hook is registered to look at it.
         """
         self._enter_run()
         queue, clock, hooks = self.queue, self.clock, self._trace_hooks
-        heap, freelist, heappop = queue._heap, queue._freelist, heapq.heappop
+        heap, heappop = queue._heap, heapq.heappop
         limit = float("inf") if deadline is None else deadline
         remaining = max_events
         try:
             while not (self._stop_requested or (until is not None and until())):
-                while heap and heap[0][2].cancelled:
+                while heap and heap[0][2] is not None and heap[0][2].cancelled:
                     heappop(heap)[2].queue = None
                 if not heap:
                     return DrainEnd.DRAINED
-                when, _, handle = heap[0]
+                entry = heap[0]
+                when, handle = entry[0], entry[2]
                 if when > limit:
                     return DrainEnd.DEADLINE
                 if remaining <= 0:
                     return DrainEnd.BUDGET
                 remaining -= 1
                 heappop(heap)
-                handle.queue = None
                 queue._live -= 1
                 if when < clock._now:
                     clock.advance_to(when)  # raises: the clock never runs backwards
                 clock._now = when
+                if handle is None:
+                    if hooks:
+                        handle = EventHandle(when, entry[1], None, entry[5])
+                        for hook in hooks:
+                            hook(handle)
+                    self.events_processed += 1
+                    entry[3](*entry[4])
+                    continue
+                handle.queue = None
                 callback = handle.callback
                 handle.callback = None  # the event is consumed; free the closure
                 for hook in hooks:
@@ -199,14 +212,6 @@ class Simulator:
                 self.events_processed += 1
                 if callback is not None:
                     callback()
-                if (
-                    handle.pooled
-                    and not hooks  # a hook may still hold the handle
-                    and not handle.cancelled
-                    and handle.queue is None
-                    and len(freelist) < POOL_MAX_FREE
-                ):
-                    freelist.append(handle)
             return DrainEnd.STOPPED
         finally:
             self._exit_run()

@@ -5,89 +5,18 @@ delivery upcall from the rest of the stack through the simulator, so a
 received frame is processed in its own "softirq" event — the same structure
 Linux gives the paper's Netfilter hooks.
 
-Both deferrals run through a :class:`FramePool` of reusable job objects
-(plus the event queue's pooled handles), so steady-state traffic schedules
-without allocating a closure per frame.  The pool is epoch-stamped: a host
-crash bumps the epoch and drops the freelist, so jobs that were in flight
-when the machine died are discarded on release instead of being recycled —
-no reference from the previous life can leak into the rebooted node's pool
-(regression-tested in tests/stack/test_frame_pool.py).
+Both deferrals are fire-and-forget events carrying the frame as their
+argument (``nic.transmit`` / ``_rx_continue``): nothing per frame is
+allocated beyond the queue entry, and nothing outlives its firing, so a
+host crash has no pool to reset.
 """
 
 from __future__ import annotations
-
-from typing import List, Optional
 
 from ..net.nic import Nic
 from ..sim import Simulator
 from .costs import CostModel
 from .layers import FrameLayer
-
-
-class _FrameJob:
-    """One deferred frame crossing: tx toward the NIC or rx up the stack.
-
-    The job object *is* the scheduled callback — no per-frame closure.
-    """
-
-    __slots__ = ("pool", "frame", "tx", "epoch")
-
-    def __init__(self, pool: "FramePool") -> None:
-        self.pool = pool
-        self.frame: Optional[bytes] = None
-        self.tx = False
-        self.epoch = 0
-
-    def __call__(self) -> None:
-        pool = self.pool
-        frame, tx = self.frame, self.tx
-        self.frame = None
-        pool.release(self)
-        if tx:
-            pool.driver.nic.transmit(frame)
-        else:
-            pool.driver._rx_continue(frame)
-
-
-class FramePool:
-    """Reusable deferred-frame jobs with an epoch-based crash reset."""
-
-    #: freelist ceiling; a burst beyond it falls back to fresh allocations.
-    MAX_FREE = 512
-
-    def __init__(self, driver: "DriverLayer") -> None:
-        self.driver = driver
-        self.epoch = 0
-        self._free: List[_FrameJob] = []
-
-    def acquire(self, frame: bytes, tx: bool) -> _FrameJob:
-        job = self._free.pop() if self._free else _FrameJob(self)
-        job.frame = frame
-        job.tx = tx
-        job.epoch = self.epoch
-        return job
-
-    def release(self, job: _FrameJob) -> None:
-        if job.epoch != self.epoch:
-            return  # issued before a crash: never recycle into this life
-        if len(self._free) < self.MAX_FREE:
-            job.frame = None
-            self._free.append(job)
-
-    @property
-    def free_count(self) -> int:
-        return len(self._free)
-
-    def reset(self) -> None:
-        """Crash with amnesia: invalidate every outstanding job.
-
-        Bumping the epoch makes in-flight jobs from this life stale (their
-        eventual release is discarded), and clearing the freelist drops any
-        parked job immediately — the rebooted node starts from an empty
-        pool holding no pre-crash frame references.
-        """
-        self.epoch += 1
-        self._free.clear()
 
 
 class DriverLayer(FrameLayer):
@@ -100,7 +29,6 @@ class DriverLayer(FrameLayer):
         self.costs = costs
         self.tx_frames = 0
         self.rx_frames = 0
-        self.pool = FramePool(self)
         self._tx_label = f"{self.name}:tx"
         self._rx_label = f"{self.name}:rx"
         # Metric handles (repro.analysis); None keeps the hot path free.
@@ -120,10 +48,7 @@ class DriverLayer(FrameLayer):
             self._m_tx.inc()
         if self.costs.driver_tx_ns > 0:
             self.sim.after(
-                self.costs.driver_tx_ns,
-                self.pool.acquire(frame_bytes, tx=True),
-                self._tx_label,
-                pooled=True,
+                self.costs.driver_tx_ns, self.nic.transmit, self._tx_label, args=(frame_bytes,)
             )
         else:
             self.nic.transmit(frame_bytes)
@@ -135,10 +60,7 @@ class DriverLayer(FrameLayer):
             self._m_rx.inc()
         if self.costs.driver_rx_ns > 0:
             self.sim.after(
-                self.costs.driver_rx_ns,
-                self.pool.acquire(frame_bytes, tx=False),
-                self._rx_label,
-                pooled=True,
+                self.costs.driver_rx_ns, self._rx_continue, self._rx_label, args=(frame_bytes,)
             )
         else:
             self._rx_continue(frame_bytes)
@@ -155,7 +77,3 @@ class DriverLayer(FrameLayer):
     def on_receive(self, frame_bytes: bytes) -> None:
         # Nothing sits below the driver; reception enters via the NIC upcall.
         raise RuntimeError("driver layer receives frames only from its NIC")
-
-    def on_host_crash(self) -> None:
-        """Crash with amnesia: no pooled job survives into the next life."""
-        self.pool.reset()

@@ -102,10 +102,7 @@ class IpLayer:
         self.tx_packets += 1
         if self.costs.ip_ns > 0:
             self.sim.after(
-                self.costs.ip_ns,
-                lambda: self.demux.send_frame_bytes(frame_bytes),
-                "ip:tx",
-                pooled=True,
+                self.costs.ip_ns, self.demux.send_frame_bytes, "ip:tx", args=(frame_bytes,)
             )
         else:
             self.demux.send_frame_bytes(frame_bytes)
@@ -122,9 +119,7 @@ class IpLayer:
             self.misaddressed_drops += 1
             return
         if self.costs.ip_ns > 0:
-            self.sim.after(
-                self.costs.ip_ns, lambda: self._dispatch(packet), "ip:rx", pooled=True
-            )
+            self.sim.after(self.costs.ip_ns, self._dispatch, "ip:rx", args=(packet,))
         else:
             self._dispatch(packet)
 

@@ -107,10 +107,7 @@ class UdpLayer:
         wire = encode_udp_datagram(datagram, self.ip_layer.local_ip, dst_ip)
         if self.costs.udp_ns > 0:
             self.sim.after(
-                self.costs.udp_ns,
-                lambda: self.ip_layer.send(dst_ip, PROTO_UDP, wire),
-                "udp:tx",
-                pooled=True,
+                self.costs.udp_ns, self.ip_layer.send, "udp:tx", args=(dst_ip, PROTO_UDP, wire)
             )
         else:
             self.ip_layer.send(dst_ip, PROTO_UDP, wire)
@@ -128,9 +125,9 @@ class UdpLayer:
         if self.costs.udp_ns > 0:
             self.sim.after(
                 self.costs.udp_ns,
-                lambda: socket.deliver(datagram.payload, packet.src, datagram.src_port),
+                socket.deliver,
                 "udp:rx",
-                pooled=True,
+                args=(datagram.payload, packet.src, datagram.src_port),
             )
         else:
             socket.deliver(datagram.payload, packet.src, datagram.src_port)

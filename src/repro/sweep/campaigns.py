@@ -26,7 +26,7 @@ from ..core.tables import CompiledProgram
 from ..core.testbed import Testbed
 from ..sim import ms, seconds
 from ..stack.costs import CostModel
-from .spec import SweepError, SweepTask
+from .spec import SweepError, SweepTask, reads_params
 
 
 def _cost_model(overrides: Mapping[str, int]) -> CostModel:
@@ -116,6 +116,11 @@ def _install_workload(tb: Testbed, hosts: List, spec: Mapping[str, Any]):
     raise SweepError(f"unknown workload kind {kind!r}")
 
 
+@reads_params(
+    "program", "seed", "costs", "medium", "medium_kwargs", "control", "rll", "capture",
+    "audit", "metrics", "control_loss", "rether", "rether_kwargs", "workload",
+    "max_time_ns", "inactivity_ns",
+)
 def run_script_task(task: SweepTask) -> Dict[str, Any]:
     """Run one pre-compiled FSL program on a freshly built testbed.
 
@@ -168,17 +173,21 @@ def run_script_task(task: SweepTask) -> Dict[str, Any]:
     return payload
 
 
+@reads_params("sleep_s", "cell")
 def sleep_task(task: SweepTask) -> Dict[str, Any]:
     """Sleep ``sleep_s`` of *real* time, then return a trivial payload.
 
     A deliberately hung "simulation" — the watchdog's test and CI-smoke
     cell: with ``run_sweep(..., task_timeout=...)`` it must land as a
     deterministic ``TIMEOUT`` row instead of stalling the campaign.
+    ``cell`` is accepted and unread: the grid axis that numbers otherwise
+    identical cells.
     """
     time.sleep(float(task.param("sleep_s", 3600.0)))
     return {"slept_s": float(task.param("sleep_s", 3600.0)), "passed": True}
 
 
+@reads_params("program", "variant", "seed", "bytes", "max_time_ns")
 def tcp_variant_task(task: SweepTask) -> Dict[str, Any]:
     """Run a pre-compiled script against one TCP congestion-control
     variant — the script-reuse regression suite's cell.
@@ -220,6 +229,7 @@ def tcp_variant_task(task: SweepTask) -> Dict[str, Any]:
     return payload
 
 
+@reads_params("offered_mbps", "with_virtualwire", "duration_ns", "seed", "program")
 def fig7_point_task(task: SweepTask) -> Dict[str, Any]:
     """One Fig 7 cell: goodput at one offered rate (see repro.bench.fig7)."""
     from ..bench.fig7 import measure_point
@@ -239,6 +249,7 @@ def fig7_point_task(task: SweepTask) -> Dict[str, Any]:
     }
 
 
+@reads_params("mode", "n_filters", "baseline_rtt_ns", "probes", "payload", "seed", "program")
 def fig8_point_task(task: SweepTask) -> Dict[str, Any]:
     """One Fig 8 cell: mean echo RTT for (mode, n_filters)."""
     from ..bench.fig8 import measure_point

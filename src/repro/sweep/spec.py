@@ -62,6 +62,22 @@ class SweepError(ReproError):
 TaskFn = Callable[["SweepTask"], Mapping[str, Any]]
 
 
+def reads_params(*names: str) -> Callable[[TaskFn], TaskFn]:
+    """Declare every param a task function reads.
+
+    :meth:`SweepSpec.add` rejects any other key for a declared function —
+    in the parent, at enumeration time — so a typo or a removed knob
+    (``frame_codec=``) is an error naming it instead of a param that rides
+    along unread.  A function without a declaration stays free-form.
+    """
+
+    def declare(fn: TaskFn) -> TaskFn:
+        fn.reads_params = frozenset(names)
+        return fn
+
+    return declare
+
+
 @dataclass
 class SweepTask:
     """One cell of the campaign grid, ready to execute in any process."""
@@ -297,6 +313,16 @@ class SweepSpec:
                 f"case {name!r}: task functions must be module-level "
                 f"(picklable by reference), not lambdas"
             )
+        accepted = getattr(fn, "reads_params", None)
+        if accepted is not None:
+            if "program" in accepted:  # tasks() compiles these two into it
+                accepted = accepted | {"script", "scenario"}
+            unknown = sorted(set(params) - accepted)
+            if unknown:
+                raise SweepError(
+                    f"case {name!r}: {fn.__name__} reads no param "
+                    f"{', '.join(map(repr, unknown))} (accepted: {', '.join(sorted(accepted))})"
+                )
         self._cases.append({"name": name, "fn": fn, "params": dict(params)})
         return self
 
@@ -451,5 +477,6 @@ __all__: Iterable[str] = [
     "SweepTask",
     "coerce_jsonable",
     "derive_seed",
+    "reads_params",
     "task_fingerprint",
 ]

@@ -125,14 +125,15 @@ class TcpLayer:
     def send_segment(self, conn: TcpConnection, seg: TcpSegment) -> None:
         """Serialise and hand a segment to IP, charging the TCP CPU cost."""
         wire = encode_tcp_segment(seg, conn.flow_sum)
-
-        def down() -> None:
-            self.host.ip_layer.send(conn.remote_ip, PROTO_TCP, wire)
-
         if self.costs.tcp_ns > 0:
-            self.sim.after(self.costs.tcp_ns, down, "tcp:tx", pooled=True)
+            self.sim.after(
+                self.costs.tcp_ns,
+                self.host.ip_layer.send,
+                "tcp:tx",
+                args=(conn.remote_ip, PROTO_TCP, wire),
+            )
         else:
-            down()
+            self.host.ip_layer.send(conn.remote_ip, PROTO_TCP, wire)
 
     def forget(self, conn: TcpConnection) -> None:
         """Remove a closed connection from the demux table."""
@@ -195,14 +196,10 @@ class TcpLayer:
         except (ChecksumError, PacketError):
             self.checksum_drops += 1
             return
-
-        def up() -> None:
-            self._dispatch(packet, seg)
-
         if self.costs.tcp_ns > 0:
-            self.sim.after(self.costs.tcp_ns, up, "tcp:rx", pooled=True)
+            self.sim.after(self.costs.tcp_ns, self._dispatch, "tcp:rx", args=(packet, seg))
         else:
-            up()
+            self._dispatch(packet, seg)
 
     def _dispatch(self, packet: Ipv4Packet, seg: TcpSegment) -> None:
         conn = self._connections.get(self._key(seg.dst_port, packet.src, seg.src_port))

@@ -84,7 +84,7 @@ def _rll_on_send(self, frame_bytes):
         if self._m_backlog is not None:
             self._m_backlog.set(len(peer.backlog))
         return
-    self._charge(lambda: self._send_data(dst, peer, frame), "rll:tx")
+    self._charge(self._send_data, "rll:tx", dst, peer, frame)
 
 
 def _rll_emit_data(self, dst, frame, seq, ack):
@@ -106,10 +106,12 @@ def _rll_on_receive(self, frame_bytes):
         self._process_ack(outer.src, peer, shim.ack)
         return
     if shim.kind == KIND_DATA:
-        self._charge(lambda: self._process_data(outer, shim, peer), "rll:rx")
+        self._charge(self._process_data, "rll:rx", outer, shim, peer)
 
 
 def _rll_process_data(self, outer, shim, peer):
+    if self._peers.get(outer.src) is not peer:
+        return
     # Piggybacked cumulative ack is valid on every DATA frame.
     self._process_ack(outer.src, peer, shim.ack)
     delta = seq_diff(shim.seq, peer.rcv_next)

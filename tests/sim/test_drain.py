@@ -1,26 +1,34 @@
 """The fused drain loop against a ``step()``-driven loop.
 
-``Simulator.step`` is the readable one-event reference (pop, advance,
-hooks, fire, recycle through the queue's public methods);
-``Simulator.drain`` — which ``run``, ``run_until`` and
-``Testbed.run_scenario`` share — inlines all of that on local bindings.
+``Simulator.step`` is the readable one-event reference (pop — which hands
+back a handle for either heap-entry shape — advance, hooks, fire, through
+the queue's public methods); ``Simulator.drain`` — which ``run``,
+``run_until`` and ``Testbed.run_scenario`` share — inlines all of that on
+local bindings and fires a fire-and-forget entry straight from its tuple.
 Every scenario here is built twice from one recipe and must come out the
 same either way: fire order (same-instant ties included), clock,
 ``events_processed``, trace-hook sequence, live queue length.
 """
+
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.sim import DrainEnd, Simulator
+from repro.scripts import tcp_congestion_script
+from repro.sim import DrainEnd, Simulator, events, seconds, simulator
 from repro.sim.events import COMPACT_MIN_DEAD
+from tests.conftest import make_testbed
 
 
 def build(recipe, hooks=False):
-    """A simulator loaded from *recipe*: ``(delay, pooled, action)`` triples.
+    """A simulator loaded from *recipe*: ``(delay, forget, action)`` triples.
 
+    With *forget* the event is a fire-and-forget (handle-free) heap entry
+    carrying its ``(tag, action)`` as scheduling-time arguments; otherwise
+    it is a closure whose handle is kept for the cancel actions.
     *action* is what the event's callback does besides logging itself:
     ``("spawn", delay)`` schedules a child, ``("cancel", k)`` cancels the
     k-th root event (possibly a later one of the same instant, possibly
@@ -34,17 +42,18 @@ def build(recipe, hooks=False):
     def fire(tag, action):
         log.append((sim.now, tag))
         if action[0] == "spawn":
-            sim.after(action[1], lambda: log.append((sim.now, f"{tag}+")), f"{tag}+", pooled=True)
+            child = f"{tag}+"
+            assert sim.after(action[1], fire, child, args=(child, ("none",))) is None
         elif action[0] == "cancel":
             handles[action[1] % len(handles)].cancel()
         elif action[0] == "stop":
             sim.stop()
 
-    for index, (delay, pooled, action) in enumerate(recipe):
-        if pooled and action[0] != "cancel":
-            # pooled handles are fire-and-forget: never kept, never cancelled
-            sim.after(delay, lambda i=index, a=action: fire(i, a), str(index), pooled=True)
-        else:
+    for index, (delay, forget, action) in enumerate(recipe):
+        if forget and action[0] != "cancel":
+            # nothing is handed out, so nothing can be kept or cancelled
+            assert sim.after(delay, fire, str(index), args=(index, action)) is None
+        else:  # a cancel action needs at least one handle to aim at: its own
             handles.append(sim.after(delay, lambda i=index, a=action: fire(i, a), str(index)))
     return sim, log, hooked
 
@@ -83,17 +92,25 @@ RECIPES = st.lists(
 
 class TestDrainMatchesStep:
     @settings(max_examples=150, deadline=None)
-    @given(recipe=RECIPES, hooks=st.booleans(), deadline=st.one_of(st.none(), st.integers(0, 40)))
-    def test_same_outcome_as_a_step_loop(self, recipe, hooks, deadline):
-        fused = build(recipe, hooks)
-        stepped = build(recipe, hooks)
-        for _ in range(3):  # a stop() leaves events queued: resume, as callers do
-            if deadline is None:
-                fused[0].run()
-            else:
-                fused[0].run_until(max(deadline, fused[0].now))
-            step_until(stepped[0], None if deadline is None else max(deadline, stepped[0].now))
-            assert outcome(*fused) == outcome(*stepped)
+    @given(
+        recipe=RECIPES,
+        hooks=st.booleans(),
+        deadline=st.one_of(st.none(), st.integers(0, 40)),
+        # patched low, a few cancels compact the heap in the middle of the
+        # loop while fire-and-forget entries sit in it
+        compact_floor=st.sampled_from([0, 2, COMPACT_MIN_DEAD]),
+    )
+    def test_same_outcome_as_a_step_loop(self, recipe, hooks, deadline, compact_floor):
+        with mock.patch.object(events, "COMPACT_MIN_DEAD", compact_floor):
+            fused = build(recipe, hooks)
+            stepped = build(recipe, hooks)
+            for _ in range(3):  # a stop() leaves events queued: resume, as callers do
+                if deadline is None:
+                    fused[0].run()
+                else:
+                    fused[0].run_until(max(deadline, fused[0].now))
+                step_until(stepped[0], None if deadline is None else max(deadline, stepped[0].now))
+                assert outcome(*fused) == outcome(*stepped)
 
     @pytest.mark.parametrize(
         "recipe",
@@ -106,8 +123,12 @@ class TestDrainMatchesStep:
             [(1, False, ("none",)), (2, False, ("cancel", 0)), (3, False, ("cancel", 2))],
             # stop() inside a callback leaves the same-instant sibling queued
             [(4, False, ("stop",)), (4, True, ("none",)), (9, True, ("spawn", 0))],
-            # pooled and unpooled interleaved, children spawned at +0
+            # both entry shapes interleaved at one instant, children spawned at +0
             [(3, True, ("spawn", 0)), (3, False, ("spawn", 0)), (3, True, ("none",))],
+            # a cancellable event between two fire-and-forget ones cancels a
+            # later same-instant handle; the handle-free entries are untouched
+            [(6, True, ("none",)), (6, False, ("cancel", 1)), (6, True, ("spawn", 0)),
+             (6, False, ("none",)), (6, True, ("none",))],
         ],
     )
     @pytest.mark.parametrize("hooks", [False, True])
@@ -188,15 +209,18 @@ class TestDrainContract:
 class TestCompactionMidLoop:
     """``EventQueue._compact`` used to rebind the heap to a new list; a loop
     holding the old list kept draining stale entries (cancelled timers
-    fired, the clock ran backwards)."""
+    fired, the clock ran backwards).  Fire-and-forget entries share the
+    heap with the cancelled timers and must all survive the rebuild."""
 
     def test_mass_cancel_inside_a_callback(self, sim):
         fired = []
-        timers = [
-            sim.after(1000 + t, lambda t=t: fired.append(("timer", t)))
-            for t in range(4 * COMPACT_MIN_DEAD)
-        ]
+        timers = []
+        for t in range(4 * COMPACT_MIN_DEAD):
+            timers.append(sim.after(1000 + t, lambda t=t: fired.append(("timer", t))))
+            if t % 64 == 0:  # same instant as the timer, scheduled after it
+                sim.after(1000 + t, fired.append, args=(("frame", t),))
         keep = set(range(0, len(timers), 16))
+        frames = set(range(0, len(timers), 64))
 
         def cancel_most():
             fired.append(("cancel", sim.now))
@@ -210,12 +234,70 @@ class TestCompactionMidLoop:
         sim.after(600, lambda: fired.append(("after", sim.now)))
         sim.after(10_000, lambda: fired.append(("last", sim.now)))
         sim.run_until(20_000)
-        assert fired == (
-            [("cancel", 500), ("after", 600)]
-            + [("timer", t) for t in sorted(keep)]
-            + [("last", 10_000)]
-        )
+        survivors = []
+        for t in sorted(keep):
+            survivors.append(("timer", t))
+            if t in frames:
+                survivors.append(("frame", t))
+        assert fired == [("cancel", 500), ("after", 600)] + survivors + [("last", 10_000)]
         assert len(sim.queue) == 0
         assert sim.queue.heap_size == 0
-        assert sim.events_processed == 3 + len(keep)
+        assert sim.events_processed == 3 + len(keep) + len(frames)
         assert sim.now == 20_000
+
+
+#: the eight scheduled hops of one wire frame between two stacked hosts ...
+HOP_LABELS = {"tcp:tx", "ip:tx", "m0:txdone", "m0:deliver", "ip:rx", "tcp:rx"} | {
+    f"driver:node{n}-eth0:{way}" for n in (1, 2) for way in ("tx", "rx")
+}
+#: ... and what the VirtualWire engine and the RLL add to them.
+ENGINE_HOP_LABELS = {"rll:tx", "rll:rx", "vw:forward"}
+
+
+class TestHopsBuildNoHandle:
+    """Every per-frame hop is fire-and-forget: over a TCP transfer not one
+    :class:`EventHandle` is constructed for a hop label — unless a trace
+    hook is registered, which is what the detached handle exists for."""
+
+    @staticmethod
+    def transfer(monkeypatch, hook):
+        built = []
+
+        class CountedHandle(events.EventHandle):
+            __slots__ = ()
+
+            def __init__(self, when, seq, callback, label):
+                built.append(label)
+                super().__init__(when, seq, callback, label)
+
+        monkeypatch.setattr(events, "EventHandle", CountedHandle)
+        monkeypatch.setattr(simulator, "EventHandle", CountedHandle)
+        tb, (n1, n2) = make_testbed(medium="hub", rll=True)
+        if hook is not None:
+            tb.sim.add_trace_hook(hook)
+
+        def workload():
+            n2.tcp.listen(0x4000)
+            conn = n1.tcp.connect(n2.ip, 0x4000, local_port=0x6000)
+            conn.on_established = lambda: conn.send(bytes(8 * 1024))
+
+        report = tb.run_scenario(
+            tcp_congestion_script(tb.node_table_fsl()), workload=workload, max_time=seconds(30)
+        )
+        assert report.passed, report.render()
+        return built
+
+    def test_no_handle_per_hop(self, monkeypatch):
+        built = self.transfer(monkeypatch, hook=None)
+        assert built  # timers (tcp:rto, rll:rto, ...) do get handles
+        assert not set(built) & (HOP_LABELS | ENGINE_HOP_LABELS)
+
+    def test_trace_hook_sees_hops_as_detached_handles(self, monkeypatch):
+        seen = []
+        built = self.transfer(monkeypatch, hook=seen.append)
+        labels = {handle.label for handle in seen}
+        assert HOP_LABELS | ENGINE_HOP_LABELS <= labels
+        hops = [handle for handle in seen if handle.label in HOP_LABELS | ENGINE_HOP_LABELS]
+        assert all(h.queue is None and h.callback is None and not h.cancelled for h in hops)
+        assert sorted((h.when, h.seq) for h in seen) == [(h.when, h.seq) for h in seen]
+        assert len(hops) == sum(label in HOP_LABELS | ENGINE_HOP_LABELS for label in built)

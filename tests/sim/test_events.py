@@ -156,3 +156,84 @@ class TestCompaction:
         handle.cancel()
         assert not handle.cancelled  # never marked: there was nothing to undo
         assert len(q) == 0
+
+
+class TestFireAndForget:
+    """The handle-free entry shape (``args=``): every piece of queue
+    bookkeeping is total over both shapes, and nothing cancellable is ever
+    handed out."""
+
+    @staticmethod
+    def mixed():
+        """Both shapes interleaved: 10 f, 10 h, 20 f, 20 h(cancelled), 30 f."""
+        q = EventQueue()
+        fired = []
+        assert q.push(30, fired.append, "f30", args=(30,)) is None
+        assert q.push(10, fired.append, "f10", args=(10,)) is None
+        kept = q.push(10, lambda: fired.append("h10"), "h10")
+        assert q.push(20, fired.append, "f20", args=(20,)) is None
+        dropped = q.push(20, lambda: fired.append("h20"), "h20")
+        dropped.cancel()
+        return q, fired, kept
+
+    def test_len_bool_peek_and_snapshot_count_both_shapes(self):
+        q, _, _ = self.mixed()
+        assert len(q) == 4 and q
+        assert q.heap_size == 5  # the cancelled handle is discarded lazily
+        assert q.peek_time() == 10
+        assert q.snapshot() == [(10, "f10"), (10, "h10"), (20, "f20"), (30, "f30")]
+
+    def test_pop_synthesises_a_detached_handle(self):
+        q, fired, kept = self.mixed()
+        first = q.pop()
+        assert (first.when, first.label) == (10, "f10")
+        assert first.queue is None and first.pending
+        first.cancel()  # detached: cancelling it cannot skew the live count
+        assert len(q) == 3
+        assert q.pop() is kept
+        while q:
+            q.pop().callback()  # the arguments come bound
+        assert fired == [20, 30]
+        assert q.heap_size == 0
+
+    def test_empty_args_are_still_fire_and_forget(self):
+        q = EventQueue()
+        fired = []
+        assert q.push(1, lambda: fired.append("no args"), args=()) is None
+        q.pop().callback()
+        assert fired == ["no args"]
+
+    def test_clear_drops_both_shapes(self):
+        q, _, kept = self.mixed()
+        q.clear()
+        assert len(q) == 0 and not q and q.heap_size == 0
+        assert q.peek_time() is None and q.snapshot() == []
+        assert not kept.pending
+
+    def test_compaction_keeps_every_handle_free_entry(self):
+        q = EventQueue()
+        fired = []
+        handles = []
+        for t in range(4 * COMPACT_MIN_DEAD):
+            handles.append(q.push(t, lambda t=t: fired.append(("h", t))))
+            if t % 7 == 0:
+                q.push(t, fired.append, args=(("f", t),))
+        for handle in handles:
+            handle.cancel()
+        assert q.heap_size < len(handles) // 2  # compacted, more than once
+        assert len(q) == len(range(0, len(handles), 7))
+        while q:
+            q.pop().callback()
+        assert fired == [("f", t) for t in range(0, len(handles), 7)]
+
+    def test_nothing_to_cancel_is_an_error_not_a_noop(self):
+        q = EventQueue()
+        with pytest.raises(SchedulingError, match="fire-and-forget"):
+            q.cancel(q.push(5, print, args=("never cancelled",)))
+        assert len(q) == 1  # the event itself is untouched
+
+    def test_args_need_a_callback(self):
+        q = EventQueue()
+        with pytest.raises(SchedulingError):
+            q.push(1, None, args=(b"frame",))
+        assert len(q) == 0 and q.heap_size == 0

@@ -3,11 +3,21 @@
 The CRASH fault primitive models pulling the power on a real machine:
 frames parked in the driver at the instant of the crash are gone, socket
 state evaporates without close() running anywhere, and a later reboot
-comes up with blank tables.
+comes up with blank tables.  Every per-frame deferral is a fire-and-forget
+event carrying the frame as its argument, so nothing (no pooled job, no
+handle) can carry a frame of the previous life across the reboot.
 """
 
+import gc
+import types
+
+import pytest
+
+from repro.net.nic import Nic
+from repro.rll import RllLayer
+from repro.rll.frames import encap_data_fast
 from repro.sim import ms, seconds
-from tests.conftest import make_two_hosts
+from tests.conftest import make_testbed, make_two_hosts
 
 
 def frame_to(host, noise: int = 0) -> bytes:
@@ -139,3 +149,145 @@ class TestSoftStateAmnesia:
         # Idempotent: a second engine start is not a second resync.
         h2.on_engine_started()
         assert recorder.events == ["crash", "crash", "reboot", "resynced"]
+
+
+SENTINEL = b"<<payload of the previous life>>"
+
+#: a passive script (one counter, a STOP that never fires): the engines are
+#: armed, so every data frame takes a ``vw:forward`` deferral.
+PASSIVE_SCRIPT = """\
+FILTER_TABLE
+  TCP_data: (34 2 0x6000), (36 2 0x4000), (47 1 0x10 0x10)
+END
+{nodes}
+SCENARIO Amnesia 10sec
+  DATA: (TCP_data, node1, node2, RECV)
+  ((DATA > 1000000)) >> STOP;
+END
+"""
+
+
+def sentinel_holders(roots, prune=()):
+    """Every bytes object containing :data:`SENTINEL` reachable from *roots*.
+
+    A forward walk over ``gc.get_referents`` (``gc.get_referrers`` cannot see
+    through the untracked ``(frame,)`` argument tuples): through closures
+    and defaults of functions but not their globals, and never into types
+    or modules, so the walk stays inside the object graph of the testbed.
+    """
+    seen = {id(obj) for obj in prune}
+    stack, found = list(roots), []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, (bytes, bytearray)):
+            if SENTINEL in obj:
+                found.append(obj)
+        elif isinstance(obj, types.FunctionType):
+            stack.extend(cell.cell_contents for cell in obj.__closure__ or ())
+            stack.extend(obj.__defaults__ or ())
+        elif not isinstance(obj, (type, types.ModuleType)):
+            stack.extend(gc.get_referents(obj))
+    return found
+
+
+class TestNoFrameOutlivesCrash:
+    """CRASH with a sentinel-bearing frame parked in one of node2's
+    deferrals: after a run past every deferral and a reboot, nothing
+    reachable from the event queue or from any layer of either host still
+    holds the sentinel, and no frame bearing it crosses the wire or reaches
+    an application in the new life."""
+
+    @pytest.mark.parametrize(
+        "label",
+        [
+            "tcp:tx",
+            "ip:tx",
+            "vw:forward",
+            "rll:tx",
+            "driver:node2-eth0:tx",
+            "driver:node2-eth0:rx",
+            "rll:rx",
+            "ip:rx",
+            "tcp:rx",
+        ],
+    )
+    def test_frame_parked_in(self, label):
+        tb, (n1, n2) = make_testbed(medium="hub", rll=True)
+        sim = tb.sim
+        sniffed = []  # (time, frame) of everything that crosses the hub
+        sniffer = Nic(sim, "02:00:00:00:00:99", name="sniffer", promiscuous=True)
+        sniffer.set_receive_handler(lambda frame: sniffed.append((sim.now, frame)))
+        tb.topology.connect("m0", sniffer)
+
+        def workload():  # the sentinel flows both ways over one connection
+            n2.tcp.listen(0x4000, on_accept=lambda conn: conn.send(SENTINEL * 200))
+            conn = n1.tcp.connect(n2.ip, 0x4000, local_port=0x6000)
+            conn.on_established = lambda: conn.send(SENTINEL * 200)
+
+        program = tb.compile_cached(PASSIVE_SCRIPT.format(nodes=tb.node_table_fsl()))
+        tb.frontend.start_scenario(program, on_running=workload)
+        node2 = [n2.nic, n2.driver, n2.ip_layer, n2.chain.demux, n2.tcp, *n2.chain.layers]
+
+        def parked():
+            """A fire-and-forget entry *label* of node2's holding the sentinel."""
+            return any(
+                entry[2] is None
+                and entry[5] == label
+                and any(entry[3].__self__ is owner for owner in node2)
+                and sentinel_holders([entry[4]])
+                for entry in sim.queue._heap
+            )
+
+        while not parked():
+            assert sim.step(), f"no sentinel frame was ever parked in {label}"
+        tb.crash_node("node2")
+        n1.crash()  # silence the peer too: it would rightly retransmit its own copy
+        assert sentinel_holders([sim.queue])
+        wire_frames_at_crash = n1.nic.tx_frames + n2.nic.tx_frames
+
+        # Past every deferral and the hub's backlog; well inside the 42 ms a
+        # revived RLL window would keep retransmitting the frame for.
+        sim.run_for(ms(20))
+        n1.reboot()
+        n2.reboot()
+        rebooted = sim.now
+        layers = [n1, n2, *n1.chain.layers, *n2.chain.layers]
+        assert sentinel_holders([sim.queue, *layers], prune=[sniffed]) == []
+
+        got = []
+        n2.udp.bind(9).on_receive = lambda payload, ip, port: got.append(payload)
+        n1.udp.bind(9).on_receive = lambda payload, ip, port: got.append(payload)
+        n1.udp.bind(0).sendto(b"new life, from node1", n2.ip, 9)
+        n2.udp.bind(0).sendto(b"new life, from node2", n1.ip, 9)
+        sim.run_for(ms(50))
+        assert sorted(got) == [b"new life, from node1", b"new life, from node2"]
+        assert [t for t, frame in sniffed if t >= rebooted and SENTINEL in frame] == []
+        assert n1.nic.tx_frames + n2.nic.tx_frames > wire_frames_at_crash  # the stacks work
+        assert sentinel_holders([sim.queue, *layers], prune=[sniffed]) == []
+
+    def test_parked_rll_rx_cannot_revive_the_dead_window(self, sim):
+        """The other door back in: an ``rll:rx`` parked at the crash whose
+        piggybacked ack advances the dead life's window without emptying it
+        would re-arm that window's retransmission timer."""
+        _, h1, h2 = make_two_hosts(sim)  # h1 speaks no RLL: it never acks
+        rll = RllLayer(sim)
+        h2.chain.splice_above_driver(rll)
+        sender = h2.udp.bind(0)
+        sender.sendto(SENTINEL, h1.ip, 9)
+        sender.sendto(SENTINEL, h1.ip, 9)
+        sim.run_for(ms(1))
+        assert rll.data_sent == 2 and rll.acks_received == 0  # seq 0 and 1 sit in the window
+        inner = h2.mac.packed + h1.mac.packed + b"\x08\x00" + bytes(46)
+        h2.nic.deliver(encap_data_fast(inner, seq=0, ack=1))
+        while "rll:rx" not in [label for _, label in sim.queue.snapshot()]:
+            assert sim.step()
+        h2.crash()
+        sim.run_for(ms(1))
+        h2.reboot()
+        on_the_wire = h2.nic.tx_frames
+        assert sentinel_holders([sim.queue, h2, *h2.chain.layers]) == []
+        sim.run_for(ms(50))
+        assert rll.retransmissions == 0 and h2.nic.tx_frames == on_the_wire

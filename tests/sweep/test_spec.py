@@ -1,13 +1,24 @@
 """Tests for the sweep spec layer: seeds, grids, compile-once, payloads."""
 
 import enum
+import inspect
+import re
 
 import pytest
 
 from repro.core.tables import CompiledProgram
 from repro.core.testbed import Testbed
 from repro.scripts import canonical_node_table, tcp_congestion_script
-from repro.sweep import SweepError, SweepSpec, derive_seed
+from repro.sweep import (
+    SweepError,
+    SweepSpec,
+    derive_seed,
+    fig7_point_task,
+    fig8_point_task,
+    run_script_task,
+    sleep_task,
+    tcp_variant_task,
+)
 from repro.sweep.spec import SweepResult, coerce_jsonable
 
 
@@ -67,6 +78,49 @@ class TestSpecBuilding:
     def test_non_callable_rejected(self):
         with pytest.raises(SweepError):
             SweepSpec("s").add("a", 42)
+
+
+class TestDeclaredParams:
+    """A built-in task function declares the params it reads; a key none of
+    them reads used to ride along silently (PR 14 removed ``frame_codec=``
+    and ``classifier=`` and every spec still passing them kept "working")."""
+
+    SCRIPT = tcp_congestion_script(canonical_node_table(2))
+
+    @pytest.mark.parametrize("stale", ["frame_codec", "classifier", "mediun"])
+    def test_unread_param_is_rejected_at_enumeration(self, stale):
+        spec = SweepSpec("s")
+        with pytest.raises(SweepError) as raised:
+            spec.add("cell", run_script_task, script=self.SCRIPT, **{stale: "fast"})
+        message = str(raised.value)
+        assert repr(stale) in message and "run_script_task" in message
+        assert "medium" in message and "workload" in message  # the accepted ones
+        assert len(spec) == 0  # nothing was enumerated
+
+    def test_grid_axes_and_fixed_params_are_checked_too(self):
+        with pytest.raises(SweepError, match="'sleep_ms'"):
+            SweepSpec("s").add_grid(sleep_task, axes={"cell": [0, 1]}, sleep_ms=5)
+        with pytest.raises(SweepError, match="'seeds'"):
+            SweepSpec("s").add_grid(run_script_task, axes={"seeds": [0, 1]}, script=self.SCRIPT)
+
+    def test_script_and_scenario_stand_for_program(self):
+        spec = SweepSpec("s").add("cell", run_script_task, script=self.SCRIPT, scenario=None)
+        assert isinstance(spec.tasks()[0].param("program"), CompiledProgram)
+        with pytest.raises(SweepError, match="'script'"):  # sleep_task reads no program
+            SweepSpec("s").add("cell", sleep_task, script=self.SCRIPT)
+
+    @pytest.mark.parametrize(
+        "fn", [run_script_task, sleep_task, tcp_variant_task, fig7_point_task, fig8_point_task]
+    )
+    def test_every_param_a_builtin_reads_is_declared(self, fn):
+        """The declaration cannot drift below the code: a param the body
+        reads but the decorator forgot would be rejected for every caller."""
+        read = set(re.findall(r'task\.param\(\s*"(\w+)"', inspect.getsource(fn)))
+        assert read and read <= fn.reads_params
+
+    def test_undeclared_task_functions_stay_free_form(self):
+        spec = SweepSpec("s").add("cell", _noop_task, frame_codec="fast", anything=1)
+        assert spec.tasks()[0].param("anything") == 1
 
 
 class TestCompileOnce:

@@ -1,29 +1,22 @@
-"""Frames-per-second measurements of the frame hot path.
+"""Frames-per-second measurement of the frame hot path.
 
-Two benches, both driven by the Fig 7 bulk-transfer traffic:
-
-``fig7_hotpath`` replays the wire frames captured from one Fig 7 cell —
-RLL-encapsulated TCP data, TCP acks and RLL pure acks under the
+``measure_hotpath_point`` replays the wire frames captured from one Fig 7
+cell — RLL-encapsulated TCP data, TCP acks and RLL pure acks under the
 25-filter/25-action configuration — through exactly the per-frame codec
 work of the pipeline: RLL decap, twice-per-hook classification, endpoint
 lookup, IP+TCP parse with checksum verification, and the transmit-side
 re-serialisation back to wire bytes (asserted equal to the captured frame,
 so the replay checks itself).  The replay strips the shared
-simulator/TCP-state-machine cost, so its frames/sec isolates the codec; the
-performance ledger reports it as ``net.codec.frames_per_s``.
+simulator/TCP-state-machine cost, so its frames/sec isolates the codec.
 
-``fig7_bulk`` times one *end-to-end* Fig 7 cell in wall clock, normalised by
-the frames the two device drivers moved (event loop + TCP + engine
-included; docs/PERF.md discusses the split).
-
-Trajectories and regression gates live in ``benchmarks/ledger``; this module
-only measures and prints.
+The only caller is the performance ledger (``benchmarks/ledger``), which
+reports the figure as ``net.codec.frames_per_s`` and owns its trajectory
+and regression gate; the end-to-end cell is the ledger's ``fig7_vw``
+workload (docs/PERF.md discusses the split).
 """
 
 from __future__ import annotations
 
-import argparse
-import sys
 import time
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
@@ -47,9 +40,6 @@ from ..workloads.bulk import BulkReceiver, PacedSender
 from .fig7 import _tcp_script
 from .harness import RECEIVER_PORT, SENDER_PORT, two_node_testbed
 
-#: Default virtual pumping time: long enough that per-frame work dominates
-#: script compilation and testbed setup in the wall-clock figure.
-DEFAULT_DURATION_NS = int(0.2 * NS_PER_SEC)
 DEFAULT_OFFERED_MBPS = 90.0
 
 
@@ -57,66 +47,13 @@ DEFAULT_OFFERED_MBPS = 90.0
 class FramesResult:
     """One wall-clock measurement of the frame hot path."""
 
-    bench: str
     frames: int
     wall_s: float
     frames_per_sec: float
-    goodput_mbps: float
     offered_mbps: float
     duration_ns: int
     seed: int
 
-
-def measure_frames_point(
-    offered_mbps: float = DEFAULT_OFFERED_MBPS,
-    duration_ns: int = DEFAULT_DURATION_NS,
-    seed: int = 0,
-) -> FramesResult:
-    """Run one Fig 7 bulk-transfer cell and time it in wall clock.
-
-    Frames are counted at the two device drivers (tx + rx on both hosts):
-    every data, ack, RLL and control frame that crossed the hot path.
-    """
-    started = time.perf_counter()
-    tb, node1, node2 = two_node_testbed(
-        seed=seed, medium="hub", install_vw=True, rll=True
-    )
-    receiver = BulkReceiver(node2, RECEIVER_PORT)
-    senders = {}
-
-    def workload() -> None:
-        senders["s"] = PacedSender(
-            node1,
-            node2.ip,
-            RECEIVER_PORT,
-            offered_bps=offered_mbps * 1e6,
-            duration_ns=duration_ns,
-            local_port=SENDER_PORT,
-        )
-
-    tb.run_scenario(
-        _tcp_script(tb.node_table_fsl()),
-        workload=workload,
-        max_time=duration_ns + seconds(5),
-        inactivity_ns=ms(200),
-    )
-    wall_s = time.perf_counter() - started
-    frames = sum(
-        node.driver.tx_frames + node.driver.rx_frames for node in (node1, node2)
-    )
-    return FramesResult(
-        bench="fig7_bulk",
-        frames=frames,
-        wall_s=round(wall_s, 4),
-        frames_per_sec=round(frames / wall_s, 1),
-        goodput_mbps=round(receiver.goodput_bps() / 1e6, 3),
-        offered_mbps=offered_mbps,
-        duration_ns=duration_ns,
-        seed=seed,
-    )
-
-
-# -- the hotpath replay bench -----------------------------------------------
 
 #: Virtual capture time for the replay stream: a couple thousand frames.
 HOTPATH_CAPTURE_NS = int(0.05 * NS_PER_SEC)
@@ -261,59 +198,10 @@ def measure_hotpath_point(
     wall_s = time.perf_counter() - started
     frames = len(stream) * repeats
     return FramesResult(
-        bench="fig7_hotpath",
         frames=frames,
         wall_s=round(wall_s, 4),
         frames_per_sec=round(frames / wall_s, 1),
-        goodput_mbps=0.0,
         offered_mbps=offered_mbps,
         duration_ns=duration_ns,
         seed=seed,
     )
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        description="Measure fig7 frame hot-path frames/sec"
-    )
-    parser.add_argument(
-        "--bench", choices=("hotpath", "bulk"), default="hotpath",
-        help="hotpath replays captured fig7 frames through the codec "
-        "pipeline; bulk times the end-to-end fig7 cell",
-    )
-    parser.add_argument("--offered-mbps", type=float, default=DEFAULT_OFFERED_MBPS)
-    parser.add_argument(
-        "--duration-ns", type=int, default=None,
-        help="virtual pumping time (bulk) or capture time (hotpath)",
-    )
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--repeats", type=int, default=HOTPATH_REPEATS, help="hotpath replay passes"
-    )
-    args = parser.parse_args(argv)
-
-    if args.bench == "hotpath":
-        result = measure_hotpath_point(
-            repeats=args.repeats,
-            offered_mbps=args.offered_mbps,
-            duration_ns=args.duration_ns or HOTPATH_CAPTURE_NS,
-            seed=args.seed,
-        )
-    else:
-        result = measure_frames_point(
-            offered_mbps=args.offered_mbps,
-            duration_ns=args.duration_ns or DEFAULT_DURATION_NS,
-            seed=args.seed,
-        )
-    goodput = (
-        f" (goodput {result.goodput_mbps:.1f} Mbps)" if result.goodput_mbps else ""
-    )
-    print(
-        f"{result.bench}: {result.frames:,} frames in "
-        f"{result.wall_s:.2f}s = {result.frames_per_sec:,.0f} frames/s{goodput}"
-    )
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -95,6 +95,9 @@ class VirtualWireEngine(FrameLayer, RuntimeHooks):
         #: optional shared audit trail (repro.core.audit.AuditLog).
         self.audit_log = None
         self.stats = EngineStats()
+        #: control frames whose bytes did not parse, over the engine's life.
+        #: Not an EngineStats slot: those feed every report's pinned digest.
+        self.control_malformed_discarded = 0
         #: True once a scripted FAIL took this host down (liveness
         #: supervision then treats unreachability as expected).
         self.scripted_failure = False
@@ -383,7 +386,13 @@ class VirtualWireEngine(FrameLayer, RuntimeHooks):
     def _handle_control(self, frame_bytes: bytes) -> None:
         self.stats.control_frames_received += 1
         frame = EthernetFrame.from_bytes(frame_bytes)
-        message = ControlMessage.parse(frame.payload)
+        try:
+            message = ControlMessage.parse(frame.payload)
+        except ControlPlaneError:
+            # Total over wire bytes: a payload no engine could have sent is
+            # counted and dropped, never raised into the simulation.
+            self.control_malformed_discarded += 1
+            return
         for deliverable in self.channel.on_frame(frame.src, message):
             self._dispatch_control(frame, deliverable)
 

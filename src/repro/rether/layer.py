@@ -33,7 +33,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, List, Optional
 
-from ..errors import RetherError
+from ..errors import PacketError, RetherError
 from ..net.addresses import MacAddress
 from ..net.frame import ETHERTYPE_RETHER, EthernetFrame
 from ..sim import NS_PER_MS, Simulator
@@ -118,6 +118,7 @@ class RetherLayer(FrameLayer):
         self.joins_accepted = 0
         self.regenerations = 0
         self.stale_tokens_discarded = 0
+        self.malformed_discarded = 0
         self.data_sent = 0
         self.queue_drops = 0
         self.be_deferred = 0
@@ -244,7 +245,13 @@ class RetherLayer(FrameLayer):
         frame = EthernetFrame.from_bytes(frame_bytes)
         if frame.dst != self._mac and not frame.dst.is_broadcast:
             return  # control for someone else (shared segment)
-        message = RetherMessage.parse(frame.payload)
+        try:
+            message = RetherMessage.parse(frame.payload)
+        except PacketError:
+            # Short header or unknown type (e.g. a scripted MODIFY on a
+            # token): a fault the protocol sees as loss, not a crash.
+            self.malformed_discarded += 1
+            return
         self._touch_regen_timer()
         if message.is_join:
             if frame.src != self._mac:

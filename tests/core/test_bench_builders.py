@@ -2,14 +2,21 @@
 
 import pytest
 
-from repro.bench.fig7 import Fig7Point, render_table as render_fig7
+from repro.bench.fig7 import Fig7Point, fig7_script, render_table as render_fig7
 from repro.bench.fig8 import (
     ACTIONS_PER_MATCH,
     Fig8Point,
     build_script,
+    fig8_script,
     render_table as render_fig8,
 )
-from repro.bench.harness import percent_increase, two_node_testbed
+from repro.bench.frames import measure_hotpath_point
+from repro.bench.harness import (
+    RECEIVER_PORT,
+    SENDER_PORT,
+    percent_increase,
+    two_node_testbed,
+)
 from repro.core.fsl import compile_text
 from repro.core.tables import ActionKind
 
@@ -75,6 +82,35 @@ class TestHarness:
     def test_percent_increase(self):
         assert percent_increase(110.0, 100.0) == pytest.approx(10.0)
         assert percent_increase(5.0, 0.0) == 0.0
+
+
+class TestLedgerContract:
+    """The six names ``benchmarks/ledger/{workloads,probes}.py`` import from
+    ``repro.bench``, in the call shapes the ledger uses: tier-1 does not
+    collect the ledger's own tests, so trimming ``repro.bench`` could break
+    the BENCHMARK.json command unnoticed."""
+
+    def test_scripts_take_the_ledgers_arguments(self):
+        assert len(compile_text(fig7_script()).filters) == 25
+        assert len(compile_text(fig8_script("actions+rll", 25)).filters) == 25
+
+    @pytest.mark.parametrize("install_vw", [True, False])
+    def test_testbed_keywords(self, install_vw):
+        tb, node1, node2 = two_node_testbed(
+            seed=3, medium="hub", install_vw=install_vw, rll=install_vw
+        )
+        installed = {"node1", "node2"} if install_vw else set()
+        assert set(tb.engines) == set(tb.rll_layers) == installed
+        assert node1.nic.medium is node2.nic.medium
+
+    def test_ports(self):
+        assert (SENDER_PORT, RECEIVER_PORT) == (0x6000, 0x4000)
+
+    def test_hotpath_point(self):
+        point = measure_hotpath_point("fast", seed=0)
+        assert point.frames > 0 and point.wall_s > 0
+        with pytest.raises(ValueError):
+            measure_hotpath_point("slow", seed=0)
 
 
 class TestRenderers:

@@ -26,6 +26,7 @@ class TestTcpScript:
     def test_compiles(self):
         program = compile_text(tcp_congestion_script(NODES_2))
         assert program.scenario_name == "TCP_SS_CA_algo"
+        assert program.table_sizes()["conditions"] == 8
 
     def test_paper_filter_offsets_present(self):
         assert "(34 2 0x6000)" in TCP_FILTER_TABLE

@@ -1,6 +1,6 @@
 """Integration: the reliable control plane under adversity.
 
-Two failure modes the paper's testbed must survive without corrupting a
+Three failure modes the paper's testbed must survive without corrupting a
 scenario's verdict:
 
 * a *lossy control path* — the ARQ layer retransmits until every
@@ -8,13 +8,16 @@ scenario's verdict:
   control-frame loss converges to the same report as a lossless one;
 * a *silent node* — an un-scripted partition exhausts the retry budget
   and liveness supervision ends the run promptly with a degraded report
-  naming the dead node, instead of spinning to max_time.
+  naming the dead node, instead of spinning to max_time;
+* a *malformed control frame* — bytes no engine could have sent are
+  counted and dropped by the receiving engine, never raised into the run.
 """
 
 import pathlib
 
 from repro.core.report import EndReason
 from repro.core.testbed import Testbed
+from repro.net.frame import ETHERTYPE_VW_CONTROL, EthernetFrame
 from repro.sim import ms, seconds
 
 SCENARIOS_DIR = pathlib.Path(__file__).resolve().parents[2] / "scenarios"
@@ -24,8 +27,13 @@ SENDER_PORT = 0x6000
 RECEIVER_PORT = 0x4000
 
 
-def run_fig5(seed=11, control_loss=0.0, partition_at=None, max_time=seconds(60)):
-    """The §6.1 case study, optionally with a hostile control path."""
+def run_fig5(
+    seed=11, control_loss=0.0, partition_at=None, max_time=seconds(60), during=None
+):
+    """The §6.1 case study, optionally with a hostile control path.
+
+    *during* is called with the testbed as the workload starts.
+    """
     tb = Testbed(seed=seed)
     node1 = tb.add_host("node1")
     node2 = tb.add_host("node2")
@@ -40,6 +48,8 @@ def run_fig5(seed=11, control_loss=0.0, partition_at=None, max_time=seconds(60))
         conn.on_established = lambda: conn.send(bytes(48 * 1024))
         if partition_at is not None:
             tb.sim.after(partition_at, lambda: tb.partition("node2"))
+        if during is not None:
+            during(tb)
 
     report = tb.run_scenario(FIG5, workload=workload, max_time=max_time)
     return report, loss
@@ -87,6 +97,27 @@ class TestLossyControlPath:
         assert first.final_counters == second.final_counters
         assert first.duration_ns == second.duration_ns
         assert first.engine_stats == second.engine_stats
+
+
+class TestMalformedControlFrame:
+    def test_truncated_control_frame_is_counted_and_dropped(self):
+        """A 3-byte control payload beside the live transfer raised
+        ControlPlaneError out of the run before (ROADMAP aim 3)."""
+        testbeds = []
+
+        def inject(tb):
+            testbeds.append(tb)
+            node1, node2 = tb.hosts["node1"], tb.hosts["node2"]
+            runt = EthernetFrame(node2.mac, node1.mac, ETHERTYPE_VW_CONTROL, b"\x01\x02\x03")
+            tb.sim.after(ms(2), node1.nic.transmit, args=(runt.to_bytes(),))
+
+        baseline, _ = run_fig5()
+        report, _ = run_fig5(during=inject)
+        assert report.passed, report.render()
+        assert report.end_reason == baseline.end_reason
+        assert report.final_counters == baseline.final_counters
+        assert testbeds[0].engines["node2"].control_malformed_discarded == 1
+        assert testbeds[0].engines["node1"].control_malformed_discarded == 0
 
 
 class TestPartitionedNode:

@@ -8,9 +8,10 @@ terms evaluated on three different nodes.
 import pytest
 
 from repro.core.testbed import Testbed
+from repro.net.frame import ETHERTYPE_RETHER, EthernetFrame
 from repro.rether.install import install_rether
 from repro.scripts import rether_failover_script
-from repro.sim import seconds
+from repro.sim import ms, seconds
 
 SENDER_PORT = 0x6000
 RECEIVER_PORT = 0x4000
@@ -19,7 +20,8 @@ RECEIVER_PORT = 0x4000
 DATA_THRESHOLD = 60
 
 
-def run_case_study(seed=5, rether_kwargs=None, threshold=DATA_THRESHOLD):
+def run_case_study(seed=5, rether_kwargs=None, threshold=DATA_THRESHOLD, during=None):
+    """*during* is called with the testbed as the workload starts."""
     tb = Testbed(seed=seed)
     hosts = [tb.add_host(f"node{i}") for i in range(1, 5)]
     tb.add_bus("bus0")
@@ -34,6 +36,8 @@ def run_case_study(seed=5, rether_kwargs=None, threshold=DATA_THRESHOLD):
             hosts[3].ip, RECEIVER_PORT, local_port=SENDER_PORT
         )
         conn.on_established = lambda: conn.send(bytes((threshold + 40) * 1024))
+        if during is not None:
+            during(tb)
 
     report = tb.run_scenario(script, workload=workload, max_time=seconds(60))
     return tb, hosts, report
@@ -107,6 +111,29 @@ class TestBrokenRetherFlagged:
         )
         assert not report.passed
         assert report.end_reason.value in ("inactivity", "max-time")
+
+
+class TestMalformedRetherFrame:
+    """Rether frames are classifiable, so a scripted random-byte MODIFY can
+    hand the layer a token that does not parse: a fault the protocol sees as
+    loss, where it used to raise PacketError out of the run (ROADMAP aim 3)."""
+
+    @pytest.mark.parametrize(
+        "payload",
+        [b"\x77\x77" + bytes(14), bytes(7)],
+        ids=["unknown-type", "short-header"],
+    )
+    def test_counted_and_dropped_beside_live_traffic(self, payload):
+        def inject(tb):
+            node1, node2 = tb.hosts["node1"], tb.hosts["node2"]
+            bad = EthernetFrame(node2.mac, node1.mac, ETHERTYPE_RETHER, payload)
+            tb.sim.after(ms(5), node1.nic.transmit, args=(bad.to_bytes(),))
+
+        tb, hosts, report = run_case_study(during=inject)
+        assert report.passed, report.render()
+        assert report.end_reason.value == "stop"
+        assert report.final_counters["TokensFrom2"] == 3
+        assert [host.rether.malformed_discarded for host in hosts] == [0, 1, 0, 0]
 
 
 class TestDeterminism:

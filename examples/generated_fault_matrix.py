@@ -7,7 +7,7 @@ expectation ("real-time data keeps arriving") — and lets the generator
 emit a whole family of FSL scenarios: token drops, token delays,
 duplicated control messages, and node crashes.  A sweep campaign then
 runs every generated scenario on a fresh four-node testbed — compiled
-once in the parent, fanned out over a process pool, rows merged in
+once in the parent, fanned out over slot processes, rows merged in
 deterministic task order (docs/SWEEP.md).
 
 The correct Rether implementation must survive every cell; a build whose

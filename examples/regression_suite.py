@@ -8,7 +8,7 @@ the correct Tahoe algorithm, a conforming Reno alternative, plus five
 seeded bugs.  No test code changes between runs — only the implementation
 under test does — and the script's verdict separates the conforming
 versions from the broken ones.  The seven runs are one sweep campaign:
-the script compiles once, the variants fan out over a process pool, and
+the script compiles once, the variants fan out over slot processes, and
 the rows merge back in declaration order (docs/SWEEP.md).
 
 Note the FrozenWindow row: its bug makes the sender strictly *more*

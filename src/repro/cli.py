@@ -11,7 +11,7 @@ The paper's front-end accepts scripts "through a command line interface"
 
 ``sweep`` runs a whole campaign — the Cartesian product of seeds, media
 and control-loss rates — on the testbed reconstructed from the script's
-own node table, compiled once and fanned out over a process pool with a
+own node table, compiled once and fanned out over slot processes with a
 deterministic merge (docs/SWEEP.md).  With ``--backend tcp --hosts
 host:port,...`` the same campaign dispatches to a fleet of ``repro
 worker`` processes instead, byte-identical rows included.  Bespoke
@@ -473,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
         "or parallel)",
     )
     sweep.add_argument(
-        "--workers", type=int, default=None, help="process-pool size (default: cores, max 4)"
+        "--workers", type=int, default=None, help="slot processes (default: cores, max 4)"
     )
     sweep.add_argument(
         "--hosts",

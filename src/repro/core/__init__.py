@@ -12,7 +12,6 @@ from .classify import Classifier, ClassifierBase, FilterIndex, VarStore
 from .control import FLAG_RELIABLE, ControlMessage, ControlType
 from .reliable import INITIAL_RTO_NS, MAX_RETRIES, MAX_RTO_NS, ReliableControlPlane
 from .lint import Finding, Severity, lint_program, lint_text
-from .matrix import FaultMatrix, MatrixCell, MatrixReport
 from .engine import EngineStats, VirtualWireEngine
 from .frontend import DEFAULT_INACTIVITY_NS, Frontend
 from .fsl import compile_script, compile_text, parse_script
@@ -67,10 +66,7 @@ __all__ = [
     "EngineStats",
     "ErrorRecord",
     "EventStats",
-    "FaultMatrix",
     "Finding",
-    "MatrixCell",
-    "MatrixReport",
     "MessageFlow",
     "ProtocolSpec",
     "ScriptGenerator",

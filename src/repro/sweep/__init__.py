@@ -1,10 +1,10 @@
-"""Parallel scenario sweep engine: process-pool fault campaigns.
+"""Parallel scenario sweep engine: fanned-out fault campaigns.
 
 The paper's evaluation is built from campaigns — grids of scenarios, seeds,
 loss rates and engine configurations run over the same testbed recipe.
 This package turns such a grid into an ordered list of picklable tasks,
-executes them on a serial or process-pool backend, and merges the rows
-back deterministically (see docs/SWEEP.md)::
+executes them serially, on local slot processes or on a worker fleet, and
+merges the rows back deterministically (see docs/SWEEP.md)::
 
     from repro.sweep import SweepSpec, run_sweep, run_script_task
 

@@ -1,6 +1,6 @@
-"""The ``tcp`` backend's scheduler as a pure state machine.
+"""The ``parallel`` and ``tcp`` backends' scheduler as a pure state machine.
 
-:class:`FleetScheduler` decides everything about a distributed campaign —
+:class:`FleetScheduler` decides everything about a fanned-out campaign —
 which cell goes to which worker, what a lost connection costs, when to
 redial, whom to quarantine, which straggler to hedge, when the fleet is
 beyond saving — and touches nothing: no socket, no selector, no clock,
@@ -23,7 +23,7 @@ driver to carry out in order: :class:`Send`, :class:`Dial`,
 :meth:`FleetScheduler.tick` raises :class:`~repro.sweep.spec.SweepError`
 once no worker has been usable for :data:`FLEET_WINDOW_S`.
 
-Two drivers exist: :class:`repro.sweep.remote.TcpExecutor` (real sockets,
+Two drivers exist: the shell in :mod:`repro.sweep.remote` (real sockets,
 ``time.monotonic``) and ``tests/sweep/fleet_sim.py`` (model workers on a
 :class:`repro.sim.Simulator`, faults scripted at protocol events, a ten
 second timeout costing microseconds).  The policy, per docs/SWEEP.md
@@ -36,8 +36,8 @@ second timeout costing microseconds).  The policy, per docs/SWEEP.md
   worker that restarts — or starts late — joins mid-campaign.  A lost
   worker's in-flight cells re-queue, each charged one loss against the
   ``retries`` budget; when that worker rejoins healthy, one loss per
-  (cell, worker) pair is forgiven.  Worker-reported slot crashes (ERROR
-  frames) are never forgiven — the cell itself is the prime suspect.
+  (cell, worker) pair is forgiven.  Slot crashes reported by the slot's
+  owner (ERROR frames) are never forgiven — the cell is the prime suspect.
 * **Health and quarantine** (:class:`~repro.sweep.health.FleetHealth`):
   repeat offenders get no work and no redial until their quarantine
   expires.
@@ -395,26 +395,28 @@ class FleetScheduler:
         """Charge the cell one lost execution and re-queue it — or, once
         the budget (``retries`` re-queues) is spent, land the
         deterministic FAILED row instead."""
-        task = self.tasks[index]
         charges = self._charges.setdefault(index, [])
         charges.append(charge)
         if len(charges) <= self.ctx.retries:
             heapq.heappush(self.pending, index)
             self.stats["requeues"] += 1
             return
+        self._fail(
+            index,
+            "worker died: connection lost",
+            f"lost {len(charges)} worker(s); last: {note}",
+            attempts=len(charges),
+            wall_seconds=max(0.0, now - self._started.get(index, now)),
+        )
+
+    def _fail(self, index: int, error: str, detail: str, **accounting: Any) -> None:
+        """Land the scheduler's own verdict on a cell: a FAILED row."""
+        task = self.tasks[index]
+        detail = f"task {index} ({task.name!r}) {detail}"
         self._land(
             SweepResult(
-                index=index,
-                name=task.name,
-                seed=task.seed,
-                status=SweepResult.FAILED,
-                error="worker died: connection lost",
-                error_detail=(
-                    f"task {index} ({task.name!r}) lost {len(charges)} "
-                    f"worker(s); last: {note}"
-                ),
-                attempts=len(charges),
-                wall_seconds=max(0.0, now - self._started.get(index, now)),
+                index, task.name, task.seed, SweepResult.FAILED,
+                error=error, error_detail=detail, **accounting,
             )
         )
 
@@ -480,10 +482,10 @@ class FleetScheduler:
         and return every action queued since the last event."""
         if not self.aborted:
             progress = True
-            while progress and self.pending:
+            while progress and self.pending and not self.aborted:
                 progress = False
                 for address, worker in self.workers.items():
-                    if not self.pending:
+                    if not self.pending or self.aborted:
                         break
                     if worker.idle > 0 and not self.health.is_quarantined(
                         address, now
@@ -498,12 +500,19 @@ class FleetScheduler:
     def _assign(self, address: str, worker: _Worker, index: int, now: float) -> None:
         """Ship one cell to one idle slot, preceded by any program this
         connection has not seen."""
-        wire, programs = export_task(self.tasks[index])
-        for content, program in programs.items():
-            if content not in worker.pushed:
-                self._out.append(Send(address, program_frame(content, program)))
-                worker.pushed.add(content)
-        self._out.append(Send(address, task_frame(wire)))
+        try:
+            wire, programs = export_task(self.tasks[index])
+            unseen = {h: p for h, p in programs.items() if h not in worker.pushed}
+            frames = [program_frame(*entry) for entry in unseen.items()]
+            frames.append(task_frame(wire))
+        except Exception as exc:  # noqa: BLE001 — whatever pickle raises
+            # No worker will ever see this cell, so no retry can help: one
+            # deterministic row, and the slot stays idle.
+            error = f"unshippable task: {type(exc).__name__}: {exc}"
+            self._fail(index, error, "cannot be pickled for a worker")
+            return
+        self._out.extend(Send(address, frame) for frame in frames)
+        worker.pushed.update(unseen)
         worker.idle -= 1
         worker.inflight[index] = now
         self._started.setdefault(index, now)

@@ -1,32 +1,36 @@
-"""The ``tcp`` backend's two processes: ``repro worker`` and the parent shell.
+"""The fleet backends' I/O: ``repro worker``, the slot process, the parent shell.
 
-The job protocol itself — frames, handshake, program shipping — is
-:mod:`repro.sweep.wire`; every scheduling decision — dispatch, re-queue,
-forgiveness, redial, quarantine, hedging, giving up — is the pure
+The job protocol — frames, handshake, program shipping — is
+:mod:`repro.sweep.wire`; every scheduling decision is the pure
 :class:`repro.sweep.fleet.FleetScheduler`.  What is left here is I/O:
 
-* :class:`WorkerServer` (``repro worker``): accept one parent at a time,
-  run the worker side of the handshake, execute TASK frames on a local
-  process pool, stream ROW / ERROR / GET back and heartbeat.
-* :class:`TcpExecutor`: drive one ``FleetScheduler`` over real sockets —
-  report ``time.monotonic()``, dial and handshake when it says
-  :class:`~repro.sweep.fleet.Dial`, ``recv`` into ``received``, turn EOF
-  and failed sends into ``closed``, write what it says to
-  :class:`~repro.sweep.fleet.Send`.
+* :func:`_serve_session`, the worker side of an established session (GET
+  per slot, heartbeat, PROGRAM / TASK / BYE in, ROW / ERROR out), run
+  after the handshake of a ``repro worker`` connection
+  (:class:`WorkerServer`, cells on a local pool) and as the whole life of
+  a ``parallel`` slot process (:func:`_slot_main`, cells inline);
+* :class:`_FleetShell`, which drives one ``FleetScheduler`` over real
+  sockets — ``time.monotonic()`` for ``now``, ``recv`` into ``received``,
+  EOF and failed sends into ``closed``, its actions carried out — with a
+  dialer per backend: :class:`TcpExecutor` (``tcp``: connect, HELLO /
+  WELCOME / AUTH) and :class:`LocalExecutor` (``parallel``: a private
+  ``socketpair``, a forked slot, and the reaping of it).
 """
 
 from __future__ import annotations
 
 import hmac
+import multiprocessing
 import os
 import selectors
+import signal
 import socket
 import threading
 import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .fleet import Action, Close, Dial, FleetScheduler
 from .runner import (
@@ -34,20 +38,17 @@ from .runner import (
     ExecutorContext,
     SweepExecutor,
     Watchdog,
-    _pool_context,
-    _worker_init,
     default_hosts,
     default_workers,
     execute_task,
     parse_hosts,
     resolve_secret,
 )
-from .spec import SweepError, SweepTask
+from .spec import SweepError, SweepResult, SweepTask
 from .wire import (
     HEARTBEAT_INTERVAL_S,
     MSG_AUTH,
     MSG_BYE,
-    MSG_ERROR,
     MSG_GET,
     MSG_HEARTBEAT,
     MSG_HELLO,
@@ -66,6 +67,7 @@ from .wire import (
     _loads,
     _parse_json,
     answer_welcome,
+    casualty_frame,
     encode_frame,
     export_task,
     hello_frame,
@@ -104,22 +106,127 @@ def read_frame(sock: socket.socket) -> Tuple[int, bytes]:
 
 
 # ---------------------------------------------------------------------------
-# The worker: one host serving N local slots
+# Slot processes and the session they (or their server) speak
 # ---------------------------------------------------------------------------
 
 
+def _slot_context(*owner_socks: socket.socket) -> Tuple[Any, Tuple[int, ...]]:
+    """How slot processes start — ``fork`` (cheap, inherits the compiled
+    programs' modules) where the platform has it, else its default — and
+    the descriptors one must close at birth: only fork hands the owner's
+    sockets down; elsewhere the numbers would name other files."""
+    forks = "fork" in multiprocessing.get_all_start_methods()
+    context = multiprocessing.get_context("fork" if forks else None)
+    return context, tuple(sock.fileno() for sock in owner_socks) if forks else ()
+
+
 def _slot_init(inherited_fds: Tuple[int, ...]) -> None:
-    """Pool-slot initializer.  A forked slot is born holding copies of the
-    server's parent connection and listener; while it lives, a SIGKILLed
-    server's socket never reaches EOF at the parent and its port cannot
-    be rebound.  Close them: the slot talks to the server over the pool's
-    own pipes only."""
-    _worker_init()
+    """Slot-process initializer.  The *parent* owns SIGINT: a terminal
+    Ctrl-C reaches the whole process group, and a slot racing the parent's
+    graceful abort with its own KeyboardInterrupt would turn deterministic
+    rows into nondeterministic FAILED ones.  And a forked slot is born
+    holding its owner's other sockets (a ``repro worker``'s listener and
+    parent connection, the parent end of every sibling's socketpair);
+    while it held them, a SIGKILLed owner's peers would never see EOF."""
+    try:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+    except (ValueError, OSError):  # non-main thread / exotic platform
+        pass
     for fd in inherited_fds:
         try:
             os.close(fd)
         except OSError:
             pass
+
+
+def _serve_session(
+    conn: socket.socket, slots: int, start: Callable[[SweepTask, Callable], None]
+) -> None:
+    """The worker side of an established session, until BYE or EOF.
+
+    Announces one GET per slot, heartbeats in the background, keeps the
+    session's program store (a parent pushes each compiled program at most
+    once) and hands every TASK to *start(task, finish)*, which runs the
+    cell — inline or on a pool — and has ``finish(index, result)`` called,
+    from any thread, when it ended.  ``result()`` returns the row, or
+    raises if the process executing it died: a ROW or an ERROR goes back,
+    then a fresh GET.
+    """
+    send_lock = threading.Lock()
+    over = threading.Event()
+    get, beat = encode_frame(MSG_GET, b"{}"), encode_frame(MSG_HEARTBEAT, b"{}")
+
+    def send(frame: bytes) -> None:
+        with send_lock:
+            conn.sendall(frame)
+
+    def heartbeat() -> None:
+        while not over.wait(HEARTBEAT_INTERVAL_S):
+            try:
+                send(beat)
+            except OSError:
+                break
+
+    def finish(index: int, result: Callable[[], SweepResult]) -> None:
+        if over.is_set():
+            return
+        try:
+            try:
+                row = result()
+            except BaseException as exc:  # noqa: BLE001 — its process died
+                send(casualty_frame(index, f"slot process died ({exc!r})"))
+            else:
+                send(encode_frame(MSG_ROW, _json_payload(row.to_record())))
+            send(get)
+        except OSError:
+            over.set()  # parent is gone; stop reporting
+
+    programs: Dict[str, Any] = {}
+    threading.Thread(target=heartbeat, daemon=True).start()
+    try:
+        for _ in range(slots):
+            send(get)
+        while True:
+            mtype, payload = read_frame(conn)
+            if mtype == MSG_PROGRAM:
+                shipment = _loads(payload, "PROGRAM")
+                programs[str(shipment["hash"])] = shipment["program"]
+            elif mtype == MSG_TASK:
+                index, pickled = split_task(payload)
+                try:
+                    task = resolve_task(_loads(pickled, "TASK"), programs)
+                except ProtocolError as exc:
+                    # Report it instead of dying — the parent owns the
+                    # retry/fail decision.
+                    send(casualty_frame(index, f"undeliverable task ({exc})"))
+                    send(get)
+                    continue
+                start(task, finish)
+            elif mtype == MSG_BYE:
+                break
+            elif mtype not in (MSG_HEARTBEAT, MSG_GET):  # those: tolerated
+                raise ProtocolError(f"unexpected message type {mtype} from parent")
+    except ConnectionLost:
+        pass  # parent died (SIGKILL, crash): the session is over
+    finally:
+        over.set()
+
+
+def _slot_main(
+    conn: socket.socket, inherited_fds: Tuple[int, ...], watchdog: Optional[Watchdog]
+) -> None:
+    """A ``parallel`` slot process: one session over its end of a private
+    socketpair (no handshake: nobody else can hold the other end), one cell
+    at a time, inline.  BYE or EOF — the parent died — ends both."""
+    _slot_init(inherited_fds)
+
+    def start(task: SweepTask, finish: Callable) -> None:
+        finish(task.index, lambda: execute_task(task, watchdog))
+
+    try:
+        _serve_session(conn, 1, start)
+    except (ProtocolError, OSError):
+        pass  # a broken parent needs no traceback from every slot
 
 
 class WorkerServer:
@@ -128,17 +235,13 @@ class WorkerServer:
     Listens for one parent at a time (campaigns are sequential); for each
     connection it runs the authenticated v2 handshake (HELLO/WELCOME/
     AUTH — no pickle-bearing frame is deserialised until the parent's
-    HMAC proof verifies), spins up a fresh :class:`ProcessPoolExecutor`
-    of ``slots`` workers, announces one GET per slot, and then executes
-    TASK frames as they arrive — sending a ROW (and a fresh GET) per
-    completion and heartbeating in the background.  The per-connection
-    program store means a parent pushes each compiled program at most
-    once per campaign.
+    HMAC proof verifies), then :func:`_serve_session` with cells executed
+    on a fresh :class:`ProcessPoolExecutor` of ``slots`` workers.
 
-    A slot process that hard-dies breaks the local pool: the casualty is
-    reported upstream as an ERROR frame (the parent re-queues it against
-    its retry budget) and the pool is rebuilt, so one poisoned cell
-    cannot take the host out of the fleet.
+    A slot process that hard-dies breaks that pool: the casualty goes
+    upstream as an ERROR frame (charged to the cell's retry budget) and
+    the pool is rebuilt, so one poisoned cell cannot take the host out of
+    the fleet.
 
     ``max_idle`` seconds without a parent connection makes
     :meth:`serve_forever` return (``idle_exit`` set), so orphaned fleet
@@ -180,9 +283,12 @@ class WorkerServer:
     def stop(self) -> None:
         self._stop.set()
         try:
-            self._listener.close()
+            # Wake accept(): left blocked, it has been seen to answer for
+            # whichever listener next reuses the descriptor number.
+            self._listener.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
+        self._listener.close()
 
     def serve_forever(self) -> None:
         """Accept parents until :meth:`stop`, listener death, or
@@ -226,10 +332,7 @@ class WorkerServer:
         return False
 
     def _new_pool(self, conn: socket.socket) -> ProcessPoolExecutor:
-        context = _pool_context()
-        # Only fork hands descriptors down; a spawned slot inherits none,
-        # and those numbers would name something else there.
-        inherited = (conn.fileno(), self._listener.fileno()) if context else ()
+        context, inherited = _slot_context(conn, self._listener)
         return ProcessPoolExecutor(
             max_workers=self.slots,
             mp_context=context,
@@ -268,28 +371,13 @@ class WorkerServer:
                 retries=int(config.get("retries", 0)),
                 backoff=float(config.get("backoff", 0.0)),
             )
-
-        send_lock = threading.Lock()
-        alive = threading.Event()
-        alive.set()
-
-        def send(mtype: int, message: Dict[str, Any]) -> None:
-            frame = encode_frame(mtype, _json_payload(message))
-            with send_lock:
-                conn.sendall(frame)
-
-        def report_casualty(index: int, error: str, detail: str) -> None:
-            send(MSG_ERROR, {"index": index, "error": error, "detail": detail})
-
-        send(
-            MSG_WELCOME,
-            {
-                "version": PROTOCOL_VERSION,
-                "slots": self.slots,
-                "nonce": worker_nonce,
-                "proof": _auth_proof(self.secret, "worker", parent_nonce, worker_nonce),
-            },
-        )
+        welcome = {
+            "version": PROTOCOL_VERSION,
+            "slots": self.slots,
+            "nonce": worker_nonce,
+            "proof": _auth_proof(self.secret, "worker", parent_nonce, worker_nonce),
+        }
+        conn.sendall(encode_frame(MSG_WELCOME, _json_payload(welcome)))
         # The parent must prove itself before ANY pickle-bearing frame is
         # deserialised: the very next frame must be a valid AUTH.
         mtype, payload = read_frame(conn)
@@ -312,86 +400,23 @@ class WorkerServer:
                 "--secret-file?)",
             )
 
-        def heartbeat() -> None:
-            while alive.is_set():
-                if self._stop.wait(HEARTBEAT_INTERVAL_S):
-                    break
-                if not alive.is_set():
-                    break
-                try:
-                    send(MSG_HEARTBEAT, {})
-                except OSError:
-                    break
-
-        beat = threading.Thread(target=heartbeat, daemon=True)
-        beat.start()
-
-        programs: Dict[str, Any] = {}
         pool = self._new_pool(conn)
 
-        def finish(index: int, future: Any) -> None:
-            """Completion callback (executor thread): ROW or ERROR, then
-            ask for more work."""
-            if not alive.is_set():
-                return
+        def start(task: SweepTask, finish: Callable) -> None:
+            nonlocal pool
             try:
-                try:
-                    row = future.result()
-                except BaseException as exc:  # slot process died
-                    report_casualty(
-                        index,
-                        f"worker died: {type(exc).__name__}",
-                        f"slot process executing task {index} died: {exc!r}",
-                    )
-                else:
-                    send(MSG_ROW, row.to_record())
-                send(MSG_GET, {})
-            except OSError:
-                alive.clear()  # parent is gone; stop reporting
+                future = pool.submit(execute_task, task, watchdog)
+            except BrokenProcessPool:
+                # A previous casualty broke the pool: rebuild and retry
+                # the submission once on the fresh pool.
+                pool.shutdown(wait=False, cancel_futures=True)
+                pool = self._new_pool(conn)
+                future = pool.submit(execute_task, task, watchdog)
+            future.add_done_callback(lambda done: finish(task.index, done.result))
 
         try:
-            for _ in range(self.slots):
-                send(MSG_GET, {})
-            while True:
-                mtype, payload = read_frame(conn)
-                if mtype == MSG_PROGRAM:
-                    shipment = _loads(payload, "PROGRAM")
-                    programs[str(shipment["hash"])] = shipment["program"]
-                elif mtype == MSG_TASK:
-                    index, pickled = split_task(payload)
-                    try:
-                        task = resolve_task(_loads(pickled, "TASK"), programs)
-                    except ProtocolError as exc:
-                        # Undeliverable cell: report it instead of dying —
-                        # the parent owns the retry/fail decision.
-                        report_casualty(
-                            index, "worker died: UndeliverableTask", str(exc)
-                        )
-                        send(MSG_GET, {})
-                        continue
-                    try:
-                        future = pool.submit(execute_task, task, watchdog)
-                    except BrokenProcessPool:
-                        # A previous casualty broke the pool: rebuild and
-                        # retry the submission once on the fresh pool.
-                        pool.shutdown(wait=False, cancel_futures=True)
-                        pool = self._new_pool(conn)
-                        future = pool.submit(execute_task, task, watchdog)
-                    future.add_done_callback(
-                        lambda fut, idx=task.index: finish(idx, fut)
-                    )
-                elif mtype == MSG_BYE:
-                    break
-                elif mtype in (MSG_HEARTBEAT, MSG_GET):
-                    continue  # tolerated, not part of the parent's grammar
-                else:
-                    raise ProtocolError(
-                        f"unexpected message type {mtype} from parent"
-                    )
-        except ConnectionLost:
-            pass  # parent died (SIGKILL, crash): clean up and re-accept
+            _serve_session(conn, self.slots, start)
         finally:
-            alive.clear()
             pool.shutdown(wait=False, cancel_futures=True)
         return True
 
@@ -401,33 +426,20 @@ class WorkerServer:
 # ---------------------------------------------------------------------------
 
 
-class TcpExecutor(SweepExecutor):
-    """The ``tcp`` backend: campaign cells over a ``repro worker`` fleet.
+class _FleetShell(SweepExecutor):
+    """One campaign's :class:`FleetScheduler` driven over real sockets.
 
     One instance runs one campaign (the registry builds a fresh executor
     per ``run_sweep``): it owns that campaign's sockets, carries out the
-    scheduler's actions on them and reports back what the network did.
+    scheduler's actions on them and reports back what they did.  A backend
+    adds the dialer: ``_fleet(ctx)`` names the addresses, ``_dial(action)``
+    answers ``connected`` (socket :meth:`_adopt`-ed) or ``dial_failed``.
     """
 
-    def initial_workers(self, workers: Optional[int]) -> int:
-        if workers is not None and workers < 1:
-            raise SweepError(f"workers must be >= 1, got {workers}")
-        # The true worker count is the fleet's advertised slot total,
-        # known only after the HELLO exchange; 0 is the placeholder.
-        return 0
-
     def run(self, tasks: List[SweepTask], ctx: ExecutorContext) -> BackendRun:
-        hosts = default_hosts() if ctx.hosts is None else parse_hosts(ctx.hosts)
-        if not hosts:
-            raise SweepError(
-                "the tcp backend needs a worker fleet: pass hosts= "
-                "(--hosts host:port,...) or set REPRO_SWEEP_HOSTS"
-            )
         self.ctx = ctx
         self.task_count = len(tasks)
-        self.secret = resolve_secret(ctx.secret)
-        self.hosts = {f"{host}:{port}": (host, port) for host, port in hosts}
-        self.scheduler = scheduler = FleetScheduler(tasks, ctx, list(self.hosts))
+        self.scheduler = scheduler = FleetScheduler(tasks, ctx, self._fleet(ctx))
         self.socks: Dict[str, socket.socket] = {}
         self.selector = selectors.DefaultSelector()
         interrupted = False
@@ -458,8 +470,7 @@ class TcpExecutor(SweepExecutor):
         if data:
             self._execute(self.scheduler.received(address, data, time.monotonic()))
         else:
-            self._drop(address)
-            self._execute(self.scheduler.closed(address, reason, time.monotonic()))
+            self._execute(self._lost(address, reason))
 
     def _execute(self, actions: Iterable[Action]) -> None:
         """Carry out actions in order; what carrying one out reveals (a
@@ -476,12 +487,45 @@ class TcpExecutor(SweepExecutor):
                 try:
                     self.socks[action.address].sendall(action.data)
                 except OSError as exc:
-                    self._drop(action.address)
-                    queue.extend(
-                        self.scheduler.closed(
-                            action.address, f"send failed: {exc}", time.monotonic()
-                        )
-                    )
+                    queue.extend(self._lost(action.address, f"send failed: {exc}"))
+
+    def _adopt(self, address: str, sock: socket.socket) -> None:
+        sock.settimeout(_SEND_TIMEOUT_S)
+        self.socks[address] = sock
+        self.selector.register(sock, selectors.EVENT_READ, address)
+
+    def _lost(self, address: str, reason: str) -> List[Action]:
+        """The transport at *address* died under us: tell the scheduler."""
+        self._drop(address)
+        return self.scheduler.closed(address, reason, time.monotonic())
+
+    def _drop(self, address: str) -> None:
+        sock = self.socks.pop(address, None)
+        if sock is not None:
+            self.selector.unregister(sock)
+            sock.close()
+
+
+class TcpExecutor(_FleetShell):
+    """The ``tcp`` backend: campaign cells over a ``repro worker`` fleet."""
+
+    def initial_workers(self, workers: Optional[int]) -> int:
+        if workers is not None and workers < 1:
+            raise SweepError(f"workers must be >= 1, got {workers}")
+        # The true worker count is the fleet's advertised slot total,
+        # known only after the HELLO exchange; 0 is the placeholder.
+        return 0
+
+    def _fleet(self, ctx: ExecutorContext) -> Sequence[str]:
+        hosts = default_hosts() if ctx.hosts is None else parse_hosts(ctx.hosts)
+        if not hosts:
+            raise SweepError(
+                "the tcp backend needs a worker fleet: pass hosts= "
+                "(--hosts host:port,...) or set REPRO_SWEEP_HOSTS"
+            )
+        self.secret = resolve_secret(ctx.secret)
+        self.hosts = {f"{host}:{port}": (host, port) for host, port in hosts}
+        return list(self.hosts)
 
     def _dial(self, action: Dial) -> List[Action]:
         """One blocking connect + handshake attempt, bounded by the
@@ -510,19 +554,78 @@ class TcpExecutor(SweepExecutor):
             return self.scheduler.dial_failed(
                 address, str(exc), isinstance(exc, Refused), time.monotonic()
             )
-        sock.settimeout(_SEND_TIMEOUT_S)
-        self.socks[address] = sock
-        self.selector.register(sock, selectors.EVENT_READ, address)
+        self._adopt(address, sock)
         return self.scheduler.connected(address, slots, time.monotonic())
 
+
+def slot_died(
+    scheduler: FleetScheduler, address: str, cause: str, reason: str, now: float
+) -> List[Action]:
+    """What the owner of a slot process reports on reading its EOF: a dead
+    process, not an infrastructure flap.  The cell it took down goes first,
+    the way ``repro worker`` reports a dead pool slot — an ERROR frame,
+    charged against ``retries`` and never forgiven (``closed`` alone is
+    pardoned the moment the slot is re-forked: a process-killing cell would
+    run ``retries + 1 + workers`` times)."""
+    worker = scheduler.workers.get(address)
+    actions: List[Action] = []
+    for index in sorted(worker.inflight) if worker else ():
+        actions += scheduler.received(address, casualty_frame(index, cause), now)
+    return actions + scheduler.closed(address, reason, now)
+
+
+class LocalExecutor(_FleetShell):
+    """The ``parallel`` backend: ``workers`` one-cell slot processes on
+    this host, each behind a private :func:`socket.socketpair`.
+
+    Dialling ``slot-k`` forks the process (:func:`_slot_main`) and answers
+    ``connected`` at once — no listener, no port, no secret, no handshake.
+    The shell owns the processes: it reports their deaths (:meth:`_lost`)
+    and reaps them (:meth:`_drop`), so none outlives :meth:`run`.
+    """
+
+    def _fleet(self, ctx: ExecutorContext) -> Sequence[str]:
+        self.slots: Dict[str, Any] = {}
+        return [f"slot-{k}" for k in range(ctx.workers)]
+
+    def _dial(self, action: Dial) -> List[Action]:
+        address = action.address
+        ours, theirs = socket.socketpair()
+        context, inherited = _slot_context(ours, *self.socks.values())
+        slot = context.Process(
+            target=_slot_main, args=(theirs, inherited, self.ctx.watchdog)
+        )
+        try:
+            slot.start()
+        except OSError as exc:  # out of processes or memory: back off, retry
+            ours.close()
+            return self.scheduler.dial_failed(
+                address, f"cannot start slot process: {exc}", False, time.monotonic()
+            )
+        finally:
+            theirs.close()
+        self.slots[address] = slot
+        self._adopt(address, ours)
+        return self.scheduler.connected(address, 1, time.monotonic())
+
+    def _lost(self, address: str, reason: str) -> List[Action]:
+        slot = self.slots[address]
+        self._drop(address)
+        cause = f"slot process {slot.pid} died (exit code {slot.exitcode})"
+        return slot_died(self.scheduler, address, cause, reason, time.monotonic())
+
     def _drop(self, address: str) -> None:
-        sock = self.socks.pop(address, None)
-        if sock is not None:
-            self.selector.unregister(sock)
-            sock.close()
+        super()._drop(address)
+        slot = self.slots.pop(address, None)
+        if slot is not None:
+            # Idle, it is leaving anyway (BYE, EOF); mid-cell — an abort,
+            # an interrupt, a lost hedge — its row is no longer wanted.
+            slot.kill()
+            slot.join()
 
 
 __all__ = [
+    "LocalExecutor",
     "MSG_TASK",
     "ProgramRef",
     "TcpExecutor",

@@ -7,25 +7,24 @@ execution tiers plug in without touching :func:`run_sweep`:
 * ``backend="serial"`` runs every task in the calling process, in task
   order — the reference implementation the differential tests compare
   against;
-* ``backend="parallel"`` fans tasks out over a
-  :class:`concurrent.futures.ProcessPoolExecutor`;
-* ``backend="tcp"`` (:mod:`repro.sweep.remote`, registered lazily by
-  entry-point string) dispatches tasks to a fleet of ``repro worker``
-  processes over a length-prefixed, CRC-framed TCP job protocol
-  (:mod:`repro.sweep.wire`), scheduled by :mod:`repro.sweep.fleet`.
+* ``backend="parallel"`` runs one cell at a time in each of ``workers``
+  slot processes on this host, each behind a private ``socketpair``;
+* ``backend="tcp"`` dispatches cells to a fleet of ``repro worker``
+  processes over TCP.
 
-Because each task is an independent seeded simulation and rows always
-merge in task order, the merged rows are byte-identical across every
-backend (asserted in ``tests/sweep/test_runner.py`` and
-``tests/sweep/test_remote.py``).
+The last two are one executor (:mod:`repro.sweep.remote`, registered
+lazily by entry-point string) with two dialers: one job protocol
+(:mod:`repro.sweep.wire`), one scheduler and failure model
+(:mod:`repro.sweep.fleet`).  Because each task is an independent seeded
+simulation and rows always merge in task order, the merged rows are
+byte-identical across every backend (asserted in
+``tests/sweep/test_runner.py`` and ``tests/sweep/test_remote.py``).
 
-Crash policy: a Python exception inside a task is caught **in the worker**
-and becomes a deterministic ``FAILED`` row (same row either backend).  A
-worker process that *dies* (hard crash, ``os._exit``) breaks the pool;
-every task still in flight is retried — once, each in its own fresh
-single-worker pool so one poisoned task cannot re-kill its neighbours —
-and a task that dies again is recorded as ``FAILED`` with the crash note
-instead of sinking the campaign.
+Crash policy: a Python exception inside a task is caught **in the process
+executing it** and becomes a deterministic ``FAILED`` row (same row on
+every backend).  A process that *dies* under a cell (hard crash,
+``os._exit``) takes down that cell and no other: it is re-queued
+``retries`` times, then recorded as ``FAILED`` with the crash note.
 
 Durability (docs/SWEEP.md, "Durable campaigns"): ``run_sweep`` can journal
 every row to an append-only CRC-checked file as it lands
@@ -40,13 +39,11 @@ journal is already flushed per-row, and the outcome truthfully reports
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import signal
 import threading
 import time
 import traceback
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
@@ -62,7 +59,7 @@ from .spec import (
     tasks_of,
 )
 
-#: Bounded retry budget for pool-breaking worker deaths.
+#: Bounded retry budget for cells whose worker process dies under them.
 DEFAULT_RETRIES = 1
 
 #: Bounded retry budget for watchdog deadline hits.
@@ -269,26 +266,6 @@ def parse_hosts(value: Any) -> List[Tuple[str, int]]:
     return hosts
 
 
-def _pool_context():
-    """Prefer ``fork`` (cheap, inherits compiled programs' modules); fall
-    back to the platform default where fork is unavailable."""
-    methods = multiprocessing.get_all_start_methods()
-    if "fork" in methods:
-        return multiprocessing.get_context("fork")
-    return None
-
-
-def _worker_init() -> None:
-    """Pool-worker initializer: the *parent* owns SIGINT.  A terminal
-    Ctrl-C is delivered to the whole process group; workers must not race
-    the parent's graceful abort with their own KeyboardInterrupt (which
-    would turn deterministic rows into nondeterministic FAILED rows)."""
-    try:
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-    except (ValueError, OSError):  # non-main thread / exotic platform
-        pass
-
-
 # ---------------------------------------------------------------------------
 # Task watchdog
 # ---------------------------------------------------------------------------
@@ -307,7 +284,7 @@ class Watchdog:
     """Per-task wall-clock policy: deadline + bounded retry-with-backoff.
 
     Armed *inside* the executing process (SIGALRM interval timer), so it
-    works identically on the serial backend and in pool workers, and a
+    works identically on the serial backend and in slot processes, and a
     hung worker frees itself instead of needing to be shot from outside.
     On platforms without ``SIGALRM`` the watchdog degrades to a no-op.
     """
@@ -353,7 +330,7 @@ def execute_task(
     :class:`KeyboardInterrupt`, which must reach the backend's graceful
     abort): exceptions become deterministic ``FAILED`` rows and watchdog
     expiries — after bounded retry-with-backoff — deterministic
-    ``TIMEOUT`` rows, identical under either backend."""
+    ``TIMEOUT`` rows, identical under every backend."""
     started = time.perf_counter()
     attempts = 0
     while True:
@@ -398,26 +375,6 @@ def execute_task(
     )
 
 
-def _crash_row(
-    task: SweepTask, exc: BaseException, attempts: int, wall_seconds: float
-) -> SweepResult:
-    return SweepResult(
-        index=task.index,
-        name=task.name,
-        seed=task.seed,
-        status=SweepResult.FAILED,
-        error=f"worker died: {type(exc).__name__}",
-        error_detail=(
-            f"worker process executing task {task.index} ({task.name!r}) "
-            f"died after {attempts} attempt(s): {exc!r}"
-        ),
-        attempts=attempts,
-        # Measured from submission to the last failed attempt: an upper
-        # bound on the work lost, never a silent 0.0.
-        wall_seconds=wall_seconds,
-    )
-
-
 def _is_failure(row: SweepResult) -> bool:
     """The fail-fast trigger: a crashed/timed-out task or a failed
     scenario verdict."""
@@ -436,9 +393,9 @@ class ExecutorContext:
     """Everything :func:`run_sweep` hands an executor for one campaign.
 
     ``workers`` is the executor's own :meth:`SweepExecutor.initial_workers`
-    answer; fleet-sized executors (tcp) may overwrite
-    ``effective_workers`` once the fleet's true slot count is known, and
-    the outcome reports that number.  ``hosts`` is the raw host list for
+    answer; the fleet scheduler overwrites ``effective_workers`` once the
+    true slot count is known (tcp learns it from the handshakes), and the
+    outcome reports that number.  ``hosts`` is the raw host list for
     remote executors (``None`` for local ones); ``meta`` is the campaign's
     ``(name, base_seed)`` so remote workers can label what they serve.
     """
@@ -454,8 +411,9 @@ class ExecutorContext:
     #: pre-shared fleet secret for remote executors (str/bytes or None;
     #: ``None`` falls through to ``REPRO_SWEEP_SECRET``).
     secret: Optional[Any] = None
-    #: backchannel: remote executors report per-worker health and
-    #: self-healing counters here; the outcome surfaces it as ``fleet``.
+    #: backchannel: the fleet executors (parallel, tcp) report per-worker
+    #: health and self-healing counters here; the outcome surfaces it as
+    #: ``fleet``.
     fleet_stats: Optional[Dict[str, Any]] = None
 
 
@@ -509,96 +467,6 @@ class SerialExecutor(SweepExecutor):
             # The in-flight task's partial row is discarded: the outcome
             # covers exactly the rows already journaled.
             aborted = interrupted = True
-        return rows, aborted, interrupted
-
-
-class ProcessPoolBackend(SweepExecutor):
-    """Fan-out over a local :class:`ProcessPoolExecutor`."""
-
-    def run(self, tasks: List[SweepTask], ctx: ExecutorContext) -> BackendRun:
-        watchdog, retries, fail_fast = ctx.watchdog, ctx.retries, ctx.fail_fast
-        on_row = ctx.on_row
-        rows: Dict[int, SweepResult] = {}
-        casualties: List[Tuple[SweepTask, BaseException, float]] = []
-        aborted = interrupted = False
-        mp_ctx = _pool_context()
-        pool = ProcessPoolExecutor(
-            max_workers=ctx.workers, mp_context=mp_ctx, initializer=_worker_init
-        )
-        submitted_at = time.perf_counter()
-        try:
-            futures = {
-                pool.submit(execute_task, task, watchdog): task for task in tasks
-            }
-            pending = set(futures)
-            while pending:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for future in done:
-                    task = futures[future]
-                    if future.cancelled():
-                        continue  # fail-fast revoked it before it started
-                    try:
-                        row = future.result()
-                    except BaseException as exc:  # worker death broke the pool
-                        casualties.append(
-                            (task, exc, time.perf_counter() - submitted_at)
-                        )
-                        continue
-                    rows[task.index] = row
-                    on_row(row)
-                    if fail_fast and _is_failure(row):
-                        aborted = True
-                if aborted and pending:
-                    # Cancel everything not yet started; tasks already
-                    # running finish and keep their rows (a row, once
-                    # begun, is never half-reported).
-                    for future in pending:
-                        future.cancel()
-            pool.shutdown(wait=True)
-        except KeyboardInterrupt:
-            # Graceful abort: revoke everything not yet started and do not
-            # block on in-flight tasks — the journal already holds every
-            # completed row, and the outcome will say so truthfully.
-            aborted = interrupted = True
-            pool.shutdown(wait=False, cancel_futures=True)
-            return rows, aborted, interrupted
-        except BaseException:
-            pool.shutdown(wait=False, cancel_futures=True)
-            raise
-        # Bounded retry, one task per fresh single-worker pool: the
-        # genuine crasher dies alone; innocent casualties of the shared
-        # pool complete.  An aborting campaign skips the retries — it is
-        # already being torn down — and records the crash rows as-is.
-        for task, first_exc, crash_wall in sorted(
-            casualties, key=lambda entry: entry[0].index
-        ):
-            retry_started = time.perf_counter()
-            attempts = 1
-            row: Optional[SweepResult] = None
-            while not aborted and attempts <= retries:
-                attempts += 1
-                try:
-                    with ProcessPoolExecutor(
-                        max_workers=1, mp_context=mp_ctx, initializer=_worker_init
-                    ) as solo:
-                        row = solo.submit(execute_task, task, watchdog).result()
-                    break
-                except KeyboardInterrupt:
-                    aborted = interrupted = True
-                    break
-                except BaseException as exc:  # noqa: BLE001
-                    first_exc = exc
-            if row is None:
-                row = _crash_row(
-                    task,
-                    first_exc,
-                    attempts,
-                    crash_wall + (time.perf_counter() - retry_started),
-                )
-            else:
-                row.attempts = attempts
-            rows[task.index] = row
-            on_row(row)
         return rows, aborted, interrupted
 
 
@@ -678,7 +546,7 @@ def resolve_backend(name: str) -> SweepExecutor:
 
 
 register_backend("serial", SerialExecutor)
-register_backend("parallel", ProcessPoolBackend)
+register_backend("parallel", "repro.sweep.remote:LocalExecutor")
 register_backend("tcp", "repro.sweep.remote:TcpExecutor")
 
 
@@ -713,9 +581,14 @@ def run_sweep(
     explicit argument > ``REPRO_SWEEP_SECRET``); both peers of the tcp job
     protocol must hold the same secret or the handshake is refused.
 
+    *retries* bounds how often a cell is re-queued after the process — or
+    the worker connection — executing it died; lost ``retries + 1`` times
+    it lands as a ``FAILED`` row (``worker died: …``), and no other cell
+    is charged for it.  The serial backend has no process to lose.
+
     *fail_fast* stops the campaign at the first failed row: the serial
-    backend stops enumerating, the pool backend cancels every task not yet
-    started (in-flight tasks finish and keep their rows).  ``aborted`` is
+    backend stops enumerating, the fleet backends dispatch nothing further
+    (in-flight tasks finish and keep their rows).  ``aborted`` is
     the backend's own abort decision — it is True whenever fail-fast
     tripped or the run was interrupted, even when the failing row was the
     final task.
@@ -742,7 +615,7 @@ def run_sweep(
     if retries < 0:
         raise SweepError(
             f"retries must be >= 0, got {retries} (a negative value would "
-            f"silently disable the solo-pool retry)"
+            f"silently disable the re-queue of a cell whose worker died)"
         )
     watchdog: Optional[Watchdog] = None
     if task_timeout is not None:

@@ -5,7 +5,7 @@ The paper's evaluation — and every figure this repo regenerates — is a
 sizes, offered loads, loss rates, seeds and scenario scripts.  A
 :class:`SweepSpec` enumerates that grid into an ordered list of picklable
 :class:`SweepTask` s; :func:`repro.sweep.run_sweep` executes them on a
-serial or process-pool backend and merges the per-task
+serial, parallel or tcp backend and merges the per-task
 :class:`SweepResult` rows back **in task order**, so the merged campaign is
 bit-for-bit identical no matter how many workers ran it or in what order
 they finished.
@@ -27,6 +27,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence
 
@@ -395,6 +396,8 @@ def coerce_jsonable(value: Any, path: str = "payload") -> Any:
     if value is None or isinstance(value, (bool, int, str)):
         return value
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise SweepError(f"{path}: non-finite float {value!r} is not JSON")
         return value
     if isinstance(value, enum.Enum):
         return coerce_jsonable(value.value, path)

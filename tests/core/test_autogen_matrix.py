@@ -1,13 +1,12 @@
-"""Tests for spec-driven script generation (§8) and the fault matrix."""
+"""Tests for spec-driven script generation (§8) and campaigns over it."""
 
 import pytest
 
 from repro.core.autogen import MessageFlow, ProtocolSpec, ScriptGenerator, rether_spec
 from repro.core.fsl import compile_text, parse_script
-from repro.core.matrix import FaultMatrix
-from repro.core.testbed import Testbed
 from repro.errors import ScenarioError
 from repro.sim import ms, seconds
+from repro.sweep import SweepSpec, run_script_task, run_sweep
 
 NODE_TABLE = """NODE_TABLE
   node1 02:00:00:00:00:01 192.168.1.1
@@ -123,60 +122,56 @@ class TestRetherSpec:
             rether_spec(["node1", "node2"], [("node1", "node2")])
 
 
-class TestFaultMatrix:
-    def factory(self):
-        tb = Testbed(seed=3)
-        node1 = tb.add_host("node1")
-        node2 = tb.add_host("node2")
-        node3 = tb.add_host("node3")
-        tb.add_switch("sw0")
-        tb.connect("sw0", node1, node2, node3)
-        tb.install_virtualwire(control="node1")
+class TestGeneratedCampaign:
+    """Generated scripts as a ``run_sweep`` campaign (what
+    ``examples/generated_fault_matrix.py`` does with the Rether spec)."""
 
-        def workload():
-            node2.udp.bind(7)
-            sender = node1.udp.bind(0)
+    def campaign(self, scripts, **params):
+        spec = SweepSpec("generated", base_seed=3)
+        for name, script in scripts.items():
+            spec.add(
+                name,
+                run_script_task,
+                script=script,
+                seed=3,
+                workload={
+                    "kind": "udp_probes",
+                    "receiver": "node2",
+                    "bytes": 20,
+                    "interval_ns": ms(2),
+                    "count": 400,
+                },
+                **params,
+            )
+        return spec
 
-            def tick():
-                sender.sendto(bytes(20), node2.ip, 7)
-                tb.sim.after(ms(2), tick)
-
-            tick()
-
-        return tb, workload
-
-    def scripts(self):
+    def test_every_generated_script_runs_on_a_fresh_testbed(self):
+        """A crashed node stays dead on a reused testbed; a baseline cell
+        passing right after the crash cell shows nothing leaked."""
         generator = ScriptGenerator(simple_spec(), NODE_TABLE)
-        # The matrix works on any name -> script mapping; use two cells.
-        return {
+        scripts = {
+            "crash_node3": generator.crash_scenario("node3"),
             "baseline": generator.baseline(),
             "drop_ping": generator.drop_scenario("ping"),
         }
+        outcome = run_sweep(
+            self.campaign(scripts, max_time_ns=seconds(20)), backend="serial"
+        )
+        assert [row.name for row in outcome.rows] == list(scripts)
+        assert outcome.passed, outcome.render()
+        assert "ALL OK" in outcome.render() and "baseline" in outcome.render()
 
-    def test_matrix_runs_every_cell_fresh(self):
-        matrix = FaultMatrix(self.factory, max_time=seconds(20)).run(self.scripts())
-        assert len(matrix.cells) == 2
-        assert matrix.passed, matrix.render()
-
-    def test_render_shows_verdicts(self):
-        matrix = FaultMatrix(self.factory, max_time=seconds(20)).run(self.scripts())
-        text = matrix.render()
-        assert "ALL PASS" in text and "baseline" in text
-
-    def test_stop_on_failure(self):
+    def test_a_failing_cell_is_reported_not_raised(self):
         generator = ScriptGenerator(simple_spec(), NODE_TABLE)
-        failing = generator.baseline().replace("SCENARIO", "SCENARIO") + ""
         scripts = {
-            # A scenario that cannot STOP (wrong liveness direction would
-            # be contrived; instead demand an impossible count quickly).
+            # Demand an impossible count: the scenario cannot STOP.
             "impossible": generator.baseline().replace(
                 "((Live = 3)) >> STOP;", "((Live = 999999)) >> STOP;"
             ),
             "baseline": generator.baseline(),
         }
-        matrix = FaultMatrix(
-            self.factory, max_time=ms(300), stop_on_failure=True
-        ).run(scripts)
-        assert len(matrix.cells) == 1
-        assert not matrix.passed
-        assert matrix.failures
+        spec = self.campaign(scripts, max_time_ns=ms(300))
+        outcome = run_sweep(spec, backend="serial", fail_fast=True)
+        assert [row.name for row in outcome.rows] == ["impossible"]
+        assert outcome.aborted and not outcome.passed
+        assert outcome.failures == outcome.rows

@@ -21,6 +21,11 @@ TASK), ``fleet.at(1.0, lambda: b.freeze(15.0))`` (SIGSTOP, socket open),
 restart_after=0.3)``, ``ModelWorker(secret="other")`` (refuse auth for
 good: the parent here holds no secret).  A ten-second heartbeat timeout
 costs microseconds, so no scenario needs a timing knob.
+
+:func:`local_slots` is the ``parallel`` backend's topology — what
+``LocalExecutor`` is to ``TcpExecutor``: N one-slot workers that need no
+handshake, whose death the parent itself reports
+(:func:`repro.sweep.remote.slot_died`) and which a redial respawns.
 """
 
 from __future__ import annotations
@@ -31,12 +36,12 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from repro.sim import NS_PER_SEC, Simulator
 from repro.sweep import run_sweep
 from repro.sweep.fleet import Action, Close, Dial, FleetScheduler, Send
+from repro.sweep.remote import slot_died
 from repro.sweep.runner import ExecutorContext, execute_task
 from repro.sweep.spec import SweepOutcome, SweepResult, SweepTask, spec_meta, tasks_of
 from repro.sweep.wire import (
     HEARTBEAT_INTERVAL_S,
     MSG_BYE,
-    MSG_ERROR,
     MSG_GET,
     MSG_HEARTBEAT,
     MSG_PROGRAM,
@@ -52,6 +57,7 @@ from repro.sweep.wire import (
     _loads,
     _parse_json,
     answer_welcome,
+    casualty_frame,
     encode_frame,
     hello_frame,
     resolve_task,
@@ -180,9 +186,7 @@ class ModelWorker:
         parent = _parse_json(parse_frame(hello)[1], "HELLO")
         if self.refuse is not None:
             return encode_frame(MSG_BYE, _json_payload({"error": self.refuse}))
-        self.session = conn
-        self._buffer = FrameBuffer()
-        self._programs = {}
+        self._begin(conn)
         self._nonces += 1
         nonce = f"{self.address}#{self._nonces:024d}"
         return encode_frame(
@@ -196,6 +200,16 @@ class ModelWorker:
                 }
             ),
         )
+
+    def _begin(self, conn: int) -> None:
+        self.session = conn
+        self._buffer = FrameBuffer()
+        self._programs = {}
+
+    def serve(self, conn: int) -> None:
+        """Serve *conn* with no handshake (a local slot's socketpair)."""
+        self._begin(conn)
+        self.authenticated(conn)
 
     def authenticated(self, conn: int) -> None:
         """The parent's AUTH arrived: one GET per slot, then heartbeat."""
@@ -249,12 +263,8 @@ class ModelWorker:
             if self.session != conn:
                 return  # the pool died with the connection
             if verdict == CRASH_SLOT:
-                report = {
-                    "index": index,
-                    "error": "worker died: BrokenProcessPool",
-                    "detail": f"slot process executing task {index} died",
-                }
-                self._send(conn, encode_frame(MSG_ERROR, _json_payload(report)))
+                # What _serve_session's finish() sends for a broken pool.
+                self._send(conn, casualty_frame(index, "slot process died"))
             else:
                 row = execute_task(task)
                 frame = encode_frame(MSG_ROW, _json_payload(row.to_record()))
@@ -286,7 +296,11 @@ class FleetSim:
         workers: Sequence[ModelWorker],
         retries: int = 1,
         fail_fast: bool = False,
+        local: bool = False,
     ) -> None:
+        #: the workers are the parent's own slot processes (see
+        #: :func:`local_slots`), not hosts behind a handshake.
+        self.local = local
         self.sim = Simulator()
         self.tasks: List[SweepTask] = tasks_of(spec_or_tasks)
         self.meta = spec_meta(spec_or_tasks)
@@ -412,6 +426,14 @@ class FleetSim:
     def _dial(self, action: Dial) -> None:
         worker = self.workers[action.address]
         address = action.address
+        if self.local:
+            # socketpair + fork: a fresh process, connected at once.
+            worker.start()
+            self._connections += 1
+            self.open[address] = conn = self._connections
+            worker.serve(conn)
+            self.execute(self.scheduler.connected(address, 1, self.now))
+            return
 
         def failed(reason: str, permanent: bool = False) -> Callable[[], None]:
             return lambda: self.execute(
@@ -461,9 +483,14 @@ class FleetSim:
         def arrive() -> None:
             if self.open.get(worker.address) == conn:
                 del self.open[worker.address]
-                self.execute(
-                    self.scheduler.closed(worker.address, "connection closed", self.now)
-                )
+                address, reason = worker.address, "connection closed"
+                if self.local:  # EOF from a process the parent owns
+                    actions = slot_died(
+                        self.scheduler, address, "slot process died", reason, self.now
+                    )
+                else:
+                    actions = self.scheduler.closed(address, reason, self.now)
+                self.execute(actions)
 
         self._link(worker, "up", arrive)
 
@@ -480,6 +507,12 @@ class FleetSim:
                         (when, action.address)
                     )
         return sends
+
+
+def local_slots(count: int, **kwargs: Any) -> List[ModelWorker]:
+    """The workers of ``FleetSim(..., local=True)``: *count* one-slot
+    processes, not yet forked, named as ``LocalExecutor`` names them."""
+    return [ModelWorker(f"slot-{k}", slots=1, up=False, **kwargs) for k in range(count)]
 
 
 def serial_bytes(spec_or_tasks: Any) -> bytes:

@@ -68,8 +68,8 @@ def _journal_row_count(path: str) -> int:
 
 
 def _start_victim(backend, journal, flag="--journal", hosts=None):
-    # Own session/process group: SIGKILL can reap the pool workers too;
-    # an orphaned worker would otherwise hold the stdout pipe open.
+    # Own session/process group: SIGKILL reaps the slot processes too,
+    # at once (on their own they leave only when their cell is done).
     argv = [sys.executable, HELPER, backend, flag, journal]
     if hosts is not None:
         argv += ["--hosts", hosts]

@@ -1,7 +1,8 @@
 """Fail-fast campaigns: stop at the first failed row.
 
-Serial backend: later tasks are never started.  Pool backend: pending
-futures are cancelled; tasks already running finish and keep their rows.
+Serial backend: later tasks are never started.  Parallel backend: cells
+not yet dispatched to a slot never are; cells already running finish and
+keep their rows.
 Either way the outcome carries ``aborted=True`` and renders the early
 stop explicitly.
 """
@@ -24,8 +25,13 @@ def _raising_task(task):
 
 
 def _slow_ok_task(task):
-    time.sleep(0.2)
+    time.sleep(0.5)
     return {"index": task.index, "passed": True}
+
+
+def _slow_failing_verdict_task(task):
+    time.sleep(0.3)  # long enough for every slot to have taken its cell
+    return {"index": task.index, "passed": False}
 
 
 def _campaign(fail_at: int, total: int = 8, bad=_failing_verdict_task):
@@ -95,7 +101,7 @@ class TestSerialFailFast:
 class TestParallelFailFast:
     def test_pending_tasks_are_cancelled(self):
         """With one worker, the queue drains strictly in order: the
-        failure at t0 must cancel (not run) the tasks behind it."""
+        failure at t0 must leave the tasks behind it undispatched."""
         outcome = run_sweep(
             _campaign(fail_at=0, total=12),
             backend="parallel",
@@ -110,12 +116,13 @@ class TestParallelFailFast:
         """A row, once begun, is never half-reported: tasks already
         running when the abort lands still finish and appear."""
         spec = SweepSpec("inflight", base_seed=1)
-        spec.add("bad", _failing_verdict_task)
+        spec.add("bad", _slow_failing_verdict_task)
         spec.add("slow", _slow_ok_task)
         outcome = run_sweep(spec, backend="parallel", workers=2, fail_fast=True)
         names = [row.name for row in outcome.rows]
         assert "bad" in names
-        # Both started immediately (2 workers): both rows survive.
+        # Both were running (2 slots) when the failure landed: both rows
+        # survive.
         assert "slow" in names
         assert outcome.row("slow").payload["passed"] is True
 

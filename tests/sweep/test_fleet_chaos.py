@@ -21,7 +21,7 @@ import time
 
 import pytest
 
-from repro.sweep import SweepSpec, WorkerServer, run_sweep
+from repro.sweep import SweepSpec, WorkerServer, read_journal, run_sweep
 from repro.sweep import remote
 from repro.sweep.fleet import DIAL_TIMEOUT_S, Close, Dial, FleetScheduler
 from repro.sweep.remote import _fresh_nonce, read_frame
@@ -46,7 +46,13 @@ from repro.sweep.wire import (
 
 from tests.sweep._remote_tasks import ok_task, sleepy_task
 from tests.sweep.chaos import ChaosWorker
-from tests.sweep.fleet_sim import CRASH_SLOT, FleetSim, ModelWorker, serial_bytes
+from tests.sweep.fleet_sim import (
+    CRASH_SLOT,
+    FleetSim,
+    ModelWorker,
+    local_slots,
+    serial_bytes,
+)
 from tests.sweep.test_fail_fast import _failing_verdict_task
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
@@ -321,7 +327,7 @@ class TestErrorFrames:
         assert crashed.status == "FAILED"
         assert crashed.error == "worker died: connection lost"
         assert crashed.attempts == 3
-        assert "reported: slot process executing task 0 died" in crashed.error_detail
+        assert "reported: worker died: slot process died" in crashed.error_detail
         assert tcp.fleet["scheduler"]["rejoins"] == 1
         assert tcp.fleet["scheduler"]["forgiven_losses"] == 1
         # crash, kill (pardoned), crash, crash: a pardoned ERROR would
@@ -359,6 +365,59 @@ class TestErrorFrames:
         scheduler.received("a:1", crash, 1.2)  # retries=1: the budget is spent
         assert [(row.status, row.attempts) for row in landed] == [("FAILED", 2)]
         assert scheduler.done
+
+
+class TestUnshippableTask:
+    def _spec(self):
+        def closure(task):  # not importable by reference: cannot be pickled
+            return {"index": task.index}
+
+        spec = _campaign("unshippable", 6)
+        spec.add("closure", closure)
+        return spec
+
+    @pytest.mark.parametrize("local", [False, True], ids=["tcp", "parallel"])
+    def test_it_lands_one_failed_row_and_costs_nobody_else(self, local):
+        """A cell no worker can ever be sent is the scheduler's to fail:
+        at once, once, without a TASK frame, and without a retry."""
+        spec = self._spec()
+        workers = local_slots(2) if local else _pair()
+        fleet = FleetSim(spec, workers, retries=2, local=local)
+        outcome = fleet.run()
+        row = outcome.rows[6]
+        assert row.status == "FAILED" and row.attempts == 1
+        assert row.error.startswith("unshippable task: ")
+        assert "closure" in row.error
+        assert 6 not in fleet.task_sends()
+        assert outcome.fleet["scheduler"]["requeues"] == 0
+        healthy = run_sweep(spec, backend="serial").rows[:6]
+        assert [r.canonical() for r in outcome.rows[:6]] == [
+            r.canonical() for r in healthy
+        ]
+
+    def test_real_slots_and_the_journal_still_gets_its_end_record(self, tmp_path):
+        journal = str(tmp_path / "j.jsonl")
+        outcome = run_sweep(
+            self._spec(), backend="parallel", workers=2, journal=journal
+        )
+        assert [row.status for row in outcome.rows] == ["OK"] * 6 + ["FAILED"]
+        assert outcome.rows[6].error.startswith("unshippable task: ")
+        end = read_journal(journal).end
+        assert end is not None and end["rows"] == 7 and not end["aborted"]
+
+    def test_fail_fast_stops_dispatching_at_it(self):
+        spec = SweepSpec("unshippable-first", base_seed=1)
+
+        def closure(task):
+            return {}
+
+        spec.add("closure", closure)
+        for i in range(4):
+            spec.add(f"t{i}", ok_task)
+        fleet = FleetSim(spec, local_slots(2), fail_fast=True, local=True)
+        outcome = fleet.run()
+        assert outcome.aborted and [row.name for row in outcome.rows] == ["closure"]
+        assert fleet.task_sends() == {}
 
 
 class TestQuarantine:

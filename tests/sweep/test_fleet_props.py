@@ -19,9 +19,13 @@ After every step:
 
 And from wherever the interleaving stopped, an honest fleet finishes the
 campaign: every task ends with exactly one row.
+
+A second property runs whole campaigns on the ``parallel`` backend's
+topology (``fleet_sim.local_slots``) with a set of process-killing cells:
+each dies alone, exactly ``retries + 1`` times.
 """
 
-from hypothesis import settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
@@ -47,7 +51,7 @@ from repro.sweep.wire import (
 )
 
 from tests.sweep._remote_tasks import ok_task
-from tests.sweep.fleet_sim import parse_frame
+from tests.sweep.fleet_sim import FleetSim, local_slots, parse_frame
 
 ADDRESSES = ["a:1", "b:1", "c:1"]
 worker_ids = st.integers(0, 2)
@@ -304,3 +308,44 @@ TestFleetInvariants = FleetMachine.TestCase
 TestFleetInvariants.settings = settings(
     max_examples=150, stateful_step_count=50, deadline=None
 )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    slots=st.integers(1, 4),
+    retries=st.integers(0, 3),
+    cells=st.integers(1, 12),
+    poison=st.sets(st.integers(0, 11)),
+)
+def test_a_poisoned_cell_dies_alone_on_local_slots(slots, retries, cells, poison):
+    """Every slot that takes a poisoned cell dies of it.  The cell is
+    charged that death and no pardon ever refunds it, so it executes
+    exactly ``retries + 1`` times; its neighbours execute once; and with
+    every slot dead at once (one slot, or all of them poisoned together)
+    the respawns still beat ``FLEET_WINDOW_S`` — ``run`` does not raise."""
+    spec = SweepSpec("poisoned", base_seed=5)
+    for i in range(cells):
+        spec.add(f"t{i}", ok_task)
+    poison &= set(range(cells))
+    sim = FleetSim(spec, local_slots(slots), retries=retries, local=True)
+    for index in poison:
+        sim.on_task(lambda slot: slot.kill(), index=index)
+    outcome = sim.run()
+    serial = {task.index: execute_task(task) for task in sim.tasks}
+    executions = sim.task_sends()
+    assert [row.index for row in outcome.rows] == list(range(cells))
+    for row in outcome.rows:
+        if row.index in poison:
+            assert row.status == SweepResult.FAILED
+            assert row.error.startswith("worker died:")
+            assert row.attempts == len(executions[row.index]) == retries + 1
+        else:
+            assert row.canonical() == serial[row.index].canonical()
+            assert row.attempts == len(executions[row.index]) == 1
+    stats = outcome.fleet["scheduler"]
+    assert stats["forgiven_losses"] == 0
+    assert stats["requeues"] == retries * len(poison)
+    # A death is two strikes (ERROR, then the loss) and a respawn a clean
+    # slate: no slot ever reaches the three that mean quarantine.
+    for health in outcome.fleet["workers"].values():
+        assert "fleet.quarantines" not in health

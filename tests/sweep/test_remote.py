@@ -510,7 +510,7 @@ class ScriptedWorker(threading.Thread):
 class TestLoopbackDifferential:
     def test_three_backend_differential_is_byte_identical(self, fleet):
         """The acceptance campaign (fig5/fig6 x seeds x loss) merges to
-        the same bytes on serial, the process pool, and a 2-host tcp
+        the same bytes on serial, parallel slot processes, and a 2-host tcp
         fleet."""
         from tests.sweep.test_runner import mixed_campaign
 

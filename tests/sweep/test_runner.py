@@ -1,6 +1,12 @@
 """Backend tests: the serial/parallel differential and crash isolation."""
 
+import multiprocessing
 import os
+import signal
+import subprocess
+import sys
+import threading
+import time
 
 import pytest
 
@@ -32,6 +38,38 @@ def _raising_task(task):
 
 def _dying_task(task):
     os._exit(13)  # hard worker death: no exception, no cleanup
+
+
+def _note_pid(task):
+    """One file per execution, named for the process that ran it."""
+    stamp = f"{task.index}-{os.getpid()}-{time.monotonic_ns()}"
+    open(os.path.join(task.param("pids"), stamp), "w").close()
+
+
+def _counted_dying_task(task):
+    _note_pid(task)
+    os._exit(13)
+
+
+def _pid_task(task):
+    _note_pid(task)
+    time.sleep(task.param("sleep_s", 0.0))
+    return {"index": task.index, "passed": task.param("passed", True)}
+
+
+def _noted_pids(directory, index=None):
+    """The pid of every execution noted in *directory* (of cell *index*)."""
+    notes = [name.split("-") for name in os.listdir(directory)]
+    return [int(pid) for cell, pid, _ in notes if index in (None, int(cell))]
+
+
+def _gone(pid):
+    """The process has exited (reaped, or a zombie nobody reaps)."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rpartition(")")[2].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
 
 
 def mixed_campaign() -> SweepSpec:
@@ -72,7 +110,7 @@ class TestDifferential:
     def test_serial_and_parallel_merge_byte_identical(self):
         """The tentpole guarantee: a >=12-task campaign mixing scenarios,
         seeds and loss rates merges to byte-identical rows on the serial
-        reference backend and on a >=2-worker process pool."""
+        reference backend and on >=2 parallel slot processes."""
         spec = mixed_campaign()
         assert len(spec) >= 12
         serial = run_sweep(spec, backend="serial")
@@ -146,10 +184,44 @@ class TestFailureRows:
         assert not outcome.passed
 
 
+def _nan_task(task):
+    return {"index": task.index, "goodput": [1.5, float("nan")], "passed": True}
+
+
+class TestStrictJson:
+    def test_a_nan_payload_is_the_same_failed_row_everywhere(self, tmp_path):
+        """Rejected where the payload is made — in ``execute_task``, so on
+        every backend alike — and therefore never in a ROW frame, the
+        journal, the cache or ``canonical_bytes()``."""
+        from tests.sweep.conftest import strict_loads
+        from tests.sweep.fleet_sim import FleetSim, ModelWorker
+
+        spec = SweepSpec("nan", base_seed=4)
+        spec.add("fine", _ok_task).add("nan", _nan_task).add("fine2", _ok_task)
+        journal, cache = str(tmp_path / "j.jsonl"), str(tmp_path / "cache")
+        outcomes = [
+            run_sweep(spec, backend="serial"),
+            run_sweep(spec, backend="parallel", workers=2),
+            FleetSim(spec, [ModelWorker("a:1"), ModelWorker("b:1")]).run(),
+            run_sweep(spec, backend="serial", journal=journal, cache_dir=cache),
+            run_sweep(spec, backend="serial", journal=journal, resume=True),
+            run_sweep(spec, backend="parallel", workers=2, cache_dir=cache),
+        ]
+        assert outcomes[4].resumed == 3 and outcomes[5].cached_rows == 2
+        reference = outcomes[0].canonical_bytes()
+        assert [o.canonical_bytes() for o in outcomes] == [reference] * len(outcomes)
+        rows = strict_loads(reference)
+        assert [row["status"] for row in rows] == ["OK", "FAILED", "OK"]
+        assert rows[1]["error"] == (
+            "SweepError: payload.goodput[1]: non-finite float nan is not JSON"
+        )
+        assert all(o.rows[1].attempts == 1 for o in outcomes)
+
+
 class TestCrashIsolation:
     def test_dead_worker_becomes_failed_row(self):
-        """A worker hard-dying (os._exit) poisons the shared pool; the
-        runner retries the casualties one-by-one in fresh solo pools, so
+        """A worker hard-dying (os._exit) takes down its own cell and
+        nothing else: the cell is re-queued against the retry budget, so
         the genuine crasher fails alone and every neighbour completes."""
         spec = SweepSpec("crash")
         spec.add("ok0", _ok_task)
@@ -166,6 +238,108 @@ class TestCrashIsolation:
         assert dead.wall_seconds > 0.0  # time lost is measured, never 0.0
         for name in ("ok0", "ok1", "ok2"):
             assert by_name[name].ok, outcome.render()
+
+    @pytest.mark.parametrize("retries", [0, 1, 3])
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_a_process_death_costs_its_own_cell_and_no_other(
+        self, workers, retries, tmp_path
+    ):
+        """One process-killing cell among eight healthy ones: it executes
+        exactly ``retries + 1`` times and lands FAILED; every neighbour —
+        in flight beside it or not — runs once and lands OK."""
+        spec = SweepSpec("isolation")
+        for i in range(9):
+            if i == 2:
+                spec.add("dies", _counted_dying_task, pids=str(tmp_path))
+            else:
+                spec.add(f"ok{i}", _pid_task, pids=str(tmp_path))
+        outcome = run_sweep(spec, backend="parallel", workers=workers, retries=retries)
+        assert len(outcome.rows) == 9
+        for row in outcome.rows:
+            if row.name != "dies":
+                assert row.ok and row.attempts == 1, outcome.render()
+                assert len(_noted_pids(tmp_path, row.index)) == 1
+        dead = outcome.row("dies")
+        assert dead.status == "FAILED" and dead.error.startswith("worker died:")
+        assert dead.attempts == retries + 1
+        assert len(_noted_pids(tmp_path, dead.index)) == retries + 1
+        assert outcome.fleet["scheduler"]["forgiven_losses"] == 0
+        assert outcome.fleet["scheduler"]["requeues"] == retries
+
+    @pytest.mark.parametrize("ending", ["normal", "fail-fast", "interrupted", "raising"])
+    def test_no_slot_outlives_run_sweep(self, ending, tmp_path, monkeypatch):
+        pids = tmp_path / "pids"
+        pids.mkdir()
+        spec = SweepSpec("reaped")
+        for i in range(6):
+            spec.add(
+                f"t{i}",
+                _pid_task,
+                pids=str(pids),
+                sleep_s=30.0 if ending == "interrupted" else 0.1 * (i % 2),
+                passed=not (ending == "fail-fast" and i == 0),
+            )
+        kwargs = {"fail_fast": ending == "fail-fast"}
+        if ending == "interrupted":
+
+            def interrupt_once_both_slots_are_busy():
+                while len(os.listdir(pids)) < 2:
+                    time.sleep(0.01)
+                os.kill(os.getpid(), signal.SIGINT)
+
+            threading.Thread(target=interrupt_once_both_slots_are_busy).start()
+        if ending == "raising":
+            from repro.sweep.journal import JournalWriter
+
+            def full_disk(self, row, fingerprint):
+                raise SweepError("journal: no space left on device")
+
+            monkeypatch.setattr(JournalWriter, "write_row", full_disk)
+            kwargs["journal"] = str(tmp_path / "j.jsonl")
+            with pytest.raises(SweepError, match="no space left"):
+                run_sweep(spec, backend="parallel", workers=2, **kwargs)
+        else:
+            started = time.monotonic()
+            outcome = run_sweep(spec, backend="parallel", workers=2, **kwargs)
+            assert outcome.interrupted == (ending == "interrupted")
+            assert outcome.aborted == (ending != "normal")
+            assert time.monotonic() - started < 10.0  # never waits out a cell
+        slots = set(_noted_pids(pids))
+        assert slots and os.getpid() not in slots
+        assert multiprocessing.active_children() == []
+        assert all(_gone(pid) for pid in slots)
+
+    def test_a_slot_whose_parent_is_sigkilled_exits_on_eof(self, tmp_path):
+        """No slot holds a sibling's socket open: when the parent dies
+        without a goodbye, every slot reads EOF and leaves."""
+        here = os.path.dirname(os.path.abspath(__file__))
+        root = os.path.dirname(os.path.dirname(here))
+        script = (
+            "import sys; sys.path[:0] = [%r, %r]\n"
+            "from repro.sweep import SweepSpec, run_sweep\n"
+            "from tests.sweep.test_runner import _pid_task\n"
+            "spec = SweepSpec('orphans')\n"
+            "for i in range(4000):\n"
+            "    spec.add(f't{i}', _pid_task, pids=%r, sleep_s=0.05)\n"
+            "run_sweep(spec, backend='parallel', workers=3)\n"
+        ) % (os.path.join(root, "src"), root, str(tmp_path))
+        parent = subprocess.Popen([sys.executable, "-c", script])
+        try:
+            deadline = time.monotonic() + 60.0
+            while len(set(_noted_pids(tmp_path))) < 3:
+                assert parent.poll() is None and time.monotonic() < deadline
+                time.sleep(0.02)
+        finally:
+            parent.kill()
+            parent.wait()
+        slots = set(_noted_pids(tmp_path))
+        deadline = time.monotonic() + 2.0
+        while not all(_gone(pid) for pid in slots) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        orphans = [pid for pid in slots if not _gone(pid)]
+        for pid in orphans:
+            os.kill(pid, signal.SIGKILL)  # the test fails; nothing leaks
+        assert orphans == []
 
     def test_serial_backend_never_forks(self):
         pid = os.getpid()
@@ -191,8 +365,8 @@ class TestRunSweepValidation:
             run_sweep(SweepSpec("s"), backend="parallel", workers=0)
 
     def test_negative_retries_rejected(self):
-        """retries=-1 used to silently disable the solo-pool retry; it is
-        now a campaign-spec error."""
+        """retries=-1 used to silently disable the re-queue of a cell whose
+        worker died; it is now a campaign-spec error."""
         with pytest.raises(SweepError, match="retries must be >= 0"):
             run_sweep(SweepSpec("s"), backend="parallel", retries=-1)
 

@@ -169,6 +169,13 @@ class TestCoerceJsonable:
         with pytest.raises(SweepError, match="non-string"):
             coerce_jsonable({1: "x"})
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_floats_rejected_with_path(self, value):
+        """NaN and the infinities are not JSON: Python would write them as
+        bare tokens a strict parser refuses."""
+        with pytest.raises(SweepError, match=r"payload\.rtt\[1\]\.ms: non-finite"):
+            coerce_jsonable({"rtt": [1.0, {"ms": value}]})
+
 
 class TestResultSurface:
     def test_canonical_excludes_wall_accounting(self):

@@ -59,11 +59,6 @@ class IpLayer:
         """Install a static IP-to-MAC binding (the testbed's ARP substitute)."""
         self._neighbors[IpAddress(ip).packed] = MacAddress(mac)
 
-    def clear_neighbors(self) -> None:
-        """Forget every binding but the host's own (ARP then has to work)."""
-        self._neighbors.clear()
-        self._neighbors[self.local_ip.packed] = self.local_mac
-
     def resolve(self, ip: Union[str, IpAddress]) -> MacAddress:
         """Return the MAC for an on-link IP, raising if it is unknown."""
         ip = IpAddress(ip)

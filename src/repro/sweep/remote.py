@@ -4,17 +4,18 @@ The job protocol — frames, handshake, program shipping — is
 :mod:`repro.sweep.wire`; every scheduling decision is the pure
 :class:`repro.sweep.fleet.FleetScheduler`.  What is left here is I/O:
 
-* :func:`_serve_session`, the worker side of an established session (GET
-  per slot, heartbeat, PROGRAM / TASK / BYE in, ROW / ERROR out), run
-  after the handshake of a ``repro worker`` connection
-  (:class:`WorkerServer`, cells on a local pool) and as the whole life of
-  a ``parallel`` slot process (:func:`_slot_main`, cells inline);
+* the slot process (:func:`_slot_main`), the one kind of process that
+  executes cells for ``parallel`` and ``tcp`` alike: one session
+  (:func:`_serve_session`: GET, heartbeat, PROGRAM / TASK / BYE in, ROW /
+  ERROR out) over its end of a private ``socketpair``, cells inline;
+* :class:`WorkerServer` (``repro worker``): the handshake, then a frame
+  relay (:func:`_relay`) between the parent and ``slots`` such processes;
 * :class:`_FleetShell`, which drives one ``FleetScheduler`` over real
   sockets — ``time.monotonic()`` for ``now``, ``recv`` into ``received``,
   EOF and failed sends into ``closed``, its actions carried out — with a
   dialer per backend: :class:`TcpExecutor` (``tcp``: connect, HELLO /
-  WELCOME / AUTH) and :class:`LocalExecutor` (``parallel``: a private
-  ``socketpair``, a forked slot, and the reaping of it).
+  WELCOME / AUTH) and :class:`LocalExecutor` (``parallel``: it forks its
+  slot processes itself).
 """
 
 from __future__ import annotations
@@ -28,9 +29,8 @@ import socket
 import threading
 import time
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .fleet import Action, Close, Dial, FleetScheduler
 from .runner import (
@@ -106,142 +106,235 @@ def read_frame(sock: socket.socket) -> Tuple[int, bytes]:
 
 
 # ---------------------------------------------------------------------------
-# Slot processes and the session they (or their server) speak
+# The slot process: the one kind of process that executes cells
 # ---------------------------------------------------------------------------
 
 
-def _slot_context(*owner_socks: socket.socket) -> Tuple[Any, Tuple[int, ...]]:
-    """How slot processes start — ``fork`` (cheap, inherits the compiled
-    programs' modules) where the platform has it, else its default — and
-    the descriptors one must close at birth: only fork hands the owner's
-    sockets down; elsewhere the numbers would name other files."""
-    forks = "fork" in multiprocessing.get_all_start_methods()
-    context = multiprocessing.get_context("fork" if forks else None)
-    return context, tuple(sock.fileno() for sock in owner_socks) if forks else ()
-
-
-def _slot_init(inherited_fds: Tuple[int, ...]) -> None:
-    """Slot-process initializer.  The *parent* owns SIGINT: a terminal
-    Ctrl-C reaches the whole process group, and a slot racing the parent's
-    graceful abort with its own KeyboardInterrupt would turn deterministic
-    rows into nondeterministic FAILED ones.  And a forked slot is born
-    holding its owner's other sockets (a ``repro worker``'s listener and
-    parent connection, the parent end of every sibling's socketpair);
-    while it held them, a SIGKILLed owner's peers would never see EOF."""
+def _fork_slot(
+    watchdog: Optional[Watchdog], *owner_socks: socket.socket
+) -> Tuple[socket.socket, Any]:
+    """Start a slot process behind a private ``socketpair``; returns the
+    owner's end and the process.  ``fork`` (cheap, inherits the compiled
+    programs' modules) where the platform has it, else its default; only
+    fork hands the owner's other sockets down for the slot to close
+    (elsewhere the numbers would name other files).  :class:`OSError`
+    when the host is out of descriptors, processes or memory."""
+    ours, theirs = socket.socketpair()
     try:
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-    except (ValueError, OSError):  # non-main thread / exotic platform
-        pass
+        forks = "fork" in multiprocessing.get_all_start_methods()
+        context = multiprocessing.get_context("fork" if forks else None)
+        inherited = [sock.fileno() for sock in (ours, *owner_socks)] if forks else []
+        slot = context.Process(target=_slot_main, args=(theirs, inherited, watchdog))
+        slot.start()
+    except OSError:
+        ours.close()
+        raise
+    finally:
+        theirs.close()
+    return ours, slot
+
+
+def _kill_slot(slot: Any) -> str:
+    """Kill and reap a slot process — idle, it is leaving anyway (BYE,
+    EOF); mid-cell, its row is no longer wanted — and say how it ended,
+    which for one that was found dead is how it died."""
+    slot.kill()
+    slot.join()
+    return f"slot process {slot.pid} died (exit code {slot.exitcode})"
+
+
+def _slot_main(
+    conn: socket.socket, inherited_fds: Sequence[int], watchdog: Optional[Watchdog]
+) -> None:
+    """A slot process: one session over its end of the pair (no handshake:
+    nobody else can hold the other end), until BYE or EOF — its owner died.
+
+    The *owner* owns SIGINT: a terminal Ctrl-C reaches the whole process
+    group, and a slot racing its owner's graceful abort with its own
+    KeyboardInterrupt would turn deterministic rows into nondeterministic
+    FAILED ones.  And a forked slot is born holding its owner's other
+    sockets (a ``repro worker``'s listener and parent connection, every
+    sibling's pair); while it held them, a SIGKILLed owner's peers would
+    never see EOF."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     for fd in inherited_fds:
         try:
             os.close(fd)
         except OSError:
             pass
+    try:
+        _serve_session(conn, watchdog)
+    except (ProtocolError, OSError):
+        pass  # a broken owner needs no traceback from every slot
 
 
-def _serve_session(
-    conn: socket.socket, slots: int, start: Callable[[SweepTask, Callable], None]
-) -> None:
-    """The worker side of an established session, until BYE or EOF.
-
-    Announces one GET per slot, heartbeats in the background, keeps the
-    session's program store (a parent pushes each compiled program at most
-    once) and hands every TASK to *start(task, finish)*, which runs the
-    cell — inline or on a pool — and has ``finish(index, result)`` called,
-    from any thread, when it ended.  ``result()`` returns the row, or
-    raises if the process executing it died: a ROW or an ERROR goes back,
-    then a fresh GET.
-    """
+def _serve_session(conn: socket.socket, watchdog: Optional[Watchdog]) -> None:
+    """A slot's session, the whole life of its process: ask for a cell
+    (GET), run it inline, answer ROW — ERROR for a TASK that will not
+    decode — and ask again, until BYE; heartbeat in the background; keep
+    the session's program store (a program arrives at most once)."""
     send_lock = threading.Lock()
-    over = threading.Event()
     get, beat = encode_frame(MSG_GET, b"{}"), encode_frame(MSG_HEARTBEAT, b"{}")
 
     def send(frame: bytes) -> None:
         with send_lock:
             conn.sendall(frame)
 
-    def heartbeat() -> None:
-        while not over.wait(HEARTBEAT_INTERVAL_S):
-            try:
-                send(beat)
-            except OSError:
-                break
-
-    def finish(index: int, result: Callable[[], SweepResult]) -> None:
-        if over.is_set():
-            return
+    def heartbeat() -> None:  # a daemon thread: it ends with the process
         try:
-            try:
-                row = result()
-            except BaseException as exc:  # noqa: BLE001 — its process died
-                send(casualty_frame(index, f"slot process died ({exc!r})"))
-            else:
-                send(encode_frame(MSG_ROW, _json_payload(row.to_record())))
-            send(get)
+            while True:
+                time.sleep(HEARTBEAT_INTERVAL_S)
+                send(beat)
         except OSError:
-            over.set()  # parent is gone; stop reporting
+            pass  # the owner is gone, and the main thread is finding out
 
     programs: Dict[str, Any] = {}
     threading.Thread(target=heartbeat, daemon=True).start()
-    try:
-        for _ in range(slots):
+    send(get)
+    while True:
+        mtype, payload = read_frame(conn)
+        if mtype == MSG_PROGRAM:
+            shipment = _loads(payload, "PROGRAM")
+            programs[str(shipment["hash"])] = shipment["program"]
+        elif mtype == MSG_TASK:
+            index, pickled = split_task(payload)
+            try:
+                task = resolve_task(_loads(pickled, "TASK"), programs)
+            except ProtocolError as exc:
+                # Report it instead of dying — the parent owns the
+                # retry/fail decision.
+                send(casualty_frame(index, f"undeliverable task ({exc})"))
+            else:
+                row = execute_task(task, watchdog)
+                send(encode_frame(MSG_ROW, _json_payload(row.to_record())))
             send(get)
-        while True:
-            mtype, payload = read_frame(conn)
-            if mtype == MSG_PROGRAM:
-                shipment = _loads(payload, "PROGRAM")
-                programs[str(shipment["hash"])] = shipment["program"]
-            elif mtype == MSG_TASK:
-                index, pickled = split_task(payload)
-                try:
-                    task = resolve_task(_loads(pickled, "TASK"), programs)
-                except ProtocolError as exc:
-                    # Report it instead of dying — the parent owns the
-                    # retry/fail decision.
-                    send(casualty_frame(index, f"undeliverable task ({exc})"))
-                    send(get)
-                    continue
-                start(task, finish)
-            elif mtype == MSG_BYE:
-                break
-            elif mtype not in (MSG_HEARTBEAT, MSG_GET):  # those: tolerated
-                raise ProtocolError(f"unexpected message type {mtype} from parent")
-    except ConnectionLost:
-        pass  # parent died (SIGKILL, crash): the session is over
-    finally:
-        over.set()
+        elif mtype == MSG_BYE:
+            return
+        elif mtype not in (MSG_HEARTBEAT, MSG_GET):  # those: tolerated
+            raise ProtocolError(f"unexpected message type {mtype} from parent")
 
 
-def _slot_main(
-    conn: socket.socket, inherited_fds: Tuple[int, ...], watchdog: Optional[Watchdog]
+# ---------------------------------------------------------------------------
+# ``repro worker``: the handshake, then a frame relay to its slots
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class _RelaySlot:
+    """What the relay knows of one of its slot processes."""
+
+    sock: socket.socket
+    process: Any
+    asking: bool  # the parent holds a GET of this slot's that no TASK has answered
+    replaces_asker: bool  # its first GET is the one its predecessor died asking
+    cell: Optional[int] = None  # what it was last handed, until its next GET
+    programs: int = 0  # how many of the session's PROGRAM frames it has been sent
+    buffer: FrameBuffer = field(default_factory=FrameBuffer)
+
+
+def _relay(
+    conn: socket.socket, listener: socket.socket, count: int, watchdog: Optional[Watchdog]
 ) -> None:
-    """A ``parallel`` slot process: one session over its end of a private
-    socketpair (no handshake: nobody else can hold the other end), one cell
-    at a time, inline.  BYE or EOF — the parent died — ends both."""
-    _slot_init(inherited_fds)
+    """An authenticated ``repro worker`` session: frames between the parent
+    and *count* slot processes, on one selector, nothing unpickled.
 
-    def start(task: SweepTask, finish: Callable) -> None:
-        finish(task.index, lambda: execute_task(task, watchdog))
+    Slot to parent, GET / HEARTBEAT / ROW / ERROR pass through whole.
+    Parent to slot, a TASK goes to a slot whose GET is outstanding — the
+    parent's pull protocol is the only scheduler, so there is no queue and
+    a TASK nobody asked for ends the session — behind the session's PROGRAM
+    frames that slot has not seen (kept, not broadcast: a slot busy with a
+    cell is not reading).  A slot's EOF is an ERROR frame for the one cell
+    it held and a fresh fork.  Every way out kills and reaps every slot.
+    """
+    selector = selectors.DefaultSelector()
+    slots: List[_RelaySlot] = []
+    programs: List[bytes] = []
+    from_parent = FrameBuffer()
 
+    def fork(asking: bool) -> None:
+        siblings = (slot.sock for slot in slots)
+        sock, process = _fork_slot(watchdog, conn, listener, *siblings)
+        slots.append(_RelaySlot(sock, process, asking, replaces_asker=asking))
+        selector.register(sock, selectors.EVENT_READ, slots[-1])
+
+    def to_slot(mtype: int, payload: bytes) -> None:
+        if mtype == MSG_PROGRAM:
+            programs.append(encode_frame(mtype, payload))
+        elif mtype == MSG_TASK:
+            index, _pickled = split_task(payload)
+            slot = next((slot for slot in slots if slot.asking), None)
+            if slot is None:
+                raise ProtocolError(f"TASK {index} arrived with no slot asking")
+            frames = programs[slot.programs:] + [encode_frame(mtype, payload)]
+            slot.asking, slot.cell, slot.programs = False, index, len(programs)
+            try:
+                slot.sock.sendall(b"".join(frames))
+            except OSError:
+                pass  # it has just died: its EOF, read next, reports the cell
+        elif mtype not in (MSG_HEARTBEAT, MSG_GET):  # those: tolerated
+            raise ProtocolError(f"unexpected message type {mtype} from parent")
+
+    def from_slot(slot: _RelaySlot, data: bytes) -> None:
+        slot.buffer.feed(data)
+        for mtype, payload in iter(slot.buffer.next_frame, None):
+            if mtype == MSG_GET:
+                if slot.replaces_asker:
+                    slot.replaces_asker = False
+                    continue
+                slot.asking, slot.cell = True, None
+            conn.sendall(encode_frame(mtype, payload))
+        if not data:
+            slots.remove(slot)
+            selector.unregister(slot.sock)
+            slot.sock.close()
+            cause = _kill_slot(slot.process)
+            if slot.cell is not None:
+                conn.sendall(casualty_frame(slot.cell, cause))
+            fork(asking=slot.asking)
+
+    selector.register(conn, selectors.EVENT_READ)
     try:
-        _serve_session(conn, 1, start)
-    except (ProtocolError, OSError):
-        pass  # a broken parent needs no traceback from every slot
+        for _ in range(count):
+            fork(asking=False)
+        while True:
+            for key, _mask in selector.select():
+                try:
+                    data = key.fileobj.recv(1 << 16)
+                except OSError:
+                    data = b""  # reset: gone all the same
+                if key.data is not None:
+                    from_slot(key.data, data)
+                    continue
+                from_parent.feed(data)
+                for mtype, payload in iter(from_parent.next_frame, None):
+                    if mtype == MSG_BYE:
+                        return
+                    to_slot(mtype, payload)
+                if not data:
+                    return
+    finally:
+        for slot in slots:
+            slot.sock.close()
+            _kill_slot(slot.process)
+        selector.close()
 
 
 class WorkerServer:
-    """``repro worker``: serve campaign cells over N local process slots.
+    """``repro worker``: serve campaign cells over N local slot processes.
 
     Listens for one parent at a time (campaigns are sequential); for each
     connection it runs the authenticated v2 handshake (HELLO/WELCOME/
-    AUTH — no pickle-bearing frame is deserialised until the parent's
-    HMAC proof verifies), then :func:`_serve_session` with cells executed
-    on a fresh :class:`ProcessPoolExecutor` of ``slots`` workers.
+    AUTH), then forks ``slots`` slot processes and relays frames between
+    them and the parent (:func:`_relay`) until BYE or EOF, when every
+    slot — idle or mid-cell — is killed and reaped.  The listening
+    process deserialises no pickle at all: PROGRAM and TASK frames pass
+    through to a slot, which exists only once the parent's HMAC proof has
+    verified.
 
-    A slot process that hard-dies breaks that pool: the casualty goes
-    upstream as an ERROR frame (charged to the cell's retry budget) and
-    the pool is rebuilt, so one poisoned cell cannot take the host out of
-    the fleet.
+    A slot process that hard-dies costs the cell it held and no other: the
+    casualty goes upstream as an ERROR frame (charged to the cell's retry
+    budget) and the slot is forked again, so one poisoned cell cannot take
+    the host — or its neighbours' rows — out of the fleet.
 
     ``max_idle`` seconds without a parent connection makes
     :meth:`serve_forever` return (``idle_exit`` set), so orphaned fleet
@@ -331,15 +424,6 @@ class WorkerServer:
             pass
         return False
 
-    def _new_pool(self, conn: socket.socket) -> ProcessPoolExecutor:
-        context, inherited = _slot_context(conn, self._listener)
-        return ProcessPoolExecutor(
-            max_workers=self.slots,
-            mp_context=context,
-            initializer=_slot_init,
-            initargs=(inherited,),
-        )
-
     def _serve_connection(self, conn: socket.socket) -> bool:
         """Serve one parent; returns True when a campaign was served."""
         conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
@@ -379,7 +463,7 @@ class WorkerServer:
         }
         conn.sendall(encode_frame(MSG_WELCOME, _json_payload(welcome)))
         # The parent must prove itself before ANY pickle-bearing frame is
-        # deserialised: the very next frame must be a valid AUTH.
+        # accepted: the very next frame must be a valid AUTH.
         mtype, payload = read_frame(conn)
         if mtype != MSG_AUTH:
             self.auth_failures += 1
@@ -400,24 +484,7 @@ class WorkerServer:
                 "--secret-file?)",
             )
 
-        pool = self._new_pool(conn)
-
-        def start(task: SweepTask, finish: Callable) -> None:
-            nonlocal pool
-            try:
-                future = pool.submit(execute_task, task, watchdog)
-            except BrokenProcessPool:
-                # A previous casualty broke the pool: rebuild and retry
-                # the submission once on the fresh pool.
-                pool.shutdown(wait=False, cancel_futures=True)
-                pool = self._new_pool(conn)
-                future = pool.submit(execute_task, task, watchdog)
-            future.add_done_callback(lambda done: finish(task.index, done.result))
-
-        try:
-            _serve_session(conn, self.slots, start)
-        finally:
-            pool.shutdown(wait=False, cancel_futures=True)
+        _relay(conn, self._listener, self.slots, watchdog)
         return True
 
 
@@ -563,7 +630,7 @@ def slot_died(
 ) -> List[Action]:
     """What the owner of a slot process reports on reading its EOF: a dead
     process, not an infrastructure flap.  The cell it took down goes first,
-    the way ``repro worker`` reports a dead pool slot — an ERROR frame,
+    the way ``repro worker`` reports a dead slot of its — an ERROR frame,
     charged against ``retries`` and never forgiven (``closed`` alone is
     pardoned the moment the slot is re-forked: a process-killing cell would
     run ``retries + 1 + workers`` times)."""
@@ -590,38 +657,28 @@ class LocalExecutor(_FleetShell):
 
     def _dial(self, action: Dial) -> List[Action]:
         address = action.address
-        ours, theirs = socket.socketpair()
-        context, inherited = _slot_context(ours, *self.socks.values())
-        slot = context.Process(
-            target=_slot_main, args=(theirs, inherited, self.ctx.watchdog)
-        )
         try:
-            slot.start()
-        except OSError as exc:  # out of processes or memory: back off, retry
-            ours.close()
+            sock, slot = _fork_slot(self.ctx.watchdog, *self.socks.values())
+        except OSError as exc:  # back off, retry
             return self.scheduler.dial_failed(
                 address, f"cannot start slot process: {exc}", False, time.monotonic()
             )
-        finally:
-            theirs.close()
         self.slots[address] = slot
-        self._adopt(address, ours)
+        self._adopt(address, sock)
         return self.scheduler.connected(address, 1, time.monotonic())
 
     def _lost(self, address: str, reason: str) -> List[Action]:
-        slot = self.slots[address]
-        self._drop(address)
-        cause = f"slot process {slot.pid} died (exit code {slot.exitcode})"
-        return slot_died(self.scheduler, address, cause, reason, time.monotonic())
+        slot = self.slots.pop(address)
+        super()._drop(address)
+        return slot_died(
+            self.scheduler, address, _kill_slot(slot), reason, time.monotonic()
+        )
 
     def _drop(self, address: str) -> None:
         super()._drop(address)
         slot = self.slots.pop(address, None)
         if slot is not None:
-            # Idle, it is leaving anyway (BYE, EOF); mid-cell — an abort,
-            # an interrupt, a lost hedge — its row is no longer wanted.
-            slot.kill()
-            slot.join()
+            _kill_slot(slot)
 
 
 __all__ = [

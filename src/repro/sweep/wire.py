@@ -1,9 +1,8 @@
 """The VirtualWire job protocol as functions over bytes: no sockets, no clock.
 
 Every peer — the parent's :class:`~repro.sweep.fleet.FleetScheduler`,
-``repro worker`` and the ``parallel`` backend's slot processes
-(:mod:`repro.sweep.remote`), the virtual-time fleet harness in
-``tests/sweep/fleet_sim.py`` — builds and parses every message here, so
+``repro worker`` and the slot processes (:mod:`repro.sweep.remote`), the
+virtual-time fleet harness in ``tests/sweep/fleet_sim.py`` — builds and parses every message here, so
 the format is decided in one module.
 
 Wire format — every message is one frame::
@@ -37,7 +36,7 @@ challenge/response folded into HELLO/WELCOME plus one AUTH frame::
       |------------------------------------>|   worker verifies proof
       | GET x slots ...                     |
 
-(A ``parallel`` slot's private socketpair skips the handshake: GET first.)
+(A slot process's private socketpair skips the handshake: GET first.)
 With no secret configured on either side the handshake still runs with an
 empty key, preserving zero-config loopback fleets.  A peer with the wrong
 (or a missing) secret is rejected — the worker answers BYE and closes
@@ -413,8 +412,8 @@ def task_frame(wire: SweepTask) -> bytes:
 def casualty_frame(index: int, cause: str) -> bytes:
     """ERROR: cell *index* ended worker-side without a row (its process
     died, its TASK would not decode).  Sent by whoever owns the slot —
-    ``repro worker`` for its pool, the ``parallel`` shell for a process it
-    forked — so a dead process is charged one way everywhere."""
+    ``repro worker``'s relay or the ``parallel`` shell, each for a process
+    it forked — so a dead process is charged one way everywhere."""
     report = {"index": index, "error": f"worker died: {cause}"}
     return encode_frame(MSG_ERROR, _json_payload(report))
 

@@ -41,14 +41,6 @@ class TestIpLayer:
         assert [frame[:6].hex(":") for frame in sent] == [str(h2.mac), "02:00:00:00:00:99"]
         assert h1.ip_layer.resolve(str(h2.ip)) == h1.ip_layer.resolve(h2.ip.packed)
 
-    def test_clear_neighbors_keeps_only_the_own_binding(self, sim):
-        _, h1, h2 = make_two_hosts(sim, costs=FREE)
-        h1.ip_layer.clear_neighbors()
-        assert h1.ip_layer.resolve(h1.ip) == h1.mac
-        with pytest.raises(StackError, match=str(h2.ip)):
-            h1.ip_layer.send(h2.ip, 17, b"nobody home")
-        assert h1.ip_layer.tx_packets == 0
-
     def test_failed_resolution_still_consumes_the_ident(self, sim):
         _, h1, h2 = make_two_hosts(sim, costs=FREE)
         sent = []

@@ -37,8 +37,8 @@ def sleepy_task(task):
 def slot_killer_task(task):
     """Hard-kill the executing slot process: no exception, no cleanup.
 
-    Worker-side this breaks the local process pool; the worker reports
-    the casualty upstream (ERROR frame) and rebuilds its pool.
+    Worker-side this costs that one slot: whoever owns it reports the
+    casualty upstream (ERROR frame) and forks the slot again.
     """
     os._exit(13)
 
@@ -47,8 +47,8 @@ def server_killer_task(task):
     """SIGKILL the worker *server* that owns this slot.
 
     Only meaningful when the worker runs as its own process (``repro
-    worker`` subprocess): with a forked pool, the slot's parent pid is
-    the server.  The parent sees the TCP connection drop mid-task —
+    worker`` subprocess): the server forks its slots, so the slot's parent
+    pid is the server.  The parent sees the TCP connection drop mid-task —
     the socket-death arm of the failure model.
     """
     os.kill(os.getppid(), signal.SIGKILL)

@@ -49,7 +49,7 @@ class ChaosWorker:
     """One real ``repro worker`` subprocess under chaos control.
 
     The worker runs in its own process group so :meth:`kill` hits the
-    server *and* its pool slots — the fault real fleets see — and so that
+    server *and* its slot processes — the fault real fleets see — and so that
     :meth:`close` can still reap slots orphaned by a server that died
     alone.  The port is pinned on first spawn so :meth:`restart` brings
     the worker back at the same address, which is what lets the

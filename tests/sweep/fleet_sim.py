@@ -261,9 +261,10 @@ class ModelWorker:
 
         def complete() -> None:
             if self.session != conn:
-                return  # the pool died with the connection
+                return  # the slots died with the session
             if verdict == CRASH_SLOT:
-                # What _serve_session's finish() sends for a broken pool.
+                # What the relay sends on reading a dead slot's EOF: one
+                # casualty, for the cell that slot held, then its fresh GET.
                 self._send(conn, casualty_frame(index, "slot process died"))
             else:
                 row = execute_task(task)

@@ -9,8 +9,10 @@ loss, heartbeat silence, an unreachable fleet) runs in virtual time on
 ``fleet_sim.py``.
 """
 
+import multiprocessing
 import os
 import pickle
+import signal
 import socket
 import struct
 import threading
@@ -29,6 +31,7 @@ from repro.sweep import (
     resolve_secret,
     run_sweep,
 )
+from repro.sweep import remote
 from repro.sweep.remote import _fresh_nonce, read_frame
 from repro.sweep.runner import execute_task
 from repro.sweep.wire import (
@@ -37,6 +40,7 @@ from repro.sweep.wire import (
     MSG_AUTH,
     MSG_BYE,
     MSG_GET,
+    MSG_HEARTBEAT,
     MSG_HELLO,
     MSG_PROGRAM,
     MSG_ROW,
@@ -55,13 +59,16 @@ from repro.sweep.wire import (
     answer_welcome,
     encode_frame,
     export_task,
+    hello_frame,
     resolve_task,
     split_task,
+    task_frame,
 )
 
 from tests.sweep._remote_tasks import ok_task, server_killer_task, slot_killer_task
 from tests.sweep.chaos import ChaosWorker
 from tests.sweep.fleet_sim import FleetSim, ModelWorker, parse_frame, serial_bytes
+from tests.sweep.test_runner import _gone, _noted_pids, _pid_task
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
 
@@ -639,8 +646,8 @@ class TestFleetConfig:
 
 class TestWorkerLoss:
     def test_slot_death_is_reported_requeued_and_bounded(self, fleet):
-        """A cell that hard-kills its slot process breaks the worker's
-        local pool: the worker reports it (ERROR frame), the parent
+        """A cell that hard-kills its slot process costs the worker that
+        slot only: the worker reports it (ERROR frame), the parent
         re-queues within the retry budget, and a cell that keeps killing
         becomes a deterministic FAILED row while healthy cells complete."""
         spec = SweepSpec("slotdeath", base_seed=6)
@@ -765,3 +772,177 @@ class TestWorkerLoss:
         assert outcome.canonical_bytes() == serial_bytes(spec)
         assert outcome.fleet["workers"]["silent:1"]["fleet.failures_loss"] == 1
         assert 10.0 < sim.now < 10.5  # lost at the timeout, finished at once
+
+
+# ---------------------------------------------------------------------------
+# The worker's session: a frame relay that owns its slot processes
+# ---------------------------------------------------------------------------
+
+
+class TestWorkerSession:
+    """Real processes: what is under test is who is alive afterwards."""
+
+    @pytest.fixture
+    def server(self):
+        server = WorkerServer(slots=2)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        yield server
+        server.stop()
+
+    @staticmethod
+    def _dial(server):
+        """A raw parent, past the handshake."""
+        sock = socket.create_connection((server.host, server.port), timeout=10)
+        nonce = _fresh_nonce()
+        sock.sendall(hello_frame(nonce, None, 0, None))
+        _slots, auth = answer_welcome(*read_frame(sock), None, nonce)
+        sock.sendall(auth)
+        return sock
+
+    @staticmethod
+    def _frames(sock, rows=0, gets=0):
+        """Read until that many ROWs and GETs have arrived; the frame
+        types in arrival order, heartbeats aside."""
+        seen = []
+        while seen.count(MSG_ROW) < rows or seen.count(MSG_GET) < gets:
+            mtype, _payload = read_frame(sock)
+            if mtype != MSG_HEARTBEAT:
+                seen.append(mtype)
+        return seen
+
+    @staticmethod
+    def _child_pids():
+        return {child.pid for child in multiprocessing.active_children()}
+
+    @staticmethod
+    def _send_cells(sock, pids, count, sleep_s):
+        spec = SweepSpec("session", base_seed=3)
+        for i in range(count):
+            spec.add(f"t{i}", _pid_task, pids=str(pids), sleep_s=sleep_s)
+        for task in spec.tasks():
+            sock.sendall(task_frame(export_task(task)[0]))
+
+    @staticmethod
+    def _await_campaigns(server, served):
+        """A session's clean-up is over when the worker has counted it."""
+        deadline = time.monotonic() + 10.0  # nobody waits out a 30 s cell
+        while server.campaigns_served < served:
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+
+    def _assert_no_slot_left_and_still_serving(self, server, pids, served=0):
+        """Every slot the ended session forked is gone, busy or not, and
+        the next campaign is none the worse for it."""
+        self._await_campaigns(server, served)
+        assert multiprocessing.active_children() == []
+        assert all(_gone(pid) for pid in _noted_pids(pids))
+        spec = SweepSpec("next", base_seed=5)
+        for i in range(5):
+            spec.add(f"n{i}", ok_task)
+        again = run_sweep(spec, backend="tcp", hosts=[(server.host, server.port)])
+        assert again.canonical_bytes() == serial_bytes(spec)
+        self._await_campaigns(server, served + 1)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("ending", ["fail-fast", "interrupted", "socket-close"])
+    def test_no_slot_outlives_its_session(self, server, ending, tmp_path):
+        hosts = [(server.host, server.port)]
+
+        def both_slots_are_busy():
+            while len(os.listdir(tmp_path)) < 2:
+                time.sleep(0.01)
+
+        if ending == "socket-close":
+            sock = self._dial(server)
+            assert self._frames(sock, gets=2) == [MSG_GET, MSG_GET]
+            self._send_cells(sock, tmp_path, 2, sleep_s=30.0)
+            both_slots_are_busy()
+            # Not close() alone: this worker lives in the test's process,
+            # so its forked slots hold copies of the test's end too.
+            sock.shutdown(socket.SHUT_RDWR)
+            sock.close()
+        else:
+            spec = SweepSpec("abandoned", base_seed=3)
+            for i in range(6):
+                spec.add(
+                    f"t{i}",
+                    _pid_task,
+                    pids=str(tmp_path),
+                    sleep_s=30.0 if ending == "interrupted" else 0.1,
+                    passed=ending == "interrupted",
+                )
+            if ending == "interrupted":
+
+                def interrupt():
+                    both_slots_are_busy()
+                    os.kill(os.getpid(), signal.SIGINT)
+
+                threading.Thread(target=interrupt).start()
+            outcome = run_sweep(
+                spec, backend="tcp", hosts=hosts, fail_fast=ending == "fail-fast"
+            )
+            assert outcome.aborted and len(outcome.rows) < 6
+            assert outcome.interrupted == (ending == "interrupted")
+        self._assert_no_slot_left_and_still_serving(server, tmp_path, served=1)
+        assert len(set(_noted_pids(tmp_path))) == 2
+
+    def test_a_task_nobody_asked_for_ends_the_session_not_the_worker(
+        self, server, tmp_path
+    ):
+        """Relay totality, parent side: the pull protocol is the only
+        scheduler, so a TASK sent while every slot is busy has nowhere to
+        go.  That session ends, its slots with it."""
+        sock = self._dial(server)
+        try:
+            assert self._frames(sock, gets=2) == [MSG_GET, MSG_GET]
+            self._send_cells(sock, tmp_path, 3, sleep_s=30.0)  # two slots
+            with pytest.raises(ConnectionLost):
+                self._frames(sock, rows=1)
+        finally:
+            sock.close()
+        assert server.campaigns_served == 0  # a broken session is no campaign
+        self._assert_no_slot_left_and_still_serving(server, tmp_path)
+
+    def test_garbage_from_a_slot_ends_the_session_not_the_worker(
+        self, server, tmp_path, monkeypatch
+    ):
+        """Relay totality, slot side: the relay reads its slots through
+        the one frame parser, and what fails it ends that session only."""
+
+        def babbling_slot(conn, inherited_fds, watchdog):
+            conn.sendall(b"these bytes are not a VWJP frame")
+            time.sleep(30)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(remote, "_slot_main", babbling_slot)
+            sock = self._dial(server)
+            try:
+                with pytest.raises(ConnectionLost):
+                    self._frames(sock, rows=1)
+            finally:
+                sock.close()
+        self._assert_no_slot_left_and_still_serving(server, tmp_path)
+
+    def test_an_idle_slot_killed_from_outside_costs_nobody(self, server, tmp_path):
+        """The parent already holds the dead slot's GET: its replacement's
+        first GET is that same request, not a third slot."""
+        sock = self._dial(server)
+        try:
+            assert self._frames(sock, gets=2) == [MSG_GET, MSG_GET]
+            before = self._child_pids()
+            os.kill(min(before), signal.SIGKILL)
+            while len(self._child_pids() - before) < 1:  # forked again
+                time.sleep(0.01)
+            self._send_cells(sock, tmp_path, 2, sleep_s=0.3)
+            # The replacement asked long before either cell was over.
+            assert self._frames(sock, rows=1) == [MSG_ROW]
+            assert sorted(self._frames(sock, rows=1, gets=2)) == [
+                MSG_GET,
+                MSG_GET,
+                MSG_ROW,
+            ]
+            sock.sendall(encode_frame(MSG_BYE, b"{}"))
+        finally:
+            sock.close()
+        self._assert_no_slot_left_and_still_serving(server, tmp_path, served=1)
+        assert len(set(_noted_pids(tmp_path))) == 2

@@ -239,32 +239,64 @@ class TestCrashIsolation:
         for name in ("ok0", "ok1", "ok2"):
             assert by_name[name].ok, outcome.render()
 
+    @staticmethod
+    def _one_killer_among_eight(retries, pids, **backend):
+        """One process-killing cell among eight healthy ones: it executes
+        exactly ``retries + 1`` times and lands FAILED; every neighbour —
+        in flight beside it or not — runs once and lands OK."""
+        os.mkdir(pids)
+        spec = SweepSpec("isolation")
+        for i in range(9):
+            if i == 2:
+                spec.add("dies", _counted_dying_task, pids=str(pids))
+            else:
+                spec.add(f"ok{i}", _pid_task, pids=str(pids))
+        outcome = run_sweep(spec, retries=retries, **backend)
+        assert len(outcome.rows) == 9
+        for row in outcome.rows:
+            if row.name != "dies":
+                assert row.ok and row.attempts == 1, outcome.render()
+                assert len(_noted_pids(pids, row.index)) == 1
+        dead = outcome.row("dies")
+        assert dead.status == "FAILED" and dead.error.startswith("worker died:")
+        assert dead.attempts == retries + 1
+        assert len(_noted_pids(pids, dead.index)) == retries + 1
+        assert outcome.fleet["scheduler"]["forgiven_losses"] == 0
+        assert outcome.fleet["scheduler"]["requeues"] == retries
+        return outcome
+
     @pytest.mark.parametrize("retries", [0, 1, 3])
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_a_process_death_costs_its_own_cell_and_no_other(
         self, workers, retries, tmp_path
     ):
-        """One process-killing cell among eight healthy ones: it executes
-        exactly ``retries + 1`` times and lands FAILED; every neighbour —
-        in flight beside it or not — runs once and lands OK."""
-        spec = SweepSpec("isolation")
-        for i in range(9):
-            if i == 2:
-                spec.add("dies", _counted_dying_task, pids=str(tmp_path))
-            else:
-                spec.add(f"ok{i}", _pid_task, pids=str(tmp_path))
-        outcome = run_sweep(spec, backend="parallel", workers=workers, retries=retries)
-        assert len(outcome.rows) == 9
-        for row in outcome.rows:
-            if row.name != "dies":
-                assert row.ok and row.attempts == 1, outcome.render()
-                assert len(_noted_pids(tmp_path, row.index)) == 1
-        dead = outcome.row("dies")
-        assert dead.status == "FAILED" and dead.error.startswith("worker died:")
-        assert dead.attempts == retries + 1
-        assert len(_noted_pids(tmp_path, dead.index)) == retries + 1
-        assert outcome.fleet["scheduler"]["forgiven_losses"] == 0
-        assert outcome.fleet["scheduler"]["requeues"] == retries
+        self._one_killer_among_eight(
+            retries, tmp_path / "pids", backend="parallel", workers=workers
+        )
+
+    @pytest.mark.parametrize("retries", [0, 1])
+    @pytest.mark.parametrize("slots", [2, 4])
+    def test_a_process_death_costs_its_own_cell_and_no_other_on_a_tcp_worker(
+        self, slots, retries, tmp_path
+    ):
+        """The same campaign, the same rows and the same accounting over
+        ``tcp`` to one multi-slot ``repro worker``: its slots are the very
+        processes ``parallel`` forks, so a death breaks nothing shared."""
+        server = WorkerServer(slots=slots)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        try:
+            tcp = self._one_killer_among_eight(
+                retries,
+                tmp_path / "tcp",
+                backend="tcp",
+                hosts=[(server.host, server.port)],
+            )
+        finally:
+            server.stop()
+        parallel = self._one_killer_among_eight(
+            retries, tmp_path / "parallel", backend="parallel", workers=slots
+        )
+        assert tcp.canonical_bytes() == parallel.canonical_bytes()
 
     @pytest.mark.parametrize("ending", ["normal", "fail-fast", "interrupted", "raising"])
     def test_no_slot_outlives_run_sweep(self, ending, tmp_path, monkeypatch):

@@ -28,9 +28,6 @@ import tempfile
 from repro.scripts import canonical_node_table, tcp_congestion_script
 from repro.sweep import SweepSpec, run_script_task, run_sweep
 
-BACKEND = os.environ.get("REPRO_SWEEP_BACKEND", "parallel")
-
-
 def fig5_grid() -> SweepSpec:
     script = tcp_congestion_script(canonical_node_table(2))
     spec = SweepSpec("durable_fig5", base_seed=11)
@@ -49,19 +46,21 @@ def main() -> None:
         journal = os.path.join(scratch, "fig5.jsonl")
         cache = os.path.join(scratch, "cache")
 
-        cold = run_sweep(fig5_grid(), backend=BACKEND,
+        # No backend= anywhere: run_sweep resolves REPRO_SWEEP_BACKEND
+        # (validated), else parallel.
+        cold = run_sweep(fig5_grid(),
                          journal=journal, cache_dir=cache, task_timeout=300.0)
         assert cold.passed, cold.render()
-        print(f"cold:   {len(cold.rows)} rows executed, "
-              f"journal {os.path.getsize(journal)} bytes")
+        print(f"cold:   {len(cold.rows)} rows executed on the {cold.backend} "
+              f"backend, journal {os.path.getsize(journal)} bytes")
 
-        resumed = run_sweep(fig5_grid(), backend=BACKEND,
+        resumed = run_sweep(fig5_grid(),
                             journal=journal, resume=True, cache_dir=cache)
         assert resumed.resumed == len(cold.rows)
         print(f"resume: {resumed.resumed} rows replayed from the journal, "
               f"0 executed")
 
-        warm = run_sweep(fig5_grid(), backend=BACKEND,
+        warm = run_sweep(fig5_grid(),
                          journal=os.path.join(scratch, "fresh.jsonl"),
                          cache_dir=cache)
         assert warm.cached_rows == len(cold.rows)

@@ -17,15 +17,12 @@ with zero changes to the generated scripts.
 Run:  python examples/generated_fault_matrix.py
 """
 
-import os
-
 from repro.core.autogen import ScriptGenerator, rether_spec
 from repro.scripts import canonical_node_table
 from repro.sim import seconds
 from repro.sweep import SweepSpec, run_script_task, run_sweep
 
 RING = ["node1", "node2", "node3", "node4"]
-BACKEND = os.environ.get("REPRO_SWEEP_BACKEND", "parallel")
 
 
 def matrix_campaign(suite, max_time_ns, **rether_kwargs) -> SweepSpec:
@@ -59,8 +56,10 @@ def main() -> None:
     print(f"generated {len(suite)} scenarios from the Rether spec:")
     print("  " + ", ".join(suite))
 
-    print("\n=== correct implementation ===")
-    matrix = run_sweep(matrix_campaign(suite, seconds(30)), backend=BACKEND)
+    # No backend= anywhere: run_sweep resolves REPRO_SWEEP_BACKEND
+    # (validated), else parallel.
+    matrix = run_sweep(matrix_campaign(suite, seconds(30)))
+    print(f"\n=== correct implementation ({matrix.backend} backend) ===")
     print(matrix.render())
     assert matrix.passed
 
@@ -68,8 +67,7 @@ def main() -> None:
     broken = run_sweep(
         matrix_campaign(
             suite, seconds(10), regeneration_timeout_ns=seconds(999)
-        ),
-        backend=BACKEND,
+        )
     )
     print(broken.render())
     assert not broken.passed, "a build without regeneration must fail"

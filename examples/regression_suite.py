@@ -19,8 +19,6 @@ overly-timid implementation needs a throughput-oriented scenario instead.
 Run:  python examples/regression_suite.py
 """
 
-import os
-
 from repro.scripts import canonical_node_table, tcp_congestion_script
 from repro.sweep import SweepSpec, run_sweep, tcp_variant_task
 
@@ -45,9 +43,9 @@ def suite_campaign() -> SweepSpec:
 
 
 def main() -> None:
-    outcome = run_sweep(
-        suite_campaign(), backend=os.environ.get("REPRO_SWEEP_BACKEND", "parallel")
-    )
+    # No backend= here: run_sweep resolves REPRO_SWEEP_BACKEND (validated),
+    # else parallel.
+    outcome = run_sweep(suite_campaign())
     assert all(row.ok for row in outcome.rows), outcome.render()
     print(f"{'implementation under test':<34} {'verdict':<8} {'errors':<7} expected")
     print("-" * 66)
@@ -64,8 +62,8 @@ def main() -> None:
             f"{'✓' if ok else '✗ UNEXPECTED'}"
         )
     assert all_as_expected
-    print("\nregression suite OK: one script, seven implementations, "
-          "zero test-code changes.")
+    print(f"\nregression suite OK ({outcome.backend} backend): one script, "
+          "seven implementations, zero test-code changes.")
 
 
 if __name__ == "__main__":

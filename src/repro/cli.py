@@ -468,9 +468,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--backend",
         default=None,
-        help="execution backend by registry name (serial, parallel, tcp, "
-        "or any registered SweepExecutor; default: REPRO_SWEEP_BACKEND "
-        "or parallel)",
+        help="execution backend: serial, parallel or tcp (default: "
+        "REPRO_SWEEP_BACKEND or parallel)",
     )
     sweep.add_argument(
         "--workers", type=int, default=None, help="slot processes (default: cores, max 4)"

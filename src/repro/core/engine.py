@@ -98,6 +98,9 @@ class VirtualWireEngine(FrameLayer, RuntimeHooks):
         #: control frames whose bytes did not parse, over the engine's life.
         #: Not an EngineStats slot: those feed every report's pinned digest.
         self.control_malformed_discarded = 0
+        #: well-formed control messages naming a program, counter, term or
+        #: node index this engine lacks; a plain attribute for the same reason.
+        self.control_rejected = 0
         #: True once a scripted FAIL took this host down (liveness
         #: supervision then treats unreachability as expected).
         self.scripted_failure = False
@@ -394,25 +397,11 @@ class VirtualWireEngine(FrameLayer, RuntimeHooks):
             self.control_malformed_discarded += 1
             return
         for deliverable in self.channel.on_frame(frame.src, message):
-            self._dispatch_control(frame, deliverable)
-
-    def _dispatch_control(self, frame: EthernetFrame, message: ControlMessage) -> None:
-        handler = {
-            ControlType.INIT: self._on_init,
-            ControlType.INIT_ACK: self._on_init_ack,
-            ControlType.INIT_NACK: self._on_init_nack,
-            ControlType.START: self._on_start,
-            ControlType.SHUTDOWN: self._on_shutdown,
-            ControlType.COUNTER_UPDATE: self._on_counter_update,
-            ControlType.TERM_STATUS: self._on_term_status,
-            ControlType.ERROR_REPORT: self._on_error_report,
-            ControlType.STOP_REPORT: self._on_stop_report,
-            ControlType.HEARTBEAT: self._on_heartbeat,
-            ControlType.REGISTER: self._on_register,
-            ControlType.NODE_RESET: self._on_node_reset,
-            ControlType.RESTART_REPORT: self._on_restart_report,
-        }[message.msg_type]
-        handler(frame, message)
+            try:
+                self._CONTROL_HANDLERS[deliverable.msg_type](self, frame, deliverable)
+            except ControlPlaneError:
+                # An id its handler refuses: dropped, no frame ends the run.
+                self.control_rejected += 1
 
     def verify_init_checksum(self, program: CompiledProgram, claimed: int) -> None:
         """Check an INIT frame's table checksum against the shipped tables."""
@@ -517,6 +506,23 @@ class VirtualWireEngine(FrameLayer, RuntimeHooks):
         self.frontend.schedule_restart(
             self.program.nodes.entries[message.a].name, message.b
         )
+
+    #: control type -> handler (plain functions: called with ``self``).
+    _CONTROL_HANDLERS = {
+        ControlType.INIT: _on_init,
+        ControlType.INIT_ACK: _on_init_ack,
+        ControlType.INIT_NACK: _on_init_nack,
+        ControlType.START: _on_start,
+        ControlType.SHUTDOWN: _on_shutdown,
+        ControlType.COUNTER_UPDATE: _on_counter_update,
+        ControlType.TERM_STATUS: _on_term_status,
+        ControlType.ERROR_REPORT: _on_error_report,
+        ControlType.STOP_REPORT: _on_stop_report,
+        ControlType.HEARTBEAT: _on_heartbeat,
+        ControlType.REGISTER: _on_register,
+        ControlType.NODE_RESET: _on_node_reset,
+        ControlType.RESTART_REPORT: _on_restart_report,
+    }
 
     # ------------------------------------------------------------------
     # RuntimeHooks: outbound state exchange and reports

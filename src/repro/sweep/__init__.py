@@ -29,7 +29,6 @@ from .campaigns import (
 )
 from .journal import JournalError, JournalState, JournalWriter, read_journal
 from .runner import (
-    BACKENDS,
     DEFAULT_RETRIES,
     DEFAULT_TIMEOUT_BACKOFF,
     DEFAULT_TIMEOUT_RETRIES,
@@ -38,19 +37,13 @@ from .runner import (
     ExecutorContext,
     SweepExecutor,
     Watchdog,
-    backend_names,
     default_backend,
     default_hosts,
     default_workers,
     parse_hosts,
-    register_backend,
-    resolve_backend,
     resolve_secret,
     run_sweep,
 )
-from .health import FleetHealth
-from .remote import TcpExecutor, WorkerServer
-from .wire import PROTOCOL_VERSION
 from .spec import (
     SweepError,
     SweepOutcome,
@@ -62,13 +55,8 @@ from .spec import (
 )
 
 __all__ = [
-    "BACKENDS",
-    "FleetHealth",
     "HOSTS_ENV",
-    "PROTOCOL_VERSION",
     "SECRET_ENV",
-    "TcpExecutor",
-    "WorkerServer",
     "default_hosts",
     "parse_hosts",
     "resolve_secret",
@@ -87,12 +75,9 @@ __all__ = [
     "SweepSpec",
     "SweepTask",
     "Watchdog",
-    "backend_names",
     "default_backend",
     "default_workers",
     "derive_seed",
-    "register_backend",
-    "resolve_backend",
     "fig7_point_task",
     "fig8_point_task",
     "read_journal",

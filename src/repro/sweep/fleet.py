@@ -176,6 +176,8 @@ class FleetScheduler:
         self.aborted = False
         self.addresses = list(addresses)
         self.workers: Dict[str, _Worker] = {}
+        #: the most slots connected at once: the campaign's worker count.
+        self.peak_slots = 0
         self.health = FleetHealth()
         self.stats = {
             "rejoins": 0,
@@ -220,9 +222,9 @@ class FleetScheduler:
         if self.health.record_connect(address):
             self.stats["rejoins"] += 1
             self._forgive_losses(address)
-        total = sum(worker.slots for worker in self.workers.values())
-        if self.ctx.effective_workers is None or total > self.ctx.effective_workers:
-            self.ctx.effective_workers = total
+        self.peak_slots = max(
+            self.peak_slots, sum(worker.slots for worker in self.workers.values())
+        )
         return self._dispatch(now)
 
     def dial_failed(

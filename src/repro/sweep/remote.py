@@ -496,8 +496,8 @@ class WorkerServer:
 class _FleetShell(SweepExecutor):
     """One campaign's :class:`FleetScheduler` driven over real sockets.
 
-    One instance runs one campaign (the registry builds a fresh executor
-    per ``run_sweep``): it owns that campaign's sockets, carries out the
+    One instance runs one campaign (``run_sweep`` builds a fresh executor
+    each time): it owns that campaign's sockets, carries out the
     scheduler's actions on them and reports back what they did.  A backend
     adds the dialer: ``_fleet(ctx)`` names the addresses, ``_dial(action)``
     answers ``connected`` (socket :meth:`_adopt`-ed) or ``dial_failed``.
@@ -520,10 +520,11 @@ class _FleetShell(SweepExecutor):
             # row; pending cells stay unsent, in-flight rows are dropped.
             interrupted = True
         finally:
-            ctx.fleet_stats = scheduler.snapshot(time.monotonic())
+            fleet = scheduler.snapshot(time.monotonic())
             self._execute(scheduler.shutdown())
             self.selector.close()
-        return scheduler.rows, scheduler.aborted or interrupted, interrupted
+        aborted = scheduler.aborted or interrupted
+        return BackendRun(scheduler.rows, aborted, interrupted, scheduler.peak_slots, fleet)
 
     def _pump(self, address: str) -> None:
         sock = self.socks.get(address)
@@ -575,13 +576,6 @@ class _FleetShell(SweepExecutor):
 
 class TcpExecutor(_FleetShell):
     """The ``tcp`` backend: campaign cells over a ``repro worker`` fleet."""
-
-    def initial_workers(self, workers: Optional[int]) -> int:
-        if workers is not None and workers < 1:
-            raise SweepError(f"workers must be >= 1, got {workers}")
-        # The true worker count is the fleet's advertised slot total,
-        # known only after the HELLO exchange; 0 is the placeholder.
-        return 0
 
     def _fleet(self, ctx: ExecutorContext) -> Sequence[str]:
         hosts = default_hosts() if ctx.hosts is None else parse_hosts(ctx.hosts)

@@ -1,8 +1,7 @@
-"""Campaign execution backends: a pluggable executor registry.
+"""Campaign execution: the front door (:func:`run_sweep`) and its backends.
 
-Backends are :class:`SweepExecutor` implementations looked up by name in
-a registry (:func:`register_backend` / :func:`resolve_backend`), so new
-execution tiers plug in without touching :func:`run_sweep`:
+There are exactly three backends, chosen by name from a fixed table
+(:func:`_executor`):
 
 * ``backend="serial"`` runs every task in the calling process, in task
   order — the reference implementation the differential tests compare
@@ -12,13 +11,13 @@ execution tiers plug in without touching :func:`run_sweep`:
 * ``backend="tcp"`` dispatches cells to a fleet of ``repro worker``
   processes over TCP.
 
-The last two are one executor (:mod:`repro.sweep.remote`, registered
-lazily by entry-point string) with two dialers: one job protocol
-(:mod:`repro.sweep.wire`), one scheduler and failure model
-(:mod:`repro.sweep.fleet`).  Because each task is an independent seeded
-simulation and rows always merge in task order, the merged rows are
-byte-identical across every backend (asserted in
-``tests/sweep/test_runner.py`` and ``tests/sweep/test_remote.py``).
+The last two are one executor (:mod:`repro.sweep.remote`, imported when
+one of them is first selected: a ``serial`` campaign loads no fleet
+code) with two dialers: one job protocol (:mod:`repro.sweep.wire`), one
+scheduler and failure model (:mod:`repro.sweep.fleet`).  Because each
+task is an independent seeded simulation and rows always merge in task
+order, the merged rows are byte-identical across every backend (asserted
+in ``tests/sweep/test_runner.py`` and ``tests/sweep/test_remote.py``).
 
 Crash policy: a Python exception inside a task is caught **in the process
 executing it** and becomes a deterministic ``FAILED`` row (same row on
@@ -46,7 +45,7 @@ import time
 import traceback
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .spec import (
     SweepError,
@@ -133,11 +132,8 @@ def _read_env() -> _SweepEnv:
         if workers < 1:
             raise SweepError(f"{WORKERS_ENV} must be an integer >= 1, got {env!r}")
     backend = found.get(BACKEND_ENV) or None
-    if backend is not None and backend not in _BACKENDS:
-        raise SweepError(
-            f"{BACKEND_ENV} names unknown sweep backend {backend!r} "
-            f"(registered backends: {backend_names()})"
-        )
+    if backend is not None:
+        _check_backend(backend, BACKEND_ENV)
     hosts = None
     if found.get(HOSTS_ENV, "") != "":
         try:
@@ -155,9 +151,9 @@ def default_workers() -> int:
 
 
 def default_backend() -> str:
-    """Backend default: ``REPRO_SWEEP_BACKEND`` when set (validated
-    against the registry — a typo'd env value is a :class:`SweepError`,
-    not a silent fallback), else ``"parallel"``."""
+    """Backend default: ``REPRO_SWEEP_BACKEND`` when set (one of the
+    three names — a typo'd env value is a :class:`SweepError`, not a
+    silent fallback), else ``"parallel"``."""
     return _read_env().backend or "parallel"
 
 
@@ -384,20 +380,28 @@ def _is_failure(row: SweepResult) -> bool:
 #: Backends call this as each row lands (journal/cache hook).
 RowSink = Callable[[SweepResult], None]
 
-#: What a backend reports: merged rows, abort decision, interrupt flag.
-BackendRun = Tuple[Dict[int, SweepResult], bool, bool]
+
+class BackendRun(NamedTuple):
+    """What :meth:`SweepExecutor.run` returns — everything the executor
+    learned, so nothing is written back into its context."""
+
+    rows: Dict[int, SweepResult]
+    aborted: bool  # its own decision: fail-fast tripped, or interrupted
+    interrupted: bool
+    workers: int  # how many it really had (tcp: the slots its fleet advertised)
+    fleet: Optional[Dict[str, Any]]  # the fleet executors' health snapshot
 
 
 @dataclass
 class ExecutorContext:
-    """Everything :func:`run_sweep` hands an executor for one campaign.
+    """Everything :func:`run_sweep` hands an executor for one campaign:
+    inputs only, all set before :meth:`SweepExecutor.run` is called.
 
-    ``workers`` is the executor's own :meth:`SweepExecutor.initial_workers`
-    answer; the fleet scheduler overwrites ``effective_workers`` once the
-    true slot count is known (tcp learns it from the handshakes), and the
-    outcome reports that number.  ``hosts`` is the raw host list for
-    remote executors (``None`` for local ones); ``meta`` is the campaign's
-    ``(name, base_seed)`` so remote workers can label what they serve.
+    ``workers`` is the requested slot count, which only ``parallel`` acts
+    on; ``hosts`` / ``secret`` are ``tcp``'s raw fleet description
+    (``None`` falls through to ``REPRO_SWEEP_HOSTS`` / ``_SECRET``);
+    ``meta`` is the campaign's ``(name, base_seed)`` so remote workers
+    can label what they serve.
     """
 
     workers: int
@@ -407,39 +411,21 @@ class ExecutorContext:
     on_row: RowSink
     hosts: Optional[Any] = None
     meta: Optional[Dict[str, Any]] = None
-    effective_workers: Optional[int] = None
-    #: pre-shared fleet secret for remote executors (str/bytes or None;
-    #: ``None`` falls through to ``REPRO_SWEEP_SECRET``).
     secret: Optional[Any] = None
-    #: backchannel: the fleet executors (parallel, tcp) report per-worker
-    #: health and self-healing counters here; the outcome surfaces it as
-    #: ``fleet``.
-    fleet_stats: Optional[Dict[str, Any]] = None
 
 
 class SweepExecutor:
-    """One campaign execution strategy, pluggable by name.
+    """One campaign execution strategy.
 
     Implementations override :meth:`run` — take the pending tasks, call
-    ``ctx.on_row`` as each row lands, and return
-    ``(rows_by_index, aborted, interrupted)``.  The contract every
-    backend must keep (asserted differentially): healthy tasks produce
-    rows byte-identical to the serial reference's, ``KeyboardInterrupt``
-    is absorbed into a truthful ``aborted=interrupted=True`` return (never
-    propagated — the journal's end record must still be written), and a
-    row, once begun, is either completed or discarded — never
-    half-reported.
+    ``ctx.on_row`` as each row lands, and return a :class:`BackendRun`.
+    The contract every backend must keep (asserted differentially):
+    healthy tasks produce rows byte-identical to the serial reference's,
+    ``KeyboardInterrupt`` is absorbed into a truthful
+    ``aborted=interrupted=True`` return (never propagated — the journal's
+    end record must still be written), and a row, once begun, is either
+    completed or discarded — never half-reported.
     """
-
-    #: registry name, set by :func:`register_backend`.
-    name = "?"
-
-    def initial_workers(self, workers: Optional[int]) -> int:
-        """Validate/resolve the requested worker count before the run."""
-        value = default_workers() if workers is None else workers
-        if value < 1:
-            raise SweepError(f"workers must be >= 1, got {value}")
-        return value
 
     def run(self, tasks: List[SweepTask], ctx: ExecutorContext) -> BackendRun:
         raise NotImplementedError
@@ -448,9 +434,6 @@ class SweepExecutor:
 class SerialExecutor(SweepExecutor):
     """The reference backend: every task in the calling process, in task
     order."""
-
-    def initial_workers(self, workers: Optional[int]) -> int:
-        return 1  # the calling process is the only worker
 
     def run(self, tasks: List[SweepTask], ctx: ExecutorContext) -> BackendRun:
         rows: Dict[int, SweepResult] = {}
@@ -467,87 +450,32 @@ class SerialExecutor(SweepExecutor):
             # The in-flight task's partial row is discarded: the outcome
             # covers exactly the rows already journaled.
             aborted = interrupted = True
-        return rows, aborted, interrupted
+        return BackendRun(rows, aborted, interrupted, workers=1, fleet=None)
 
 
 # ---------------------------------------------------------------------------
-# Backend registry
+# The three backends
 # ---------------------------------------------------------------------------
 
-#: name -> SweepExecutor factory, or an entry-point style ``"module:attr"``
-#: string resolved lazily on first use (so optional backends cost nothing
-#: until selected).
-_BACKENDS: Dict[str, Any] = {}
 
-#: public alias, kept for callers that enumerate backends.
-BACKENDS = _BACKENDS
-
-
-def register_backend(name: str, factory: Any) -> None:
-    """Register a campaign backend under *name*.
-
-    *factory* is either a zero-argument callable returning a
-    :class:`SweepExecutor` (typically the executor class itself) or an
-    entry-point style string ``"package.module:attr"`` imported lazily the
-    first time the backend is selected.  Re-registering a name replaces
-    it — tests swap in instrumented executors this way.
-    """
-    if not name:
-        raise SweepError("backend name must be non-empty")
-    if not callable(factory) and not (
-        isinstance(factory, str) and ":" in factory
-    ):
+def _check_backend(name: str, source: str) -> None:
+    """*name*, read from *source*, must be one of the three."""
+    if name not in ("serial", "parallel", "tcp"):
         raise SweepError(
-            f"backend {name!r}: factory must be callable or an "
-            f"entry-point string 'module:attr', got {factory!r}"
+            f"unknown sweep backend {name!r} (from {source}): the backends "
+            f"are serial, parallel, tcp"
         )
-    _BACKENDS[name] = factory
 
 
-def backend_names() -> List[str]:
-    """Registered backend names, sorted."""
-    return sorted(_BACKENDS)
+def _executor(backend: str) -> SweepExecutor:
+    """A fresh executor per campaign: the fleet shell owns its sockets."""
+    if backend == "serial":
+        return SerialExecutor()
+    # Imported only now: a serial campaign never loads the fleet modules,
+    # ``multiprocessing`` or ``selectors``.
+    from .remote import LocalExecutor, TcpExecutor
 
-
-def resolve_backend(name: str) -> SweepExecutor:
-    """Instantiate the executor registered under *name*.
-
-    Entry-point strings are imported on first use and the resolved
-    factory cached back into the registry.  Unknown names raise
-    :class:`SweepError` listing every registered backend.
-    """
-    try:
-        factory = _BACKENDS[name]
-    except KeyError:
-        raise SweepError(
-            f"unknown sweep backend {name!r} "
-            f"(registered backends: {backend_names()})"
-        ) from None
-    if isinstance(factory, str):
-        module_name, _, attr = factory.partition(":")
-        try:
-            import importlib
-
-            module = importlib.import_module(module_name)
-            factory = getattr(module, attr)
-        except (ImportError, AttributeError) as exc:
-            raise SweepError(
-                f"backend {name!r}: cannot load entry point {factory!r}: {exc}"
-            ) from None
-        _BACKENDS[name] = factory
-    executor = factory()
-    if not isinstance(executor, SweepExecutor):
-        raise SweepError(
-            f"backend {name!r}: factory returned "
-            f"{type(executor).__name__}, not a SweepExecutor"
-        )
-    executor.name = name
-    return executor
-
-
-register_backend("serial", SerialExecutor)
-register_backend("parallel", "repro.sweep.remote:LocalExecutor")
-register_backend("tcp", "repro.sweep.remote:TcpExecutor")
+    return LocalExecutor() if backend == "parallel" else TcpExecutor()
 
 
 def run_sweep(
@@ -572,14 +500,16 @@ def run_sweep(
     with healthy tasks the merged outcome's :meth:`canonical_bytes` is
     identical across backends, worker counts and completion orders.
 
-    *backend* selects a registered :class:`SweepExecutor` by name
-    (``serial`` / ``parallel`` / ``tcp``; precedence: explicit argument >
-    ``REPRO_SWEEP_BACKEND`` > ``parallel``).  *hosts* configures the
-    ``tcp`` backend's worker fleet — a ``"host:port,host:port"`` string or
-    a list (precedence: explicit argument > ``REPRO_SWEEP_HOSTS``).
+    *backend* is ``serial``, ``parallel`` or ``tcp`` (precedence: explicit
+    argument > ``REPRO_SWEEP_BACKEND`` > ``parallel``).  *hosts* configures
+    the ``tcp`` backend's worker fleet — a ``"host:port,host:port"`` string
+    or a list (precedence: explicit argument > ``REPRO_SWEEP_HOSTS``).
     *secret* is the fleet's pre-shared authentication secret (precedence:
     explicit argument > ``REPRO_SWEEP_SECRET``); both peers of the tcp job
-    protocol must hold the same secret or the handshake is refused.
+    protocol must hold the same secret or the handshake is refused.  An
+    explicit *hosts* or *secret* on a backend that dials nobody (the two
+    variables may stay set deployment-wide) is a :class:`SweepError`, as
+    is *resume* without a *journal*.
 
     *retries* bounds how often a cell is re-queued after the process — or
     the worker connection — executing it died; lost ``retries + 1`` times
@@ -611,7 +541,18 @@ def run_sweep(
     env_backend = default_backend()
     if backend is None:
         backend = env_backend
-    executor = resolve_backend(backend)
+    _check_backend(backend, "backend=")
+    if workers is None:
+        workers = default_workers()
+    elif workers < 1:
+        raise SweepError(f"workers must be >= 1, got {workers}")
+    if backend != "tcp" and (hosts is not None or secret is not None):
+        raise SweepError(
+            f"{'hosts' if hosts is not None else 'secret'}= was given, but the "
+            f"{backend} backend dials no fleet — only backend='tcp' uses it"
+        )
+    if resume and journal is None:
+        raise SweepError("resume=True needs journal=PATH: there is nothing to resume")
     if retries < 0:
         raise SweepError(
             f"retries must be >= 0, got {retries} (a negative value would "
@@ -627,7 +568,6 @@ def run_sweep(
             raise SweepError(f"timeout_backoff must be >= 0, got {timeout_backoff}")
         watchdog = Watchdog(float(task_timeout), timeout_retries, timeout_backoff)
     tasks = tasks_of(spec_or_tasks)
-    effective_workers = executor.initial_workers(workers)
     meta = spec_meta(spec_or_tasks)
     started = time.perf_counter()
 
@@ -704,7 +644,7 @@ def run_sweep(
             cache.put(tasks_by_index[row.index], row, fingerprints[row.index])
 
     context = ExecutorContext(
-        workers=effective_workers,
+        workers=workers,
         retries=retries,
         fail_fast=fail_fast,
         watchdog=watchdog,
@@ -714,32 +654,30 @@ def run_sweep(
         secret=secret,
     )
     if fail_fast and any(_is_failure(row) for row in prefilled.values()):
-        # A replayed/cached failure already decides the campaign.
-        rows_by_index: Dict[int, SweepResult] = {}
-        aborted, interrupted = True, False
+        # A replayed/cached failure already decides the campaign: no
+        # executor runs, so there was no worker and there is no fleet.
+        ran = BackendRun({}, True, False, workers=0, fleet=None)
     else:
-        rows_by_index, aborted, interrupted = executor.run(pending, context)
-    if context.effective_workers is not None:
-        effective_workers = context.effective_workers
+        ran = _executor(backend).run(pending, context)
 
-    merged = {**prefilled, **rows_by_index}
+    merged = {**prefilled, **ran.rows}
     rows = [merged[task.index] for task in tasks if task.index in merged]
     if writer is not None:
         writer.write_end(
-            aborted=aborted, interrupted=interrupted, rows=len(rows)
+            aborted=ran.aborted, interrupted=ran.interrupted, rows=len(rows)
         )
         writer.close()
     return SweepOutcome(
         spec_name=meta["name"],
         base_seed=meta["base_seed"],
         backend=backend,
-        workers=effective_workers,
+        workers=ran.workers,
         rows=rows,
         wall_seconds=time.perf_counter() - started,
-        aborted=aborted,
-        interrupted=interrupted,
+        aborted=ran.aborted,
+        interrupted=ran.interrupted,
         resumed=resumed,
         cached_rows=cached_rows,
         timed_out=sum(1 for row in rows if row.status == SweepResult.TIMEOUT),
-        fleet=context.fleet_stats,
+        fleet=ran.fleet,
     )

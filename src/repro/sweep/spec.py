@@ -199,9 +199,9 @@ class SweepOutcome:
     cached_rows: int = 0
     #: rows recorded as ``TIMEOUT`` by the task watchdog.
     timed_out: int = 0
-    #: per-worker fleet health and self-healing counters reported by
-    #: remote backends (``None`` for local backends).  Non-canonical:
-    #: real-world accounting, excluded from :meth:`canonical_bytes`.
+    #: per-worker fleet health and self-healing counters reported by the
+    #: ``parallel`` and ``tcp`` executors (``None`` for ``serial``).
+    #: Non-canonical: excluded from :meth:`canonical_bytes`.
     fleet: Optional[Dict[str, Any]] = None
 
     @property

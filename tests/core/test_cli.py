@@ -254,6 +254,13 @@ class TestSweep:
         assert code == 2
         assert "different files" in text
 
+    def test_hosts_for_a_backend_that_dials_nobody_exits_2(self, fig5_path):
+        code, text = run_cli(
+            "sweep", fig5_path, "--backend", "serial", "--hosts", "127.0.0.1:9"
+        )
+        assert code == 2
+        assert "hosts= was given" in text and "serial" in text
+
     def test_failing_campaign_exits_nonzero(self, fig6_path):
         # no Rether ring, no traffic: fig6's STOP never fires -> FAIL
         code, text = run_cli(

@@ -61,9 +61,12 @@ class TestControlPlaneEdges:
     def test_init_for_unknown_program_rejected(self):
         tb, (n1, n2) = make_testbed(2, seed=6)
         engine = tb.engines["node2"]
-        bogus = ControlMessage(ControlType.INIT, 999).wrap(n2.mac, n1.mac)
-        with pytest.raises(ControlPlaneError):
-            engine._handle_control(bogus.to_bytes())
+        message = ControlMessage(ControlType.INIT, 999)
+        bogus = message.wrap(n2.mac, n1.mac)
+        with pytest.raises(ControlPlaneError):  # the handler refuses it ...
+            engine._on_init(bogus, message)
+        engine._handle_control(bogus.to_bytes())  # ... off the wire: dropped
+        assert engine.control_rejected == 1 and engine.program is None
 
     def test_counter_update_before_install_is_harmless(self):
         tb, (n1, n2) = make_testbed(2, seed=6)

@@ -10,11 +10,16 @@ scenario's verdict:
   and liveness supervision ends the run promptly with a degraded report
   naming the dead node, instead of spinning to max_time;
 * a *malformed control frame* — bytes no engine could have sent are
-  counted and dropped by the receiving engine, never raised into the run.
+  counted and dropped by the receiving engine, never raised into the run;
+* a *well-formed control frame naming what the receiver does not have* —
+  an unknown program id, counter, term or node index — likewise.
 """
 
 import pathlib
 
+import pytest
+
+from repro.core.control import ControlMessage, ControlType
 from repro.core.report import EndReason
 from repro.core.testbed import Testbed
 from repro.net.frame import ETHERTYPE_VW_CONTROL, EthernetFrame
@@ -118,6 +123,47 @@ class TestMalformedControlFrame:
         assert report.final_counters == baseline.final_counters
         assert testbeds[0].engines["node2"].control_malformed_discarded == 1
         assert testbeds[0].engines["node1"].control_malformed_discarded == 0
+
+
+#: One well-formed message per handler that checks an id, each naming one
+#: the scenario does not have, and the node whose engine must refuse it
+#: (RESTART_REPORT is read by the front-end only: the control node).
+HOSTILE_CONTROL = [
+    (ControlMessage(ControlType.INIT, 999), "node2"),
+    (ControlMessage(ControlType.COUNTER_UPDATE, 999, 5), "node2"),
+    (ControlMessage(ControlType.TERM_STATUS, 999, 1), "node2"),
+    (ControlMessage(ControlType.NODE_RESET, 999), "node2"),
+    (ControlMessage(ControlType.RESTART_REPORT, 999, 1_000_000), "node1"),
+]
+HOSTILE_IDS = [message.msg_type.name for message, _ in HOSTILE_CONTROL]
+
+
+def inject_control(tb, message, receiver, at=ms(2)):
+    """Put *message* on the wire to *receiver* from the other of node1/node2."""
+    sender = tb.hosts["node1" if receiver == "node2" else "node2"]
+    frame = message.wrap(tb.hosts[receiver].mac, sender.mac)
+    tb.sim.after(at, sender.nic.transmit, args=(frame.to_bytes(),))
+
+
+class TestUnknownControlId:
+    @pytest.mark.parametrize("message, receiver", HOSTILE_CONTROL, ids=HOSTILE_IDS)
+    def test_dropped(self, message, receiver):
+        """Counted and dropped beside the live transfer: each of these
+        raised ControlPlaneError out of the run from the receiving engine's
+        handler (ROADMAP item 6(1))."""
+        testbeds = []
+
+        def inject(tb):
+            testbeds.append(tb)
+            inject_control(tb, message, receiver)
+
+        baseline, _ = run_fig5()
+        report, _ = run_fig5(during=inject)
+        assert report.passed, report.render()
+        assert report.end_reason == baseline.end_reason
+        assert report.final_counters == baseline.final_counters
+        rejected = {name: e.control_rejected for name, e in testbeds[0].engines.items()}
+        assert rejected == {"node1": 0, "node2": 0, receiver: 1}
 
 
 class TestPartitionedNode:

@@ -12,6 +12,11 @@ from repro.net.frame import ETHERTYPE_RETHER, EthernetFrame
 from repro.rether.install import install_rether
 from repro.scripts import rether_failover_script
 from repro.sim import ms, seconds
+from tests.integration.test_control_plane_reliability import (
+    HOSTILE_CONTROL,
+    HOSTILE_IDS,
+    inject_control,
+)
 
 SENDER_PORT = 0x6000
 RECEIVER_PORT = 0x4000
@@ -134,6 +139,23 @@ class TestMalformedRetherFrame:
         assert report.end_reason.value == "stop"
         assert report.final_counters["TokensFrom2"] == 3
         assert [host.rether.malformed_discarded for host in hosts] == [0, 1, 0, 0]
+
+
+class TestUnknownControlId:
+    @pytest.mark.parametrize("message, receiver", HOSTILE_CONTROL, ids=HOSTILE_IDS)
+    def test_dropped(self, message, receiver):
+        """Counted and dropped beside the failover: the Fig 5 regression's
+        five messages beside Fig 6, whose rules are distributed — the
+        counters and terms they name unknown ids of are live."""
+        baseline = run_case_study()[2]
+        tb, hosts, report = run_case_study(
+            during=lambda tb: inject_control(tb, message, receiver, at=ms(5))
+        )
+        assert report.passed, report.render()
+        assert report.end_reason == baseline.end_reason
+        assert report.final_counters == baseline.final_counters
+        rejected = {name: e.control_rejected for name, e in tb.engines.items()}
+        assert rejected == {**dict.fromkeys(tb.engines, 0), receiver: 1}
 
 
 class TestDeterminism:

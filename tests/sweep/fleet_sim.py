@@ -378,7 +378,7 @@ class FleetSim:
             spec_name=self.meta["name"],
             base_seed=self.meta["base_seed"],
             backend="tcp",
-            workers=self.ctx.effective_workers or 0,
+            workers=self.scheduler.peak_slots,
             rows=[rows[task.index] for task in self.tasks if task.index in rows],
             wall_seconds=self.now,
             aborted=self.scheduler.aborted,

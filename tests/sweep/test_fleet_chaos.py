@@ -21,10 +21,10 @@ import time
 
 import pytest
 
-from repro.sweep import SweepSpec, WorkerServer, read_journal, run_sweep
+from repro.sweep import SweepSpec, read_journal, run_sweep
 from repro.sweep import remote
 from repro.sweep.fleet import DIAL_TIMEOUT_S, Close, Dial, FleetScheduler
-from repro.sweep.remote import _fresh_nonce, read_frame
+from repro.sweep.remote import WorkerServer, _fresh_nonce, read_frame
 from repro.sweep.runner import ExecutorContext
 from repro.sweep.spec import SweepError
 from repro.sweep.wire import (

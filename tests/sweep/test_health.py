@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.sweep import FleetHealth, SweepError
+from repro.sweep import SweepError
+from repro.sweep.health import FleetHealth
 
 
 class TestConfigValidation:

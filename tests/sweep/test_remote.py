@@ -25,14 +25,13 @@ from repro.sweep import (
     SECRET_ENV,
     SweepError,
     SweepSpec,
-    WorkerServer,
     default_hosts,
     parse_hosts,
     resolve_secret,
     run_sweep,
 )
 from repro.sweep import remote
-from repro.sweep.remote import _fresh_nonce, read_frame
+from repro.sweep.remote import WorkerServer, _fresh_nonce, read_frame
 from repro.sweep.runner import execute_task
 from repro.sweep.wire import (
     MAGIC,

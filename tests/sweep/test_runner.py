@@ -18,7 +18,6 @@ from repro.scripts import (
 from repro.sweep import (
     SweepError,
     SweepSpec,
-    WorkerServer,
     default_backend,
     default_hosts,
     default_workers,
@@ -26,6 +25,8 @@ from repro.sweep import (
     run_script_task,
     run_sweep,
 )
+from repro.sweep import runner
+from repro.sweep.remote import WorkerServer
 
 
 def _ok_task(task):
@@ -387,6 +388,103 @@ class TestCrashIsolation:
         assert os.getpid() == pid
 
 
+class TestThreeBackends:
+    """The front door's fixed table: three names, no registry."""
+
+    @pytest.mark.parametrize("name", ["serial", "parallel", "tcp"])
+    def test_known_name_builds_unknown_name_lists_it(self, name):
+        from repro.sweep import remote
+
+        executor = {
+            "serial": runner.SerialExecutor,
+            "parallel": remote.LocalExecutor,
+            "tcp": remote.TcpExecutor,
+        }[name]
+        assert type(runner._executor(name)) is executor
+        with pytest.raises(SweepError, match="unknown sweep backend 'nope'") as exc:
+            run_sweep(SweepSpec("s"), backend="nope")
+        assert name in str(exc.value)
+
+    @pytest.mark.parametrize("backend", ["serial", "parallel", "tcp"])
+    def test_what_run_returns_is_what_outcome_reports(self, backend, monkeypatch):
+        """The executor contract has no back-channel: worker count, fleet
+        snapshot and both flags travel in the ``BackendRun``."""
+        returned = []
+        build = runner._executor
+
+        def recording(name):
+            executor = build(name)
+            run = executor.run
+
+            def record(tasks, ctx):
+                assert sorted(vars(ctx)) == sorted(
+                    ["workers", "retries", "fail_fast", "watchdog", "on_row",
+                     "hosts", "meta", "secret"]
+                )  # inputs only: nothing for an executor to write into
+                returned.append(run(tasks, ctx))
+                return returned[-1]
+
+            executor.run = record
+            return executor
+
+        monkeypatch.setattr(runner, "_executor", recording)
+        spec = SweepSpec("contract", base_seed=5).add("a", _ok_task).add("b", _raising_task)
+        kwargs = {"backend": backend, "workers": 2, "fail_fast": True}
+        if backend == "tcp":
+            server = WorkerServer(slots=3)
+            threading.Thread(target=server.serve_forever, daemon=True).start()
+            try:
+                outcome = run_sweep(spec, hosts=[(server.host, server.port)], **kwargs)
+            finally:
+                server.stop()
+        else:
+            outcome = run_sweep(spec, **kwargs)
+        (ran,) = returned
+        assert isinstance(ran, runner.BackendRun)
+        assert outcome.workers == ran.workers == {"serial": 1, "parallel": 2, "tcp": 3}[backend]
+        assert (outcome.aborted, outcome.interrupted) == (ran.aborted, ran.interrupted) == (True, False)
+        assert outcome.fleet is ran.fleet
+        if backend == "serial":
+            assert outcome.fleet is None
+        else:
+            assert sorted(outcome.fleet) == ["scheduler", "workers"]
+            assert sorted(outcome.fleet["scheduler"]) == [
+                "forgiven_losses", "hedge_duplicates", "hedge_mismatches",
+                "hedges", "rejoins", "requeues",
+            ]
+
+    def test_a_serial_campaign_loads_no_fleet_code(self):
+        """``import repro.sweep`` plus a serial campaign leave the fleet
+        modules and ``multiprocessing`` unimported; ``parallel`` then loads
+        them and merges to the same bytes."""
+        here = os.path.dirname(os.path.abspath(__file__))
+        root = os.path.dirname(os.path.dirname(here))
+        script = (
+            "import sys; sys.path.insert(0, %r)\n"
+            "import repro.sweep\n"
+            "from repro.scripts import canonical_node_table, tcp_congestion_script\n"
+            "from repro.sweep import SweepSpec, run_script_task, run_sweep\n"
+            "fleet = ('repro.sweep.remote', 'repro.sweep.fleet', 'repro.sweep.wire',\n"
+            "         'repro.sweep.health', 'multiprocessing')\n"
+            "spec = SweepSpec('lazy', base_seed=3)\n"
+            "spec.add_grid(run_script_task, axes={'seed': [0, 1]},\n"
+            "              script=tcp_congestion_script(canonical_node_table(2)),\n"
+            "              workload={'kind': 'tcp_bulk', 'bytes': 8192})\n"
+            "serial = run_sweep(spec, backend='serial')\n"
+            "early = [name for name in fleet if name in sys.modules]\n"
+            "assert not early, early\n"
+            "parallel = run_sweep(spec, backend='parallel', workers=2)\n"
+            "late = [name for name in fleet if name not in sys.modules]\n"
+            "assert not late, late\n"
+            "assert len(serial.rows) == 2 and all(row.ok for row in serial.rows)\n"
+            "assert serial.canonical_bytes() == parallel.canonical_bytes()\n"
+        ) % os.path.join(root, "src")
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+
+
 class TestRunSweepValidation:
     def test_unknown_backend(self):
         with pytest.raises(SweepError, match="unknown sweep backend"):
@@ -395,6 +493,37 @@ class TestRunSweepValidation:
     def test_bad_worker_count(self):
         with pytest.raises(SweepError, match="workers"):
             run_sweep(SweepSpec("s"), backend="parallel", workers=0)
+
+    def test_bad_worker_count_on_serial_too(self):
+        """``serial`` used to accept ``workers=0`` and ignore it."""
+        with pytest.raises(SweepError, match="workers must be >= 1"):
+            run_sweep(SweepSpec("s"), backend="serial", workers=0)
+
+    def test_resume_without_a_journal_is_refused(self):
+        """It used to run a cold campaign and report ``resumed == 0``."""
+        spec = SweepSpec("s").add("a", _ok_task)
+        with pytest.raises(SweepError, match="resume=True needs journal="):
+            run_sweep(spec, backend="serial", resume=True)
+
+    @pytest.mark.parametrize("backend", ["serial", "parallel"])
+    @pytest.mark.parametrize(
+        "fleet", [{"hosts": "127.0.0.1:9"}, {"secret": "s3cret"}], ids=["hosts", "secret"]
+    )
+    def test_fleet_args_off_tcp_are_refused(self, backend, fleet):
+        """On a backend that dials nobody they used to be dropped without
+        a word."""
+        spec = SweepSpec("s").add("a", _ok_task)
+        (argument,) = fleet
+        with pytest.raises(SweepError, match=f"{argument}= was given") as refusal:
+            run_sweep(spec, backend=backend, workers=1, **fleet)
+        assert backend in str(refusal.value) and "tcp" in str(refusal.value)
+
+    def test_fleet_env_variables_on_serial_are_legal(self, monkeypatch):
+        """Deployment-wide settings: only an explicit argument is refused."""
+        monkeypatch.setenv("REPRO_SWEEP_HOSTS", "127.0.0.1:9")
+        monkeypatch.setenv("REPRO_SWEEP_SECRET", "s3cret")
+        spec = SweepSpec("s").add("a", _ok_task)
+        assert run_sweep(spec, backend="serial").rows[0].ok
 
     def test_negative_retries_rejected(self):
         """retries=-1 used to silently disable the re-queue of a cell whose
@@ -478,6 +607,30 @@ class TestOneEnvSite:
         assert default_hosts() is None and resolve_secret() is None
         assert default_workers() >= 1
 
+    def test_default_is_parallel(self, monkeypatch):
+        monkeypatch.delenv(runner.BACKEND_ENV, raising=False)
+        assert default_backend() == "parallel"
+
+    def test_env_selects_backend(self, monkeypatch):
+        monkeypatch.setenv(runner.BACKEND_ENV, "serial")
+        assert default_backend() == "serial"
+        spec = SweepSpec("env", base_seed=1).add("a", _ok_task)
+        assert run_sweep(spec).backend == "serial"
+
+    def test_unknown_env_backend_is_sweep_error(self, monkeypatch):
+        monkeypatch.setenv(runner.BACKEND_ENV, "hyperdrive")
+        spec = SweepSpec("env", base_seed=1).add("a", _ok_task)
+        for refuse in (default_backend, lambda: run_sweep(spec, backend="serial")):
+            with pytest.raises(SweepError, match="unknown sweep backend 'hyperdrive'") as exc:
+                refuse()
+            assert runner.BACKEND_ENV in str(exc.value)
+            assert "serial, parallel, tcp" in str(exc.value)
+
+    def test_explicit_argument_beats_env(self, monkeypatch):
+        monkeypatch.setenv(runner.BACKEND_ENV, "parallel")
+        spec = SweepSpec("env", base_seed=1).add("a", _ok_task)
+        assert run_sweep(spec, backend="serial").backend == "serial"
+
     def test_src_reads_the_environment_for_the_prefix_nowhere_else(self):
         """Of the modules under ``src`` that touch the process environment
         at all, only ``sweep/runner.py`` mentions the prefix — and it
@@ -487,7 +640,6 @@ class TestOneEnvSite:
         import re
 
         import repro
-        from repro.sweep import runner
 
         reads = re.compile(r"\b(environ|getenv)\b")
         package = pathlib.Path(repro.__file__).parent

@@ -32,7 +32,7 @@ from .classify import Classifier
 from .control import ControlMessage, ControlType
 from .faults import DelayQueue, ReorderBuffer, apply_modify
 from .reliable import ReliableControlPlane
-from .runtime import EventStats, NodeRuntime, RuntimeHooks
+from .runtime import NodeRuntime, RuntimeHooks
 from .tables import ActionKind, CompiledProgram, Direction
 
 
@@ -248,17 +248,19 @@ class VirtualWireEngine(FrameLayer, RuntimeHooks):
             self._forward_after(cost, data, direction)
             return
         self.stats.packets_classified += 1
-        src_node, dst_node = self._endpoints(data)
+        src_node, dst_node = self.program.nodes.endpoint_names(data)
         runtime = self.runtime
         event = runtime.on_classified_packet(pkt_type, src_node, dst_node, direction)
         if self.activity_hook is not None:
             self.activity_hook()
         if runtime.crashed:
             return  # a CRASH rule took this host down processing the packet
-        cost += self._event_cost(event)
+        cost += (
+            event.counter_touches + event.terms_evaluated + event.conditions_evaluated
+        ) * costs.table_touch_ns + event.actions_fired * costs.action_ns
 
         duplicate = False
-        for action in self.runtime.armed_faults(pkt_type, src_node, dst_node, direction):
+        for action in event.faults:
             kind = action.kind
             if self._m_faults is not None:
                 self._m_faults.inc()
@@ -293,17 +295,6 @@ class VirtualWireEngine(FrameLayer, RuntimeHooks):
                 self.stats.packets_duplicated += 1
                 duplicate = True
         self._forward_after(cost, data, direction, duplicate)
-
-    def _endpoints(self, data: bytes):
-        nodes = self.program.nodes
-        src = nodes.by_mac_bytes(data[6:12] if len(data) >= 12 else _ZERO_MAC)
-        dst = nodes.by_mac_bytes(data[0:6] if len(data) >= 6 else _ZERO_MAC)
-        return (src.name if src else None, dst.name if dst else None)
-
-    def _event_cost(self, event: EventStats) -> int:
-        costs = self.host.costs
-        touches = event.counter_touches + event.terms_evaluated + event.conditions_evaluated
-        return touches * costs.table_touch_ns + event.actions_fired * costs.action_ns
 
     # -- cost-model forwarding -------------------------------------------
 
@@ -605,8 +596,3 @@ class VirtualWireEngine(FrameLayer, RuntimeHooks):
 
 def _is_control(frame_bytes: bytes) -> bool:
     return len(frame_bytes) >= 14 and read_u16(frame_bytes, 12) == ETHERTYPE_VW_CONTROL
-
-
-#: what a truncated frame's missing address reads as (matches the node
-#: table's view of an all-zero MAC: never a scenario node).
-_ZERO_MAC = b"\x00" * 6

@@ -526,9 +526,20 @@ class Frontend:
     # Progress monitoring
     # ------------------------------------------------------------------
 
+    def idle_mark(self) -> int:
+        """The instant :meth:`poll` stays false through.
+
+        Activity only moves ``last_activity`` forward to the clock, and
+        START sets it to the clock, so no event at or before this instant
+        can leave the scenario idle: a run loop fires those unpolled and
+        polls after the first event past the mark, unless activity has
+        moved the mark meanwhile.
+        """
+        return (self.last_activity if self.started else self.sim.now) + self.inactivity_ns
+
     def poll(self) -> bool:
-        """Called by the run loop after every event: check the inactivity
-        timeout; true once the scenario has finished (the loop's cue to stop)."""
+        """Check the inactivity timeout after an event past :meth:`idle_mark`;
+        true once the scenario has finished."""
         if (
             self.started
             and not self.finished
@@ -541,6 +552,7 @@ class Frontend:
         if not self.finished:
             self.finished = True
             self.end_reason = reason
+            self.sim.stop()  # the run loop's cue: no event after this one
             if self._heartbeat is not None:
                 self._heartbeat.stop()
                 self._heartbeat = None

@@ -18,7 +18,8 @@ Ethernet control frames.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Set
+import operator
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set
 
 from ..errors import EngineError
 from ..sim import NS_PER_MS
@@ -29,13 +30,27 @@ from .tables import (
     CounterKind,
     CounterSpec,
     Direction,
+    RelOp,
     TermMode,
-    TermSpec,
 )
 
 #: Cascade safety valve: counter-action loops (rule A enables rule B which
 #: re-enables rule A ...) abort the event instead of hanging the simulator.
 MAX_CASCADE_STEPS = 10_000
+
+#: A term's relation as the C-level comparison that evaluates it.
+_COMPARE = {
+    RelOp.GT: operator.gt,
+    RelOp.LT: operator.lt,
+    RelOp.GE: operator.ge,
+    RelOp.LE: operator.le,
+    RelOp.EQ: operator.eq,
+    RelOp.NE: operator.ne,
+}
+
+_SEND = Direction.SEND
+#: the packet-probe entry of a packet no counter or fault matches.
+_NO_ENTRY = ((), ())
 
 #: Action opcodes (see NodeRuntime._condition_ops).  ADD/SET/GATE write a
 #: value or enabled slot inline; the _CASCADE forms write a counter that
@@ -74,15 +89,27 @@ class RuntimeHooks:
 
 
 class EventStats:
-    """Work performed while processing one packet event (for the cost model)."""
+    """Work performed while processing one packet event (for the cost model).
 
-    __slots__ = ("counter_touches", "actions_fired", "terms_evaluated", "conditions_evaluated")
+    ``faults`` is what a packet event leaves for the engine to apply: the
+    packet faults matching the packet whose condition holds once the event
+    has settled, in file order.
+    """
+
+    __slots__ = (
+        "counter_touches",
+        "actions_fired",
+        "terms_evaluated",
+        "conditions_evaluated",
+        "faults",
+    )
 
     def __init__(self) -> None:
         self.counter_touches = 0
         self.actions_fired = 0
         self.terms_evaluated = 0
         self.conditions_evaluated = 0
+        self.faults: Sequence[ActionSpec] = ()
 
 
 class NodeRuntime:
@@ -122,19 +149,46 @@ class NodeRuntime:
         self.my_fault_actions: List[ActionSpec] = [
             a for a in program.actions if a.is_packet_fault and a.node == node_name
         ]
-        # Exact-key dispatch indexes over the static match fields, built in
-        # file order so iteration order — and therefore counter-update and
-        # fault-application order — is identical to the linear scans they
-        # replace.  Dynamic state (enabled flags, condition truth) is still
-        # checked per event.
-        self._event_index: Dict[tuple, List[CounterSpec]] = {}
+        # The packet probe: one exact-key index over the static match fields
+        # per direction, so a packet costs one lookup of (pkt_type, src, dst)
+        # — strings, no Enum hash — yielding the ids of the event counters
+        # it bumps and the packet faults it may arm.  Both lists are in file
+        # order, so counter-update and fault-application order is that of
+        # the linear scans the index replaces.  Dynamic state (enabled
+        # flags, condition truth) is still checked per event.
+        self._send_probe: Dict[tuple, tuple] = {}
+        self._recv_probe: Dict[tuple, tuple] = {}
         for counter in self.my_event_counters:
-            key = (counter.pkt_type, counter.direction, counter.src_node, counter.dst_node)
-            self._event_index.setdefault(key, []).append(counter)
-        self._fault_index: Dict[tuple, List[ActionSpec]] = {}
+            self._probe_entry(counter)[0].append(counter.counter_id)
         for action in self.my_fault_actions:
-            key = (action.pkt_type, action.direction, action.src_node, action.dst_node)
-            self._fault_index.setdefault(key, []).append(action)
+            self._probe_entry(action)[1].append(action)
+        # Each term as (comparison, lhs counter id, lhs constant, rhs counter
+        # id, rhs constant), and per counter the terms its changes
+        # re-evaluate here: (term id, owned) — owned terms this node
+        # evaluates and broadcasts, the others are local mirrors.
+        self._term_ops: List[tuple] = [
+            (
+                _COMPARE[t.op],
+                t.lhs.counter_id,
+                t.lhs.constant,
+                t.rhs.counter_id,
+                t.rhs.constant,
+            )
+            for t in program.terms
+        ]
+        self._counter_terms: List[tuple] = [
+            tuple(
+                (term_id, program.terms[term_id].mode is TermMode.LOCAL_BROADCAST)
+                for term_id in c.term_ids
+                if self._evaluates_here(program.terms[term_id])
+            )
+            for c in program.counters
+        ]
+        # A condition that is one TERM leaf is read straight off
+        # term_status; None marks a compound expression.
+        self._leaf_term: List[Optional[int]] = [
+            c.expr.term_id if c.expr.op == "TERM" else None for c in program.conditions
+        ]
         # Who hears of a term's status change: the remote consumer nodes (to
         # push to, when this node owns the term) and the local conditions to
         # re-evaluate (when this node consumes it).
@@ -196,6 +250,19 @@ class NodeRuntime:
             op = _CASCADING[op]  # the write feeds terms or mirrors
         return (op, action.counter_id, operand)
 
+    def _probe_entry(self, spec) -> tuple:
+        """The packet-probe entry (counter ids, faults) for a counter's or a
+        fault's match fields, created empty on first use."""
+        probe = self._send_probe if spec.direction is _SEND else self._recv_probe
+        return probe.setdefault((spec.pkt_type, spec.src_node, spec.dst_node), ([], []))
+
+    def _evaluates_here(self, term) -> bool:
+        """Whether this node evaluates *term*: as its owner, or as a consumer
+        mirroring both counters."""
+        if term.mode is TermMode.LOCAL_BROADCAST:
+            return term.home_node == self.node_name
+        return self.node_name in term.consumer_nodes
+
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
@@ -209,10 +276,9 @@ class NodeRuntime:
             self._fire_actions(condition.condition_id)
         # Evaluate the terms this node owns and push any non-default status.
         for term in self.program.terms:
-            if term.mode is TermMode.LOCAL_BROADCAST and term.home_node == self.node_name:
-                self._evaluate_owned_term(term, broadcast_initial=True)
-            elif term.mode is TermMode.MIRROR and self.node_name in term.consumer_nodes:
-                self._evaluate_mirror_term(term)
+            if self._evaluates_here(term):
+                owned = term.mode is TermMode.LOCAL_BROADCAST
+                self._evaluate_term(term.term_id, owned, broadcast_initial=owned)
         for condition_id in self.my_condition_ids:
             self._pending_conditions.add(condition_id)
         self._settle()
@@ -229,30 +295,26 @@ class NodeRuntime:
         dst_node: Optional[str],
         direction: Direction,
     ) -> EventStats:
-        """A packet of *pkt_type* crossed this node's hook."""
+        """A packet of *pkt_type* crossed this node's hook.
+
+        One probe finds the event counters to bump and the packet faults
+        that may apply; the returned stats carry the faults armed once the
+        event has settled (none on a node the event crashed).
+        """
         stats = self._begin_event()
         self.events_seen += 1
-        for counter in self._event_index.get((pkt_type, direction, src_node, dst_node), ()):
-            if self.enabled[counter.counter_id]:
-                self._set_counter(counter.counter_id, self.values[counter.counter_id] + 1)
-        self._settle()
+        probe = self._send_probe if direction is _SEND else self._recv_probe
+        counters, faults = probe.get((pkt_type, src_node, dst_node), _NO_ENTRY)
+        enabled, values = self.enabled, self.values
+        for counter_id in counters:
+            if enabled[counter_id]:
+                self._set_counter(counter_id, values[counter_id] + 1)
+        if self._pending_conditions:
+            self._settle()
+        if faults and not self.crashed:
+            state = self.condition_state
+            stats.faults = [a for a in faults if state.get(a.condition_id, False)]
         return self._end_event(stats)
-
-    def armed_faults(
-        self,
-        pkt_type: str,
-        src_node: Optional[str],
-        dst_node: Optional[str],
-        direction: Direction,
-    ) -> List[ActionSpec]:
-        """Packet faults active (condition true) that match this packet."""
-        if self.crashed:
-            return []
-        return [
-            action
-            for action in self._fault_index.get((pkt_type, direction, src_node, dst_node), ())
-            if self.condition_state.get(action.condition_id, False)
-        ]
 
     # ------------------------------------------------------------------
     # Control-plane inputs
@@ -270,10 +332,9 @@ class NodeRuntime:
             return self._end_event(stats)
         self.values[counter_id] = value
         self._touch()
-        for term_id in self.program.counters[counter_id].term_ids:
-            term = self.program.terms[term_id]
-            if term.mode is TermMode.MIRROR and self.node_name in term.consumer_nodes:
-                self._evaluate_mirror_term(term)
+        for term_id, owned in self._counter_terms[counter_id]:
+            if not owned:
+                self._evaluate_term(term_id, False)
         self._settle()
         return self._end_event(stats)
 
@@ -310,40 +371,28 @@ class NodeRuntime:
         counter = self.program.counters[counter_id]
         if counter.home_node == self.node_name and counter.mirror_subscribers:
             self.hooks.send_counter_update(counter_id, value, counter.mirror_subscribers)
-        for term_id in counter.term_ids:
-            term = self.program.terms[term_id]
-            if term.mode is TermMode.LOCAL_BROADCAST:
-                if term.home_node == self.node_name:
-                    self._evaluate_owned_term(term)
-            elif self.node_name in term.consumer_nodes:
-                self._evaluate_mirror_term(term)
+        for term_id, owned in self._counter_terms[counter_id]:
+            self._evaluate_term(term_id, owned)
 
-    def _term_value(self, term: TermSpec) -> bool:
-        lhs, rhs = term.lhs, term.rhs
-        lhs = lhs.constant if lhs.counter_id is None else self.values[lhs.counter_id]
-        rhs = rhs.constant if rhs.counter_id is None else self.values[rhs.counter_id]
+    def _evaluate_term(self, term_id: int, owned: bool, broadcast_initial: bool = False) -> None:
+        """Re-evaluate a term this node evaluates; on a change, schedule the
+        local conditions over it and, for a term it *owns*, push the new
+        status to the remote consumers (at start, a true status always)."""
+        compare, lhs_id, lhs, rhs_id, rhs = self._term_ops[term_id]
+        if lhs_id is not None:
+            lhs = self.values[lhs_id]
+        if rhs_id is not None:
+            rhs = self.values[rhs_id]
         if self._stats is not None:
             self._stats.terms_evaluated += 1
-        return term.op.evaluate(lhs, rhs)
-
-    def _evaluate_owned_term(self, term: TermSpec, broadcast_initial: bool = False) -> None:
-        new = self._term_value(term)
-        old = self.term_status.get(term.term_id, False)
-        if new == old and not (broadcast_initial and new):
+        new = compare(lhs, rhs)
+        if new == self.term_status.get(term_id, False) and not (broadcast_initial and new):
             return
-        self.term_status[term.term_id] = new
-        remote, local = self._term_fanout[term.term_id]
-        if remote:
-            self.hooks.send_term_status(term.term_id, new, list(remote))
+        self.term_status[term_id] = new
+        remote, local = self._term_fanout[term_id]
+        if owned and remote:
+            self.hooks.send_term_status(term_id, new, list(remote))
         self._pending_conditions.update(local)
-
-    def _evaluate_mirror_term(self, term: TermSpec) -> None:
-        new = self._term_value(term)
-        old = self.term_status.get(term.term_id, False)
-        if new == old:
-            return
-        self.term_status[term.term_id] = new
-        self._pending_conditions.update(self._term_fanout[term.term_id][1])
 
     # ------------------------------------------------------------------
     # Condition settlement and action firing
@@ -359,26 +408,30 @@ class NodeRuntime:
         counter that a sibling STOP rule tests — with eager firing the
         reset would always win and the STOP could never trigger).
         """
+        pending, stats = self._pending_conditions, self._stats
+        term_status, state = self.term_status, self.condition_state
         steps = 0
-        while self._pending_conditions and not self.crashed:
+        while pending and not self.crashed:
             steps += 1
             if steps > MAX_CASCADE_STEPS:
                 raise EngineError(
                     f"{self.node_name}: rule cascade exceeded "
                     f"{MAX_CASCADE_STEPS} steps (cyclic counter rules?)"
                 )
-            wave = sorted(self._pending_conditions)
-            self._pending_conditions.clear()
+            wave = sorted(pending) if len(pending) > 1 else list(pending)
+            pending.clear()
             edges = []
             for condition_id in wave:
-                condition = self.program.conditions[condition_id]
-                if self._stats is not None:
-                    self._stats.conditions_evaluated += 1
-                new = condition.expr.evaluate(self.term_status)
-                old = self.condition_state.get(condition_id, False)
-                self.condition_state[condition_id] = new
-                if new and not old:
+                if stats is not None:
+                    stats.conditions_evaluated += 1
+                term_id = self._leaf_term[condition_id]
+                if term_id is None:
+                    new = self.program.conditions[condition_id].expr.evaluate(term_status)
+                else:
+                    new = term_status.get(term_id, False)
+                if new and not state.get(condition_id, False):
                     edges.append(condition_id)
+                state[condition_id] = new
             for condition_id in edges:
                 self._fire_actions(condition_id)
 

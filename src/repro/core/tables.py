@@ -185,6 +185,10 @@ class FilterTable:
 # ---------------------------------------------------------------------------
 
 
+#: what a truncated frame's missing address reads as.
+_ZERO_MAC = b"\x00" * 6
+
+
 @dataclass(frozen=True)
 class NodeEntry:
     name: str
@@ -199,9 +203,18 @@ class NodeTable:
         self.entries: List[NodeEntry] = list(entries)
         self._by_name = {e.name: e for e in self.entries}
         self._by_mac = {e.mac: e for e in self.entries}
-        #: packed-bytes key for the engine's per-frame endpoint lookup —
-        #: avoids constructing a MacAddress per intercepted packet.
+        #: packed-bytes key: a frame's address slice looks its node up
+        #: without constructing a MacAddress.
         self._by_mac_bytes = {bytes(e.mac.packed): e for e in self.entries}
+        #: (source name, destination name) keyed by the 12 header bytes
+        #: ``dst + src`` of a frame between two nodes: the engine names a
+        #: frame's endpoints with one slice and one probe.  Filled here with
+        #: exactly |nodes|² entries, never from the wire.
+        self._names_by_header = {
+            bytes(dst.mac.packed) + bytes(src.mac.packed): (src.name, dst.name)
+            for dst in self.entries
+            for src in self.entries
+        }
         if len(self._by_name) != len(self.entries):
             raise FslCompileError("duplicate node name in NODE_TABLE")
 
@@ -221,8 +234,19 @@ class NodeTable:
         return self._by_mac.get(mac)
 
     def by_mac_bytes(self, packed: bytes) -> Optional[NodeEntry]:
-        """Entry for a raw 6-byte MAC slice (the frame hot path's lookup)."""
+        """Entry for a raw 6-byte MAC slice."""
         return self._by_mac_bytes.get(packed)
+
+    def endpoint_names(self, frame: bytes) -> Tuple[Optional[str], Optional[str]]:
+        """(source, destination) node names of a frame, ``None`` for an
+        address outside the table; an address a truncated frame lacks reads
+        as the all-zero MAC."""
+        names = self._names_by_header.get(frame[:12])
+        if names is None:
+            src = self._by_mac_bytes.get(frame[6:12] if len(frame) >= 12 else _ZERO_MAC)
+            dst = self._by_mac_bytes.get(frame[0:6] if len(frame) >= 6 else _ZERO_MAC)
+            names = (src.name if src else None, dst.name if dst else None)
+        return names
 
     def names(self) -> List[str]:
         return [e.name for e in self.entries]
@@ -277,19 +301,6 @@ class RelOp(enum.Enum):
     LE = "<="
     EQ = "="
     NE = "!="
-
-    def evaluate(self, lhs: int, rhs: int) -> bool:
-        if self is RelOp.GT:
-            return lhs > rhs
-        if self is RelOp.LT:
-            return lhs < rhs
-        if self is RelOp.GE:
-            return lhs >= rhs
-        if self is RelOp.LE:
-            return lhs <= rhs
-        if self is RelOp.EQ:
-            return lhs == rhs
-        return lhs != rhs
 
 
 @dataclass(frozen=True)

@@ -333,13 +333,29 @@ class Testbed:
         frontend = self.frontend
         frontend.start_scenario(program, on_running=workload, inactivity_ns=inactivity_ns)
         sim = self.sim
-        first_event = sim.events_processed
-        ended = sim.drain(sim.now + max_time, max_events, until=frontend.poll)
-        if not frontend.finished:
+        deadline = sim.now + max_time
+        last_event = sim.events_processed + max_events
+        # Drain unpolled up to the idle mark: a finish stops the drain itself
+        # through sim.stop(), and no event at or before the mark can leave
+        # the scenario idle.  Activity may have moved the mark meanwhile:
+        # drain on.  Otherwise the next event is the first past the mark:
+        # fire it alone and poll after it — unless it stopped the simulator
+        # (a finish, or a workload's sim.stop(), which is never polled).
+        while not frontend.finished:
+            mark = frontend.idle_mark()
+            ended = sim.drain(min(mark, deadline), last_event - sim.events_processed)
             if (
-                ended is DrainEnd.DRAINED
-                and sim.events_processed - first_event < max_events
+                ended is not DrainEnd.DEADLINE
+                or mark >= deadline
+                or sim.events_processed == last_event
             ):
+                break
+            if frontend.idle_mark() == mark:
+                ended = sim.drain(deadline, 1)
+                if ended is DrainEnd.STOPPED or frontend.poll() or ended is not DrainEnd.BUDGET:
+                    break
+        if not frontend.finished:
+            if ended is DrainEnd.DRAINED and sim.events_processed < last_event:
                 # Nothing left to happen: the limiting case of inactivity.
                 # (QUIESCED is reserved for runs that never started.)
                 frontend.force_finish(

@@ -41,7 +41,8 @@ class LearningSwitch(Medium):
         )
         self.forwarding_ns = forwarding_ns
         self._forward_label = f"{name}:forward"
-        self._mac_table: Dict[MacAddress, int] = {}
+        #: learned source MAC -> port, keyed by the raw 6 wire bytes.
+        self._mac_table: Dict[bytes, int] = {}
         self._egress: Dict[int, _Transmitter] = {}
         self.flooded_frames = 0
         self.forwarded_frames = 0
@@ -58,23 +59,15 @@ class LearningSwitch(Medium):
             raise TopologyError(f"{self.name}: unknown port {ingress_port}")
         if len(frame_bytes) < HEADER_LEN:
             return  # runt frame: a real switch discards it
-        self._learn(frame_bytes, ingress_port)
-        dst = MacAddress(frame_bytes[0:6])
+        if not frame_bytes[6] & 0x01:  # learn unicast sources only
+            self._mac_table[frame_bytes[6:12]] = ingress_port
         self.sim.after(
-            self.forwarding_ns,
-            self._forward,
-            self._forward_label,
-            args=(ingress_port, dst, frame_bytes),
+            self.forwarding_ns, self._forward, self._forward_label, args=(ingress_port, frame_bytes)
         )
 
-    def _learn(self, frame_bytes: bytes, ingress_port: int) -> None:
-        src = MacAddress(frame_bytes[6:12])
-        if not src.is_multicast:
-            self._mac_table[src] = ingress_port
-
-    def _forward(self, ingress_port: int, dst: MacAddress, frame_bytes: bytes) -> None:
-        if not dst.is_multicast and dst in self._mac_table:
-            egress = self._mac_table[dst]
+    def _forward(self, ingress_port: int, frame_bytes: bytes) -> None:
+        egress = None if frame_bytes[0] & 0x01 else self._mac_table.get(frame_bytes[0:6])
+        if egress is not None:
             if egress != ingress_port:
                 self.forwarded_frames += 1
                 self._enqueue(egress, frame_bytes)
@@ -94,7 +87,7 @@ class LearningSwitch(Medium):
 
     def mac_table(self) -> Dict[str, int]:
         """A copy of the learned MAC-to-port mapping (stringified keys)."""
-        return {str(mac): port for mac, port in self._mac_table.items()}
+        return {str(MacAddress(mac)): port for mac, port in self._mac_table.items()}
 
     def stats(self) -> Dict[str, int]:
         totals = {"frames": 0, "bytes": 0, "queue_drops": 0}

@@ -32,7 +32,7 @@ class DrainEnd(enum.Enum):
     DRAINED = "drained"  # no live event is left
     DEADLINE = "deadline"  # the next event lies past the deadline
     BUDGET = "budget"  # the event budget ran out with an event still due
-    STOPPED = "stopped"  # stop() or the until predicate ended the loop
+    STOPPED = "stopped"  # stop() ended the loop
 
 
 class PeriodicHandle:
@@ -155,23 +155,17 @@ class Simulator:
             callback()
         return True
 
-    def drain(
-        self,
-        deadline: Optional[int] = None,
-        max_events: int = 50_000_000,
-        until: Optional[Callable[[], object]] = None,
-    ) -> DrainEnd:
+    def drain(self, deadline: Optional[int] = None, max_events: int = 50_000_000) -> DrainEnd:
         """The event loop every run method shares; returns why it ended.
 
         Fires events in ``(time, sequence)`` order while the next one is due
         at or before *deadline* (``None``: no deadline) and fewer than
         *max_events* have fired, and leaves the clock at the last event
-        fired.  *until* is polled before every event; a true result — like
-        :meth:`stop` from a callback — ends the loop.  One event here is
-        exactly one :meth:`step`, with the queue's dead-entry discard and
-        pop inlined on local bindings; a fire-and-forget entry is fired
-        straight from its tuple, and gets a detached handle only while a
-        trace hook is registered to look at it.
+        fired.  :meth:`stop` from a callback ends the loop after that
+        event.  One event here is exactly one :meth:`step`, with the
+        queue's dead-entry discard and pop inlined on local bindings; a
+        fire-and-forget entry is fired straight from its tuple, and gets a
+        detached handle only while a trace hook is registered to look at it.
         """
         self._enter_run()
         queue, clock, hooks = self.queue, self.clock, self._trace_hooks
@@ -179,7 +173,7 @@ class Simulator:
         limit = float("inf") if deadline is None else deadline
         remaining = max_events
         try:
-            while not (self._stop_requested or (until is not None and until())):
+            while not self._stop_requested:
                 while heap and heap[0][2] is not None and heap[0][2].cancelled:
                     heappop(heap)[2].queue = None
                 if not heap:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Any, Dict, List, Mapping
+from typing import Any, Dict, List, Mapping, Optional
 
 from ..bench.harness import RECEIVER_PORT, SENDER_PORT
 from ..core.tables import CompiledProgram
@@ -29,13 +29,43 @@ from ..stack.costs import CostModel
 from .spec import SweepError, SweepTask, reads_params
 
 
-def _cost_model(overrides: Mapping[str, int]) -> CostModel:
-    """A CostModel with the given field overrides applied."""
-    base = CostModel()
-    unknown = set(overrides) - {f.name for f in dataclasses.fields(CostModel)}
+_COST_FIELDS = frozenset(f.name for f in dataclasses.fields(CostModel))
+
+#: The keys each workload kind reads (see _install_workload), besides
+#: ``kind``, ``sender`` and ``receiver``, which every kind reads.
+_WORKLOAD_KEYS: Dict[str, frozenset] = {
+    "tcp_bulk": frozenset({"bytes"}),
+    "tcp_feed": frozenset({"chunk", "interval_ns"}),
+    "udp_probes": frozenset({"count", "interval_ns", "port", "bytes"}),
+    "none": frozenset(),
+}
+_WORKLOAD_COMMON = frozenset({"kind", "sender", "receiver"})
+
+
+def _check_script_params(params: Mapping[str, Any]) -> Optional[str]:
+    """What is wrong inside ``workload=`` / ``costs=``, checked when the case
+    is enumerated: a misspelt key would otherwise run the default (a
+    ``byts`` transfer is 64 KiB), a bad cost field fail only in its cell."""
+    workload = params.get("workload", {})
+    if not isinstance(workload, Mapping):
+        return f"workload= must be a mapping, not {type(workload).__name__}"
+    kind = workload.get("kind", "tcp_bulk")
+    if not isinstance(kind, str) or kind not in _WORKLOAD_KEYS:
+        return f"unknown workload kind {kind!r} (known: {', '.join(sorted(_WORKLOAD_KEYS))})"
+    unknown = sorted(set(workload) - _WORKLOAD_KEYS[kind] - _WORKLOAD_COMMON)
     if unknown:
-        raise SweepError(f"unknown cost-model fields: {sorted(unknown)}")
-    return dataclasses.replace(base, **overrides)
+        accepted = ", ".join(sorted(_WORKLOAD_KEYS[kind] | _WORKLOAD_COMMON))
+        return (
+            f"workload kind {kind!r} reads no key {', '.join(map(repr, unknown))} "
+            f"(accepted: {accepted})"
+        )
+    costs = params.get("costs", {})
+    if not isinstance(costs, Mapping):
+        return f"costs= must be a mapping, not {type(costs).__name__}"
+    unknown = sorted(set(costs) - _COST_FIELDS)
+    if unknown:
+        return f"unknown cost-model fields: {unknown}"
+    return None
 
 
 def _require_program(task: SweepTask) -> CompiledProgram:
@@ -120,6 +150,7 @@ def _install_workload(tb: Testbed, hosts: List, spec: Mapping[str, Any]):
     "program", "seed", "costs", "medium", "medium_kwargs", "control", "rll", "capture",
     "audit", "metrics", "control_loss", "rether", "rether_kwargs", "workload",
     "max_time_ns", "inactivity_ns",
+    check=_check_script_params,
 )
 def run_script_task(task: SweepTask) -> Dict[str, Any]:
     """Run one pre-compiled FSL program on a freshly built testbed.
@@ -131,7 +162,7 @@ def run_script_task(task: SweepTask) -> Dict[str, Any]:
     """
     program = _require_program(task)
     seed = int(task.param("seed", task.seed))
-    costs = _cost_model(task.param("costs", {}))
+    costs = dataclasses.replace(CostModel(), **task.param("costs", {}))
     tb = Testbed(seed=seed, costs=costs)
     hosts = [
         tb.add_host(entry.name, mac=str(entry.mac), ip=str(entry.ip))

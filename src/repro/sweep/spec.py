@@ -63,17 +63,23 @@ class SweepError(ReproError):
 TaskFn = Callable[["SweepTask"], Mapping[str, Any]]
 
 
-def reads_params(*names: str) -> Callable[[TaskFn], TaskFn]:
+def reads_params(
+    *names: str, check: Optional[Callable[[Mapping[str, Any]], Optional[str]]] = None
+) -> Callable[[TaskFn], TaskFn]:
     """Declare every param a task function reads.
 
     :meth:`SweepSpec.add` rejects any other key for a declared function —
     in the parent, at enumeration time — so a typo or a removed knob
     (``frame_codec=``) is an error naming it instead of a param that rides
-    along unread.  A function without a declaration stays free-form.
+    along unread.  *check*, given a case's params, names what is wrong
+    inside them (the keys of a nested mapping) or returns ``None``; ``add``
+    raises on its answer at the same time.  A function without a
+    declaration stays free-form.
     """
 
     def declare(fn: TaskFn) -> TaskFn:
         fn.reads_params = frozenset(names)
+        fn.check_params = check
         return fn
 
     return declare
@@ -324,6 +330,9 @@ class SweepSpec:
                     f"case {name!r}: {fn.__name__} reads no param "
                     f"{', '.join(map(repr, unknown))} (accepted: {', '.join(sorted(accepted))})"
                 )
+            problem = fn.check_params(params) if fn.check_params is not None else None
+            if problem is not None:
+                raise SweepError(f"case {name!r}: {fn.__name__}: {problem}")
         self._cases.append({"name": name, "fn": fn, "params": dict(params)})
         return self
 

@@ -300,11 +300,10 @@ class TestArmedFaults:
             """
         )
         runtime.start()
-        runtime.on_classified_packet("pkt", "node2", "node1", Direction.RECV)
-        armed = runtime.armed_faults("pkt", "node2", "node1", Direction.RECV)
-        assert len(armed) == 1
-        runtime.on_classified_packet("pkt", "node2", "node1", Direction.RECV)
-        assert runtime.armed_faults("pkt", "node2", "node1", Direction.RECV) == []
+        # the packet that makes the condition true is itself dropped
+        armed = runtime.on_classified_packet("pkt", "node2", "node1", Direction.RECV).faults
+        assert [action.kind.name for action in armed] == ["DROP"]
+        assert not runtime.on_classified_packet("pkt", "node2", "node1", Direction.RECV).faults
 
     def test_fault_spec_must_match_packet(self):
         runtime, _ = make_runtime(
@@ -314,9 +313,13 @@ class TestArmedFaults:
             """
         )
         runtime.start()
-        assert runtime.armed_faults("pkt", "node1", "node2", Direction.RECV) == []
-        assert runtime.armed_faults("pkt", "node2", "node1", Direction.SEND) == []
-        assert runtime.armed_faults("other", "node2", "node1", Direction.RECV) == []
+        for packet in (
+            ("pkt", "node1", "node2", Direction.RECV),
+            ("pkt", "node2", "node1", Direction.SEND),
+            ("other", "node2", "node1", Direction.RECV),
+        ):
+            assert not runtime.on_classified_packet(*packet).faults
+        assert len(runtime.on_classified_packet("pkt", "node2", "node1", Direction.RECV).faults) == 1
 
     def test_stats_accounting(self):
         runtime, _ = make_runtime(

@@ -204,8 +204,9 @@ class TestRunScenarioGuards:
 def _parent_run_scenario(tb, script, workload=None, max_time=seconds(60),
                          inactivity_ns=None, max_events=50_000_000):
     """``run_scenario`` as it was before the shared drain loop: peek, step and
-    poll once per event through the public one-event API.  The reference the
-    fused loop must match, end reason and instant alike."""
+    poll once per event through the public one-event API — a workload's
+    ``sim.stop()`` cuts the run short instead of that poll.  The reference
+    the segmented loop must match, end reason and instant alike."""
     frontend = tb.frontend
     frontend.start_scenario(
         tb.compile_cached(script), on_running=workload, inactivity_ns=inactivity_ns
@@ -227,6 +228,9 @@ def _parent_run_scenario(tb, script, workload=None, max_time=seconds(60),
             break
         tb.sim.step()
         events_left -= 1
+        if tb.sim._stop_requested and not frontend.finished:
+            frontend.force_finish(EndReason.MAX_TIME)
+            break
         frontend.poll()
     tb.sim.run_for(seconds(0.01))
     return frontend.build_report()
@@ -236,13 +240,84 @@ def _inert_start(frontend, started):
     def start_scenario(program, on_running=None, inactivity_ns=None):
         frontend.program = program  # accepted, but nothing scheduled
         frontend.started = started
+        if inactivity_ns is not None:
+            frontend.inactivity_ns = inactivity_ns
 
     return start_scenario
 
 
+def _run(run, script=None, inert=None, prepare=None, **limits):
+    """One scenario under *run* (``Testbed.run_scenario`` or the reference
+    loop) on a fresh two-node testbed with a 64 KiB TCP transfer: the end
+    reason, ``(reason, sim.now, events_processed)`` at the finish, the final
+    ``sim.now`` and ``events_processed``, the counters, the duration, and
+    the *hooked* list.  *prepare(tb, hooked)* runs before the scenario and
+    may record into *hooked*; *script* maps the node table to FSL."""
+    tb = _two_node_vw_testbed()
+    node1, node2 = tb.host("node1"), tb.host("node2")
+    finished_at, hooked = [], []
+    finish = tb.frontend._finish
+
+    def recording_finish(reason):
+        finished_at.append((reason, tb.sim.now, tb.sim.events_processed))
+        finish(reason)
+
+    tb.frontend._finish = recording_finish
+    if inert is not None:
+        tb.frontend.start_scenario = _inert_start(tb.frontend, started=inert is True)
+    if inert == "one-event":
+        tb.sim.after(ms(1), lambda: None)
+    if prepare is not None:
+        prepare(tb, hooked)
+
+    def workload():
+        node2.tcp.listen(0x4000)
+        conn = node1.tcp.connect(node2.ip, 0x4000, local_port=0x6000)
+        conn.on_established = lambda: conn.send(bytes(64 * 1024))
+
+    report = run(
+        tb, (script or tcp_congestion_script)(tb.node_table_fsl()), workload=workload, **limits
+    )
+    return (report.end_reason, finished_at[0], tb.sim.now, tb.sim.events_processed,
+            report.counters, report.duration_ns, hooked)
+
+
+def _calibrate(script=None):
+    """(START instant, first activity instant, events at the finish) of an
+    unlimited reference run: where the idle mark and a segment lie."""
+    touches = []
+
+    def prepare(tb, hooked):
+        for engine in tb.engines.values():
+            engine.activity_hook = lambda tb=tb: (
+                touches.append(tb.sim.now), tb.frontend.touch()
+            )
+        hooked.append(tb)
+
+    outcome = _run(_parent_run_scenario, script=script, prepare=prepare)
+    tb = outcome[-1][0]
+    return tb.frontend.start_time, touches[0], outcome[1][2]
+
+
+def stop_on_first(nodes):
+    """STOP on the first IPv4 frame node1 sends."""
+    return f"""
+FILTER_TABLE
+  ip: (12 2 0x0800)
+END
+{nodes}
+SCENARIO stop_on_first
+  Sent: (ip, node1, node2, SEND)
+  ((Sent = 1)) >> STOP;
+END
+"""
+
+
 class TestRunScenarioMatchesTheParentLoop:
-    """Every exit of the fused loop lands on the same end reason, at the same
-    ``sim.now`` and ``events_processed``, as the per-event loop it replaced."""
+    """Every exit of the segmented loop — unpolled drains up to the idle
+    mark, one polled event past it — lands on the same end reason, at the
+    same ``sim.now`` and ``events_processed``, as the per-event
+    ``step()`` + ``poll()`` loop it replaced."""
 
     @pytest.mark.parametrize(
         "limits, inert, expected",
@@ -264,37 +339,85 @@ class TestRunScenarioMatchesTheParentLoop:
         ],
     )
     def test_same_end_at_the_same_instant(self, limits, inert, expected):
-        outcomes = []
-        for run in (Testbed.run_scenario, _parent_run_scenario):
-            tb = _two_node_vw_testbed()
-            node1, node2 = tb.host("node1"), tb.host("node2")
-            finished_at = []
-            finish = tb.frontend._finish
+        ours = _run(Testbed.run_scenario, inert=inert, **limits)
+        assert ours == _run(_parent_run_scenario, inert=inert, **limits)
+        assert ours[0] is expected
 
-            def recording_finish(reason, tb=tb, finish=finish, finished_at=finished_at):
-                finished_at.append((reason, tb.sim.now, tb.sim.events_processed))
-                finish(reason)
+    @pytest.mark.parametrize("crossing", [True, False], ids=["crossing", "inside"])
+    def test_stop_on_the_event_that_crosses_the_idle_mark(self, crossing):
+        """STOP on the event past the mark, and — the unpolled case — on an
+        event inside a segment, where nothing but the finish's
+        ``sim.stop()`` ends the drain."""
+        start, first_activity, _ = _calibrate(stop_on_first)
+        # the mark lies 1 ns before the SYN is classified: that event crosses it
+        limits = dict(inactivity_ns=first_activity - start - 1) if crossing else {}
+        ours = _run(Testbed.run_scenario, stop_on_first, **limits)
+        assert ours == _run(_parent_run_scenario, stop_on_first, **limits)
+        assert ours[1][:2] == (EndReason.STOP, first_activity)
 
-            tb.frontend._finish = recording_finish
-            if inert is not None:
-                tb.frontend.start_scenario = _inert_start(tb.frontend, started=inert is True)
-            if inert == "one-event":
-                tb.sim.after(ms(1), lambda: None)
+    def test_activity_on_the_crossing_event(self):
+        start, first_activity, _ = _calibrate()
+        limits = dict(inactivity_ns=first_activity - start - 1)
+        ours = _run(Testbed.run_scenario, **limits)
+        assert ours == _run(_parent_run_scenario, **limits)
+        assert ours[1][1] > first_activity  # the touch moved the mark: the run went on
 
-            def workload(node1=node1, node2=node2):
-                node2.tcp.listen(0x4000)
-                conn = node1.tcp.connect(node2.ip, 0x4000, local_port=0x6000)
-                conn.on_established = lambda: conn.send(bytes(64 * 1024))
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_event_budget_ends_at_a_segment_boundary(self, offset):
+        """The calibrated run ends by inactivity on its last event, the one
+        past the mark: a budget of one fewer runs out exactly where the
+        unpolled drain to the mark stops."""
+        limits = dict(max_events=_calibrate()[2] + offset)
+        ours = _run(Testbed.run_scenario, **limits)
+        assert ours == _run(_parent_run_scenario, **limits)
+        assert ours[0] is (EndReason.MAX_TIME if offset < 0 else EndReason.INACTIVITY)
 
-            report = run(
-                tb, tcp_congestion_script(tb.node_table_fsl()), workload=workload, **limits
-            )
-            outcomes.append(
-                (report.end_reason, finished_at[0], tb.sim.now, tb.sim.events_processed,
-                 report.counters, report.duration_ns)
-            )
-        assert outcomes[0] == outcomes[1]
-        assert outcomes[0][0] is expected
+    @pytest.mark.parametrize(
+        "inert, limits",
+        [
+            (None, dict()),  # mid-transfer, inside a segment
+            (True, dict(inactivity_ns=ms(1))),  # on the event past an idle mark
+        ],
+    )
+    def test_workload_stopping_the_simulator(self, inert, limits):
+        """A ``sim.stop()`` ends the run as MAX_TIME — and is not polled for
+        inactivity first, even on the event that crosses the idle mark."""
+
+        def prepare(tb, hooked):
+            tb.sim.after(ms(3), tb.sim.stop)
+
+        ours = _run(Testbed.run_scenario, inert=inert, prepare=prepare, **limits)
+        assert ours == _run(_parent_run_scenario, inert=inert, prepare=prepare, **limits)
+        assert ours[1][:2] == (EndReason.MAX_TIME, ms(3))
+
+    @pytest.mark.parametrize("limits", [dict(), dict(inactivity_ns=ms(1)), dict(max_events=400)])
+    def test_trace_hook_sees_every_event_alike(self, limits):
+        def prepare(tb, hooked):
+            tb.sim.add_trace_hook(lambda handle: hooked.append((handle.when, handle.label)))
+
+        ours = _run(Testbed.run_scenario, prepare=prepare, **limits)
+        assert ours == _run(_parent_run_scenario, prepare=prepare, **limits)
+        assert len(ours[-1]) == ours[3]  # one hook call per event
+
+    @pytest.mark.parametrize("inactivity_ns", [0, 1, 1_000])
+    def test_inactivity_shorter_than_one_event_gap(self, inactivity_ns):
+        ours = _run(Testbed.run_scenario, inactivity_ns=inactivity_ns)
+        assert ours == _run(_parent_run_scenario, inactivity_ns=inactivity_ns)
+        assert ours[0] is EndReason.INACTIVITY
+
+    def test_idle_one_nanosecond_past_the_mark(self):
+        """The mark itself is not idle, the next nanosecond is: an event there
+        ends the run, and the event after it never fires."""
+
+        def prepare(tb, hooked):
+            for when in (ms(1), ms(1) + 1, ms(2)):
+                tb.sim.after(when, hooked.append, args=(when,))
+
+        ours = _run(Testbed.run_scenario, inert=True, prepare=prepare, inactivity_ns=ms(1))
+        assert ours == _run(
+            _parent_run_scenario, inert=True, prepare=prepare, inactivity_ns=ms(1)
+        )
+        assert ours[1] == (EndReason.INACTIVITY, ms(1) + 1, 2)
 
 
 class TestCompileCache:

@@ -183,14 +183,21 @@ class TestDrainContract:
         assert sim.drain() is DrainEnd.DRAINED
         assert sim.events_processed == 4
 
-    def test_until_is_polled_before_every_event(self, sim):
+    def test_stop_ends_the_loop_after_its_event(self, sim):
         fired = []
-        for t in (1, 2, 3):
-            sim.after(t, lambda t=t: fired.append(t))
-        assert sim.drain(until=lambda: len(fired) == 2) is DrainEnd.STOPPED
-        assert fired == [1, 2] and sim.now == 2
-        assert sim.drain(until=lambda: True) is DrainEnd.STOPPED  # before the first event too
-        assert fired == [1, 2]
+
+        def log(t):
+            fired.append(t)
+            if len(fired) == 2:
+                sim.stop()
+
+        for t in (1, 2, 2, 3):
+            sim.after(t, log, args=(t,))
+        assert sim.drain() is DrainEnd.STOPPED
+        assert fired == [1, 2] and sim.now == 2 and len(sim.queue) == 2
+        sim.stop()  # outside a loop: the next drain starts afresh
+        assert sim.drain(max_events=1) is DrainEnd.BUDGET
+        assert fired == [1, 2, 2]
 
     def test_drain_is_not_reentrant(self, sim):
         sim.after(1, sim.drain)

@@ -366,9 +366,7 @@ class FleetSim:
         """Drive the campaign to its end.  ``SweepError`` from the
         scheduler propagates, as it does out of the real shell."""
         self.at(0.0, self._tick)
-        self.sim.drain(
-            deadline=int(max_virtual_s * NS_PER_SEC), until=lambda: self._finished
-        )
+        self.sim.drain(deadline=int(max_virtual_s * NS_PER_SEC))
         assert self._finished, (
             f"campaign still running after {max_virtual_s} virtual seconds: "
             f"{len(self.scheduler.rows)}/{len(self.tasks)} rows"
@@ -412,6 +410,7 @@ class FleetSim:
                 self._link(worker, "down", partial(worker.deliver, conn, action.data))
         if self.scheduler.done and not self._finished:
             self._finished = True
+            self.sim.stop()  # no event after this one
             self.execute(self.scheduler.shutdown())
 
     def _link(self, worker: ModelWorker, direction: str, arrive: Callable[[], None]) -> None:

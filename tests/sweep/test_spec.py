@@ -118,6 +118,38 @@ class TestDeclaredParams:
         read = set(re.findall(r'task\.param\(\s*"(\w+)"', inspect.getsource(fn)))
         assert read and read <= fn.reads_params
 
+    @pytest.mark.parametrize(
+        "params, named",
+        [
+            # a misspelt key used to run the default 64 KiB transfer
+            (dict(workload={"kind": "tcp_bulk", "byts": 1024}), "'byts'"),
+            (dict(workload={"kind": "tcp_feed", "bytes": 1024}), "'bytes'"),
+            (dict(workload={"count": 5}), "'count'"),  # the default kind is tcp_bulk
+            (dict(workload={"kind": "udp_flood"}), "'udp_flood'"),
+            (dict(workload="tcp_bulk"), "mapping"),
+            # a bad cost field used to fail only when its cell ran
+            (dict(costs={"engine_base": 5}), "'engine_base'"),
+        ],
+    )
+    def test_nested_workload_and_cost_keys_are_checked_at_enumeration(self, params, named):
+        spec = SweepSpec("s")
+        with pytest.raises(SweepError, match=named):
+            spec.add("cell", run_script_task, script=self.SCRIPT, **params)
+        assert len(spec) == 0
+
+    def test_every_workload_key_the_task_reads_is_accepted(self):
+        spec = SweepSpec("s")
+        for workload in (
+            {"kind": "tcp_bulk", "bytes": 1, "sender": "node1", "receiver": "node2"},
+            {"kind": "tcp_feed", "chunk": 1, "interval_ns": 1},
+            {"kind": "udp_probes", "count": 1, "interval_ns": 1, "port": 7, "bytes": 1},
+            {"kind": "none"},
+            {},
+        ):
+            spec.add("cell", run_script_task, script=self.SCRIPT, workload=workload)
+        spec.add("cell", run_script_task, script=self.SCRIPT, costs={"engine_base_ns": 5})
+        assert len(spec) == 6
+
     def test_undeclared_task_functions_stay_free_form(self):
         spec = SweepSpec("s").add("cell", _noop_task, frame_codec="fast", anything=1)
         assert spec.tasks()[0].param("anything") == 1

@@ -18,12 +18,13 @@ though each node touches only a subset of the entries.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import hashlib
-import re
+import json
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..errors import FslCompileError, TableError
 from ..net.addresses import IpAddress, MacAddress
@@ -516,6 +517,9 @@ class CompiledProgram:
     actions: List[ActionSpec]
     #: names of VAR declarations used by filter tuples.
     variables: Tuple[str, ...] = ()
+    #: the ``(FSL text, scenario name)`` :func:`repro.core.fsl.compile_text`
+    #: compiled this from, which the sweep job protocol ships.
+    source: Optional[Tuple[str, Optional[str]]] = field(default=None, compare=False, repr=False)
 
     def counter_by_name(self, name: str) -> CounterSpec:
         for spec in self.counters:
@@ -535,21 +539,17 @@ class CompiledProgram:
         }
 
     def _canonical_rendering(self) -> bytes:
-        """Deterministic byte rendering of all six tables.  Every
-        constituent has a value-based ``repr``, so equal programs render
-        identically in every process and Python build."""
-        parts: List[str] = [self.scenario_name, str(self.timeout_ns)]
-        parts.extend(repr(e) for e in self.filters.entries)
-        parts.extend(repr(e) for e in self.nodes.entries)
-        parts.extend(repr(c) for c in self.counters)
-        parts.extend(repr(t) for t in self.terms)
-        parts.extend(repr(c) for c in self.conditions)
-        parts.extend(repr(a) for a in self.actions)
-        parts.extend(self.variables)
-        return "\x1f".join(parts).encode("utf-8")
+        """All six tables as canonical JSON, the same whatever the
+        ``PYTHONHASHSEED``; :attr:`source` and a condition's ``line`` are
+        not behaviour, so reformatting a script changes nothing here."""
+        tables = (
+            self.scenario_name, self.timeout_ns, self.filters.entries, self.nodes.entries,
+            self.counters, self.terms, self.conditions, self.actions, self.variables,
+        )
+        return json.dumps(tables, default=_plain, separators=(",", ":")).encode("ascii")
 
     def checksum(self) -> int:
-        """CRC-32 over a canonical rendering of all six tables.
+        """CRC-32 over the canonical rendering of all six tables.
 
         Carried in the INIT control frame (field ``b``) and re-computed by
         the receiving engine before the tables are armed, so a corrupted
@@ -558,20 +558,38 @@ class CompiledProgram:
         """
         return zlib.crc32(self._canonical_rendering())
 
-    #: diagnostic source-line attributes, masked out of the content hash so
-    #: whitespace-only script edits do not change a program's address.
-    _LINE_ATTR = re.compile(rb"\bline=\d+")
-
     def content_hash(self) -> str:
         """SHA-256 hex digest of the canonical table rendering.
 
         The program's content address: two compilations of the same script
         text (even in different processes) share it, and any table-visible
-        edit changes it.  Source line numbers are masked first — they are
-        diagnostics, not behaviour — so reformatting a script does not move
-        its address.  The sweep result cache and campaign journal key rows
-        on it (``repro.sweep.spec.task_fingerprint``), so editing one
-        scenario dirties exactly the cells that compiled from it.
+        edit changes it.  The sweep result cache and campaign journal key
+        rows on it (``repro.sweep.spec.task_fingerprint``), so editing one
+        scenario dirties exactly the cells that compiled from it, and the
+        job protocol names a shipped program by it.
         """
-        rendering = self._LINE_ATTR.sub(b"line=_", self._canonical_rendering())
-        return hashlib.sha256(rendering).hexdigest()
+        return hashlib.sha256(self._canonical_rendering()).hexdigest()
+
+
+#: per table dataclass, the fields :func:`_plain` renders, in order.
+_FIELDS: Dict[type, Tuple[str, ...]] = {}
+
+
+def _plain(value: Any) -> Any:
+    """``json.dumps``'s hook for the tables' non-JSON values: dataclasses
+    (minus ``line``) and expression trees as lists, enums by value, sets
+    sorted, addresses and byte strings as text."""
+    names = _FIELDS.get(type(value))
+    if names is None:
+        if isinstance(value, enum.Enum):
+            return value.value
+        if not dataclasses.is_dataclass(value):
+            if isinstance(value, (set, frozenset)):
+                return sorted(value)
+            if isinstance(value, ConditionExpr):
+                return [value.op, value.term_id, value.children]
+            return value.hex() if isinstance(value, bytes) else str(value)
+        names = _FIELDS[type(value)] = tuple(
+            f.name for f in dataclasses.fields(value) if f.name != "line"
+        )
+    return [getattr(value, name) for name in names]

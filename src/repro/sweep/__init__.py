@@ -2,8 +2,9 @@
 
 The paper's evaluation is built from campaigns — grids of scenarios, seeds,
 loss rates and engine configurations run over the same testbed recipe.
-This package turns such a grid into an ordered list of picklable tasks,
-executes them serially, on local slot processes or on a worker fleet, and
+This package turns such a grid into an ordered list of tasks, each with
+one canonical JSON encoding, executes them serially, on local slot
+processes or on a worker fleet, and
 merges the rows back deterministically (see docs/SWEEP.md)::
 
     from repro.sweep import SweepSpec, run_sweep, run_script_task

@@ -1,6 +1,6 @@
 """Reusable campaign task functions.
 
-Every function here is module-level (picklable by reference) and follows
+Every function here is module-level (found again by ``module:qualname``) and follows
 the sweep contract: it receives one :class:`~repro.sweep.spec.SweepTask`,
 builds a **fresh** seeded testbed from the task's params, runs exactly one
 simulation, and returns a plain JSON-able payload.  Nothing is shared
@@ -8,7 +8,7 @@ between tasks, so campaigns parallelise trivially and merge
 deterministically.
 
 :func:`run_script_task` is the workhorse: it executes a pre-compiled FSL
-program (shipped from the parent — workers never parse FSL) on a testbed
+program (compiled in the parent; a worker compiles its source once) on a testbed
 reconstructed from the program's own node table, with a declarative
 workload, optional Rether ring, control-plane loss, engine tuning and
 cost-model overrides.  The ``repro sweep`` CLI, the fault-matrix example,

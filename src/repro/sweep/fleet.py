@@ -70,7 +70,6 @@ from .wire import (
     ProtocolError,
     _parse_json,
     encode_frame,
-    export_task,
     program_frame,
     task_frame,
 )
@@ -403,22 +402,15 @@ class FleetScheduler:
             heapq.heappush(self.pending, index)
             self.stats["requeues"] += 1
             return
-        self._fail(
-            index,
-            "worker died: connection lost",
-            f"lost {len(charges)} worker(s); last: {note}",
-            attempts=len(charges),
-            wall_seconds=max(0.0, now - self._started.get(index, now)),
-        )
-
-    def _fail(self, index: int, error: str, detail: str, **accounting: Any) -> None:
-        """Land the scheduler's own verdict on a cell: a FAILED row."""
         task = self.tasks[index]
-        detail = f"task {index} ({task.name!r}) {detail}"
         self._land(
             SweepResult(
                 index, task.name, task.seed, SweepResult.FAILED,
-                error=error, error_detail=detail, **accounting,
+                error="worker died: connection lost",
+                error_detail=f"task {index} ({task.name!r}) lost {len(charges)} "
+                f"worker(s); last: {note}",
+                attempts=len(charges),
+                wall_seconds=max(0.0, now - self._started.get(index, now)),
             )
         )
 
@@ -500,19 +492,13 @@ class FleetScheduler:
         return actions
 
     def _assign(self, address: str, worker: _Worker, index: int, now: float) -> None:
-        """Ship one cell to one idle slot, preceded by any program this
-        connection has not seen."""
-        try:
-            wire, programs = export_task(self.tasks[index])
-            unseen = {h: p for h, p in programs.items() if h not in worker.pushed}
-            frames = [program_frame(*entry) for entry in unseen.items()]
-            frames.append(task_frame(wire))
-        except Exception as exc:  # noqa: BLE001 — whatever pickle raises
-            # No worker will ever see this cell, so no retry can help: one
-            # deterministic row, and the slot stays idle.
-            error = f"unshippable task: {type(exc).__name__}: {exc}"
-            self._fail(index, error, "cannot be pickled for a worker")
-            return
+        """Ship one cell to one idle slot — the bytes ``run_sweep``
+        encoded, the same on every retry and hedge — preceded by any
+        program this connection has not seen."""
+        payload, programs = self.ctx.exports[index]
+        unseen = [content for content in programs if content not in worker.pushed]
+        frames = [program_frame(content, programs[content]) for content in unseen]
+        frames.append(task_frame(payload))
         self._out.extend(Send(address, frame) for frame in frames)
         worker.pushed.update(unseen)
         worker.idle -= 1

@@ -44,7 +44,7 @@ from .runner import (
     parse_hosts,
     resolve_secret,
 )
-from .spec import SweepError, SweepResult, SweepTask
+from .spec import SweepError, SweepTask, export_task
 from .wire import (
     HEARTBEAT_INTERVAL_S,
     MSG_AUTH,
@@ -59,20 +59,18 @@ from .wire import (
     PROTOCOL_VERSION,
     ConnectionLost,
     FrameBuffer,
-    ProgramRef,
     ProtocolError,
     Refused,
     _auth_proof,
     _json_payload,
-    _loads,
     _parse_json,
     answer_welcome,
     casualty_frame,
+    decode_program,
+    decode_task,
     encode_frame,
-    export_task,
     hello_frame,
-    resolve_task,
-    split_task,
+    task_index,
 )
 
 #: Socket send timeout: a peer that cannot drain a frame in this long is
@@ -110,27 +108,33 @@ def read_frame(sock: socket.socket) -> Tuple[int, bytes]:
 # ---------------------------------------------------------------------------
 
 
+#: Serialises forks: a slot another thread forks while *theirs* is open
+#: would hold it, and this slot's death would never reach *ours* as EOF.
+_FORK_LOCK = threading.Lock()
+
+
 def _fork_slot(
     watchdog: Optional[Watchdog], *owner_socks: socket.socket
 ) -> Tuple[socket.socket, Any]:
     """Start a slot process behind a private ``socketpair``; returns the
-    owner's end and the process.  ``fork`` (cheap, inherits the compiled
-    programs' modules) where the platform has it, else its default; only
-    fork hands the owner's other sockets down for the slot to close
+    owner's end and the process.  ``fork`` (cheap; inherits the modules
+    and the compile cache) where the platform has it, else its default;
+    only fork hands the owner's other sockets down for the slot to close
     (elsewhere the numbers would name other files).  :class:`OSError`
     when the host is out of descriptors, processes or memory."""
-    ours, theirs = socket.socketpair()
-    try:
-        forks = "fork" in multiprocessing.get_all_start_methods()
-        context = multiprocessing.get_context("fork" if forks else None)
-        inherited = [sock.fileno() for sock in (ours, *owner_socks)] if forks else []
-        slot = context.Process(target=_slot_main, args=(theirs, inherited, watchdog))
-        slot.start()
-    except OSError:
-        ours.close()
-        raise
-    finally:
-        theirs.close()
+    with _FORK_LOCK:
+        ours, theirs = socket.socketpair()
+        try:
+            forks = "fork" in multiprocessing.get_all_start_methods()
+            context = multiprocessing.get_context("fork" if forks else None)
+            inherited = [sock.fileno() for sock in (ours, *owner_socks)] if forks else []
+            slot = context.Process(target=_slot_main, args=(theirs, inherited, watchdog))
+            slot.start()
+        except OSError:
+            ours.close()
+            raise
+        finally:
+            theirs.close()
     return ours, slot
 
 
@@ -171,8 +175,9 @@ def _slot_main(
 def _serve_session(conn: socket.socket, watchdog: Optional[Watchdog]) -> None:
     """A slot's session, the whole life of its process: ask for a cell
     (GET), run it inline, answer ROW — ERROR for a TASK that will not
-    decode — and ask again, until BYE; heartbeat in the background; keep
-    the session's program store (a program arrives at most once)."""
+    decode, refused PROGRAMs' reasons included — and ask again, until BYE;
+    heartbeat in the background; keep the session's program store (a
+    program arrives at most once).  A TASK naming no cell ends it all."""
     send_lock = threading.Lock()
     get, beat = encode_frame(MSG_GET, b"{}"), encode_frame(MSG_HEARTBEAT, b"{}")
 
@@ -189,21 +194,25 @@ def _serve_session(conn: socket.socket, watchdog: Optional[Watchdog]) -> None:
             pass  # the owner is gone, and the main thread is finding out
 
     programs: Dict[str, Any] = {}
+    refused: List[str] = []  # why PROGRAMs of this session did not load
     threading.Thread(target=heartbeat, daemon=True).start()
     send(get)
     while True:
         mtype, payload = read_frame(conn)
         if mtype == MSG_PROGRAM:
-            shipment = _loads(payload, "PROGRAM")
-            programs[str(shipment["hash"])] = shipment["program"]
-        elif mtype == MSG_TASK:
-            index, pickled = split_task(payload)
             try:
-                task = resolve_task(_loads(pickled, "TASK"), programs)
+                content, program = decode_program(payload)
+                programs[content] = program
+            except ProtocolError as exc:
+                refused.append(str(exc))
+        elif mtype == MSG_TASK:
+            try:
+                task = decode_task(payload, programs)
             except ProtocolError as exc:
                 # Report it instead of dying — the parent owns the
                 # retry/fail decision.
-                send(casualty_frame(index, f"undeliverable task ({exc})"))
+                cause = "; ".join([str(exc), *refused])
+                send(casualty_frame(task_index(payload), f"undeliverable task ({cause})"))
             else:
                 row = execute_task(task, watchdog)
                 send(encode_frame(MSG_ROW, _json_payload(row.to_record())))
@@ -236,7 +245,8 @@ def _relay(
     conn: socket.socket, listener: socket.socket, count: int, watchdog: Optional[Watchdog]
 ) -> None:
     """An authenticated ``repro worker`` session: frames between the parent
-    and *count* slot processes, on one selector, nothing unpickled.
+    and *count* slot processes, on one selector; of a TASK it reads only
+    the cell index, and no PROGRAM is compiled here.
 
     Slot to parent, GET / HEARTBEAT / ROW / ERROR pass through whole.
     Parent to slot, a TASK goes to a slot whose GET is outstanding — the
@@ -261,7 +271,7 @@ def _relay(
         if mtype == MSG_PROGRAM:
             programs.append(encode_frame(mtype, payload))
         elif mtype == MSG_TASK:
-            index, _pickled = split_task(payload)
+            index = task_index(payload)
             slot = next((slot for slot in slots if slot.asking), None)
             if slot is None:
                 raise ProtocolError(f"TASK {index} arrived with no slot asking")
@@ -323,13 +333,13 @@ class WorkerServer:
     """``repro worker``: serve campaign cells over N local slot processes.
 
     Listens for one parent at a time (campaigns are sequential); for each
-    connection it runs the authenticated v2 handshake (HELLO/WELCOME/
-    AUTH), then forks ``slots`` slot processes and relays frames between
-    them and the parent (:func:`_relay`) until BYE or EOF, when every
-    slot — idle or mid-cell — is killed and reaped.  The listening
-    process deserialises no pickle at all: PROGRAM and TASK frames pass
-    through to a slot, which exists only once the parent's HMAC proof has
-    verified.
+    connection it runs the authenticated handshake (HELLO/WELCOME/AUTH),
+    then forks ``slots`` slot processes and relays frames between them
+    and the parent (:func:`_relay`) until BYE or EOF, when every slot —
+    idle or mid-cell — is killed and reaped.  The listening process
+    imports and compiles nothing a parent sends: PROGRAM and TASK frames
+    pass through to a slot, which exists only once the parent's HMAC
+    proof has verified.
 
     A slot process that hard-dies costs the cell it held and no other: the
     casualty goes upstream as an ERROR frame (charged to the cell's retry
@@ -436,25 +446,24 @@ class WorkerServer:
             return self._refuse(
                 conn,
                 f"protocol version mismatch: parent speaks {version}, "
-                f"worker speaks {PROTOCOL_VERSION} (v2 added the "
-                f"authenticated handshake — upgrade both peers)",
+                f"worker speaks {PROTOCOL_VERSION} (v3 ships cells as "
+                f"canonical JSON — upgrade both peers)",
             )
         parent_nonce = hello.get("nonce")
         if not isinstance(parent_nonce, str) or len(parent_nonce) < 16:
             return self._refuse(
                 conn,
-                "HELLO carries no handshake nonce — the v2 protocol "
+                "HELLO carries no handshake nonce — the protocol "
                 "authenticates before any task is accepted",
             )
         worker_nonce = _fresh_nonce()
-        watchdog = None
         config = hello.get("watchdog")
-        if config:
-            watchdog = Watchdog(
-                timeout=float(config["timeout"]),
-                retries=int(config.get("retries", 0)),
-                backoff=float(config.get("backoff", 0.0)),
+        try:
+            watchdog = None if not config else Watchdog(
+                float(config["timeout"]), int(config["retries"]), float(config["backoff"])
             )
+        except (KeyError, TypeError, ValueError, OverflowError):
+            return self._refuse(conn, f"HELLO carries a malformed watchdog: {config!r}")
         welcome = {
             "version": PROTOCOL_VERSION,
             "slots": self.slots,
@@ -462,8 +471,9 @@ class WorkerServer:
             "proof": _auth_proof(self.secret, "worker", parent_nonce, worker_nonce),
         }
         conn.sendall(encode_frame(MSG_WELCOME, _json_payload(welcome)))
-        # The parent must prove itself before ANY pickle-bearing frame is
-        # accepted: the very next frame must be a valid AUTH.
+        # The parent must prove itself before any TASK — which names code
+        # to import and run — is accepted: the very next frame must be a
+        # valid AUTH.
         mtype, payload = read_frame(conn)
         if mtype != MSG_AUTH:
             self.auth_failures += 1
@@ -678,7 +688,6 @@ class LocalExecutor(_FleetShell):
 __all__ = [
     "LocalExecutor",
     "MSG_TASK",
-    "ProgramRef",
     "TcpExecutor",
     "WorkerServer",
     "encode_frame",

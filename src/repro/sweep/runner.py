@@ -38,13 +38,14 @@ journal is already flushed per-row, and the outcome truthfully reports
 
 from __future__ import annotations
 
+import hashlib
 import os
 import signal
 import threading
 import time
 import traceback
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .spec import (
@@ -53,8 +54,8 @@ from .spec import (
     SweepResult,
     SweepTask,
     coerce_jsonable,
+    export_task,
     spec_meta,
-    task_fingerprint,
     tasks_of,
 )
 
@@ -401,7 +402,8 @@ class ExecutorContext:
     on; ``hosts`` / ``secret`` are ``tcp``'s raw fleet description
     (``None`` falls through to ``REPRO_SWEEP_HOSTS`` / ``_SECRET``);
     ``meta`` is the campaign's ``(name, base_seed)`` so remote workers
-    can label what they serve.
+    can label what they serve; ``exports`` holds each cell's
+    :func:`~repro.sweep.spec.export_task` form, sent as is by the fleet.
     """
 
     workers: int
@@ -412,6 +414,7 @@ class ExecutorContext:
     hosts: Optional[Any] = None
     meta: Optional[Dict[str, Any]] = None
     secret: Optional[Any] = None
+    exports: Dict[int, Tuple[bytes, Dict[str, Any]]] = field(default_factory=dict)
 
 
 class SweepExecutor:
@@ -509,7 +512,8 @@ def run_sweep(
     protocol must hold the same secret or the handshake is refused.  An
     explicit *hosts* or *secret* on a backend that dials nobody (the two
     variables may stay set deployment-wide) is a :class:`SweepError`, as
-    is *resume* without a *journal*.
+    is *resume* without a *journal*, and so is a cell that does not encode
+    (:func:`~repro.sweep.spec.export_task`) unless it runs plain ``serial``.
 
     *retries* bounds how often a cell is re-queued after the process — or
     the worker connection — executing it died; lost ``retries + 1`` times
@@ -572,11 +576,14 @@ def run_sweep(
     started = time.perf_counter()
 
     # ------------------------------------------------------------------
-    # Durability plumbing: journal replay, cache probe
+    # Every cell encoded once, before a journal byte or a dial
     # ------------------------------------------------------------------
-    fingerprints: Dict[int, str] = {}
-    if journal is not None or cache_dir is not None:
-        fingerprints = {task.index: task_fingerprint(task) for task in tasks}
+    exports: Dict[int, Tuple[bytes, Dict[str, Any]]] = {}
+    if backend != "serial" or journal is not None or cache_dir is not None:
+        exports = {task.index: export_task(task) for task in tasks}
+    fingerprints = {
+        index: hashlib.sha256(payload).hexdigest() for index, (payload, _) in exports.items()
+    }
 
     prefilled: Dict[int, SweepResult] = {}
     resumed = 0
@@ -652,6 +659,7 @@ def run_sweep(
         hosts=hosts,
         meta=meta,
         secret=secret,
+        exports=exports,
     )
     if fail_fast and any(_is_failure(row) for row in prefilled.values()):
         # A replayed/cached failure already decides the campaign: no

@@ -3,8 +3,9 @@
 The paper's evaluation — and every figure this repo regenerates — is a
 *campaign*: the same testbed recipe executed across a grid of filter-table
 sizes, offered loads, loss rates, seeds and scenario scripts.  A
-:class:`SweepSpec` enumerates that grid into an ordered list of picklable
-:class:`SweepTask` s; :func:`repro.sweep.run_sweep` executes them on a
+:class:`SweepSpec` enumerates that grid into an ordered list of
+:class:`SweepTask` s, each with one canonical JSON encoding
+(:func:`export_task`); :func:`repro.sweep.run_sweep` executes them on a
 serial, parallel or tcp backend and merges the per-task
 :class:`SweepResult` rows back **in task order**, so the merged campaign is
 bit-for-bit identical no matter how many workers ran it or in what order
@@ -16,20 +17,23 @@ Determinism contract (docs/SWEEP.md):
   a splitmix64 mix, stable across processes and Python versions;
 * FSL scripts named in case params (``script=``/``scenario=``) are compiled
   **once in the parent** through :meth:`repro.core.testbed.Testbed.
-  compile_cached` and the resulting :class:`CompiledProgram` — including
-  its classification index — is shipped to workers, never re-parsed;
-* task functions must return plain JSON-able payloads (the runner coerces
-  tuples and enums, and rejects anything it cannot make deterministic).
+  compile_cached`; a worker receives the source and compiles it once
+  through the same cache, checked against the parent's content hash;
+* params and payloads are plain JSON-able values (tuples and enums are
+  coerced, anything that cannot be made deterministic is refused), and a
+  task function is found again by ``module:qualname``.
 """
 
 from __future__ import annotations
 
 import enum
 import hashlib
+import importlib
 import json
 import math
+import types
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import ReproError
 
@@ -58,8 +62,8 @@ class SweepError(ReproError):
     ``FAILED`` rows, never exceptions)."""
 
 
-#: A task function: module-level (hence picklable by reference), takes the
-#: task and returns a plain JSON-able mapping.
+#: A task function: module-level (found again by ``module:qualname``),
+#: takes the task and returns a plain JSON-able mapping.
 TaskFn = Callable[["SweepTask"], Mapping[str, Any]]
 
 
@@ -318,7 +322,7 @@ class SweepSpec:
         if getattr(fn, "__name__", "<lambda>") == "<lambda>":
             raise SweepError(
                 f"case {name!r}: task functions must be module-level "
-                f"(picklable by reference), not lambdas"
+                f"(found again by module:qualname), not lambdas"
             )
         accepted = getattr(fn, "reads_params", None)
         if accepted is not None:
@@ -363,18 +367,26 @@ class SweepSpec:
         return self
 
     def tasks(self) -> List[SweepTask]:
-        """Freeze the spec into ordered, picklable tasks.
+        """Freeze the spec into ordered tasks.
 
         Any case param pair ``script=<fsl text>`` (plus optional
         ``scenario=<name>``) is replaced by ``program=<CompiledProgram>``,
         compiled here — once per distinct source text, via the testbed's
-        shared compile cache — so workers never re-parse FSL.
+        shared compile cache.  Every other param goes to every backend as
+        :func:`coerce_jsonable` makes it, keys sorted: a tuple is a list on
+        ``serial`` too.
         """
+        from ..core.tables import CompiledProgram
         from ..core.testbed import Testbed  # local: sweep must stay importable early
 
         tasks: List[SweepTask] = []
         for index, case in enumerate(self._cases):
-            params = dict(case["params"])
+            params = {
+                key: value
+                if isinstance(value, CompiledProgram)
+                else coerce_jsonable(value, f"case {case['name']!r}: params.{key}")
+                for key, value in case["params"].items()
+            }
             script = params.pop("script", None)
             if script is not None:
                 scenario = params.pop("scenario", None)
@@ -389,18 +401,19 @@ class SweepSpec:
                     name=case["name"],
                     seed=derive_seed(self.base_seed, index),
                     fn=case["fn"],
-                    params=params,
+                    params=dict(sorted(params.items())),
                 )
             )
         return tasks
 
 
 def coerce_jsonable(value: Any, path: str = "payload") -> Any:
-    """Normalise a task payload into canonical-JSON-able builtins.
+    """Normalise a task payload or param into canonical-JSON-able builtins.
 
-    Tuples become lists, enums their values; anything else non-builtin is
-    rejected so nondeterministic reprs can never leak into the canonical
-    merge.
+    Tuples become lists, enums their values, mappings are key-sorted (the
+    order a canonical JSON round trip leaves them in); anything else
+    non-builtin is rejected so nondeterministic reprs can never leak into
+    the canonical merge or a cell's encoding.
     """
     if value is None or isinstance(value, (bool, int, str)):
         return value
@@ -413,54 +426,72 @@ def coerce_jsonable(value: Any, path: str = "payload") -> Any:
     if isinstance(value, (list, tuple)):
         return [coerce_jsonable(v, f"{path}[{i}]") for i, v in enumerate(value)]
     if isinstance(value, Mapping):
-        out = {}
-        for key, item in value.items():
+        for key in value:
             if not isinstance(key, str):
                 raise SweepError(f"{path}: non-string mapping key {key!r}")
-            out[key] = coerce_jsonable(item, f"{path}.{key}")
-        return out
+        return {key: coerce_jsonable(value[key], f"{path}.{key}") for key in sorted(value)}
     raise SweepError(
-        f"{path}: task payloads must be JSON-able builtins, got "
+        f"{path}: must be JSON-able builtins, got "
         f"{type(value).__name__}"
     )
 
 
-def task_fingerprint(task: "SweepTask") -> str:
-    """Content-addressed identity of one campaign cell.
+def resolve_fn(name: str) -> TaskFn:
+    """The task function ``module:qualname`` names: imported, looked up,
+    and a plain function that goes by exactly that name — a closure,
+    lambda, ``partial`` or builtin is none.  :class:`SweepError` otherwise."""
+    module, _sep, qualname = name.partition(":")
+    try:
+        fn: Any = importlib.import_module(module)
+        for part in qualname.split("."):
+            fn = getattr(fn, part)
+    except Exception as exc:  # noqa: BLE001 — whatever importing raises
+        raise SweepError(f"{name} does not resolve: {exc!r}") from None
+    if not isinstance(fn, types.FunctionType) or f"{fn.__module__}:{fn.__qualname__}" != name:
+        raise SweepError(f"{name} does not name a module-level task function")
+    return fn
 
-    SHA-256 over the canonical JSON of ``(fn module.qualname, index, name,
-    params, seed)``, where a :class:`~repro.core.tables.CompiledProgram`
-    param is replaced by its :meth:`content_hash` (the compile-cache key's
-    content digest) so the fingerprint tracks the *script text*, not the
-    object identity.  This is both the result-cache key and the journal's
-    per-row identity check: a cell whose script, knobs, seed or task
-    function changed gets a new fingerprint and is re-executed; everything
-    else replays.
 
-    Raises :class:`SweepError` when a param is neither JSON-able nor a
-    compiled program — such tasks cannot be journaled or cached.
+def export_task(task: "SweepTask") -> Tuple[bytes, Dict[str, Any]]:
+    """A cell's one encoding: ``(canonical JSON, programs by content hash)``.
+
+    The JSON (the TASK payload; its SHA-256 is :func:`task_fingerprint`)
+    is ``{"fn": "module:qualname", "index", "name", "params", "seed"}``, a
+    program as ``{"__program__": <content hash>}``.  :class:`SweepError`
+    names the cell and the function or param path that do not encode.
     """
     from ..core.tables import CompiledProgram  # local: avoid import cycle
 
-    params: Dict[str, Any] = {}
-    for key, value in task.params.items():
-        if isinstance(value, CompiledProgram):
-            params[key] = {"__program__": value.content_hash()}
-        else:
-            params[key] = coerce_jsonable(value, f"params.{key}")
     fn = task.fn
-    body = json.dumps(
-        {
-            "fn": f"{fn.__module__}.{getattr(fn, '__qualname__', fn.__name__)}",
-            "index": task.index,
-            "name": task.name,
-            "params": params,
-            "seed": task.seed,
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(body.encode("utf-8")).hexdigest()
+    name = f"{getattr(fn, '__module__', None)}:{getattr(fn, '__qualname__', None)}"
+    programs: Dict[str, Any] = {}
+    params: Dict[str, Any] = {}
+    try:
+        if resolve_fn(name) is not fn:
+            raise SweepError(f"{name} names another function")
+        for key, value in task.params.items():
+            if isinstance(value, CompiledProgram):
+                if value.source is None:
+                    raise SweepError(f"params.{key}: a program compiled from no FSL text")
+                content = value.content_hash()
+                programs[content] = value
+                value = {"__program__": content}
+            elif isinstance(value, Mapping) and "__program__" in value:
+                raise SweepError(f"params.{key}: the key '__program__' is reserved")
+            params[key] = coerce_jsonable(value, f"params.{key}")
+    except SweepError as exc:
+        raise SweepError(f"task {task.index} ({task.name!r}) cannot be encoded: {exc}") from None
+    body = {"fn": name, "index": task.index, "name": task.name, "params": params, "seed": task.seed}
+    return json.dumps(body, sort_keys=True, separators=(",", ":")).encode("utf-8"), programs
+
+
+def task_fingerprint(task: "SweepTask") -> str:
+    """Content-addressed identity of one campaign cell: the SHA-256 of its
+    :func:`export_task` bytes, so it tracks a program's tables, not its
+    object or its script's formatting.  The result-cache key and the
+    journal's per-row identity check: a cell whose script, knobs, seed or
+    task function changed is re-executed; everything else replays."""
+    return hashlib.sha256(export_task(task)[0]).hexdigest()
 
 
 def tasks_of(spec_or_tasks: Any) -> List[SweepTask]:
@@ -489,6 +520,7 @@ __all__: Iterable[str] = [
     "SweepTask",
     "coerce_jsonable",
     "derive_seed",
+    "export_task",
     "reads_params",
     "task_fingerprint",
 ]

@@ -13,16 +13,17 @@ Wire format — every message is one frame::
     +--------+------+----------+------------------+----------+
 
 The CRC covers the type byte plus the payload, so a corrupted or
-truncated frame is detected before anything is deserialised;
+truncated frame is detected before anything is decoded;
 :class:`FrameBuffer` is the one parser (magic, :data:`MAX_FRAME` and CRC
-are checked nowhere else).  Control messages (HELLO/WELCOME/AUTH/GET/ROW/
-HEARTBEAT/ERROR/BYE) carry canonical JSON; PROGRAM and TASK carry pickles
-(task functions travel by module reference, compiled programs by value).
+are checked nowhere else).  Every payload is canonical JSON: a TASK is
+the cell's :func:`~repro.sweep.spec.export_task` bytes, a PROGRAM the FSL
+source the worker compiles again (:func:`decode_program`).
 
-**Authentication** (protocol v2): the job protocol ships pickles, so a
-peer must prove knowledge of the fleet's pre-shared secret *before* any
-pickle-bearing frame is deserialised.  The handshake is a mutual HMAC
-challenge/response folded into HELLO/WELCOME plus one AUTH frame::
+**Authentication** (since v2): a TASK names code for the worker to
+import and run, so a peer must prove knowledge of the fleet's pre-shared
+secret *before* any TASK or PROGRAM is decoded.  The handshake is a
+mutual HMAC challenge/response folded into HELLO/WELCOME plus one AUTH
+frame::
 
     parent                                worker
       | HELLO {version, nonce_p, meta}      |
@@ -40,36 +41,32 @@ challenge/response folded into HELLO/WELCOME plus one AUTH frame::
 With no secret configured on either side the handshake still runs with an
 empty key, preserving zero-config loopback fleets.  A peer with the wrong
 (or a missing) secret is rejected — the worker answers BYE and closes
-without ever unpickling a frame, a v1 peer (no nonce) is refused with a
+without ever decoding a TASK, a peer of another version is refused with a
 version mismatch — and the parent sees every such refusal as
 :class:`Refused`, the one failure redialling cannot heal.
 
-Program shipping is content-addressed: a :class:`CompiledProgram` param
-is replaced in the wire task by a :class:`ProgramRef` carrying its
+Program shipping is content-addressed: a TASK names each program by its
 :meth:`~repro.core.tables.CompiledProgram.content_hash`, and the parent
-pushes the program bytes to a worker at most once per campaign — the
-10k-cell grid over one script ships one program per host, not 10k.
+pushes a PROGRAM to a worker at most once per campaign.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import hmac
-import io
 import json
-import pickle
 import struct
 import zlib
-from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple
 
-from .spec import SweepError, SweepTask
+from .spec import SweepError, SweepTask, resolve_fn
 
 MAGIC = b"VWJP"
 
-#: v2 added the authenticated HELLO/WELCOME/AUTH handshake; v1 peers are
-#: rejected with a clear version-mismatch error.
-PROTOCOL_VERSION = 2
+#: v2 added the authenticated handshake, v3 ships cells and programs as
+#: canonical JSON; any other version is refused with a version mismatch.
+PROTOCOL_VERSION = 3
 
 #: frame payloads larger than this are protocol errors, not allocations.
 MAX_FRAME = 64 * 1024 * 1024
@@ -91,7 +88,10 @@ HEARTBEAT_INTERVAL_S = 2.0
 
 _HEADER = struct.Struct("!4sBI")
 _CRC = struct.Struct("!I")
-_INDEX = struct.Struct("!I")
+
+#: A TASK naming a function in these modules is refused before anything
+#: is imported.
+_REFUSED_MODULES = frozenset({"os", "subprocess", "posix", "nt", "builtins"})
 
 
 class ProtocolError(SweepError):
@@ -186,46 +186,14 @@ def _json_payload(obj: Any) -> bytes:
 
 
 def _parse_json(payload: bytes, what: str) -> Dict[str, Any]:
-    """A control frame's JSON object; anything else is a protocol error."""
+    """A payload's JSON object; anything else is a protocol error."""
     try:
         parsed = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, ValueError) as exc:
+    except (UnicodeDecodeError, ValueError, RecursionError) as exc:
         raise ProtocolError(f"undecodable {what} payload: {exc}") from None
     if not isinstance(parsed, dict):
         raise ProtocolError(f"{what} payload is not a JSON object")
     return parsed
-
-
-class _RestrictedUnpickler(pickle.Unpickler):
-    """Unpickler that refuses the classic RCE gadget modules.
-
-    The handshake already authenticates the peer, but there is no reason
-    to let a stray byte stream reach ``os.system`` — task functions and
-    compiled programs only ever live under ``repro`` or the caller's own
-    campaign modules, so the blocklist costs nothing.
-    """
-
-    def find_class(self, module: str, name: str) -> Any:
-        qualified = f"{module}.{name}"
-        if module in ("os", "subprocess", "posix", "nt") or qualified in (
-            "builtins.eval",
-            "builtins.exec",
-            "builtins.compile",
-            "builtins.open",
-        ):
-            raise ProtocolError(
-                f"refusing to unpickle {qualified} from the job stream"
-            )
-        return super().find_class(module, name)
-
-
-def _loads(payload: bytes, what: str) -> Any:
-    try:
-        return _RestrictedUnpickler(io.BytesIO(payload)).load()
-    except ProtocolError:
-        raise
-    except Exception as exc:  # noqa: BLE001 — any unpickle failure is protocol-level
-        raise ProtocolError(f"undecodable {what} payload: {exc!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -266,15 +234,7 @@ def hello_frame(
                 "spec_name": meta.get("name"),
                 "base_seed": meta.get("base_seed"),
                 "tasks": tasks,
-                "watchdog": (
-                    {
-                        "timeout": watchdog.timeout,
-                        "retries": watchdog.retries,
-                        "backoff": watchdog.backoff,
-                    }
-                    if watchdog
-                    else None
-                ),
+                "watchdog": dataclasses.asdict(watchdog) if watchdog else None,
             }
         ),
     )
@@ -312,7 +272,7 @@ def answer_welcome(
         )
     try:
         slots = max(1, int(welcome.get("slots", 1)))
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ProtocolError(
             f"WELCOME advertises {welcome.get('slots')!r} slots"
         ) from None
@@ -321,92 +281,78 @@ def answer_welcome(
 
 
 # ---------------------------------------------------------------------------
-# Content-addressed program shipping
+# Cells and content-addressed programs
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProgramRef:
-    """Wire placeholder for a :class:`CompiledProgram` param: its content
-    hash.  The worker swaps the real program back in from its
-    per-campaign store (pushed at most once per worker)."""
-
-    hash: str
-
-
-#: A pickle names a class by module path, so that path is wire format:
-#: v2 peers know this class as ``repro.sweep.remote.ProgramRef`` (where
-#: it was born, and where ``remote`` still exports it).
-ProgramRef.__module__ = "repro.sweep.remote"
-
-
-def export_task(task: SweepTask) -> Tuple[SweepTask, Dict[str, Any]]:
-    """Split a task into its wire form and the programs it references.
-
-    Every :class:`CompiledProgram` param becomes a :class:`ProgramRef`;
-    the returned mapping is ``content_hash -> program`` for the scheduler
-    to push (once per worker) before the task.
-    """
-    from ..core.tables import CompiledProgram  # local: avoid import cycle
-
-    programs: Dict[str, Any] = {}
-    params: Dict[str, Any] = {}
-    for key, value in task.params.items():
-        if isinstance(value, CompiledProgram):
-            content = value.content_hash()
-            programs[content] = value
-            params[key] = ProgramRef(content)
-        else:
-            params[key] = value
-    wire = SweepTask(
-        index=task.index,
-        name=task.name,
-        seed=task.seed,
-        fn=task.fn,
-        params=params,
-    )
-    return wire, programs
-
-
-def resolve_task(task: SweepTask, programs: Dict[str, Any]) -> SweepTask:
-    """Swap :class:`ProgramRef` params back to real programs (worker side).
-
-    Raises :class:`ProtocolError` when a referenced program was never
-    pushed — a scheduler bug, not a task failure.
-    """
-    params: Dict[str, Any] = {}
-    for key, value in task.params.items():
-        if isinstance(value, ProgramRef):
-            if value.hash not in programs:
-                raise ProtocolError(
-                    f"task {task.index} references program "
-                    f"{value.hash[:12]}… which was never pushed"
-                )
-            params[key] = programs[value.hash]
-        else:
-            params[key] = value
-    task.params = params
-    return task
-
-
 def program_frame(content: str, program: Any) -> bytes:
-    """PROGRAM: one compiled program, keyed by its content hash."""
-    return encode_frame(
-        MSG_PROGRAM,
-        pickle.dumps(
-            {"hash": content, "program": program}, protocol=pickle.HIGHEST_PROTOCOL
-        ),
-    )
+    """PROGRAM: the FSL source *program* was compiled from."""
+    script, scenario = program.source
+    shipment = {"hash": content, "script": script, "scenario": scenario}
+    return encode_frame(MSG_PROGRAM, _json_payload(shipment))
 
 
-def task_frame(wire: SweepTask) -> bytes:
-    """TASK: the cell's index in the clear (so an undecodable cell can
-    still be reported by index), then the pickled :func:`export_task`
-    form."""
-    return encode_frame(
-        MSG_TASK,
-        _INDEX.pack(wire.index) + pickle.dumps(wire, protocol=pickle.HIGHEST_PROTOCOL),
-    )
+def decode_program(payload: bytes) -> Tuple[str, Any]:
+    """A PROGRAM payload as ``(content hash, compiled program)``: the FSL
+    compiler (through the compile cache) is its one decoder, and a skew
+    between parent and worker, or a program changed after compiling,
+    fails the hash check.  :class:`ProtocolError` otherwise."""
+    from ..core.testbed import Testbed  # local: the parent never decodes one
+
+    shipment = _parse_json(payload, "PROGRAM")
+    content, script, scenario = map(shipment.get, ("hash", "script", "scenario"))
+    if not (isinstance(content, str) and isinstance(script, str)
+            and isinstance(scenario, (str, type(None)))):
+        raise ProtocolError("PROGRAM payload needs a string hash and script")
+    try:
+        program = Testbed.compile_cached(script, scenario)
+    except Exception as exc:  # noqa: BLE001 — whatever the compiler raises
+        raise ProtocolError(f"program {content[:12]}… does not compile here: {exc}") from None
+    if program.content_hash() != content:
+        raise ProtocolError(
+            f"program {content[:12]}… compiles here to {program.content_hash()[:12]}…: "
+            f"parent and worker compile differently, or it changed after compiling"
+        )
+    return content, program
+
+
+def task_frame(payload: bytes) -> bytes:
+    """TASK: one cell's :func:`~repro.sweep.spec.export_task` bytes."""
+    return encode_frame(MSG_TASK, payload)
+
+
+def task_index(payload: bytes) -> int:
+    """The cell a TASK payload is for (all the relay reads of one)."""
+    index = _parse_json(payload, "TASK").get("index")
+    if type(index) is not int or index < 0:
+        raise ProtocolError(f"TASK names no cell (index {index!r})")
+    return index
+
+
+def decode_task(payload: bytes, programs: Mapping[str, Any]) -> SweepTask:
+    """A TASK payload back into its cell, programs taken from *programs*
+    (by content hash), the function resolved (:func:`resolve_fn`) only
+    outside :data:`_REFUSED_MODULES`.  :class:`ProtocolError` otherwise."""
+    task = _parse_json(payload, "TASK")
+    index, name, seed, fn, params = map(task.get, ("index", "name", "seed", "fn", "params"))
+    if not (type(index) is int and index >= 0 and type(seed) is int and isinstance(name, str)
+            and isinstance(fn, str) and isinstance(params, dict)):
+        raise ProtocolError("TASK payload is not a cell {index, name, seed, fn, params}")
+    if fn.partition(":")[0].partition(".")[0] in _REFUSED_MODULES:
+        raise ProtocolError(f"TASK {index} names {fn!r}: refusing to run code from that module")
+    try:
+        function = resolve_fn(fn)
+    except SweepError as exc:
+        raise ProtocolError(f"TASK {index}: {exc}") from None
+    for key, value in params.items():
+        if isinstance(value, dict) and "__program__" in value:
+            content = value["__program__"]
+            params[key] = programs.get(content) if isinstance(content, str) else None
+            if params[key] is None:
+                raise ProtocolError(
+                    f"TASK {index} needs program {str(content)[:12]}…, which this slot does not hold"
+                )
+    return SweepTask(index, name, seed, function, params)
 
 
 def casualty_frame(index: int, cause: str) -> bytes:
@@ -416,10 +362,3 @@ def casualty_frame(index: int, cause: str) -> bytes:
     it forked — so a dead process is charged one way everywhere."""
     report = {"index": index, "error": f"worker died: {cause}"}
     return encode_frame(MSG_ERROR, _json_payload(report))
-
-
-def split_task(payload: bytes) -> Tuple[int, bytes]:
-    """A TASK payload as ``(index, pickle bytes)``."""
-    if len(payload) < _INDEX.size:
-        raise ProtocolError("TASK payload too short to carry a cell index")
-    return _INDEX.unpack_from(payload)[0], payload[_INDEX.size:]

@@ -18,7 +18,7 @@ anything).
 import os
 import sys
 
-# The campaign's task function must pickle by a module reference that tcp
+# The campaign's task function is named by module:qualname, a module tcp
 # workers can import too, so it lives in _remote_tasks (launch workers
 # with this directory on PYTHONPATH).
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))

@@ -1,7 +1,7 @@
 """Module-level task functions for the distributed-backend tests.
 
-Task functions pickle by reference, so anything a remote worker executes
-must live at module scope in an importable module.  The killers in here
+A TASK names its function as ``module:qualname``, so anything a remote
+worker executes must live at module scope in an importable module.  The killers in here
 are the fault injectors for the fleet's own failure model: one takes out
 its slot process, the other its whole worker server.
 """
@@ -15,6 +15,11 @@ def ok_task(task):
     return {"index": task.index, "seed": task.seed, "passed": True}
 
 
+def params_repr_task(task):
+    """The cell's params as it sees them: types and key order included."""
+    return {"params": repr(task.params), "passed": True}
+
+
 #: keep in sync with tests/sweep/_durable_helper.py's kill window.
 DURABLE_SLOW_SLEEP_S = 0.35
 
@@ -23,7 +28,7 @@ def durable_grid_task(task):
     """The durability campaign's cell: the first two are instant (a
     journal exists quickly), the rest sleep real time (a wide window to
     kill the parent mid-campaign).  Lives here — not in the helper's
-    ``__main__`` — so tcp workers can unpickle it by reference."""
+    ``__main__`` — so tcp workers can import it by name."""
     if task.index >= 2:
         time.sleep(DURABLE_SLOW_SLEEP_S)
     return {"index": task.index, "seed": task.seed, "passed": True}

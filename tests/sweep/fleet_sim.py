@@ -38,7 +38,14 @@ from repro.sweep import run_sweep
 from repro.sweep.fleet import Action, Close, Dial, FleetScheduler, Send
 from repro.sweep.remote import slot_died
 from repro.sweep.runner import ExecutorContext, execute_task
-from repro.sweep.spec import SweepOutcome, SweepResult, SweepTask, spec_meta, tasks_of
+from repro.sweep.spec import (
+    SweepOutcome,
+    SweepResult,
+    SweepTask,
+    export_task,
+    spec_meta,
+    tasks_of,
+)
 from repro.sweep.wire import (
     HEARTBEAT_INTERVAL_S,
     MSG_BYE,
@@ -54,14 +61,14 @@ from repro.sweep.wire import (
     Refused,
     _auth_proof,
     _json_payload,
-    _loads,
     _parse_json,
     answer_welcome,
     casualty_frame,
+    decode_program,
+    decode_task,
     encode_frame,
     hello_frame,
-    resolve_task,
-    split_task,
+    task_index,
 )
 
 #: the real shell's ``select`` timeout: how often the scheduler is ticked.
@@ -243,16 +250,16 @@ class ModelWorker:
                 return
             mtype, payload = frame
             if mtype == MSG_PROGRAM:
-                shipment = _loads(payload, "PROGRAM")
-                self._programs[shipment["hash"]] = shipment["program"]
+                content, program = decode_program(payload)
+                self._programs[content] = program
             elif mtype == MSG_TASK:
                 self._on_task(conn, payload)
             elif mtype == MSG_BYE:
                 self.session = None
 
     def _on_task(self, conn: int, payload: bytes) -> None:
-        index, pickled = split_task(payload)
-        task = resolve_task(_loads(pickled, "TASK"), self._programs)
+        task = decode_task(payload, self._programs)
+        index = task.index
         self.tasks_seen += 1
         verdict = self.fleet.task_fault(self, index)
         if self.session != conn:
@@ -317,6 +324,7 @@ class FleetSim:
             watchdog=None,
             on_row=self.landed.append,
             meta=self.meta,
+            exports={task.index: export_task(task) for task in self.tasks},
         )
         self.scheduler = FleetScheduler(self.tasks, self.ctx, list(self.workers))
         #: every action the scheduler emitted, stamped with virtual time.
@@ -503,7 +511,7 @@ class FleetSim:
             if isinstance(action, Send):
                 mtype, payload = parse_frame(action.data)
                 if mtype == MSG_TASK:
-                    sends.setdefault(split_task(payload)[0], []).append(
+                    sends.setdefault(task_index(payload), []).append(
                         (when, action.address)
                     )
         return sends

@@ -1,7 +1,10 @@
 """Result-cache tests: content addressing, dirty-cell re-execution, and
 the warm-vs-cold byte-identity differential."""
 
+import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -15,6 +18,8 @@ from repro.sweep import (
     run_sweep,
     task_fingerprint,
 )
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 
 def _probe_task(task):
@@ -100,6 +105,41 @@ class TestFingerprint:
         first = Testbed.compile_cached(script).content_hash()
         Testbed._compile_cache.clear()
         assert Testbed.compile_cached(script).content_hash() == first
+
+
+def _under_hash_seed(seed, *argv):
+    """``python *argv`` from the repo root with ``PYTHONHASHSEED=seed``."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"), PYTHONHASHSEED=str(seed))
+    return subprocess.run(
+        [sys.executable, *argv], cwd=REPO_ROOT, env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+
+
+class TestHashSeed:
+    """The Fig 6 scripts keep node names in sets, whose iteration order is
+    ``PYTHONHASHSEED``'s: a content hash rendered through them changed
+    from one process to the next, and so did every cache key."""
+
+    def test_content_hashes_equal_under_two_hash_seeds(self):
+        program = (
+            "import glob, json\n"
+            "from repro.core.fsl import compile_text\n"
+            "print(json.dumps({path: compile_text(open(path).read()).content_hash()\n"
+            "                  for path in sorted(glob.glob('scenarios/*.fsl'))}))\n"
+        )
+        hashes = [json.loads(_under_hash_seed(seed, "-c", program).stdout) for seed in (1, 2)]
+        assert len(hashes[0]) == 3 and hashes[0] == hashes[1]
+
+    def test_a_fig6_cell_cached_under_one_seed_hits_under_another(self, tmp_path):
+        argv = (
+            "-m", "repro", "sweep", "scenarios/fig6_rether_failover.fsl", "--rether",
+            "--workload", "none", "--max-time", "0.5", "--backend", "serial",
+            "--cache-dir", str(tmp_path), "--json",
+        )
+        cold, warm = (json.loads(_under_hash_seed(seed, *argv).stdout) for seed in (1, 2))
+        assert (cold["cached_rows"], warm["cached_rows"]) == (0, len(warm["rows"])) == (0, 1)
+        assert warm["rows"][0]["payload"] == cold["rows"][0]["payload"]
 
 
 class TestResultCache:

@@ -27,7 +27,7 @@ def worker_fleet():
     """Two ``repro worker`` subprocesses (2 slots each), own sessions so
     killing a parent campaign's process group never touches them.  They
     must import the helper campaign's task module (``_remote_tasks``, by
-    its top-level name) to unpickle its cells."""
+    its top-level name) to run its cells."""
     here = os.path.dirname(os.path.abspath(__file__))
     workers = []
     try:

@@ -6,12 +6,11 @@ are killed, frozen, cut, corrupted and restarted at scripted protocol
 events, each scenario asserting its outcome *and* byte-identity with the
 serial backend.  Three things keep real sockets and say so: one
 SIGKILL-and-restart-on-the-same-port rejoin, the authentication tests
-(nothing pickle-bearing is decoded before AUTH verifies) and
+(no TASK or PROGRAM is decoded before AUTH verifies) and
 ``--max-idle``.
 """
 
 import os
-import pickle
 import socket
 import struct
 import subprocess
@@ -21,12 +20,12 @@ import time
 
 import pytest
 
-from repro.sweep import SweepSpec, read_journal, run_sweep
+from repro.sweep import SweepSpec, run_sweep
 from repro.sweep import remote
 from repro.sweep.fleet import DIAL_TIMEOUT_S, Close, Dial, FleetScheduler
 from repro.sweep.remote import WorkerServer, _fresh_nonce, read_frame
 from repro.sweep.runner import ExecutorContext
-from repro.sweep.spec import SweepError
+from repro.sweep.spec import SweepError, export_task
 from repro.sweep.wire import (
     MAGIC,
     MAX_FRAME,
@@ -39,8 +38,10 @@ from repro.sweep.wire import (
     MSG_TASK,
     MSG_WELCOME,
     PROTOCOL_VERSION,
+    Refused,
     _json_payload,
     _parse_json,
+    answer_welcome,
     encode_frame,
 )
 
@@ -344,10 +345,12 @@ class TestErrorFrames:
         worker that reported the crash flaps while holding nothing, and
         its rejoin finds no connection loss to refund."""
         landed = []
+        tasks = _campaign("crash", 1).tasks()
         ctx = ExecutorContext(
-            workers=0, retries=1, fail_fast=False, watchdog=None, on_row=landed.append
+            workers=0, retries=1, fail_fast=False, watchdog=None, on_row=landed.append,
+            exports={task.index: export_task(task) for task in tasks},
         )
-        scheduler = FleetScheduler(_campaign("crash", 1).tasks(), ctx, ["a:1"])
+        scheduler = FleetScheduler(tasks, ctx, ["a:1"])
         get = encode_frame(MSG_GET, b"{}")
         crash = encode_frame(
             MSG_ERROR, _json_payload({"index": 0, "error": "worker died: X"})
@@ -368,44 +371,47 @@ class TestErrorFrames:
 
 
 class TestUnshippableTask:
+    """A cell with no JSON encoding is refused before anything happens:
+    no journal byte, no dial, no fork, and a SweepError naming the cell
+    and what in it cannot be encoded."""
+
     def _spec(self):
-        def closure(task):  # not importable by reference: cannot be pickled
+        def closure(task):  # not found again by module:qualname
             return {"index": task.index}
 
         spec = _campaign("unshippable", 6)
         spec.add("closure", closure)
         return spec
 
-    @pytest.mark.parametrize("local", [False, True], ids=["tcp", "parallel"])
-    def test_it_lands_one_failed_row_and_costs_nobody_else(self, local):
-        """A cell no worker can ever be sent is the scheduler's to fail:
-        at once, once, without a TASK frame, and without a retry."""
-        spec = self._spec()
-        workers = local_slots(2) if local else _pair()
-        fleet = FleetSim(spec, workers, retries=2, local=local)
-        outcome = fleet.run()
-        row = outcome.rows[6]
-        assert row.status == "FAILED" and row.attempts == 1
-        assert row.error.startswith("unshippable task: ")
-        assert "closure" in row.error
-        assert 6 not in fleet.task_sends()
-        assert outcome.fleet["scheduler"]["requeues"] == 0
-        healthy = run_sweep(spec, backend="serial").rows[:6]
-        assert [r.canonical() for r in outcome.rows[:6]] == [
-            r.canonical() for r in healthy
-        ]
+    @pytest.mark.parametrize("backend", ["tcp", "parallel"])
+    def test_refused_before_any_dial(self, backend, monkeypatch):
+        def no_dial(self, action):
+            raise AssertionError(f"dialled {action}")
 
-    def test_real_slots_and_the_journal_still_gets_its_end_record(self, tmp_path):
-        journal = str(tmp_path / "j.jsonl")
-        outcome = run_sweep(
-            self._spec(), backend="parallel", workers=2, journal=journal
-        )
-        assert [row.status for row in outcome.rows] == ["OK"] * 6 + ["FAILED"]
-        assert outcome.rows[6].error.startswith("unshippable task: ")
-        end = read_journal(journal).end
-        assert end is not None and end["rows"] == 7 and not end["aborted"]
+        monkeypatch.setattr(remote.TcpExecutor, "_dial", no_dial)
+        monkeypatch.setattr(remote.LocalExecutor, "_dial", no_dial)
+        hosts = "127.0.0.1:9" if backend == "tcp" else None
+        with pytest.raises(SweepError) as failure:
+            run_sweep(self._spec(), backend=backend, workers=2, hosts=hosts)
+        message = str(failure.value)
+        assert "task 6 ('closure') cannot be encoded" in message
+        assert "_spec.<locals>.closure" in message
+
+    def test_refused_before_the_journal_exists(self, tmp_path):
+        journal = tmp_path / "j.jsonl"
+        with pytest.raises(SweepError, match="task 6 .* cannot be encoded"):
+            run_sweep(self._spec(), backend="parallel", workers=2, journal=str(journal))
+        assert not journal.exists()
+
+    def test_a_param_is_named_by_its_path(self):
+        tasks = _campaign("unshippable-param", 2).tasks()
+        tasks[1].params["knobs"] = {"rates": (1, object())}
+        with pytest.raises(SweepError, match=r"task 1 .*params\.knobs\.rates\[1\]: .* object"):
+            run_sweep(tasks, backend="parallel", workers=2)
 
     def test_fail_fast_stops_dispatching_at_it(self):
+        """``fail_fast`` or not, the cell stops the campaign before it
+        starts: the scheduler never sees a cell it could not send."""
         spec = SweepSpec("unshippable-first", base_seed=1)
 
         def closure(task):
@@ -414,10 +420,14 @@ class TestUnshippableTask:
         spec.add("closure", closure)
         for i in range(4):
             spec.add(f"t{i}", ok_task)
-        fleet = FleetSim(spec, local_slots(2), fail_fast=True, local=True)
-        outcome = fleet.run()
-        assert outcome.aborted and [row.name for row in outcome.rows] == ["closure"]
-        assert fleet.task_sends() == {}
+        with pytest.raises(SweepError, match="task 0 .* cannot be encoded"):
+            FleetSim(spec, local_slots(2), fail_fast=True, local=True)
+        with pytest.raises(SweepError, match="task 0 .* cannot be encoded"):
+            run_sweep(spec, backend="parallel", workers=2, fail_fast=True)
+
+    def test_serial_still_runs_it(self):
+        outcome = run_sweep(self._spec(), backend="serial")
+        assert outcome.passed and outcome.rows[6].payload == {"index": 6}
 
 
 class TestQuarantine:
@@ -560,8 +570,29 @@ class TestRefusal:
 
 
 # ---------------------------------------------------------------------------
-# Authentication: rejected before any pickle is deserialised (real sockets)
+# Authentication: refused before any TASK or PROGRAM is decoded (real sockets)
 # ---------------------------------------------------------------------------
+
+
+def _spy_on_decoders(monkeypatch, tmp_path):
+    """Log every TASK / PROGRAM decode to a file: they run in forked slot
+    processes, whose appends to a list here would never be seen."""
+    log = tmp_path / "decoded"
+    for name in ("decode_task", "decode_program"):
+
+        def spy(*args, real=getattr(remote, name), name=name):
+            with open(log, "a", encoding="utf-8") as handle:
+                handle.write(name + "\n")
+            return real(*args)
+
+        monkeypatch.setattr(remote, name, spy)
+    return log
+
+
+def _hello(version=PROTOCOL_VERSION):
+    return encode_frame(
+        MSG_HELLO, _json_payload({"version": version, "nonce": _fresh_nonce()})
+    )
 
 
 class TestAuthRejection:
@@ -570,18 +601,11 @@ class TestAuthRejection:
         thread.start()
         return thread
 
-    def test_wrong_secret_parent_is_a_clear_sweep_error(self, monkeypatch):
+    def test_wrong_secret_parent_is_a_clear_sweep_error(self, monkeypatch, tmp_path):
         """Parent and worker disagree on the secret: the campaign fails
-        with an error naming authentication, and the worker never
-        deserialises a byte of the job stream."""
-        unpickles = []
-        real_loads = remote._loads
-        monkeypatch.setattr(
-            remote,
-            "_loads",
-            lambda payload, what: unpickles.append(what)
-            or real_loads(payload, what),
-        )
+        with an error naming authentication, and the worker never decodes
+        a TASK or a PROGRAM."""
+        decoded = _spy_on_decoders(monkeypatch, tmp_path)
         server = WorkerServer(slots=1, secret="alpha")
         self._serve(server)
         try:
@@ -593,7 +617,7 @@ class TestAuthRejection:
                     hosts=[(server.host, server.port)],
                     secret="beta",
                 )
-            assert unpickles == []
+            assert not decoded.exists()
         finally:
             server.stop()
 
@@ -608,7 +632,8 @@ class TestAuthRejection:
         finally:
             server.stop()
 
-    def test_matching_secret_serves_the_campaign(self):
+    def test_matching_secret_serves_the_campaign(self, monkeypatch, tmp_path):
+        decoded = _spy_on_decoders(monkeypatch, tmp_path)  # the spies' control
         server = WorkerServer(slots=2, secret="s3cret")
         self._serve(server)
         try:
@@ -623,42 +648,30 @@ class TestAuthRejection:
             )
             assert outcome.passed
             assert server.auth_failures == 0
+            assert decoded.read_text().split() == ["decode_task"] * 4
         finally:
             server.stop()
 
-    def test_task_frame_before_auth_is_refused_without_unpickling(
-        self, monkeypatch
+    def test_task_frame_before_auth_is_never_decoded(
+        self, monkeypatch, tmp_path
     ):
         """A raw peer that completes HELLO/WELCOME and then ships a TASK
-        without proving the secret gets BYE — and the poisoned pickle is
-        never deserialised."""
-        unpickles = []
-        monkeypatch.setattr(
-            remote, "_loads", lambda payload, what: unpickles.append(what)
-        )
+        without proving the secret gets BYE — and the TASK, which names
+        ``os:system``, is never decoded."""
+        decoded = _spy_on_decoders(monkeypatch, tmp_path)
         server = WorkerServer(slots=1, secret="s3cret")
         self._serve(server)
         sock = socket.create_connection((server.host, server.port), timeout=10)
         try:
-            sock.sendall(
-                encode_frame(
-                    MSG_HELLO,
-                    _json_payload(
-                        {
-                            "version": PROTOCOL_VERSION,
-                            "nonce": _fresh_nonce(),
-                        }
-                    ),
-                )
-            )
+            sock.sendall(_hello())
             mtype, _payload = read_frame(sock)
             assert mtype == MSG_WELCOME
-            poisoned = struct.pack("!I", 0) + pickle.dumps({"boom": True})
-            sock.sendall(encode_frame(MSG_TASK, poisoned))
+            poisoned = {"fn": "os:system", "index": 0, "name": "x", "params": {}, "seed": 0}
+            sock.sendall(encode_frame(MSG_TASK, _json_payload(poisoned)))
             mtype, payload = read_frame(sock)
             assert mtype == MSG_BYE
             assert "authentication required" in _parse_json(payload, "BYE")["error"]
-            assert unpickles == []
+            assert not decoded.exists()
             assert server.auth_failures == 1
         finally:
             sock.close()
@@ -669,17 +682,7 @@ class TestAuthRejection:
         self._serve(server)
         sock = socket.create_connection((server.host, server.port), timeout=10)
         try:
-            sock.sendall(
-                encode_frame(
-                    MSG_HELLO,
-                    _json_payload(
-                        {
-                            "version": PROTOCOL_VERSION,
-                            "nonce": _fresh_nonce(),
-                        }
-                    ),
-                )
-            )
+            sock.sendall(_hello())
             mtype, _payload = read_frame(sock)
             assert mtype == MSG_WELCOME
             sock.sendall(
@@ -690,6 +693,27 @@ class TestAuthRejection:
             error = _parse_json(payload, "BYE")["error"]
             assert "authentication failed" in error
             assert "REPRO_SWEEP_SECRET" in error  # the fix is named
+        finally:
+            sock.close()
+            server.stop()
+
+    @pytest.mark.parametrize("watchdog", [[1], "x", {"timeout": "soon"}, {"timeout": 1}])
+    def test_a_malformed_hello_watchdog_is_refused_not_fatal(self, watchdog):
+        """Before AUTH, too: a HELLO whose watchdog does not parse gets BYE,
+        and the worker serves the next parent (it used to raise out of
+        ``serve_forever``)."""
+        server = WorkerServer(slots=1)
+        thread = self._serve(server)
+        sock = socket.create_connection((server.host, server.port), timeout=10)
+        try:
+            hello = {"version": PROTOCOL_VERSION, "nonce": _fresh_nonce(), "watchdog": watchdog}
+            sock.sendall(encode_frame(MSG_HELLO, _json_payload(hello)))
+            mtype, payload = read_frame(sock)
+            assert mtype == MSG_BYE
+            assert "malformed watchdog" in _parse_json(payload, "BYE")["error"]
+            spec = SweepSpec("after", base_seed=2).add("a", ok_task)
+            assert run_sweep(spec, backend="tcp", hosts=[(server.host, server.port)]).passed
+            assert thread.is_alive()
         finally:
             sock.close()
             server.stop()
@@ -708,10 +732,30 @@ class TestAuthRejection:
             assert mtype == MSG_BYE
             error = _parse_json(payload, "BYE")["error"]
             assert "version mismatch" in error
-            assert "speaks 1" in error and "speaks 2" in error
+            assert "speaks 1" in error and "speaks 3" in error
         finally:
             sock.close()
             server.stop()
+
+    def test_v2_peers_are_refused_both_ways(self):
+        """A v2 parent (pickled cells) gets BYE from this worker, and a v2
+        worker's WELCOME is a refusal for this parent: each error names
+        both 2 and 3."""
+        server = WorkerServer(slots=1)
+        self._serve(server)
+        sock = socket.create_connection((server.host, server.port), timeout=10)
+        try:
+            sock.sendall(_hello(version=2))
+            mtype, payload = read_frame(sock)
+            assert mtype == MSG_BYE
+            error = _parse_json(payload, "BYE")["error"]
+            assert "parent speaks 2" in error and "worker speaks 3" in error
+        finally:
+            sock.close()
+            server.stop()
+        welcome = {"version": 2, "slots": 1, "nonce": _fresh_nonce(), "proof": ""}
+        with pytest.raises(Refused, match="worker speaks 2, parent speaks 3"):
+            answer_welcome(MSG_WELCOME, _json_payload(welcome), None, _fresh_nonce())
 
 
 # ---------------------------------------------------------------------------

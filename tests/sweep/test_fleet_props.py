@@ -23,7 +23,17 @@ campaign: every task ends with exactly one row.
 A second property runs whole campaigns on the ``parallel`` backend's
 topology (``fleet_sim.local_slots``) with a set of process-killing cells:
 each dies alone, exactly ``retries + 1`` times.
+
+The last ones hold the worker's two decoders to totality: arbitrary
+bytes, truncations and well-formed JSON with wrong-typed fields make
+``decode_task`` / ``decode_program`` raise ``ProtocolError`` and nothing
+else, and in a slot's session each such TASK or PROGRAM costs exactly
+one ERROR, for the cell that needed it, while the slot keeps serving.
 """
+
+import json
+import socket
+import threading
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,19 +45,30 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.sweep import SweepSpec, fleet
+from repro.core.testbed import Testbed
+from repro.scripts import canonical_node_table, tcp_congestion_script
+from repro.sweep import SweepSpec, fleet, remote
 from repro.sweep.fleet import _HEDGE_MAX_COPIES, Close, Dial, FleetScheduler, Send
+from repro.sweep.remote import read_frame
 from repro.sweep.runner import ExecutorContext, execute_task
-from repro.sweep.spec import SweepError, SweepResult
+from repro.sweep.spec import SweepError, SweepResult, export_task
 from repro.sweep.wire import (
+    MSG_BYE,
     MSG_ERROR,
     MSG_GET,
     MSG_HEARTBEAT,
+    MSG_PROGRAM,
     MSG_ROW,
     MSG_TASK,
+    ProtocolError,
     _json_payload,
+    _parse_json,
+    decode_program,
+    decode_task,
     encode_frame,
-    split_task,
+    program_frame,
+    task_frame,
+    task_index,
 )
 
 from tests.sweep._remote_tasks import ok_task
@@ -79,6 +100,7 @@ class FleetMachine(RuleBasedStateMachine):
             fail_fast=False,
             watchdog=None,
             on_row=self.landed.append,
+            exports={task.index: export_task(task) for task in self.tasks},
         )
         self.scheduler = FleetScheduler(self.tasks, ctx, self.addresses)
         # Six tasks never yield the eight rows hedging waits for; two let
@@ -108,7 +130,7 @@ class FleetMachine(RuleBasedStateMachine):
                 assert action.address in self.held, f"{action}: sent to a closed address"
                 mtype, payload = parse_frame(action.data)
                 if mtype == MSG_TASK:
-                    index = split_task(payload)[0]
+                    index = task_index(payload)
                     self.task_sends += 1
                     assert not self.scheduler.health.is_quarantined(
                         action.address, self.now
@@ -227,11 +249,20 @@ class FleetMachine(RuleBasedStateMachine):
             self.carry_out(self.scheduler.closed(address, "connection closed", self.now))
         elif how == "hostile":
             # Garbage, or a well-framed message that is out of grammar.
-            self.say(address, data.draw(self.HOSTILE))
-            if address in self.held:
-                # Tolerated (a GET with a junk payload, say).  Should it
-                # have been read as the end of a cell, the network agrees.
-                self.held[address] &= set(self.scheduler.workers[address].inflight)
+            # Tolerated (a GET with a junk payload, say), or read as the end
+            # of a cell — an ERROR naming one — and then the network agrees
+            # before the answer is carried out: it may send that cell here.
+            actions = self.scheduler.received(address, data.draw(self.HOSTILE), self.now)
+            live = self.scheduler.workers.get(address)
+            resent = {
+                task_index(parse_frame(action.data)[1])
+                for action in actions
+                if isinstance(action, Send)
+                and action.address == address
+                and parse_frame(action.data)[0] == MSG_TASK
+            }
+            self.held[address] &= set(live.inflight if live else ()) - resent
+            self.carry_out(actions)
         else:
             # A row for a cell this worker does not hold: finished, held
             # elsewhere, never dispatched, or not in the campaign at all.
@@ -349,3 +380,166 @@ def test_a_poisoned_cell_dies_alone_on_local_slots(slots, retries, cells, poison
     # slate: no slot ever reaches the three that mean quarantine.
     for health in outcome.fleet["workers"].values():
         assert "fleet.quarantines" not in health
+
+
+# ---------------------------------------------------------------------------
+# The worker's decoders: total over bytes
+# ---------------------------------------------------------------------------
+
+_OK_CELL = {
+    "fn": "tests.sweep._remote_tasks:ok_task", "index": 5, "name": "cell",
+    "params": {"knob": [1, {"a": None}]}, "seed": 9,
+}
+_TASK = _json_payload(_OK_CELL)
+_program = Testbed.compile_cached(tcp_congestion_script(canonical_node_table(2)))
+_PROGRAM = parse_frame(program_frame(_program.content_hash(), _program))[1]
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=5,
+)
+#: names no cell may run, each failing a different check; random text is
+#: prefixed so that it can never name an importable module.
+bad_functions = st.sampled_from(
+    [
+        "os:system", "os.path:join", "posix:system", "nt:system", "subprocess:run",
+        "builtins:eval", "tests.sweep.test_remote:os.system",
+        "repro.sweep.spec:importlib.import_module", "repro.sweep.spec:SweepSpec",
+        "tests.sweep._remote_tasks:ok_task.__call__", "tests.sweep._remote_tasks:nope",
+        "tests.sweep._remote_tasks", "", ":",
+    ]
+) | st.text(max_size=12).map(lambda text: "-" + text)
+
+
+def _wrong(document, valid):
+    """*document* with one field gone or of a type *valid* refuses (a
+    field that may be null may also be missing)."""
+
+    @st.composite
+    def build(draw):
+        key = draw(st.sampled_from(sorted(document)))
+        changed = dict(document)
+        if draw(st.booleans()) and not valid[key](None):
+            del changed[key]
+        else:
+            changed[key] = draw(json_values.filter(lambda value: not valid[key](value)))
+        return _json_payload(changed)
+
+    return build()
+
+
+task_garbage = st.one_of(
+    st.binary(max_size=80),
+    st.integers(0, len(_TASK) - 1).map(lambda cut: _TASK[:cut]),
+    _wrong(
+        _OK_CELL,
+        {
+            "fn": lambda value: isinstance(value, str),
+            "index": lambda value: type(value) is int and value >= 0,
+            "name": lambda value: isinstance(value, str),
+            "params": lambda value: isinstance(value, dict),
+            "seed": lambda value: type(value) is int,
+        },
+    ),
+    bad_functions.map(lambda fn: _json_payload({**_OK_CELL, "fn": fn})),
+    json_values.map(
+        lambda ref: _json_payload({**_OK_CELL, "params": {"program": {"__program__": ref}}})
+    ),
+)
+
+program_garbage = st.one_of(
+    st.binary(max_size=80),
+    st.integers(0, len(_PROGRAM) - 1).map(lambda cut: _PROGRAM[:cut]),
+    _wrong(
+        json.loads(_PROGRAM),
+        {
+            "hash": lambda value: isinstance(value, str),
+            "script": lambda value: isinstance(value, str),
+            "scenario": lambda value: value is None or isinstance(value, str),
+        },
+    ),
+    st.text(max_size=40).map(
+        lambda script: _json_payload({"hash": "0" * 64, "script": script, "scenario": None})
+    ),
+    st.text(min_size=1, max_size=64).map(
+        lambda content: _json_payload({**json.loads(_PROGRAM), "hash": content})
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(payload=task_garbage)
+def test_the_task_decoder_raises_protocol_error_and_nothing_else(payload):
+    try:
+        decode_task(payload, {})
+    except ProtocolError:
+        return
+    raise AssertionError(f"decoded {payload!r}")
+
+
+@settings(max_examples=300, deadline=None)
+@given(payload=program_garbage)
+def test_the_program_decoder_raises_protocol_error_and_nothing_else(payload):
+    try:
+        decode_program(payload)
+    except ProtocolError:
+        return
+    raise AssertionError(f"decoded {payload!r}")
+
+
+def _frames_until_get(sock):
+    """What the slot says up to its next GET, heartbeats aside."""
+    frames = []
+    while not frames or frames[-1][0] != MSG_GET:
+        mtype, payload = read_frame(sock)
+        if mtype != MSG_HEARTBEAT:
+            frames.append((mtype, payload))
+    return frames
+
+
+def _has_index(payload):
+    try:
+        return task_index(payload) >= 0
+    except ProtocolError:
+        return False
+
+
+undeliverable = st.one_of(
+    # An undecodable TASK that still names its cell.
+    task_garbage.filter(_has_index).map(lambda payload: [(MSG_TASK, payload)]),
+    # A PROGRAM that does not load, then the TASK that needs it.
+    program_garbage.map(
+        lambda payload: [
+            (MSG_PROGRAM, payload),
+            (MSG_TASK, _json_payload({**_OK_CELL, "params": {"program": {"__program__": "0" * 64}}})),
+        ]
+    ),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(cells=st.lists(undeliverable, min_size=1, max_size=3))
+def test_each_undeliverable_cell_costs_one_error_and_the_slot_serves_on(cells):
+    ours, theirs = socket.socketpair()
+    ours.settimeout(30)
+    session = threading.Thread(target=remote._serve_session, args=(theirs, None), daemon=True)
+    session.start()
+    try:
+        assert _frames_until_get(ours) == [(MSG_GET, b"{}")]
+        for frames in cells:
+            ours.sendall(b"".join(encode_frame(mtype, payload) for mtype, payload in frames))
+            (error, get) = _frames_until_get(ours)
+            assert error[0] == MSG_ERROR and get[0] == MSG_GET
+            report = _parse_json(error[1], "ERROR")
+            assert report["index"] == task_index(frames[-1][1])
+            assert report["error"].startswith("worker died: undeliverable task (")
+        ours.sendall(task_frame(_TASK))  # and a good cell still runs
+        ((mtype, payload), get) = _frames_until_get(ours)
+        assert mtype == MSG_ROW and json.loads(payload)["payload"]["index"] == 5
+        ours.sendall(encode_frame(MSG_BYE, b"{}"))
+        session.join(timeout=30)
+        assert not session.is_alive()
+    finally:
+        ours.close()
+        theirs.close()

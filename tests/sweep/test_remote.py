@@ -9,9 +9,9 @@ loss, heartbeat silence, an unreachable fleet) runs in virtual time on
 ``fleet_sim.py``.
 """
 
+import json
 import multiprocessing
 import os
-import pickle
 import signal
 import socket
 import struct
@@ -33,6 +33,7 @@ from repro.sweep import (
 from repro.sweep import remote
 from repro.sweep.remote import WorkerServer, _fresh_nonce, read_frame
 from repro.sweep.runner import execute_task
+from repro.sweep.spec import export_task
 from repro.sweep.wire import (
     MAGIC,
     MAX_FRAME,
@@ -48,23 +49,27 @@ from repro.sweep.wire import (
     PROTOCOL_VERSION,
     ConnectionLost,
     FrameBuffer,
-    ProgramRef,
     ProtocolError,
     Refused,
     _auth_proof,
     _json_payload,
-    _loads,
     _parse_json,
     answer_welcome,
+    decode_program,
+    decode_task,
     encode_frame,
-    export_task,
     hello_frame,
-    resolve_task,
-    split_task,
+    program_frame,
     task_frame,
+    task_index,
 )
 
-from tests.sweep._remote_tasks import ok_task, server_killer_task, slot_killer_task
+from tests.sweep._remote_tasks import (
+    ok_task,
+    params_repr_task,
+    server_killer_task,
+    slot_killer_task,
+)
 from tests.sweep.chaos import ChaosWorker
 from tests.sweep.fleet_sim import FleetSim, ModelWorker, parse_frame, serial_bytes
 from tests.sweep.test_runner import _gone, _noted_pids, _pid_task
@@ -195,8 +200,9 @@ class TestFraming:
             right.close()
 
     def test_task_payload_too_short_for_an_index(self):
-        with pytest.raises(ProtocolError, match="too short"):
-            split_task(b"\x00\x01")
+        for payload in (b"\x00\x01", b"{}", b'{"index": -1}'):
+            with pytest.raises(ProtocolError, match="TASK"):
+                task_index(payload)
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +355,7 @@ class TestAuth:
             (MSG_ROW, _json_payload({"error": "authentication version mismatch"})),
             (MSG_WELCOME, b"authentication"),
             self._welcome(nonce, slots="authentication"),
+            self._welcome(nonce, slots=float("inf")),
         ):
             with pytest.raises(ProtocolError) as failure:
                 answer_welcome(*not_a_refusal, b"k", nonce)
@@ -377,48 +384,80 @@ def _scripted_task():
 class TestProgramShipping:
     def test_export_swaps_programs_for_refs(self):
         task = _scripted_task()
-        wire, programs = export_task(task)
+        payload, programs = export_task(task)
         assert len(programs) == 1
         (content,) = programs
-        assert isinstance(wire.params["program"], ProgramRef)
-        assert wire.params["program"].hash == content
+        body = json.loads(payload)
+        assert body["params"]["program"] == {"__program__": content}
+        assert body["fn"] == "repro.sweep.campaigns:run_script_task"
         assert programs[content].content_hash() == content
         # The original task is untouched (export must not mutate it).
-        assert not isinstance(task.params["program"], ProgramRef)
+        assert programs[content] is task.params["program"]
 
     def test_resolve_restores_the_program(self):
         task = _scripted_task()
-        wire, programs = export_task(task)
-        resolved = resolve_task(wire, programs)
-        assert resolved.params["program"].content_hash() == next(iter(programs))
-        # A resolved task actually executes.
+        payload, programs = export_task(task)
+        (content,) = programs
+        shipped, program = decode_program(parse_frame(program_frame(content, programs[content]))[1])
+        assert shipped == content and program.content_hash() == content
+        resolved = decode_task(payload, {content: program})
+        assert resolved.params["program"] is program
+        # A resolved task actually executes, to the serial row.
         row = execute_task(resolved)
         assert row.ok, row.error
+        assert row.canonical() == execute_task(task).canonical()
 
     def test_resolve_missing_program_is_protocol_error(self):
         task = _scripted_task()
-        wire, _programs = export_task(task)
-        with pytest.raises(ProtocolError, match="never pushed"):
-            resolve_task(wire, {})
+        payload, _programs = export_task(task)
+        with pytest.raises(ProtocolError, match="does not hold"):
+            decode_task(payload, {})
 
     def test_plain_tasks_ship_no_programs(self):
         spec = SweepSpec("plain", base_seed=1).add("a", ok_task, knob=3)
-        wire, programs = export_task(spec.tasks()[0])
+        payload, programs = export_task(spec.tasks()[0])
         assert programs == {}
-        assert wire.params == {"knob": 3}
+        assert json.loads(payload)["params"] == {"knob": 3}
 
-    def test_program_ref_pickles_under_its_v2_module_path(self):
-        """A pickle names a class by module path, so the path is wire
-        format: workers of the previous release resolve
-        ``repro.sweep.remote.ProgramRef``, wherever the class lives now."""
-        blob = pickle.dumps(ProgramRef("abc"), protocol=pickle.HIGHEST_PROTOCOL)
-        assert b"repro.sweep.remote" in blob and b"repro.sweep.wire" not in blob
-        assert _loads(blob, "TASK") == ProgramRef("abc")
+    def test_a_program_that_compiles_differently_is_refused(self):
+        """Parent/worker version skew, or a program mutated after it was
+        compiled: the worker's compile of the source has another hash."""
+        task = _scripted_task()
+        _payload, programs = export_task(task)
+        (content,) = programs
+        program = programs[content]
+        forged = _json_payload({"hash": "0" * 64, "script": program.source[0], "scenario": None})
+        with pytest.raises(ProtocolError, match="compiles here to"):
+            decode_program(forged)
+        broken = _json_payload({"hash": content, "script": "SCENARIO (", "scenario": None})
+        with pytest.raises(ProtocolError, match="does not compile here"):
+            decode_program(broken)
 
-    def test_restricted_unpickler_blocks_os_system(self):
-        payload = pickle.dumps(os.system)
-        with pytest.raises(ProtocolError, match="refusing to unpickle"):
-            _loads(payload, "TASK")
+    @pytest.mark.parametrize(
+        "fn",
+        [
+            "os:system",
+            "os.path:join",
+            "posix:system",
+            "subprocess:run",
+            "builtins:eval",
+            "nt:system",
+            "tests.sweep.test_remote:os.system",  # laundered through a module
+            "repro.sweep.spec:importlib.import_module",
+            "tests.sweep._remote_tasks:ok_task.__call__",
+            "repro.sweep.spec:SweepSpec",  # a class, not a function
+            "tests.sweep._remote_tasks:no_such_task",
+            "no.such.module:task",
+            "tests.sweep._remote_tasks",
+        ],
+    )
+    def test_only_task_functions_resolve(self, fn):
+        """The blocklist's guarantee without a pickle: nothing is imported
+        from os/subprocess/posix/nt/builtins, and a name must resolve to a
+        plain function going by exactly that module and qualname."""
+        body = {"fn": fn, "index": 0, "name": "x", "params": {}, "seed": 0}
+        with pytest.raises(ProtocolError, match="TASK 0"):
+            decode_task(_json_payload(body), {})
 
 
 # ---------------------------------------------------------------------------
@@ -480,12 +519,10 @@ class ScriptedWorker(threading.Thread):
                 mtype, payload = read_frame(conn)
                 self.frame_counts[mtype] = self.frame_counts.get(mtype, 0) + 1
                 if mtype == MSG_PROGRAM:
-                    shipment = pickle.loads(payload)
-                    self.programs[shipment["hash"]] = shipment["program"]
+                    content, program = decode_program(payload)
+                    self.programs[content] = program
                 elif mtype == MSG_TASK:
-                    task = pickle.loads(split_task(payload)[1])
-                    task = resolve_task(task, self.programs)
-                    row = execute_task(task)
+                    row = execute_task(decode_task(payload, self.programs))
                     conn.sendall(
                         encode_frame(MSG_ROW, _json_payload(row.to_record()))
                     )
@@ -530,6 +567,26 @@ class TestLoopbackDifferential:
         assert serial.canonical_bytes() == tcp.canonical_bytes()
         assert tcp.backend == "tcp"
         assert tcp.workers == 4  # the fleet's advertised slot total
+
+    def test_coerced_params_reach_every_backend_alike(self, fleet):
+        """A tuple, a tuple inside a dict and an enum: every backend's
+        cell sees lists, the enum's value and sorted keys — on serial
+        too, which used to hand over the objects themselves."""
+        from repro.core.tables import Direction
+
+        spec = SweepSpec("coerced", base_seed=2).add(
+            "cell", params_repr_task, rates=(1, 2.5), knobs={"z": 0, "pair": ("a", 3)},
+            mode=Direction.RECV,
+        )
+        outcomes = [
+            run_sweep(spec, backend="serial"),
+            run_sweep(spec, backend="parallel", workers=2),
+            run_sweep(spec, backend="tcp", hosts=fleet),
+        ]
+        assert len({outcome.canonical_bytes() for outcome in outcomes}) == 1
+        assert outcomes[0].rows[0].payload["params"] == (
+            "{'knobs': {'pair': ['a', 3], 'z': 0}, 'mode': 'RECV', 'rates': [1, 2.5]}"
+        )
 
     def test_hosts_accepts_comma_string(self, fleet):
         spec = SweepSpec("str-hosts", base_seed=2)
@@ -921,6 +978,37 @@ class TestWorkerSession:
             finally:
                 sock.close()
         self._assert_no_slot_left_and_still_serving(server, tmp_path)
+
+    def test_slots_forked_by_two_threads_each_die_to_their_own_eof(self):
+        """Two ``WorkerServer`` s in one process fork from two threads.  A
+        slot forked while another's socketpair end was still open here used
+        to hold that end, so the other slot's death never reached its owner
+        as EOF — a campaign waited forever for the cell it held."""
+        forked = [[], []]
+
+        def fork_ten(into):
+            for _ in range(10):
+                into.append(remote._fork_slot(None))
+
+        threads = [threading.Thread(target=fork_ten, args=(into,)) for into in forked]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        slots = forked[0] + forked[1]
+        try:
+            for sock, _process in slots:
+                sock.settimeout(10)
+                assert read_frame(sock) == (MSG_GET, b"{}")
+            for sock, process in slots[::3]:
+                remote._kill_slot(process)
+                with pytest.raises(ConnectionLost, match="closed"):
+                    while True:  # a heartbeat may come first
+                        read_frame(sock)
+        finally:
+            for sock, process in slots:
+                sock.close()
+                remote._kill_slot(process)
 
     def test_an_idle_slot_killed_from_outside_costs_nobody(self, server, tmp_path):
         """The parent already holds the dead slot's GET: its replacement's

@@ -380,7 +380,7 @@ class TestCrashIsolation:
         def check(task):  # noqa: ANN001 — local on purpose: serial only
             return {"pid": os.getpid()}
 
-        # Serial accepts non-picklable task fns: nothing crosses a process.
+        # Serial accepts closures: nothing crosses a process.
         spec = SweepSpec("local")
         spec.add("here", _ok_task)
         outcome = run_sweep(spec, backend="serial")
@@ -419,7 +419,7 @@ class TestThreeBackends:
             def record(tasks, ctx):
                 assert sorted(vars(ctx)) == sorted(
                     ["workers", "retries", "fail_fast", "watchdog", "on_row",
-                     "hosts", "meta", "secret"]
+                     "hosts", "meta", "secret", "exports"]
                 )  # inputs only: nothing for an executor to write into
                 returned.append(run(tasks, ctx))
                 return returned[-1]

@@ -173,6 +173,14 @@ class TestCompileOnce:
         spec = SweepSpec("c").add("a", _noop_task, script=script)
         assert spec.tasks()[0].param("program") is Testbed.compile_cached(script)
 
+    def test_params_are_handed_over_coerced_or_refused_naming_the_case(self):
+        spec = SweepSpec("c").add("a", _noop_task, z=(1, _Colour.RED), a={"y": 0, "x": ()})
+        (task,) = spec.tasks()
+        assert repr(task.params) == "{'a': {'x': [], 'y': 0}, 'z': [1, 'red']}"
+        spec.add("b", _noop_task, knob={"rates": [object()]})
+        with pytest.raises(SweepError, match=r"case 'b': params\.knob\.rates\[0\]: "):
+            spec.tasks()
+
     def test_script_and_program_conflict(self):
         script = tcp_congestion_script(canonical_node_table(2))
         program = Testbed.compile_cached(script)

@@ -16,14 +16,10 @@ Quick start::
     report = tb.run_scenario(script_text, workload=start_traffic)
 """
 
-from .core import (
-    CompiledProgram,
-    EndReason,
-    ScenarioReport,
-    Testbed,
-    compile_text,
-    parse_script,
-)
+from .core.fsl import compile_text, parse_script
+from .core.report import EndReason, ScenarioReport
+from .core.tables import CompiledProgram
+from .core.testbed import Testbed
 from .errors import ReproError
 from .sim import Simulator, ms, seconds, us
 from .stack import CostModel, Host

@@ -124,19 +124,7 @@ class FrameJourney:
 
     def render(self) -> str:
         """Multi-line timeline: hops and fault decisions interleaved."""
-        entries = [
-            (t, 0, f"{format_time(t):>14}  {node:<10} {direction:<5}")
-            for t, node, direction in self.hops
-        ]
-        entries.extend(
-            (t, 1, f"{format_time(t):>14}  {node:<10} {kind}: {detail}")
-            for t, node, kind, detail in self.events
-        )
-        lines = [f"journey {self.digest}  {self.summary}"]
-        if self.retransmits:
-            lines[0] += f"  ({self.retransmits} retransmit{'s' if self.retransmits != 1 else ''})"
-        lines.extend(text for _, _, text in sorted(entries, key=lambda e: (e[0], e[1], e[2])))
-        return "\n".join(lines)
+        return render_journeys([self.as_dict()])
 
 
 def correlate_journeys(recorder, audit_log=None) -> List["FrameJourney"]:

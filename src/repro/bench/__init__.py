@@ -1,26 +1,1 @@
 """Benchmark support: workload builders for the paper's Figs 7 and 8."""
-
-from .fig7 import Fig7Point, measure_point as measure_fig7_point, run_fig7
-from .fig8 import (
-    Fig8Point,
-    build_script,
-    measure_baseline,
-    measure_point as measure_fig8_point,
-    run_fig8,
-)
-from .harness import RECEIVER_PORT, SENDER_PORT, percent_increase, two_node_testbed
-
-__all__ = [
-    "Fig7Point",
-    "Fig8Point",
-    "RECEIVER_PORT",
-    "SENDER_PORT",
-    "build_script",
-    "measure_baseline",
-    "measure_fig7_point",
-    "measure_fig8_point",
-    "percent_increase",
-    "run_fig7",
-    "run_fig8",
-    "two_node_testbed",
-]

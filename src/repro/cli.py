@@ -308,6 +308,11 @@ def cmd_worker(args: argparse.Namespace, out) -> int:
     return 0
 
 
+#: what a saved scenario payload (or ``analyze --json`` output) carries at
+#: least one of; a whole ``sweep --json`` document carries none.
+_ROW_KEYS = {"scenario", "journeys", "metrics"}
+
+
 def cmd_analyze(args: argparse.Namespace, out) -> int:
     import json
 
@@ -316,11 +321,16 @@ def cmd_analyze(args: argparse.Namespace, out) -> int:
     from .sweep import SweepSpec, run_script_task, run_sweep
 
     if args.row:
-        with open(args.row, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
+        with open(args.row, "rb") as handle:
+            try:
+                payload = json.loads(handle.read())
+            except ValueError:
+                payload = None
         # Accept either a bare payload or a canonical sweep row.
-        if "payload" in payload and isinstance(payload["payload"], dict):
+        if isinstance(payload, dict) and isinstance(payload.get("payload"), dict):
             payload = payload["payload"]
+        if not isinstance(payload, dict) or not _ROW_KEYS & payload.keys():
+            raise ReproError(f"{args.row} must hold one saved sweep row or payload")
     else:
         if not args.script:
             raise ReproError("analyze needs a script (or --row FILE)")

@@ -109,12 +109,6 @@ class ScriptGenerator:
             return None
         return self.spec.message(self.spec.liveness_message)
 
-    def _liveness_counters(self) -> List[str]:
-        live = self._liveness()
-        if live is None:
-            return []
-        return [f"  Live: ({live.name}, {live.src}, {live.dst}, RECV)"]
-
     def _recovery_rules(self, armed_counter: str) -> List[str]:
         """After *armed_counter* fires, expect recovery_count liveness
 

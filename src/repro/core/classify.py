@@ -7,8 +7,9 @@ descending order of occurrence").  The scan count is returned so the
 engine's cost model can charge the per-entry comparison time.
 
 Filter tuples with a VAR pattern bind on first match (node-locally) and
-compare for equality afterwards — the mechanism behind the paper's
-retransmission detectors (Fig 2, ``TCP_data_rt1``).
+compare for equality afterwards, under the tuple's mask if it has one —
+the mechanism behind the paper's retransmission detectors (Fig 2,
+``TCP_data_rt1``).
 
 :class:`Classifier` consults a :class:`FilterIndex` compiled from the table
 (entries bucketed by their most selective exact tuple; mask/VAR-keyed
@@ -23,7 +24,7 @@ is the test oracle (``tests/oracles``); see docs/CLASSIFIER.md.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .tables import FilterEntry, FilterTable, FilterTuple, VarRef
 
@@ -31,44 +32,24 @@ from .tables import FilterEntry, FilterTable, FilterTuple, VarRef
 _Positioned = Tuple[int, FilterEntry]
 
 
-class VarStore:
-    """Run-time bindings of the script's VAR declarations (node-local)."""
-
-    def __init__(self) -> None:
-        self._bindings: Dict[str, int] = {}
-
-    def get(self, name: str) -> Optional[int]:
-        return self._bindings.get(name)
-
-    def bind(self, name: str, value: int) -> None:
-        self._bindings[name] = value
-
-    def clear(self) -> None:
-        self._bindings.clear()
-
-    def snapshot(self) -> Dict[str, int]:
-        return dict(self._bindings)
-
-
 class ClassifierBase:
     """Shared state and tuple-matching semantics of :class:`Classifier` and
     the test oracles.
 
     Subclasses implement :meth:`classify`; everything observable — the
-    returned ``(name, scanned)`` pair, VAR bindings, and the three stats
-    counters — must be identical across implementations (enforced by the
-    differential property test in ``tests/props/test_props_classify.py``).
+    returned ``(name, scanned)`` pair and the VAR bindings — must be
+    identical across implementations (enforced by the differential property
+    test in ``tests/props/test_props_classify.py``).  What was classified
+    and what it cost is counted once, by the engine
+    (:class:`repro.core.engine.EngineStats`).
     """
 
     def __init__(self, filters: FilterTable) -> None:
         self.filters = filters
-        self.vars = VarStore()
-        self.packets_classified = 0
-        self.packets_unmatched = 0
-        #: linear-equivalent scan count (what the cost model charges).
-        self.entries_scanned_total = 0
-        #: entries actually probed by *this* implementation (real work;
-        #: equals entries_scanned_total for a linear scan).
+        #: run-time bindings of the script's VAR declarations (node-local).
+        self.vars: Dict[str, int] = {}
+        #: entries actually probed by *this* implementation (real work; a
+        #: linear scan probes every entry it charges).
         self.entries_examined_total = 0
 
     def classify(self, data: bytes) -> Tuple[Optional[str], int]:
@@ -78,40 +59,33 @@ class ClassifierBase:
     # -- shared matching ----------------------------------------------------
 
     def _match(self, entry: FilterEntry, data: bytes) -> Optional[Dict[str, int]]:
-        """All tuples must match; returns new VAR bindings or None."""
+        """All tuples must match; returns new VAR bindings or None.
+
+        A mask applies to every pattern, a VAR included: the masked field
+        is what binds and what later packets must equal.
+        """
         new_bindings: Dict[str, int] = {}
         for tup in entry.tuples:
             value = _read_field(data, tup)
             if value is None:
                 return None
-            if isinstance(tup.pattern, VarRef):
-                bound = self.vars.get(tup.pattern.name)
-                if bound is None:
-                    bound = new_bindings.get(tup.pattern.name)
-                if bound is None:
-                    new_bindings[tup.pattern.name] = value
-                elif value != bound:
-                    return None
-            else:
-                pattern = tup.pattern
-                if tup.mask is not None:
-                    if value & tup.mask != pattern & tup.mask:
-                        return None
-                elif value != pattern:
-                    return None
+            mask = tup.mask
+            if mask is not None:
+                value &= mask
+            pattern = tup.pattern
+            if isinstance(pattern, VarRef):
+                name = pattern.name
+                pattern = self.vars.get(name, new_bindings.get(name))
+                if pattern is None:
+                    new_bindings[name] = value
+                    continue
+            if value != (pattern if mask is None else pattern & mask):
+                return None
         return new_bindings
 
     def _matched(self, entry: FilterEntry, bindings: Dict[str, int], scanned: int) -> Tuple[str, int]:
-        for name, value in bindings.items():
-            self.vars.bind(name, value)
-        self.packets_classified += 1
-        self.entries_scanned_total += scanned
+        self.vars.update(bindings)
         return entry.name, scanned
-
-    def _unmatched(self, scanned: int) -> Tuple[None, int]:
-        self.packets_unmatched += 1
-        self.entries_scanned_total += scanned
-        return None, scanned
 
 
 # ---------------------------------------------------------------------------
@@ -138,11 +112,11 @@ class FilterIndex:
     scan would have rejected it too.
 
     :attr:`programs` holds each entry's flattened match-program by file
-    position, so index and programs are one artefact per table version.
+    position, so index and programs are one artefact per table
+    (:attr:`FilterTable.index`).
     """
 
     def __init__(self, table: FilterTable) -> None:
-        self.version = table.version
         self.size = len(table.entries)
         self.programs = [_compile_entry(entry) for entry in table.entries]
         self.key_field: Optional[Tuple[int, int]] = self._pick_key_field(table.entries)
@@ -165,7 +139,7 @@ class FilterIndex:
             self._key_offset = self._key_end = 0
 
     @staticmethod
-    def _pick_key_field(entries: List[FilterEntry]) -> Optional[Tuple[int, int]]:
+    def _pick_key_field(entries: Sequence[FilterEntry]) -> Optional[Tuple[int, int]]:
         counts: Dict[Tuple[int, int], int] = {}
         for entry in entries:
             for field in {
@@ -201,16 +175,6 @@ class FilterIndex:
             return self.residual
         value = int.from_bytes(data[self._key_offset : self._key_end], "big")
         return self.chains.get(value, self.residual)
-
-    @classmethod
-    def for_table(cls, table: FilterTable) -> "FilterIndex":
-        """The table's cached index, rebuilt when the table has changed."""
-        cached = table.cached_index
-        if isinstance(cached, cls) and cached.version == table.version:
-            return cached
-        index = cls(table)
-        table.cached_index = index
-        return index
 
 
 # ---------------------------------------------------------------------------
@@ -258,12 +222,10 @@ class Classifier(ClassifierBase):
 
     def __init__(self, filters: FilterTable) -> None:
         super().__init__(filters)
-        self._index = FilterIndex.for_table(filters)
+        self._index = filters.index
 
     def classify(self, data: bytes) -> Tuple[Optional[str], int]:
         index = self._index
-        if index.version != self.filters.version:
-            index = self._index = FilterIndex.for_table(self.filters)
         programs = index.programs
         n = len(data)
         for position, entry in index.chain_for(data):
@@ -281,12 +243,8 @@ class Classifier(ClassifierBase):
                 if (value != pattern) if mask is None else (value & mask != pattern):
                     break
             else:
-                return self._matched(entry, _NO_BINDINGS, position + 1)
-        return self._unmatched(index.size)
-
-
-#: shared empty-bindings dict for bytecode matches (never mutated).
-_NO_BINDINGS: Dict[str, int] = {}
+                return entry.name, position + 1
+        return None, index.size
 
 
 def _read_field(data: bytes, tup: FilterTuple) -> Optional[int]:

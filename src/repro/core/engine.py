@@ -340,10 +340,8 @@ class VirtualWireEngine(FrameLayer, RuntimeHooks):
         frame = message.wrap(dst_mac, self.host.mac)
         self.pass_down(frame.to_bytes())
 
-    def _send_control(
-        self, dst_mac, message: ControlMessage, reliable: bool = True, on_acked=None
-    ) -> None:
-        self.channel.send(dst_mac, message, reliable=reliable, on_acked=on_acked)
+    def _send_control(self, dst_mac, message: ControlMessage, on_acked=None) -> None:
+        self.channel.send(dst_mac, message, on_acked=on_acked)
 
     def _on_peer_failed(self, peer_mac) -> None:
         """The channel exhausted its retry budget toward *peer_mac*."""

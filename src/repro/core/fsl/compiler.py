@@ -520,9 +520,9 @@ class _Compiler:
                         )
 
         filters = self.full_filters.restricted_to(self._referenced_filters)
-        # Compile the classification index now, so engines armed with this
+        # Build the classification index now, so engines armed with this
         # program never pay index construction on the packet hot path.
-        filters.compile_index()
+        filters.index
         return CompiledProgram(
             scenario_name=self.scenario.name,
             timeout_ns=self.scenario.timeout_ns,

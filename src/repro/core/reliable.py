@@ -26,8 +26,10 @@ Per (sender, peer) the channel provides:
   predecessor is parked and released in sequence, so a mirrored counter
   can never regress to a stale value.
 
-Messages with ``flags == 0`` bypass all of the above (ACKs themselves,
-plus hand-crafted frames in unit tests) and are delivered verbatim.
+Every message this channel sends is reliable except its own ACKs.  On
+receive, a message with ``flags == 0`` bypasses all of the above (ACKs,
+and any other such message, since the receive side is total over wire
+bytes) and is delivered verbatim.
 """
 
 from __future__ import annotations
@@ -137,19 +139,15 @@ class ReliableControlPlane:
         self,
         dst: MacAddress,
         message: ControlMessage,
-        reliable: bool = True,
         on_acked: Optional[Callable[[], None]] = None,
     ) -> ControlMessage:
         """Transmit *message* to *dst*; returns the message as sent.
 
-        With *reliable* the message is sequenced, tracked and retransmitted
-        until acknowledged; *on_acked* (if given) fires exactly once when
-        the peer's ACK arrives.  Sends to a peer already declared dead are
+        The message is sequenced, tracked and retransmitted until
+        acknowledged; *on_acked* (if given) fires exactly once when the
+        peer's ACK arrives.  Sends to a peer already declared dead are
         dropped and counted (``control_sends_suppressed``).
         """
-        if not reliable:
-            self._transmit(dst, message)
-            return message
         peer = self._peer(dst)
         if peer.dead:
             self._stats_of().control_sends_suppressed += 1

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import hashlib
 import json
 import zlib
@@ -109,54 +110,25 @@ class FilterTable:
     Tuples are validated at construction (:class:`FilterTuple` rejects
     out-of-frame reads and oversized masks with a :class:`TableError`),
     and the table re-checks every entry it is handed so a table can never
-    hold an invalid definition.
-
-    The table carries a monotonically increasing :attr:`version` plus a
-    slot for the compiled classification index
-    (:class:`repro.core.classify.FilterIndex`).  Mutating the table
-    through :meth:`append` bumps the version, which invalidates the cached
-    index; code that mutates :attr:`entries` directly must call
-    :meth:`invalidate_index` itself.
+    hold an invalid definition.  The entries are fixed at construction,
+    as the compiled program the paper ships is (§5.1).
     """
 
     def __init__(self, entries: Sequence[FilterEntry] = ()) -> None:
-        self.entries: List[FilterEntry] = list(entries)
+        self.entries: Tuple[FilterEntry, ...] = tuple(entries)
         for entry in self.entries:
             _validate_entry(entry)
         self._by_name = {e.name: e for e in self.entries}
         if len(self._by_name) != len(self.entries):
             raise FslCompileError("duplicate packet definition name")
-        self._version = 0
-        #: cache slot owned by repro.core.classify.FilterIndex.for_table.
-        self.cached_index = None
 
-    @property
-    def version(self) -> int:
-        return self._version
-
-    def append(self, entry: FilterEntry) -> None:
-        """Add a definition at the end (lowest priority) of the table."""
-        _validate_entry(entry)
-        if entry.name in self._by_name:
-            raise FslCompileError("duplicate packet definition name")
-        self.entries.append(entry)
-        self._by_name[entry.name] = entry
-        self.invalidate_index()
-
-    def invalidate_index(self) -> None:
-        """Mark any compiled classification index as stale."""
-        self._version += 1
-        self.cached_index = None
-
-    def compile_index(self):
-        """Build (or fetch) the classification index for the current table.
-
-        Called by the FSL compiler so the index exists at compile time
-        rather than on the first classified packet.
-        """
+    @functools.cached_property
+    def index(self):
+        """The classification index (:class:`repro.core.classify.FilterIndex`),
+        built on first use and shared by every classifier of this table."""
         from .classify import FilterIndex
 
-        return FilterIndex.for_table(self)
+        return FilterIndex(self)
 
     def __len__(self) -> int:
         return len(self.entries)

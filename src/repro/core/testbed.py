@@ -27,8 +27,8 @@ scripts never hard-code addresses.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Callable, Dict, List, Optional, Tuple, Union
+import functools
+from typing import Callable, Dict, List, Optional, Union
 
 from ..analysis import MetricsRegistry, correlate_journeys
 from ..errors import ScenarioError, TopologyError
@@ -49,6 +49,11 @@ from .tables import CompiledProgram
 
 HostRef = Union[str, Host]
 
+#: The compile cache behind :meth:`Testbed.compile_cached`, keyed by
+#: ``(script text, scenario name)``; bounded so generated script families
+#: cannot grow it without limit.
+_compile_cached = functools.lru_cache(maxsize=64)(compile_text)
+
 
 class Testbed:
     """A simulated LAN with VirtualWire installed on its hosts."""
@@ -56,50 +61,18 @@ class Testbed:
     #: Not a pytest test class, despite the name.
     __test__ = False
 
-    #: Shared compile cache keyed by ``(script text, scenario name)``.
-    #: Regression suites re-run the same string script against a fresh
-    #: testbed per iteration; compiling the six tables each time is pure
-    #: waste, and the sweep engine's compile-once-in-the-parent path
-    #: (:mod:`repro.sweep`) goes through the same entry point.  Bounded so
-    #: generated script families cannot grow it without limit.
-    _compile_cache: "OrderedDict[Tuple[str, Optional[str]], CompiledProgram]" = (
-        OrderedDict()
-    )
-    _COMPILE_CACHE_MAX = 64
-
-    @classmethod
-    def compile_cached(
-        cls, script: str, scenario: Optional[str] = None
-    ) -> CompiledProgram:
+    @staticmethod
+    def compile_cached(script: str, scenario: Optional[str] = None) -> CompiledProgram:
         """Compile *script* (or return the cached result) — LRU, shared
         across all testbeds of the process.
 
+        Regression suites re-run the same string script against a fresh
+        testbed per iteration, and the sweep engine's compile-once-in-the-
+        parent path (:mod:`repro.sweep`) goes through the same entry point.
         Callers must treat the returned program as immutable: it may be
         handed out again for the same source text.
         """
-        key = (script, scenario)
-        cached = cls._compile_cache.get(key)
-        if cached is not None:
-            cls._compile_cache.move_to_end(key)
-            return cached
-        program = compile_text(script, scenario)
-        cls._compile_cache[key] = program
-        while len(cls._compile_cache) > cls._COMPILE_CACHE_MAX:
-            cls._compile_cache.popitem(last=False)
-        return program
-
-    @classmethod
-    def compile_fingerprint(
-        cls, script: str, scenario: Optional[str] = None
-    ) -> str:
-        """Content hash of the program the compile cache would hand out
-        for ``(script, scenario)`` — the sweep result cache's program key.
-
-        Derived from the compiled tables, not the raw text, so formatting-
-        only edits (whitespace, comments) do not dirty cached campaign
-        cells; any table-visible change does.
-        """
-        return cls.compile_cached(script, scenario).content_hash()
+        return _compile_cached(script, scenario)
 
     def __init__(self, seed: int = 0, costs: Optional[CostModel] = None) -> None:
         self.sim = Simulator(seed=seed)

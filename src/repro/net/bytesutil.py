@@ -7,8 +7,6 @@ big-endian field packing helpers, and a hexdump for traces.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from ..errors import PacketError
 
 
@@ -66,12 +64,6 @@ def verify_checksum(data: bytes) -> bool:
     return internet_checksum(data) == 0
 
 
-def pack_u8(value: int) -> bytes:
-    if not 0 <= value <= 0xFF:
-        raise PacketError(f"u8 out of range: {value}")
-    return bytes([value])
-
-
 def pack_u16(value: int) -> bytes:
     if not 0 <= value <= 0xFFFF:
         raise PacketError(f"u16 out of range: {value}")
@@ -82,11 +74,6 @@ def pack_u32(value: int) -> bytes:
     if not 0 <= value <= 0xFFFFFFFF:
         raise PacketError(f"u32 out of range: {value}")
     return value.to_bytes(4, "big")
-
-
-def read_u8(data: bytes, offset: int) -> int:
-    _check_bounds(data, offset, 1)
-    return data[offset]
 
 
 def read_u16(data: bytes, offset: int) -> int:
@@ -121,8 +108,3 @@ def hexdump(data: bytes, width: int = 16) -> str:
         ascii_part = "".join(chr(b) if 32 <= b < 127 else "." for b in chunk)
         lines.append(f"{start:08x}  {hex_part:<{width * 3}} {ascii_part}")
     return "\n".join(lines)
-
-
-def concat(parts: Iterable[bytes]) -> bytes:
-    """Join byte fragments (single expansion point for later optimisation)."""
-    return b"".join(parts)

@@ -94,10 +94,6 @@ class RandomRegistry:
         self._streams[name] = created
         return created
 
-    def stream_names(self):
-        """Names of all streams created so far, in creation order."""
-        return list(self._streams)
-
     def __repr__(self) -> str:
         return (
             f"RandomRegistry(seed={self.master_seed}, "

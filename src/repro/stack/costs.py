@@ -40,24 +40,6 @@ class CostModel:
     #: Reliable Link Layer: per-frame encapsulation/window bookkeeping.
     rll_frame_ns: int = 1_000
 
-    def scaled(self, factor: float) -> "CostModel":
-        """Return a copy with every cost multiplied by *factor*.
-
-        Useful for sensitivity/ablation studies on the cost calibration.
-        """
-        return CostModel(
-            driver_tx_ns=int(self.driver_tx_ns * factor),
-            driver_rx_ns=int(self.driver_rx_ns * factor),
-            ip_ns=int(self.ip_ns * factor),
-            udp_ns=int(self.udp_ns * factor),
-            tcp_ns=int(self.tcp_ns * factor),
-            engine_base_ns=int(self.engine_base_ns * factor),
-            filter_match_ns=int(self.filter_match_ns * factor),
-            action_ns=int(self.action_ns * factor),
-            table_touch_ns=int(self.table_touch_ns * factor),
-            rll_frame_ns=int(self.rll_frame_ns * factor),
-        )
-
 
 #: Model with every cost zeroed, for tests that want pure wire timing.
 FREE = CostModel(

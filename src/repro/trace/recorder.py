@@ -89,9 +89,6 @@ class TraceRecorder:
     def tcp_records(self) -> List[TraceRecord]:
         return [r for r in self.records if r.view.tcp is not None]
 
-    def rether_records(self) -> List[TraceRecord]:
-        return [r for r in self.records if r.view.is_rether]
-
     def render(self, records: Optional[Iterable[TraceRecord]] = None) -> str:
         """Multi-line text dump of *records* (default: everything)."""
         lines = [r.render() for r in (self.records if records is None else records)]

@@ -94,6 +94,33 @@ class TestCorrelation:
         text = journey.render()
         assert "DROP applied" in text and "1 retransmit" in text
 
+    def test_render_of_faulted_retransmitted_journey_is_pinned(self):
+        """``render`` is ``render_journeys`` over ``as_dict``: hops and the
+        fault interleave by time, the header counts both retransmits."""
+        sim = Simulator(seed=1)
+        recorder = TraceRecorder(sim)
+        audit = AuditLog(sim)
+        original, retransmit = tcp_bytes(ident=1), tcp_bytes(ident=2)
+        recorder.capture("node1", "send", original)
+        sim.run_for(10)
+        audit.record("node2", "fault", "DROP applied", digest=frame_digest(original))
+        sim.run_for(10)
+        recorder.capture("node1", "send", retransmit)
+        sim.run_for(10)
+        recorder.capture("node2", "recv", retransmit)
+        sim.run_for(10)
+        recorder.capture("node1", "send", retransmit)
+        (journey,) = correlate_journeys(recorder, audit)
+        assert journey.render() == "\n".join([
+            "journey 70b4ee7a047ca939  TCP 192.168.1.1:24576 > 192.168.1.2:16384 "
+            "[SYN] seq=100 ack=0 len=0  (2 retransmits)",
+            "           0ns  node1      send ",
+            "          10ns  node2      fault: DROP applied",
+            "          20ns  node1      send ",
+            "          30ns  node2      recv ",
+            "          40ns  node1      send ",
+        ])
+
     def test_events_without_digest_ignored(self):
         sim = Simulator(seed=1)
         recorder = TraceRecorder(sim)

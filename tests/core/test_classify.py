@@ -106,21 +106,22 @@ class TestPaperClassification:
         classifier = make(paper_filter_table())
         name, scanned = classifier.classify(tcp_frame(0x1111, 0x2222, FLAG_ACK))
         assert name is None and scanned == 4
-        assert classifier.packets_unmatched == 1
 
     def test_scan_accounting(self, make):
         classifier = make(paper_filter_table())
-        classifier.classify(tcp_frame(0x6000, 0x4000, FLAG_SYN))
-        classifier.classify(tcp_frame(0x4000, 0x6000, FLAG_ACK))
-        assert classifier.entries_scanned_total == 5
-        assert classifier.packets_classified == 2
+        results = [
+            classifier.classify(tcp_frame(0x6000, 0x4000, FLAG_SYN)),
+            classifier.classify(tcp_frame(0x4000, 0x6000, FLAG_ACK)),
+        ]
+        assert results == [("TCP_syn", 1), ("TCP_ack", 4)]
 
 
 class TestStatistics:
-    """Pin the three stats counters for every implementation, so the Fig 8
+    """Pin the charged scan counts for every implementation, so the Fig 8
 
-    cost accounting (which charges ``entries_scanned_total`` comparisons)
-    cannot silently drift when the fast path evolves.
+    cost accounting (the engine charges each returned *scanned* count, and
+    counts it in ``EngineStats.filter_entries_scanned``) cannot silently
+    drift when the fast path evolves.
     """
 
     #: (frame args, expected name, expected linear-equivalent scan count)
@@ -135,25 +136,19 @@ class TestStatistics:
 
     def test_counters_pinned(self, make):
         classifier = make(paper_filter_table())
-        for args, expected_name, expected_scanned in self.TRAFFIC:
-            name, scanned = classifier.classify(tcp_frame(*args))
-            assert (name, scanned) == (expected_name, expected_scanned)
-        assert classifier.packets_classified == 5
-        assert classifier.packets_unmatched == 1
-        assert classifier.entries_scanned_total == 1 + 2 + 3 + 4 + 4 + 3
+        results = [classifier.classify(tcp_frame(*args)) for args, _, _ in self.TRAFFIC]
+        assert results == [(name, scanned) for _, name, scanned in self.TRAFFIC]
+        assert sum(scanned for _, scanned in results) == 1 + 2 + 3 + 4 + 4 + 3
 
     def test_fresh_classifier_starts_at_zero(self, make):
         classifier = make(paper_filter_table())
-        assert classifier.packets_classified == 0
-        assert classifier.packets_unmatched == 0
-        assert classifier.entries_scanned_total == 0
         assert classifier.entries_examined_total == 0
+        assert classifier.vars == {}
 
     def test_empty_table_counts_unmatched(self, make):
         classifier = make(FilterTable([]))
         assert classifier.classify(tcp_frame(0x6000, 0x4000, FLAG_ACK)) == (None, 0)
-        assert classifier.packets_unmatched == 1
-        assert classifier.entries_scanned_total == 0
+        assert classifier.entries_examined_total == 0
 
     def test_examined_never_exceeds_scanned_equivalent(self):
         """Production's real work is bounded by the charged scan count;
@@ -162,12 +157,13 @@ class TestStatistics:
         """
         linear = LinearClassifier(paper_filter_table())
         indexed = Classifier(paper_filter_table())
+        charged = 0
         for args, _, _ in self.TRAFFIC:
-            linear.classify(tcp_frame(*args))
-            indexed.classify(tcp_frame(*args))
-        assert linear.entries_examined_total == linear.entries_scanned_total
-        assert indexed.entries_examined_total <= indexed.entries_scanned_total
-        assert indexed.entries_scanned_total == linear.entries_scanned_total
+            expected = linear.classify(tcp_frame(*args))
+            assert indexed.classify(tcp_frame(*args)) == expected
+            charged += expected[1]
+        assert linear.entries_examined_total == charged
+        assert indexed.entries_examined_total <= charged
 
 
 class TestBoundsAndMasks:
@@ -211,7 +207,7 @@ class TestVarBinding:
         classifier = make(self.table())
         name, _ = classifier.classify(tcp_frame(0x6000, 0x4000, FLAG_ACK, seq=777))
         assert name == "rt1"
-        assert classifier.vars.get("SeqNo") == 777
+        assert classifier.vars == {"SeqNo": 777}
 
     def test_retransmission_detection(self, make):
         """After binding, only packets with the SAME sequence match —
@@ -242,4 +238,24 @@ class TestVarBinding:
         classifier = make(table)
         name, _ = classifier.classify(tcp_frame(0x6000, 0x4000, FLAG_ACK, seq=555))
         assert name is None
-        assert classifier.vars.get("SeqNo") is None
+        assert classifier.vars == {}
+
+    def test_masked_var_binds_and_compares_under_its_mask(self, make):
+        """``(38 4 0xFFFF0000 V)``: the mask applies to the VAR pattern
+        too, so a frame equal to the binding under the mask matches."""
+        table = FilterTable(
+            [
+                FilterEntry(
+                    "pkt",
+                    (
+                        FilterTuple(12, 2, 0x0800),
+                        FilterTuple(38, 4, VarRef("V"), mask=0xFFFF0000),
+                    ),
+                )
+            ]
+        )
+        classifier = make(table)
+        assert classifier.classify(tcp_frame(0x6000, 0x4000, FLAG_ACK, seq=0x12340001)) == ("pkt", 1)
+        assert classifier.vars == {"V": 0x12340000}
+        assert classifier.classify(tcp_frame(0x6000, 0x4000, FLAG_ACK, seq=0x12340002)) == ("pkt", 1)
+        assert classifier.classify(tcp_frame(0x6000, 0x4000, FLAG_ACK, seq=0x12350001)) == (None, 1)

@@ -343,6 +343,25 @@ class TestSweep:
         assert code == 2
         assert "analyze needs a script" in text
 
+    def _analyze_row_refused(self, tmp_path, content):
+        saved = tmp_path / "row.json"
+        saved.write_text(content)
+        code, text = run_cli("analyze", "--row", str(saved))
+        assert code == 2
+        assert text.startswith("error: ")
+        assert "must hold one saved sweep row or payload" in text
+
+    def test_analyze_row_refuses_json_list(self, tmp_path):
+        self._analyze_row_refused(tmp_path, '[{"payload": {}}]')
+
+    def test_analyze_row_refuses_undecodable_json(self, tmp_path):
+        self._analyze_row_refused(tmp_path, '{"payload": ')
+
+    def test_analyze_row_refuses_sweep_document(self, fig5_path, tmp_path):
+        code, text = run_cli("sweep", fig5_path, "--seeds", "0", "--backend", "serial", "--json")
+        assert code == 0
+        self._analyze_row_refused(tmp_path, text)
+
     def test_rether_campaign_passes_fig6(self, fig6_path):
         # With the ring installed and a steady feed, Fig 6 passes from the
         # command line alone.

@@ -50,9 +50,13 @@ class TestSending:
         assert all(m.flags & FLAG_RELIABLE for m in (m1, m2, m3))
 
     def test_unreliable_send_bypasses_sequencing(self):
+        """The channel sends nothing unreliable but its ACKs; a ``flags ==
+        0`` message fed in is delivered as is, with no ACK and no state."""
         h = Harness()
-        msg = h.channel.send(PEER, ControlMessage(ControlType.START, 1), reliable=False)
-        assert msg.seq == 0 and not msg.reliable
+        raw = ControlMessage(ControlType.START, 1)
+        assert raw.flags == 0 and not raw.reliable
+        assert h.channel.on_frame(PEER, raw) == [raw]
+        assert h.wire == []
         assert h.channel.inflight_count(PEER) == 0
 
     def test_ack_stops_retransmission_and_fires_callback(self):

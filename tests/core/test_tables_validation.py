@@ -10,6 +10,7 @@ subclass, so script-compilation callers keep catching one type).
 import pytest
 
 from repro.core.classify import Classifier
+from repro.core.fsl import compile_text
 from repro.core.tables import (
     MAX_FILTER_REACH,
     FilterEntry,
@@ -17,6 +18,7 @@ from repro.core.tables import (
     FilterTuple,
 )
 from repro.errors import FslCompileError, TableError
+from repro.scripts import canonical_node_table, tcp_congestion_script
 
 
 class TestTupleReach:
@@ -67,47 +69,38 @@ class TestMaskWidth:
 
 
 class TestIndexInvalidation:
+    """Nothing invalidates an index: a table's entries are fixed at
+    construction, so its index is built once and shared."""
+
     def table(self):
         return FilterTable(
-            [FilterEntry("a", (FilterTuple(0, 2, 0x0800),))]
+            [
+                FilterEntry("a", (FilterTuple(0, 2, 0x0800),)),
+                FilterEntry("b", (FilterTuple(0, 2, 0x0806),)),
+            ]
         )
 
-    def test_append_bumps_version_and_drops_cache(self):
+    def test_entries_are_a_tuple_and_table_has_no_append(self):
         table = self.table()
-        index = table.compile_index()
-        assert table.cached_index is index
-        before = table.version
-        table.append(FilterEntry("b", (FilterTuple(0, 2, 0x0806),)))
-        assert table.version == before + 1
-        assert table.cached_index is None
-
-    def test_append_validates_entry(self):
-        table = self.table()
-        with pytest.raises(TableError):
-            table.append(FilterEntry("bad", (FilterTuple(MAX_FILTER_REACH, 1, 0),)))
-        with pytest.raises(FslCompileError, match="duplicate"):
-            table.append(FilterEntry("a", (FilterTuple(0, 2, 0x0806),)))
-
-    def test_classifier_sees_appended_entry(self):
-        table = self.table()
-        classifier = Classifier(table)
-        arp = (0x0806).to_bytes(2, "big") + bytes(40)
-        assert classifier.classify(arp) == (None, 1)
-        table.append(FilterEntry("arp", (FilterTuple(0, 2, 0x0806),)))
-        assert classifier.classify(arp) == ("arp", 2)
+        assert isinstance(table.entries, tuple)
+        assert not hasattr(table, "append")
 
     def test_classifiers_of_one_table_share_index_and_programs(self):
         table = self.table()
-        Classifier(table)
-        index = table.cached_index
-        Classifier(table)  # a second engine install compiles nothing
-        assert table.cached_index is index
-        assert len(index.programs) == index.size == 1
+        index = Classifier(table)._index
+        assert Classifier(table)._index is index  # a second engine install compiles nothing
+        assert table.index is index
+        assert len(index.programs) == index.size == 2
+
+    def test_classifiers_of_one_compiled_program_share_one_index(self):
+        program = compile_text(tcp_congestion_script(canonical_node_table(2)))
+        assert "index" in vars(program.filters)  # built by the compiler
+        first, second = Classifier(program.filters), Classifier(program.filters)
+        assert first._index is second._index is program.filters.index
 
     def test_restricted_table_gets_fresh_index(self):
         table = self.table()
-        table.append(FilterEntry("b", (FilterTuple(0, 2, 0x0806),)))
         restricted = table.restricted_to({"b"})
-        index = restricted.compile_index()
-        assert index.size == 1
-        assert restricted.cached_index is index
+        assert restricted.index is not table.index
+        assert restricted.index.size == 1
+        assert Classifier(restricted).classify((0x0806).to_bytes(2, "big")) == ("b", 1)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import testbed as testbed_module
 from repro.core.report import EndReason
 from repro.core.testbed import Testbed
 from repro.errors import ScenarioError, TopologyError
@@ -451,10 +452,17 @@ class TestCompileCache:
         assert Testbed.compile_cached(script) is program
 
     def test_cache_is_bounded_lru(self):
-        base = len(Testbed._compile_cache)
+        cache_info = testbed_module._compile_cached.cache_info
+        assert cache_info().maxsize == 64
         victim = self._unique_script("victim")
-        Testbed.compile_cached(victim)
-        for i in range(Testbed._COMPILE_CACHE_MAX + 4):
+        first = Testbed.compile_cached(victim)
+        hits = cache_info().hits
+        assert Testbed.compile_cached(victim, None) is first  # one entry
+        assert cache_info().hits == hits + 1
+        base = cache_info().misses
+        for i in range(64):
             Testbed.compile_cached(self._unique_script(f"filler-{base}-{i}"))
-        assert len(Testbed._compile_cache) <= Testbed._COMPILE_CACHE_MAX
-        assert (victim, None) not in Testbed._compile_cache
+        assert cache_info().currsize == 64
+        misses = cache_info().misses
+        assert Testbed.compile_cached(victim) is not first  # evicted
+        assert cache_info().misses == misses + 1

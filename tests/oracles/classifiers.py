@@ -12,7 +12,7 @@ from typing import Optional, Tuple
 from unittest import mock
 
 from repro.core import engine as engine_module
-from repro.core.classify import ClassifierBase, FilterIndex
+from repro.core.classify import ClassifierBase
 from repro.core.tables import FilterTable
 
 
@@ -27,26 +27,24 @@ class LinearClassifier(ClassifierBase):
             bindings = self._match(entry, data)
             if bindings is not None:
                 return self._matched(entry, bindings, scanned)
-        return self._unmatched(scanned)
+        return None, scanned
 
 
 class IndexedClassifier(ClassifierBase):
-    """Classify via the compiled :class:`FilterIndex`, matching interpreted."""
+    """Classify via the table's compiled ``FilterIndex``, matching interpreted."""
 
     def __init__(self, filters: FilterTable) -> None:
         super().__init__(filters)
-        self._index = FilterIndex.for_table(filters)
+        self._index = filters.index
 
     def classify(self, data: bytes) -> Tuple[Optional[str], int]:
         index = self._index
-        if index.version != self.filters.version:
-            index = self._index = FilterIndex.for_table(self.filters)
         for position, entry in index.chain_for(data):
             self.entries_examined_total += 1
             bindings = self._match(entry, data)
             if bindings is not None:
                 return self._matched(entry, bindings, position + 1)
-        return self._unmatched(index.size)
+        return None, index.size
 
 
 @contextmanager

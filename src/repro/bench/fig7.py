@@ -149,15 +149,7 @@ def run_fig7(
     failures = [row for row in outcome.rows if not row.ok]
     if failures:
         raise RuntimeError(f"fig7 campaign failed: {failures[0].error}")
-    return [
-        Fig7Point(
-            offered_mbps=row.payload["offered_mbps"],
-            with_virtualwire=row.payload["with_virtualwire"],
-            goodput_mbps=row.payload["goodput_mbps"],
-            retransmissions=row.payload["retransmissions"],
-        )
-        for row in outcome.rows
-    ]
+    return [Fig7Point(**row.payload) for row in outcome.rows]
 
 
 def render_table(points: List[Fig7Point]) -> str:

@@ -221,15 +221,7 @@ def run_fig8(
     failures = [row for row in outcome.rows if not row.ok]
     if failures:
         raise RuntimeError(f"fig8 campaign failed: {failures[0].error}")
-    return [
-        Fig8Point(
-            mode=row.payload["mode"],
-            n_filters=row.payload["n_filters"],
-            mean_rtt_ns=row.payload["mean_rtt_ns"],
-            baseline_rtt_ns=row.payload["baseline_rtt_ns"],
-        )
-        for row in outcome.rows
-    ]
+    return [Fig8Point(**row.payload) for row in outcome.rows]
 
 
 def render_table(points: List[Fig8Point]) -> str:

@@ -538,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="S",
         help="per-task wall-clock deadline in seconds; a hung task is "
-        "retried with backoff, then recorded as a TIMEOUT row",
+        "retried once, 50 ms later, then recorded as a TIMEOUT row",
     )
     sweep.add_argument(
         "--retries",

@@ -64,6 +64,11 @@ class EngineStats:
     )
 
     def __init__(self) -> None:
+        self.reset()
+
+    def reset(self) -> None:
+        """Zero every counter, in place: the reliable channel holds this
+        object for the engine's whole life."""
         for field in self.__slots__:
             setattr(self, field, 0)
 
@@ -101,13 +106,8 @@ class VirtualWireEngine(FrameLayer, RuntimeHooks):
         #: well-formed control messages naming a program, counter, term or
         #: node index this engine lacks; a plain attribute for the same reason.
         self.control_rejected = 0
-        #: True once a scripted FAIL took this host down (liveness
-        #: supervision then treats unreachability as expected).
-        self.scripted_failure = False
         #: ARQ layer: sequencing, ACKs, retransmission, dedup (§5.2).
-        self.channel = ReliableControlPlane(
-            sim, self._transmit_control, lambda: self.stats
-        )
+        self.channel = ReliableControlPlane(sim, self._transmit_control, self.stats)
         self.channel.on_peer_failed = self._on_peer_failed
         self._busy_until = 0
         self._delay_queue = DelayQueue(sim, self._forward)
@@ -147,8 +147,7 @@ class VirtualWireEngine(FrameLayer, RuntimeHooks):
     def install_program(self, program: CompiledProgram) -> None:
         """Load the six tables (normally driven by an INIT control frame)."""
         self.program = program
-        self.stats = EngineStats()
-        self.scripted_failure = False
+        self.stats.reset()
         self._busy_until = 0
         if self.node_name in program.nodes:
             self.runtime = NodeRuntime(self.node_name, program, hooks=self)
@@ -198,7 +197,7 @@ class VirtualWireEngine(FrameLayer, RuntimeHooks):
         self._reorder_buffer.wipe()
         self._busy_until = 0
         self._life_epoch += 1
-        self.stats = EngineStats()
+        self.stats.reset()
 
     def on_host_reboot(self) -> None:
         """Boot: come up with blank tables and register with control.
@@ -556,7 +555,6 @@ class VirtualWireEngine(FrameLayer, RuntimeHooks):
 
     def fail_local_host(self) -> None:
         self.enabled = False
-        self.scripted_failure = True
         if self.lifecycle_hook is not None:
             self.lifecycle_hook("fail")
         self.host.fail()
@@ -564,7 +562,6 @@ class VirtualWireEngine(FrameLayer, RuntimeHooks):
     def crash_local_host(self) -> None:
         """Execute a CRASH action: take this host down with amnesia."""
         self.enabled = False
-        self.scripted_failure = True
         if self.lifecycle_hook is not None:
             self.lifecycle_hook("crash")
         self.host.crash()

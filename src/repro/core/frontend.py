@@ -186,7 +186,6 @@ class Frontend:
         # numbers, dedup state and retransmit timers all reset.
         for engine in self.engines.values():
             engine.channel.reset()
-            engine.scripted_failure = False
         checksum = program.checksum()
         for node in program.nodes.names():
             mac = program.nodes.get(node).mac
@@ -317,16 +316,11 @@ class Frontend:
         node = entry.name if entry is not None else str(peer_mac)
         state = self.lifecycle.get(node)
         if state is not None and state is not NodeLifecycle.ALIVE:
-            # The script took this node down (CRASH/FAIL) or it is mid
-            # rejoin: silence is the experiment, not an orchestration
-            # failure — no false NODE_UNREACHABLE.
-            if node not in self.failed_nodes:
-                self.failed_nodes.append(node)
-            return
-        engine = self.engines.get(node)
-        if engine is not None and engine.scripted_failure:
-            # The script killed this node on purpose (FAIL fault): its
-            # silence is the experiment, not an orchestration failure.
+            # The script took this node down (CRASH/FAIL: the engine's
+            # lifecycle_hook moved it off ALIVE before any retry budget
+            # could run out) or it is mid rejoin: silence is the
+            # experiment, not an orchestration failure — no false
+            # NODE_UNREACHABLE.
             if node not in self.failed_nodes:
                 self.failed_nodes.append(node)
             return
@@ -489,10 +483,6 @@ class Frontend:
             record.rejoin_time_ns = self.sim.now
         if node in self.failed_nodes:
             self.failed_nodes.remove(node)
-        engine = self.engines.get(node)
-        if engine is not None:
-            # Future silence from this node is a real failure again.
-            engine.scripted_failure = False
 
     def _node_index(self, node: str) -> int:
         for index, entry in enumerate(self.program.nodes.entries):

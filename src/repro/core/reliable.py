@@ -89,11 +89,12 @@ class ReliableControlPlane:
         self,
         sim,
         transmit: Callable[[MacAddress, ControlMessage], None],
-        stats_of: Callable[[], object],
+        stats,
     ) -> None:
         self.sim = sim
         self._transmit = transmit
-        self._stats_of = stats_of
+        #: the owning engine's :class:`~repro.core.engine.EngineStats`.
+        self._stats = stats
         self._peers: Dict[bytes, _PeerState] = {}
         #: invoked with the peer MAC when its retry budget is exhausted.
         self.on_peer_failed: Optional[Callable[[MacAddress], None]] = None
@@ -150,7 +151,7 @@ class ReliableControlPlane:
         """
         peer = self._peer(dst)
         if peer.dead:
-            self._stats_of().control_sends_suppressed += 1
+            self._stats.control_sends_suppressed += 1
             return message
         peer.tx_seq += 1
         message = ControlMessage(
@@ -181,7 +182,7 @@ class ReliableControlPlane:
             return
         pending.retries += 1
         pending.rto_ns = min(pending.rto_ns * 2, MAX_RTO_NS)
-        self._stats_of().control_retransmits += 1
+        self._stats.control_retransmits += 1
         self._transmit(dst, pending.message)
         self._arm_timer(dst, peer, pending)
 
@@ -191,7 +192,7 @@ class ReliableControlPlane:
             if pending.timer is not None:
                 self.sim.cancel(pending.timer)
         peer.inflight.clear()
-        self._stats_of().control_peer_failures += 1
+        self._stats.control_peer_failures += 1
         if self.on_peer_failed is not None:
             self.on_peer_failed(dst)
 
@@ -214,7 +215,7 @@ class ReliableControlPlane:
         reliable messages are acknowledged, deduplicated and released in
         sequence order (possibly unblocking parked successors).
         """
-        stats = self._stats_of()
+        stats = self._stats
         if message.msg_type is ControlType.ACK:
             stats.control_acks_received += 1
             self._on_ack(src, message.seq)

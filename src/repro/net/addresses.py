@@ -113,9 +113,6 @@ class IpAddress:
         """The 4-byte wire representation."""
         return self._bytes
 
-    def as_int(self) -> int:
-        return int.from_bytes(self._bytes, "big")
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, IpAddress) and self._bytes == other._bytes
 

@@ -23,7 +23,7 @@ the paper measures in Figs 7 and 8.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Optional, Tuple
+from typing import Deque, Dict, Tuple
 
 from ..errors import PacketError
 from ..net.addresses import MacAddress
@@ -78,20 +78,11 @@ class _PeerState:
 class RllLayer(FrameLayer):
     """Reliable Link Layer as a splice-in frame layer."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        window: int = DEFAULT_WINDOW,
-        rto_ns: int = DEFAULT_RTO_NS,
-        max_retries: int = DEFAULT_MAX_RETRIES,
-        frame_cost_ns: Optional[int] = None,
-    ) -> None:
+    def __init__(self, sim: Simulator) -> None:
         super().__init__("rll")
         self.sim = sim
-        self.window_size = window
-        self.rto_ns = rto_ns
-        self.max_retries = max_retries
-        self._frame_cost_ns = frame_cost_ns
+        #: the host's ``CostModel.rll_frame_ns``, read once in attached().
+        self._cost_ns = 0
         self._peers: Dict[MacAddress, _PeerState] = {}
         # Statistics.
         self.data_sent = 0
@@ -110,8 +101,7 @@ class RllLayer(FrameLayer):
         self._m_backlog = None
 
     def attached(self) -> None:
-        if self._frame_cost_ns is None:
-            self._frame_cost_ns = self.host.costs.rll_frame_ns if self.host else 0
+        self._cost_ns = self.host.costs.rll_frame_ns if self.host else 0
         metrics = getattr(self.host, "metrics", None)
         if metrics is not None:
             self._m_rtx = metrics.counter("rll", "retransmissions")
@@ -120,8 +110,8 @@ class RllLayer(FrameLayer):
 
     def _charge(self, step, label: str, *args) -> None:
         """Run ``step(*args)`` once the per-frame CPU cost has elapsed."""
-        if self._frame_cost_ns:
-            self.sim.after(self._frame_cost_ns, step, label, args=args)
+        if self._cost_ns:
+            self.sim.after(self._cost_ns, step, label, args=args)
         else:
             step(*args)
 
@@ -170,7 +160,7 @@ class RllLayer(FrameLayer):
             return
         dst = intern_mac(frame_bytes[:6])
         peer = self._peer(dst)
-        if peer.unacked >= self.window_size:
+        if peer.unacked >= DEFAULT_WINDOW:
             peer.backlog.append(frame_bytes)
             if self._m_backlog is not None:
                 self._m_backlog.set(len(peer.backlog))
@@ -268,7 +258,7 @@ class RllLayer(FrameLayer):
             self._drain_backlog(dst, peer)
 
     def _drain_backlog(self, dst: MacAddress, peer: _PeerState) -> None:
-        while peer.backlog and peer.unacked < self.window_size:
+        while peer.backlog and peer.unacked < DEFAULT_WINDOW:
             frame = peer.backlog.popleft()
             self._send_data(dst, peer, frame)
 
@@ -279,7 +269,7 @@ class RllLayer(FrameLayer):
     def _arm_timer(self, dst: MacAddress, peer: _PeerState) -> None:
         self._cancel_timer(peer)
         peer.timer = self.sim.after(
-            self.rto_ns, lambda: self._on_timeout(dst, peer), "rll:rto"
+            DEFAULT_RTO_NS, lambda: self._on_timeout(dst, peer), "rll:rto"
         )
 
     def _cancel_timer(self, peer: _PeerState) -> None:
@@ -292,7 +282,7 @@ class RllLayer(FrameLayer):
         if not peer.window:
             return
         peer.retries += 1
-        if peer.retries > self.max_retries:
+        if peer.retries > DEFAULT_MAX_RETRIES:
             # The peer is gone (e.g. a FAIL fault): abandon its traffic so
             # the simulation can quiesce instead of retrying forever.
             self.abandoned_frames += len(peer.window) + len(peer.backlog)
@@ -313,6 +303,6 @@ class RllLayer(FrameLayer):
 
     def __repr__(self) -> str:
         return (
-            f"RllLayer(window={self.window_size}, peers={len(self._peers)}, "
+            f"RllLayer(window={DEFAULT_WINDOW}, peers={len(self._peers)}, "
             f"rtx={self.retransmissions})"
         )

@@ -64,11 +64,6 @@ class RandomStream:
         self._draws += 1
         self._rng.shuffle(seq)
 
-    def random_bytes(self, count: int) -> bytes:
-        """Return *count* uniformly random bytes."""
-        self._draws += 1
-        return bytes(self._rng.getrandbits(8) for _ in range(count))
-
     def exponential(self, mean: float) -> float:
         """Exponentially distributed value with the given mean (for traffic)."""
         self._draws += 1

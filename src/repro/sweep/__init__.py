@@ -31,13 +31,10 @@ from .campaigns import (
 from .journal import JournalError, JournalState, JournalWriter, read_journal
 from .runner import (
     DEFAULT_RETRIES,
-    DEFAULT_TIMEOUT_BACKOFF,
-    DEFAULT_TIMEOUT_RETRIES,
     HOSTS_ENV,
     SECRET_ENV,
     ExecutorContext,
     SweepExecutor,
-    Watchdog,
     default_backend,
     default_hosts,
     default_workers,
@@ -62,8 +59,6 @@ __all__ = [
     "parse_hosts",
     "resolve_secret",
     "DEFAULT_RETRIES",
-    "DEFAULT_TIMEOUT_BACKOFF",
-    "DEFAULT_TIMEOUT_RETRIES",
     "JournalError",
     "JournalState",
     "JournalWriter",
@@ -75,7 +70,6 @@ __all__ = [
     "SweepResult",
     "SweepSpec",
     "SweepTask",
-    "Watchdog",
     "default_backend",
     "default_workers",
     "derive_seed",

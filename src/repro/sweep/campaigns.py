@@ -272,12 +272,7 @@ def fig7_point_task(task: SweepTask) -> Dict[str, Any]:
         seed=int(task.param("seed", 0)),
         program=task.param("program"),
     )
-    return {
-        "offered_mbps": point.offered_mbps,
-        "with_virtualwire": point.with_virtualwire,
-        "goodput_mbps": point.goodput_mbps,
-        "retransmissions": point.retransmissions,
-    }
+    return dataclasses.asdict(point)
 
 
 @reads_params("mode", "n_filters", "baseline_rtt_ns", "probes", "payload", "seed", "program")
@@ -294,9 +289,4 @@ def fig8_point_task(task: SweepTask) -> Dict[str, Any]:
         seed=int(task.param("seed", 0)),
         program=task.param("program"),
     )
-    return {
-        "mode": point.mode,
-        "n_filters": point.n_filters,
-        "mean_rtt_ns": point.mean_rtt_ns,
-        "baseline_rtt_ns": point.baseline_rtt_ns,
-    }
+    return dataclasses.asdict(point)

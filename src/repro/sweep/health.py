@@ -8,16 +8,18 @@ MetricsRegistry` idiom the fault-analysis layer uses for simulated nodes
 (one "node" per worker address, metrics namespaced under the ``fleet``
 layer, canonical sorted snapshots).
 
-A worker that misbehaves repeatedly (``failure_threshold`` consecutive
-failures) is **quarantined**: the scheduler stops assigning it work and
-stops redialling it until the quarantine expires.  Quarantine durations
-back off exponentially per repeat offence (``quarantine_base_s`` doubling
-up to ``quarantine_cap_s``) and *decay* with good behaviour — every
-``decay_rows`` completed rows forgives one quarantine level — so a host
-that flapped during a bad minute earns its way back to full duty instead
-of being written off for the campaign.  Only when the *whole* fleet is
-unusable does the scheduler raise :class:`~repro.sweep.spec.SweepError`;
-one sick worker never fails a campaign on its own.
+A worker that misbehaves repeatedly (:data:`FAILURE_THRESHOLD`
+consecutive failures) is **quarantined**: the scheduler stops assigning
+it work and stops redialling it until the quarantine expires.  Quarantine
+durations back off exponentially per repeat offence
+(:data:`QUARANTINE_BASE_S` doubling up to :data:`QUARANTINE_CAP_S`) and
+*decay* with good behaviour — every :data:`DECAY_ROWS` completed rows
+forgives one quarantine level — so a host that flapped during a bad
+minute earns its way back to full duty instead of being written off for
+the campaign.  The four are policy, not settings.  Only when the *whole*
+fleet is unusable does the scheduler raise
+:class:`~repro.sweep.spec.SweepError`; one sick worker never fails a
+campaign on its own.
 
 The tracker reads no clock: every method that judges time takes the
 caller's ``now`` (seconds on any monotonic scale), which is what lets the
@@ -29,20 +31,19 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from ..analysis.metrics import MetricsRegistry
-from .spec import SweepError
 
 #: consecutive failures (losses or worker-reported task crashes) that
 #: trigger a quarantine.
-DEFAULT_FAILURE_THRESHOLD = 3
+FAILURE_THRESHOLD = 3
 
 #: first quarantine duration; doubles per repeat offence.
-DEFAULT_QUARANTINE_BASE_S = 1.0
+QUARANTINE_BASE_S = 1.0
 
 #: quarantine durations never exceed this.
-DEFAULT_QUARANTINE_CAP_S = 30.0
+QUARANTINE_CAP_S = 30.0
 
 #: completed rows that forgive one quarantine level (decaying backoff).
-DEFAULT_DECAY_ROWS = 8
+DECAY_ROWS = 8
 
 
 class _WorkerState:
@@ -68,28 +69,7 @@ class _WorkerState:
 class FleetHealth:
     """Health scores, quarantine policy and per-worker fleet metrics."""
 
-    def __init__(
-        self,
-        failure_threshold: int = DEFAULT_FAILURE_THRESHOLD,
-        quarantine_base_s: float = DEFAULT_QUARANTINE_BASE_S,
-        quarantine_cap_s: float = DEFAULT_QUARANTINE_CAP_S,
-        decay_rows: int = DEFAULT_DECAY_ROWS,
-    ) -> None:
-        if failure_threshold < 1:
-            raise SweepError(
-                f"failure_threshold must be >= 1, got {failure_threshold}"
-            )
-        if quarantine_base_s <= 0 or quarantine_cap_s < quarantine_base_s:
-            raise SweepError(
-                f"quarantine backoff must satisfy 0 < base <= cap, got "
-                f"base={quarantine_base_s} cap={quarantine_cap_s}"
-            )
-        if decay_rows < 1:
-            raise SweepError(f"decay_rows must be >= 1, got {decay_rows}")
-        self.failure_threshold = failure_threshold
-        self.quarantine_base_s = quarantine_base_s
-        self.quarantine_cap_s = quarantine_cap_s
-        self.decay_rows = decay_rows
+    def __init__(self) -> None:
         self.registry = MetricsRegistry()
         self._state: Dict[str, _WorkerState] = {}
 
@@ -104,10 +84,6 @@ class FleetHealth:
 
     def _metrics(self, address: str):
         return self.registry.node(address)
-
-    def known_workers(self):
-        """Every address that has ever been scored, sorted."""
-        return sorted(self._state)
 
     # -- event recording ------------------------------------------------
 
@@ -133,7 +109,7 @@ class FleetHealth:
 
     def record_row(self, address: str, wall_seconds: float) -> None:
         """Score one completed row: clears the failure streak and decays
-        the quarantine level every ``decay_rows`` rows."""
+        the quarantine level every :data:`DECAY_ROWS` rows."""
         metrics = self._metrics(address)
         metrics.counter("fleet", "rows").inc()
         metrics.histogram("fleet", "task_wall_ms").observe(
@@ -142,7 +118,7 @@ class FleetHealth:
         state = self._worker(address)
         state.consecutive_failures = 0
         state.rows_since_decay += 1
-        if state.level > 0 and state.rows_since_decay >= self.decay_rows:
+        if state.level > 0 and state.rows_since_decay >= DECAY_ROWS:
             state.level -= 1
             state.rows_since_decay = 0
 
@@ -158,9 +134,9 @@ class FleetHealth:
         state.last_heartbeat = now
 
     def record_failure(self, address: str, kind: str, now: float) -> Optional[float]:
-        """Score one failure (``kind``: ``"loss"`` for a dead/flapping
-        connection, ``"error"`` for a worker-reported task casualty,
-        ``"timeout"`` for heartbeat silence).
+        """Score one failure: ``kind`` is ``"loss"`` for a connection that
+        died — EOF, reset, a failed send, heartbeat silence — and
+        ``"error"`` for a task casualty the worker reported itself.
 
         Returns the quarantine duration in seconds when this failure
         crossed the threshold and quarantined the worker, else ``None``.
@@ -173,11 +149,9 @@ class FleetHealth:
         metrics.gauge("fleet", "consecutive_failures").set(
             state.consecutive_failures
         )
-        if state.consecutive_failures < self.failure_threshold:
+        if state.consecutive_failures < FAILURE_THRESHOLD:
             return None
-        duration = min(
-            self.quarantine_base_s * (2 ** state.level), self.quarantine_cap_s
-        )
+        duration = min(QUARANTINE_BASE_S * (2 ** state.level), QUARANTINE_CAP_S)
         state.quarantined_until = now + duration
         state.level += 1
         state.consecutive_failures = 0
@@ -213,9 +187,9 @@ class FleetHealth:
 
 
 __all__ = [
-    "DEFAULT_DECAY_ROWS",
-    "DEFAULT_FAILURE_THRESHOLD",
-    "DEFAULT_QUARANTINE_BASE_S",
-    "DEFAULT_QUARANTINE_CAP_S",
+    "DECAY_ROWS",
+    "FAILURE_THRESHOLD",
+    "QUARANTINE_BASE_S",
+    "QUARANTINE_CAP_S",
     "FleetHealth",
 ]

@@ -37,7 +37,6 @@ from .runner import (
     BackendRun,
     ExecutorContext,
     SweepExecutor,
-    Watchdog,
     default_hosts,
     default_workers,
     execute_task,
@@ -114,7 +113,7 @@ _FORK_LOCK = threading.Lock()
 
 
 def _fork_slot(
-    watchdog: Optional[Watchdog], *owner_socks: socket.socket
+    task_timeout: Optional[float], *owner_socks: socket.socket
 ) -> Tuple[socket.socket, Any]:
     """Start a slot process behind a private ``socketpair``; returns the
     owner's end and the process.  ``fork`` (cheap; inherits the modules
@@ -128,7 +127,7 @@ def _fork_slot(
             forks = "fork" in multiprocessing.get_all_start_methods()
             context = multiprocessing.get_context("fork" if forks else None)
             inherited = [sock.fileno() for sock in (ours, *owner_socks)] if forks else []
-            slot = context.Process(target=_slot_main, args=(theirs, inherited, watchdog))
+            slot = context.Process(target=_slot_main, args=(theirs, inherited, task_timeout))
             slot.start()
         except OSError:
             ours.close()
@@ -148,7 +147,7 @@ def _kill_slot(slot: Any) -> str:
 
 
 def _slot_main(
-    conn: socket.socket, inherited_fds: Sequence[int], watchdog: Optional[Watchdog]
+    conn: socket.socket, inherited_fds: Sequence[int], task_timeout: Optional[float]
 ) -> None:
     """A slot process: one session over its end of the pair (no handshake:
     nobody else can hold the other end), until BYE or EOF — its owner died.
@@ -167,12 +166,12 @@ def _slot_main(
         except OSError:
             pass
     try:
-        _serve_session(conn, watchdog)
+        _serve_session(conn, task_timeout)
     except (ProtocolError, OSError):
         pass  # a broken owner needs no traceback from every slot
 
 
-def _serve_session(conn: socket.socket, watchdog: Optional[Watchdog]) -> None:
+def _serve_session(conn: socket.socket, task_timeout: Optional[float]) -> None:
     """A slot's session, the whole life of its process: ask for a cell
     (GET), run it inline, answer ROW — ERROR for a TASK that will not
     decode, refused PROGRAMs' reasons included — and ask again, until BYE;
@@ -214,7 +213,7 @@ def _serve_session(conn: socket.socket, watchdog: Optional[Watchdog]) -> None:
                 cause = "; ".join([str(exc), *refused])
                 send(casualty_frame(task_index(payload), f"undeliverable task ({cause})"))
             else:
-                row = execute_task(task, watchdog)
+                row = execute_task(task, task_timeout)
                 send(encode_frame(MSG_ROW, _json_payload(row.to_record())))
             send(get)
         elif mtype == MSG_BYE:
@@ -242,7 +241,7 @@ class _RelaySlot:
 
 
 def _relay(
-    conn: socket.socket, listener: socket.socket, count: int, watchdog: Optional[Watchdog]
+    conn: socket.socket, listener: socket.socket, count: int, task_timeout: Optional[float]
 ) -> None:
     """An authenticated ``repro worker`` session: frames between the parent
     and *count* slot processes, on one selector; of a TASK it reads only
@@ -263,7 +262,7 @@ def _relay(
 
     def fork(asking: bool) -> None:
         siblings = (slot.sock for slot in slots)
-        sock, process = _fork_slot(watchdog, conn, listener, *siblings)
+        sock, process = _fork_slot(task_timeout, conn, listener, *siblings)
         slots.append(_RelaySlot(sock, process, asking, replaces_asker=asking))
         selector.register(sock, selectors.EVENT_READ, slots[-1])
 
@@ -446,8 +445,8 @@ class WorkerServer:
             return self._refuse(
                 conn,
                 f"protocol version mismatch: parent speaks {version}, "
-                f"worker speaks {PROTOCOL_VERSION} (v3 ships cells as "
-                f"canonical JSON — upgrade both peers)",
+                f"worker speaks {PROTOCOL_VERSION} (v4 sends the task deadline "
+                f"as one number — upgrade both peers)",
             )
         parent_nonce = hello.get("nonce")
         if not isinstance(parent_nonce, str) or len(parent_nonce) < 16:
@@ -457,13 +456,11 @@ class WorkerServer:
                 "authenticates before any task is accepted",
             )
         worker_nonce = _fresh_nonce()
-        config = hello.get("watchdog")
-        try:
-            watchdog = None if not config else Watchdog(
-                float(config["timeout"]), int(config["retries"]), float(config["backoff"])
-            )
-        except (KeyError, TypeError, ValueError, OverflowError):
-            return self._refuse(conn, f"HELLO carries a malformed watchdog: {config!r}")
+        task_timeout = hello.get("task_timeout")
+        if task_timeout is not None and not (
+            type(task_timeout) in (int, float) and 0 < task_timeout < float("inf")
+        ):
+            return self._refuse(conn, f"HELLO carries a malformed task_timeout: {task_timeout!r}")
         welcome = {
             "version": PROTOCOL_VERSION,
             "slots": self.slots,
@@ -494,7 +491,7 @@ class WorkerServer:
                 "--secret-file?)",
             )
 
-        _relay(conn, self._listener, self.slots, watchdog)
+        _relay(conn, self._listener, self.slots, task_timeout)
         return True
 
 
@@ -614,7 +611,7 @@ class TcpExecutor(_FleetShell):
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             nonce = _fresh_nonce()
             sock.sendall(
-                hello_frame(nonce, self.ctx.meta, self.task_count, self.ctx.watchdog)
+                hello_frame(nonce, self.ctx.meta, self.task_count, self.ctx.task_timeout)
             )
             slots, auth = answer_welcome(*read_frame(sock), self.secret, nonce)
             sock.sendall(auth)
@@ -662,7 +659,7 @@ class LocalExecutor(_FleetShell):
     def _dial(self, action: Dial) -> List[Action]:
         address = action.address
         try:
-            sock, slot = _fork_slot(self.ctx.watchdog, *self.socks.values())
+            sock, slot = _fork_slot(self.ctx.task_timeout, *self.socks.values())
         except OSError as exc:  # back off, retry
             return self.scheduler.dial_failed(
                 address, f"cannot start slot process: {exc}", False, time.monotonic()

@@ -29,9 +29,9 @@ Durability (docs/SWEEP.md, "Durable campaigns"): ``run_sweep`` can journal
 every row to an append-only CRC-checked file as it lands
 (:mod:`repro.sweep.journal`), resume an interrupted campaign from that
 journal, and serve clean cells from a content-addressed result cache
-(:mod:`repro.sweep.cache`).  A per-task wall-clock watchdog turns hung
-tasks into deterministic ``TIMEOUT`` rows after bounded retry-with-backoff
-instead of stalling the campaign, and SIGINT aborts gracefully: the
+(:mod:`repro.sweep.cache`).  A per-task wall-clock deadline turns hung
+tasks into deterministic ``TIMEOUT`` rows after one retry instead of
+stalling the campaign, and SIGINT aborts gracefully: the
 journal is already flushed per-row, and the outcome truthfully reports
 ``aborted``/``interrupted`` covering exactly the journaled rows.
 """
@@ -62,11 +62,11 @@ from .spec import (
 #: Bounded retry budget for cells whose worker process dies under them.
 DEFAULT_RETRIES = 1
 
-#: Bounded retry budget for watchdog deadline hits.
-DEFAULT_TIMEOUT_RETRIES = 1
+#: A cell that overruns its deadline runs this many more times ...
+TIMEOUT_RETRIES = 1
 
-#: Base of the exponential backoff between watchdog retries, in seconds.
-DEFAULT_TIMEOUT_BACKOFF = 0.05
+#: ... each after this pause (seconds), before it lands as ``TIMEOUT``.
+TIMEOUT_PAUSE_S = 0.05
 
 # ---------------------------------------------------------------------------
 # Deployment settings: the four REPRO_SWEEP_* variables, read at one site
@@ -276,25 +276,15 @@ class TaskDeadlineExceeded(BaseException):
     """
 
 
-@dataclass(frozen=True)
-class Watchdog:
-    """Per-task wall-clock policy: deadline + bounded retry-with-backoff.
+@contextmanager
+def _deadline(seconds: Optional[float]):
+    """Arm a one-shot wall-clock deadline around the body; raises
+    :class:`TaskDeadlineExceeded` in the running frame on expiry.
 
     Armed *inside* the executing process (SIGALRM interval timer), so it
     works identically on the serial backend and in slot processes, and a
     hung worker frees itself instead of needing to be shot from outside.
-    On platforms without ``SIGALRM`` the watchdog degrades to a no-op.
-    """
-
-    timeout: float
-    retries: int = DEFAULT_TIMEOUT_RETRIES
-    backoff: float = DEFAULT_TIMEOUT_BACKOFF
-
-
-@contextmanager
-def _deadline(seconds: Optional[float]):
-    """Arm a one-shot wall-clock deadline around the body; raises
-    :class:`TaskDeadlineExceeded` in the running frame on expiry."""
+    Without ``SIGALRM`` (or off the main thread) it is a no-op."""
     if (
         not seconds
         or not hasattr(signal, "SIGALRM")
@@ -315,25 +305,24 @@ def _deadline(seconds: Optional[float]):
         signal.signal(signal.SIGALRM, previous)
 
 
-def timeout_error(watchdog: Watchdog) -> str:
+def timeout_error(task_timeout: float) -> str:
     """The deterministic ``error`` string of a TIMEOUT row."""
-    return f"task exceeded {watchdog.timeout:g}s wall-clock deadline"
+    return f"task exceeded {task_timeout:g}s wall-clock deadline"
 
 
-def execute_task(
-    task: SweepTask, watchdog: Optional[Watchdog] = None
-) -> SweepResult:
+def execute_task(task: SweepTask, task_timeout: Optional[float] = None) -> SweepResult:
     """Run one task to a result row.  Never raises (except for
     :class:`KeyboardInterrupt`, which must reach the backend's graceful
-    abort): exceptions become deterministic ``FAILED`` rows and watchdog
-    expiries — after bounded retry-with-backoff — deterministic
-    ``TIMEOUT`` rows, identical under every backend."""
+    abort): exceptions become deterministic ``FAILED`` rows, and a task
+    that overruns *task_timeout* seconds — again on its one retry,
+    :data:`TIMEOUT_PAUSE_S` later — a deterministic ``TIMEOUT`` row,
+    identical under every backend."""
     started = time.perf_counter()
     attempts = 0
     while True:
         attempts += 1
         try:
-            with _deadline(watchdog.timeout if watchdog else None):
+            with _deadline(task_timeout):
                 payload = task.fn(task)
             if payload is None:
                 payload = {}
@@ -341,16 +330,15 @@ def execute_task(
             status, error, detail = SweepResult.OK, "", ""
             break
         except TaskDeadlineExceeded:
-            if watchdog and attempts <= watchdog.retries:
-                time.sleep(watchdog.backoff * (2 ** (attempts - 1)))
+            if attempts <= TIMEOUT_RETRIES:
+                time.sleep(TIMEOUT_PAUSE_S)
                 continue
             payload = {}
             status = SweepResult.TIMEOUT
-            error = timeout_error(watchdog)
+            error = timeout_error(task_timeout)
             detail = (
-                f"task {task.index} ({task.name!r}) hit its "
-                f"{watchdog.timeout:g}s deadline on all {attempts} "
-                f"attempt(s) (retry backoff base {watchdog.backoff:g}s)"
+                f"task {task.index} ({task.name!r}) hit its {task_timeout:g}s "
+                f"deadline on all {attempts} attempts ({TIMEOUT_PAUSE_S:g}s apart)"
             )
             break
         except Exception as exc:  # noqa: BLE001 — isolation is the contract
@@ -409,7 +397,7 @@ class ExecutorContext:
     workers: int
     retries: int
     fail_fast: bool
-    watchdog: Optional[Watchdog]
+    task_timeout: Optional[float]
     on_row: RowSink
     hosts: Optional[Any] = None
     meta: Optional[Dict[str, Any]] = None
@@ -443,7 +431,7 @@ class SerialExecutor(SweepExecutor):
         aborted = interrupted = False
         try:
             for task in tasks:
-                row = execute_task(task, ctx.watchdog)
+                row = execute_task(task, ctx.task_timeout)
                 rows[task.index] = row
                 ctx.on_row(row)
                 if ctx.fail_fast and _is_failure(row):
@@ -491,8 +479,6 @@ def run_sweep(
     resume: bool = False,
     cache_dir: Optional[str] = None,
     task_timeout: Optional[float] = None,
-    timeout_retries: int = DEFAULT_TIMEOUT_RETRIES,
-    timeout_backoff: float = DEFAULT_TIMEOUT_BACKOFF,
     hosts: Optional[Any] = None,
     secret: Optional[Any] = None,
 ) -> SweepOutcome:
@@ -534,10 +520,9 @@ def run_sweep(
     and executes only the missing cells.  *cache_dir* consults a
     content-addressed result cache before executing each cell and stores
     every fresh ``OK`` row.  *task_timeout* arms a per-task wall-clock
-    watchdog (*timeout_retries* retries with exponential *timeout_backoff*
-    between attempts) that records hung tasks as deterministic ``TIMEOUT``
-    rows.  Replayed and cached rows re-enter the task-order merge
-    unchanged, so a resumed or warm-cache outcome's canonical bytes are
+    deadline: a task that overruns it runs once more, 50 ms later, and
+    overrunning again lands as a deterministic ``TIMEOUT`` row.  Replayed
+    and cached rows re-enter the task-order merge unchanged, so a resumed or warm-cache outcome's canonical bytes are
     identical to a cold uninterrupted run's.
     """
     # Consulted even when backend= is explicit: a stale REPRO_SWEEP_* name
@@ -562,15 +547,10 @@ def run_sweep(
             f"retries must be >= 0, got {retries} (a negative value would "
             f"silently disable the re-queue of a cell whose worker died)"
         )
-    watchdog: Optional[Watchdog] = None
     if task_timeout is not None:
         if task_timeout <= 0:
             raise SweepError(f"task_timeout must be > 0 seconds, got {task_timeout}")
-        if timeout_retries < 0:
-            raise SweepError(f"timeout_retries must be >= 0, got {timeout_retries}")
-        if timeout_backoff < 0:
-            raise SweepError(f"timeout_backoff must be >= 0, got {timeout_backoff}")
-        watchdog = Watchdog(float(task_timeout), timeout_retries, timeout_backoff)
+        task_timeout = float(task_timeout)
     tasks = tasks_of(spec_or_tasks)
     meta = spec_meta(spec_or_tasks)
     started = time.perf_counter()
@@ -654,7 +634,7 @@ def run_sweep(
         workers=workers,
         retries=retries,
         fail_fast=fail_fast,
-        watchdog=watchdog,
+        task_timeout=task_timeout,
         on_row=on_row,
         hosts=hosts,
         meta=meta,

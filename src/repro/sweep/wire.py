@@ -26,7 +26,8 @@ mutual HMAC challenge/response folded into HELLO/WELCOME plus one AUTH
 frame::
 
     parent                                worker
-      | HELLO {version, nonce_p, meta}      |
+      | HELLO {version, nonce_p, meta,      |
+      |        task_timeout}                |
       |------------------------------------>|
       | WELCOME {version, slots, nonce_w,   |
       |          proof=HMAC(k,"worker",     |
@@ -38,6 +39,8 @@ frame::
       | GET x slots ...                     |
 
 (A slot process's private socketpair skips the handshake: GET first.)
+HELLO's ``task_timeout`` is the campaign's per-cell deadline, a positive
+number of seconds or null; a worker answers anything else with BYE.
 With no secret configured on either side the handshake still runs with an
 empty key, preserving zero-config loopback fleets.  A peer with the wrong
 (or a missing) secret is rejected — the worker answers BYE and closes
@@ -52,7 +55,6 @@ pushes a PROGRAM to a worker at most once per campaign.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import hmac
 import json
@@ -65,8 +67,9 @@ from .spec import SweepError, SweepTask, resolve_fn
 MAGIC = b"VWJP"
 
 #: v2 added the authenticated handshake, v3 ships cells and programs as
-#: canonical JSON; any other version is refused with a version mismatch.
-PROTOCOL_VERSION = 3
+#: canonical JSON, v4 sends HELLO's task deadline as one number; any other
+#: version is refused with a version mismatch.
+PROTOCOL_VERSION = 4
 
 #: frame payloads larger than this are protocol errors, not allocations.
 MAX_FRAME = 64 * 1024 * 1024
@@ -219,11 +222,12 @@ def _auth_proof(
 
 
 def hello_frame(
-    nonce: str, meta: Optional[Dict[str, Any]], tasks: int, watchdog: Optional[Any]
+    nonce: str, meta: Optional[Dict[str, Any]], tasks: int, task_timeout: Optional[float]
 ) -> bytes:
-    """The parent's opening frame: version, challenge and campaign meta
-    (*watchdog* is the campaign's :class:`~repro.sweep.runner.Watchdog`,
-    which every worker slot arms for itself)."""
+    """The parent's opening frame: version, challenge and campaign meta.
+    *task_timeout* is the campaign's per-cell deadline in seconds (or
+    ``None``), which every worker slot arms for itself; the retry that
+    follows a first overrun is fixed policy and does not travel."""
     meta = meta or {}
     return encode_frame(
         MSG_HELLO,
@@ -234,7 +238,7 @@ def hello_frame(
                 "spec_name": meta.get("name"),
                 "base_seed": meta.get("base_seed"),
                 "tasks": tasks,
-                "watchdog": dataclasses.asdict(watchdog) if watchdog else None,
+                "task_timeout": task_timeout,
             }
         ),
     )

@@ -38,7 +38,7 @@ from .seqmath import seq_add, seq_diff, seq_gt, seq_le, seq_lt
 DEFAULT_MSS = 1024
 #: Advertised receive window (bytes); the app consumes data immediately.
 DEFAULT_RCV_WND = 0xFFFF
-#: How long TIME_WAIT lingers (shortened 2*MSL; configurable per connection).
+#: How long TIME_WAIT lingers (shortened 2*MSL).
 DEFAULT_TIME_WAIT_NS = 1 * NS_PER_SEC
 #: Server-side SYNACK retransmission period (Linux spaces SYNACK retries
 #: more coarsely than the client's SYN timer; 3 s keeps the client's SYN
@@ -100,9 +100,7 @@ class TcpConnection:
         remote_ip: IpAddress,
         remote_port: int,
         congestion: Optional[CongestionControl] = None,
-        mss: int = DEFAULT_MSS,
         iss: int = 0,
-        time_wait_ns: int = DEFAULT_TIME_WAIT_NS,
         *,
         flow_sum: int,
     ) -> None:
@@ -115,8 +113,6 @@ class TcpConnection:
         #: (:func:`repro.net.fastpath.tcp_flow_sum`); the layer's codec reads it.
         self.flow_sum = flow_sum
         self.congestion = congestion if congestion is not None else CongestionControl()
-        self.mss = mss
-        self.time_wait_ns = time_wait_ns
         self.state = TcpState.CLOSED
 
         # Send side.
@@ -442,7 +438,7 @@ class TcpConnection:
     # ------------------------------------------------------------------
 
     def _window_bytes(self) -> int:
-        return min(self.congestion.window_segments() * self.mss, self.peer_window)
+        return min(self.congestion.window_segments() * DEFAULT_MSS, self.peer_window)
 
     def _try_send(self) -> None:
         if self.state not in _SENDING_STATES:
@@ -450,7 +446,7 @@ class TcpConnection:
         sent_any = False
         buffer = self._send_buffer
         while buffer:
-            size = min(self.mss, len(buffer))
+            size = min(DEFAULT_MSS, len(buffer))
             if self._window_bytes() - self.in_flight_bytes < size:
                 break
             chunk = buffer.pop(size)
@@ -598,7 +594,7 @@ class TcpConnection:
         if self._time_wait_timer is not None:
             self._time_wait_timer.cancel()
         self._time_wait_timer = self.sim.after(
-            self.time_wait_ns, lambda: self._enter_closed(notify=True), "tcp:time-wait"
+            DEFAULT_TIME_WAIT_NS, lambda: self._enter_closed(notify=True), "tcp:time-wait"
         )
 
     def _enter_closed(self, notify: bool) -> None:

@@ -32,8 +32,3 @@ def seq_gt(a: int, b: int) -> bool:
 
 def seq_ge(a: int, b: int) -> bool:
     return seq_diff(a, b) >= 0
-
-
-def seq_between(low: int, value: int, high: int) -> bool:
-    """True when ``low < value <= high`` in wrapped sequence space."""
-    return seq_lt(low, value) and seq_le(value, high)

@@ -86,9 +86,6 @@ class TraceRecorder:
             out.append(record)
         return out
 
-    def tcp_records(self) -> List[TraceRecord]:
-        return [r for r in self.records if r.view.tcp is not None]
-
     def render(self, records: Optional[Iterable[TraceRecord]] = None) -> str:
         """Multi-line text dump of *records* (default: everything)."""
         lines = [r.render() for r in (self.records if records is None else records)]

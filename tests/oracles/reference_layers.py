@@ -24,7 +24,7 @@ from repro.net.ip import Ipv4Packet
 from repro.net.tcp_segment import TcpSegment
 from repro.net.udp import UdpDatagram
 from repro.rll.frames import KIND_ACK, KIND_DATA, RllFrame, seq_add, seq_diff
-from repro.rll.layer import RllLayer
+from repro.rll.layer import DEFAULT_WINDOW, RllLayer
 from repro.stack import ipstack, udp_stack
 from repro.tcp import layer as tcp_layer
 
@@ -79,7 +79,7 @@ def _rll_on_send(self, frame_bytes):
     dst = parsed.dst
     frame = parsed
     peer = self._peer(dst)
-    if peer.unacked >= self.window_size:
+    if peer.unacked >= DEFAULT_WINDOW:
         peer.backlog.append(frame)
         if self._m_backlog is not None:
             self._m_backlog.set(len(peer.backlog))

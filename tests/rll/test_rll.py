@@ -5,7 +5,7 @@ import pytest
 from repro.errors import PacketError
 from repro.net import EthernetFrame
 from repro.net.topology import Topology
-from repro.rll import RllFrame, RllLayer, KIND_ACK, KIND_DATA
+from repro.rll import DEFAULT_WINDOW, RllFrame, RllLayer, KIND_ACK, KIND_DATA
 from repro.rll.frames import SEQ_MOD, seq_diff
 from repro.sim import Simulator, ms, seconds
 from repro.stack import FREE, Host
@@ -50,7 +50,7 @@ class TestRllFrames:
         assert seq_diff(SEQ_MOD - 1, 1) == -2
 
 
-def build_rll_pair(seed=7, bit_error_rate=0.0, window=8):
+def build_rll_pair(seed=7, bit_error_rate=0.0):
     sim = Simulator(seed=seed)
     topo = Topology(sim)
     topo.add_link("l0", bit_error_rate=bit_error_rate, queue_frames=512)
@@ -59,7 +59,7 @@ def build_rll_pair(seed=7, bit_error_rate=0.0, window=8):
     layers = []
     for h in (h1, h2):
         h.learn_neighbors([h1, h2])
-        layer = RllLayer(sim, window=window)
+        layer = RllLayer(sim)
         h.chain.splice_above_driver(layer)
         layers.append(layer)
     topo.connect("l0", h1.nic, h2.nic)
@@ -93,14 +93,15 @@ class TestReliability:
         assert layers[0].retransmissions > 0  # and the RLL really recovered
 
     def test_window_backpressure(self):
-        sim, h1, h2, layers = build_rll_pair(window=4)
+        sim, h1, h2, layers = build_rll_pair()
         got = []
         h2.udp.bind(9).on_receive = lambda p, ip, port: got.append(p)
         sender = h1.udp.bind(0)
-        for i in range(64):
+        for i in range(DEFAULT_WINDOW + 4):
             sender.sendto(bytes([i]) + bytes(100), h2.ip, 9)
+        assert [len(peer.backlog) for peer in layers[0]._peers.values()] == [4]
         sim.run_until(seconds(2))
-        assert len(got) == 64  # the backlog drains through the window
+        assert len(got) == DEFAULT_WINDOW + 4  # the backlog drains through the window
 
     def test_dead_peer_abandons_after_retry_cap(self):
         sim, h1, h2, layers = build_rll_pair()

@@ -54,10 +54,6 @@ class TestDistributions:
         values = {s.randint(1, 3) for _ in range(200)}
         assert values == {1, 2, 3}
 
-    def test_random_bytes_length(self):
-        s = RandomRegistry(3).stream("b")
-        assert len(s.random_bytes(17)) == 17
-
     def test_exponential_mean_reasonable(self):
         s = RandomRegistry(3).stream("e")
         samples = [s.exponential(100.0) for _ in range(2000)]

@@ -321,7 +321,7 @@ class FleetSim:
             workers=0,
             retries=retries,
             fail_fast=fail_fast,
-            watchdog=None,
+            task_timeout=None,
             on_row=self.landed.append,
             meta=self.meta,
             exports={task.index: export_task(task) for task in self.tasks},

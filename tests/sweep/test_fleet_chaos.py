@@ -347,7 +347,7 @@ class TestErrorFrames:
         landed = []
         tasks = _campaign("crash", 1).tasks()
         ctx = ExecutorContext(
-            workers=0, retries=1, fail_fast=False, watchdog=None, on_row=landed.append,
+            workers=0, retries=1, fail_fast=False, task_timeout=None, on_row=landed.append,
             exports={task.index: export_task(task) for task in tasks},
         )
         scheduler = FleetScheduler(tasks, ctx, ["a:1"])
@@ -697,20 +697,23 @@ class TestAuthRejection:
             sock.close()
             server.stop()
 
-    @pytest.mark.parametrize("watchdog", [[1], "x", {"timeout": "soon"}, {"timeout": 1}])
-    def test_a_malformed_hello_watchdog_is_refused_not_fatal(self, watchdog):
-        """Before AUTH, too: a HELLO whose watchdog does not parse gets BYE,
-        and the worker serves the next parent (it used to raise out of
-        ``serve_forever``)."""
+    @pytest.mark.parametrize("task_timeout", [[1], "x", -1, {"timeout": 1}])
+    def test_a_malformed_hello_task_timeout_is_refused_not_fatal(self, task_timeout):
+        """Before AUTH, too: a HELLO whose task_timeout is not a positive
+        number or null gets BYE, and the worker serves the next parent."""
         server = WorkerServer(slots=1)
         thread = self._serve(server)
         sock = socket.create_connection((server.host, server.port), timeout=10)
         try:
-            hello = {"version": PROTOCOL_VERSION, "nonce": _fresh_nonce(), "watchdog": watchdog}
+            hello = {
+                "version": PROTOCOL_VERSION,
+                "nonce": _fresh_nonce(),
+                "task_timeout": task_timeout,
+            }
             sock.sendall(encode_frame(MSG_HELLO, _json_payload(hello)))
             mtype, payload = read_frame(sock)
             assert mtype == MSG_BYE
-            assert "malformed watchdog" in _parse_json(payload, "BYE")["error"]
+            assert "malformed task_timeout" in _parse_json(payload, "BYE")["error"]
             spec = SweepSpec("after", base_seed=2).add("a", ok_task)
             assert run_sweep(spec, backend="tcp", hosts=[(server.host, server.port)]).passed
             assert thread.is_alive()
@@ -732,30 +735,38 @@ class TestAuthRejection:
             assert mtype == MSG_BYE
             error = _parse_json(payload, "BYE")["error"]
             assert "version mismatch" in error
-            assert "speaks 1" in error and "speaks 3" in error
+            assert "speaks 1" in error and "speaks 4" in error
         finally:
             sock.close()
             server.stop()
 
-    def test_v2_peers_are_refused_both_ways(self):
-        """A v2 parent (pickled cells) gets BYE from this worker, and a v2
-        worker's WELCOME is a refusal for this parent: each error names
-        both 2 and 3."""
+    def _refused_both_ways(self, old):
+        """A parent of protocol *old* gets BYE from this worker, and a
+        worker of *old* sends a WELCOME that is a refusal for this parent:
+        each error names both versions."""
         server = WorkerServer(slots=1)
         self._serve(server)
         sock = socket.create_connection((server.host, server.port), timeout=10)
         try:
-            sock.sendall(_hello(version=2))
+            sock.sendall(_hello(version=old))
             mtype, payload = read_frame(sock)
             assert mtype == MSG_BYE
             error = _parse_json(payload, "BYE")["error"]
-            assert "parent speaks 2" in error and "worker speaks 3" in error
+            assert f"parent speaks {old}" in error and "worker speaks 4" in error
         finally:
             sock.close()
             server.stop()
-        welcome = {"version": 2, "slots": 1, "nonce": _fresh_nonce(), "proof": ""}
-        with pytest.raises(Refused, match="worker speaks 2, parent speaks 3"):
+        welcome = {"version": old, "slots": 1, "nonce": _fresh_nonce(), "proof": ""}
+        with pytest.raises(Refused, match=f"worker speaks {old}, parent speaks 4"):
             answer_welcome(MSG_WELCOME, _json_payload(welcome), None, _fresh_nonce())
+
+    def test_v2_peers_are_refused_both_ways(self):
+        """v2 pickled its cells."""
+        self._refused_both_ways(2)
+
+    def test_v3_peers_are_refused_both_ways(self):
+        """v3 sent the watchdog as a {timeout, retries, backoff} object."""
+        self._refused_both_ways(3)
 
 
 # ---------------------------------------------------------------------------

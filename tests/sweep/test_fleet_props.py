@@ -98,7 +98,7 @@ class FleetMachine(RuleBasedStateMachine):
             workers=0,
             retries=retries,
             fail_fast=False,
-            watchdog=None,
+            task_timeout=None,
             on_row=self.landed.append,
             exports={task.index: export_task(task) for task in self.tasks},
         )

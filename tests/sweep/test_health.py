@@ -1,25 +1,19 @@
 """FleetHealth: scoring, quarantine backoff/decay, snapshots."""
 
-import pytest
+from repro.sweep.health import (
+    DECAY_ROWS,
+    FAILURE_THRESHOLD,
+    QUARANTINE_BASE_S,
+    QUARANTINE_CAP_S,
+    FleetHealth,
+)
 
-from repro.sweep import SweepError
-from repro.sweep.health import FleetHealth
 
-
-class TestConfigValidation:
-    def test_bad_threshold(self):
-        with pytest.raises(SweepError, match="failure_threshold"):
-            FleetHealth(failure_threshold=0)
-
-    def test_bad_backoff(self):
-        with pytest.raises(SweepError, match="base <= cap"):
-            FleetHealth(quarantine_base_s=0)
-        with pytest.raises(SweepError, match="base <= cap"):
-            FleetHealth(quarantine_base_s=5.0, quarantine_cap_s=1.0)
-
-    def test_bad_decay(self):
-        with pytest.raises(SweepError, match="decay_rows"):
-            FleetHealth(decay_rows=0)
+def _quarantine(health, address="w:1", now=0.0):
+    """Score failures up to the threshold; the last one's quarantine."""
+    for _ in range(FAILURE_THRESHOLD - 1):
+        assert health.record_failure(address, "loss", now=now) is None
+    return health.record_failure(address, "loss", now=now)
 
 
 class TestScoring:
@@ -27,80 +21,75 @@ class TestScoring:
         health = FleetHealth()
         assert health.record_connect("w:1") is False
         assert health.record_connect("w:1") is True  # now it is
-        assert health.known_workers() == ["w:1"]
 
     def test_failures_below_threshold_do_not_quarantine(self):
-        health = FleetHealth(failure_threshold=3)
-        assert health.record_failure("w:1", "loss", now=0.0) is None
-        assert health.record_failure("w:1", "loss", now=0.0) is None
+        health = FleetHealth()
+        for _ in range(FAILURE_THRESHOLD - 1):
+            assert health.record_failure("w:1", "loss", now=0.0) is None
         assert not health.is_quarantined("w:1", now=0.0)
 
     def test_threshold_crossing_quarantines(self):
-        health = FleetHealth(failure_threshold=2, quarantine_base_s=1.0)
-        assert health.record_failure("w:1", "loss", now=0.0) is None
-        assert health.record_failure("w:1", "loss", now=0.0) == 1.0
+        assert (FAILURE_THRESHOLD, QUARANTINE_BASE_S) == (3, 1.0)
+        health = FleetHealth()
+        assert _quarantine(health) == 1.0  # on the third failure
         assert health.is_quarantined("w:1", now=0.5)
         assert not health.is_quarantined("w:1", now=1.5)  # expired
         assert health.quarantine_remaining("w:1", now=0.25) == 0.75
 
     def test_rows_clear_the_failure_streak(self):
-        health = FleetHealth(failure_threshold=2)
-        health.record_failure("w:1", "error", now=0.0)
+        health = FleetHealth()
+        for _ in range(FAILURE_THRESHOLD - 1):
+            health.record_failure("w:1", "error", now=0.0)
         health.record_row("w:1", 0.1)  # streak reset
         assert health.record_failure("w:1", "error", now=0.0) is None
         assert not health.is_quarantined("w:1", now=0.0)
 
     def test_quarantine_backs_off_exponentially_and_caps(self):
-        health = FleetHealth(
-            failure_threshold=1, quarantine_base_s=1.0, quarantine_cap_s=3.0
-        )
-        assert health.record_failure("w:1", "loss", now=0.0) == 1.0
-        assert health.record_failure("w:1", "loss", now=10.0) == 2.0
-        assert health.record_failure("w:1", "loss", now=20.0) == 3.0  # capped
-        assert health.record_failure("w:1", "loss", now=30.0) == 3.0
+        assert QUARANTINE_CAP_S == 30.0
+        health = FleetHealth()
+        durations = [_quarantine(health, now=100.0 * k) for k in range(7)]
+        assert durations == [1.0, 2.0, 4.0, 8.0, 16.0, 30.0, 30.0]  # capped
 
     def test_good_rows_decay_the_quarantine_level(self):
-        health = FleetHealth(
-            failure_threshold=1, quarantine_base_s=1.0, decay_rows=2
-        )
-        health.record_failure("w:1", "loss", now=0.0)  # level 0 -> 1
-        health.record_row("w:1", 0.1)
-        health.record_row("w:1", 0.1)  # two good rows: level 1 -> 0
-        assert health.record_failure("w:1", "loss", now=100.0) == 1.0  # base again
+        assert DECAY_ROWS == 8
+        health = FleetHealth()
+        for address, rows in (("w:1", DECAY_ROWS), ("w:2", DECAY_ROWS - 1)):
+            _quarantine(health, address)  # level 0 -> 1
+            for _ in range(rows):
+                health.record_row(address, 0.1)
+        assert _quarantine(health, "w:1", now=100.0) == 1.0  # decayed: base again
+        assert _quarantine(health, "w:2", now=100.0) == 2.0  # one row short
 
     def test_reconnect_clears_quarantine(self):
-        health = FleetHealth(
-            failure_threshold=1, quarantine_base_s=60.0, quarantine_cap_s=60.0
-        )
-        health.record_failure("w:1", "loss", now=0.0)
-        assert health.is_quarantined("w:1", now=1.0)
+        health = FleetHealth()
+        _quarantine(health)
+        assert health.is_quarantined("w:1", now=0.5)
         health.record_connect("w:1")
-        assert not health.is_quarantined("w:1", now=1.0)
+        assert not health.is_quarantined("w:1", now=0.5)
 
     def test_workers_are_scored_independently(self):
-        health = FleetHealth(failure_threshold=1)
-        health.record_failure("w:1", "loss", now=0.0)
+        health = FleetHealth()
+        _quarantine(health)
         assert health.is_quarantined("w:1", now=0.1)
         assert not health.is_quarantined("w:2", now=0.1)
 
 
 class TestSnapshot:
     def test_snapshot_merges_metrics_and_quarantine_state(self):
-        health = FleetHealth(failure_threshold=2, quarantine_base_s=4.0)
+        health = FleetHealth()
         health.record_connect("w:1")
         health.record_row("w:1", 0.05)
         health.record_heartbeat("w:1", now=1.0)
         health.record_heartbeat("w:1", now=1.5)
-        health.record_failure("w:2", "loss", now=0.0)
-        health.record_failure("w:2", "loss", now=0.0)
-        snap = health.snapshot(now=1.0)
+        _quarantine(health, "w:2")
+        snap = health.snapshot(now=0.25)
         assert sorted(snap) == ["w:1", "w:2"]
         assert snap["w:1"]["fleet.rows"] == 1
         assert snap["w:1"]["fleet.heartbeats"] == 2
         assert snap["w:1"]["quarantined"] is False
-        assert snap["w:2"]["fleet.failures_loss"] == 2
+        assert snap["w:2"]["fleet.failures_loss"] == FAILURE_THRESHOLD
         assert snap["w:2"]["quarantined"] is True
-        assert snap["w:2"]["quarantine_remaining_s"] == 3.0
+        assert snap["w:2"]["quarantine_remaining_s"] == 0.75
         assert snap["w:2"]["fleet.quarantines"] == 1
 
     def test_heartbeat_jitter_feeds_a_histogram(self):

@@ -965,7 +965,7 @@ class TestWorkerSession:
         """Relay totality, slot side: the relay reads its slots through
         the one frame parser, and what fails it ends that session only."""
 
-        def babbling_slot(conn, inherited_fds, watchdog):
+        def babbling_slot(conn, inherited_fds, task_timeout):
             conn.sendall(b"these bytes are not a VWJP frame")
             time.sleep(30)
 

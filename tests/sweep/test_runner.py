@@ -418,7 +418,7 @@ class TestThreeBackends:
 
             def record(tasks, ctx):
                 assert sorted(vars(ctx)) == sorted(
-                    ["workers", "retries", "fail_fast", "watchdog", "on_row",
+                    ["workers", "retries", "fail_fast", "task_timeout", "on_row",
                      "hosts", "meta", "secret", "exports"]
                 )  # inputs only: nothing for an executor to write into
                 returned.append(run(tasks, ctx))

@@ -1,6 +1,7 @@
 """Task-watchdog tests: hung tasks become deterministic TIMEOUT rows
-(after bounded retry-with-backoff) instead of stalling the campaign."""
+(after one retry, 50 ms later) instead of stalling the campaign."""
 
+import threading
 import time
 
 import pytest
@@ -9,11 +10,11 @@ from repro.sweep import (
     SweepError,
     SweepResult,
     SweepSpec,
-    Watchdog,
     run_sweep,
     sleep_task,
 )
-from repro.sweep.runner import execute_task, timeout_error
+from repro.sweep.remote import WorkerServer
+from repro.sweep.runner import TIMEOUT_PAUSE_S, execute_task, timeout_error
 
 
 def _ok_task(task):
@@ -46,9 +47,7 @@ def _mixed_spec():
 class TestTimeoutRows:
     def test_hung_task_becomes_timeout_row_serial(self):
         started = time.monotonic()
-        outcome = run_sweep(
-            _mixed_spec(), backend="serial", task_timeout=0.2, timeout_retries=1
-        )
+        outcome = run_sweep(_mixed_spec(), backend="serial", task_timeout=0.2)
         assert time.monotonic() - started < 10.0  # did not hang
         row = outcome.row("hung")
         assert row.status == SweepResult.TIMEOUT
@@ -60,33 +59,44 @@ class TestTimeoutRows:
         assert outcome.row("ok0").ok and outcome.row("ok1").ok
 
     def test_serial_and_parallel_timeout_rows_are_byte_identical(self):
-        serial = run_sweep(
-            _mixed_spec(), backend="serial", task_timeout=0.2, timeout_retries=0
-        )
+        serial = run_sweep(_mixed_spec(), backend="serial", task_timeout=0.2)
         parallel = run_sweep(
             _mixed_spec(),
             backend="parallel",
             workers=2,
             task_timeout=0.2,
-            timeout_retries=0,
         )
         assert serial.canonical_bytes() == parallel.canonical_bytes()
         assert parallel.timed_out == 1
 
+    def test_tcp_timeout_rows_match_serial(self):
+        """HELLO's ``task_timeout`` reaches a worker's slots, which retry
+        and record exactly as serial does."""
+        server = WorkerServer(slots=2)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        try:
+            tcp = run_sweep(
+                _mixed_spec(),
+                backend="tcp",
+                hosts=[(server.host, server.port)],
+                task_timeout=0.2,
+            )
+        finally:
+            server.stop()
+        serial = run_sweep(_mixed_spec(), backend="serial", task_timeout=0.2)
+        assert tcp.canonical_bytes() == serial.canonical_bytes()
+        assert tcp.row("hung").attempts == 2
+
     def test_watchdog_defeats_exception_swallowers(self):
         spec = SweepSpec("swallow", base_seed=1).add("evil", _swallowing_task)
-        outcome = run_sweep(
-            spec, backend="serial", task_timeout=0.2, timeout_retries=0
-        )
+        outcome = run_sweep(spec, backend="serial", task_timeout=0.2)
         assert outcome.rows[0].status == SweepResult.TIMEOUT
 
     def test_sleep_task_is_the_ci_smoke_cell(self):
         spec = SweepSpec("smoke", base_seed=0).add(
             "hang", sleep_task, sleep_s=60.0
         )
-        outcome = run_sweep(
-            spec, backend="serial", task_timeout=0.2, timeout_retries=0
-        )
+        outcome = run_sweep(spec, backend="serial", task_timeout=0.2)
         assert outcome.rows[0].status == SweepResult.TIMEOUT
 
     def test_fast_tasks_are_untouched_by_the_watchdog(self):
@@ -107,7 +117,6 @@ class TestTimeoutRows:
             spec,
             backend="serial",
             task_timeout=0.2,
-            timeout_retries=0,
             fail_fast=True,
         )
         assert outcome.aborted
@@ -128,43 +137,28 @@ class TestRetryBackoff:
         flaky.calls = 0
         flaky.__module__, flaky.__qualname__ = __name__, "flaky"
         spec = SweepSpec("flaky", base_seed=1).add("cell", flaky)
-        outcome = run_sweep(
-            spec, backend="serial", task_timeout=0.3, timeout_retries=1
-        )
+        outcome = run_sweep(spec, backend="serial", task_timeout=0.2)
         row = outcome.rows[0]
         assert row.status == SweepResult.OK
         assert row.attempts == 2
         assert row.payload["call"] == 2
 
-    def test_execute_task_backoff_grows(self):
+    def test_execute_task_pauses_once_then_times_out(self):
         task = SweepSpec("t", base_seed=1).add("hang", _hang_task).tasks()[0]
-        watchdog = Watchdog(timeout=0.1, retries=2, backoff=0.05)
         started = time.monotonic()
-        row = execute_task(task, watchdog)
+        row = execute_task(task, 0.1)
         elapsed = time.monotonic() - started
         assert row.status == SweepResult.TIMEOUT
-        assert row.attempts == 3
-        assert row.error == timeout_error(watchdog)
-        # 3 deadlines + backoffs 0.05 and 0.10, with generous slack.
-        assert 0.40 <= elapsed < 5.0
-        assert row.wall_seconds >= 0.40
+        assert row.attempts == 2  # the first run and its one retry
+        assert row.error == timeout_error(0.1)
+        assert TIMEOUT_PAUSE_S == 0.05
+        assert "0.05s apart" in row.error_detail
+        # Two 0.1 s deadlines and the 50 ms pause between, with slack.
+        assert 0.25 <= elapsed < 5.0
+        assert row.wall_seconds >= 0.25
 
 
 class TestValidation:
     def test_bad_timeout_rejected(self):
         with pytest.raises(SweepError, match="task_timeout"):
             run_sweep(SweepSpec("s"), backend="serial", task_timeout=0.0)
-
-    def test_bad_timeout_retries_rejected(self):
-        with pytest.raises(SweepError, match="timeout_retries"):
-            run_sweep(
-                SweepSpec("s"), backend="serial",
-                task_timeout=1.0, timeout_retries=-1,
-            )
-
-    def test_bad_backoff_rejected(self):
-        with pytest.raises(SweepError, match="timeout_backoff"):
-            run_sweep(
-                SweepSpec("s"), backend="serial",
-                task_timeout=1.0, timeout_backoff=-0.5,
-            )

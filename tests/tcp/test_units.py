@@ -6,7 +6,7 @@ from repro.sim import JIFFY_NS, ms, seconds
 from repro.tcp.buffers import SendBuffer
 from repro.tcp.congestion import CongestionControl
 from repro.tcp.rto import MAX_RTO_NS, MIN_RTO_NS, RttEstimator
-from repro.tcp.seqmath import seq_add, seq_between, seq_diff, seq_gt, seq_le, seq_lt
+from repro.tcp.seqmath import seq_add, seq_diff, seq_gt, seq_le, seq_lt
 from repro.tcp.variants import (
     AggressiveSlowStart,
     EagerCongestionAvoidance,
@@ -33,12 +33,6 @@ class TestSeqMath:
         assert seq_lt(0xFFFFFFF0, 5)
         assert seq_gt(5, 0xFFFFFFF0)
         assert seq_le(7, 7)
-
-    def test_between(self):
-        assert seq_between(10, 11, 20)
-        assert seq_between(10, 20, 20)
-        assert not seq_between(10, 10, 20)
-        assert seq_between(0xFFFFFFF0, 2, 5)
 
 
 class TestSendBuffer:

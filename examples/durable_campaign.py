@@ -13,8 +13,8 @@ result cache (docs/SWEEP.md):
    mid-flight ``kill -9`` (tests/sweep/test_durability.py does the
    actual killing);
 3. **warm** — a fresh journal but the same cache directory: every cell
-   is served by its content-addressed fingerprint (task fn, knobs,
-   seed, and the compiled program's line-number-masked content hash).
+   is served by its content-addressed fingerprint (the SHA-256 of the
+   cell's canonical JSON: task fn, knobs, seed and script text).
 
 All three outcomes merge to byte-identical canonical rows — durability
 never changes results, only who has to recompute them.

@@ -51,7 +51,7 @@ def _tcp_script(node_table_fsl: str) -> str:
 def fig7_script() -> str:
     """The figure's (single) scenario script, for the canonical two-node
     testbed whose auto-generated addresses ``canonical_node_table`` mirrors
-    — campaigns compile it once in the parent and ship the program."""
+    — campaign cells carry it as their ``script`` param."""
     return _tcp_script(canonical_node_table(2))
 
 
@@ -64,8 +64,8 @@ def measure_point(
 ) -> Fig7Point:
     """Measure goodput at one offered rate.
 
-    *program* is an optional pre-compiled :func:`fig7_script` (the sweep
-    engine's compile-once path); without it the script is compiled here.
+    *program* is an optional compiled :func:`fig7_script` (a sweep cell's,
+    from the compile cache); without it the script is compiled here.
     """
     tb, node1, node2 = two_node_testbed(
         seed=seed,
@@ -126,7 +126,7 @@ def fig7_campaign(
                 seed=seed,
             )
             if with_vw:
-                params["script"] = script  # compiled once, shipped to workers
+                params["script"] = script  # each cell compiles it through the cache
             spec.add(label, fig7_point_task, **params)
     return spec
 

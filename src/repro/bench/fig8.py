@@ -132,8 +132,8 @@ def measure_point(
 ) -> Fig8Point:
     """Measure one (mode, n_filters) cell.
 
-    *program* is an optional pre-compiled :func:`fig8_script` (the sweep
-    engine's compile-once path).
+    *program* is an optional compiled :func:`fig8_script` (a sweep cell's,
+    from the compile cache).
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")

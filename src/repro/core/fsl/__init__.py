@@ -7,11 +7,8 @@ from .tokens import TokKind, Token, tokenize
 
 
 def compile_text(text: str, scenario_name=None):
-    """Parse and compile FSL source in one step; the program records the
-    source it came from (:attr:`CompiledProgram.source`)."""
-    program = compile_script(parse_script(text), scenario_name)
-    program.source = (text, scenario_name)
-    return program
+    """Parse and compile FSL source in one step."""
+    return compile_script(parse_script(text), scenario_name)
 
 
 __all__ = [

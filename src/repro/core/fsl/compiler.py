@@ -60,6 +60,10 @@ from .ast import (
     TrueAst,
 )
 
+#: The control plane's ``b`` field, signed 64-bit, carries counter values
+#: and restart delays: a literal outside it could never be sent.
+_CONTROL_RANGE = range(-(1 << 63), 1 << 63)
+
 _FAULT_KINDS = {
     "DROP": ActionKind.DROP,
     "DELAY": ActionKind.DELAY,
@@ -303,6 +307,16 @@ class _Compiler:
             f"{action.name}: expected a duration, got {value!r}", action.line
         )
 
+    @staticmethod
+    def _fits_control_plane(value: int, action: ActionAst) -> int:
+        if value not in _CONTROL_RANGE:
+            raise FslCompileError(
+                f"{action.name}: {value} is outside the control plane's signed "
+                f"64-bit range [-2^63, 2^63)",
+                action.line,
+            )
+        return value
+
     def _fault_spec(self, action: ActionAst) -> Tuple[str, str, str, Direction]:
         args = action.args
         if len(args) < 4:
@@ -350,7 +364,7 @@ class _Compiler:
                 kind=kind,
                 node=self.counters[counter_id].home_node,
                 counter_id=counter_id,
-                value=value,
+                value=self._fits_control_plane(value, action),
                 condition_id=condition_id,
             )
         elif name in _FAULT_KINDS:
@@ -437,7 +451,7 @@ class _Compiler:
                     "RESTART takes at most (node, delay)", action.line
                 )
             delay_ns = (
-                self._require_duration(action.args, 1, action)
+                self._fits_control_plane(self._require_duration(action.args, 1, action), action)
                 if len(action.args) > 1
                 else 0
             )

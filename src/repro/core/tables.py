@@ -21,7 +21,6 @@ from __future__ import annotations
 import dataclasses
 import enum
 import functools
-import hashlib
 import json
 import zlib
 from dataclasses import dataclass, field
@@ -489,9 +488,6 @@ class CompiledProgram:
     actions: List[ActionSpec]
     #: names of VAR declarations used by filter tuples.
     variables: Tuple[str, ...] = ()
-    #: the ``(FSL text, scenario name)`` :func:`repro.core.fsl.compile_text`
-    #: compiled this from, which the sweep job protocol ships.
-    source: Optional[Tuple[str, Optional[str]]] = field(default=None, compare=False, repr=False)
 
     def counter_by_name(self, name: str) -> CounterSpec:
         for spec in self.counters:
@@ -512,8 +508,10 @@ class CompiledProgram:
 
     def _canonical_rendering(self) -> bytes:
         """All six tables as canonical JSON, the same whatever the
-        ``PYTHONHASHSEED``; :attr:`source` and a condition's ``line`` are
-        not behaviour, so reformatting a script changes nothing here."""
+        ``PYTHONHASHSEED``.  A condition's ``line`` is behaviour — FLAG_ERROR
+        reports it — and is left out only because :meth:`checksum` compares
+        one object with itself: the control node's tables and the copy an
+        engine arms are the same compilation."""
         tables = (
             self.scenario_name, self.timeout_ns, self.filters.entries, self.nodes.entries,
             self.counters, self.terms, self.conditions, self.actions, self.variables,
@@ -529,18 +527,6 @@ class CompiledProgram:
         that tests the wrong thing.
         """
         return zlib.crc32(self._canonical_rendering())
-
-    def content_hash(self) -> str:
-        """SHA-256 hex digest of the canonical table rendering.
-
-        The program's content address: two compilations of the same script
-        text (even in different processes) share it, and any table-visible
-        edit changes it.  The sweep result cache and campaign journal key
-        rows on it (``repro.sweep.spec.task_fingerprint``), so editing one
-        scenario dirties exactly the cells that compiled from it, and the
-        job protocol names a shipped program by it.
-        """
-        return hashlib.sha256(self._canonical_rendering()).hexdigest()
 
 
 #: per table dataclass, the fields :func:`_plain` renders, in order.

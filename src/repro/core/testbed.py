@@ -96,7 +96,6 @@ class Testbed:
         name: str,
         mac: Optional[str] = None,
         ip: Optional[str] = None,
-        install_tcp: bool = True,
     ) -> Host:
         """Create a host; addresses are auto-generated when omitted."""
         if name in self.hosts:
@@ -108,7 +107,6 @@ class Testbed:
             mac if mac is not None else MacAddress.from_index(self._host_index),
             ip if ip is not None else IpAddress.from_index(self._host_index),
             costs=self.costs,
-            install_tcp=install_tcp,
         )
         self.hosts[name] = host
         for other in self.hosts.values():

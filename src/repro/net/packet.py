@@ -18,12 +18,6 @@ from .ip import PROTO_TCP, PROTO_UDP, Ipv4Packet
 from .tcp_segment import TcpSegment, flags_to_str
 from .udp import UdpDatagram
 
-#: Frame offsets used across the library (and in the paper's scripts).
-OFFSET_ETHERTYPE = 12
-OFFSET_IP = 14
-OFFSET_TRANSPORT = 34
-
-
 def build_udp_frame(
     src_mac: Union[str, MacAddress],
     dst_mac: Union[str, MacAddress],

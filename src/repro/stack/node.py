@@ -31,7 +31,6 @@ class Host:
         mac: Union[str, MacAddress],
         ip: Union[str, IpAddress],
         costs: Optional[CostModel] = None,
-        install_tcp: bool = True,
     ) -> None:
         self.sim = sim
         self.name = name
@@ -45,12 +44,10 @@ class Host:
             sim, self.chain.demux, self.nic.mac, IpAddress(ip), self.costs
         )
         self.udp = UdpLayer(sim, self.ip_layer, self.costs)
-        self.tcp = None
-        if install_tcp:
-            # Local import: repro.tcp builds on repro.stack, not vice versa.
-            from ..tcp.layer import TcpLayer
+        # Local import: repro.tcp builds on repro.stack, not vice versa.
+        from ..tcp.layer import TcpLayer
 
-            self.tcp = TcpLayer(sim, self, self.costs)
+        self.tcp = TcpLayer(sim, self, self.costs)
         self.rether = None  # installed on demand by repro.rether
         #: repro.analysis NodeMetrics when the testbed enabled metrics;
         #: layers check it in attached() to pre-resolve their handles.
@@ -135,14 +132,13 @@ class Host:
 
     def on_engine_started(self) -> None:
         """The local engine re-armed its tables after a reboot."""
-        if getattr(self, "_awaiting_resync", False):
+        if self._awaiting_resync:
             self._awaiting_resync = False
             for layer in self.chain.layers:
                 layer.on_host_resynced()
 
     def _wipe_soft_state(self) -> None:
-        if self.tcp is not None:
-            self.tcp.crash()
+        self.tcp.crash()
         self.udp.crash()
         for layer in self.chain.layers:
             layer.on_host_crash()

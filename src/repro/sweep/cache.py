@@ -2,10 +2,10 @@
 
 Re-running a 10k-cell grid after editing one scenario should re-execute
 one cell, not 10k.  :class:`ResultCache` stores each completed ``OK`` row
-under its cell's :func:`~repro.sweep.spec.task_fingerprint` — SHA-256 of
-``(program content hash, task fn name, canonical knobs, seed, cell
-identity)`` — so a warm re-run serves every clean cell from disk and
-executes exactly the dirty ones.  Cached rows re-enter the deterministic
+under its cell's :func:`~repro.sweep.spec.task_fingerprint` — the SHA-256
+of the cell's canonical JSON (task fn name, knobs with the script text
+byte for byte, seed, cell identity) — so a warm re-run serves every clean
+cell from disk and executes exactly the dirty ones.  Cached rows re-enter the deterministic
 task-order merge untouched: a warm outcome's ``canonical_bytes()`` is
 byte-identical to a cold full run (asserted in
 ``tests/sweep/test_cache.py``).
@@ -19,8 +19,9 @@ Policy:
   (temp file + ``os.replace``), so a crash mid-write can never serve a
   torn row; a corrupt entry is treated as a miss and deleted;
 * the store is content-addressed and append-only by nature — no
-  invalidation protocol.  Editing a script changes its program content
-  hash, which changes the fingerprint, which is simply a different key.
+  invalidation protocol.  Editing a script — reformatting included,
+  since FLAG_ERROR reports script lines — changes the fingerprint, which
+  is simply a different key.
 """
 
 from __future__ import annotations

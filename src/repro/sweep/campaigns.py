@@ -7,11 +7,11 @@ simulation, and returns a plain JSON-able payload.  Nothing is shared
 between tasks, so campaigns parallelise trivially and merge
 deterministically.
 
-:func:`run_script_task` is the workhorse: it executes a pre-compiled FSL
-program (compiled in the parent; a worker compiles its source once) on a testbed
-reconstructed from the program's own node table, with a declarative
-workload, optional Rether ring, control-plane loss, engine tuning and
-cost-model overrides.  The ``repro sweep`` CLI, the fault-matrix example,
+:func:`run_script_task` is the workhorse: it runs the cell's FSL script
+(compiled through the process's compile cache, which the parent warmed
+at enumeration) on a testbed reconstructed from the program's own node
+table, with a declarative workload, optional Rether ring, control-plane
+loss, engine tuning and cost-model overrides.  The ``repro sweep`` CLI, the fault-matrix example,
 the regression suite and the differential tests all run through it.
 """
 
@@ -68,14 +68,10 @@ def _check_script_params(params: Mapping[str, Any]) -> Optional[str]:
     return None
 
 
-def _require_program(task: SweepTask) -> CompiledProgram:
-    program = task.param("program")
-    if not isinstance(program, CompiledProgram):
-        raise SweepError(
-            f"task {task.name!r} needs a compiled program "
-            f"(pass script=... so the spec compiles it in the parent)"
-        )
-    return program
+def _compile(task: SweepTask) -> CompiledProgram:
+    """The cell's ``script`` (for its ``scenario``), through the process's
+    compile cache."""
+    return Testbed.compile_cached(task.params["script"], task.param("scenario"))
 
 
 def _install_workload(tb: Testbed, hosts: List, spec: Mapping[str, Any]):
@@ -147,20 +143,20 @@ def _install_workload(tb: Testbed, hosts: List, spec: Mapping[str, Any]):
 
 
 @reads_params(
-    "program", "seed", "costs", "medium", "medium_kwargs", "control", "rll", "capture",
+    "script", "scenario", "seed", "costs", "medium", "medium_kwargs", "control", "rll", "capture",
     "audit", "metrics", "control_loss", "rether", "rether_kwargs", "workload",
     "max_time_ns", "inactivity_ns",
     check=_check_script_params,
 )
 def run_script_task(task: SweepTask) -> Dict[str, Any]:
-    """Run one pre-compiled FSL program on a freshly built testbed.
+    """Run the cell's FSL ``script`` on a freshly built testbed.
 
     The topology is reconstructed from the program's node table (names and
     addresses exactly as the script declares them), every host on one
     medium, VirtualWire on all of them.  Returns the scenario report
     summary plus the effective seed.
     """
-    program = _require_program(task)
+    program = _compile(task)
     seed = int(task.param("seed", task.seed))
     costs = dataclasses.replace(CostModel(), **task.param("costs", {}))
     tb = Testbed(seed=seed, costs=costs)
@@ -218,17 +214,17 @@ def sleep_task(task: SweepTask) -> Dict[str, Any]:
     return {"slept_s": float(task.param("sleep_s", 3600.0)), "passed": True}
 
 
-@reads_params("program", "variant", "seed", "bytes", "max_time_ns")
+@reads_params("script", "scenario", "variant", "seed", "bytes", "max_time_ns")
 def tcp_variant_task(task: SweepTask) -> Dict[str, Any]:
-    """Run a pre-compiled script against one TCP congestion-control
-    variant — the script-reuse regression suite's cell.
+    """Run a script against one TCP congestion-control variant — the
+    script-reuse regression suite's cell.
 
-    Params: ``variant`` (a :data:`repro.tcp.VARIANTS` key), ``program``
+    Params: ``variant`` (a :data:`repro.tcp.VARIANTS` key), ``script``
     (the unchanged Fig 5 script), optional ``bytes``/``seed``.
     """
     from ..tcp import VARIANTS
 
-    program = _require_program(task)
+    program = _compile(task)
     variant_name = task.param("variant")
     if variant_name not in VARIANTS:
         raise SweepError(f"unknown TCP variant {variant_name!r}")
@@ -260,7 +256,7 @@ def tcp_variant_task(task: SweepTask) -> Dict[str, Any]:
     return payload
 
 
-@reads_params("offered_mbps", "with_virtualwire", "duration_ns", "seed", "program")
+@reads_params("offered_mbps", "with_virtualwire", "duration_ns", "seed", "script", "scenario")
 def fig7_point_task(task: SweepTask) -> Dict[str, Any]:
     """One Fig 7 cell: goodput at one offered rate (see repro.bench.fig7)."""
     from ..bench.fig7 import measure_point
@@ -270,12 +266,14 @@ def fig7_point_task(task: SweepTask) -> Dict[str, Any]:
         bool(task.param("with_virtualwire")),
         duration_ns=int(task.param("duration_ns")),
         seed=int(task.param("seed", 0)),
-        program=task.param("program"),
+        program=_compile(task) if "script" in task.params else None,
     )
     return dataclasses.asdict(point)
 
 
-@reads_params("mode", "n_filters", "baseline_rtt_ns", "probes", "payload", "seed", "program")
+@reads_params(
+    "mode", "n_filters", "baseline_rtt_ns", "probes", "payload", "seed", "script", "scenario"
+)
 def fig8_point_task(task: SweepTask) -> Dict[str, Any]:
     """One Fig 8 cell: mean echo RTT for (mode, n_filters)."""
     from ..bench.fig8 import measure_point
@@ -287,6 +285,6 @@ def fig8_point_task(task: SweepTask) -> Dict[str, Any]:
         probes=int(task.param("probes", 50)),
         payload=int(task.param("payload", 1000)),
         seed=int(task.param("seed", 0)),
-        program=task.param("program"),
+        program=_compile(task) if "script" in task.params else None,
     )
     return dataclasses.asdict(point)

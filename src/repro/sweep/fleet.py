@@ -70,7 +70,6 @@ from .wire import (
     ProtocolError,
     _parse_json,
     encode_frame,
-    program_frame,
     task_frame,
 )
 
@@ -141,7 +140,6 @@ class _Worker:
     #: when the last complete frame arrived.
     last_seen: float
     idle: int = 0
-    pushed: Set[str] = field(default_factory=set)
     #: task index -> when it was dispatched on THIS connection.
     inflight: Dict[int, float] = field(default_factory=dict)
     buffer: FrameBuffer = field(default_factory=FrameBuffer)
@@ -492,15 +490,9 @@ class FleetScheduler:
         return actions
 
     def _assign(self, address: str, worker: _Worker, index: int, now: float) -> None:
-        """Ship one cell to one idle slot — the bytes ``run_sweep``
-        encoded, the same on every retry and hedge — preceded by any
-        program this connection has not seen."""
-        payload, programs = self.ctx.exports[index]
-        unseen = [content for content in programs if content not in worker.pushed]
-        frames = [program_frame(content, programs[content]) for content in unseen]
-        frames.append(task_frame(payload))
-        self._out.extend(Send(address, frame) for frame in frames)
-        worker.pushed.update(unseen)
+        """Ship one cell to one idle slot: the bytes ``run_sweep`` encoded,
+        the same on every retry and hedge."""
+        self._out.append(Send(address, task_frame(self.ctx.exports[index])))
         worker.idle -= 1
         worker.inflight[index] = now
         self._started.setdefault(index, now)

@@ -1,12 +1,12 @@
 """The fleet backends' I/O: ``repro worker``, the slot process, the parent shell.
 
-The job protocol — frames, handshake, program shipping — is
+The job protocol — frames, handshake, cells — is
 :mod:`repro.sweep.wire`; every scheduling decision is the pure
 :class:`repro.sweep.fleet.FleetScheduler`.  What is left here is I/O:
 
 * the slot process (:func:`_slot_main`), the one kind of process that
   executes cells for ``parallel`` and ``tcp`` alike: one session
-  (:func:`_serve_session`: GET, heartbeat, PROGRAM / TASK / BYE in, ROW /
+  (:func:`_serve_session`: GET, heartbeat, TASK / BYE in, ROW /
   ERROR out) over its end of a private ``socketpair``, cells inline;
 * :class:`WorkerServer` (``repro worker``): the handshake, then a frame
   relay (:func:`_relay`) between the parent and ``slots`` such processes;
@@ -51,7 +51,6 @@ from .wire import (
     MSG_GET,
     MSG_HEARTBEAT,
     MSG_HELLO,
-    MSG_PROGRAM,
     MSG_ROW,
     MSG_TASK,
     MSG_WELCOME,
@@ -65,7 +64,6 @@ from .wire import (
     _parse_json,
     answer_welcome,
     casualty_frame,
-    decode_program,
     decode_task,
     encode_frame,
     hello_frame,
@@ -174,9 +172,8 @@ def _slot_main(
 def _serve_session(conn: socket.socket, task_timeout: Optional[float]) -> None:
     """A slot's session, the whole life of its process: ask for a cell
     (GET), run it inline, answer ROW — ERROR for a TASK that will not
-    decode, refused PROGRAMs' reasons included — and ask again, until BYE;
-    heartbeat in the background; keep the session's program store (a
-    program arrives at most once).  A TASK naming no cell ends it all."""
+    decode — and ask again, until BYE; heartbeat in the background.  A
+    TASK naming no cell ends it all."""
     send_lock = threading.Lock()
     get, beat = encode_frame(MSG_GET, b"{}"), encode_frame(MSG_HEARTBEAT, b"{}")
 
@@ -192,26 +189,17 @@ def _serve_session(conn: socket.socket, task_timeout: Optional[float]) -> None:
         except OSError:
             pass  # the owner is gone, and the main thread is finding out
 
-    programs: Dict[str, Any] = {}
-    refused: List[str] = []  # why PROGRAMs of this session did not load
     threading.Thread(target=heartbeat, daemon=True).start()
     send(get)
     while True:
         mtype, payload = read_frame(conn)
-        if mtype == MSG_PROGRAM:
+        if mtype == MSG_TASK:
             try:
-                content, program = decode_program(payload)
-                programs[content] = program
-            except ProtocolError as exc:
-                refused.append(str(exc))
-        elif mtype == MSG_TASK:
-            try:
-                task = decode_task(payload, programs)
+                task = decode_task(payload)
             except ProtocolError as exc:
                 # Report it instead of dying — the parent owns the
                 # retry/fail decision.
-                cause = "; ".join([str(exc), *refused])
-                send(casualty_frame(task_index(payload), f"undeliverable task ({cause})"))
+                send(casualty_frame(task_index(payload), f"undeliverable task ({exc})"))
             else:
                 row = execute_task(task, task_timeout)
                 send(encode_frame(MSG_ROW, _json_payload(row.to_record())))
@@ -236,7 +224,6 @@ class _RelaySlot:
     asking: bool  # the parent holds a GET of this slot's that no TASK has answered
     replaces_asker: bool  # its first GET is the one its predecessor died asking
     cell: Optional[int] = None  # what it was last handed, until its next GET
-    programs: int = 0  # how many of the session's PROGRAM frames it has been sent
     buffer: FrameBuffer = field(default_factory=FrameBuffer)
 
 
@@ -245,19 +232,17 @@ def _relay(
 ) -> None:
     """An authenticated ``repro worker`` session: frames between the parent
     and *count* slot processes, on one selector; of a TASK it reads only
-    the cell index, and no PROGRAM is compiled here.
+    the cell index.
 
     Slot to parent, GET / HEARTBEAT / ROW / ERROR pass through whole.
     Parent to slot, a TASK goes to a slot whose GET is outstanding — the
     parent's pull protocol is the only scheduler, so there is no queue and
-    a TASK nobody asked for ends the session — behind the session's PROGRAM
-    frames that slot has not seen (kept, not broadcast: a slot busy with a
-    cell is not reading).  A slot's EOF is an ERROR frame for the one cell
-    it held and a fresh fork.  Every way out kills and reaps every slot.
+    a TASK nobody asked for ends the session.  A slot's EOF is an ERROR
+    frame for the one cell it held and a fresh fork.  Every way out kills
+    and reaps every slot.
     """
     selector = selectors.DefaultSelector()
     slots: List[_RelaySlot] = []
-    programs: List[bytes] = []
     from_parent = FrameBuffer()
 
     def fork(asking: bool) -> None:
@@ -267,17 +252,14 @@ def _relay(
         selector.register(sock, selectors.EVENT_READ, slots[-1])
 
     def to_slot(mtype: int, payload: bytes) -> None:
-        if mtype == MSG_PROGRAM:
-            programs.append(encode_frame(mtype, payload))
-        elif mtype == MSG_TASK:
+        if mtype == MSG_TASK:
             index = task_index(payload)
             slot = next((slot for slot in slots if slot.asking), None)
             if slot is None:
                 raise ProtocolError(f"TASK {index} arrived with no slot asking")
-            frames = programs[slot.programs:] + [encode_frame(mtype, payload)]
-            slot.asking, slot.cell, slot.programs = False, index, len(programs)
+            slot.asking, slot.cell = False, index
             try:
-                slot.sock.sendall(b"".join(frames))
+                slot.sock.sendall(encode_frame(mtype, payload))
             except OSError:
                 pass  # it has just died: its EOF, read next, reports the cell
         elif mtype not in (MSG_HEARTBEAT, MSG_GET):  # those: tolerated
@@ -336,9 +318,9 @@ class WorkerServer:
     then forks ``slots`` slot processes and relays frames between them
     and the parent (:func:`_relay`) until BYE or EOF, when every slot —
     idle or mid-cell — is killed and reaped.  The listening process
-    imports and compiles nothing a parent sends: PROGRAM and TASK frames
-    pass through to a slot, which exists only once the parent's HMAC
-    proof has verified.
+    imports and compiles nothing a parent sends: TASK frames pass through
+    to a slot, which exists only once the parent's HMAC proof has
+    verified.
 
     A slot process that hard-dies costs the cell it held and no other: the
     casualty goes upstream as an ERROR frame (charged to the cell's retry
@@ -445,8 +427,8 @@ class WorkerServer:
             return self._refuse(
                 conn,
                 f"protocol version mismatch: parent speaks {version}, "
-                f"worker speaks {PROTOCOL_VERSION} (v4 sends the task deadline "
-                f"as one number — upgrade both peers)",
+                f"worker speaks {PROTOCOL_VERSION} (v5 ships each cell's script "
+                f"in its TASK — upgrade both peers)",
             )
         parent_nonce = hello.get("nonce")
         if not isinstance(parent_nonce, str) or len(parent_nonce) < 16:

@@ -38,7 +38,6 @@ journal is already flushed per-row, and the outcome truthfully reports
 
 from __future__ import annotations
 
-import hashlib
 import os
 import signal
 import threading
@@ -390,8 +389,8 @@ class ExecutorContext:
     on; ``hosts`` / ``secret`` are ``tcp``'s raw fleet description
     (``None`` falls through to ``REPRO_SWEEP_HOSTS`` / ``_SECRET``);
     ``meta`` is the campaign's ``(name, base_seed)`` so remote workers
-    can label what they serve; ``exports`` holds each cell's
-    :func:`~repro.sweep.spec.export_task` form, sent as is by the fleet.
+    can label what they serve; ``exports`` holds each cell's TASK bytes
+    (:func:`~repro.sweep.spec.export_task`), sent as is by the fleet.
     """
 
     workers: int
@@ -402,7 +401,7 @@ class ExecutorContext:
     hosts: Optional[Any] = None
     meta: Optional[Dict[str, Any]] = None
     secret: Optional[Any] = None
-    exports: Dict[int, Tuple[bytes, Dict[str, Any]]] = field(default_factory=dict)
+    exports: Dict[int, bytes] = field(default_factory=dict)
 
 
 class SweepExecutor:
@@ -558,12 +557,11 @@ def run_sweep(
     # ------------------------------------------------------------------
     # Every cell encoded once, before a journal byte or a dial
     # ------------------------------------------------------------------
-    exports: Dict[int, Tuple[bytes, Dict[str, Any]]] = {}
+    exports: Dict[int, bytes] = {}
+    fingerprints: Dict[int, str] = {}
     if backend != "serial" or journal is not None or cache_dir is not None:
-        exports = {task.index: export_task(task) for task in tasks}
-    fingerprints = {
-        index: hashlib.sha256(payload).hexdigest() for index, (payload, _) in exports.items()
-    }
+        for task in tasks:
+            exports[task.index], fingerprints[task.index] = export_task(task)
 
     prefilled: Dict[int, SweepResult] = {}
     resumed = 0

@@ -15,13 +15,14 @@ Determinism contract (docs/SWEEP.md):
 
 * every task carries ``task.seed = derive_seed(base_seed, task.index)`` —
   a splitmix64 mix, stable across processes and Python versions;
-* FSL scripts named in case params (``script=``/``scenario=``) are compiled
-  **once in the parent** through :meth:`repro.core.testbed.Testbed.
-  compile_cached`; a worker receives the source and compiles it once
-  through the same cache, checked against the parent's content hash;
+* a cell carries its FSL text (``script=``, plus an optional
+  ``scenario=``) as a plain param; the task function compiles it through
+  :meth:`repro.core.testbed.Testbed.compile_cached`, which the parent
+  warms at enumeration, so a bad script fails before anything runs;
 * params and payloads are plain JSON-able values (tuples and enums are
-  coerced, anything that cannot be made deterministic is refused), and a
-  task function is found again by ``module:qualname``.
+  coerced, anything that cannot be made deterministic — a compiled
+  program included — is refused), and a task function is found again by
+  ``module:qualname``.
 """
 
 from __future__ import annotations
@@ -303,8 +304,8 @@ class SweepSpec:
 
     Cases are added one at a time (:meth:`add`) or as a Cartesian grid
     (:meth:`add_grid`); :meth:`tasks` freezes them into
-    :class:`SweepTask` s, deriving seeds and compiling any ``script``
-    params into shipped :class:`CompiledProgram` s.
+    :class:`SweepTask` s, deriving seeds and compiling each distinct
+    ``script`` param once.
     """
 
     def __init__(self, name: str, base_seed: int = 0) -> None:
@@ -326,8 +327,6 @@ class SweepSpec:
             )
         accepted = getattr(fn, "reads_params", None)
         if accepted is not None:
-            if "program" in accepted:  # tasks() compiles these two into it
-                accepted = accepted | {"script", "scenario"}
             unknown = sorted(set(params) - accepted)
             if unknown:
                 raise SweepError(
@@ -369,39 +368,31 @@ class SweepSpec:
     def tasks(self) -> List[SweepTask]:
         """Freeze the spec into ordered tasks.
 
-        Any case param pair ``script=<fsl text>`` (plus optional
-        ``scenario=<name>``) is replaced by ``program=<CompiledProgram>``,
-        compiled here — once per distinct source text, via the testbed's
-        shared compile cache.  Every other param goes to every backend as
-        :func:`coerce_jsonable` makes it, keys sorted: a tuple is a list on
-        ``serial`` too.
+        Every param goes to every backend as :func:`coerce_jsonable` makes
+        it, keys sorted: a tuple is a list on ``serial`` too.  A
+        ``script=<fsl text>`` (plus optional ``scenario=<name>``) stays in
+        the params — the cell's task function compiles it — and is compiled
+        here first through the testbed's shared compile cache, once per
+        distinct text, so a script that does not compile fails the campaign
+        at enumeration.
         """
-        from ..core.tables import CompiledProgram
         from ..core.testbed import Testbed  # local: sweep must stay importable early
 
         tasks: List[SweepTask] = []
         for index, case in enumerate(self._cases):
             params = {
-                key: value
-                if isinstance(value, CompiledProgram)
-                else coerce_jsonable(value, f"case {case['name']!r}: params.{key}")
-                for key, value in case["params"].items()
+                key: coerce_jsonable(value, f"case {case['name']!r}: params.{key}")
+                for key, value in sorted(case["params"].items())
             }
-            script = params.pop("script", None)
-            if script is not None:
-                scenario = params.pop("scenario", None)
-                if "program" in params:
-                    raise SweepError(
-                        f"case {case['name']!r}: give script= or program=, not both"
-                    )
-                params["program"] = Testbed.compile_cached(script, scenario)
+            if "script" in params:
+                Testbed.compile_cached(params["script"], params.get("scenario"))
             tasks.append(
                 SweepTask(
                     index=index,
                     name=case["name"],
                     seed=derive_seed(self.base_seed, index),
                     fn=case["fn"],
-                    params=dict(sorted(params.items())),
+                    params=params,
                 )
             )
         return tasks
@@ -452,46 +443,35 @@ def resolve_fn(name: str) -> TaskFn:
     return fn
 
 
-def export_task(task: "SweepTask") -> Tuple[bytes, Dict[str, Any]]:
-    """A cell's one encoding: ``(canonical JSON, programs by content hash)``.
+def export_task(task: "SweepTask") -> Tuple[bytes, str]:
+    """A cell's one encoding: ``(canonical JSON, its SHA-256)``.
 
-    The JSON (the TASK payload; its SHA-256 is :func:`task_fingerprint`)
-    is ``{"fn": "module:qualname", "index", "name", "params", "seed"}``, a
-    program as ``{"__program__": <content hash>}``.  :class:`SweepError`
-    names the cell and the function or param path that do not encode.
+    The JSON (the TASK payload) is ``{"fn": "module:qualname", "index",
+    "name", "params", "seed"}``, a script's text included; the digest is
+    the cell's :func:`task_fingerprint`.  :class:`SweepError` names the
+    cell and the function or param path that do not encode.
     """
-    from ..core.tables import CompiledProgram  # local: avoid import cycle
-
     fn = task.fn
     name = f"{getattr(fn, '__module__', None)}:{getattr(fn, '__qualname__', None)}"
-    programs: Dict[str, Any] = {}
-    params: Dict[str, Any] = {}
     try:
         if resolve_fn(name) is not fn:
             raise SweepError(f"{name} names another function")
-        for key, value in task.params.items():
-            if isinstance(value, CompiledProgram):
-                if value.source is None:
-                    raise SweepError(f"params.{key}: a program compiled from no FSL text")
-                content = value.content_hash()
-                programs[content] = value
-                value = {"__program__": content}
-            elif isinstance(value, Mapping) and "__program__" in value:
-                raise SweepError(f"params.{key}: the key '__program__' is reserved")
-            params[key] = coerce_jsonable(value, f"params.{key}")
+        params = coerce_jsonable(task.params, "params")
     except SweepError as exc:
         raise SweepError(f"task {task.index} ({task.name!r}) cannot be encoded: {exc}") from None
     body = {"fn": name, "index": task.index, "name": task.name, "params": params, "seed": task.seed}
-    return json.dumps(body, sort_keys=True, separators=(",", ":")).encode("utf-8"), programs
+    payload = json.dumps(body, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return payload, hashlib.sha256(payload).hexdigest()
 
 
 def task_fingerprint(task: "SweepTask") -> str:
-    """Content-addressed identity of one campaign cell: the SHA-256 of its
-    :func:`export_task` bytes, so it tracks a program's tables, not its
-    object or its script's formatting.  The result-cache key and the
-    journal's per-row identity check: a cell whose script, knobs, seed or
-    task function changed is re-executed; everything else replays."""
-    return hashlib.sha256(export_task(task)[0]).hexdigest()
+    """Identity of one campaign cell: the SHA-256 of its :func:`export_task`
+    bytes, so it covers the script text byte for byte — a reformatted
+    script moves FLAG_ERROR's reported lines, and its cells re-execute.
+    The result-cache key and the journal's per-row identity check: a cell
+    whose script, knobs, seed or task function changed is re-executed;
+    everything else replays."""
+    return export_task(task)[1]
 
 
 def tasks_of(spec_or_tasks: Any) -> List[SweepTask]:

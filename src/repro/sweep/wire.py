@@ -16,12 +16,12 @@ The CRC covers the type byte plus the payload, so a corrupted or
 truncated frame is detected before anything is decoded;
 :class:`FrameBuffer` is the one parser (magic, :data:`MAX_FRAME` and CRC
 are checked nowhere else).  Every payload is canonical JSON: a TASK is
-the cell's :func:`~repro.sweep.spec.export_task` bytes, a PROGRAM the FSL
-source the worker compiles again (:func:`decode_program`).
+the cell's :func:`~repro.sweep.spec.export_task` bytes, its FSL script
+text among the params.
 
 **Authentication** (since v2): a TASK names code for the worker to
 import and run, so a peer must prove knowledge of the fleet's pre-shared
-secret *before* any TASK or PROGRAM is decoded.  The handshake is a
+secret *before* any TASK is decoded.  The handshake is a
 mutual HMAC challenge/response folded into HELLO/WELCOME plus one AUTH
 frame::
 
@@ -47,10 +47,6 @@ empty key, preserving zero-config loopback fleets.  A peer with the wrong
 without ever decoding a TASK, a peer of another version is refused with a
 version mismatch — and the parent sees every such refusal as
 :class:`Refused`, the one failure redialling cannot heal.
-
-Program shipping is content-addressed: a TASK names each program by its
-:meth:`~repro.core.tables.CompiledProgram.content_hash`, and the parent
-pushes a PROGRAM to a worker at most once per campaign.
 """
 
 from __future__ import annotations
@@ -60,16 +56,17 @@ import hmac
 import json
 import struct
 import zlib
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from .spec import SweepError, SweepTask, resolve_fn
 
 MAGIC = b"VWJP"
 
 #: v2 added the authenticated handshake, v3 ships cells and programs as
-#: canonical JSON, v4 sends HELLO's task deadline as one number; any other
-#: version is refused with a version mismatch.
-PROTOCOL_VERSION = 4
+#: canonical JSON, v4 sends HELLO's task deadline as one number, v5 ships
+#: each cell's script inside its TASK (no PROGRAM frame); any other version
+#: is refused with a version mismatch.
+PROTOCOL_VERSION = 5
 
 #: frame payloads larger than this are protocol errors, not allocations.
 MAX_FRAME = 64 * 1024 * 1024
@@ -77,7 +74,6 @@ MAX_FRAME = 64 * 1024 * 1024
 MSG_HELLO = 1  # parent -> worker: version + nonce + campaign meta
 MSG_WELCOME = 2  # worker -> parent: version + slots + nonce + worker proof
 MSG_GET = 3  # worker -> parent: one idle slot requests one task
-MSG_PROGRAM = 4  # parent -> worker: content-addressed compiled program
 MSG_TASK = 5  # parent -> worker: one campaign cell
 MSG_ROW = 6  # worker -> parent: one completed result row
 MSG_HEARTBEAT = 7  # worker -> parent: liveness
@@ -285,39 +281,8 @@ def answer_welcome(
 
 
 # ---------------------------------------------------------------------------
-# Cells and content-addressed programs
+# Cells
 # ---------------------------------------------------------------------------
-
-
-def program_frame(content: str, program: Any) -> bytes:
-    """PROGRAM: the FSL source *program* was compiled from."""
-    script, scenario = program.source
-    shipment = {"hash": content, "script": script, "scenario": scenario}
-    return encode_frame(MSG_PROGRAM, _json_payload(shipment))
-
-
-def decode_program(payload: bytes) -> Tuple[str, Any]:
-    """A PROGRAM payload as ``(content hash, compiled program)``: the FSL
-    compiler (through the compile cache) is its one decoder, and a skew
-    between parent and worker, or a program changed after compiling,
-    fails the hash check.  :class:`ProtocolError` otherwise."""
-    from ..core.testbed import Testbed  # local: the parent never decodes one
-
-    shipment = _parse_json(payload, "PROGRAM")
-    content, script, scenario = map(shipment.get, ("hash", "script", "scenario"))
-    if not (isinstance(content, str) and isinstance(script, str)
-            and isinstance(scenario, (str, type(None)))):
-        raise ProtocolError("PROGRAM payload needs a string hash and script")
-    try:
-        program = Testbed.compile_cached(script, scenario)
-    except Exception as exc:  # noqa: BLE001 — whatever the compiler raises
-        raise ProtocolError(f"program {content[:12]}… does not compile here: {exc}") from None
-    if program.content_hash() != content:
-        raise ProtocolError(
-            f"program {content[:12]}… compiles here to {program.content_hash()[:12]}…: "
-            f"parent and worker compile differently, or it changed after compiling"
-        )
-    return content, program
 
 
 def task_frame(payload: bytes) -> bytes:
@@ -333,10 +298,10 @@ def task_index(payload: bytes) -> int:
     return index
 
 
-def decode_task(payload: bytes, programs: Mapping[str, Any]) -> SweepTask:
-    """A TASK payload back into its cell, programs taken from *programs*
-    (by content hash), the function resolved (:func:`resolve_fn`) only
-    outside :data:`_REFUSED_MODULES`.  :class:`ProtocolError` otherwise."""
+def decode_task(payload: bytes) -> SweepTask:
+    """A TASK payload back into its cell, the function resolved
+    (:func:`resolve_fn`) only outside :data:`_REFUSED_MODULES`.
+    :class:`ProtocolError` otherwise."""
     task = _parse_json(payload, "TASK")
     index, name, seed, fn, params = map(task.get, ("index", "name", "seed", "fn", "params"))
     if not (type(index) is int and index >= 0 and type(seed) is int and isinstance(name, str)
@@ -348,14 +313,6 @@ def decode_task(payload: bytes, programs: Mapping[str, Any]) -> SweepTask:
         function = resolve_fn(fn)
     except SweepError as exc:
         raise ProtocolError(f"TASK {index}: {exc}") from None
-    for key, value in params.items():
-        if isinstance(value, dict) and "__program__" in value:
-            content = value["__program__"]
-            params[key] = programs.get(content) if isinstance(content, str) else None
-            if params[key] is None:
-                raise ProtocolError(
-                    f"TASK {index} needs program {str(content)[:12]}…, which this slot does not hold"
-                )
     return SweepTask(index, name, seed, function, params)
 
 

@@ -13,9 +13,6 @@ from ..sim import Simulator
 from .congestion import CongestionControl
 from .connection import TcpConnection, TcpState
 
-#: Factory the layer calls to build a congestion module per connection.
-CongestionFactory = Callable[[], CongestionControl]
-
 _EPHEMERAL_BASE = 32768
 #: (local port, packed remote IP, remote port): hashed without leaving C.
 _ConnKey = Tuple[int, bytes, int]
@@ -29,12 +26,10 @@ class TcpListener:
         layer: "TcpLayer",
         port: int,
         on_accept: Optional[Callable[[TcpConnection], None]] = None,
-        congestion_factory: Optional[CongestionFactory] = None,
     ) -> None:
         self.layer = layer
         self.port = port
         self.on_accept = on_accept
-        self.congestion_factory = congestion_factory
         self.accepted = 0
         self.closed = False
 
@@ -44,12 +39,11 @@ class TcpListener:
             self.layer._listeners.pop(self.port, None)
 
     def _incoming_syn(self, packet: Ipv4Packet, seg: TcpSegment) -> TcpConnection:
-        factory = self.congestion_factory or self.layer.congestion_factory
         conn = self.layer._create_connection(
             local_port=self.port,
             remote_ip=packet.src,
             remote_port=seg.src_port,
-            congestion=factory(),
+            congestion=CongestionControl(),
         )
         conn.open_passive(seg)
         self.accepted += 1
@@ -65,7 +59,6 @@ class TcpLayer:
         self.sim = sim
         self.host = host
         self.costs = costs
-        self.congestion_factory: CongestionFactory = CongestionControl
         self._connections: Dict[_ConnKey, TcpConnection] = {}
         self._listeners: Dict[int, TcpListener] = {}
         self._next_ephemeral = _EPHEMERAL_BASE
@@ -96,7 +89,7 @@ class TcpLayer:
             local_port=local_port,
             remote_ip=remote_ip,
             remote_port=remote_port,
-            congestion=congestion or self.congestion_factory(),
+            congestion=congestion or CongestionControl(),
         )
         if on_established is not None:
             conn.on_established = on_established
@@ -107,12 +100,12 @@ class TcpLayer:
         self,
         port: int,
         on_accept: Optional[Callable[[TcpConnection], None]] = None,
-        congestion_factory: Optional[CongestionFactory] = None,
     ) -> TcpListener:
-        """Start accepting connections on *port*."""
+        """Start accepting connections on *port*; the server side always
+        runs the stock :class:`CongestionControl`."""
         if port in self._listeners:
             raise SocketError(f"TCP port {port} is already listening")
-        listener = TcpListener(self, port, on_accept, congestion_factory)
+        listener = TcpListener(self, port, on_accept)
         self._listeners[port] = listener
         return listener
 

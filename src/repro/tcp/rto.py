@@ -24,11 +24,11 @@ def _quantize(rto: int) -> int:
 class RttEstimator:
     """SRTT/RTTVAR tracking with exponential backoff on timeouts."""
 
-    def __init__(self, initial_rto_ns: int = INITIAL_RTO_NS) -> None:
+    def __init__(self) -> None:
         self._srtt = 0
         self._rttvar = 0
         self._has_sample = False
-        self._base_rto = initial_rto_ns
+        self._base_rto = INITIAL_RTO_NS
         self._backoff = 1
         self.samples = 0
         self.timeouts = 0

@@ -41,7 +41,6 @@ class EchoClient:
         self,
         host: Host,
         server_ip,
-        server_port: int = DEFAULT_PORT,
         payload_size: int = DEFAULT_PAYLOAD,
         probes: int = 100,
         timeout_ns: int = 1_000_000_000,
@@ -49,7 +48,6 @@ class EchoClient:
         self.host = host
         self.sim: Simulator = host.sim
         self.server_ip = server_ip
-        self.server_port = server_port
         self.payload_size = payload_size
         self.probes_target = probes
         self.timeout_ns = timeout_ns
@@ -73,7 +71,7 @@ class EchoClient:
         self._seq += 1
         payload = self._seq.to_bytes(4, "big") + bytes(self.payload_size - 4)
         self._sent_at = self.sim.now
-        self.socket.sendto(payload, self.server_ip, self.server_port)
+        self.socket.sendto(payload, self.server_ip, DEFAULT_PORT)
         self._timer = self.sim.after(self.timeout_ns, self._on_timeout, "echo:timeout")
 
     def _on_echo(self, payload: bytes, src_ip, src_port: int) -> None:

@@ -340,3 +340,51 @@ class TestCrashRestart:
     def test_crash_needs_exactly_one_node(self):
         with pytest.raises(FslCompileError):
             self._compile("((R = 1)) >> CRASH( node2, node3 );")
+
+
+class TestControlPlaneRange:
+    """Counter operands and restart delays travel in the control plane's
+    signed 64-bit ``b`` field; a literal outside it is a compile error
+    naming its line, not an OverflowError mid-run."""
+
+    @pytest.mark.parametrize(
+        "action",
+        [
+            "ASSIGN_CNTR( X, 9223372036854775808 )",
+            "INCR_CNTR( X, 9223372036854775808 )",
+            "DECR_CNTR( X, 99999999999999999999 )",
+            "RESTART( node2, 9223372036855 )",  # bare integers are ms
+        ],
+    )
+    def test_a_literal_past_2_63_names_its_line(self, action):
+        with pytest.raises(FslCompileError, match=r"signed 64-bit.*\(line 12,") as failure:
+            compile_scenario(f"X: (node1)\n(TRUE) >> {action};\n")
+        assert failure.value.line == 12
+
+    @staticmethod
+    def _mirrored(value):
+        """A node2 rule reading A, which lives on node1: A is mirrored to
+        node2 over the control plane."""
+        from repro.core.testbed import Testbed
+
+        tb = Testbed(seed=1)
+        hosts = [tb.add_host(f"node{i}") for i in (1, 2, 3)]
+        tb.add_switch("sw0")
+        tb.connect("sw0", *hosts)
+        tb.install_virtualwire(control="node1")
+        script = HEADER + f"""SCENARIO big
+  A: (node1)
+  B: (node2)
+  (TRUE) >> ASSIGN_CNTR( A, {value} );
+  ((B < A)) >> STOP;
+END
+"""
+        return tb.run_scenario(script)
+
+    def test_a_mirrored_counter_at_the_bound_runs(self):
+        report = self._mirrored(2**63 - 1)
+        assert report.passed and report.stop_node == "node2"
+
+    def test_a_mirrored_counter_past_the_bound_is_refused_before_the_run(self):
+        with pytest.raises(FslCompileError, match=r"ASSIGN_CNTR: 9223372036854775808 .*\(line 14,"):
+            self._mirrored(2**63)

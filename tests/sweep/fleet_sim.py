@@ -51,7 +51,6 @@ from repro.sweep.wire import (
     MSG_BYE,
     MSG_GET,
     MSG_HEARTBEAT,
-    MSG_PROGRAM,
     MSG_ROW,
     MSG_TASK,
     MSG_WELCOME,
@@ -64,7 +63,6 @@ from repro.sweep.wire import (
     _parse_json,
     answer_welcome,
     casualty_frame,
-    decode_program,
     decode_task,
     encode_frame,
     hello_frame,
@@ -128,7 +126,6 @@ class ModelWorker:
         self._epoch = 0  # bumps on kill: activity of a dead process never fires
         self._deferred: List[Callable[[], None]] = []
         self._buffer = FrameBuffer()
-        self._programs: Dict[str, Any] = {}
         self._nonces = 0
 
     # -- faults ---------------------------------------------------------
@@ -211,7 +208,6 @@ class ModelWorker:
     def _begin(self, conn: int) -> None:
         self.session = conn
         self._buffer = FrameBuffer()
-        self._programs = {}
 
     def serve(self, conn: int) -> None:
         """Serve *conn* with no handshake (a local slot's socketpair)."""
@@ -249,16 +245,13 @@ class ModelWorker:
             if frame is None:
                 return
             mtype, payload = frame
-            if mtype == MSG_PROGRAM:
-                content, program = decode_program(payload)
-                self._programs[content] = program
-            elif mtype == MSG_TASK:
+            if mtype == MSG_TASK:
                 self._on_task(conn, payload)
             elif mtype == MSG_BYE:
                 self.session = None
 
     def _on_task(self, conn: int, payload: bytes) -> None:
-        task = decode_task(payload, self._programs)
+        task = decode_task(payload)
         index = task.index
         self.tasks_seen += 1
         verdict = self.fleet.task_fault(self, index)
@@ -324,7 +317,7 @@ class FleetSim:
             task_timeout=None,
             on_row=self.landed.append,
             meta=self.meta,
-            exports={task.index: export_task(task) for task in self.tasks},
+            exports={task.index: export_task(task)[0] for task in self.tasks},
         )
         self.scheduler = FleetScheduler(self.tasks, self.ctx, list(self.workers))
         #: every action the scheduler emitted, stamped with virtual time.

@@ -6,7 +6,7 @@ are killed, frozen, cut, corrupted and restarted at scripted protocol
 events, each scenario asserting its outcome *and* byte-identity with the
 serial backend.  Three things keep real sockets and say so: one
 SIGKILL-and-restart-on-the-same-port rejoin, the authentication tests
-(no TASK or PROGRAM is decoded before AUTH verifies) and
+(no TASK is decoded before AUTH verifies) and
 ``--max-idle``.
 """
 
@@ -348,7 +348,7 @@ class TestErrorFrames:
         tasks = _campaign("crash", 1).tasks()
         ctx = ExecutorContext(
             workers=0, retries=1, fail_fast=False, task_timeout=None, on_row=landed.append,
-            exports={task.index: export_task(task) for task in tasks},
+            exports={task.index: export_task(task)[0] for task in tasks},
         )
         scheduler = FleetScheduler(tasks, ctx, ["a:1"])
         get = encode_frame(MSG_GET, b"{}")
@@ -570,22 +570,21 @@ class TestRefusal:
 
 
 # ---------------------------------------------------------------------------
-# Authentication: refused before any TASK or PROGRAM is decoded (real sockets)
+# Authentication: refused before any TASK is decoded (real sockets)
 # ---------------------------------------------------------------------------
 
 
-def _spy_on_decoders(monkeypatch, tmp_path):
-    """Log every TASK / PROGRAM decode to a file: they run in forked slot
-    processes, whose appends to a list here would never be seen."""
+def _spy_on_decoder(monkeypatch, tmp_path):
+    """Log every TASK decode to a file: they run in forked slot processes,
+    whose appends to a list here would never be seen."""
     log = tmp_path / "decoded"
-    for name in ("decode_task", "decode_program"):
 
-        def spy(*args, real=getattr(remote, name), name=name):
-            with open(log, "a", encoding="utf-8") as handle:
-                handle.write(name + "\n")
-            return real(*args)
+    def spy(payload, real=remote.decode_task):
+        with open(log, "a", encoding="utf-8") as handle:
+            handle.write("decode_task\n")
+        return real(payload)
 
-        monkeypatch.setattr(remote, name, spy)
+    monkeypatch.setattr(remote, "decode_task", spy)
     return log
 
 
@@ -604,8 +603,8 @@ class TestAuthRejection:
     def test_wrong_secret_parent_is_a_clear_sweep_error(self, monkeypatch, tmp_path):
         """Parent and worker disagree on the secret: the campaign fails
         with an error naming authentication, and the worker never decodes
-        a TASK or a PROGRAM."""
-        decoded = _spy_on_decoders(monkeypatch, tmp_path)
+        a TASK."""
+        decoded = _spy_on_decoder(monkeypatch, tmp_path)
         server = WorkerServer(slots=1, secret="alpha")
         self._serve(server)
         try:
@@ -633,7 +632,7 @@ class TestAuthRejection:
             server.stop()
 
     def test_matching_secret_serves_the_campaign(self, monkeypatch, tmp_path):
-        decoded = _spy_on_decoders(monkeypatch, tmp_path)  # the spies' control
+        decoded = _spy_on_decoder(monkeypatch, tmp_path)  # the spy's control
         server = WorkerServer(slots=2, secret="s3cret")
         self._serve(server)
         try:
@@ -658,7 +657,7 @@ class TestAuthRejection:
         """A raw peer that completes HELLO/WELCOME and then ships a TASK
         without proving the secret gets BYE — and the TASK, which names
         ``os:system``, is never decoded."""
-        decoded = _spy_on_decoders(monkeypatch, tmp_path)
+        decoded = _spy_on_decoder(monkeypatch, tmp_path)
         server = WorkerServer(slots=1, secret="s3cret")
         self._serve(server)
         sock = socket.create_connection((server.host, server.port), timeout=10)
@@ -735,7 +734,7 @@ class TestAuthRejection:
             assert mtype == MSG_BYE
             error = _parse_json(payload, "BYE")["error"]
             assert "version mismatch" in error
-            assert "speaks 1" in error and "speaks 4" in error
+            assert "speaks 1" in error and "speaks 5" in error
         finally:
             sock.close()
             server.stop()
@@ -752,12 +751,12 @@ class TestAuthRejection:
             mtype, payload = read_frame(sock)
             assert mtype == MSG_BYE
             error = _parse_json(payload, "BYE")["error"]
-            assert f"parent speaks {old}" in error and "worker speaks 4" in error
+            assert f"parent speaks {old}" in error and "worker speaks 5" in error
         finally:
             sock.close()
             server.stop()
         welcome = {"version": old, "slots": 1, "nonce": _fresh_nonce(), "proof": ""}
-        with pytest.raises(Refused, match=f"worker speaks {old}, parent speaks 4"):
+        with pytest.raises(Refused, match=f"worker speaks {old}, parent speaks 5"):
             answer_welcome(MSG_WELCOME, _json_payload(welcome), None, _fresh_nonce())
 
     def test_v2_peers_are_refused_both_ways(self):
@@ -767,6 +766,11 @@ class TestAuthRejection:
     def test_v3_peers_are_refused_both_ways(self):
         """v3 sent the watchdog as a {timeout, retries, backoff} object."""
         self._refused_both_ways(3)
+
+    def test_v4_peers_are_refused_both_ways(self):
+        """v4 named each program by a content hash and pushed it in a
+        PROGRAM frame, which this protocol no longer has."""
+        self._refused_both_ways(4)
 
 
 # ---------------------------------------------------------------------------

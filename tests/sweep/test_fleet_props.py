@@ -24,11 +24,11 @@ A second property runs whole campaigns on the ``parallel`` backend's
 topology (``fleet_sim.local_slots``) with a set of process-killing cells:
 each dies alone, exactly ``retries + 1`` times.
 
-The last ones hold the worker's two decoders to totality: arbitrary
-bytes, truncations and well-formed JSON with wrong-typed fields make
-``decode_task`` / ``decode_program`` raise ``ProtocolError`` and nothing
-else, and in a slot's session each such TASK or PROGRAM costs exactly
-one ERROR, for the cell that needed it, while the slot keeps serving.
+The last ones hold the worker's decoder to totality: arbitrary bytes,
+truncations and well-formed JSON with wrong-typed fields make
+``decode_task`` raise ``ProtocolError`` and nothing else, and in a slot's
+session each such TASK costs exactly one ERROR, for the cell it names,
+while the slot keeps serving.
 """
 
 import json
@@ -45,8 +45,6 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.core.testbed import Testbed
-from repro.scripts import canonical_node_table, tcp_congestion_script
 from repro.sweep import SweepSpec, fleet, remote
 from repro.sweep.fleet import _HEDGE_MAX_COPIES, Close, Dial, FleetScheduler, Send
 from repro.sweep.remote import read_frame
@@ -57,16 +55,13 @@ from repro.sweep.wire import (
     MSG_ERROR,
     MSG_GET,
     MSG_HEARTBEAT,
-    MSG_PROGRAM,
     MSG_ROW,
     MSG_TASK,
     ProtocolError,
     _json_payload,
     _parse_json,
-    decode_program,
     decode_task,
     encode_frame,
-    program_frame,
     task_frame,
     task_index,
 )
@@ -100,7 +95,7 @@ class FleetMachine(RuleBasedStateMachine):
             fail_fast=False,
             task_timeout=None,
             on_row=self.landed.append,
-            exports={task.index: export_task(task) for task in self.tasks},
+            exports={task.index: export_task(task)[0] for task in self.tasks},
         )
         self.scheduler = FleetScheduler(self.tasks, ctx, self.addresses)
         # Six tasks never yield the eight rows hedging waits for; two let
@@ -383,7 +378,7 @@ def test_a_poisoned_cell_dies_alone_on_local_slots(slots, retries, cells, poison
 
 
 # ---------------------------------------------------------------------------
-# The worker's decoders: total over bytes
+# The worker's decoder: total over bytes
 # ---------------------------------------------------------------------------
 
 _OK_CELL = {
@@ -391,8 +386,6 @@ _OK_CELL = {
     "params": {"knob": [1, {"a": None}]}, "seed": 9,
 }
 _TASK = _json_payload(_OK_CELL)
-_program = Testbed.compile_cached(tcp_congestion_script(canonical_node_table(2)))
-_PROGRAM = parse_frame(program_frame(_program.content_hash(), _program))[1]
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=6),
@@ -443,46 +436,13 @@ task_garbage = st.one_of(
         },
     ),
     bad_functions.map(lambda fn: _json_payload({**_OK_CELL, "fn": fn})),
-    json_values.map(
-        lambda ref: _json_payload({**_OK_CELL, "params": {"program": {"__program__": ref}}})
-    ),
 )
-
-program_garbage = st.one_of(
-    st.binary(max_size=80),
-    st.integers(0, len(_PROGRAM) - 1).map(lambda cut: _PROGRAM[:cut]),
-    _wrong(
-        json.loads(_PROGRAM),
-        {
-            "hash": lambda value: isinstance(value, str),
-            "script": lambda value: isinstance(value, str),
-            "scenario": lambda value: value is None or isinstance(value, str),
-        },
-    ),
-    st.text(max_size=40).map(
-        lambda script: _json_payload({"hash": "0" * 64, "script": script, "scenario": None})
-    ),
-    st.text(min_size=1, max_size=64).map(
-        lambda content: _json_payload({**json.loads(_PROGRAM), "hash": content})
-    ),
-)
-
 
 @settings(max_examples=300, deadline=None)
 @given(payload=task_garbage)
 def test_the_task_decoder_raises_protocol_error_and_nothing_else(payload):
     try:
-        decode_task(payload, {})
-    except ProtocolError:
-        return
-    raise AssertionError(f"decoded {payload!r}")
-
-
-@settings(max_examples=300, deadline=None)
-@given(payload=program_garbage)
-def test_the_program_decoder_raises_protocol_error_and_nothing_else(payload):
-    try:
-        decode_program(payload)
+        decode_task(payload)
     except ProtocolError:
         return
     raise AssertionError(f"decoded {payload!r}")
@@ -505,17 +465,8 @@ def _has_index(payload):
         return False
 
 
-undeliverable = st.one_of(
-    # An undecodable TASK that still names its cell.
-    task_garbage.filter(_has_index).map(lambda payload: [(MSG_TASK, payload)]),
-    # A PROGRAM that does not load, then the TASK that needs it.
-    program_garbage.map(
-        lambda payload: [
-            (MSG_PROGRAM, payload),
-            (MSG_TASK, _json_payload({**_OK_CELL, "params": {"program": {"__program__": "0" * 64}}})),
-        ]
-    ),
-)
+#: an undecodable TASK that still names its cell.
+undeliverable = task_garbage.filter(_has_index)
 
 
 @settings(max_examples=25, deadline=None)
@@ -527,12 +478,12 @@ def test_each_undeliverable_cell_costs_one_error_and_the_slot_serves_on(cells):
     session.start()
     try:
         assert _frames_until_get(ours) == [(MSG_GET, b"{}")]
-        for frames in cells:
-            ours.sendall(b"".join(encode_frame(mtype, payload) for mtype, payload in frames))
+        for cell in cells:
+            ours.sendall(task_frame(cell))
             (error, get) = _frames_until_get(ours)
             assert error[0] == MSG_ERROR and get[0] == MSG_GET
             report = _parse_json(error[1], "ERROR")
-            assert report["index"] == task_index(frames[-1][1])
+            assert report["index"] == task_index(cell)
             assert report["error"].startswith("worker died: undeliverable task (")
         ours.sendall(task_frame(_TASK))  # and a good cell still runs
         ((mtype, payload), get) = _frames_until_get(ours)

@@ -1,14 +1,15 @@
-"""The tcp backend: framing, program shipping, the three-way differential
+"""The tcp backend: framing, cell shipping, the three-way differential
 (serial vs pool vs tcp), fleet configuration and the failure model.
 
 Real sockets and processes where the thing under test *is* the socket or
-the process — the backend differential, journal + cache over tcp, program
-push, a slot death, a SIGKILLed server whose slots live on.  Everything
-that is a scheduling decision (server death, retry budget, whole-fleet
-loss, heartbeat silence, an unreachable fleet) runs in virtual time on
-``fleet_sim.py``.
+the process — the backend differential, journal + cache over tcp, one
+TASK frame per cell, a slot death, a SIGKILLed server whose slots live
+on.  Everything that is a scheduling decision (server death, retry
+budget, whole-fleet loss, heartbeat silence, an unreachable fleet) runs
+in virtual time on ``fleet_sim.py``.
 """
 
+import hashlib
 import json
 import multiprocessing
 import os
@@ -20,6 +21,7 @@ import time
 
 import pytest
 
+from repro.core.testbed import Testbed
 from repro.sweep import (
     HOSTS_ENV,
     SECRET_ENV,
@@ -33,7 +35,7 @@ from repro.sweep import (
 from repro.sweep import remote
 from repro.sweep.remote import WorkerServer, _fresh_nonce, read_frame
 from repro.sweep.runner import execute_task
-from repro.sweep.spec import export_task
+from repro.sweep.spec import export_task, task_fingerprint
 from repro.sweep.wire import (
     MAGIC,
     MAX_FRAME,
@@ -42,7 +44,6 @@ from repro.sweep.wire import (
     MSG_GET,
     MSG_HEARTBEAT,
     MSG_HELLO,
-    MSG_PROGRAM,
     MSG_ROW,
     MSG_TASK,
     MSG_WELCOME,
@@ -55,11 +56,9 @@ from repro.sweep.wire import (
     _json_payload,
     _parse_json,
     answer_welcome,
-    decode_program,
     decode_task,
     encode_frame,
     hello_frame,
-    program_frame,
     task_frame,
     task_index,
 )
@@ -363,7 +362,7 @@ class TestAuth:
 
 
 # ---------------------------------------------------------------------------
-# Content-addressed program shipping
+# Program shipping: a cell carries its script
 # ---------------------------------------------------------------------------
 
 
@@ -382,56 +381,46 @@ def _scripted_task():
 
 
 class TestProgramShipping:
-    def test_export_swaps_programs_for_refs(self):
+    def test_export_carries_the_script_text(self):
         task = _scripted_task()
-        payload, programs = export_task(task)
-        assert len(programs) == 1
-        (content,) = programs
+        payload, fingerprint = export_task(task)
         body = json.loads(payload)
-        assert body["params"]["program"] == {"__program__": content}
+        assert body["params"]["script"] == task.params["script"]
         assert body["fn"] == "repro.sweep.campaigns:run_script_task"
-        assert programs[content].content_hash() == content
-        # The original task is untouched (export must not mutate it).
-        assert programs[content] is task.params["program"]
+        assert fingerprint == hashlib.sha256(payload).hexdigest() == task_fingerprint(task)
 
     def test_resolve_restores_the_program(self):
         task = _scripted_task()
-        payload, programs = export_task(task)
-        (content,) = programs
-        shipped, program = decode_program(parse_frame(program_frame(content, programs[content]))[1])
-        assert shipped == content and program.content_hash() == content
-        resolved = decode_task(payload, {content: program})
-        assert resolved.params["program"] is program
+        resolved = decode_task(parse_frame(task_frame(export_task(task)[0]))[1])
+        assert resolved.params == task.params
         # A resolved task actually executes, to the serial row.
         row = execute_task(resolved)
         assert row.ok, row.error
         assert row.canonical() == execute_task(task).canonical()
 
-    def test_resolve_missing_program_is_protocol_error(self):
-        task = _scripted_task()
-        payload, _programs = export_task(task)
-        with pytest.raises(ProtocolError, match="does not hold"):
-            decode_task(payload, {})
-
     def test_plain_tasks_ship_no_programs(self):
         spec = SweepSpec("plain", base_seed=1).add("a", ok_task, knob=3)
-        payload, programs = export_task(spec.tasks()[0])
-        assert programs == {}
+        payload, _fingerprint = export_task(spec.tasks()[0])
         assert json.loads(payload)["params"] == {"knob": 3}
 
-    def test_a_program_that_compiles_differently_is_refused(self):
-        """Parent/worker version skew, or a program mutated after it was
-        compiled: the worker's compile of the source has another hash."""
+    def test_a_compiled_program_does_not_encode(self):
+        """Only a hand-built task can hold one (``SweepSpec.tasks`` refuses
+        it first); the error names the cell and the param's path."""
         task = _scripted_task()
-        _payload, programs = export_task(task)
-        (content,) = programs
-        program = programs[content]
-        forged = _json_payload({"hash": "0" * 64, "script": program.source[0], "scenario": None})
-        with pytest.raises(ProtocolError, match="compiles here to"):
-            decode_program(forged)
-        broken = _json_payload({"hash": content, "script": "SCENARIO (", "scenario": None})
-        with pytest.raises(ProtocolError, match="does not compile here"):
-            decode_program(broken)
+        task.params["program"] = Testbed.compile_cached(task.params["script"])
+        with pytest.raises(SweepError, match=r"task 0 \('cell'\).*params\.program: .*CompiledProgram"):
+            export_task(task)
+
+    def test_a_script_that_does_not_compile_here_is_a_failed_row(self):
+        """A TASK decodes whatever its script says; compiling is the cell's
+        work, so a script this slot cannot compile is the cell's FAILED
+        row, not a lost slot."""
+        body = {
+            "fn": "repro.sweep.campaigns:run_script_task", "index": 0, "name": "x",
+            "params": {"script": "SCENARIO ("}, "seed": 0,
+        }
+        row = execute_task(decode_task(_json_payload(body)))
+        assert row.status == row.FAILED and row.error.startswith("FslParseError")
 
     @pytest.mark.parametrize(
         "fn",
@@ -457,7 +446,7 @@ class TestProgramShipping:
         plain function going by exactly that module and qualname."""
         body = {"fn": fn, "index": 0, "name": "x", "params": {}, "seed": 0}
         with pytest.raises(ProtocolError, match="TASK 0"):
-            decode_task(_json_payload(body), {})
+            decode_task(_json_payload(body))
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +469,6 @@ class ScriptedWorker(threading.Thread):
         self.host, self.port = self.listener.getsockname()[:2]
         self.slots = slots
         self.frame_counts = {}
-        self.programs = {}
 
     def run(self):
         try:
@@ -518,11 +506,8 @@ class ScriptedWorker(threading.Thread):
             while True:
                 mtype, payload = read_frame(conn)
                 self.frame_counts[mtype] = self.frame_counts.get(mtype, 0) + 1
-                if mtype == MSG_PROGRAM:
-                    content, program = decode_program(payload)
-                    self.programs[content] = program
-                elif mtype == MSG_TASK:
-                    row = execute_task(decode_task(payload, self.programs))
+                if mtype == MSG_TASK:
+                    row = execute_task(decode_task(payload))
                     conn.sendall(
                         encode_frame(MSG_ROW, _json_payload(row.to_record()))
                     )
@@ -597,9 +582,9 @@ class TestLoopbackDifferential:
         assert outcome.passed
         assert len(outcome.rows) == 4
 
-    def test_program_pushed_once_per_worker(self):
-        """Six cells sharing one compiled program ship exactly one
-        PROGRAM frame: content-addressed push, keyed by content_hash."""
+    def test_each_cell_ships_in_one_task_frame(self):
+        """Six cells sharing one script ship six TASK frames, each carrying
+        the script, and nothing else but the closing BYE."""
         from repro.scripts import canonical_node_table, tcp_congestion_script
         from repro.sweep import run_script_task
 
@@ -617,8 +602,7 @@ class TestLoopbackDifferential:
         )
         worker.join(timeout=30)
         assert outcome.passed, outcome.render()
-        assert worker.frame_counts.get(MSG_TASK) == 6
-        assert worker.frame_counts.get(MSG_PROGRAM) == 1
+        assert worker.frame_counts == {MSG_TASK: 6, MSG_BYE: 1}
 
     def test_journal_and_cache_compose_with_tcp(self, fleet, tmp_path):
         """PR-6 durability plumbing is backend-agnostic: a journaled tcp

@@ -6,8 +6,10 @@ import re
 
 import pytest
 
+from repro.core import testbed as testbed_module
 from repro.core.tables import CompiledProgram
 from repro.core.testbed import Testbed
+from repro.errors import FslError
 from repro.scripts import canonical_node_table, tcp_congestion_script
 from repro.sweep import (
     SweepError,
@@ -19,6 +21,7 @@ from repro.sweep import (
     sleep_task,
     tcp_variant_task,
 )
+from repro.sweep import campaigns
 from repro.sweep.spec import SweepResult, coerce_jsonable
 
 
@@ -104,10 +107,15 @@ class TestDeclaredParams:
             SweepSpec("s").add_grid(run_script_task, axes={"seeds": [0, 1]}, script=self.SCRIPT)
 
     def test_script_and_scenario_stand_for_program(self):
+        """A cell names its program by its FSL text: ``script`` and
+        ``scenario`` are params like any other, declared by the functions
+        that compile them."""
         spec = SweepSpec("s").add("cell", run_script_task, script=self.SCRIPT, scenario=None)
-        assert isinstance(spec.tasks()[0].param("program"), CompiledProgram)
+        assert spec.tasks()[0].params["script"] is self.SCRIPT
         with pytest.raises(SweepError, match="'script'"):  # sleep_task reads no program
             SweepSpec("s").add("cell", sleep_task, script=self.SCRIPT)
+        with pytest.raises(SweepError, match="'program'"):
+            SweepSpec("s").add("cell", run_script_task, program=Testbed.compile_cached(self.SCRIPT))
 
     @pytest.mark.parametrize(
         "fn", [run_script_task, sleep_task, tcp_variant_task, fig7_point_task, fig8_point_task]
@@ -157,21 +165,32 @@ class TestDeclaredParams:
 
 class TestCompileOnce:
     def test_script_param_becomes_shared_program(self):
-        """Two cells naming the same script text ship the *same* compiled
-        object — one parse for the whole campaign."""
+        """Two cells naming the same script text compile to the *same*
+        object — one parse for the whole campaign, in the parent at
+        enumeration — and keep the text itself as their param."""
         script = tcp_congestion_script(canonical_node_table(2))
         spec = SweepSpec("c")
         spec.add("a", _noop_task, script=script)
         spec.add("b", _noop_task, script=script)
+        testbed_module._compile_cached.cache_clear()
         tasks = spec.tasks()
-        assert isinstance(tasks[0].param("program"), CompiledProgram)
-        assert tasks[0].param("program") is tasks[1].param("program")
-        assert tasks[0].param("script") is None  # consumed by the parent
+        assert testbed_module._compile_cached.cache_info().misses == 1
+        assert [task.params["script"] for task in tasks] == [script, script]
+        programs = [campaigns._compile(task) for task in tasks]
+        assert isinstance(programs[0], CompiledProgram) and programs[0] is programs[1]
+        assert testbed_module._compile_cached.cache_info().misses == 1
 
     def test_program_matches_direct_compile_cache(self):
         script = tcp_congestion_script(canonical_node_table(2))
-        spec = SweepSpec("c").add("a", _noop_task, script=script)
-        assert spec.tasks()[0].param("program") is Testbed.compile_cached(script)
+        spec = SweepSpec("c").add("a", _noop_task, script=script, scenario="TCP_SS_CA_algo")
+        assert campaigns._compile(spec.tasks()[0]) is Testbed.compile_cached(
+            script, "TCP_SS_CA_algo"
+        )
+
+    def test_a_script_that_does_not_compile_fails_at_enumeration(self):
+        spec = SweepSpec("c").add("a", _noop_task, script="SCENARIO (")
+        with pytest.raises(FslError):
+            spec.tasks()
 
     def test_params_are_handed_over_coerced_or_refused_naming_the_case(self):
         spec = SweepSpec("c").add("a", _noop_task, z=(1, _Colour.RED), a={"y": 0, "x": ()})
@@ -182,11 +201,14 @@ class TestCompileOnce:
             spec.tasks()
 
     def test_script_and_program_conflict(self):
+        """A compiled program is no param at all — not beside its script,
+        not alone: it is refused naming its path, on every backend."""
         script = tcp_congestion_script(canonical_node_table(2))
         program = Testbed.compile_cached(script)
-        spec = SweepSpec("c").add("a", _noop_task, script=script, program=program)
-        with pytest.raises(SweepError, match="not both"):
-            spec.tasks()
+        for params in (dict(script=script, program=program), dict(program=program)):
+            spec = SweepSpec("c").add("a", _noop_task, **params)
+            with pytest.raises(SweepError, match=r"case 'a': params\.program: .*CompiledProgram"):
+                spec.tasks()
 
 
 class _Colour(enum.Enum):

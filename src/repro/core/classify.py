@@ -13,8 +13,8 @@ the mechanism behind the paper's retransmission detectors (Fig 2,
 
 :class:`Classifier` consults a :class:`FilterIndex` compiled from the table
 (entries bucketed by their most selective exact tuple; mask/VAR-keyed
-entries in an ordered residual chain, each entry flattened into a
-match-program) so only entries that *could* match are examined.  The
+entries in an ordered residual chain; each chain generated as one
+matcher function) so only entries that *could* match are examined.  The
 **result is split from the cost**: it returns the same ``(packet_type,
 scanned)`` pair the linear scan would have produced, so the virtual-time
 cost model — and the Fig 8 linear-growth reproduction — is unchanged while
@@ -24,12 +24,15 @@ is the test oracle (``tests/oracles``); see docs/CLASSIFIER.md.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+import functools
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .tables import FilterEntry, FilterTable, FilterTuple, VarRef
 
 #: A bucket/chain element: the entry plus its position in file order.
 _Positioned = Tuple[int, FilterEntry]
+#: A chain's generated matcher: (classifier, frame) -> (name or None, scanned).
+Matcher = Callable[["ClassifierBase", bytes], Tuple[Optional[str], int]]
 
 
 class ClassifierBase:
@@ -100,43 +103,54 @@ class FilterIndex:
     pair that appears as an exact (integer, maskless) tuple in the largest
     number of entries (ties broken toward the lowest offset, then the
     narrowest field, for determinism).  Entries carrying such a tuple at
-    that field are bucketed by its pattern value; every other entry (mask
+    that field are bucketed by its pattern bytes; every other entry (mask
     or VAR at the discriminator, or no tuple there at all) joins the
     ordered **residual chain**, which must always be considered.
 
-    For each bucket value the merged candidate chain (bucket ∪ residual,
-    sorted by original entry position) is precomputed, so classification is
-    one field read plus one dict lookup plus a walk over a — typically
-    tiny — chain.  Skipping a bucketed entry with a different discriminator
-    value is always sound: its exact tuple compares unequal, so the linear
-    scan would have rejected it too.
+    For each bucket the merged candidate chain (bucket ∪ residual, sorted by
+    original entry position) is precomputed, so classification is one slice
+    of the frame plus one dict lookup.  Skipping a bucketed entry with
+    different discriminator bytes is always sound: its exact tuple compares
+    unequal, so the linear scan would have rejected it too.  A frame too
+    short for the discriminator slices fewer bytes than any key and gets
+    the residual chain, whose entries need no discriminator.
 
-    :attr:`programs` holds each entry's flattened match-program by file
-    position, so index and programs are one artefact per table
+    Each chain runs as one generated **matcher** (:attr:`matchers`, and
+    :attr:`residual_matcher`), built the first time a frame selects the
+    chain and shared by every classifier of the table
     (:attr:`FilterTable.index`).
     """
 
     def __init__(self, table: FilterTable) -> None:
         self.size = len(table.entries)
-        self.programs = [_compile_entry(entry) for entry in table.entries]
         self.key_field: Optional[Tuple[int, int]] = self._pick_key_field(table.entries)
+        offset, nbytes = self.key_field or (0, 0)
+        #: the discriminator's bytes of a frame: ``data[index.key]``.
+        self.key = slice(offset, offset + nbytes)
         self.residual: List[_Positioned] = []
-        buckets: Dict[int, List[_Positioned]] = {}
+        buckets: Dict[bytes, List[_Positioned]] = {}
         for position, entry in enumerate(table.entries):
             key = self._key_pattern(entry)
             if key is None:
                 self.residual.append((position, entry))
             else:
-                buckets.setdefault(key, []).append((position, entry))
-        #: value -> merged (bucket + residual) chain in file order.
-        self.chains: Dict[int, List[_Positioned]] = {
+                buckets.setdefault(key.to_bytes(nbytes, "big"), []).append((position, entry))
+        #: discriminator bytes -> merged (bucket + residual) chain in file order.
+        self.chains: Dict[bytes, List[_Positioned]] = {
             value: sorted(chain + self.residual) for value, chain in buckets.items()
         }
-        if self.key_field is not None:
-            self._key_offset, key_nbytes = self.key_field
-            self._key_end = self._key_offset + key_nbytes
-        else:
-            self._key_offset = self._key_end = 0
+        #: discriminator bytes -> the chain's matcher (first a :func:`stub`).
+        self.matchers: Dict[bytes, Matcher] = {}
+        for value, chain in self.chains.items():
+            known = (offset, nbytes, int.from_bytes(value, "big"))
+            self.matchers[value] = stub(
+                functools.partial(_generate_matcher, chain, known, self.size),
+                functools.partial(self.matchers.__setitem__, value),
+            )
+        self.residual_matcher: Matcher = stub(
+            functools.partial(_generate_matcher, self.residual, None, self.size),
+            functools.partial(setattr, self, "residual_matcher"),
+        )
 
     @staticmethod
     def _pick_key_field(entries: Sequence[FilterEntry]) -> Optional[Tuple[int, int]]:
@@ -167,57 +181,113 @@ class FilterIndex:
 
     def chain_for(self, data: bytes) -> List[_Positioned]:
         """The candidate entries for *data*, in file order."""
-        if self.key_field is None:
-            return self.residual
-        if self._key_end > len(data):
-            # Truncated frame: no bucketed entry can match (its
-            # discriminator read fails), so only the residual remains.
-            return self.residual
-        value = int.from_bytes(data[self._key_offset : self._key_end], "big")
-        return self.chains.get(value, self.residual)
+        return self.chains.get(data[self.key], self.residual)
 
 
 # ---------------------------------------------------------------------------
-# The flattened match-program
+# The generated matcher
 # ---------------------------------------------------------------------------
 
-#: One flattened op: (offset, end, mask, pattern).  mask is None for an
-#: exact compare; for masked compares the pattern is stored pre-masked.
-_MatchOp = Tuple[int, int, Optional[int], int]
+
+def define(source: str, namespace: dict) -> dict:
+    """Run generated *source* with *namespace* as its only globals (the
+    one ``exec`` behind the classifier's matchers and the run-time's
+    kernels)."""
+    exec(compile(source, "<generated FIE code>", "exec"), namespace)
+    return namespace
 
 
-def _compile_entry(entry: FilterEntry) -> Optional[Tuple[_MatchOp, ...]]:
-    """Flatten one entry into a tuple of match ops, or None if it binds VARs.
+def int_literal(value: int) -> str:
+    """An int as source text (anything else cannot reach generated code)."""
+    if type(value) is not int:
+        raise TypeError(f"generated code takes ints only, got {value!r}")
+    return str(value)
 
-    VAR-bearing entries keep the interpreted :meth:`ClassifierBase._match`
-    path — binding order and first-match equality semantics live there —
-    so the bytecode only covers the (overwhelmingly common) exact and
-    masked tuples, where a plain predicate loop suffices.
+
+def stub(generate: Callable[[], Callable], install: Callable[[Callable], None]) -> Callable:
+    """A stand-in that, on its first call, generates the real function,
+    installs it in the stand-in's place and runs it: only what traffic
+    reaches is ever compiled."""
+
+    def first_call(*args):
+        function = generate()
+        install(function)
+        return function(*args)
+
+    return first_call
+
+
+def _generate_matcher(
+    chain: Sequence[_Positioned], known: Optional[Tuple[int, int, int]], size: int
+) -> Matcher:
+    """One chain as a function ``(classifier, data) -> (name, scanned)``.
+
+    Entries are tried in file order, each as one ``and`` of its tuples: an
+    exact tuple compares a slice of the frame with constant bytes (a slice
+    cut short by the frame's end compares unequal), a masked one reads an
+    int under its mask once the frame is long enough.  *known* is the
+    discriminator compare ``(offset, nbytes, pattern)`` that selected the
+    chain, left out wherever it recurs.  VAR-bearing entries keep the
+    interpreted :meth:`ClassifierBase._match`, where binding order and
+    first-match equality semantics live.  ``entries_examined_total``
+    grows by the entries tried, as a walk of the chain would.
+
+    The source holds only ints, bools, None and operators; the constant
+    bytes, entries and results are bound through the ``exec`` namespace.
     """
-    ops: List[_MatchOp] = []
-    for tup in entry.tuples:
-        if isinstance(tup.pattern, VarRef):
-            return None
-        if tup.mask is not None:
-            ops.append((tup.offset, tup.offset + tup.nbytes, tup.mask, tup.pattern & tup.mask))
-        else:
-            ops.append((tup.offset, tup.offset + tup.nbytes, None, tup.pattern))
-    return tuple(ops)
+    namespace: Dict[str, object] = {
+        "from_bytes": int.from_bytes, "BIG": "big", "MISS": (None, size)
+    }
+    constants: Dict[bytes, str] = {}
+    body: List[str] = []
+    reads_length = False
+    for examined, (position, entry) in enumerate(chain, 1):
+        scanned = int_literal(position + 1)
+        found = [f"    c.entries_examined_total += {int_literal(examined)}"]
+        if any(isinstance(tup.pattern, VarRef) for tup in entry.tuples):
+            namespace[f"E{examined}"] = entry
+            body += [f"b = c._match(E{examined}, data)", "if b is not None:"]
+            body += found + [f"    return c._matched(E{examined}, b, {scanned})"]
+            continue
+        tests = []
+        for tup in entry.tuples:
+            offset, end = int_literal(tup.offset), int_literal(tup.offset + tup.nbytes)
+            if tup.mask is None:
+                if (tup.offset, tup.nbytes, tup.pattern) == known:
+                    continue
+                pattern = tup.pattern.to_bytes(tup.nbytes, "big")
+                name = constants.setdefault(pattern, f"K{len(constants)}")
+                namespace[name] = pattern
+                tests.append(f"data[{offset}:{end}] == {name}")
+            else:
+                reads_length = True
+                mask, masked = int_literal(tup.mask), int_literal(tup.pattern & tup.mask)
+                if tup.nbytes == 1:
+                    tests.append(f"(n > {offset} and data[{offset}] & {mask} == {masked})")
+                else:
+                    value = f"from_bytes(data[{offset}:{end}], BIG)"
+                    tests.append(f"(n >= {end} and {value} & {mask} == {masked})")
+        namespace[f"R{examined}"] = (entry.name, position + 1)
+        body += [f"if {' and '.join(tests) or True}:"] + found + [f"    return R{examined}"]
+    if chain:
+        body.append(f"c.entries_examined_total += {int_literal(len(chain))}")
+    body.append("return MISS")
+    if reads_length:
+        body.insert(0, "n = len(data)")
+    source = "def match(c, data):\n" + "\n".join(f"    {line}" for line in body)
+    return define(source, namespace)["match"]
 
 
 class Classifier(ClassifierBase):
-    """Index-pruned candidates matched by flattened match-programs.
+    """Index-pruned candidates matched by generated code.
 
     Observationally identical to a linear scan in file order — same winner,
     same VAR bindings, and the same *scanned* count (the linear-equivalent
     position of the winner, or the full table size on a miss) so the
     engine's virtual-time cost model still charges the paper's linear
     scan.  Only ``entries_examined_total`` — the real Python-side work —
-    differs.  Each non-VAR entry is a tuple of ``(offset, end, mask,
-    pattern)`` ops evaluated in a tight local loop — no
-    :class:`FilterTuple` attribute access, no ``isinstance`` checks, and no
-    per-attempt bindings dict; entries with VAR patterns go through the
-    shared interpreted matcher.
+    differs.  Classification is one slice, one dict lookup and one call of
+    the selected chain's matcher (see :class:`FilterIndex`).
     """
 
     def __init__(self, filters: FilterTable) -> None:
@@ -226,25 +296,7 @@ class Classifier(ClassifierBase):
 
     def classify(self, data: bytes) -> Tuple[Optional[str], int]:
         index = self._index
-        programs = index.programs
-        n = len(data)
-        for position, entry in index.chain_for(data):
-            self.entries_examined_total += 1
-            ops = programs[position]
-            if ops is None:  # VAR entry: interpreted semantics
-                bindings = self._match(entry, data)
-                if bindings is not None:
-                    return self._matched(entry, bindings, position + 1)
-                continue
-            for offset, end, mask, pattern in ops:
-                if end > n:
-                    break
-                value = int.from_bytes(data[offset:end], "big")
-                if (value != pattern) if mask is None else (value & mask != pattern):
-                    break
-            else:
-                return entry.name, position + 1
-        return None, index.size
+        return index.matchers.get(data[index.key], index.residual_matcher)(self, data)
 
 
 def _read_field(data: bytes, tup: FilterTuple) -> Optional[int]:

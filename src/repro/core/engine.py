@@ -440,18 +440,22 @@ class VirtualWireEngine(FrameLayer, RuntimeHooks):
     def _on_counter_update(self, frame: EthernetFrame, message: ControlMessage) -> None:
         if self.runtime is None:
             return
-        if message.a >= len(self.program.counters):
+        # Only a counter this node mirrors has a remote home: any other
+        # value (its own counters included) is not this node's to take.
+        if message.a not in self.runtime.kernels.mirrored:
             raise ControlPlaneError(
-                f"{self.node_name}: COUNTER_UPDATE for unknown counter {message.a}"
+                f"{self.node_name}: COUNTER_UPDATE for counter {message.a}, "
+                "which this node does not mirror"
             )
         self.runtime.on_counter_update(message.a, message.b)
 
     def _on_term_status(self, frame: EthernetFrame, message: ControlMessage) -> None:
         if self.runtime is None:
             return
-        if message.a >= len(self.program.terms):
+        if message.a not in self.runtime.kernels.remote_terms:
             raise ControlPlaneError(
-                f"{self.node_name}: TERM_STATUS for unknown term {message.a}"
+                f"{self.node_name}: TERM_STATUS for term {message.a}, "
+                "which this node owns or does not consume"
             )
         self.runtime.on_term_status(message.a, bool(message.b))
 

@@ -524,9 +524,21 @@ class CompiledProgram:
         Carried in the INIT control frame (field ``b``) and re-computed by
         the receiving engine before the tables are armed, so a corrupted
         table shipment is NACKed instead of silently producing a scenario
-        that tests the wrong thing.
+        that tests the wrong thing.  Rendered once per program: the tables
+        are fixed once compiled.
         """
+        return self._checksum
+
+    @functools.cached_property
+    def _checksum(self) -> int:
         return zlib.crc32(self._canonical_rendering())
+
+    @functools.cached_property
+    def node_kernels(self) -> Dict[str, Any]:
+        """Per node name, the code generated for it from this program
+        (:class:`repro.core.runtime.NodeKernels`), filled on first use.
+        Like ``_checksum``, kept outside the dataclass fields."""
+        return {}
 
 
 #: per table dataclass, the fields :func:`_plain` renders, in order.

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.core.control import ControlMessage, ControlType
+from repro.core.fsl import compile_text
+from repro.core.tables import Direction
 from repro.errors import ControlPlaneError
 from repro.sim import ms, seconds
 from tests.conftest import make_testbed
@@ -108,6 +110,58 @@ class TestControlPlaneEdges:
             inactivity_ns=ms(50),
         )
         assert tb.engines["node2"].stats.packets_dropped == 0
+
+
+OWNERSHIP = """
+FILTER_TABLE
+  probe: (12 2 0x0800), (23 1 0x11), (36 2 0x0007)
+END
+{nodes}
+SCENARIO ownership
+  A: (probe, node2, node1, RECV)
+  B: (probe, node1, node2, RECV)
+  ((A = 100)) >> FLAG_ERROR;
+  ((B = 5)) >> RESET_CNTR( B );
+  ((B > 3)) >> INCR_CNTR( A, 1 );
+  ((A < B)) >> INCR_CNTR( A, 2 );
+END
+"""
+
+
+class TestControlInputsMustBeRemoteState:
+    """A COUNTER_UPDATE or TERM_STATUS may only carry state whose home is
+    another node: node1 owns A and the term (A = 100), node2 owns B and its
+    terms; node1 mirrors B for (A < B) and consumes (B > 3).  Anything else
+    is counted and dropped, so no control frame can inject a fault the
+    script did not."""
+
+    def test_only_mirrored_counters_and_consumed_remote_terms_are_taken(self):
+        tb, (n1, n2) = make_testbed(2, seed=6)
+        program = compile_text(OWNERSHIP.format(nodes=tb.node_table_fsl()))
+        engine = tb.engines["node1"]
+        engine.install_program(program)
+        engine.start_scenario()
+        runtime = engine.runtime
+        runtime.on_classified_packet("probe", "node2", "node1", Direction.RECV)
+        a, b = (program.counter_by_name(name).counter_id for name in "AB")
+        owned_term, remote_only, consumed, mirror = range(4)
+
+        def deliver(kind, first, second):
+            message = ControlMessage(kind, first, second)
+            engine._handle_control(message.wrap(n1.mac, n2.mac).to_bytes())
+
+        deliver(ControlType.COUNTER_UPDATE, a, 99)  # A is node1's own
+        for term_id in (owned_term, remote_only, mirror):
+            deliver(ControlType.TERM_STATUS, term_id, 1)
+        assert engine.control_rejected == 4
+        assert runtime.counter_value("A") == 1 and runtime.term_status == {}
+        runtime.on_classified_packet("probe", "node2", "node1", Direction.RECV)
+        assert runtime.counter_value("A") == 2  # the script's own count goes on
+
+        deliver(ControlType.COUNTER_UPDATE, b, 5)  # (A < B) holds: A += 2
+        deliver(ControlType.TERM_STATUS, consumed, 1)  # (B > 3) holds: A += 1
+        assert engine.control_rejected == 4
+        assert runtime.counter_value("A") == 2 + 2 + 1
 
 
 class TestFailedNodeEngine:

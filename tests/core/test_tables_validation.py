@@ -90,7 +90,12 @@ class TestIndexInvalidation:
         index = Classifier(table)._index
         assert Classifier(table)._index is index  # a second engine install compiles nothing
         assert table.index is index
-        assert len(index.programs) == index.size == 2
+        frame = (0x0806).to_bytes(2, "big")
+        assert Classifier(table).classify(frame) == ("b", 2)
+        matcher = index.matchers[frame]  # generated by that first classify
+        assert Classifier(table).classify(frame) == ("b", 2)
+        assert index.matchers[frame] is matcher
+        assert matcher.__name__ == "match"
 
     def test_classifiers_of_one_compiled_program_share_one_index(self):
         program = compile_text(tcp_congestion_script(canonical_node_table(2)))

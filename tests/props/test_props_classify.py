@@ -32,15 +32,18 @@ def filter_tuples(draw):
     nbytes = draw(st.sampled_from(WIDTHS))
     limit = 1 << (8 * nbytes)
     kind = draw(st.sampled_from(["exact", "exact", "masked", "var", "masked-var"]))
-    # Small pattern and mask pools: collisions between entries create the
-    # overlapping-definition cases where first-match priority matters.
-    mask = None
-    if kind.startswith("masked"):
-        mask = draw(st.integers(min_value=0, max_value=min(limit - 1, 7)))
+    # Mostly small pattern and mask pools: collisions between entries create
+    # the overlapping-definition cases where first-match priority matters.
+    # The rest span the whole field, so every byte of a compare is exercised
+    # and a masked pattern may carry bits outside its mask.
+    values = st.one_of(
+        st.integers(min_value=0, max_value=min(limit - 1, 7)),
+        st.integers(min_value=0, max_value=limit - 1),
+    )
+    mask = draw(values) if kind.startswith("masked") else None
     if kind.endswith("var"):
         return FilterTuple(offset, nbytes, VarRef(draw(st.sampled_from(VAR_NAMES))), mask=mask)
-    pattern = draw(st.integers(min_value=0, max_value=min(limit - 1, 7)))
-    return FilterTuple(offset, nbytes, pattern, mask=mask)
+    return FilterTuple(offset, nbytes, draw(values), mask=mask)
 
 
 @st.composite
@@ -144,3 +147,54 @@ def test_var_bind_then_match_sequence_is_identical():
             assert fast.classify(packet) == expected
             assert fast.vars == linear.vars
     assert linear.vars == {"SeqNo": 777}
+
+
+def _agree_on(table, frames):
+    linear = LinearClassifier(table)
+    fasts = [cls(table) for cls in FAST_KINDS]
+    for frame in frames:
+        expected = linear.classify(frame)
+        for fast in fasts:
+            assert fast.classify(frame) == expected, frame.hex()
+            assert fast.vars == linear.vars
+    return linear
+
+
+def test_masked_patterns_wider_than_their_field():
+    """A masked pattern's bits outside its mask never take part: the frame
+    compares under the mask with the pattern under the same mask."""
+    table = FilterTable(
+        [
+            FilterEntry("low", (FilterTuple(12, 2, 0xFF08, mask=0x00FF),)),
+            FilterEntry("wide", (FilterTuple(14, 4, 0xFFFFFFFF, mask=0x0F0000F0),)),
+            FilterEntry("key", (FilterTuple(12, 2, 0x0800), FilterTuple(20, 1, 0xF5, mask=0x0F))),
+        ]
+    )
+    frames = []
+    for high in (0x00, 0x08, 0xFF):
+        for tail in (bytes(6), b"\x0f\x00\x00\xf0\x05\x00", b"\xff" * 6):
+            frames.append(bytes(12) + bytes([high, 0x08]) + tail)
+            frames.append(bytes(12) + bytes([0x08, 0x00]) + tail + b"\x05")
+    linear = _agree_on(table, frames)
+    assert linear.classify(bytes(12) + b"\x00\x08") == ("low", 1)
+    assert linear.classify(bytes(12) + b"\x08\x00" + b"\x0f\x00\x00\xf0") == ("wide", 2)
+
+
+def test_frames_shorter_than_the_discriminator():
+    """A frame that ends before the discriminator field selects the residual
+    chain, and a tuple reading past the frame's end fails its entry only."""
+    table = FilterTable(
+        [
+            FilterEntry("deep_a", (FilterTuple(40, 2, 0x0800),)),
+            FilterEntry("deep_b", (FilterTuple(40, 2, 0x0806),)),
+            FilterEntry("masked", (FilterTuple(6, 2, 0x0100, mask=0xFF00),)),
+            FilterEntry("short", (FilterTuple(2, 1, 1),)),
+        ]
+    )
+    assert table.index.key_field == (40, 2)
+    body = bytes([0, 0, 1, 0, 0, 0, 1, 0]) + bytes(32) + b"\x08\x00"
+    frames = [body[:length] for length in range(len(body) + 1)]
+    _agree_on(table, frames)
+    assert Classifier(table).classify(body[:8]) == ("masked", 3)
+    assert Classifier(table).classify(body[:7]) == ("short", 4)
+    assert Classifier(table).classify(body) == ("deep_a", 1)

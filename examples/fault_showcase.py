@@ -62,7 +62,7 @@ def run(name: str, scenario: str) -> None:
     node2 = testbed.add_host("node2")
     testbed.add_switch("sw0")
     testbed.connect("sw0", node1, node2)
-    testbed.install_virtualwire(control="node1", capture=True)
+    testbed.install_virtualwire(control="node1", telemetry=True)
     script = HEADER.format(node_table=testbed.node_table_fsl()) + scenario
 
     arrivals = []

@@ -4,14 +4,14 @@
 When a scenario flags an error, the tester's next question is *why*.  This
 example runs the Fig 5 congestion-control scenario against a deliberately
 broken TCP (one that never switches to congestion avoidance), gets the
-FAIL verdict, and then reconstructs the story from the two diagnostic
-channels the testbed offers:
+FAIL verdict, and then reconstructs the story from two of the diagnostic
+channels that ``install_virtualwire(telemetry=True)`` switches on:
 
-* the **audit log** (``install_virtualwire(audit=True)``) — the engine's
-  own narrative: which rules fired, where, when, and the FLAG_ERROR that
-  decided the verdict;
-* the **wire capture** (``capture=True``) — a tcpdump-style view of the
-  packets around the failure instant, which shows the burst of data
+* the **audit log** (``testbed.audit_log``) — the engine's own narrative:
+  which rules fired, where, when, and the FLAG_ERROR that decided the
+  verdict;
+* the **wire capture** (``testbed.recorder``) — a tcpdump-style view of
+  the packets around the failure instant, which shows the burst of data
   segments the window model had no credit for.
 
 Run:  python examples/wire_debugging.py
@@ -31,7 +31,7 @@ def main() -> None:
     node2 = testbed.add_host("node2")
     testbed.add_switch("sw0")
     testbed.connect("sw0", node1, node2)
-    testbed.install_virtualwire(control="node1", capture=True, audit=True)
+    testbed.install_virtualwire(control="node1", telemetry=True)
 
     script = tcp_congestion_script(testbed.node_table_fsl())
     buggy = VARIANTS["bug-no-congestion-avoidance"]

@@ -127,35 +127,32 @@ class FrameJourney:
         return render_journeys([self.as_dict()])
 
 
-def correlate_journeys(recorder, audit_log=None) -> List["FrameJourney"]:
-    """Join tap captures (and audit decisions) into per-frame journeys.
+def correlate_journeys(recorder, audit_log) -> List["FrameJourney"]:
+    """Join tap captures and audit decisions into per-frame journeys.
 
-    *recorder* is a :class:`repro.trace.TraceRecorder`; *audit_log*, when
-    given, contributes every event that carries a frame digest (fault
-    applications).  The result is ordered by ``(first_ns, digest)`` —
-    deterministic for any capture interleaving.
+    *recorder* is a :class:`repro.trace.TraceRecorder`; *audit_log* (a
+    :class:`repro.core.audit.AuditLog`) contributes every event that
+    carries a frame digest (fault applications), so no journey is built
+    without the faults applied to its frame.  The result is ordered by
+    ``(first_ns, digest)`` — deterministic for any capture interleaving.
     """
     journeys: Dict[str, FrameJourney] = {}
-    if recorder is not None:
-        for record in recorder.records:
-            digest = frame_digest(record.data)
-            journey = journeys.get(digest)
-            if journey is None:
-                journey = FrameJourney(digest, record.view.summary())
-                journeys[digest] = journey
-            journey.hops.append((record.when, record.where, record.direction))
-    if audit_log is not None:
-        for event in audit_log.events:
-            digest = getattr(event, "digest", "")
-            if not digest:
-                continue
-            journey = journeys.get(digest)
-            if journey is None:
-                journey = FrameJourney(digest, f"<{event.kind}>")
-                journeys[digest] = journey
-            journey.events.append(
-                (event.time_ns, event.node, event.kind, event.detail)
-            )
+    for record in recorder.records:
+        digest = frame_digest(record.data)
+        journey = journeys.get(digest)
+        if journey is None:
+            journey = FrameJourney(digest, record.view.summary())
+            journeys[digest] = journey
+        journey.hops.append((record.when, record.where, record.direction))
+    for event in audit_log.events:
+        digest = getattr(event, "digest", "")
+        if not digest:
+            continue
+        journey = journeys.get(digest)
+        if journey is None:
+            journey = FrameJourney(digest, f"<{event.kind}>")
+            journeys[digest] = journey
+        journey.events.append((event.time_ns, event.node, event.kind, event.detail))
     return sorted(journeys.values(), key=lambda j: (j.first_ns, j.digest))
 
 

@@ -10,8 +10,12 @@ Design rules, shared with :class:`repro.core.audit.AuditLog`:
 
 * **Disabled by default, free when disabled.**  Every instrumented object
   pre-resolves its metric handles to ``None`` unless the testbed was built
-  with ``install_virtualwire(metrics=True)``; the hot path is a single
+  with ``install_virtualwire(telemetry=True)``; the hot path is a single
   ``if self._m_x is not None`` check.
+* **One count per event.**  A count a layer already keeps as an
+  attribute (``DriverLayer.tx_frames``, ``RllLayer.retransmissions``, …)
+  is not counted a second time: the layer registers itself with
+  :meth:`NodeMetrics.read` and the snapshot reads the attribute.
 * **Canonical snapshots.**  :meth:`MetricsRegistry.snapshot` returns plain
   builtins with every mapping key sorted, so snapshots ship verbatim in
   sweep payloads and serialise byte-identically on any backend.
@@ -125,6 +129,8 @@ class NodeMetrics:
     def __init__(self, node: str) -> None:
         self.node = node
         self._metrics: Dict[str, MetricValue] = {}
+        #: ``layer.attribute`` -> every object whose attribute it sums.
+        self._sources: Dict[str, List[object]] = {}
 
     def _get(self, layer: str, name: str, factory) -> MetricValue:
         key = f"{layer}.{name}"
@@ -148,8 +154,19 @@ class NodeMetrics:
     def histogram(self, layer: str, name: str) -> Histogram:
         return self._get(layer, name, Histogram)
 
+    def read(self, layer: str, source: object, *attributes: str) -> None:
+        """Report each of *source*'s integer *attributes* as the counter
+        ``layer.attribute``, read at snapshot time.  Every object that
+        registers the same name adds to it (a node's TCP connections)."""
+        for attribute in attributes:
+            self._sources.setdefault(f"{layer}.{attribute}", []).append(source)
+
     def snapshot(self) -> Dict[str, object]:
-        return {key: self._metrics[key].snapshot() for key in sorted(self._metrics)}
+        values = {key: metric.snapshot() for key, metric in self._metrics.items()}
+        for key, sources in self._sources.items():
+            attribute = key.partition(".")[2]
+            values[key] = sum(getattr(source, attribute) for source in sources)
+        return dict(sorted(values.items()))
 
 
 class MetricsRegistry:

@@ -344,9 +344,7 @@ def cmd_analyze(args: argparse.Namespace, out) -> int:
             medium=args.medium,
             rll=args.rll,
             rether=args.rether,
-            capture=True,
-            audit=True,
-            metrics=True,
+            telemetry=True,
             workload={"kind": args.workload},
             max_time_ns=int(args.max_time * NS_PER_SEC),
         )

@@ -9,7 +9,8 @@ a rule-level account that complements the packet-level
 :class:`repro.trace.TraceRecorder`.
 
 Auditing is off by default and costs nothing when disabled (a None check
-on the hot path).  Enable it via ``Testbed.install_virtualwire(audit=True)``.
+on the hot path).  ``Testbed.install_virtualwire(telemetry=True)`` enables
+it together with the trace taps and the metrics registry.
 """
 
 from __future__ import annotations

@@ -117,11 +117,10 @@ class VirtualWireEngine(FrameLayer, RuntimeHooks):
         #: check it and die instead of delivering frames post-crash.
         self._life_epoch = 0
         # Metric handles (repro.analysis), pre-resolved in attached();
-        # None unless the testbed enabled metrics — the zero-cost path.
+        # None unless the testbed enabled telemetry — the zero-cost path.
         self._m_packets = None
         self._m_faults = None
         self._m_cost = None
-        self._m_delay_depth = None
 
     # ------------------------------------------------------------------
     # Wiring
@@ -138,7 +137,7 @@ class VirtualWireEngine(FrameLayer, RuntimeHooks):
         self._m_packets = metrics.counter("engine", "packets_intercepted")
         self._m_faults = metrics.counter("engine", "faults_applied")
         self._m_cost = metrics.histogram("engine", "cost_ns")
-        self._m_delay_depth = metrics.gauge("engine", "delay_queue_depth")
+        self._delay_queue.depth_gauge = metrics.gauge("engine", "delay_queue_depth")
 
     @property
     def node_name(self) -> str:
@@ -279,8 +278,6 @@ class VirtualWireEngine(FrameLayer, RuntimeHooks):
                 self.stats.packets_delayed += 1
                 self._charge(cost)
                 self._delay_queue.hold(data, direction, action.delay_ns)
-                if self._m_delay_depth is not None:
-                    self._m_delay_depth.set(self._delay_queue.in_flight)
                 return
             if kind is ActionKind.REORDER:
                 self.stats.packets_reordered += 1

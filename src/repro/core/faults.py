@@ -31,17 +31,24 @@ class DelayQueue:
         self.forward = forward
         self.delayed_packets = 0
         self.in_flight = 0
+        #: the ``engine.delay_queue_depth`` gauge when telemetry is on,
+        #: sampled at every change of ``in_flight``.
+        self.depth_gauge = None
         self._timers: set = set()
 
     def hold(self, data: bytes, direction: Direction, delay_ns: int) -> None:
         self.delayed_packets += 1
         self.in_flight += 1
+        if self.depth_gauge is not None:
+            self.depth_gauge.set(self.in_flight)
         quantised = quantize_to_jiffies(delay_ns)
         handle_box = []
 
         def release() -> None:
             self._timers.discard(handle_box[0])
             self.in_flight -= 1
+            if self.depth_gauge is not None:
+                self.depth_gauge.set(self.in_flight)
             self.forward(data, direction)
 
         handle = self.sim.after(quantised, release, "fault:delay")
@@ -53,6 +60,8 @@ class DelayQueue:
         for handle in self._timers:
             self.sim.cancel(handle)
         self._timers.clear()
+        if self.in_flight and self.depth_gauge is not None:
+            self.depth_gauge.set(0)
         self.in_flight = 0
 
 

@@ -116,16 +116,16 @@ class ScenarioReport:
     control_errors: List[str] = field(default_factory=list)
     #: scripted crash/recovery arcs, in crash order (docs/NODE_LIFECYCLE.md).
     crash_timeline: List[CrashRecord] = field(default_factory=list)
-    #: telemetry (repro.analysis) — populated only when the corresponding
-    #: subsystem was enabled at install time, so default runs keep their
-    #: pre-telemetry summary() key set byte-for-byte.
-    #: MetricsRegistry.snapshot() when metrics=True, else None.
+    #: telemetry (repro.analysis) — all four populated when telemetry was
+    #: enabled at install time and all four None otherwise, so default
+    #: runs keep their pre-telemetry summary() key set byte-for-byte.
+    #: MetricsRegistry.snapshot().
     metrics: Optional[Dict[str, object]] = None
-    #: canonical frame-journey dicts when capture=True, else None.
+    #: canonical frame-journey dicts.
     journeys: Optional[List[Dict[str, object]]] = None
-    #: events lost to AuditLog saturation (None when audit was off).
+    #: events lost to AuditLog saturation.
     audit_events_dropped: Optional[int] = None
-    #: frames lost to TraceRecorder saturation (None when capture was off).
+    #: frames lost to TraceRecorder saturation.
     trace_records_dropped: Optional[int] = None
 
     @property

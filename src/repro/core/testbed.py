@@ -148,21 +148,20 @@ class Testbed:
         nodes: Optional[List[HostRef]] = None,
         control: Optional[HostRef] = None,
         rll: bool = False,
-        capture: bool = False,
-        audit: bool = False,
-        metrics: bool = False,
+        telemetry: bool = False,
     ) -> Frontend:
         """Splice the FIE/FAE (and optionally the RLL below it) into hosts.
 
         *nodes* defaults to every host; *control* defaults to the first
         host and may also be a scenario node, as in the paper's Fig 1.
-        With *capture* a :class:`TraceRecorder` tap is spliced above each
-        engine, recording exactly what the protocols under test see; with
-        *audit* every engine feeds a shared :class:`AuditLog` narrating
-        rule firings and fault applications (``testbed.audit_log``); with
-        *metrics* every instrumented layer feeds a shared
-        :class:`~repro.analysis.MetricsRegistry` (``testbed.metrics``,
-        exported via ``report.metrics`` — docs/OBSERVABILITY.md).
+        *telemetry* switches on the whole Fault Analysis surface at once
+        (docs/OBSERVABILITY.md): a :class:`TraceRecorder` tap spliced above
+        each engine records exactly what the protocols under test see
+        (``testbed.recorder``, joined into ``report.journeys``), every
+        engine narrates rule firings and fault applications into a shared
+        :class:`AuditLog` (``testbed.audit_log``), and every instrumented
+        layer feeds a shared :class:`~repro.analysis.MetricsRegistry`
+        (``testbed.metrics``, exported via ``report.metrics``).
         """
         if self.frontend is not None:
             raise ScenarioError("VirtualWire is already installed")
@@ -174,15 +173,13 @@ class Testbed:
         if not targets:
             raise ScenarioError("no hosts to install VirtualWire on")
         control_host = self.host(control) if control is not None else targets[0]
-        if capture:
+        if telemetry:
             self.recorder = TraceRecorder(self.sim)
-        if audit:
             self.audit_log = AuditLog(self.sim)
-        if metrics:
             self.metrics = MetricsRegistry()
         for host in targets:
             if self.metrics is not None:
-                # Before splicing: layers pre-resolve handles in attached().
+                # Before splicing: layers register with it in attached().
                 host.enable_metrics(self.metrics.node(host.name))
             if rll:
                 layer = RllLayer(self.sim)
@@ -340,15 +337,13 @@ class Testbed:
         # disable before the caller inspects them.
         self.sim.run_for(seconds(0.01))
         report = frontend.build_report()
-        if self.audit_log is not None:
+        if self.metrics is not None:
             report.audit_events_dropped = self.audit_log.dropped
-        if self.recorder is not None:
             report.trace_records_dropped = self.recorder.dropped_records
             report.journeys = [
                 journey.as_dict()
                 for journey in correlate_journeys(self.recorder, self.audit_log)
             ]
-        if self.metrics is not None:
             report.metrics = self.metrics.snapshot()
         return report
 

@@ -122,10 +122,6 @@ class RetherLayer(FrameLayer):
         self.data_sent = 0
         self.queue_drops = 0
         self.be_deferred = 0
-        # Metric handles (repro.analysis); None keeps the hot path free.
-        self._m_token_rtx = None
-        self._m_regen = None
-        self._m_evicted = None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -142,11 +138,10 @@ class RetherLayer(FrameLayer):
             raise RetherError(
                 f"{self._mac} is not a member of the ring {self._members}"
             )
-        metrics = getattr(self.host, "metrics", None)
-        if metrics is not None:
-            self._m_token_rtx = metrics.counter("rether", "token_retransmissions")
-            self._m_regen = metrics.counter("rether", "regenerations")
-            self._m_evicted = metrics.counter("rether", "nodes_evicted")
+        if self.host.metrics is not None:
+            self.host.metrics.read(
+                "rether", self, "token_retransmissions", "regenerations", "nodes_evicted"
+            )
 
     def start(self, as_master: bool = False) -> None:
         """Begin protocol operation.  Exactly one node starts as master
@@ -390,8 +385,6 @@ class RetherLayer(FrameLayer):
         self._handoff_attempts += 1
         if self._handoff_attempts > 1:
             self.token_retransmissions += 1
-            if self._m_token_rtx is not None:
-                self._m_token_rtx.inc()
         else:
             self.tokens_passed += 1
         self.pass_down(
@@ -425,8 +418,6 @@ class RetherLayer(FrameLayer):
         # reconstruct the ring without it.
         dead = self._handoff_target
         self.nodes_evicted += 1
-        if self._m_evicted is not None:
-            self._m_evicted.inc()
         self._dead.add(dead)
         self._handoff_msg = None
         self._handoff_target = None
@@ -507,8 +498,6 @@ class RetherLayer(FrameLayer):
         if self._regen_strikes <= self._regen_rank():
             return
         self.regenerations += 1
-        if self._m_regen is not None:
-            self._m_regen.inc()
         self.generation = (self.generation + 1) % (1 << 16)
         self.holding_token = True
         self._cycle_start = self.sim.now

@@ -95,17 +95,14 @@ class RllLayer(FrameLayer):
         self.malformed_discarded = 0
         self.abandoned_frames = 0
         self.bypass_frames = 0
-        # Metric handles (repro.analysis); None keeps the hot path free.
-        self._m_rtx = None
-        self._m_abandoned = None
+        # The backlog gauge (repro.analysis); None keeps the hot path free.
         self._m_backlog = None
 
     def attached(self) -> None:
         self._cost_ns = self.host.costs.rll_frame_ns if self.host else 0
         metrics = getattr(self.host, "metrics", None)
         if metrics is not None:
-            self._m_rtx = metrics.counter("rll", "retransmissions")
-            self._m_abandoned = metrics.counter("rll", "abandoned_frames")
+            metrics.read("rll", self, "retransmissions", "abandoned_frames")
             self._m_backlog = metrics.gauge("rll", "backlog_depth")
 
     def _charge(self, step, label: str, *args) -> None:
@@ -130,6 +127,7 @@ class RllLayer(FrameLayer):
         """Host crash: every window, backlog and timer is gone."""
         for peer in self._peers.values():
             self._cancel_timer(peer)
+            self._clear_backlog(peer)
         self._peers.clear()
 
     def on_peer_reboot(self, mac: MacAddress) -> None:
@@ -138,6 +136,13 @@ class RllLayer(FrameLayer):
         peer = self._peers.pop(mac, None)
         if peer is not None:
             self._cancel_timer(peer)
+            self._clear_backlog(peer)
+
+    def _clear_backlog(self, peer: _PeerState) -> None:
+        if peer.backlog:
+            peer.backlog.clear()
+            if self._m_backlog is not None:
+                self._m_backlog.set(0)
 
     # ------------------------------------------------------------------
     # Downward path: encapsulate and window
@@ -258,9 +263,13 @@ class RllLayer(FrameLayer):
             self._drain_backlog(dst, peer)
 
     def _drain_backlog(self, dst: MacAddress, peer: _PeerState) -> None:
-        while peer.backlog and peer.unacked < DEFAULT_WINDOW:
-            frame = peer.backlog.popleft()
-            self._send_data(dst, peer, frame)
+        backlog = peer.backlog
+        if not backlog or peer.unacked >= DEFAULT_WINDOW:
+            return
+        while backlog and peer.unacked < DEFAULT_WINDOW:
+            self._send_data(dst, peer, backlog.popleft())
+        if self._m_backlog is not None:
+            self._m_backlog.set(len(backlog))
 
     # ------------------------------------------------------------------
     # Retransmission
@@ -286,18 +295,14 @@ class RllLayer(FrameLayer):
             # The peer is gone (e.g. a FAIL fault): abandon its traffic so
             # the simulation can quiesce instead of retrying forever.
             self.abandoned_frames += len(peer.window) + len(peer.backlog)
-            if self._m_abandoned is not None:
-                self._m_abandoned.inc(len(peer.window) + len(peer.backlog))
             peer.window.clear()
-            peer.backlog.clear()
+            self._clear_backlog(peer)
             peer.unacked = 0
             peer.retries = 0
             return
         # Go-back-N: resend everything outstanding, oldest first.
         for seq, frame in peer.window:
             self.retransmissions += 1
-            if self._m_rtx is not None:
-                self._m_rtx.inc()
             self._emit_data(dst, frame, seq, peer.rcv_next)
         self._arm_timer(dst, peer)
 

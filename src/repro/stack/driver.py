@@ -31,21 +31,11 @@ class DriverLayer(FrameLayer):
         self.rx_frames = 0
         self._tx_label = f"{self.name}:tx"
         self._rx_label = f"{self.name}:rx"
-        # Metric handles (repro.analysis); None keeps the hot path free.
-        self._m_tx = None
-        self._m_rx = None
         nic.set_receive_handler(self._nic_receive)
-
-    def arm_metrics(self, metrics) -> None:
-        """Pre-resolve tx/rx counters from a :class:`NodeMetrics`."""
-        self._m_tx = metrics.counter("driver", "tx_frames")
-        self._m_rx = metrics.counter("driver", "rx_frames")
 
     def on_send(self, frame_bytes: bytes) -> None:
         """Frame arriving from above: charge tx cost, then hit the wire."""
         self.tx_frames += 1
-        if self._m_tx is not None:
-            self._m_tx.inc()
         if self.costs.driver_tx_ns > 0:
             self.sim.after(
                 self.costs.driver_tx_ns, self.nic.transmit, self._tx_label, args=(frame_bytes,)
@@ -56,8 +46,6 @@ class DriverLayer(FrameLayer):
     def _nic_receive(self, frame_bytes: bytes) -> None:
         """NIC upcall: charge rx cost, then continue up the chain."""
         self.rx_frames += 1
-        if self._m_rx is not None:
-            self._m_rx.inc()
         if self.costs.driver_rx_ns > 0:
             self.sim.after(
                 self.costs.driver_rx_ns, self._rx_continue, self._rx_label, args=(frame_bytes,)

@@ -49,8 +49,8 @@ class Host:
 
         self.tcp = TcpLayer(sim, self, self.costs)
         self.rether = None  # installed on demand by repro.rether
-        #: repro.analysis NodeMetrics when the testbed enabled metrics;
-        #: layers check it in attached() to pre-resolve their handles.
+        #: repro.analysis NodeMetrics when the testbed enabled telemetry;
+        #: layers check it in attached() to register with it.
         self.metrics = None
         self._awaiting_resync = False  # set by reboot(), cleared once re-armed
 
@@ -76,11 +76,11 @@ class Host:
             self.ip_layer.add_neighbor(other.ip, other.mac)
 
     def enable_metrics(self, node_metrics) -> None:
-        """Arm telemetry: layers spliced later pick the handle up in
-        ``attached()``; the driver (built before metrics existed) is armed
-        here explicitly."""
+        """Arm telemetry: layers spliced later pick the registry up in
+        ``attached()``; the driver (built before metrics existed) is
+        registered here."""
         self.metrics = node_metrics
-        self.driver.arm_metrics(node_metrics)
+        node_metrics.read("driver", self.driver, "tx_frames", "rx_frames")
 
     # -- fault hooks ------------------------------------------------------------
 

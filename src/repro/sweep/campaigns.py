@@ -143,8 +143,8 @@ def _install_workload(tb: Testbed, hosts: List, spec: Mapping[str, Any]):
 
 
 @reads_params(
-    "script", "scenario", "seed", "costs", "medium", "medium_kwargs", "control", "rll", "capture",
-    "audit", "metrics", "control_loss", "rether", "rether_kwargs", "workload",
+    "script", "scenario", "seed", "costs", "medium", "medium_kwargs", "control", "rll",
+    "telemetry", "control_loss", "rether", "rether_kwargs", "workload",
     "max_time_ns", "inactivity_ns",
     check=_check_script_params,
 )
@@ -153,8 +153,10 @@ def run_script_task(task: SweepTask) -> Dict[str, Any]:
 
     The topology is reconstructed from the program's node table (names and
     addresses exactly as the script declares them), every host on one
-    medium, VirtualWire on all of them.  Returns the scenario report
-    summary plus the effective seed.
+    medium, VirtualWire on all of them.  ``telemetry`` switches on the
+    trace taps, the audit log and the metrics registry together, adding
+    ``journeys``, ``metrics`` and the two saturation counts to the
+    payload.  Returns the scenario report summary plus the effective seed.
     """
     program = _compile(task)
     seed = int(task.param("seed", task.seed))
@@ -178,9 +180,7 @@ def run_script_task(task: SweepTask) -> Dict[str, Any]:
     tb.install_virtualwire(
         control=task.param("control", hosts[0].name),
         rll=bool(task.param("rll", False)),
-        capture=bool(task.param("capture", False)),
-        audit=bool(task.param("audit", False)),
-        metrics=bool(task.param("metrics", False)),
+        telemetry=bool(task.param("telemetry", False)),
     )
     for node, rate in sorted(dict(task.param("control_loss", {})).items()):
         tb.add_control_loss(node, float(rate))

@@ -159,14 +159,11 @@ class TcpConnection:
 
         # Metric handles (repro.analysis); None keeps the hot path free.
         metrics = getattr(getattr(layer, "host", None), "metrics", None)
-        self._m_rtt = metrics.histogram("tcp", "rtt_ns") if metrics is not None else None
-        self._m_timeout_rtx = (
-            metrics.counter("tcp", "timeout_retransmits") if metrics is not None else None
-        )
-        self._m_fast_rtx = (
-            metrics.counter("tcp", "fast_retransmits") if metrics is not None else None
-        )
-        self._m_cwnd = metrics.gauge("tcp", "cwnd") if metrics is not None else None
+        self._m_rtt = self._m_cwnd = None
+        if metrics is not None:
+            self._m_rtt = metrics.histogram("tcp", "rtt_ns")
+            self._m_cwnd = metrics.gauge("tcp", "cwnd")
+            metrics.read("tcp", self, "timeout_retransmits", "fast_retransmits")
 
     # ------------------------------------------------------------------
     # Connection management
@@ -382,8 +379,6 @@ class TcpConnection:
         if not self._unacked:
             return
         self.fast_retransmits += 1
-        if self._m_fast_rtx is not None:
-            self._m_fast_rtx.inc()
         self._retransmit_head()
         self.congestion.on_fast_retransmit()
         if self._m_cwnd is not None:
@@ -546,8 +541,6 @@ class TcpConnection:
         if not self._unacked:
             return
         self.timeout_retransmits += 1
-        if self._m_timeout_rtx is not None:
-            self._m_timeout_rtx.inc()
         self.estimator.on_timeout()
         self._retransmit_head()
         self.congestion.on_retransmit()

@@ -34,9 +34,7 @@ def telemetry_spec(**extra) -> SweepSpec:
         run_script_task,
         script=fig5,
         seed=0,
-        capture=True,
-        audit=True,
-        metrics=True,
+        telemetry=True,
         workload=WORKLOAD,
         **extra,
     )

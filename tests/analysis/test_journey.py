@@ -1,5 +1,7 @@
 """Unit tests for frame digests and journey correlation."""
 
+import pytest
+
 from repro.analysis import correlate_journeys, frame_digest
 from repro.core.audit import AuditLog
 from repro.net.packet import build_tcp_frame, build_udp_frame
@@ -71,7 +73,7 @@ class TestCorrelation:
         recorder.capture("node1", "send", frame)
         sim.run_for(1000)
         recorder.capture("node2", "recv", frame)
-        (journey,) = correlate_journeys(recorder)
+        (journey,) = correlate_journeys(recorder, AuditLog(sim))
         assert journey.hops == [(0, "node1", "send"), (1000, "node2", "recv")]
         assert journey.retransmits == 0
         assert journey.first_ns == 0 and journey.last_ns == 1000
@@ -121,6 +123,13 @@ class TestCorrelation:
             "          40ns  node1      send ",
         ])
 
+    def test_audit_log_is_required(self):
+        """A journey built without the audit trail would hide every fault
+        applied to its frame: there is no call that omits it."""
+        recorder = TraceRecorder(Simulator(seed=1))
+        with pytest.raises(TypeError):
+            correlate_journeys(recorder)
+
     def test_events_without_digest_ignored(self):
         sim = Simulator(seed=1)
         recorder = TraceRecorder(sim)
@@ -134,7 +143,7 @@ class TestCorrelation:
         a, b = tcp_bytes(seq=1), tcp_bytes(seq=2)
         recorder.capture("node1", "send", b)
         recorder.capture("node1", "send", a)
-        journeys = correlate_journeys(recorder)
+        journeys = correlate_journeys(recorder, AuditLog(sim))
         assert [j.digest for j in journeys] == sorted(
             [frame_digest(a), frame_digest(b)]
         )
@@ -145,7 +154,7 @@ class TestCorrelation:
         sim = Simulator(seed=1)
         recorder = TraceRecorder(sim)
         recorder.capture("node1", "send", tcp_bytes())
-        (journey,) = correlate_journeys(recorder)
+        (journey,) = correlate_journeys(recorder, AuditLog(sim))
         payload = journey.as_dict()
         assert json.loads(json.dumps(payload, sort_keys=True)) == payload
         assert payload["hops"][0]["node"] == "node1"

@@ -13,6 +13,8 @@ from repro.analysis import (
     merge_values,
     render_metrics,
 )
+from repro.sim import seconds
+from tests.conftest import make_testbed
 
 
 class TestPrimitives:
@@ -133,3 +135,82 @@ class TestRender:
         assert "tcp.rtx" in text and "3" in text
         assert "last=8" in text
         assert "count=1" in text
+
+
+class TestReadFromLayers:
+    """A count a layer already keeps is read at snapshot, not counted twice."""
+
+    def test_read_sums_every_source_at_snapshot_time(self):
+        class Layer:
+            retransmissions = 0
+
+        reg = MetricsRegistry()
+        first, second = Layer(), Layer()
+        reg.node("node1").read("rll", first, "retransmissions")
+        reg.node("node1").read("rll", second, "retransmissions")
+        first.retransmissions, second.retransmissions = 2, 3
+        assert reg.snapshot() == {"node1": {"rll.retransmissions": 5}}
+
+
+LEVEL_SCRIPT = """
+FILTER_TABLE
+  probe: (12 2 0x0800), (23 1 0x11), (36 2 0x0007)
+END
+{nodes}
+SCENARIO levels
+  P: (probe, node1, node2, RECV)
+  ((P <= 3)) >> DELAY probe, node1, node2, RECV, 15;
+END
+"""
+
+
+def run_levels(workload_for):
+    """A telemetry run over the RLL; node1's first three UDP probes to
+    node2 are held in node2's delay queue."""
+    tb, (n1, n2) = make_testbed(2, seed=3, rll=True, telemetry=True)
+    report = tb.run_scenario(
+        LEVEL_SCRIPT.format(nodes=tb.node_table_fsl()),
+        workload=workload_for(tb, n1, n2),
+        max_time=seconds(10),
+    )
+    assert report.passed, report.render()
+    return tb, report
+
+
+def udp_probes(tb, n1, n2):
+    def workload():
+        n2.udp.bind(7)
+        sender = n1.udp.bind(0)
+        for i in range(3):
+            tb.sim.after((i + 1) * 1_000_000, lambda: sender.sendto(bytes(20), n2.ip, 7))
+
+    return workload
+
+
+def tcp_bulk(tb, n1, n2):
+    def workload():
+        n2.tcp.listen(0x4000)
+        conn = n1.tcp.connect(n2.ip, 0x4000, local_port=0x6000)
+        conn.on_established = lambda: conn.send(bytes(64 * 1024))
+
+    return workload
+
+
+class TestLevelGaugesSampleEveryChange:
+    """A level gauge samples when the level falls too, so a drained queue
+    reads ``last == 0`` and its minimum is the empty level."""
+
+    def test_delay_queue_depth_returns_to_zero(self):
+        tb, report = run_levels(udp_probes)
+        assert tb.engines["node2"]._delay_queue.delayed_packets == 3
+        assert tb.engines["node2"]._delay_queue.in_flight == 0
+        depth = report.metrics["node2"]["engine.delay_queue_depth"]
+        assert depth["last"] == 0 and depth["min"] == 0
+
+    def test_rll_backlog_depth_returns_to_zero(self):
+        tb, report = run_levels(tcp_bulk)
+        (peer,) = tb.rll_layers["node1"]._peers.values()
+        assert not peer.backlog
+        backlog = report.metrics["node1"]["rll.backlog_depth"]
+        assert backlog["max"] > 0, "test misconfigured: the window never filled"
+        assert backlog["last"] == 0 and backlog["min"] == 0

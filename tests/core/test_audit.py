@@ -19,7 +19,7 @@ END
 
 
 def run_audited(n_packets=6):
-    tb, (n1, n2) = make_testbed(2, seed=4, audit=True)
+    tb, (n1, n2) = make_testbed(2, seed=4, telemetry=True)
     script = SCRIPT.format(nodes=tb.node_table_fsl())
 
     def workload():
@@ -99,7 +99,7 @@ class TestSaturationSurfaced:
         assert "event 0" in text and "event 1" in text
 
     def test_report_surfaces_saturation(self):
-        tb, (n1, n2) = make_testbed(2, seed=4, audit=True)
+        tb, (n1, n2) = make_testbed(2, seed=4, telemetry=True)
         tb.audit_log.max_events = 2
         script = SCRIPT.format(nodes=tb.node_table_fsl())
 

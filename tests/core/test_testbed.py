@@ -117,10 +117,28 @@ class TestInstallation:
         tb.add_host("n")
         tb.add_switch("sw")
         tb.connect("sw", "n")
-        tb.install_virtualwire(capture=True)
+        tb.install_virtualwire(telemetry=True)
         names = [layer.name for layer in tb.hosts["n"].chain.layers]
         assert names.index("virtualwire") < names.index("tap:n")
         assert tb.recorder is not None
+
+    def test_telemetry_is_one_switch(self):
+        """Taps, audit log and metrics come on together or not at all, so
+        no report carries journeys without the faults applied to them."""
+        on, off = Testbed(), Testbed()
+        for tb in (on, off):
+            tb.add_host("n")
+        on.install_virtualwire(telemetry=True)
+        off.install_virtualwire()
+        assert None not in (on.recorder, on.audit_log, on.metrics)
+        assert (off.recorder, off.audit_log, off.metrics) == (None, None, None)
+
+    @pytest.mark.parametrize("old", ["capture", "audit", "metrics"])
+    def test_old_telemetry_switches_are_gone(self, old):
+        tb = Testbed()
+        tb.add_host("n")
+        with pytest.raises(TypeError):
+            tb.install_virtualwire(**{old: True})
 
     def test_no_hosts_rejected(self):
         tb = Testbed()

@@ -58,7 +58,7 @@ def run_fig5(seed: int, transfer: int = 48 * 1024) -> dict:
     node2 = tb.add_host("node2")
     tb.add_switch("sw0")
     tb.connect("sw0", node1, node2)
-    tb.install_virtualwire(control="node1", audit=True, capture=True, metrics=True)
+    tb.install_virtualwire(control="node1", telemetry=True)
     script = tcp_congestion_script(tb.node_table_fsl())
 
     def workload():
@@ -72,11 +72,16 @@ def run_fig5(seed: int, transfer: int = 48 * 1024) -> dict:
 
 
 def run_fig6_crash(seed: int) -> dict:
+    return observe(*fig6_crash_run(seed))
+
+
+def fig6_crash_run(seed: int):
+    """The Fig 6 crash/restart run: its testbed and its passing report."""
     tb = Testbed(seed=seed)
     hosts = [tb.add_host(f"node{i}") for i in range(1, 5)]
     tb.add_bus("bus0")
     tb.connect("bus0", *hosts)
-    tb.install_virtualwire(control="node1", audit=True, capture=True, metrics=True)
+    tb.install_virtualwire(control="node1", telemetry=True)
     install_rether(hosts)
     script = rether_crash_restart_script(
         tb.node_table_fsl(), data_threshold=DATA_THRESHOLD
@@ -89,7 +94,7 @@ def run_fig6_crash(seed: int) -> dict:
 
     report = tb.run_scenario(script, workload=workload, max_time=seconds(60))
     assert report.passed, f"fig6-crash[seed={seed}]: {report.render()}"
-    return observe(tb, report)
+    return tb, report
 
 
 def run_fig7_point() -> dict:

@@ -4,7 +4,7 @@ to end, and both ≡ the pinned digests.
 Each golden scenario of ``tests/differential/golden.py`` — the Fig 5 TCP
 congestion case study, the extended Fig 6 crash/restart case study, and one
 measured point each of the Fig 7 throughput and Fig 8 latency benchmarks —
-runs twice with audit, capture and metrics all enabled: once on the
+runs twice with telemetry (capture, audit and metrics) on: once on the
 production path (byte-level frame codec, indexed classifier) and once with
 ``tests/oracles`` patched in (the object-per-layer stack *and* the linear
 filter scan).  Every output is compared byte for byte:

@@ -33,7 +33,7 @@ def run_fig5(seed=11, transfer=48 * 1024):
     node2 = tb.add_host("node2")
     tb.add_switch("sw0")
     tb.connect("sw0", node1, node2)
-    tb.install_virtualwire(control="node1", audit=True)
+    tb.install_virtualwire(control="node1", telemetry=True)
     script = tcp_congestion_script(tb.node_table_fsl())
 
     def workload():
@@ -50,7 +50,7 @@ def run_fig6(seed=5, threshold=DATA_THRESHOLD):
     hosts = [tb.add_host(f"node{i}") for i in range(1, 5)]
     tb.add_bus("bus0")
     tb.connect("bus0", *hosts)
-    tb.install_virtualwire(control="node1", audit=True)
+    tb.install_virtualwire(control="node1", telemetry=True)
     install_rether(hosts)
     script = rether_failover_script(tb.node_table_fsl(), data_threshold=threshold)
 

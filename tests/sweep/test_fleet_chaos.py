@@ -21,7 +21,7 @@ import time
 import pytest
 
 from repro.sweep import SweepSpec, run_sweep
-from repro.sweep import remote
+from repro.sweep import health, remote
 from repro.sweep.fleet import DIAL_TIMEOUT_S, Close, Dial, FleetScheduler
 from repro.sweep.remote import WorkerServer, _fresh_nonce, read_frame
 from repro.sweep.runner import ExecutorContext
@@ -465,6 +465,27 @@ class TestQuarantine:
         assert to_a[2] - to_a[0] < 0.5  # before that it was fed at once
         assert len(_times(fleet, Close, "a:1")) == 1  # only the final goodbye
         assert tcp.fleet["workers"]["a:1"]["fleet.quarantines"] == 1
+
+    @staticmethod
+    def _sick_host_failed_rows(cells, slots):
+        """Every TASK on a:1 crashes its slot 10 ms in; b:1 is healthy."""
+        spec = _campaign("sick-host", cells)
+        sick = ModelWorker("a:1", slots=slots, service_s=0.01)
+        fleet = FleetSim(spec, [sick, ModelWorker("b:1", slots=slots)], retries=1)
+        fleet.on_task(lambda worker: CRASH_SLOT, worker="a:1")
+        return sum(row.status == "FAILED" for row in fleet.run().rows)
+
+    @pytest.mark.parametrize("cells, slots", [(20, 1), (40, 4)])
+    def test_quarantine_contains_a_sick_host(self, monkeypatch, cells, slots):
+        """What quarantine buys: a host whose every slot crashes keeps
+        asking for work and fails each cell it gets in 10 ms.  Benched
+        after three crashes in a row, it costs at most two cells both
+        their attempts; with the threshold lifted it keeps winning the
+        race for cells, and many more run out of retries on it (16 of
+        20 and 32 of 40 in these layouts)."""
+        assert self._sick_host_failed_rows(cells, slots) <= 2
+        monkeypatch.setattr(health, "FAILURE_THRESHOLD", 10**9)
+        assert self._sick_host_failed_rows(cells, slots) >= cells // 2
 
 
 class TestFailFast:

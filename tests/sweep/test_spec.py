@@ -86,11 +86,14 @@ class TestSpecBuilding:
 class TestDeclaredParams:
     """A built-in task function declares the params it reads; a key none of
     them reads used to ride along silently (PR 14 removed ``frame_codec=``
-    and ``classifier=`` and every spec still passing them kept "working")."""
+    and ``classifier=`` and every spec still passing them kept "working").
+    ``capture``, ``audit`` and ``metrics`` became the one ``telemetry``."""
 
     SCRIPT = tcp_congestion_script(canonical_node_table(2))
 
-    @pytest.mark.parametrize("stale", ["frame_codec", "classifier", "mediun"])
+    @pytest.mark.parametrize(
+        "stale", ["frame_codec", "classifier", "mediun", "capture", "audit", "metrics"]
+    )
     def test_unread_param_is_rejected_at_enumeration(self, stale):
         spec = SweepSpec("s")
         with pytest.raises(SweepError) as raised:

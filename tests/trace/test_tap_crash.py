@@ -76,7 +76,7 @@ class TestEpochGuard:
 class TestTapAcrossCrash:
     def first_delivery_ns(self):
         """Reference run: when does node2's tap see the first probe?"""
-        tb, (n1, n2) = make_testbed(2, seed=6, capture=True)
+        tb, (n1, n2) = make_testbed(2, seed=6, telemetry=True)
         script = SCRIPT.format(nodes=tb.node_table_fsl())
         tb.run_scenario(
             script,
@@ -91,7 +91,7 @@ class TestTapAcrossCrash:
         """Crash node2 1 ns before the engine would release the first
         probe upward: the tap above the engine must record nothing."""
         release_ns = self.first_delivery_ns()
-        tb, (n1, n2) = make_testbed(2, seed=6, capture=True)
+        tb, (n1, n2) = make_testbed(2, seed=6, telemetry=True)
         script = SCRIPT.format(nodes=tb.node_table_fsl())
         workload = probe_rig(tb, n1, n2, count=3)
 
@@ -111,7 +111,7 @@ class TestTapAcrossCrash:
         """The tap survives the crash/reboot arc: captures stop while the
         node is down, resume once it rejoins, and stay single-tap."""
         release_ns = self.first_delivery_ns()
-        tb, (n1, n2) = make_testbed(2, seed=6, capture=True)
+        tb, (n1, n2) = make_testbed(2, seed=6, telemetry=True)
         script = SCRIPT.format(nodes=tb.node_table_fsl())
         workload = probe_rig(tb, n1, n2, count=80)
 

@@ -19,11 +19,11 @@ Counter values are signed 64-bit: scripts may drive a counter negative
 from __future__ import annotations
 
 import enum
+import struct
 from dataclasses import dataclass
 
 from ..errors import ControlPlaneError
-from ..net.bytesutil import pack_u16, pack_u32, read_u16, read_u32
-from ..net.frame import ETHERTYPE_VW_CONTROL, EthernetFrame
+from ..net.frame import ETHERTYPE_VW_CONTROL
 
 
 class ControlType(enum.Enum):
@@ -60,6 +60,10 @@ _KNOWN_FLAGS = FLAG_RELIABLE
 
 #: Exact on-wire payload size: type(1) flags(1) seq(4) a(2) b(8).
 WIRE_SIZE = 16
+_PAYLOAD = struct.Struct(">BBIHq")
+_ETHERTYPE = ETHERTYPE_VW_CONTROL.to_bytes(2, "big")
+#: wire byte -> type: a dict lookup where ``ControlType(...)`` would raise.
+_TYPES = {t.value: t for t in ControlType}
 
 
 @dataclass(frozen=True)
@@ -105,15 +109,12 @@ class ControlMessage:
         return bool(self.flags & FLAG_RELIABLE)
 
     def to_payload(self) -> bytes:
-        return (
-            bytes([self.msg_type.value, self.flags])
-            + pack_u32(self.seq)
-            + pack_u16(self.a)
-            + self.b.to_bytes(8, "big", signed=True)
-        )
+        return _PAYLOAD.pack(self.msg_type.value, self.flags, self.seq, self.a, self.b)
 
-    def wrap(self, dst, src) -> EthernetFrame:
-        return EthernetFrame(dst, src, ETHERTYPE_VW_CONTROL, self.to_payload())
+    def to_frame(self, dst: bytes, src: bytes) -> bytes:
+        """The control frame carrying this message from *src* to *dst*
+        (packed MACs)."""
+        return dst + src + _ETHERTYPE + self.to_payload()
 
     @classmethod
     def parse(cls, payload: bytes) -> "ControlMessage":
@@ -126,20 +127,13 @@ class ControlMessage:
                 f"control payload of {len(payload)} bytes has trailing garbage "
                 f"(expected exactly {WIRE_SIZE})"
             )
-        try:
-            msg_type = ControlType(payload[0])
-        except ValueError:
-            raise ControlPlaneError(f"unknown control type {payload[0]}") from None
-        flags = payload[1]
+        type_value, flags, seq, a, b = _PAYLOAD.unpack(payload)
+        msg_type = _TYPES.get(type_value)
+        if msg_type is None:
+            raise ControlPlaneError(f"unknown control type {type_value}")
         if flags & ~_KNOWN_FLAGS:
             raise ControlPlaneError(f"unknown control flags {flags:#04x}")
-        return cls(
-            msg_type=msg_type,
-            a=read_u16(payload, 6),
-            b=int.from_bytes(payload[8:16], "big", signed=True),
-            seq=read_u32(payload, 2),
-            flags=flags,
-        )
+        return cls(msg_type, a, b, seq, flags)
 
     def __repr__(self) -> str:
         rel = f", seq={self.seq}" if self.reliable else ""

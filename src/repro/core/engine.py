@@ -25,8 +25,9 @@ from typing import Callable, Dict, Optional
 
 from ..analysis.journey import frame_digest
 from ..errors import ControlChecksumError, ControlPlaneError
-from ..net.bytesutil import read_u16
-from ..net.frame import ETHERTYPE_VW_CONTROL, EthernetFrame
+from ..net.addresses import MacAddress
+from ..net.fastpath import intern_mac
+from ..net.frame import ETHERTYPE_VW_CONTROL
 from ..stack.layers import FrameLayer
 from .classify import Classifier
 from .control import ControlMessage, ControlType
@@ -333,8 +334,7 @@ class VirtualWireEngine(FrameLayer, RuntimeHooks):
     def _transmit_control(self, dst_mac, message: ControlMessage) -> None:
         """Put one control frame on the wire (channel's raw transmit)."""
         self.stats.control_frames_sent += 1
-        frame = message.wrap(dst_mac, self.host.mac)
-        self.pass_down(frame.to_bytes())
+        self.pass_down(message.to_frame(dst_mac.packed, self.host.mac.packed))
 
     def _send_control(self, dst_mac, message: ControlMessage, on_acked=None) -> None:
         self.channel.send(dst_mac, message, on_acked=on_acked)
@@ -373,17 +373,17 @@ class VirtualWireEngine(FrameLayer, RuntimeHooks):
 
     def _handle_control(self, frame_bytes: bytes) -> None:
         self.stats.control_frames_received += 1
-        frame = EthernetFrame.from_bytes(frame_bytes)
         try:
-            message = ControlMessage.parse(frame.payload)
+            message = ControlMessage.parse(frame_bytes[14:])
         except ControlPlaneError:
             # Total over wire bytes: a payload no engine could have sent is
             # counted and dropped, never raised into the simulation.
             self.control_malformed_discarded += 1
             return
-        for deliverable in self.channel.on_frame(frame.src, message):
+        src = intern_mac(frame_bytes[6:12])
+        for deliverable in self.channel.on_frame(src, message):
             try:
-                self._CONTROL_HANDLERS[deliverable.msg_type](self, frame, deliverable)
+                self._CONTROL_HANDLERS[deliverable.msg_type](self, src, deliverable)
             except ControlPlaneError:
                 # An id its handler refuses: dropped, no frame ends the run.
                 self.control_rejected += 1
@@ -397,44 +397,44 @@ class VirtualWireEngine(FrameLayer, RuntimeHooks):
                 f"(claimed {claimed:#010x}, computed {computed:#010x})"
             )
 
-    def _on_init(self, frame: EthernetFrame, message: ControlMessage) -> None:
+    def _on_init(self, src: MacAddress, message: ControlMessage) -> None:
         program = self.program_registry.get(message.a)
         if program is None:
             raise ControlPlaneError(
                 f"{self.node_name}: INIT for unknown program {message.a}"
             )
-        self.control_mac = frame.src
+        self.control_mac = src
         try:
             self.verify_init_checksum(program, message.b)
         except ControlChecksumError:
             self.stats.init_checksum_failures += 1
             self._send_control(
-                frame.src,
+                src,
                 ControlMessage(ControlType.INIT_NACK, message.a, program.checksum()),
             )
             return
         self.install_program(program)
-        self._send_control(frame.src, ControlMessage(ControlType.INIT_ACK, message.a))
+        self._send_control(src, ControlMessage(ControlType.INIT_ACK, message.a))
 
-    def _on_init_nack(self, frame: EthernetFrame, message: ControlMessage) -> None:
+    def _on_init_nack(self, src: MacAddress, message: ControlMessage) -> None:
         if self.frontend is not None:
-            self.frontend.on_init_nack(frame.src, message.a, message.b)
+            self.frontend.on_init_nack(src, message.a, message.b)
 
-    def _on_heartbeat(self, frame: EthernetFrame, message: ControlMessage) -> None:
+    def _on_heartbeat(self, src: MacAddress, message: ControlMessage) -> None:
         # The channel-level ACK already answered; just account for it.
         self.stats.heartbeats_received += 1
 
-    def _on_init_ack(self, frame: EthernetFrame, message: ControlMessage) -> None:
+    def _on_init_ack(self, src: MacAddress, message: ControlMessage) -> None:
         if self.frontend is not None:
-            self.frontend.on_init_ack(frame.src, message.a)
+            self.frontend.on_init_ack(src, message.a)
 
-    def _on_start(self, frame: EthernetFrame, message: ControlMessage) -> None:
+    def _on_start(self, src: MacAddress, message: ControlMessage) -> None:
         self.start_scenario()
 
-    def _on_shutdown(self, frame: EthernetFrame, message: ControlMessage) -> None:
+    def _on_shutdown(self, src: MacAddress, message: ControlMessage) -> None:
         self.disable()
 
-    def _on_counter_update(self, frame: EthernetFrame, message: ControlMessage) -> None:
+    def _on_counter_update(self, src: MacAddress, message: ControlMessage) -> None:
         if self.runtime is None:
             return
         # Only a counter this node mirrors has a remote home: any other
@@ -446,7 +446,7 @@ class VirtualWireEngine(FrameLayer, RuntimeHooks):
             )
         self.runtime.on_counter_update(message.a, message.b)
 
-    def _on_term_status(self, frame: EthernetFrame, message: ControlMessage) -> None:
+    def _on_term_status(self, src: MacAddress, message: ControlMessage) -> None:
         if self.runtime is None:
             return
         if message.a not in self.runtime.kernels.remote_terms:
@@ -456,23 +456,23 @@ class VirtualWireEngine(FrameLayer, RuntimeHooks):
             )
         self.runtime.on_term_status(message.a, bool(message.b))
 
-    def _on_error_report(self, frame: EthernetFrame, message: ControlMessage) -> None:
+    def _on_error_report(self, src: MacAddress, message: ControlMessage) -> None:
         if self.frontend is not None:
-            node = self.program.nodes.by_mac(frame.src) if self.program else None
+            node = self.program.nodes.by_mac(src) if self.program else None
             self.frontend.record_error(
-                node.name if node else str(frame.src), message.a, message.b
+                node.name if node else str(src), message.a, message.b
             )
 
-    def _on_stop_report(self, frame: EthernetFrame, message: ControlMessage) -> None:
+    def _on_stop_report(self, src: MacAddress, message: ControlMessage) -> None:
         if self.frontend is not None:
-            node = self.program.nodes.by_mac(frame.src) if self.program else None
-            self.frontend.record_stop(node.name if node else str(frame.src), message.a)
+            node = self.program.nodes.by_mac(src) if self.program else None
+            self.frontend.record_stop(node.name if node else str(src), message.a)
 
-    def _on_register(self, frame: EthernetFrame, message: ControlMessage) -> None:
+    def _on_register(self, src: MacAddress, message: ControlMessage) -> None:
         if self.frontend is not None:
-            self.frontend.on_register(frame.src)
+            self.frontend.on_register(src)
 
-    def _on_node_reset(self, frame: EthernetFrame, message: ControlMessage) -> None:
+    def _on_node_reset(self, src: MacAddress, message: ControlMessage) -> None:
         if self.program is None:
             return
         if message.a >= len(self.program.nodes.entries):
@@ -484,7 +484,7 @@ class VirtualWireEngine(FrameLayer, RuntimeHooks):
         if self.runtime is not None:
             self.runtime.resend_state_to(entry.name)
 
-    def _on_restart_report(self, frame: EthernetFrame, message: ControlMessage) -> None:
+    def _on_restart_report(self, src: MacAddress, message: ControlMessage) -> None:
         if self.frontend is None:
             return
         if self.program is None or message.a >= len(self.program.nodes.entries):
@@ -590,5 +590,8 @@ class VirtualWireEngine(FrameLayer, RuntimeHooks):
         return f"VirtualWireEngine({self.node_name}, {state})"
 
 
+_CONTROL_ETHERTYPE = ETHERTYPE_VW_CONTROL.to_bytes(2, "big")
+
+
 def _is_control(frame_bytes: bytes) -> bool:
-    return len(frame_bytes) >= 14 and read_u16(frame_bytes, 12) == ETHERTYPE_VW_CONTROL
+    return frame_bytes[12:14] == _CONTROL_ETHERTYPE

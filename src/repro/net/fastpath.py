@@ -20,9 +20,11 @@ classes pay for their readability:
   every parse returns the same immutable address objects instead of
   allocating new ones per packet.
 
-The IP, UDP, TCP and RLL layers call these functions directly; the
-per-layer classes serve traces, journeys, Rether and the control plane.
-See docs/PERF.md.
+The IP, UDP, TCP and RLL layers call these functions directly; Rether and
+the control plane pack and read their fixed headers with one ``struct``
+each (:mod:`repro.rether.messages`, :mod:`repro.core.control`) and intern
+sender MACs here.  The per-layer classes serve traces and journeys.  See
+docs/PERF.md.
 """
 
 from __future__ import annotations

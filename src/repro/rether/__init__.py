@@ -16,7 +16,7 @@ from .layer import (
     DEFAULT_REGENERATION_TIMEOUT_NS,
     RetherLayer,
 )
-from .messages import TYPE_TOKEN, TYPE_TOKEN_ACK, RetherMessage
+from .messages import TYPE_TOKEN, TYPE_TOKEN_ACK
 
 __all__ = [
     "DEFAULT_ACK_TIMEOUT_NS",
@@ -25,7 +25,6 @@ __all__ = [
     "DEFAULT_MAX_TOKEN_ATTEMPTS",
     "DEFAULT_REGENERATION_TIMEOUT_NS",
     "RetherLayer",
-    "RetherMessage",
     "TYPE_TOKEN",
     "TYPE_TOKEN_ACK",
     "install_rether",

@@ -33,12 +33,22 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, List, Optional
 
-from ..errors import PacketError, RetherError
+from ..errors import RetherError
 from ..net.addresses import MacAddress
-from ..net.frame import ETHERTYPE_RETHER, EthernetFrame
+from ..net.fastpath import intern_mac
+from ..net.frame import HEADER_LEN as ETH_HEADER_LEN
+from ..net.frame import MAX_PAYLOAD
 from ..sim import NS_PER_MS, Simulator
 from ..stack.layers import FrameLayer
-from .messages import RetherMessage, TYPE_JOIN, TYPE_TOKEN, TYPE_TOKEN_ACK
+from .messages import (
+    HEADER,
+    HEADER_LEN,
+    MESSAGE_TYPES,
+    TYPE_JOIN,
+    TYPE_TOKEN,
+    TYPE_TOKEN_ACK,
+    encode_frame,
+)
 
 #: Wait this long for a token-ack before retrying the handoff.
 DEFAULT_ACK_TIMEOUT_NS = 10 * NS_PER_MS
@@ -58,6 +68,11 @@ DEFAULT_QUEUE_FRAMES = 512
 #: for the reserved real-time streams anyway); bounded so failure
 #: detection still completes well inside the paper's 1-second budget.
 DEFAULT_IDLE_GAP_NS = 200_000
+
+_BROADCAST = b"\xff" * 6
+#: Shortest frame whose header parses, and longest an Ethernet link carries.
+_MIN_FRAME = ETH_HEADER_LEN + HEADER_LEN
+_MAX_FRAME = ETH_HEADER_LEN + MAX_PAYLOAD
 
 
 class RetherLayer(FrameLayer):
@@ -82,6 +97,12 @@ class RetherLayer(FrameLayer):
         self.sim = sim
         self._members: List[MacAddress] = list(ring)
         self._dead: set = set()
+        # The ring view, recomputed by _ring_changed() wherever _dead
+        # changes: the live ring, the next live member after us, and our
+        # rank in MAC order (0: the ring master).
+        self._live: List[MacAddress] = list(ring)
+        self._successor: Optional[MacAddress] = None
+        self._rank = 0
         self.ack_timeout_ns = ack_timeout_ns
         self.max_token_attempts = max_token_attempts
         self.burst_frames = burst_frames
@@ -92,6 +113,7 @@ class RetherLayer(FrameLayer):
         self.idle_gap_ns = idle_gap_ns
 
         self._mac: Optional[MacAddress] = None
+        self._mac_packed = b""
         self._queue: Deque[bytes] = deque()
         self._rt_queue: Deque[bytes] = deque()
         self.holding_token = False
@@ -100,7 +122,9 @@ class RetherLayer(FrameLayer):
         self._cycle_start = 0
         self._handoff_timer = None
         self._handoff_attempts = 0
-        self._handoff_msg: Optional[RetherMessage] = None
+        #: the pending handoff's token frame, which its retransmissions
+        #: resend as is; None while no handoff is pending.
+        self._handoff_msg: Optional[bytes] = None
         self._handoff_target: Optional[MacAddress] = None
         self._regen_timer = None
         self._regen_strikes = 0
@@ -130,14 +154,24 @@ class RetherLayer(FrameLayer):
     @property
     def ring(self) -> List[MacAddress]:
         """The live ring: declared members minus evicted nodes."""
-        return [mac for mac in self._members if mac not in self._dead]
+        return list(self._live)
+
+    def _ring_changed(self) -> None:
+        """Recompute the ring view after a change to ``_dead``."""
+        live = [mac for mac in self._members if mac not in self._dead]
+        self._live = live
+        index = live.index(self._mac)
+        self._successor = live[(index + 1) % len(live)]
+        self._rank = sorted(mac.packed for mac in live).index(self._mac_packed)
 
     def attached(self) -> None:
         self._mac = self.host.mac
+        self._mac_packed = self._mac.packed
         if self._mac not in self._members:
             raise RetherError(
                 f"{self._mac} is not a member of the ring {self._members}"
             )
+        self._ring_changed()
         if self.host.metrics is not None:
             self.host.metrics.read(
                 "rether", self, "token_retransmissions", "regenerations", "nodes_evicted"
@@ -184,6 +218,7 @@ class RetherLayer(FrameLayer):
         self._token_seq = 0
         self._cycle_start = 0
         self._dead.clear()
+        self._ring_changed()
         self._started = False
 
     def on_host_resynced(self) -> None:
@@ -237,40 +272,48 @@ class RetherLayer(FrameLayer):
     # ------------------------------------------------------------------
 
     def _handle_control(self, frame_bytes: bytes) -> None:
-        frame = EthernetFrame.from_bytes(frame_bytes)
-        if frame.dst != self._mac and not frame.dst.is_broadcast:
+        if len(frame_bytes) > _MAX_FRAME:
+            # Longer than any Ethernet link carries: dropped like the rest.
+            self.malformed_discarded += 1
+            return
+        dst = frame_bytes[:6]
+        to_us = dst == self._mac_packed
+        if not to_us and dst != _BROADCAST:
             return  # control for someone else (shared segment)
-        try:
-            message = RetherMessage.parse(frame.payload)
-        except PacketError:
-            # Short header or unknown type (e.g. a scripted MODIFY on a
-            # token): a fault the protocol sees as loss, not a crash.
+        if len(frame_bytes) < _MIN_FRAME:
+            # Short header (e.g. a scripted MODIFY on a token): a fault the
+            # protocol sees as loss, not a crash.
+            self.malformed_discarded += 1
+            return
+        msg_type, generation, seq, cycle_start = HEADER.unpack_from(frame_bytes, 14)
+        if msg_type not in MESSAGE_TYPES:
             self.malformed_discarded += 1
             return
         self._touch_regen_timer()
-        if message.is_join:
-            if frame.src != self._mac:
-                self._handle_join(frame.src)
+        src = frame_bytes[6:12]
+        if msg_type == TYPE_JOIN:
+            if src != self._mac_packed:
+                self._handle_join(intern_mac(src))
             return
-        if frame.dst != self._mac:
+        if not to_us:
             return
-        if message.is_token:
-            self._handle_token(frame.src, message)
-        elif message.is_ack:
-            self._handle_token_ack(frame.src, message)
+        if msg_type == TYPE_TOKEN:
+            self._handle_token(src, generation, seq, cycle_start)
+        else:
+            self._handle_token_ack(src, seq)
 
-    def _handle_token(self, sender: MacAddress, token: RetherMessage) -> None:
-        if token.generation < self.generation:
+    def _handle_token(self, src: bytes, generation: int, seq: int, cycle_start: int) -> None:
+        if generation < self.generation:
             self.stale_tokens_discarded += 1
             return
         is_stale_repeat = (
-            token.generation == self.generation
-            and (self._token_seq - token.seq) % (1 << 32) < (1 << 31)
+            generation == self.generation
+            and (self._token_seq - seq) % (1 << 32) < (1 << 31)
             and self.tokens_received > 0
         )
-        self.generation = token.generation
+        self.generation = generation
         # Always ack, even for a duplicate: the ack may have been lost.
-        self._send_ack(sender, token)
+        self._send_ack(src, generation, seq, cycle_start)
         if self.holding_token:
             return  # duplicate handoff of the token we already hold
         if is_stale_repeat:
@@ -281,20 +324,24 @@ class RetherLayer(FrameLayer):
             return
         self.holding_token = True
         self.tokens_received += 1
-        self._token_seq = token.seq
-        self._cycle_start = token.cycle_start
-        if self._is_ring_master():
-            self._cycle_start = self.sim.now  # a rotation completed
+        self._token_seq = seq
+        self._cycle_start = cycle_start
+        if self._rank == 0:
+            self._cycle_start = self.sim.now  # the master: a rotation completed
         self._service_token()
 
-    def _send_ack(self, dst: MacAddress, token: RetherMessage) -> None:
+    def _send_ack(self, dst: bytes, generation: int, seq: int, cycle_start: int) -> None:
         self.acks_sent += 1
-        self.pass_down(token.ack().wrap(dst, self._mac).to_bytes())
+        self.pass_down(
+            encode_frame(dst, self._mac_packed, TYPE_TOKEN_ACK, generation, seq, cycle_start)
+        )
 
-    def _handle_token_ack(self, sender: MacAddress, ack: RetherMessage) -> None:
-        if self._handoff_msg is None or sender != self._handoff_target:
+    def _handle_token_ack(self, src: bytes, seq: int) -> None:
+        if self._handoff_msg is None or src != self._handoff_target.packed:
             return
-        if ack.seq != self._handoff_msg.seq:
+        # A pending handoff carries _token_seq: it moves only when a token
+        # is passed, or accepted — which a holder never does.
+        if seq != self._token_seq:
             return  # ack for an older handoff
         self.acks_received += 1
         self._cancel_handoff_timer()
@@ -355,25 +402,21 @@ class RetherLayer(FrameLayer):
             self.be_deferred += len(self._queue)
         return sent
 
-    def _successor(self) -> MacAddress:
-        alive = self.ring
-        index = alive.index(self._mac)
-        return alive[(index + 1) % len(alive)]
-
-    def _is_ring_master(self) -> bool:
-        return min(self.ring, key=lambda m: m.packed) == self._mac
-
-
     def _pass_token(self) -> None:
-        successor = self._successor()
+        successor = self._successor
         if successor == self._mac:
             # We are the only live member: keep the token, stay quiet until
             # there is data to send or a peer rejoins.
             self.holding_token = True
             return
         self._token_seq = (self._token_seq + 1) % (1 << 32)
-        self._handoff_msg = RetherMessage(
-            TYPE_TOKEN, self.generation, self._token_seq, self._cycle_start
+        self._handoff_msg = encode_frame(
+            successor.packed,
+            self._mac_packed,
+            TYPE_TOKEN,
+            self.generation,
+            self._token_seq,
+            self._cycle_start,
         )
         self._handoff_target = successor
         self._handoff_attempts = 0
@@ -387,9 +430,7 @@ class RetherLayer(FrameLayer):
             self.token_retransmissions += 1
         else:
             self.tokens_passed += 1
-        self.pass_down(
-            self._handoff_msg.wrap(self._handoff_target, self._mac).to_bytes()
-        )
+        self.pass_down(self._handoff_msg)
         self._arm_handoff_timer()
 
     # ------------------------------------------------------------------
@@ -419,6 +460,7 @@ class RetherLayer(FrameLayer):
         dead = self._handoff_target
         self.nodes_evicted += 1
         self._dead.add(dead)
+        self._ring_changed()
         self._handoff_msg = None
         self._handoff_target = None
         self._handoff_attempts = 0
@@ -448,16 +490,15 @@ class RetherLayer(FrameLayer):
         self._handoff_target = None
         self._handoff_attempts = 0
         self._dead.clear()
+        self._ring_changed()
         self.joins_sent += 1
-        join = RetherMessage(TYPE_JOIN, self.generation, 0)
-        self.pass_down(
-            join.wrap(MacAddress("ff:ff:ff:ff:ff:ff"), self._mac).to_bytes()
-        )
+        self.pass_down(encode_frame(_BROADCAST, self._mac_packed, TYPE_JOIN, self.generation, 0))
         self._arm_regen_timer()
 
     def _handle_join(self, sender: MacAddress) -> None:
         if sender in self._members and sender in self._dead:
             self._dead.discard(sender)
+            self._ring_changed()
             self.joins_accepted += 1
 
     # ------------------------------------------------------------------
@@ -476,11 +517,6 @@ class RetherLayer(FrameLayer):
             self._regen_strikes = 0
             self._arm_regen_timer()
 
-    def _regen_rank(self) -> int:
-        """This node's position in the MAC-sorted live ring (master = 0)."""
-        ordered = sorted(self.ring, key=lambda m: m.packed)
-        return ordered.index(self._mac)
-
     def _on_regen_timeout(self) -> None:
         self._regen_timer = None
         if not self._started or self.host is None or not self.host.is_alive:
@@ -495,7 +531,7 @@ class RetherLayer(FrameLayer):
         # (Found by the crash property test: with master-only
         # regeneration, crashing the master deadlocked the ring.)
         self._regen_strikes += 1
-        if self._regen_strikes <= self._regen_rank():
+        if self._regen_strikes <= self._rank:
             return
         self.regenerations += 1
         self.generation = (self.generation + 1) % (1 << 16)
@@ -506,6 +542,6 @@ class RetherLayer(FrameLayer):
     def __repr__(self) -> str:
         holder = "holder" if self.holding_token else "idle"
         return (
-            f"RetherLayer({self._mac}, ring={len(self.ring)}, {holder}, "
+            f"RetherLayer({self._mac}, ring={len(self._live)}, {holder}, "
             f"gen={self.generation})"
         )

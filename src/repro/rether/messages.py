@@ -1,4 +1,4 @@
-"""Rether control messages.
+"""Rether control frames, on bytes.
 
 Rether control frames use EtherType ``0x9900`` — the value the paper's
 Fig 6 filter table matches with the tuple ``(12 2 0x9900)`` — and carry a
@@ -10,83 +10,37 @@ Header layout (big endian, frame offsets in parentheses):
 ====== ======= ==========================================================
 offset size    field
 ====== ======= ==========================================================
-0 (14) 2       type: 0x0001 token, 0x0010 token-ack
+0 (14) 2       type: 0x0001 token, 0x0010 token-ack, 0x0020 join
 2 (16) 2       generation — bumped when a lost token is regenerated
 4 (18) 4       token sequence — increments on every hop
 8 (22) 8       cycle start, ns — stamped by the ring master each rotation
 ====== ======= ==========================================================
+
+The layer reads the header in place with :data:`HEADER` and builds whole
+frames with :func:`encode_frame`; no message object exists per frame.
 """
 
 from __future__ import annotations
 
-from ..errors import PacketError
-from ..net.bytesutil import pack_u16, pack_u32, read_u16, read_u32
-from ..net.frame import ETHERTYPE_RETHER, EthernetFrame
+import struct
+
+from ..net.frame import ETHERTYPE_RETHER
 
 TYPE_TOKEN = 0x0001
 TYPE_TOKEN_ACK = 0x0010
 #: A recovered node announcing itself back into the ring (broadcast).
 TYPE_JOIN = 0x0020
+MESSAGE_TYPES = frozenset((TYPE_TOKEN, TYPE_TOKEN_ACK, TYPE_JOIN))
 
 HEADER_LEN = 16
+#: type, generation, seq, cycle start: read in place at frame offset 14.
+HEADER = struct.Struct(">HHIQ")
+_ETHERTYPE = ETHERTYPE_RETHER.to_bytes(2, "big")
 
 
-class RetherMessage:
-    """A decoded Rether control message."""
-
-    __slots__ = ("msg_type", "generation", "seq", "cycle_start")
-
-    def __init__(
-        self, msg_type: int, generation: int, seq: int, cycle_start: int = 0
-    ) -> None:
-        if msg_type not in (TYPE_TOKEN, TYPE_TOKEN_ACK, TYPE_JOIN):
-            raise PacketError(f"unknown Rether message type {msg_type:#06x}")
-        self.msg_type = msg_type
-        self.generation = generation % (1 << 16)
-        self.seq = seq % (1 << 32)
-        self.cycle_start = cycle_start
-
-    @property
-    def is_token(self) -> bool:
-        return self.msg_type == TYPE_TOKEN
-
-    @property
-    def is_ack(self) -> bool:
-        return self.msg_type == TYPE_TOKEN_ACK
-
-    @property
-    def is_join(self) -> bool:
-        return self.msg_type == TYPE_JOIN
-
-    def to_payload(self) -> bytes:
-        return (
-            pack_u16(self.msg_type)
-            + pack_u16(self.generation)
-            + pack_u32(self.seq)
-            + self.cycle_start.to_bytes(8, "big")
-        )
-
-    def wrap(self, dst, src) -> EthernetFrame:
-        """Build the on-wire control frame."""
-        return EthernetFrame(dst, src, ETHERTYPE_RETHER, self.to_payload())
-
-    @classmethod
-    def parse(cls, payload: bytes) -> "RetherMessage":
-        if len(payload) < HEADER_LEN:
-            raise PacketError(f"Rether header of {len(payload)} bytes is too short")
-        return cls(
-            msg_type=read_u16(payload, 0),
-            generation=read_u16(payload, 2),
-            seq=read_u32(payload, 4),
-            cycle_start=int.from_bytes(payload[8:16], "big"),
-        )
-
-    def ack(self) -> "RetherMessage":
-        """The token-ack answering this token."""
-        return RetherMessage(TYPE_TOKEN_ACK, self.generation, self.seq, self.cycle_start)
-
-    def __repr__(self) -> str:
-        kind = {TYPE_TOKEN: "TOKEN", TYPE_TOKEN_ACK: "TOKEN_ACK", TYPE_JOIN: "JOIN"}[
-            self.msg_type
-        ]
-        return f"RetherMessage({kind}, gen={self.generation}, seq={self.seq})"
+def encode_frame(
+    dst: bytes, src: bytes, msg_type: int, generation: int, seq: int, cycle_start: int = 0
+) -> bytes:
+    """The 30 bytes of one Rether control frame from *dst* and *src*
+    (packed MACs) and in-range header fields."""
+    return dst + src + _ETHERTYPE + HEADER.pack(msg_type, generation, seq, cycle_start)

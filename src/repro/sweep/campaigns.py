@@ -116,7 +116,7 @@ def _install_workload(tb: Testbed, hosts: List, spec: Mapping[str, Any]):
 
             def feed() -> None:
                 conn.send(bytes(chunk))
-                tb.sim.after(interval_ns, feed)
+                tb.sim.after(interval_ns, feed, "workload:tcp-feed")
 
             conn.on_established = feed
 
@@ -136,6 +136,7 @@ def _install_workload(tb: Testbed, hosts: List, spec: Mapping[str, Any]):
                 tb.sim.after(
                     (i + 1) * interval_ns,
                     lambda: socket.sendto(bytes(size), receiver.ip, port),
+                    "workload:udp-probe",
                 )
 
         return udp_probes

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.control import FLAG_RELIABLE, WIRE_SIZE, ControlMessage, ControlType
 from repro.errors import ControlPlaneError
-from repro.net import ETHERTYPE_VW_CONTROL, EthernetFrame
+from repro.net import ETHERTYPE_VW_CONTROL
 
 
 class TestRoundTrips:
@@ -24,13 +24,11 @@ class TestRoundTrips:
         assert ControlMessage.parse(msg.to_payload()).b == 10**15
 
     def test_wrap_produces_control_ethertype(self):
-        frame = ControlMessage(ControlType.START, 1).wrap(
-            "02:00:00:00:00:02", "02:00:00:00:00:01"
-        )
-        assert frame.ethertype == ETHERTYPE_VW_CONTROL
-        reparsed = ControlMessage.parse(
-            EthernetFrame.from_bytes(frame.to_bytes()).payload
-        )
+        dst, src = bytes.fromhex("020000000002"), bytes.fromhex("020000000001")
+        frame = ControlMessage(ControlType.START, 1).to_frame(dst, src)
+        assert frame[:12] == dst + src
+        assert frame[12:14] == ETHERTYPE_VW_CONTROL.to_bytes(2, "big")
+        reparsed = ControlMessage.parse(frame[14:])
         assert reparsed.msg_type is ControlType.START
 
 

@@ -64,19 +64,18 @@ class TestControlPlaneEdges:
         tb, (n1, n2) = make_testbed(2, seed=6)
         engine = tb.engines["node2"]
         message = ControlMessage(ControlType.INIT, 999)
-        bogus = message.wrap(n2.mac, n1.mac)
         with pytest.raises(ControlPlaneError):  # the handler refuses it ...
-            engine._on_init(bogus, message)
-        engine._handle_control(bogus.to_bytes())  # ... off the wire: dropped
+            engine._on_init(n1.mac, message)
+        wire = message.to_frame(n2.mac.packed, n1.mac.packed)
+        engine._handle_control(wire)  # ... off the wire: dropped
         assert engine.control_rejected == 1 and engine.program is None
 
     def test_counter_update_before_install_is_harmless(self):
         tb, (n1, n2) = make_testbed(2, seed=6)
         engine = tb.engines["node2"]
-        update = ControlMessage(ControlType.COUNTER_UPDATE, 0, 5).wrap(
-            n2.mac, n1.mac
-        )
-        engine._handle_control(update.to_bytes())  # no runtime yet: ignored
+        update = ControlMessage(ControlType.COUNTER_UPDATE, 0, 5)
+        wire = update.to_frame(n2.mac.packed, n1.mac.packed)
+        engine._handle_control(wire)  # no runtime yet: ignored
         assert engine.runtime is None
 
     def test_control_frames_never_classified(self):
@@ -148,7 +147,7 @@ class TestControlInputsMustBeRemoteState:
 
         def deliver(kind, first, second):
             message = ControlMessage(kind, first, second)
-            engine._handle_control(message.wrap(n1.mac, n2.mac).to_bytes())
+            engine._handle_control(message.to_frame(n1.mac.packed, n2.mac.packed))
 
         deliver(ControlType.COUNTER_UPDATE, a, 99)  # A is node1's own
         for term_id in (owned_term, remote_only, mirror):
@@ -210,7 +209,7 @@ class TestInitChecksum:
         program = self._program(tb)
         engine.program_registry[1] = program
         bad = ControlMessage(ControlType.INIT, 1, program.checksum() ^ 0xFF)
-        engine._handle_control(bad.wrap(n2.mac, n1.mac).to_bytes())
+        engine._handle_control(bad.to_frame(n2.mac.packed, n1.mac.packed))
         assert engine.program is None  # refused to arm
         assert engine.stats.init_checksum_failures == 1
         assert engine.stats.control_frames_sent >= 1  # the INIT_NACK
@@ -221,7 +220,7 @@ class TestInitChecksum:
         program = self._program(tb)
         engine.program_registry[1] = program
         good = ControlMessage(ControlType.INIT, 1, program.checksum())
-        engine._handle_control(good.wrap(n2.mac, n1.mac).to_bytes())
+        engine._handle_control(good.to_frame(n2.mac.packed, n1.mac.packed))
         assert engine.program is program
         assert engine.stats.init_checksum_failures == 0
 

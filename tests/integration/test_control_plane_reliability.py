@@ -22,7 +22,7 @@ import pytest
 from repro.core.control import ControlMessage, ControlType
 from repro.core.report import EndReason
 from repro.core.testbed import Testbed
-from repro.net.frame import ETHERTYPE_VW_CONTROL, EthernetFrame
+from repro.net.frame import ETHERTYPE_VW_CONTROL
 from repro.sim import ms, seconds
 
 SCENARIOS_DIR = pathlib.Path(__file__).resolve().parents[2] / "scenarios"
@@ -108,13 +108,21 @@ class TestMalformedControlFrame:
     def test_truncated_control_frame_is_counted_and_dropped(self):
         """A 3-byte control payload beside the live transfer raised
         ControlPlaneError out of the run before (ROADMAP aim 3)."""
+        self.check_counted_and_dropped(b"\x01\x02\x03")
+
+    def test_oversize_control_frame_is_counted_and_dropped(self):
+        """A payload over the Ethernet MTU raised PacketError out of the run
+        from the frame parser the engine used to build."""
+        self.check_counted_and_dropped(bytes(1601))
+
+    def check_counted_and_dropped(self, payload):
         testbeds = []
 
         def inject(tb):
             testbeds.append(tb)
             node1, node2 = tb.hosts["node1"], tb.hosts["node2"]
-            runt = EthernetFrame(node2.mac, node1.mac, ETHERTYPE_VW_CONTROL, b"\x01\x02\x03")
-            tb.sim.after(ms(2), node1.nic.transmit, args=(runt.to_bytes(),))
+            bad = control_frame(node2.mac, node1.mac, payload)
+            tb.sim.after(ms(2), node1.nic.transmit, args=(bad,))
 
         baseline, _ = run_fig5()
         report, _ = run_fig5(during=inject)
@@ -123,6 +131,11 @@ class TestMalformedControlFrame:
         assert report.final_counters == baseline.final_counters
         assert testbeds[0].engines["node2"].control_malformed_discarded == 1
         assert testbeds[0].engines["node1"].control_malformed_discarded == 0
+
+
+def control_frame(dst, src, payload):
+    """Raw control-frame bytes: any payload, the MTU not enforced."""
+    return dst.packed + src.packed + ETHERTYPE_VW_CONTROL.to_bytes(2, "big") + payload
 
 
 #: One well-formed message per handler that checks an id, each naming one
@@ -141,8 +154,8 @@ HOSTILE_IDS = [message.msg_type.name for message, _ in HOSTILE_CONTROL]
 def inject_control(tb, message, receiver, at=ms(2)):
     """Put *message* on the wire to *receiver* from the other of node1/node2."""
     sender = tb.hosts["node1" if receiver == "node2" else "node2"]
-    frame = message.wrap(tb.hosts[receiver].mac, sender.mac)
-    tb.sim.after(at, sender.nic.transmit, args=(frame.to_bytes(),))
+    frame = message.to_frame(tb.hosts[receiver].mac.packed, sender.mac.packed)
+    tb.sim.after(at, sender.nic.transmit, args=(frame,))
 
 
 class TestUnknownControlId:

@@ -8,7 +8,7 @@ terms evaluated on three different nodes.
 import pytest
 
 from repro.core.testbed import Testbed
-from repro.net.frame import ETHERTYPE_RETHER, EthernetFrame
+from repro.net.frame import ETHERTYPE_RETHER
 from repro.rether.install import install_rether
 from repro.scripts import rether_failover_script
 from repro.sim import ms, seconds
@@ -125,14 +125,15 @@ class TestMalformedRetherFrame:
 
     @pytest.mark.parametrize(
         "payload",
-        [b"\x77\x77" + bytes(14), bytes(7)],
-        ids=["unknown-type", "short-header"],
+        [b"\x77\x77" + bytes(14), bytes(7), b"\x77\x77" + bytes(1599)],
+        ids=["unknown-type", "short-header", "oversize"],
     )
     def test_counted_and_dropped_beside_live_traffic(self, payload):
         def inject(tb):
             node1, node2 = tb.hosts["node1"], tb.hosts["node2"]
-            bad = EthernetFrame(node2.mac, node1.mac, ETHERTYPE_RETHER, payload)
-            tb.sim.after(ms(5), node1.nic.transmit, args=(bad.to_bytes(),))
+            ethertype = ETHERTYPE_RETHER.to_bytes(2, "big")
+            bad = node2.mac.packed + node1.mac.packed + ethertype + payload
+            tb.sim.after(ms(5), node1.nic.transmit, args=(bad,))
 
         tb, hosts, report = run_case_study(during=inject)
         assert report.passed, report.render()

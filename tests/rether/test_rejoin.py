@@ -3,17 +3,15 @@
 import pytest
 
 from repro.errors import RetherError
-from repro.rether.messages import RetherMessage, TYPE_JOIN
+from repro.rether.messages import HEADER, TYPE_JOIN, encode_frame
 from repro.sim import ms, seconds
 from tests.rether.test_rether import build_ring
 
 
 class TestJoinMessage:
     def test_join_roundtrip(self):
-        msg = RetherMessage(TYPE_JOIN, generation=2, seq=0)
-        parsed = RetherMessage.parse(msg.to_payload())
-        assert parsed.is_join
-        assert not parsed.is_token and not parsed.is_ack
+        wire = encode_frame(b"\xff" * 6, bytes(6), TYPE_JOIN, generation=2, seq=0)
+        assert HEADER.unpack_from(wire, 14) == (TYPE_JOIN, 2, 0, 0)
 
 
 class TestRejoin:
@@ -79,8 +77,7 @@ class TestRejoin:
     def test_join_from_stranger_ignored(self):
         sim, hosts, layers = build_ring()
         sim.run_until(ms(20))
-        stranger = RetherMessage(TYPE_JOIN, 0, 0)
-        frame = stranger.wrap("ff:ff:ff:ff:ff:ff", "02:00:00:00:00:77")
-        layers["node1"].on_receive(frame.to_bytes())
+        stranger = bytes.fromhex("020000000077")
+        layers["node1"].on_receive(encode_frame(b"\xff" * 6, stranger, TYPE_JOIN, 0, 0))
         assert layers["node1"].joins_accepted == 0
         assert len(layers["node1"].ring) == 4

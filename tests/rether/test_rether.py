@@ -1,48 +1,67 @@
 """Tests for the Rether token-passing protocol."""
 
+from types import SimpleNamespace
+
 import pytest
 
-from repro.errors import PacketError, RetherError
+from repro.errors import RetherError
+from repro.net.addresses import MacAddress
 from repro.net.topology import Topology
-from repro.rether import RetherLayer, RetherMessage, TYPE_TOKEN, TYPE_TOKEN_ACK
+from repro.rether import RetherLayer, TYPE_TOKEN, TYPE_TOKEN_ACK
+from repro.rether.messages import HEADER, HEADER_LEN, encode_frame
 from repro.rether.install import install_rether
 from repro.sim import Simulator, ms, seconds
 from repro.stack import FREE, Host
 
 
+N1, N2 = MacAddress("02:00:00:00:00:01"), MacAddress("02:00:00:00:00:02")
+
+
 class TestMessages:
     def test_token_roundtrip(self):
-        msg = RetherMessage(TYPE_TOKEN, generation=3, seq=77, cycle_start=123456)
-        parsed = RetherMessage.parse(msg.to_payload())
-        assert parsed.is_token
-        assert (parsed.generation, parsed.seq, parsed.cycle_start) == (3, 77, 123456)
+        wire = encode_frame(N2.packed, N1.packed, TYPE_TOKEN, 3, 77, 123456)
+        assert len(wire) == 14 + HEADER_LEN
+        assert HEADER.unpack_from(wire, 14) == (TYPE_TOKEN, 3, 77, 123456)
 
     def test_ack_answers_token(self):
-        token = RetherMessage(TYPE_TOKEN, 1, 42)
-        ack = token.ack()
-        assert ack.is_ack and ack.seq == 42 and ack.generation == 1
+        """A token's ack goes back to its sender with the same generation,
+        seq and cycle start."""
+        sent = []
+        layer = lone_layer(sent)
+        layer.on_receive(encode_frame(N2.packed, N1.packed, TYPE_TOKEN, 1, 42, 99))
+        assert sent[0] == encode_frame(N1.packed, N2.packed, TYPE_TOKEN_ACK, 1, 42, 99)
+        assert layer.acks_sent == 1
 
     def test_wire_offsets_match_fig6_filters(self):
         """(12 2 0x9900) and (14 2 0x0001)/(14 2 0x0010) must hold."""
         from repro.net.bytesutil import read_u16
 
-        token_wire = RetherMessage(TYPE_TOKEN, 0, 0).wrap(
-            "02:00:00:00:00:02", "02:00:00:00:00:01"
-        ).to_bytes()
+        token_wire = encode_frame(N2.packed, N1.packed, TYPE_TOKEN, 0, 0)
         assert read_u16(token_wire, 12) == 0x9900
         assert read_u16(token_wire, 14) == 0x0001
-        ack_wire = RetherMessage(TYPE_TOKEN_ACK, 0, 0).wrap(
-            "02:00:00:00:00:02", "02:00:00:00:00:01"
-        ).to_bytes()
+        ack_wire = encode_frame(N2.packed, N1.packed, TYPE_TOKEN_ACK, 0, 0)
         assert read_u16(ack_wire, 14) == 0x0010
 
     def test_unknown_type_rejected(self):
-        with pytest.raises(PacketError):
-            RetherMessage(0x7777, 0, 0)
+        layer = lone_layer([])
+        layer.on_receive(encode_frame(N2.packed, N1.packed, 0x7777, 0, 0))
+        assert layer.malformed_discarded == 1
+        assert layer.acks_sent == 0
 
     def test_short_payload_rejected(self):
-        with pytest.raises(PacketError):
-            RetherMessage.parse(bytes(8))
+        layer = lone_layer([])
+        layer.on_receive(encode_frame(N2.packed, N1.packed, TYPE_TOKEN, 0, 0)[: 14 + 8])
+        assert layer.malformed_discarded == 1
+        assert layer.acks_sent == 0
+
+
+def lone_layer(sent):
+    """node2's layer, attached but not started, its sends captured in *sent*."""
+    layer = RetherLayer(Simulator(seed=1), ring=[N1, N2])
+    layer.host = SimpleNamespace(mac=N2, metrics=None)
+    layer.attached()
+    layer.pass_down = sent.append
+    return layer
 
 
 def build_ring(n=4, seed=3, **layer_kwargs):

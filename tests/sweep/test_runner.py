@@ -107,6 +107,41 @@ def mixed_campaign() -> SweepSpec:
     return spec
 
 
+class TestWorkloadEventLabels:
+    @pytest.mark.parametrize(
+        "params",
+        [
+            dict(script="fig6", medium="bus", rether=True, workload={"kind": "tcp_feed"},
+                 max_time_ns=30_000_000_000),
+            dict(script="fig5", workload={"kind": "udp_probes", "count": 20}),
+        ],
+        ids=["tcp_feed", "udp_probes"],
+    )
+    def test_every_fired_event_has_a_label(self, params, monkeypatch):
+        """Per-label attribution of host time sees the workload's own events."""
+        from repro.sim.simulator import Simulator
+
+        fired = []
+        original_init = Simulator.__init__
+
+        def init(sim, *args, **kwargs):
+            original_init(sim, *args, **kwargs)
+            sim.add_trace_hook(lambda handle: fired.append(handle.label))
+
+        monkeypatch.setattr(Simulator, "__init__", init)
+        scripts = {
+            "fig5": tcp_congestion_script(canonical_node_table(2)),
+            "fig6": rether_failover_script(canonical_node_table(4)),
+        }
+        spec = SweepSpec("labels", base_seed=1)
+        spec.add("cell", run_script_task, **{**params, "script": scripts[params["script"]]})
+        outcome = run_sweep(spec, backend="serial")
+        assert outcome.rows[0].ok, outcome.render()
+        workload_events = [label for label in fired if label.startswith("workload:")]
+        assert fired and workload_events
+        assert "" not in fired
+
+
 class TestDifferential:
     def test_serial_and_parallel_merge_byte_identical(self):
         """The tentpole guarantee: a >=12-task campaign mixing scenarios,

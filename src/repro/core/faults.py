@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Tuple
 
 from ..net.bytesutil import patch_bytes
-from ..sim import RandomStream, Simulator, quantize_to_jiffies
+from ..sim import RandomStream, Simulator, Timer, quantize_to_jiffies
 from .tables import ActionSpec, Direction
 
 #: A held packet: (frame bytes, direction it was travelling).
@@ -34,31 +34,31 @@ class DelayQueue:
         #: the ``engine.delay_queue_depth`` gauge when telemetry is on,
         #: sampled at every change of ``in_flight``.
         self.depth_gauge = None
-        self._timers: set = set()
+        #: the pending release of each held packet, by its hold number.
+        self._timers: Dict[int, Timer] = {}
 
     def hold(self, data: bytes, direction: Direction, delay_ns: int) -> None:
         self.delayed_packets += 1
         self.in_flight += 1
         if self.depth_gauge is not None:
             self.depth_gauge.set(self.in_flight)
-        quantised = quantize_to_jiffies(delay_ns)
-        handle_box = []
+        key = self.delayed_packets
+        timer = self._timers[key] = self.sim.timer(
+            self._release, "fault:delay", key, data, direction
+        )
+        timer.start(quantize_to_jiffies(delay_ns))
 
-        def release() -> None:
-            self._timers.discard(handle_box[0])
-            self.in_flight -= 1
-            if self.depth_gauge is not None:
-                self.depth_gauge.set(self.in_flight)
-            self.forward(data, direction)
-
-        handle = self.sim.after(quantised, release, "fault:delay")
-        handle_box.append(handle)
-        self._timers.add(handle)
+    def _release(self, key: int, data: bytes, direction: Direction) -> None:
+        del self._timers[key]
+        self.in_flight -= 1
+        if self.depth_gauge is not None:
+            self.depth_gauge.set(self.in_flight)
+        self.forward(data, direction)
 
     def wipe(self) -> None:
         """Drop every held packet without forwarding (host crash)."""
-        for handle in self._timers:
-            self.sim.cancel(handle)
+        for timer in self._timers.values():
+            timer.stop()
         self._timers.clear()
         if self.in_flight and self.depth_gauge is not None:
             self.depth_gauge.set(0)

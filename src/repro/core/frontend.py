@@ -95,7 +95,7 @@ class Frontend:
         self._pending_start_acks: Set[str] = set()
         self._workload_scheduled = False
         self._init_resends: Dict[str, int] = {}
-        self._heartbeat = None
+        self._heartbeat = sim.timer(self._heartbeat_tick, "frontend:heartbeat")
         self.started = False
         self.start_time = 0
         self.last_activity = 0
@@ -257,9 +257,7 @@ class Frontend:
             self.control_engine.send_start(
                 mac, self.program_id, on_acked=lambda n=node: self._on_start_acked(n)
             )
-        self._heartbeat = self.sim.every(
-            HEARTBEAT_INTERVAL_NS, self._heartbeat_tick, "frontend:heartbeat"
-        )
+        self._heartbeat.start(HEARTBEAT_INTERVAL_NS)
         if not self._pending_start_acks:
             self._schedule_workload()
 
@@ -307,6 +305,8 @@ class Frontend:
             if self._is_control_node(mac):
                 continue
             self.control_engine.send_heartbeat(mac)
+        if not self.finished:
+            self._heartbeat.start(HEARTBEAT_INTERVAL_NS)
 
     def node_unreachable(self, peer_mac: MacAddress) -> None:
         """The control engine's retry budget toward *peer_mac* ran out."""
@@ -543,9 +543,7 @@ class Frontend:
             self.finished = True
             self.end_reason = reason
             self.sim.stop()  # the run loop's cue: no event after this one
-            if self._heartbeat is not None:
-                self._heartbeat.stop()
-                self._heartbeat = None
+            self._heartbeat.stop()
             self.shutdown()
 
     def force_finish(self, reason: EndReason) -> None:

@@ -56,11 +56,19 @@ class _Pending:
 
     __slots__ = ("message", "retries", "rto_ns", "timer", "on_acked")
 
-    def __init__(self, message: ControlMessage, on_acked) -> None:
+    def __init__(
+        self,
+        channel: "ReliableControlPlane",
+        dst: MacAddress,
+        peer: "_PeerState",
+        message: ControlMessage,
+        on_acked,
+    ) -> None:
         self.message = message
         self.retries = 0
         self.rto_ns = INITIAL_RTO_NS
-        self.timer = None
+        #: the retransmission timer, ``control:rto``.
+        self.timer = channel.sim.timer(channel._retransmit, "control:rto", dst, peer, self)
         self.on_acked = on_acked
 
 
@@ -107,8 +115,7 @@ class ReliableControlPlane:
         """Forget all peer state and cancel every retransmit timer."""
         for peer in self._peers.values():
             for pending in peer.inflight.values():
-                if pending.timer is not None:
-                    self.sim.cancel(pending.timer)
+                pending.timer.stop()
         self._peers.clear()
 
     def reset_peer(self, mac: MacAddress) -> None:
@@ -123,8 +130,7 @@ class ReliableControlPlane:
         if state is None:
             return
         for pending in state.inflight.values():
-            if pending.timer is not None:
-                self.sim.cancel(pending.timer)
+            pending.timer.stop()
 
     def _peer(self, mac: MacAddress) -> _PeerState:
         state = self._peers.get(mac.packed)
@@ -161,18 +167,11 @@ class ReliableControlPlane:
             seq=peer.tx_seq,
             flags=message.flags | FLAG_RELIABLE,
         )
-        pending = _Pending(message, on_acked)
+        pending = _Pending(self, dst, peer, message, on_acked)
         peer.inflight[message.seq] = pending
         self._transmit(dst, message)
-        self._arm_timer(dst, peer, pending)
+        pending.timer.start(pending.rto_ns)
         return message
-
-    def _arm_timer(self, dst: MacAddress, peer: _PeerState, pending: _Pending) -> None:
-        pending.timer = self.sim.after(
-            pending.rto_ns,
-            lambda: self._retransmit(dst, peer, pending),
-            "control:rto",
-        )
 
     def _retransmit(self, dst: MacAddress, peer: _PeerState, pending: _Pending) -> None:
         if pending.message.seq not in peer.inflight or peer.dead:
@@ -184,13 +183,12 @@ class ReliableControlPlane:
         pending.rto_ns = min(pending.rto_ns * 2, MAX_RTO_NS)
         self._stats.control_retransmits += 1
         self._transmit(dst, pending.message)
-        self._arm_timer(dst, peer, pending)
+        pending.timer.start(pending.rto_ns)
 
     def _declare_dead(self, dst: MacAddress, peer: _PeerState) -> None:
         peer.dead = True
         for pending in peer.inflight.values():
-            if pending.timer is not None:
-                self.sim.cancel(pending.timer)
+            pending.timer.stop()
         peer.inflight.clear()
         self._stats.control_peer_failures += 1
         if self.on_peer_failed is not None:
@@ -247,8 +245,7 @@ class ReliableControlPlane:
         pending = peer.inflight.pop(seq, None)
         if pending is None:
             return
-        if pending.timer is not None:
-            self.sim.cancel(pending.timer)
+        pending.timer.stop()
         if pending.on_acked is not None:
             pending.on_acked()
 

@@ -3,8 +3,8 @@
 A from-scratch implementation of the behaviour the paper's case study
 injects faults into: acknowledged round-robin token passing, failure
 detection after three unacknowledged token transmissions, ring
-reconstruction around dead nodes, token regeneration, and a simple
-real-time reservation mode.
+reconstruction around dead nodes, token regeneration, and a per-cycle
+transmission budget.
 """
 
 from .install import install_rether

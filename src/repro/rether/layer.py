@@ -9,7 +9,7 @@ This module implements the behaviour the paper's §6.2 scenario tests:
   fixed order; the holder drains up to a burst quota of queued data frames,
   then passes the token on;
 * **acknowledged token handoff** — each token transfer must be answered by
-  a token-ack; the sender retries up to ``max_token_attempts`` times total
+  a token-ack; the sender sends it ``DEFAULT_MAX_TOKEN_ATTEMPTS`` times in all
   (the scenario's analysis script checks for exactly 3 sends), then
   declares the successor dead;
 * **ring reconstruction** — a dead successor is dropped from the sender's
@@ -19,9 +19,8 @@ This module implements the behaviour the paper's §6.2 scenario tests:
   interval (the holder itself died), the live member with the lowest MAC
   address regenerates the token with a bumped generation number; stale
   generations are discarded, keeping a single token in circulation;
-* a simple **real-time mode**: a node may reserve a per-cycle frame quota;
-  reserved frames are always sent when the token arrives, while best-effort
-  frames go out only while the rotation is inside its target cycle time.
+* a **cycle budget**: queued frames go out only while the rotation is
+  inside its target cycle time.
 
 The layer is spliced *above* the VirtualWire engine, so every token and
 token-ack crosses the engine's hook and can be counted, dropped, delayed or
@@ -59,7 +58,7 @@ DEFAULT_MAX_TOKEN_ATTEMPTS = 3
 DEFAULT_BURST_FRAMES = 10
 #: No token activity for this long => the token was lost with its holder.
 DEFAULT_REGENERATION_TIMEOUT_NS = 500 * NS_PER_MS
-#: Target token rotation time for real-time admission control.
+#: Target token rotation time: past it, queued frames wait for the next visit.
 DEFAULT_CYCLE_TARGET_NS = 30 * NS_PER_MS
 #: Bound on the queue of data frames awaiting the token.
 DEFAULT_QUEUE_FRAMES = 512
@@ -82,14 +81,7 @@ class RetherLayer(FrameLayer):
         self,
         sim: Simulator,
         ring: List[MacAddress],
-        ack_timeout_ns: int = DEFAULT_ACK_TIMEOUT_NS,
-        max_token_attempts: int = DEFAULT_MAX_TOKEN_ATTEMPTS,
-        burst_frames: int = DEFAULT_BURST_FRAMES,
         regeneration_timeout_ns: int = DEFAULT_REGENERATION_TIMEOUT_NS,
-        cycle_target_ns: int = DEFAULT_CYCLE_TARGET_NS,
-        rt_quota_frames: int = 0,
-        queue_frames: int = DEFAULT_QUEUE_FRAMES,
-        idle_gap_ns: int = DEFAULT_IDLE_GAP_NS,
     ) -> None:
         super().__init__("rether")
         if len(ring) < 2:
@@ -103,32 +95,24 @@ class RetherLayer(FrameLayer):
         self._live: List[MacAddress] = list(ring)
         self._successor: Optional[MacAddress] = None
         self._rank = 0
-        self.ack_timeout_ns = ack_timeout_ns
-        self.max_token_attempts = max_token_attempts
-        self.burst_frames = burst_frames
         self.regeneration_timeout_ns = regeneration_timeout_ns
-        self.cycle_target_ns = cycle_target_ns
-        self.rt_quota_frames = rt_quota_frames
-        self.queue_frames = queue_frames
-        self.idle_gap_ns = idle_gap_ns
 
         self._mac: Optional[MacAddress] = None
         self._mac_packed = b""
         self._queue: Deque[bytes] = deque()
-        self._rt_queue: Deque[bytes] = deque()
         self.holding_token = False
         self.generation = 0
         self._token_seq = 0
         self._cycle_start = 0
-        self._handoff_timer = None
+        self._handoff_timer = sim.timer(self._on_handoff_timeout, "rether:ack-timeout")
         self._handoff_attempts = 0
         #: the pending handoff's token frame, which its retransmissions
         #: resend as is; None while no handoff is pending.
         self._handoff_msg: Optional[bytes] = None
         self._handoff_target: Optional[MacAddress] = None
-        self._regen_timer = None
+        self._regen_timer = sim.timer(self._on_regen_timeout, "rether:regen")
         self._regen_strikes = 0
-        self._idle_pass_timer = None
+        self._idle_pass_timer = sim.timer(self._idle_pass, "rether:idle-gap")
         self._started = False
 
         # Statistics.
@@ -190,7 +174,7 @@ class RetherLayer(FrameLayer):
             self._cycle_start = self.sim.now
             # Give every node a moment to start before the first rotation.
             self.sim.after(NS_PER_MS, self._service_token, "rether:first-cycle")
-        self._arm_regen_timer()
+        self._regen_timer.start(self.regeneration_timeout_ns)
 
     def on_host_crash(self) -> None:
         """Host crash: all protocol state is lost with the machine.
@@ -200,19 +184,13 @@ class RetherLayer(FrameLayer):
         regeneration.  A later reboot starts from generation 0 — the
         live ring's bumped generation wins on contact.
         """
-        self._cancel_handoff_timer()
+        self._handoff_timer.stop()
         self._handoff_msg = None
         self._handoff_target = None
-        self._handoff_attempts = 0
-        if self._regen_timer is not None:
-            self._regen_timer.cancel()
-            self._regen_timer = None
+        self._regen_timer.stop()
         self._regen_strikes = 0
-        if self._idle_pass_timer is not None:
-            self._idle_pass_timer.cancel()
-            self._idle_pass_timer = None
+        self._idle_pass_timer.stop()
         self._queue.clear()
-        self._rt_queue.clear()
         self.holding_token = False
         self.generation = 0
         self._token_seq = 0
@@ -241,25 +219,14 @@ class RetherLayer(FrameLayer):
             # Our own control traffic (or a test injecting raw control).
             self.pass_down(frame_bytes)
             return
-        queue = self._rt_queue if self._is_reserved_traffic(frame_bytes) else self._queue
-        if len(queue) >= self.queue_frames:
+        if len(self._queue) >= DEFAULT_QUEUE_FRAMES:
             self.queue_drops += 1
             return
-        queue.append(frame_bytes)
+        self._queue.append(frame_bytes)
         if self.holding_token and self._handoff_msg is None:
             # Idle holder (we kept the token because the ring was otherwise
             # silent): service the new frame immediately.
             self._service_token()
-
-    def _is_reserved_traffic(self, frame_bytes: bytes) -> bool:
-        """Real-time classification hook.
-
-        The default policy reserves nothing; subclasses or tests can
-        override.  With ``rt_quota_frames > 0`` every frame is treated as
-        reserved up to the quota, which matches how the paper's testbed
-        gives node1/node4 a "real time TCP-based client-server" flow.
-        """
-        return self.rt_quota_frames > 0
 
     def on_receive(self, frame_bytes: bytes) -> None:
         if len(frame_bytes) >= 16 and frame_bytes[12:14] == b"\x99\x00":
@@ -344,7 +311,7 @@ class RetherLayer(FrameLayer):
         if seq != self._token_seq:
             return  # ack for an older handoff
         self.acks_received += 1
-        self._cancel_handoff_timer()
+        self._handoff_timer.stop()
         self._handoff_msg = None
         self._handoff_target = None
         self._handoff_attempts = 0
@@ -357,47 +324,31 @@ class RetherLayer(FrameLayer):
     def _service_token(self) -> None:
         if not self.holding_token or self._handoff_msg is not None:
             return
-        if self._idle_pass_timer is not None:
-            self._idle_pass_timer.cancel()
-            self._idle_pass_timer = None
+        self._idle_pass_timer.stop()
         sent = self._transmit_pending()
-        if sent == 0 and self.idle_gap_ns > 0:
+        if sent == 0:
             # Nothing to send: hold the token briefly so an idle ring does
             # not rotate at wire speed.  Newly queued data cuts the gap
             # short (on_send re-enters _service_token).
-            self._idle_pass_timer = self.sim.after(
-                self.idle_gap_ns, self._idle_pass, "rether:idle-gap"
-            )
+            self._idle_pass_timer.start(DEFAULT_IDLE_GAP_NS)
         else:
             self._pass_token()
 
     def _idle_pass(self) -> None:
-        self._idle_pass_timer = None
         if not self.holding_token or self._handoff_msg is not None:
             return
         self._transmit_pending()
         self._pass_token()
 
     def _transmit_pending(self) -> int:
-        """Send queued data within the burst budget; returns frames sent."""
-        budget = self.burst_frames
+        """Send queued data within the burst budget, and only while the
+        rotation is within its target cycle time; returns frames sent."""
         sent = 0
-        # Reserved (real-time) traffic goes first, up to its quota.
-        rt_left = min(self.rt_quota_frames, budget) if self.rt_quota_frames else 0
-        while self._rt_queue and rt_left > 0:
-            self.pass_down(self._rt_queue.popleft())
-            self.data_sent += 1
-            sent += 1
-            rt_left -= 1
-            budget -= 1
-        # Best-effort traffic only while the rotation is within its target.
-        in_budget = (self.sim.now - self._cycle_start) < self.cycle_target_ns
-        if in_budget:
-            while self._queue and budget > 0:
+        if self.sim.now - self._cycle_start < DEFAULT_CYCLE_TARGET_NS:
+            while self._queue and sent < DEFAULT_BURST_FRAMES:
                 self.pass_down(self._queue.popleft())
                 self.data_sent += 1
                 sent += 1
-                budget -= 1
         elif self._queue:
             self.be_deferred += len(self._queue)
         return sent
@@ -431,28 +382,16 @@ class RetherLayer(FrameLayer):
         else:
             self.tokens_passed += 1
         self.pass_down(self._handoff_msg)
-        self._arm_handoff_timer()
+        self._handoff_timer.start(DEFAULT_ACK_TIMEOUT_NS)
 
     # ------------------------------------------------------------------
     # Failure detection and ring reconstruction
     # ------------------------------------------------------------------
 
-    def _arm_handoff_timer(self) -> None:
-        self._cancel_handoff_timer()
-        self._handoff_timer = self.sim.after(
-            self.ack_timeout_ns, self._on_handoff_timeout, "rether:ack-timeout"
-        )
-
-    def _cancel_handoff_timer(self) -> None:
-        if self._handoff_timer is not None:
-            self._handoff_timer.cancel()
-            self._handoff_timer = None
-
     def _on_handoff_timeout(self) -> None:
-        self._handoff_timer = None
         if self._handoff_msg is None:
             return
-        if self._handoff_attempts < self.max_token_attempts:
+        if self._handoff_attempts < DEFAULT_MAX_TOKEN_ATTEMPTS:
             self._transmit_token()
             return
         # The successor never acked despite max attempts: evict it and
@@ -485,7 +424,7 @@ class RetherLayer(FrameLayer):
         if self.host is None or not self.host.is_alive:
             raise RetherError("rejoin requires a recovered (alive) host")
         self.holding_token = False
-        self._cancel_handoff_timer()
+        self._handoff_timer.stop()
         self._handoff_msg = None
         self._handoff_target = None
         self._handoff_attempts = 0
@@ -493,7 +432,7 @@ class RetherLayer(FrameLayer):
         self._ring_changed()
         self.joins_sent += 1
         self.pass_down(encode_frame(_BROADCAST, self._mac_packed, TYPE_JOIN, self.generation, 0))
-        self._arm_regen_timer()
+        self._regen_timer.start(self.regeneration_timeout_ns)
 
     def _handle_join(self, sender: MacAddress) -> None:
         if sender in self._members and sender in self._dead:
@@ -505,23 +444,15 @@ class RetherLayer(FrameLayer):
     # Token-loss recovery
     # ------------------------------------------------------------------
 
-    def _arm_regen_timer(self) -> None:
-        if self._regen_timer is not None:
-            self._regen_timer.cancel()
-        self._regen_timer = self.sim.after(
-            self.regeneration_timeout_ns, self._on_regen_timeout, "rether:regen"
-        )
-
     def _touch_regen_timer(self) -> None:
         if self._started:
             self._regen_strikes = 0
-            self._arm_regen_timer()
+            self._regen_timer.start(self.regeneration_timeout_ns)
 
     def _on_regen_timeout(self) -> None:
-        self._regen_timer = None
         if not self._started or self.host is None or not self.host.is_alive:
             return
-        self._arm_regen_timer()
+        self._regen_timer.start(self.regeneration_timeout_ns)
         if self.holding_token:
             # We hold the token but the ring is idle; nothing to recover.
             return

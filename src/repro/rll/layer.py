@@ -64,7 +64,7 @@ class _PeerState:
         "timer",
     )
 
-    def __init__(self) -> None:
+    def __init__(self, layer: "RllLayer", mac: MacAddress) -> None:
         self.snd_base = 0
         self.snd_next = 0
         self.window: Deque[Tuple[int, bytes]] = deque()  # (seq, raw frame)
@@ -72,7 +72,8 @@ class _PeerState:
         self.backlog: Deque[bytes] = deque()
         self.rcv_next = 0
         self.retries = 0
-        self.timer = None
+        #: the retransmission timer, ``rll:rto``.
+        self.timer = layer.sim.timer(layer._on_timeout, "rll:rto", mac, self)
 
 
 class RllLayer(FrameLayer):
@@ -115,7 +116,7 @@ class RllLayer(FrameLayer):
     def _peer(self, mac: MacAddress) -> _PeerState:
         state = self._peers.get(mac)
         if state is None:
-            state = _PeerState()
+            state = _PeerState(self, mac)
             self._peers[mac] = state
         return state
 
@@ -126,7 +127,7 @@ class RllLayer(FrameLayer):
     def on_host_crash(self) -> None:
         """Host crash: every window, backlog and timer is gone."""
         for peer in self._peers.values():
-            self._cancel_timer(peer)
+            peer.timer.stop()
             self._clear_backlog(peer)
         self._peers.clear()
 
@@ -135,7 +136,7 @@ class RllLayer(FrameLayer):
         old pairing so the fresh exchange is not discarded as duplicates."""
         peer = self._peers.pop(mac, None)
         if peer is not None:
-            self._cancel_timer(peer)
+            peer.timer.stop()
             self._clear_backlog(peer)
 
     def _clear_backlog(self, peer: _PeerState) -> None:
@@ -181,8 +182,8 @@ class RllLayer(FrameLayer):
         peer.unacked += 1
         self.data_sent += 1
         self._emit_data(dst, frame, seq, peer.rcv_next)
-        if peer.timer is None:
-            self._arm_timer(dst, peer)
+        if not peer.timer.armed:
+            peer.timer.start(DEFAULT_RTO_NS)
 
     def _emit_data(self, dst: MacAddress, frame: bytes, seq: int, ack: int) -> None:
         self.pass_down(encap_data_fast(frame, seq, ack))
@@ -257,9 +258,10 @@ class RllLayer(FrameLayer):
         if advanced:
             peer.snd_base = ack
             peer.retries = 0
-            self._cancel_timer(peer)
             if peer.window:
-                self._arm_timer(dst, peer)
+                peer.timer.start(DEFAULT_RTO_NS)
+            else:
+                peer.timer.stop()
             self._drain_backlog(dst, peer)
 
     def _drain_backlog(self, dst: MacAddress, peer: _PeerState) -> None:
@@ -275,19 +277,7 @@ class RllLayer(FrameLayer):
     # Retransmission
     # ------------------------------------------------------------------
 
-    def _arm_timer(self, dst: MacAddress, peer: _PeerState) -> None:
-        self._cancel_timer(peer)
-        peer.timer = self.sim.after(
-            DEFAULT_RTO_NS, lambda: self._on_timeout(dst, peer), "rll:rto"
-        )
-
-    def _cancel_timer(self, peer: _PeerState) -> None:
-        if peer.timer is not None:
-            peer.timer.cancel()
-            peer.timer = None
-
     def _on_timeout(self, dst: MacAddress, peer: _PeerState) -> None:
-        peer.timer = None
         if not peer.window:
             return
         peer.retries += 1
@@ -304,7 +294,7 @@ class RllLayer(FrameLayer):
         for seq, frame in peer.window:
             self.retransmissions += 1
             self._emit_data(dst, frame, seq, peer.rcv_next)
-        self._arm_timer(dst, peer)
+        peer.timer.start(DEFAULT_RTO_NS)
 
     def __repr__(self) -> str:
         return (

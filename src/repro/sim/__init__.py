@@ -1,7 +1,7 @@
 """Deterministic discrete-event simulation kernel.
 
 This package is the substrate replacing the paper's physical testbed: an
-integer-nanosecond virtual clock, a deterministic event queue, periodic
+integer-nanosecond virtual clock, a deterministic event queue, re-armable
 timers, and named seeded random streams.
 """
 
@@ -24,7 +24,7 @@ from .clock import (
 )
 from .events import Callback, EventHandle, EventQueue
 from .random import RandomRegistry, RandomStream
-from .simulator import DrainEnd, PeriodicHandle, Simulator
+from .simulator import DrainEnd, Simulator, Timer
 
 __all__ = [
     "JIFFY_NS",
@@ -36,10 +36,10 @@ __all__ = [
     "DrainEnd",
     "EventHandle",
     "EventQueue",
-    "PeriodicHandle",
     "RandomRegistry",
     "RandomStream",
     "Simulator",
+    "Timer",
     "format_time",
     "ms",
     "ns",

@@ -4,7 +4,7 @@
 and exposes the scheduling API that every other subsystem uses:
 
 * :meth:`Simulator.at` / :meth:`Simulator.after` — schedule one-shot events;
-* :meth:`Simulator.every` — periodic tasks (returns a cancellable handle);
+* :meth:`Simulator.timer` — a re-armable one-shot :class:`Timer`;
 * :meth:`Simulator.run` / :meth:`run_until` / :meth:`step` — drive the loop
   (:meth:`Simulator.drain` is the one loop behind all but ``step``).
 
@@ -35,40 +35,44 @@ class DrainEnd(enum.Enum):
     STOPPED = "stopped"  # stop() ended the loop
 
 
-class PeriodicHandle:
-    """Handle for a repeating task created with :meth:`Simulator.every`."""
+class Timer:
+    """A re-armable one-shot timer, made by :meth:`Simulator.timer`.
 
-    __slots__ = ("_sim", "_interval", "_callback", "_label", "_event", "_stopped", "fires")
+    :meth:`start` arms it, or re-arms it and drops the pending firing;
+    :meth:`stop` disarms it and is safe to repeat; :attr:`armed` says
+    whether a firing is pending.  Each arm is one :meth:`Simulator.after`,
+    and a firing disarms the timer before ``callback(*args)`` runs, so the
+    callback may start it again.
+    """
 
-    def __init__(self, sim: "Simulator", interval: int, callback: Callback, label: str) -> None:
-        if interval <= 0:
-            raise SchedulingError(f"periodic interval must be positive, got {interval}")
+    __slots__ = ("_sim", "_callback", "_label", "_args", "_event")
+
+    def __init__(self, sim: "Simulator", callback: Callback, label: str, args: tuple) -> None:
         self._sim = sim
-        self._interval = interval
         self._callback = callback
         self._label = label
-        self._stopped = False
-        self.fires = 0
-        self._event: Optional[EventHandle] = sim.after(interval, self._fire, label)
+        self._args = args
+        self._event: Optional[EventHandle] = None
 
-    def _fire(self) -> None:
-        if self._stopped:
-            return
-        self.fires += 1
-        self._callback()
-        if not self._stopped:
-            self._event = self._sim.after(self._interval, self._fire, self._label)
+    @property
+    def armed(self) -> bool:
+        return self._event is not None
+
+    def start(self, delay: int) -> None:
+        """Fire *delay* nanoseconds from now, and not at any earlier deadline."""
+        if self._event is not None:
+            self._event.cancel()
+        self._event = self._sim.after(delay, self._fire, self._label)
 
     def stop(self) -> None:
-        """Stop the periodic task; safe to call multiple times."""
-        self._stopped = True
+        """Drop the pending firing, if any."""
         if self._event is not None:
             self._event.cancel()
             self._event = None
 
-    @property
-    def stopped(self) -> bool:
-        return self._stopped
+    def _fire(self) -> None:
+        self._event = None
+        self._callback(*self._args)
 
 
 class Simulator:
@@ -117,12 +121,9 @@ class Simulator:
             raise SchedulingError(f"negative delay: {delay}")
         return self.queue.push(self.clock._now + delay, callback, label, args)
 
-    def every(self, interval: int, callback: Callback, label: str = "") -> PeriodicHandle:
-        """Run *callback* every *interval* nanoseconds until stopped.
-
-        The first firing happens one interval from now.
-        """
-        return PeriodicHandle(self, interval, callback, label)
+    def timer(self, callback: Callback, label: str, *args) -> Timer:
+        """A disarmed :class:`Timer` that runs ``callback(*args)`` as *label*."""
+        return Timer(self, callback, label, args)
 
     def cancel(self, handle: EventHandle) -> None:
         """Cancel a previously scheduled one-shot event."""

@@ -135,10 +135,9 @@ class TcpConnection:
 
         # Timers.
         self.estimator = RttEstimator()
-        self._rtx_timer = None
-        self._rtx_label = f"tcp:{local_port}:rtx"
-        self._synack_timer = None
-        self._time_wait_timer = None
+        self._rtx_timer = self.sim.timer(self._on_rtx_timeout, f"tcp:{local_port}:rtx")
+        self._synack_timer = self.sim.timer(self._on_synack_timeout, "tcp:synack-rtx")
+        self._time_wait_timer = self.sim.timer(self._enter_closed, "tcp:time-wait", True)
 
         # Callbacks the application installs.
         self.on_established: Optional[Callable[[], None]] = None
@@ -282,7 +281,7 @@ class TcpConnection:
         self.peer_window = seg.window
         self._ack_unacked_through(seg.ack)
         self.snd_una = seg.ack
-        self._cancel_rtx_timer()
+        self._rtx_timer.stop()
         self.state = TcpState.ESTABLISHED
         self._send_ack()
         if self.on_established is not None:
@@ -298,8 +297,8 @@ class TcpConnection:
             self.snd_una = seg.ack
             self._ack_unacked_through(seg.ack)
             self.peer_window = seg.window
-            self._cancel_synack_timer()
-            self._cancel_rtx_timer()
+            self._synack_timer.stop()
+            self._rtx_timer.stop()
             self.state = TcpState.ESTABLISHED
             if self.on_established is not None:
                 self.on_established()
@@ -340,7 +339,7 @@ class TcpConnection:
             if self._unacked:
                 self._arm_rtx_timer(restart=True)
             else:
-                self._cancel_rtx_timer()
+                self._rtx_timer.stop()
             self._maybe_finish_close()
             self._try_send()
         elif (
@@ -503,7 +502,7 @@ class TcpConnection:
         else:
             self._transmit(self.snd_nxt, b"", flags, track=True)
             self.snd_nxt = seq_add(self.snd_nxt, 1)
-        self._arm_synack_timer()
+        self._synack_timer.start(DEFAULT_SYNACK_RTO_NS)
 
     def _transmit(self, seq: int, payload: bytes, flags: int, track: bool) -> None:
         ack = self.rcv_nxt if flags & FLAG_ACK else 0
@@ -523,21 +522,10 @@ class TcpConnection:
     # ------------------------------------------------------------------
 
     def _arm_rtx_timer(self, restart: bool = False) -> None:
-        if self._rtx_timer is not None:
-            if not restart:
-                return
-            self._rtx_timer.cancel()
-        self._rtx_timer = self.sim.after(
-            self.estimator.rto_ns, self._on_rtx_timeout, self._rtx_label
-        )
-
-    def _cancel_rtx_timer(self) -> None:
-        if self._rtx_timer is not None:
-            self._rtx_timer.cancel()
-            self._rtx_timer = None
+        if restart or not self._rtx_timer.armed:
+            self._rtx_timer.start(self.estimator.rto_ns)
 
     def _on_rtx_timeout(self) -> None:
-        self._rtx_timer = None
         if not self._unacked:
             return
         self.timeout_retransmits += 1
@@ -565,39 +553,21 @@ class TcpConnection:
             )
         )
 
-    def _arm_synack_timer(self) -> None:
-        self._cancel_synack_timer()
-        self._synack_timer = self.sim.after(
-            DEFAULT_SYNACK_RTO_NS, self._on_synack_timeout, "tcp:synack-rtx"
-        )
-
-    def _cancel_synack_timer(self) -> None:
-        if self._synack_timer is not None:
-            self._synack_timer.cancel()
-            self._synack_timer = None
-
     def _on_synack_timeout(self) -> None:
-        self._synack_timer = None
         if self.state is TcpState.SYN_RCVD:
             self._send_synack(retransmission=True)
 
     def _enter_time_wait(self) -> None:
         self.state = TcpState.TIME_WAIT
-        self._cancel_rtx_timer()
-        if self._time_wait_timer is not None:
-            self._time_wait_timer.cancel()
-        self._time_wait_timer = self.sim.after(
-            DEFAULT_TIME_WAIT_NS, lambda: self._enter_closed(notify=True), "tcp:time-wait"
-        )
+        self._rtx_timer.stop()
+        self._time_wait_timer.start(DEFAULT_TIME_WAIT_NS)
 
     def _enter_closed(self, notify: bool) -> None:
         already_closed = self.state is TcpState.CLOSED
         self.state = TcpState.CLOSED
-        self._cancel_rtx_timer()
-        self._cancel_synack_timer()
-        if self._time_wait_timer is not None:
-            self._time_wait_timer.cancel()
-            self._time_wait_timer = None
+        self._rtx_timer.stop()
+        self._synack_timer.stop()
+        self._time_wait_timer.stop()
         self._unacked.clear()
         self._send_buffer.clear()
         self.layer.forget(self)

@@ -57,7 +57,7 @@ class EchoClient:
         self.timeouts = 0
         self._sent_at: Optional[int] = None
         self._seq = 0
-        self._timer = None
+        self._timer = self.sim.timer(self._on_timeout, "echo:timeout")
         self.done = False
         self.on_done = None
 
@@ -72,22 +72,19 @@ class EchoClient:
         payload = self._seq.to_bytes(4, "big") + bytes(self.payload_size - 4)
         self._sent_at = self.sim.now
         self.socket.sendto(payload, self.server_ip, DEFAULT_PORT)
-        self._timer = self.sim.after(self.timeout_ns, self._on_timeout, "echo:timeout")
+        self._timer.start(self.timeout_ns)
 
     def _on_echo(self, payload: bytes, src_ip, src_port: int) -> None:
         if self._sent_at is None or len(payload) < 4:
             return
         if int.from_bytes(payload[:4], "big") != self._seq:
             return  # a late echo of an already timed-out probe
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
+        self._timer.stop()
         self.rtts_ns.append(self.sim.now - self._sent_at)
         self._sent_at = None
         self._send_next()
 
     def _on_timeout(self) -> None:
-        self._timer = None
         self.timeouts += 1
         self._sent_at = None
         self._send_next()
@@ -106,5 +103,4 @@ class EchoClient:
 
     def close(self) -> None:
         self.socket.close()
-        if self._timer is not None:
-            self._timer.cancel()
+        self._timer.stop()

@@ -22,6 +22,18 @@ def free_costs() -> CostModel:
     return FREE
 
 
+def every(sim: Simulator, interval_ns: int, fn) -> None:
+    """Run *fn* every *interval_ns* of virtual time, first one interval from
+    now: a test's monitor, a timer that restarts itself after each call."""
+
+    def tick() -> None:
+        fn()
+        timer.start(interval_ns)
+
+    timer = sim.timer(tick, "test:every")
+    timer.start(interval_ns)
+
+
 def make_two_hosts(sim: Simulator, costs: CostModel = None):
     """Two hosts on a switch with neighbour tables filled."""
     from repro.net.topology import Topology

@@ -5,7 +5,7 @@ import pytest
 from repro.core.report import EndReason, ErrorRecord, ScenarioReport
 from repro.errors import ScenarioError
 from repro.sim import ms, seconds
-from tests.conftest import make_testbed
+from tests.conftest import every, make_testbed
 
 SCRIPT = """
 FILTER_TABLE
@@ -92,7 +92,7 @@ class TestOrchestration:
             # Steady traffic keeps the scenario active forever.
             sender = n1.udp.bind(0)
             n2.udp.bind(7)
-            tb.sim.every(ms(5), lambda: sender.sendto(bytes(20), n2.ip, 7))
+            every(tb.sim, ms(5), lambda: sender.sendto(bytes(20), n2.ip, 7))
 
         report = tb.run_scenario(script, workload=workload, max_time=ms(200))
         assert report.end_reason is EndReason.MAX_TIME

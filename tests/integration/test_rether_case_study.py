@@ -9,6 +9,7 @@ import pytest
 
 from repro.core.testbed import Testbed
 from repro.net.frame import ETHERTYPE_RETHER
+from repro.rether import layer as rether_layer
 from repro.rether.install import install_rether
 from repro.scripts import rether_failover_script
 from repro.sim import ms, seconds
@@ -25,14 +26,14 @@ RECEIVER_PORT = 0x4000
 DATA_THRESHOLD = 60
 
 
-def run_case_study(seed=5, rether_kwargs=None, threshold=DATA_THRESHOLD, during=None):
+def run_case_study(seed=5, threshold=DATA_THRESHOLD, during=None):
     """*during* is called with the testbed as the workload starts."""
     tb = Testbed(seed=seed)
     hosts = [tb.add_host(f"node{i}") for i in range(1, 5)]
     tb.add_bus("bus0")
     tb.connect("bus0", *hosts)
     tb.install_virtualwire(control="node1")
-    install_rether(hosts, **(rether_kwargs or {}))
+    install_rether(hosts)
     script = rether_failover_script(tb.node_table_fsl(), data_threshold=threshold)
 
     def workload():
@@ -91,19 +92,18 @@ class TestRecoveryScenario:
 
 
 class TestBrokenRetherFlagged:
-    def test_over_retrying_rether_is_flagged(self):
+    def test_over_retrying_rether_is_flagged(self, monkeypatch):
         """A Rether build that retries the token 6 times instead of 3
 
         violates the specification the script encodes: TokensFrom2 > 3
         must flag an error — with zero changes to the script.
         """
-        tb, hosts, report = run_case_study(
-            rether_kwargs={"max_token_attempts": 6}
-        )
+        monkeypatch.setattr(rether_layer, "DEFAULT_MAX_TOKEN_ATTEMPTS", 6)
+        tb, hosts, report = run_case_study()
         assert report.errors
         assert not report.passed
 
-    def test_recovery_too_slow_times_out(self):
+    def test_recovery_too_slow_times_out(self, monkeypatch):
         """If failure detection takes longer than the scenario's 1-second
 
         inactivity budget allows, the run fails by timeout (paper: "an
@@ -111,9 +111,8 @@ class TestBrokenRetherFlagged:
         A 30-second ack timeout stalls the ring long enough that no
         classified packet arrives within the window.
         """
-        tb, hosts, report = run_case_study(
-            rether_kwargs={"ack_timeout_ns": seconds(30)}
-        )
+        monkeypatch.setattr(rether_layer, "DEFAULT_ACK_TIMEOUT_NS", seconds(30))
+        tb, hosts, report = run_case_study()
         assert not report.passed
         assert report.end_reason.value in ("inactivity", "max-time")
 

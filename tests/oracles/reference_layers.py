@@ -41,6 +41,7 @@ from repro.net.ip import Ipv4Packet
 from repro.net.tcp_segment import TcpSegment
 from repro.net.udp import UdpDatagram
 from repro.rll.frames import KIND_ACK, KIND_DATA, RllFrame, seq_add, seq_diff
+from repro.rether import layer as rether_layer
 from repro.rether.layer import RetherLayer
 from repro.rether.messages import HEADER_LEN, TYPE_JOIN, TYPE_TOKEN, TYPE_TOKEN_ACK
 from repro.rll.layer import DEFAULT_WINDOW, RllLayer
@@ -276,7 +277,7 @@ def _rether_handle_token_ack(self, sender, ack):
     if ack.seq != self._handoff_msg.seq:
         return
     self.acks_received += 1
-    self._cancel_handoff_timer()
+    self._handoff_timer.stop()
     self._handoff_msg = None
     self._handoff_target = None
     self._handoff_attempts = 0
@@ -307,7 +308,7 @@ def _rether_transmit_token(self):
     else:
         self.tokens_passed += 1
     self.pass_down(self._handoff_msg.wrap(self._handoff_target, self._mac).to_bytes())
-    self._arm_handoff_timer()
+    self._handoff_timer.start(rether_layer.DEFAULT_ACK_TIMEOUT_NS)
 
 
 # -- control plane: an EthernetFrame per control frame ----------------------

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import ms, seconds
+from tests.conftest import every
 from tests.rether.test_rether import build_ring
 
 
@@ -33,7 +34,7 @@ class TestSingleCrashRecovery:
             if len(holders) > 1:
                 violations.append(sim.now)
 
-        sim.every(ms(2), check_single_token)
+        every(sim, ms(2), check_single_token)
         sim.at(ms(crash_at_ms), hosts[victim].fail)
         sim.run_until(seconds(2))
 

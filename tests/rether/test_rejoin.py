@@ -5,6 +5,7 @@ import pytest
 from repro.errors import RetherError
 from repro.rether.messages import HEADER, TYPE_JOIN, encode_frame
 from repro.sim import ms, seconds
+from tests.conftest import every
 from tests.rether.test_rether import build_ring
 
 
@@ -62,7 +63,7 @@ class TestRejoin:
             if len(holders) > 1:
                 violations.append(sim.now)
 
-        sim.every(ms(1), check)
+        every(sim, ms(1), check)
         sim.run_until(seconds(2))
         assert violations == []
 

@@ -8,10 +8,12 @@ from repro.errors import RetherError
 from repro.net.addresses import MacAddress
 from repro.net.topology import Topology
 from repro.rether import RetherLayer, TYPE_TOKEN, TYPE_TOKEN_ACK
+from repro.rether import layer as rether_layer
 from repro.rether.messages import HEADER, HEADER_LEN, encode_frame
 from repro.rether.install import install_rether
 from repro.sim import Simulator, ms, seconds
 from repro.stack import FREE, Host
+from tests.conftest import every
 
 
 N1, N2 = MacAddress("02:00:00:00:00:01"), MacAddress("02:00:00:00:00:02")
@@ -64,7 +66,7 @@ def lone_layer(sent):
     return layer
 
 
-def build_ring(n=4, seed=3, **layer_kwargs):
+def build_ring(n=4, seed=3):
     sim = Simulator(seed=seed)
     topo = Topology(sim)
     topo.add_bus("bus0", queue_frames=512)
@@ -75,7 +77,7 @@ def build_ring(n=4, seed=3, **layer_kwargs):
     for host in hosts:
         host.learn_neighbors(hosts)
         topo.connect("bus0", host.nic)
-    layers = install_rether(hosts, **layer_kwargs)
+    layers = install_rether(hosts)
     return sim, hosts, layers
 
 
@@ -103,12 +105,13 @@ class TestTokenRotation:
             if len(holders) > 1:
                 violations.append((sim.now, [str(h._mac) for h in holders]))
 
-        sim.every(ms(1), check)
+        every(sim, ms(1), check)
         sim.run_until(ms(200))
         assert violations == []
 
-    def test_data_waits_for_token(self):
-        sim, hosts, layers = build_ring(idle_gap_ns=ms(5))
+    def test_data_waits_for_token(self, monkeypatch):
+        monkeypatch.setattr(rether_layer, "DEFAULT_IDLE_GAP_NS", ms(5))
+        sim, hosts, layers = build_ring()
         got = []
         hosts[2].udp.bind(9).on_receive = lambda p, ip, port: got.append(sim.now)
         hosts[0].udp.bind(0).sendto(b"gated", hosts[2].ip, 9)
@@ -163,6 +166,20 @@ class TestFailureRecovery:
         after = [l.tokens_received for l in survivors]
         assert any(b < a for b, a in zip(before, after))
 
+    def test_rebooted_holder_keeps_no_token_from_its_previous_life(self):
+        """The crash drops the token with the machine: the rebooted holder
+        accepts the next token that reaches it and passes it on, rather than
+        acking it as a duplicate of one it no longer has and stalling the
+        ring."""
+        sim, hosts, layers = build_ring()
+        sim.run_until(ms(20))
+        holder = next(h for h in hosts if layers[h.name].holding_token)
+        holder.crash()
+        holder.reboot()
+        assert not layers[holder.name].holding_token
+        sim.run_until(seconds(2))
+        assert min(l.tokens_received for l in layers.values()) > 1000
+
     def test_stale_token_discarded_not_duplicated(self):
         sim, hosts, layers = build_ring()
         sim.run_until(ms(200))
@@ -174,22 +191,10 @@ class TestFailureRecovery:
 
 
 class TestRealTimeMode:
-    def test_rt_quota_served_when_cycle_budget_exhausted(self):
-        sim, hosts, layers = build_ring(
-            cycle_target_ns=0,  # best-effort budget always exhausted
-            rt_quota_frames=5,
-        )
-        got = []
-        hosts[2].udp.bind(9).on_receive = lambda p, ip, port: got.append(p)
-        sender = hosts[0].udp.bind(0)
-        for i in range(10):
-            sender.sendto(bytes([i]), hosts[2].ip, 9)
-        sim.run_until(seconds(1))
-        # With rt_quota on, traffic is classified reserved and still flows.
-        assert len(got) == 10
-
-    def test_best_effort_deferred_outside_budget(self):
-        sim, hosts, layers = build_ring(cycle_target_ns=0, rt_quota_frames=0)
+    def test_best_effort_deferred_outside_budget(self, monkeypatch):
+        # A zero cycle target: the best-effort budget is always exhausted.
+        monkeypatch.setattr(rether_layer, "DEFAULT_CYCLE_TARGET_NS", 0)
+        sim, hosts, layers = build_ring()
         got = []
         hosts[2].udp.bind(9).on_receive = lambda p, ip, port: got.append(p)
         sender = hosts[0].udp.bind(0)

@@ -1,4 +1,4 @@
-"""Tests for the simulator facade: scheduling, run loops, periodic tasks."""
+"""Tests for the simulator facade: scheduling, run loops, re-armable timers."""
 
 import pytest
 
@@ -112,42 +112,89 @@ class TestRunLoops:
         assert sim.events_processed == 5
 
 
-class TestPeriodic:
-    def test_every_fires_repeatedly(self, sim):
-        ticks = []
-        sim.every(10, lambda: ticks.append(sim.now))
-        sim.run_until(55)
-        assert ticks == [10, 20, 30, 40, 50]
-
-    def test_stop_halts(self, sim):
-        ticks = []
-        handle = sim.every(10, lambda: ticks.append(sim.now))
-        sim.at(25, handle.stop)
+class TestTimer:
+    def test_fires_once_at_start_plus_delay(self, sim):
+        fired = []
+        timer = sim.timer(lambda: fired.append(sim.now), "t")
+        assert not timer.armed
+        sim.run_until(5)
+        timer.start(10)
+        assert timer.armed
         sim.run_until(100)
-        assert ticks == [10, 20]
-        assert handle.stopped
+        assert fired == [15]
+        assert not timer.armed
 
-    def test_stop_inside_callback(self, sim):
+    def test_start_while_armed_leaves_one_firing_at_the_new_deadline(self, sim):
+        fired = []
+        timer = sim.timer(lambda: fired.append(sim.now), "t")
+        timer.start(10)
+        sim.run_until(4)
+        timer.start(10)
+        assert len(sim.queue) == 1
+        sim.run_until(100)
+        assert fired == [14]
+
+    def test_stop_before_firing_and_stop_is_idempotent(self, sim):
+        fired = []
+        timer = sim.timer(fired.append, "t", "x")
+        timer.start(10)
+        timer.stop()
+        timer.stop()
+        assert not timer.armed
+        assert len(sim.queue) == 0
+        sim.run_until(100)
+        assert fired == []
+
+    def test_stop_after_firing_leaves_the_queue_alone(self, sim):
+        timer = sim.timer(lambda: None, "t")
+        timer.start(10)
+        sim.after(50, lambda: None)
+        sim.run_until(20)
+        assert len(sim.queue) == 1
+        timer.stop()
+        assert len(sim.queue) == 1
+
+    def test_not_armed_inside_its_own_callback(self, sim):
+        seen = []
+        timer = sim.timer(lambda: seen.append(timer.armed), "t")
+        timer.start(3)
+        sim.run()
+        assert seen == [False]
+
+    def test_callback_restarting_itself_ticks_every_interval(self, sim):
         ticks = []
-        holder = {}
 
         def tick():
             ticks.append(sim.now)
-            if len(ticks) == 3:
-                holder["h"].stop()
+            if len(ticks) < 10:
+                timer.start(10)
 
-        holder["h"] = sim.every(5, tick)
-        sim.run_until(100)
-        assert ticks == [5, 10, 15]
+        timer = sim.timer(tick, "t")
+        timer.start(10)
+        sim.run_until(55)
+        assert ticks == [10, 20, 30, 40, 50]
+        sim.at(65, timer.stop)
+        sim.run_until(1000)
+        assert ticks == [10, 20, 30, 40, 50, 60]
+        assert not timer.armed
 
-    def test_zero_interval_rejected(self, sim):
+    def test_same_instant_timers_fire_in_start_order(self, sim):
+        fired, labels = [], []
+        sim.add_trace_hook(lambda handle: labels.append((handle.label, handle.seq)))
+        late = sim.timer(fired.append, "late", "late")
+        early = sim.timer(fired.append, "early", "early")
+        early.start(10)
+        late.start(10)
+        sim.run()
+        assert fired == ["early", "late"]
+        (first, first_seq), (second, second_seq) = labels
+        assert (first, second) == ("early", "late")
+        assert second_seq == first_seq + 1  # one sequence number per start
+
+    def test_negative_delay_rejected(self, sim):
+        timer = sim.timer(lambda: None, "t")
         with pytest.raises(SchedulingError):
-            sim.every(0, lambda: None)
-
-    def test_fire_count(self, sim):
-        handle = sim.every(7, lambda: None)
-        sim.run_until(70)
-        assert handle.fires == 10
+            timer.start(-1)
 
 
 class TestDeterminism:

@@ -232,12 +232,16 @@ class TestNoFrameOutlivesCrash:
         node2 = [n2.nic, n2.driver, n2.ip_layer, n2.chain.demux, n2.tcp, *n2.chain.layers]
 
         def parked():
-            """A fire-and-forget entry *label* of node2's holding the sentinel."""
+            """A fire-and-forget entry *label* of node2's holding the sentinel.
+
+            The walk stays inside the entry's own arguments: an RLL peer
+            state holds its timer, and through it the layer and the queue,
+            where some other frame may hold the sentinel."""
             return any(
                 entry[2] is None
                 and entry[5] == label
                 and any(entry[3].__self__ is owner for owner in node2)
-                and sentinel_holders([entry[4]])
+                and sentinel_holders([entry[4]], prune=[sim, *node2])
                 for entry in sim.queue._heap
             )
 

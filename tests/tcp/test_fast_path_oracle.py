@@ -110,7 +110,7 @@ class Endpoint:
                 conn.timeout_retransmits,
                 conn.duplicate_segments,
             ),
-            "rtx_timer": None if timer is None else (timer.when, timer.cancelled),
+            "rtx_deadline": timer._event.when if timer.armed else None,
             "now": self.sim.now,
             "pending_events": len(self.sim.queue),
             "wire": list(self.wire),

@@ -23,18 +23,10 @@ at the IP layer.
 
 from __future__ import annotations
 
-import hashlib
 from typing import Dict, List, Optional
 
 from ..net.packet import FrameView
 from ..sim import format_time
-
-#: TCP flag bits relevant to pure-ACK detection.
-_FLAG_SYN = 0x02
-_FLAG_FIN = 0x01
-_FLAG_RST = 0x04
-
-_DIGEST_BYTES = 8
 
 
 def frame_digest(data: bytes) -> str:
@@ -42,29 +34,9 @@ def frame_digest(data: bytes) -> str:
 
     Retransmissions of the same TCP segment produce the same digest;
     distinct segments (and distinct UDP datagrams) produce distinct ones.
+    It hashes slices of the frame (:meth:`repro.net.FrameView.digest`).
     """
-    view = FrameView(data)
-    tcp = view.tcp
-    if tcp is not None and view.ip is not None and view.eth is not None:
-        pure_ack = not tcp.payload and not (tcp.flags & (_FLAG_SYN | _FLAG_FIN | _FLAG_RST))
-        material = b"|".join(
-            (
-                b"tcp",
-                bytes(view.eth.src.packed),
-                bytes(view.eth.dst.packed),
-                bytes(view.ip.src.packed),
-                bytes(view.ip.dst.packed),
-                tcp.src_port.to_bytes(2, "big"),
-                tcp.dst_port.to_bytes(2, "big"),
-                tcp.seq.to_bytes(4, "big"),
-                (tcp.ack if pure_ack else 0).to_bytes(4, "big"),
-                (tcp.flags & 0xFF).to_bytes(1, "big"),
-                tcp.payload,
-            )
-        )
-    else:
-        material = b"raw|" + bytes(data)
-    return hashlib.blake2b(material, digest_size=_DIGEST_BYTES).hexdigest()
+    return FrameView(data).digest()
 
 
 class FrameJourney:
@@ -138,7 +110,7 @@ def correlate_journeys(recorder, audit_log) -> List["FrameJourney"]:
     """
     journeys: Dict[str, FrameJourney] = {}
     for record in recorder.records:
-        digest = frame_digest(record.data)
+        digest = record.view.digest()
         journey = journeys.get(digest)
         if journey is None:
             journey = FrameJourney(digest, record.view.summary())

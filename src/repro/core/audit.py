@@ -20,6 +20,10 @@ from typing import Callable, List, Optional
 
 from ..sim import Simulator, format_time
 
+#: Events kept before the log saturates; later ones are counted in
+#: ``dropped`` (a test lowers ``log.max_events``).
+MAX_EVENTS = 100_000
+
 
 @dataclass(frozen=True)
 class AuditEvent:
@@ -40,9 +44,9 @@ class AuditEvent:
 class AuditLog:
     """Append-only, bounded log shared by every engine of a testbed."""
 
-    def __init__(self, sim: Simulator, max_events: int = 100_000) -> None:
+    def __init__(self, sim: Simulator) -> None:
         self.sim = sim
-        self.max_events = max_events
+        self.max_events = MAX_EVENTS
         self.events: List[AuditEvent] = []
         self.dropped = 0
 

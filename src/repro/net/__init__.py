@@ -1,8 +1,11 @@
 """Byte-accurate network substrate.
 
-Ethernet/IPv4/UDP/TCP codecs whose wire offsets match the paper's filter
-scripts, plus NICs, links, hubs/buses and learning switches with a shared
-bandwidth/propagation/bit-error service model.
+One Ethernet/IPv4/UDP/TCP frame codec (:mod:`repro.net.fastpath`) whose wire
+offsets match the paper's filter scripts, the stack's header value classes,
+a lazy byte view for traces (:class:`FrameView`), plus NICs, links,
+hubs/buses and learning switches with a shared
+bandwidth/propagation/bit-error service model.  The object-per-layer codec
+the data path once used is a test oracle (tests/oracles/codec.py).
 """
 
 from .addresses import IpAddress, MacAddress
@@ -13,7 +16,6 @@ from .frame import (
     ETHERTYPE_RETHER,
     ETHERTYPE_RLL,
     ETHERTYPE_VW_CONTROL,
-    EthernetFrame,
 )
 from .ip import PROTO_ICMP, PROTO_TCP, PROTO_UDP, Ipv4Packet
 from .link import (
@@ -26,7 +28,7 @@ from .link import (
     SharedBus,
 )
 from .nic import Nic
-from .packet import FrameView, build_tcp_frame, build_udp_frame
+from .packet import FrameView
 from .switch import LearningSwitch
 from .tcp_segment import (
     FLAG_ACK,
@@ -50,7 +52,6 @@ __all__ = [
     "ETHERTYPE_RETHER",
     "ETHERTYPE_RLL",
     "ETHERTYPE_VW_CONTROL",
-    "EthernetFrame",
     "FLAG_ACK",
     "FLAG_FIN",
     "FLAG_PSH",
@@ -73,8 +74,6 @@ __all__ = [
     "TcpSegment",
     "Topology",
     "UdpDatagram",
-    "build_tcp_frame",
-    "build_udp_frame",
     "flags_to_str",
     "hexdump",
     "internet_checksum",

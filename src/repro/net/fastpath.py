@@ -1,12 +1,12 @@
 """The frame codec of the data path: allocation-lean header (de)serialisation.
 
-Every function here produces **byte-identical wire output** and the **same
-accept/reject decisions** as the readable per-layer classes in
-:mod:`repro.net.frame` / :mod:`repro.net.ip` / :mod:`repro.net.tcp_segment` /
-:mod:`repro.net.udp` — pinned by the differential property tests
+This module decides the wire format of Ethernet/IPv4, TCP and UDP in
+``src``; the trace tier's :class:`repro.net.packet.FrameView` reads the same
+headers with the same layouts.  Every function here produces the wire bytes
+and the accept/reject decisions of the object-per-layer reference codec in
+tests/oracles/codec.py — pinned by the differential property tests
 (tests/props/test_props_codec.py) and the golden harness
-(tests/differential/) — while avoiding the per-frame object churn those
-classes pay for their readability:
+(tests/differential/) — without building an object per layer:
 
 * checksums are computed from integer field values plus one C-level
   pass over the payload (:func:`repro.net.bytesutil.checksum_sum16`), so
@@ -23,8 +23,7 @@ classes pay for their readability:
 The IP, UDP, TCP and RLL layers call these functions directly; Rether and
 the control plane pack and read their fixed headers with one ``struct``
 each (:mod:`repro.rether.messages`, :mod:`repro.core.control`) and intern
-sender MACs here.  The per-layer classes serve traces and journeys.  See
-docs/PERF.md.
+sender MACs here.  See docs/PERF.md.
 """
 
 from __future__ import annotations
@@ -98,16 +97,17 @@ def tcp_flow_sum(local_ip: IpAddress, remote_ip: IpAddress) -> int:
 # -- encoders ---------------------------------------------------------------
 
 #: src_port, dst_port, seq, ack, data_offset|flags, window, checksum, urgent.
-_TCP_HDR = struct.Struct(">HHIIHHHH")
+TCP_HEADER = struct.Struct(">HHIIHHHH")
 #: src_port, dst_port, length, checksum.
-_UDP_HDR = struct.Struct(">HHHH")
+UDP_HEADER = struct.Struct(">HHHH")
 #: dst_mac, src_mac, ethertype | ver_ihl_tos, total_len, ident, flags_frag,
 #: ttl, protocol, checksum, src_ip, dst_ip.
 _ETH_IP_HDR = struct.Struct(">6s6sHHHHHBBH4s4s")
 
 
 def encode_tcp_segment(seg: TcpSegment, flow_sum: int) -> bytes:
-    """The bytes :meth:`TcpSegment.to_bytes` produces, without the object tree.
+    """The reference's ``tcp_to_bytes(seg, src_ip, dst_ip)``, without the
+    object tree.
 
     *flow_sum* is :func:`tcp_flow_sum` of the two endpoints.
     """
@@ -129,7 +129,7 @@ def encode_tcp_segment(seg: TcpSegment, flow_sum: int) -> bytes:
     )
     if payload:
         total += checksum_sum16(payload)
-    header = _TCP_HDR.pack(
+    header = TCP_HEADER.pack(
         seg.src_port,
         seg.dst_port,
         seq,
@@ -143,7 +143,8 @@ def encode_tcp_segment(seg: TcpSegment, flow_sum: int) -> bytes:
 
 
 def encode_udp_datagram(dgram: UdpDatagram, src_ip: IpAddress, dst_ip: IpAddress) -> bytes:
-    """The bytes :meth:`UdpDatagram.to_bytes` produces, without the object tree."""
+    """The reference's ``udp_to_bytes(dgram, src_ip, dst_ip)``, without the
+    object tree."""
     payload = dgram.payload
     length = 8 + len(payload)
     total = (
@@ -156,7 +157,7 @@ def encode_udp_datagram(dgram: UdpDatagram, src_ip: IpAddress, dst_ip: IpAddress
         total += checksum_sum16(payload)
     # RFC 768: a computed zero is transmitted as all-ones.
     checksum = fold_checksum(total) or 0xFFFF
-    header = _UDP_HDR.pack(dgram.src_port, dgram.dst_port, length, checksum)
+    header = UDP_HEADER.pack(dgram.src_port, dgram.dst_port, length, checksum)
     return header + payload if payload else header
 
 
@@ -171,9 +172,9 @@ def encode_ipv4_frame(
 ) -> bytes:
     """One-shot Ethernet+IPv4 frame builder (ttl 64, tos 0, DF set).
 
-    Byte-identical to ``EthernetFrame(dst, src, ETHERTYPE_IPV4,
-    Ipv4Packet(...).to_bytes()).to_bytes()`` for the defaults the IP layer
-    uses, including :class:`EthernetFrame`'s MTU check.
+    Byte-identical to the reference codec's Ethernet frame around
+    ``ip_to_bytes(Ipv4Packet(...))`` for the defaults the IP layer uses,
+    including the Ethernet MTU check.
     """
     total_len = IP_HEADER_LEN + len(payload)
     if total_len > MAX_PAYLOAD:
@@ -215,7 +216,7 @@ def encode_ipv4_frame(
 
 
 def parse_ipv4_frame(frame_bytes: bytes) -> Ipv4Packet:
-    """Equals ``Ipv4Packet.from_bytes(frame_bytes[14:], verify=True)``.
+    """Equals the reference's ``ip_from_bytes(frame_bytes[14:], verify=True)``.
 
     Operates on the whole frame (no intermediate slice of the IP packet)
     and accepts/rejects exactly the same inputs as that parser — every
@@ -252,11 +253,12 @@ def parse_ipv4_frame(frame_bytes: bytes) -> Ipv4Packet:
 
 
 def parse_tcp_segment(data: bytes, flow_sum: int) -> TcpSegment:
-    """Equals ``TcpSegment.from_bytes(data, src_ip, dst_ip, verify=True)``
-    for the endpoints *flow_sum* (:func:`tcp_flow_sum`) was taken over."""
+    """Equals the reference's ``tcp_from_bytes(data, src_ip, dst_ip,
+    verify=True)`` for the endpoints *flow_sum* (:func:`tcp_flow_sum`) was
+    taken over."""
     if len(data) < 20:
         raise PacketError(f"TCP segment of {len(data)} bytes is too short")
-    src_port, dst_port, seq, ack, data_offset_flags, window, _, _ = _TCP_HDR.unpack_from(data)
+    src_port, dst_port, seq, ack, data_offset_flags, window, _, _ = TCP_HEADER.unpack_from(data)
     if (data_offset_flags >> 12) * 4 != 20:
         raise PacketError(
             f"TCP options unsupported (header {(data_offset_flags >> 12) * 4} bytes)"
@@ -275,7 +277,8 @@ def parse_tcp_segment(data: bytes, flow_sum: int) -> TcpSegment:
 
 
 def parse_udp_datagram(data: bytes, src_ip: IpAddress, dst_ip: IpAddress) -> UdpDatagram:
-    """Equals ``UdpDatagram.from_bytes(data, src_ip, dst_ip, verify=True)``."""
+    """Equals the reference's ``udp_from_bytes(data, src_ip, dst_ip,
+    verify=True)``."""
     if len(data) < 8:
         raise PacketError(f"UDP datagram of {len(data)} bytes is too short")
     length = (data[4] << 8) | data[5]

@@ -1,4 +1,4 @@
-"""Ethernet II frames.
+"""Ethernet II framing: the EtherTypes and the header and MTU sizes.
 
 The VirtualWire filter language addresses raw frames by byte offset, so the
 frame layout here matches the paper exactly: destination MAC at offset 0,
@@ -9,12 +9,6 @@ followed by a 20-byte IPv4 header.
 """
 
 from __future__ import annotations
-
-from typing import Union
-
-from ..errors import PacketError
-from .addresses import MacAddress
-from .bytesutil import pack_u16, read_u16
 
 #: Standard and project-local EtherType values.
 ETHERTYPE_IPV4 = 0x0800
@@ -30,67 +24,4 @@ ETHERTYPE_RLL = 0x88B6
 HEADER_LEN = 14
 #: Classic Ethernet payload bound; our links enforce it.
 MAX_PAYLOAD = 1500
-MIN_PAYLOAD = 0  # we do not model the 46-byte physical padding floor
 
-
-class EthernetFrame:
-    """An immutable Ethernet II frame."""
-
-    __slots__ = ("dst", "src", "ethertype", "payload")
-
-    def __init__(
-        self,
-        dst: Union[str, bytes, MacAddress],
-        src: Union[str, bytes, MacAddress],
-        ethertype: int,
-        payload: bytes,
-    ) -> None:
-        self.dst = MacAddress(dst)
-        self.src = MacAddress(src)
-        if not 0 <= ethertype <= 0xFFFF:
-            raise PacketError(f"ethertype out of range: {ethertype:#x}")
-        if len(payload) > MAX_PAYLOAD:
-            raise PacketError(
-                f"payload of {len(payload)} bytes exceeds Ethernet MTU {MAX_PAYLOAD}"
-            )
-        self.ethertype = ethertype
-        self.payload = bytes(payload)
-
-    def to_bytes(self) -> bytes:
-        """Serialise to the wire representation."""
-        return (
-            self.dst.packed + self.src.packed + pack_u16(self.ethertype) + self.payload
-        )
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "EthernetFrame":
-        """Parse wire bytes back into a frame."""
-        if len(data) < HEADER_LEN:
-            raise PacketError(f"frame of {len(data)} bytes is shorter than header")
-        return cls(
-            dst=data[0:6],
-            src=data[6:12],
-            ethertype=read_u16(data, 12),
-            payload=data[HEADER_LEN:],
-        )
-
-    def __len__(self) -> int:
-        return HEADER_LEN + len(self.payload)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, EthernetFrame)
-            and self.dst == other.dst
-            and self.src == other.src
-            and self.ethertype == other.ethertype
-            and self.payload == other.payload
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.dst, self.src, self.ethertype, self.payload))
-
-    def __repr__(self) -> str:
-        return (
-            f"EthernetFrame({self.src} -> {self.dst}, "
-            f"type={self.ethertype:#06x}, {len(self.payload)}B payload)"
-        )

@@ -1,19 +1,19 @@
-"""IPv4 packets.
+"""IPv4 packets: the stack's value class (:mod:`repro.net.fastpath` owns the
+wire form).
 
-We implement the fixed 20-byte header with a real RFC 1071 header checksum
-and no options, which pins the transport header at frame offset 34 — the
-offset every filter in the paper's Fig 2 relies on.  Fragmentation is not
-modelled (the testbed MTU is uniform), but the DF bit is carried so MODIFY
-faults can flip it.
+The wire form is the fixed 20-byte header with a real RFC 1071 header
+checksum and no options, which pins the transport header at frame offset
+34 — the offset every filter in the paper's Fig 2 relies on.
+Fragmentation is not modelled (the testbed MTU is uniform), but the DF bit
+is carried so MODIFY faults can flip it.
 """
 
 from __future__ import annotations
 
 from typing import Union
 
-from ..errors import ChecksumError, PacketError
+from ..errors import PacketError
 from .addresses import IpAddress
-from .bytesutil import internet_checksum, pack_u16, read_u16
 
 HEADER_LEN = 20
 PROTO_ICMP = 1
@@ -24,7 +24,7 @@ _DEFAULT_TTL = 64
 
 
 class Ipv4Packet:
-    """An IPv4 packet with a fixed-length header."""
+    """An IPv4 packet's header fields and payload (fixed-length header)."""
 
     __slots__ = (
         "src",
@@ -65,80 +65,8 @@ class Ipv4Packet:
         self.ident = ident
         self.dont_fragment = dont_fragment
 
-    @property
-    def total_length(self) -> int:
-        return HEADER_LEN + len(self.payload)
-
-    def header_bytes(self, checksum: int) -> bytes:
-        flags_frag = 0x4000 if self.dont_fragment else 0x0000
-        return (
-            bytes([0x45, self.tos])
-            + pack_u16(self.total_length)
-            + pack_u16(self.ident)
-            + pack_u16(flags_frag)
-            + bytes([self.ttl, self.protocol])
-            + pack_u16(checksum)
-            + self.src.packed
-            + self.dst.packed
-        )
-
-    def to_bytes(self) -> bytes:
-        """Serialise, computing the header checksum."""
-        checksum = internet_checksum(self.header_bytes(0))
-        return self.header_bytes(checksum) + self.payload
-
-    @classmethod
-    def from_bytes(cls, data: bytes, verify: bool = True) -> "Ipv4Packet":
-        """Parse wire bytes; *verify* controls header-checksum validation.
-
-        Verification is skipped when a MODIFY fault may have corrupted the
-        packet on purpose and the receiving stack is expected to notice.
-        """
-        if len(data) < HEADER_LEN:
-            raise PacketError(f"IPv4 packet of {len(data)} bytes is too short")
-        version_ihl = data[0]
-        if version_ihl >> 4 != 4:
-            raise PacketError(f"not an IPv4 packet (version nibble {version_ihl >> 4})")
-        ihl = (version_ihl & 0x0F) * 4
-        if ihl != HEADER_LEN:
-            raise PacketError(f"IPv4 options unsupported (IHL {ihl} bytes)")
-        total_length = read_u16(data, 2)
-        if total_length > len(data) or total_length < HEADER_LEN:
-            raise PacketError(
-                f"IPv4 total length {total_length} inconsistent with {len(data)} bytes"
-            )
-        if verify and internet_checksum(data[:HEADER_LEN]) != 0:
-            raise ChecksumError("IPv4 header checksum mismatch")
-        flags_frag = read_u16(data, 6)
-        if flags_frag & 0x3FFF:
-            raise PacketError("IPv4 fragmentation is not modelled")
-        return cls(
-            src=data[12:16],
-            dst=data[16:20],
-            protocol=data[9],
-            payload=data[HEADER_LEN:total_length],
-            ttl=data[8],
-            tos=data[1],
-            ident=read_u16(data, 4),
-            dont_fragment=bool(flags_frag & 0x4000),
-        )
-
-    def pseudo_header(self, transport_length: int) -> bytes:
-        """RFC 793/768 pseudo header for the TCP/UDP checksum."""
-        return (
-            self.src.packed
-            + self.dst.packed
-            + bytes([0, self.protocol])
-            + pack_u16(transport_length)
-        )
-
     def __repr__(self) -> str:
         return (
             f"Ipv4Packet({self.src} -> {self.dst}, proto={self.protocol}, "
             f"{len(self.payload)}B payload, ttl={self.ttl})"
         )
-
-
-def pseudo_header(src: IpAddress, dst: IpAddress, protocol: int, length: int) -> bytes:
-    """Standalone pseudo-header builder for transport-layer codecs."""
-    return src.packed + dst.packed + bytes([0, protocol]) + pack_u16(length)

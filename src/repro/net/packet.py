@@ -1,174 +1,191 @@
-"""Whole-frame builders and a lazy parsed view.
+"""A lazy byte view over one captured frame, for traces and journeys.
 
 The VirtualWire engine treats packets as raw bytes (the filter table matches
-by offset), while the protocol stacks and the trace renderer want structured
-headers.  :class:`FrameView` bridges the two: it wraps raw frame bytes and
-parses each layer on demand, tolerating corrupt packets (a MODIFY fault is
-supposed to produce those) by degrading to ``None`` instead of raising.
+by offset), while the trace renderer and the journey correlator want header
+fields.  :class:`FrameView` reads them straight off the wire bytes: on first
+use it unpacks each header once with a precompiled :mod:`struct` layout and
+keeps the fields, so a summary and a digest of the same frame parse it once
+between them.  It is total — arbitrary bytes (a MODIFY fault is supposed to
+produce corrupt packets) degrade a layer to ``None``, never raise — and it
+accepts and rejects exactly what the data path's parsers accept with
+checksums unchecked (tests/props/test_props_frameview.py holds it to the
+object-per-layer reference in tests/oracles/codec.py).
 """
 
 from __future__ import annotations
 
-from typing import Optional, Union
+import hashlib
+import struct
+from typing import Optional, Tuple
 
-from ..errors import PacketError
-from .addresses import IpAddress, MacAddress
-from .frame import ETHERTYPE_IPV4, ETHERTYPE_RETHER, EthernetFrame
+from .fastpath import TCP_HEADER, UDP_HEADER
+from .frame import ETHERTYPE_IPV4, ETHERTYPE_RETHER, MAX_PAYLOAD
 from .ip import PROTO_TCP, PROTO_UDP, Ipv4Packet
-from .tcp_segment import TcpSegment, flags_to_str
+from .tcp_segment import FLAG_FIN, FLAG_RST, FLAG_SYN, TcpSegment, flags_to_str
 from .udp import UdpDatagram
 
-def build_udp_frame(
-    src_mac: Union[str, MacAddress],
-    dst_mac: Union[str, MacAddress],
-    src_ip: Union[str, IpAddress],
-    dst_ip: Union[str, IpAddress],
-    src_port: int,
-    dst_port: int,
-    payload: bytes,
-    ttl: int = 64,
-    ident: int = 0,
-) -> EthernetFrame:
-    """Assemble a complete Ethernet/IPv4/UDP frame."""
-    src_ip = IpAddress(src_ip)
-    dst_ip = IpAddress(dst_ip)
-    datagram = UdpDatagram(src_port, dst_port, payload)
-    packet = Ipv4Packet(
-        src=src_ip,
-        dst=dst_ip,
-        protocol=PROTO_UDP,
-        payload=datagram.to_bytes(src_ip, dst_ip),
-        ttl=ttl,
-        ident=ident,
-    )
-    return EthernetFrame(dst_mac, src_mac, ETHERTYPE_IPV4, packet.to_bytes())
+#: dst_mac, src_mac, ethertype.
+_ETHERNET = struct.Struct(">6s6sH")
+#: version|IHL, tos, total_length, ident, flags|fragment, ttl, protocol,
+#: checksum, src_ip, dst_ip.
+_IPV4 = struct.Struct(">BBHHHBBH4s4s")
+
+#: Frame offsets of the IPv4 header, the transport header and the TCP payload.
+_IP_AT, _L4_AT, _TCP_DATA_AT = 14, 34, 54
+
+_DIGEST_BYTES = 8
+
+_Layers = Tuple[Optional[tuple], Optional[tuple], Optional[tuple], Optional[tuple]]
+_RUNT: _Layers = (None, None, None, None)
 
 
-def build_tcp_frame(
-    src_mac: Union[str, MacAddress],
-    dst_mac: Union[str, MacAddress],
-    src_ip: Union[str, IpAddress],
-    dst_ip: Union[str, IpAddress],
-    segment: TcpSegment,
-    ttl: int = 64,
-    ident: int = 0,
-) -> EthernetFrame:
-    """Assemble a complete Ethernet/IPv4/TCP frame around *segment*."""
-    src_ip = IpAddress(src_ip)
-    dst_ip = IpAddress(dst_ip)
-    packet = Ipv4Packet(
-        src=src_ip,
-        dst=dst_ip,
-        protocol=PROTO_TCP,
-        payload=segment.to_bytes(src_ip, dst_ip),
-        ttl=ttl,
-        ident=ident,
-    )
-    return EthernetFrame(dst_mac, src_mac, ETHERTYPE_IPV4, packet.to_bytes())
+def _parse(data: bytes) -> _Layers:
+    """The unpacked (Ethernet, IPv4, TCP, UDP) headers, each None where absent.
+
+    Ethernet needs a header and at most an MTU of payload; IPv4 needs version
+    4, a 20-byte header, a total length within the frame and no fragment
+    bits (it bounds the transport); TCP needs a 20-byte header, UDP a length
+    field within its bounds.
+    """
+    n = len(data)
+    if n < _IP_AT or n - _IP_AT > MAX_PAYLOAD:
+        return _RUNT
+    eth = _ETHERNET.unpack_from(data)
+    if eth[2] != ETHERTYPE_IPV4 or n < _L4_AT:
+        return eth, None, None, None
+    ip = _IPV4.unpack_from(data, _IP_AT)
+    if ip[0] != 0x45 or not 20 <= ip[2] <= n - _IP_AT or ip[4] & 0x3FFF:
+        return eth, None, None, None
+    room = ip[2] - 20
+    tcp = udp = None
+    if ip[6] == PROTO_TCP and room >= 20:
+        tcp = TCP_HEADER.unpack_from(data, _L4_AT)
+        if tcp[4] >> 12 != 5:
+            tcp = None
+    elif ip[6] == PROTO_UDP and room >= 8:
+        udp = UDP_HEADER.unpack_from(data, _L4_AT)
+        if not 8 <= udp[2] <= room:
+            udp = None
+    return eth, ip, tcp, udp
+
+
+def _dotted(packed: bytes) -> str:
+    return "%d.%d.%d.%d" % tuple(packed)
 
 
 class FrameView:
     """A lazily parsed, corruption-tolerant view over raw frame bytes."""
 
-    __slots__ = ("data", "_eth", "_ip", "_tcp", "_udp", "_parsed_ip", "_parsed_transport")
+    __slots__ = ("data", "_layers")
 
-    def __init__(self, data: Union[bytes, EthernetFrame]) -> None:
-        if isinstance(data, EthernetFrame):
-            data = data.to_bytes()
+    def __init__(self, data: bytes) -> None:
         self.data = bytes(data)
-        self._eth: Optional[EthernetFrame] = None
-        self._ip: Optional[Ipv4Packet] = None
-        self._tcp: Optional[TcpSegment] = None
-        self._udp: Optional[UdpDatagram] = None
-        self._parsed_ip = False
-        self._parsed_transport = False
+        self._layers: Optional[_Layers] = None
+
+    def _parsed(self) -> _Layers:
+        if self._layers is None:
+            self._layers = _parse(self.data)
+        return self._layers
 
     # -- layer accessors --------------------------------------------------
 
     @property
-    def eth(self) -> Optional[EthernetFrame]:
-        """The Ethernet layer, or None if the bytes are too short."""
-        if self._eth is None:
-            try:
-                self._eth = EthernetFrame.from_bytes(self.data)
-            except PacketError:
-                return None
-        return self._eth
+    def ethertype(self) -> Optional[int]:
+        """The EtherType, or None for a runt (or over-MTU) frame."""
+        eth = self._parsed()[0]
+        return None if eth is None else eth[2]
 
     @property
     def ip(self) -> Optional[Ipv4Packet]:
         """The IPv4 layer (checksum not enforced), or None."""
-        if not self._parsed_ip:
-            self._parsed_ip = True
-            eth = self.eth
-            if eth is not None and eth.ethertype == ETHERTYPE_IPV4:
-                try:
-                    self._ip = Ipv4Packet.from_bytes(eth.payload, verify=False)
-                except PacketError:
-                    self._ip = None
-        return self._ip
-
-    def _parse_transport(self) -> None:
-        if self._parsed_transport:
-            return
-        self._parsed_transport = True
-        ip = self.ip
+        ip = self._parsed()[1]
         if ip is None:
-            return
-        try:
-            if ip.protocol == PROTO_TCP:
-                self._tcp = TcpSegment.from_bytes(ip.payload, verify=False)
-            elif ip.protocol == PROTO_UDP:
-                self._udp = UdpDatagram.from_bytes(ip.payload, verify=False)
-        except PacketError:
-            pass
+            return None
+        _, tos, total_length, ident, flags_frag, ttl, protocol, _, src, dst = ip
+        payload = self.data[_L4_AT : _IP_AT + total_length]
+        return Ipv4Packet(src, dst, protocol, payload, ttl, tos, ident, bool(flags_frag & 0x4000))
 
     @property
     def tcp(self) -> Optional[TcpSegment]:
         """The TCP layer if this is a parseable TCP frame, else None."""
-        self._parse_transport()
-        return self._tcp
+        _, ip, tcp, _ = self._parsed()
+        if tcp is None:
+            return None
+        src_port, dst_port, seq, ack, offset_flags, window, _, _ = tcp
+        payload = self.data[_TCP_DATA_AT : _IP_AT + ip[2]]
+        return TcpSegment(src_port, dst_port, seq, ack, offset_flags & 0x3F, window, payload)
 
     @property
     def udp(self) -> Optional[UdpDatagram]:
         """The UDP layer if this is a parseable UDP frame, else None."""
-        self._parse_transport()
-        return self._udp
+        udp = self._parsed()[3]
+        if udp is None:
+            return None
+        return UdpDatagram(udp[0], udp[1], self.data[_L4_AT + 8 : _L4_AT + udp[2]])
 
     @property
     def is_rether(self) -> bool:
-        eth = self.eth
-        return eth is not None and eth.ethertype == ETHERTYPE_RETHER
+        return self.ethertype == ETHERTYPE_RETHER
 
     def __len__(self) -> int:
         return len(self.data)
 
+    # -- renderings ---------------------------------------------------------
+
+    def digest(self) -> str:
+        """The flow-invariant digest :mod:`repro.analysis.journey` joins on.
+
+        A TCP frame hashes the fields naming its logical segment (MACs, IPs,
+        ports, seq, flags, payload, and ack only for a pure ACK), so a
+        retransmission digests like its original; any other frame hashes
+        its raw bytes.
+        """
+        _, ip, tcp, _ = self._parsed()
+        data = self.data
+        if tcp is None:
+            material = b"raw|" + data
+        else:
+            flags = tcp[4] & 0x3F
+            payload = data[_TCP_DATA_AT : _IP_AT + ip[2]]
+            pure_ack = not payload and not flags & (FLAG_SYN | FLAG_FIN | FLAG_RST)
+            material = b"|".join(
+                (
+                    b"tcp",
+                    data[6:12],
+                    data[0:6],
+                    data[26:30],
+                    data[30:34],
+                    data[34:36],
+                    data[36:38],
+                    data[38:42],
+                    data[42:46] if pure_ack else bytes(4),
+                    bytes((flags,)),
+                    payload,
+                )
+            )
+        return hashlib.blake2b(material, digest_size=_DIGEST_BYTES).hexdigest()
+
     def summary(self) -> str:
         """One-line description, tcpdump style, for traces and reports."""
-        eth = self.eth
+        eth, ip, tcp, udp = self._parsed()
         if eth is None:
             return f"<runt frame, {len(self.data)}B>"
-        tcp = self.tcp
-        if tcp is not None and self.ip is not None:
-            return (
-                f"TCP {self.ip.src}:{tcp.src_port} > {self.ip.dst}:{tcp.dst_port} "
-                f"[{flags_to_str(tcp.flags)}] seq={tcp.seq} ack={tcp.ack} "
-                f"len={len(tcp.payload)}"
-            )
-        udp = self.udp
-        if udp is not None and self.ip is not None:
-            return (
-                f"UDP {self.ip.src}:{udp.src_port} > {self.ip.dst}:{udp.dst_port} "
-                f"len={len(udp.payload)}"
-            )
-        if self.ip is not None:
-            return (
-                f"IP {self.ip.src} > {self.ip.dst} proto={self.ip.protocol} "
-                f"len={len(self.ip.payload)}"
-            )
-        if self.is_rether:
-            return f"RETHER {eth.src} > {eth.dst} len={len(eth.payload)}"
-        return f"ETH {eth.src} > {eth.dst} type={eth.ethertype:#06x} len={len(eth.payload)}"
+        if ip is not None:
+            src, dst = _dotted(ip[8]), _dotted(ip[9])
+            if tcp is not None:
+                return (
+                    f"TCP {src}:{tcp[0]} > {dst}:{tcp[1]} "
+                    f"[{flags_to_str(tcp[4] & 0x3F)}] seq={tcp[2]} ack={tcp[3]} "
+                    f"len={ip[2] - 40}"
+                )
+            if udp is not None:
+                return f"UDP {src}:{udp[0]} > {dst}:{udp[1]} len={udp[2] - 8}"
+            return f"IP {src} > {dst} proto={ip[6]} len={ip[2] - 20}"
+        dst_mac, src_mac, ethertype = eth
+        addresses = f"{src_mac.hex(':')} > {dst_mac.hex(':')}"
+        if ethertype == ETHERTYPE_RETHER:
+            return f"RETHER {addresses} len={len(self.data) - _IP_AT}"
+        return f"ETH {addresses} type={ethertype:#06x} len={len(self.data) - _IP_AT}"
 
     def __repr__(self) -> str:
         return f"FrameView({self.summary()})"

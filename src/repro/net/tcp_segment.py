@@ -1,4 +1,5 @@
-"""TCP segment (de)serialisation.
+"""TCP segments: the stack's value class and the flag bits
+(:mod:`repro.net.fastpath` owns the wire form).
 
 Only the fixed 20-byte header is emitted (no options), which keeps the wire
 layout identical to the one the paper's filter table addresses: with a
@@ -10,10 +11,7 @@ exactly the tuples in Fig 2 (e.g. ``(47 1 0x10 0x10)`` tests the ACK bit).
 
 from __future__ import annotations
 
-from ..errors import ChecksumError, PacketError
-from .addresses import IpAddress
-from .bytesutil import internet_checksum, pack_u16, pack_u32, read_u16, read_u32
-from .ip import PROTO_TCP, pseudo_header
+from ..errors import PacketError
 
 HEADER_LEN = 20
 
@@ -41,7 +39,7 @@ def flags_to_str(flags: int) -> str:
 
 
 class TcpSegment:
-    """A TCP segment with a fixed-length header and real checksum."""
+    """A TCP segment's header fields and payload."""
 
     __slots__ = ("src_port", "dst_port", "seq", "ack", "flags", "window", "payload")
 
@@ -92,63 +90,9 @@ class TcpSegment:
         return bool(self.flags & FLAG_RST)
 
     @property
-    def length(self) -> int:
-        return HEADER_LEN + len(self.payload)
-
-    @property
     def seq_space(self) -> int:
         """Sequence-number space consumed: payload plus SYN/FIN phantom bytes."""
         return len(self.payload) + (1 if self.is_syn else 0) + (1 if self.is_fin else 0)
-
-    # -- serialisation ----------------------------------------------------
-
-    def _header(self, checksum: int) -> bytes:
-        data_offset_flags = (5 << 12) | self.flags  # offset=5 words, no options
-        return (
-            pack_u16(self.src_port)
-            + pack_u16(self.dst_port)
-            + pack_u32(self.seq)
-            + pack_u32(self.ack)
-            + pack_u16(data_offset_flags)
-            + pack_u16(self.window)
-            + pack_u16(checksum)
-            + pack_u16(0)  # urgent pointer, unused
-        )
-
-    def to_bytes(self, src_ip: IpAddress, dst_ip: IpAddress) -> bytes:
-        """Serialise with the RFC 793 pseudo-header checksum."""
-        pseudo = pseudo_header(src_ip, dst_ip, PROTO_TCP, self.length)
-        checksum = internet_checksum(pseudo + self._header(0) + self.payload)
-        return self._header(checksum) + self.payload
-
-    @classmethod
-    def from_bytes(
-        cls,
-        data: bytes,
-        src_ip: IpAddress = None,
-        dst_ip: IpAddress = None,
-        verify: bool = True,
-    ) -> "TcpSegment":
-        """Parse wire bytes; checksum verified when both IPs are supplied."""
-        if len(data) < HEADER_LEN:
-            raise PacketError(f"TCP segment of {len(data)} bytes is too short")
-        data_offset_flags = read_u16(data, 12)
-        header_len = (data_offset_flags >> 12) * 4
-        if header_len != HEADER_LEN:
-            raise PacketError(f"TCP options unsupported (header {header_len} bytes)")
-        if verify and src_ip is not None and dst_ip is not None:
-            pseudo = pseudo_header(src_ip, dst_ip, PROTO_TCP, len(data))
-            if internet_checksum(pseudo + data) != 0:
-                raise ChecksumError("TCP checksum mismatch")
-        return cls(
-            src_port=read_u16(data, 0),
-            dst_port=read_u16(data, 2),
-            seq=read_u32(data, 4),
-            ack=read_u32(data, 8),
-            flags=data_offset_flags & 0x3F,
-            window=read_u16(data, 14),
-            payload=data[HEADER_LEN:],
-        )
 
     def __repr__(self) -> str:
         return (

@@ -1,17 +1,15 @@
-"""UDP datagrams (RFC 768) with real pseudo-header checksums."""
+"""UDP datagrams (RFC 768): the stack's value class (:mod:`repro.net.fastpath`
+owns the wire form, with real pseudo-header checksums)."""
 
 from __future__ import annotations
 
-from ..errors import ChecksumError, PacketError
-from .addresses import IpAddress
-from .bytesutil import internet_checksum, pack_u16, read_u16
-from .ip import PROTO_UDP, pseudo_header
+from ..errors import PacketError
 
 HEADER_LEN = 8
 
 
 class UdpDatagram:
-    """A UDP datagram; checksums are computed against the IPv4 pseudo header."""
+    """A UDP datagram's ports and payload."""
 
     __slots__ = ("src_port", "dst_port", "payload")
 
@@ -22,57 +20,6 @@ class UdpDatagram:
         self.src_port = src_port
         self.dst_port = dst_port
         self.payload = bytes(payload)
-
-    @property
-    def length(self) -> int:
-        return HEADER_LEN + len(self.payload)
-
-    def to_bytes(self, src_ip: IpAddress, dst_ip: IpAddress) -> bytes:
-        """Serialise with a checksum over pseudo header + header + payload."""
-        header_no_cksum = (
-            pack_u16(self.src_port)
-            + pack_u16(self.dst_port)
-            + pack_u16(self.length)
-            + pack_u16(0)
-        )
-        pseudo = pseudo_header(src_ip, dst_ip, PROTO_UDP, self.length)
-        checksum = internet_checksum(pseudo + header_no_cksum + self.payload)
-        if checksum == 0:
-            checksum = 0xFFFF  # RFC 768: transmitted zero means "no checksum"
-        return (
-            pack_u16(self.src_port)
-            + pack_u16(self.dst_port)
-            + pack_u16(self.length)
-            + pack_u16(checksum)
-            + self.payload
-        )
-
-    @classmethod
-    def from_bytes(
-        cls,
-        data: bytes,
-        src_ip: IpAddress = None,
-        dst_ip: IpAddress = None,
-        verify: bool = True,
-    ) -> "UdpDatagram":
-        """Parse wire bytes; checksum verified when both IPs are supplied."""
-        if len(data) < HEADER_LEN:
-            raise PacketError(f"UDP datagram of {len(data)} bytes is too short")
-        length = read_u16(data, 4)
-        if length < HEADER_LEN or length > len(data):
-            raise PacketError(
-                f"UDP length field {length} inconsistent with {len(data)} bytes"
-            )
-        checksum = read_u16(data, 6)
-        if verify and checksum != 0 and src_ip is not None and dst_ip is not None:
-            pseudo = pseudo_header(src_ip, dst_ip, PROTO_UDP, length)
-            if internet_checksum(pseudo + data[:length]) != 0:
-                raise ChecksumError("UDP checksum mismatch")
-        return cls(
-            src_port=read_u16(data, 0),
-            dst_port=read_u16(data, 2),
-            payload=data[HEADER_LEN:length],
-        )
 
     def __repr__(self) -> str:
         return (

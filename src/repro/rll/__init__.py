@@ -4,7 +4,7 @@ Masks MAC-level bit errors so the only packet losses a protocol under test
 ever sees are the ones the fault script injected (paper §3.3).
 """
 
-from .frames import KIND_ACK, KIND_DATA, RllFrame, SEQ_MOD, seq_add, seq_diff
+from .frames import KIND_ACK, KIND_DATA, SEQ_MOD, seq_add, seq_diff
 from .layer import (
     DEFAULT_MAX_RETRIES,
     DEFAULT_RTO_NS,
@@ -18,7 +18,6 @@ __all__ = [
     "DEFAULT_WINDOW",
     "KIND_ACK",
     "KIND_DATA",
-    "RllFrame",
     "RllLayer",
     "SEQ_MOD",
     "seq_add",

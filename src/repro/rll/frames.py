@@ -23,11 +23,9 @@ offset size    field
 from __future__ import annotations
 
 import struct
-from typing import Optional
 
 from ..errors import PacketError
-from ..net.bytesutil import pack_u16, read_u16
-from ..net.frame import ETHERTYPE_RLL, MAX_PAYLOAD, EthernetFrame
+from ..net.frame import ETHERTYPE_RLL, MAX_PAYLOAD
 
 KIND_DATA = 1
 KIND_ACK = 2
@@ -47,83 +45,6 @@ def seq_diff(a: int, b: int) -> int:
     return delta - SEQ_MOD if delta >= SEQ_MOD // 2 else delta
 
 
-class RllFrame:
-    """A decoded RLL shim plus (for DATA) the encapsulated original frame."""
-
-    __slots__ = ("kind", "seq", "ack", "inner_ethertype", "inner_payload")
-
-    def __init__(
-        self,
-        kind: int,
-        seq: int,
-        ack: int,
-        inner_ethertype: int = 0,
-        inner_payload: bytes = b"",
-    ) -> None:
-        if kind not in (KIND_DATA, KIND_ACK):
-            raise PacketError(f"bad RLL frame kind: {kind}")
-        self.kind = kind
-        self.seq = seq % SEQ_MOD
-        self.ack = ack % SEQ_MOD
-        self.inner_ethertype = inner_ethertype
-        self.inner_payload = bytes(inner_payload)
-
-    # -- encapsulation ---------------------------------------------------
-
-    @classmethod
-    def data_for(cls, original: EthernetFrame, seq: int, ack: int) -> "RllFrame":
-        """Build the DATA shim carrying *original*'s type and payload."""
-        return cls(KIND_DATA, seq, ack, original.ethertype, original.payload)
-
-    @classmethod
-    def pure_ack(cls, ack: int) -> "RllFrame":
-        return cls(KIND_ACK, 0, ack)
-
-    def shim_bytes(self) -> bytes:
-        return (
-            bytes([self.kind, 0])
-            + pack_u16(self.seq)
-            + pack_u16(self.ack)
-            + pack_u16(self.inner_ethertype)
-            + self.inner_payload
-        )
-
-    def wrap(self, dst, src) -> EthernetFrame:
-        """Produce the on-wire RLL Ethernet frame."""
-        return EthernetFrame(dst, src, ETHERTYPE_RLL, self.shim_bytes())
-
-    def unwrap(self, outer: EthernetFrame) -> EthernetFrame:
-        """Reconstruct the original frame a DATA shim carries."""
-        if self.kind != KIND_DATA:
-            raise PacketError("only DATA frames carry an inner frame")
-        return EthernetFrame(outer.dst, outer.src, self.inner_ethertype, self.inner_payload)
-
-    # -- decoding ------------------------------------------------------------
-
-    @classmethod
-    def parse(cls, payload: bytes) -> "RllFrame":
-        if len(payload) < SHIM_LEN:
-            raise PacketError(f"RLL shim of {len(payload)} bytes is too short")
-        return cls(
-            kind=payload[0],
-            seq=read_u16(payload, 2),
-            ack=read_u16(payload, 4),
-            inner_ethertype=read_u16(payload, 6),
-            inner_payload=payload[SHIM_LEN:],
-        )
-
-    @classmethod
-    def maybe_parse(cls, frame: EthernetFrame) -> Optional["RllFrame"]:
-        """Parse if *frame* is an RLL frame, else None."""
-        if frame.ethertype != ETHERTYPE_RLL:
-            return None
-        return cls.parse(frame.payload)
-
-    def __repr__(self) -> str:
-        kind = "DATA" if self.kind == KIND_DATA else "ACK"
-        return f"RllFrame({kind}, seq={self.seq}, ack={self.ack})"
-
-
 # -- what RllLayer runs per frame: the shim spliced into raw frame bytes --
 
 #: RLL EtherType + kind + reserved + seq + ack, the 8 bytes inserted at
@@ -134,11 +55,11 @@ _SHIM_INSERT = struct.Struct(">HBBHH")
 def encap_data_fast(frame_bytes: bytes, seq: int, ack: int) -> bytes:
     """DATA encapsulation on raw bytes.
 
-    Equals ``RllFrame.data_for(frame, seq, ack).wrap(frame.dst,
-    frame.src).to_bytes()``: the outer frame keeps the inner addressing, so
-    the wire form is the original frame with 8 shim bytes spliced in after
-    the source MAC.  Rejects what :class:`EthernetFrame` would: a shimmed
-    payload over the MTU.
+    Equals the reference codec's DATA shim wrapped in the inner frame's own
+    addressing (tests/oracles/codec.py): the outer frame keeps the inner
+    addressing, so the wire form is the original frame with 8 shim bytes
+    spliced in after the source MAC.  Rejects what the reference would: a
+    shimmed payload over the MTU.
     """
     if len(frame_bytes) - 6 > MAX_PAYLOAD:
         raise PacketError(
@@ -156,14 +77,15 @@ _ACK_TAIL = struct.Struct(">HBBHHH")
 
 
 def encap_ack_fast(dst_packed: bytes, src_packed: bytes, ack: int) -> bytes:
-    """Pure-ACK frame bytes, equal to ``pure_ack(ack).wrap(dst, src).to_bytes()``."""
+    """Pure-ACK frame bytes, equal to the reference codec's pure ACK wrapped
+    for *dst* from *src*."""
     return dst_packed + src_packed + _ACK_TAIL.pack(ETHERTYPE_RLL, KIND_ACK, 0, 0, ack, 0)
 
 
 def decap_data_fast(frame_bytes: bytes) -> bytes:
     """Reconstruct the original frame from DATA frame bytes.
 
-    Equals ``shim.unwrap(outer).to_bytes()``: strip the 8 shim bytes so the
-    inner EtherType (at offset 20) lands back at offset 12.
+    Equals the reference codec's unwrapped inner frame: strip the 8 shim
+    bytes so the inner EtherType (at offset 20) lands back at offset 12.
     """
     return frame_bytes[:12] + frame_bytes[20:]

@@ -9,8 +9,9 @@ Link Layer are ordinary :class:`FrameLayer` subclasses spliced into the
 chain at run time — the host OS code is never modified, which is the
 paper's headline deployment property.
 
-Frames move through the chain as raw bytes; layers that need structure
-parse on demand via :class:`repro.net.FrameView`.
+Frames move through the chain as raw bytes; layers read the header fields
+they need straight from them (:mod:`repro.net.fastpath`), and trace taps
+view them through :class:`repro.net.FrameView`.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional
 
 from ..errors import StackError
-from ..net.frame import EthernetFrame
 from ..net.bytesutil import read_u16
 from ..sim import Simulator
 
@@ -86,7 +86,7 @@ class EthertypeDemux(FrameLayer):
     """Top of the frame chain: dispatches received frames by EtherType.
 
     Protocol modules (IP, Rether, ...) register handlers; to transmit they
-    call :meth:`send_frame`, which enters the chain from the top.
+    call :meth:`send_frame_bytes`, which enters the chain from the top.
     """
 
     def __init__(self) -> None:
@@ -101,10 +101,6 @@ class EthertypeDemux(FrameLayer):
 
     def unregister(self, ethertype: int) -> None:
         self._handlers.pop(ethertype, None)
-
-    def send_frame(self, frame: EthernetFrame) -> None:
-        """Serialise *frame* and send it down the chain."""
-        self.on_send(frame.to_bytes())
 
     def send_frame_bytes(self, frame_bytes: bytes) -> None:
         self.on_send(frame_bytes)

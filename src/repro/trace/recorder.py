@@ -18,6 +18,10 @@ from ..net.packet import FrameView
 from ..sim import Simulator, format_time
 from ..stack.layers import FrameLayer
 
+#: Records kept before a capture saturates; later captures are counted in
+#: ``dropped_records`` (a test lowers ``recorder.max_records``).
+MAX_RECORDS = 1_000_000
+
 
 class TraceRecord:
     """One captured frame with its capture context."""
@@ -48,9 +52,9 @@ class TraceRecord:
 class TraceRecorder:
     """Accumulates :class:`TraceRecord` objects from any number of taps."""
 
-    def __init__(self, sim: Simulator, max_records: int = 1_000_000) -> None:
+    def __init__(self, sim: Simulator) -> None:
         self.sim = sim
-        self.max_records = max_records
+        self.max_records = MAX_RECORDS
         self.records: List[TraceRecord] = []
         self.dropped_records = 0
 

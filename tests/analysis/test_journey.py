@@ -4,10 +4,10 @@ import pytest
 
 from repro.analysis import correlate_journeys, frame_digest
 from repro.core.audit import AuditLog
-from repro.net.packet import build_tcp_frame, build_udp_frame
 from repro.net.tcp_segment import TcpSegment
 from repro.sim import Simulator
 from repro.trace import TraceRecorder
+from tests.oracles.codec import build_tcp_frame, build_udp_frame
 
 MACS = ("02:00:00:00:00:01", "02:00:00:00:00:02")
 IPS = ("192.168.1.1", "192.168.1.2")

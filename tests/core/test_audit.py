@@ -72,7 +72,8 @@ class TestAuditTrail:
         assert tb.audit_log is None
 
     def test_bounded(self, sim):
-        log = AuditLog(sim, max_events=2)
+        log = AuditLog(sim)
+        log.max_events = 2
         for i in range(5):
             log.record("n", "condition", f"event {i}")
         assert len(log) == 2
@@ -90,7 +91,8 @@ class TestAuditTrail:
 
 class TestSaturationSurfaced:
     def test_render_trailer_announces_drops(self, sim):
-        log = AuditLog(sim, max_events=2)
+        log = AuditLog(sim)
+        log.max_events = 2
         for i in range(5):
             log.record("n", "condition", f"event {i}")
         text = log.render()

@@ -10,8 +10,9 @@ import pytest
 
 from repro.core.classify import Classifier
 from repro.core.tables import FilterEntry, FilterTable, FilterTuple, VarRef
-from repro.net import FLAG_ACK, FLAG_SYN, TcpSegment, build_tcp_frame
+from repro.net import FLAG_ACK, FLAG_SYN, TcpSegment
 from tests.oracles.classifiers import IndexedClassifier, LinearClassifier
+from tests.oracles.codec import build_tcp_frame
 
 SRC_MAC = "02:00:00:00:00:01"
 DST_MAC = "02:00:00:00:00:02"

@@ -10,10 +10,10 @@ without them.
 
 import random
 
-from repro.net.packet import build_tcp_frame
 from repro.net.tcp_segment import FLAG_ACK, FLAG_SYN, TcpSegment
 from repro.sim import us
 from tests.integration.test_control_plane_reliability import run_fig5
+from tests.oracles.codec import build_tcp_frame
 
 HOSTILE_FRAMES = 10_000
 #: spacing of the hostile frames: they arrive through the first 2 s.

@@ -1,8 +1,7 @@
-"""Tests for Ethernet/IPv4/UDP/TCP codecs — including the exact wire
-
-offsets the paper's filter scripts rely on (Fig 2): TCP ports at frame
-offsets 34/36, sequence number at 38, ack at 42, flags byte at 47, and the
-Rether EtherType at offset 12.
+"""Tests for the Ethernet/IPv4/UDP/TCP reference codec and the header value
+classes — including the exact wire offsets the paper's filter scripts rely
+on (Fig 2): TCP ports at frame offsets 34/36, sequence number at 38, ack
+at 42, flags byte at 47, and the Rether EtherType at offset 12.
 """
 
 import pytest
@@ -11,18 +10,26 @@ from repro.errors import ChecksumError, PacketError
 from repro.net import (
     ETHERTYPE_IPV4,
     ETHERTYPE_RETHER,
-    EthernetFrame,
     FLAG_ACK,
     FLAG_SYN,
     IpAddress,
     Ipv4Packet,
     TcpSegment,
     UdpDatagram,
-    build_tcp_frame,
-    build_udp_frame,
     flags_to_str,
 )
 from repro.net.bytesutil import read_u16, read_u32
+from tests.oracles.codec import (
+    EthernetFrame,
+    build_tcp_frame,
+    build_udp_frame,
+    ip_from_bytes,
+    ip_to_bytes,
+    tcp_from_bytes,
+    tcp_to_bytes,
+    udp_from_bytes,
+    udp_to_bytes,
+)
 
 SRC_MAC = "02:00:00:00:00:01"
 DST_MAC = "02:00:00:00:00:02"
@@ -59,7 +66,7 @@ class TestEthernetFrame:
 class TestIpv4:
     def test_roundtrip(self):
         packet = Ipv4Packet(SRC_IP, DST_IP, 17, b"payload", ttl=33, ident=7)
-        parsed = Ipv4Packet.from_bytes(packet.to_bytes())
+        parsed = ip_from_bytes(ip_to_bytes(packet))
         assert parsed.src == SRC_IP and parsed.dst == DST_IP
         assert parsed.protocol == 17
         assert parsed.payload == b"payload"
@@ -68,31 +75,31 @@ class TestIpv4:
     def test_header_checksum_valid(self):
         from repro.net.bytesutil import verify_checksum
 
-        wire = Ipv4Packet(SRC_IP, DST_IP, 6, b"x").to_bytes()
+        wire = ip_to_bytes(Ipv4Packet(SRC_IP, DST_IP, 6, b"x"))
         assert verify_checksum(wire[:20])
 
     def test_corrupt_header_detected(self):
-        wire = bytearray(Ipv4Packet(SRC_IP, DST_IP, 6, b"x").to_bytes())
+        wire = bytearray(ip_to_bytes(Ipv4Packet(SRC_IP, DST_IP, 6, b"x")))
         wire[8] ^= 0x01  # flip a TTL bit
         with pytest.raises(ChecksumError):
-            Ipv4Packet.from_bytes(bytes(wire))
+            ip_from_bytes(bytes(wire))
         # But a fault-tolerant parse succeeds when verification is off.
-        Ipv4Packet.from_bytes(bytes(wire), verify=False)
+        ip_from_bytes(bytes(wire), verify=False)
 
     def test_total_length_honoured(self):
-        wire = Ipv4Packet(SRC_IP, DST_IP, 6, b"abc").to_bytes() + b"JUNKPAD"
-        parsed = Ipv4Packet.from_bytes(wire)
+        wire = ip_to_bytes(Ipv4Packet(SRC_IP, DST_IP, 6, b"abc")) + b"JUNKPAD"
+        parsed = ip_from_bytes(wire)
         assert parsed.payload == b"abc"
 
     def test_rejects_non_v4(self):
-        wire = bytearray(Ipv4Packet(SRC_IP, DST_IP, 6, b"").to_bytes())
+        wire = bytearray(ip_to_bytes(Ipv4Packet(SRC_IP, DST_IP, 6, b"")))
         wire[0] = 0x65  # version 6
         with pytest.raises(PacketError):
-            Ipv4Packet.from_bytes(bytes(wire))
+            ip_from_bytes(bytes(wire))
 
     def test_rejects_short(self):
         with pytest.raises(PacketError):
-            Ipv4Packet.from_bytes(bytes(10))
+            ip_from_bytes(bytes(10))
 
     def test_field_ranges(self):
         with pytest.raises(PacketError):
@@ -104,27 +111,27 @@ class TestIpv4:
 class TestUdp:
     def test_roundtrip_with_checksum(self):
         dgram = UdpDatagram(5000, 7, b"ping")
-        wire = dgram.to_bytes(SRC_IP, DST_IP)
-        parsed = UdpDatagram.from_bytes(wire, SRC_IP, DST_IP)
+        wire = udp_to_bytes(dgram, SRC_IP, DST_IP)
+        parsed = udp_from_bytes(wire, SRC_IP, DST_IP)
         assert (parsed.src_port, parsed.dst_port, parsed.payload) == (5000, 7, b"ping")
 
     def test_corruption_detected(self):
-        wire = bytearray(UdpDatagram(5000, 7, b"ping").to_bytes(SRC_IP, DST_IP))
+        wire = bytearray(udp_to_bytes(UdpDatagram(5000, 7, b"ping"), SRC_IP, DST_IP))
         wire[9] ^= 0x80  # flip a payload bit
         with pytest.raises(ChecksumError):
-            UdpDatagram.from_bytes(bytes(wire), SRC_IP, DST_IP)
+            udp_from_bytes(bytes(wire), SRC_IP, DST_IP)
 
     def test_wrong_pseudo_header_detected(self):
         """The checksum covers src/dst IPs, so redirected packets fail."""
-        wire = UdpDatagram(5000, 7, b"ping").to_bytes(SRC_IP, DST_IP)
+        wire = udp_to_bytes(UdpDatagram(5000, 7, b"ping"), SRC_IP, DST_IP)
         with pytest.raises(ChecksumError):
-            UdpDatagram.from_bytes(wire, SRC_IP, IpAddress("192.168.1.99"))
+            udp_from_bytes(wire, SRC_IP, IpAddress("192.168.1.99"))
 
     def test_length_field_inconsistency(self):
-        wire = bytearray(UdpDatagram(1, 2, b"abc").to_bytes(SRC_IP, DST_IP))
+        wire = bytearray(udp_to_bytes(UdpDatagram(1, 2, b"abc"), SRC_IP, DST_IP))
         wire[5] = 0x02  # length shorter than the header
         with pytest.raises(PacketError):
-            UdpDatagram.from_bytes(bytes(wire))
+            udp_from_bytes(bytes(wire))
 
     def test_port_range(self):
         with pytest.raises(PacketError):
@@ -134,19 +141,19 @@ class TestUdp:
 class TestTcpSegment:
     def test_roundtrip(self):
         seg = TcpSegment(0x6000, 0x4000, 1000, 2000, FLAG_ACK, 512, b"data")
-        wire = seg.to_bytes(SRC_IP, DST_IP)
-        parsed = TcpSegment.from_bytes(wire, SRC_IP, DST_IP)
+        wire = tcp_to_bytes(seg, SRC_IP, DST_IP)
+        parsed = tcp_from_bytes(wire, SRC_IP, DST_IP)
         assert parsed.seq == 1000 and parsed.ack == 2000
         assert parsed.flags == FLAG_ACK and parsed.window == 512
         assert parsed.payload == b"data"
 
     def test_checksum_detects_corruption(self):
         wire = bytearray(
-            TcpSegment(1, 2, 3, 4, FLAG_ACK, 5, b"xy").to_bytes(SRC_IP, DST_IP)
+            tcp_to_bytes(TcpSegment(1, 2, 3, 4, FLAG_ACK, 5, b"xy"), SRC_IP, DST_IP)
         )
         wire[21] ^= 0x01
         with pytest.raises(ChecksumError):
-            TcpSegment.from_bytes(bytes(wire), SRC_IP, DST_IP)
+            tcp_from_bytes(bytes(wire), SRC_IP, DST_IP)
 
     def test_seq_space_counts_phantom_bytes(self):
         assert TcpSegment(1, 2, 0, 0, FLAG_SYN, 0).seq_space == 1

@@ -3,10 +3,11 @@
 import pytest
 
 from repro.errors import TopologyError
-from repro.net import EthernetFrame, Nic, PointToPointLink, Hub
+from repro.net import Nic, PointToPointLink, Hub
 from repro.net.switch import LearningSwitch
 from repro.net.topology import Topology
 from repro.sim import Simulator, us
+from tests.oracles.codec import EthernetFrame
 
 M1 = "02:00:00:00:00:01"
 M2 = "02:00:00:00:00:02"

@@ -2,9 +2,10 @@
 kept only the byte-level codec.
 
 Inside :func:`reference_layers` every frame is built and parsed through the
-readable classes — :class:`EthernetFrame`, :class:`Ipv4Packet`,
-:class:`TcpSegment`, :class:`UdpDatagram`, :class:`RllFrame`,
-:class:`RetherMessage` — one object per layer per frame:
+readable codec of :mod:`tests.oracles.codec` — :class:`EthernetFrame`, the
+``ip_``/``tcp_``/``udp_`` serialisers of :class:`Ipv4Packet`,
+:class:`TcpSegment` and :class:`UdpDatagram`, :class:`RllFrame` — and
+:class:`RetherMessage`, one object per layer per frame:
 
 * the IP, UDP and TCP layers differed from production only in which codec
   call they made, so the codec names those modules import are patched with
@@ -31,22 +32,25 @@ from repro.core.control import _KNOWN_FLAGS, WIRE_SIZE, ControlMessage, ControlT
 from repro.core.engine import VirtualWireEngine
 from repro.errors import ControlPlaneError, PacketError
 from repro.net.bytesutil import pack_u16, pack_u32, read_u16, read_u32
-from repro.net.frame import (
-    ETHERTYPE_IPV4,
-    ETHERTYPE_RETHER,
-    ETHERTYPE_VW_CONTROL,
-    EthernetFrame,
-)
+from repro.net.frame import ETHERTYPE_IPV4, ETHERTYPE_RETHER, ETHERTYPE_VW_CONTROL
 from repro.net.ip import Ipv4Packet
-from repro.net.tcp_segment import TcpSegment
-from repro.net.udp import UdpDatagram
-from repro.rll.frames import KIND_ACK, KIND_DATA, RllFrame, seq_add, seq_diff
+from repro.rll.frames import KIND_ACK, KIND_DATA, seq_add, seq_diff
 from repro.rether import layer as rether_layer
 from repro.rether.layer import RetherLayer
 from repro.rether.messages import HEADER_LEN, TYPE_JOIN, TYPE_TOKEN, TYPE_TOKEN_ACK
 from repro.rll.layer import DEFAULT_WINDOW, RllLayer
 from repro.stack import ipstack, udp_stack
 from repro.tcp import layer as tcp_layer
+from tests.oracles.codec import (
+    EthernetFrame,
+    RllFrame,
+    ip_from_bytes,
+    ip_to_bytes,
+    tcp_from_bytes,
+    tcp_to_bytes,
+    udp_from_bytes,
+    udp_to_bytes,
+)
 
 # -- IP, UDP, TCP: the codec calls ------------------------------------------
 
@@ -56,21 +60,21 @@ def _encode_ipv4_frame(dst_mac, src_mac, src_ip, dst_ip, protocol, ident, payloa
         src=src_ip, dst=dst_ip, protocol=protocol, payload=payload, ident=ident
     )
     frame = EthernetFrame(
-        dst=dst_mac, src=src_mac, ethertype=ETHERTYPE_IPV4, payload=packet.to_bytes()
+        dst=dst_mac, src=src_mac, ethertype=ETHERTYPE_IPV4, payload=ip_to_bytes(packet)
     )
     return frame.to_bytes()
 
 
 def _parse_ipv4_frame(frame_bytes):
-    return Ipv4Packet.from_bytes(frame_bytes[14:], verify=True)
+    return ip_from_bytes(frame_bytes[14:], verify=True)
 
 
 def _encode_udp_datagram(datagram, src_ip, dst_ip):
-    return datagram.to_bytes(src_ip, dst_ip)
+    return udp_to_bytes(datagram, src_ip, dst_ip)
 
 
 def _parse_udp_datagram(data, src_ip, dst_ip):
-    return UdpDatagram.from_bytes(data, src_ip, dst_ip, verify=True)
+    return udp_from_bytes(data, src_ip, dst_ip, verify=True)
 
 
 def _tcp_flow_sum(local_ip, remote_ip):
@@ -80,11 +84,11 @@ def _tcp_flow_sum(local_ip, remote_ip):
 
 
 def _encode_tcp_segment(seg, flow):
-    return seg.to_bytes(*flow)
+    return tcp_to_bytes(seg, *flow)
 
 
 def _parse_tcp_segment(data, flow):
-    return TcpSegment.from_bytes(data, *flow, verify=True)
+    return tcp_from_bytes(data, *flow, verify=True)
 
 
 # -- RLL: windows and backlogs of EthernetFrame objects ---------------------

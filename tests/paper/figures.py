@@ -27,13 +27,14 @@ from repro.bench.fig8 import (
 from repro.bench.harness import RECEIVER_PORT, SENDER_PORT, percent_increase, two_node_testbed
 from repro.core.classify import Classifier
 from repro.core.tables import FilterEntry, FilterTable, FilterTuple
-from repro.net import FLAG_ACK, TcpSegment, build_tcp_frame
+from repro.net import FLAG_ACK, TcpSegment
 from repro.rll import RllLayer
 from repro.sim import ms, seconds
 from repro.stack.costs import CostModel
 from repro.workloads import BulkReceiver, BulkSender, EchoClient, EchoServer
 from tests.conftest import make_testbed
 from tests.oracles.classifiers import linear_engines
+from tests.oracles.codec import build_tcp_frame
 
 PINNED = pathlib.Path(__file__).with_name("figures.json")
 

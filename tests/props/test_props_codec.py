@@ -2,9 +2,10 @@
 
 Every function in :mod:`repro.net.fastpath` (and the RLL splice helpers in
 :mod:`repro.rll.frames`) claims byte-identical wire output and identical
-accept/reject decisions relative to the readable per-layer classes
-(``EthernetFrame``, ``Ipv4Packet``, ``TcpSegment``, ``UdpDatagram``,
-``RllFrame`` — "the reference" below).  These properties pin that claim
+accept/reject decisions relative to the readable per-layer codec in
+tests/oracles/codec.py (``EthernetFrame``, the ``ip_``/``tcp_``/``udp_``
+``to_bytes``/``from_bytes`` functions, ``RllFrame`` — "the reference"
+below).  These properties pin that claim
 over arbitrary inputs:
 
 * encoders emit the reference's exact bytes, including the RFC 768
@@ -28,7 +29,6 @@ from hypothesis import strategies as st
 from repro.errors import ChecksumError, PacketError
 from repro.net import (
     ETHERTYPE_IPV4,
-    EthernetFrame,
     IpAddress,
     Ipv4Packet,
     MacAddress,
@@ -56,12 +56,22 @@ from repro.net.ip import PROTO_TCP, PROTO_UDP
 from repro.core.classify import Classifier
 from repro.core.tables import FilterEntry, FilterTable, FilterTuple, VarRef
 from repro.rll.frames import (
-    RllFrame,
     decap_data_fast,
     encap_ack_fast,
     encap_data_fast,
 )
 from tests.oracles.classifiers import LinearClassifier
+from tests.oracles.codec import (
+    EthernetFrame,
+    RllFrame,
+    ip_from_bytes,
+    ip_to_bytes,
+    pseudo_header,
+    tcp_from_bytes,
+    tcp_to_bytes,
+    udp_from_bytes,
+    udp_to_bytes,
+)
 
 mac_bytes = st.binary(min_size=6, max_size=6)
 ip_bytes = st.binary(min_size=4, max_size=4)
@@ -97,16 +107,19 @@ def ipv4_frames(draw):
     src_ip, dst_ip = IpAddress(draw(ip_bytes)), IpAddress(draw(ip_bytes))
     proto = draw(st.sampled_from([PROTO_TCP, PROTO_UDP]))
     if proto == PROTO_TCP:
-        transport = TcpSegment(
-            draw(ports), draw(ports), draw(seqs), draw(seqs),
-            draw(flags), draw(ports), draw(payloads),
-        ).to_bytes(src_ip, dst_ip)
+        transport = tcp_to_bytes(
+            TcpSegment(
+                draw(ports), draw(ports), draw(seqs), draw(seqs),
+                draw(flags), draw(ports), draw(payloads),
+            ),
+            src_ip, dst_ip,
+        )
     else:
-        transport = UdpDatagram(draw(ports), draw(ports), draw(payloads)).to_bytes(
-            src_ip, dst_ip
+        transport = udp_to_bytes(
+            UdpDatagram(draw(ports), draw(ports), draw(payloads)), src_ip, dst_ip
         )
     packet = Ipv4Packet(src_ip, dst_ip, proto, transport, ident=draw(idents))
-    return EthernetFrame(dst_mac, src_mac, ETHERTYPE_IPV4, packet.to_bytes()).to_bytes()
+    return EthernetFrame(dst_mac, src_mac, ETHERTYPE_IPV4, ip_to_bytes(packet)).to_bytes()
 
 
 def ip_fields(packet):
@@ -134,14 +147,16 @@ class TestEncodersMatchReference:
     @settings(max_examples=200)
     def test_tcp_bytes_identical(self, wire):
         src_ip, dst_ip, seg = wire
-        assert encode_tcp_segment(seg, tcp_flow_sum(src_ip, dst_ip)) == seg.to_bytes(src_ip, dst_ip)
+        assert encode_tcp_segment(seg, tcp_flow_sum(src_ip, dst_ip)) == tcp_to_bytes(
+            seg, src_ip, dst_ip
+        )
 
     @given(wire=udp_wire())
     @settings(max_examples=200)
     def test_udp_bytes_identical(self, wire):
         src_ip, dst_ip, dgram = wire
-        assert encode_udp_datagram(dgram, src_ip, dst_ip) == dgram.to_bytes(
-            src_ip, dst_ip
+        assert encode_udp_datagram(dgram, src_ip, dst_ip) == udp_to_bytes(
+            dgram, src_ip, dst_ip
         )
 
     def test_udp_zero_checksum_transmits_all_ones(self):
@@ -149,7 +164,7 @@ class TestEncodersMatchReference:
         computes to zero, so 0xFFFF must go on the wire."""
         zero = IpAddress("0.0.0.0")
         dgram = UdpDatagram(0, 0, b"\xff\xda")
-        wire = dgram.to_bytes(zero, zero)
+        wire = udp_to_bytes(dgram, zero, zero)
         assert wire[6:8] == b"\xff\xff"
         assert encode_udp_datagram(dgram, zero, zero) == wire
 
@@ -164,7 +179,7 @@ class TestEncodersMatchReference:
     ):
         packet = Ipv4Packet(src_ip, dst_ip, proto, payload, ident=ident)
         reference = EthernetFrame(
-            dst_mac, src_mac, ETHERTYPE_IPV4, packet.to_bytes()
+            dst_mac, src_mac, ETHERTYPE_IPV4, ip_to_bytes(packet)
         ).to_bytes()
         fast = encode_ipv4_frame(
             dst_mac, src_mac, src_ip, dst_ip, proto, ident, payload
@@ -183,7 +198,7 @@ class TestEncodersMatchReference:
             with pytest.raises(PacketError):
                 EthernetFrame(
                     args[0], args[1], ETHERTYPE_IPV4,
-                    Ipv4Packet(args[2], args[3], 6, payload).to_bytes(),
+                    ip_to_bytes(Ipv4Packet(args[2], args[3], 6, payload)),
                 )
         else:
             assert len(encode_ipv4_frame(*args)) == 34 + oversize
@@ -197,11 +212,11 @@ class TestParseMutateReserialise:
     @settings(max_examples=150)
     def test_valid_frames_parse_identically(self, frame):
         fast = parse_ipv4_frame(frame)
-        reference = Ipv4Packet.from_bytes(frame[14:], verify=True)
+        reference = ip_from_bytes(frame[14:], verify=True)
         assert ip_fields(fast) == ip_fields(reference)
         # A __new__-built packet must reserialise exactly like the
         # constructor-built one (and reproduce the original wire bytes).
-        assert fast.to_bytes() == reference.to_bytes() == frame[14:]
+        assert ip_to_bytes(fast) == ip_to_bytes(reference) == frame[14:]
 
     @given(data=st.data())
     @settings(max_examples=250)
@@ -216,7 +231,7 @@ class TestParseMutateReserialise:
         mutant = patch_bytes(frame, offset, splice)
 
         fast_tag, fast_ip = outcome(parse_ipv4_frame, mutant)
-        ref_tag, ref_ip = outcome(Ipv4Packet.from_bytes, mutant[14:], True)
+        ref_tag, ref_ip = outcome(ip_from_bytes, mutant[14:], True)
         assert fast_tag == ref_tag
         if fast_tag != "ok":
             return
@@ -225,10 +240,10 @@ class TestParseMutateReserialise:
             fast_t = outcome(
                 parse_tcp_segment, fast_ip.payload, tcp_flow_sum(fast_ip.src, fast_ip.dst)
             )
-            ref_t = outcome(TcpSegment.from_bytes, ref_ip.payload, ref_ip.src, ref_ip.dst)
+            ref_t = outcome(tcp_from_bytes, ref_ip.payload, ref_ip.src, ref_ip.dst)
         elif fast_ip.protocol == PROTO_UDP:
             fast_t = outcome(parse_udp_datagram, fast_ip.payload, fast_ip.src, fast_ip.dst)
-            ref_t = outcome(UdpDatagram.from_bytes, ref_ip.payload, ref_ip.src, ref_ip.dst)
+            ref_t = outcome(udp_from_bytes, ref_ip.payload, ref_ip.src, ref_ip.dst)
         else:
             return
         assert fast_t[0] == ref_t[0]
@@ -237,21 +252,21 @@ class TestParseMutateReserialise:
     @settings(max_examples=150)
     def test_tcp_parse_and_reserialise_round_trip(self, wire):
         src_ip, dst_ip, seg = wire
-        data = seg.to_bytes(src_ip, dst_ip)
+        data = tcp_to_bytes(seg, src_ip, dst_ip)
         fast = parse_tcp_segment(data, tcp_flow_sum(src_ip, dst_ip))
-        reference = TcpSegment.from_bytes(data, src_ip, dst_ip, verify=True)
+        reference = tcp_from_bytes(data, src_ip, dst_ip, verify=True)
         for field in ("src_port", "dst_port", "seq", "ack", "flags", "window", "payload"):
             assert getattr(fast, field) == getattr(reference, field)
         assert encode_tcp_segment(fast, tcp_flow_sum(src_ip, dst_ip)) == data
-        assert fast.to_bytes(src_ip, dst_ip) == data
+        assert tcp_to_bytes(fast, src_ip, dst_ip) == data
 
     @given(wire=udp_wire())
     @settings(max_examples=150)
     def test_udp_parse_and_reserialise_round_trip(self, wire):
         src_ip, dst_ip, dgram = wire
-        data = dgram.to_bytes(src_ip, dst_ip)
+        data = udp_to_bytes(dgram, src_ip, dst_ip)
         fast = parse_udp_datagram(data, src_ip, dst_ip)
-        reference = UdpDatagram.from_bytes(data, src_ip, dst_ip, verify=True)
+        reference = udp_from_bytes(data, src_ip, dst_ip, verify=True)
         for field in ("src_port", "dst_port", "payload"):
             assert getattr(fast, field) == getattr(reference, field)
         assert encode_udp_datagram(fast, src_ip, dst_ip) == data
@@ -268,22 +283,22 @@ class TestChecksumRewrites:
     @settings(max_examples=100)
     def test_tcp_field_rewrite_verifies_on_both_paths(self, wire, new_port):
         src_ip, dst_ip, seg = wire
-        data = patch_bytes(seg.to_bytes(src_ip, dst_ip), 2, new_port.to_bytes(2, "big"))
+        data = patch_bytes(tcp_to_bytes(seg, src_ip, dst_ip), 2, new_port.to_bytes(2, "big"))
         zeroed = patch_bytes(data, 16, b"\x00\x00")
         total = pseudo_header_sum(
             src_ip.packed, dst_ip.packed, PROTO_TCP, len(zeroed)
         ) + checksum_sum16(zeroed)
         rewritten = patch_bytes(data, 16, fold_checksum(total).to_bytes(2, "big"))
         fast = parse_tcp_segment(rewritten, tcp_flow_sum(src_ip, dst_ip))
-        reference = TcpSegment.from_bytes(rewritten, src_ip, dst_ip, verify=True)
+        reference = tcp_from_bytes(rewritten, src_ip, dst_ip, verify=True)
         assert fast.dst_port == reference.dst_port == new_port
-        assert reference.to_bytes(src_ip, dst_ip) == rewritten
+        assert tcp_to_bytes(reference, src_ip, dst_ip) == rewritten
 
     @given(wire=udp_wire(), new_port=ports)
     @settings(max_examples=100)
     def test_udp_field_rewrite_verifies_on_both_paths(self, wire, new_port):
         src_ip, dst_ip, dgram = wire
-        data = patch_bytes(dgram.to_bytes(src_ip, dst_ip), 2, new_port.to_bytes(2, "big"))
+        data = patch_bytes(udp_to_bytes(dgram, src_ip, dst_ip), 2, new_port.to_bytes(2, "big"))
         zeroed = patch_bytes(data, 6, b"\x00\x00")
         total = pseudo_header_sum(
             src_ip.packed, dst_ip.packed, PROTO_UDP, len(zeroed)
@@ -291,7 +306,7 @@ class TestChecksumRewrites:
         checksum = fold_checksum(total) or 0xFFFF
         rewritten = patch_bytes(data, 6, checksum.to_bytes(2, "big"))
         fast = parse_udp_datagram(rewritten, src_ip, dst_ip)
-        reference = UdpDatagram.from_bytes(rewritten, src_ip, dst_ip, verify=True)
+        reference = udp_from_bytes(rewritten, src_ip, dst_ip, verify=True)
         assert fast.dst_port == reference.dst_port == new_port
 
     @given(frame=ipv4_frames(), new_ident=idents)
@@ -302,9 +317,9 @@ class TestChecksumRewrites:
         checksum = fold_checksum(checksum_sum16(zeroed[14:34]))
         rewritten = patch_bytes(mutated, 24, checksum.to_bytes(2, "big"))
         fast = parse_ipv4_frame(rewritten)
-        reference = Ipv4Packet.from_bytes(rewritten[14:], verify=True)
+        reference = ip_from_bytes(rewritten[14:], verify=True)
         assert fast.ident == reference.ident == new_ident
-        assert fast.to_bytes() == rewritten[14:]
+        assert ip_to_bytes(fast) == rewritten[14:]
 
 
 # -- truncated frames -------------------------------------------------------
@@ -318,7 +333,7 @@ class TestTruncatedFrames:
         cut = data.draw(st.integers(min_value=0, max_value=len(frame)))
         truncated = frame[:cut]
         fast_tag, fast_ip = outcome(parse_ipv4_frame, truncated)
-        ref_tag, ref_ip = outcome(Ipv4Packet.from_bytes, truncated[14:], True)
+        ref_tag, ref_ip = outcome(ip_from_bytes, truncated[14:], True)
         assert fast_tag == ref_tag
         if fast_tag == "ok":
             assert ip_fields(fast_ip) == ip_fields(ref_ip)
@@ -392,8 +407,6 @@ class TestChecksumHelpers:
 
     @given(src=ip_bytes, dst=ip_bytes, proto=st.integers(0, 255), length=ports)
     def test_pseudo_header_sum_matches_byte_form(self, src, dst, proto, length):
-        from repro.net.ip import pseudo_header
-
         wire = pseudo_header(IpAddress(src), IpAddress(dst), proto, length)
         assert fold_checksum(pseudo_header_sum(src, dst, proto, length)) == (
             internet_checksum(wire)
@@ -460,28 +473,28 @@ class TestSingleBitFlipsAreRejected:
     def test_ip_header(self, frame, bit):
         mutant = flip_bit(frame, 14 * 8 + bit)
         fast_tag, _ = outcome(parse_ipv4_frame, mutant)
-        ref_tag, _ = outcome(Ipv4Packet.from_bytes, mutant[14:], True)
+        ref_tag, _ = outcome(ip_from_bytes, mutant[14:], True)
         assert fast_tag == ref_tag != "ok"
 
     @given(wire=tcp_wire(), data=st.data())
     @settings(max_examples=300)
     def test_tcp_segment(self, wire, data):
         src_ip, dst_ip, seg = wire
-        valid = seg.to_bytes(src_ip, dst_ip)
+        valid = tcp_to_bytes(seg, src_ip, dst_ip)
         mutant = flip_bit(valid, data.draw(st.integers(0, len(valid) * 8 - 1)))
         fast_tag, _ = outcome(parse_tcp_segment, mutant, tcp_flow_sum(src_ip, dst_ip))
-        ref_tag, _ = outcome(TcpSegment.from_bytes, mutant, src_ip, dst_ip, True)
+        ref_tag, _ = outcome(tcp_from_bytes, mutant, src_ip, dst_ip, True)
         assert fast_tag == ref_tag != "ok"
 
     @given(wire=udp_wire(), data=st.data())
     @settings(max_examples=300)
     def test_udp_datagram(self, wire, data):
         src_ip, dst_ip, dgram = wire
-        valid = dgram.to_bytes(src_ip, dst_ip)
+        valid = udp_to_bytes(dgram, src_ip, dst_ip)
         bit = data.draw(st.integers(0, len(valid) * 8 - 1))
         mutant = flip_bit(valid, bit)
         fast_tag, _ = outcome(parse_udp_datagram, mutant, src_ip, dst_ip)
-        ref_tag, _ = outcome(UdpDatagram.from_bytes, mutant, src_ip, dst_ip, True)
+        ref_tag, _ = outcome(udp_from_bytes, mutant, src_ip, dst_ip, True)
         assert fast_tag == ref_tag
         # RFC 768: a zero checksum field switches verification off, and a
         # shorter length field moves what is covered; everywhere else the

@@ -34,7 +34,8 @@ class TestSaturationTruthfulness:
     @given(frames=payloads, cap=st.integers(min_value=0, max_value=10))
     @settings(max_examples=60, deadline=None)
     def test_capture_keeps_exact_prefix_and_counts_drops(self, frames, cap):
-        recorder = TraceRecorder(Simulator(seed=1), max_records=cap)
+        recorder = TraceRecorder(Simulator(seed=1))
+        recorder.max_records = cap
         for data in frames:
             recorder.capture("node1", "send", data)
         kept = [r.data for r in recorder.records]
@@ -51,7 +52,8 @@ class TestSaturationTruthfulness:
            cap=st.integers(min_value=0, max_value=8))
     @settings(max_examples=60, deadline=None)
     def test_audit_log_prefix_and_drop_count(self, details, cap):
-        log = AuditLog(Simulator(seed=1), max_events=cap)
+        log = AuditLog(Simulator(seed=1))
+        log.max_events = cap
         for detail in details:
             log.record("node1", "fault", detail)
         assert [e.detail for e in log.events] == details[:cap]

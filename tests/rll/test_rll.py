@@ -3,12 +3,12 @@
 import pytest
 
 from repro.errors import PacketError
-from repro.net import EthernetFrame
 from repro.net.topology import Topology
-from repro.rll import DEFAULT_WINDOW, RllFrame, RllLayer, KIND_ACK, KIND_DATA
+from repro.rll import DEFAULT_WINDOW, RllLayer, KIND_ACK, KIND_DATA
 from repro.rll.frames import SEQ_MOD, seq_diff
 from repro.sim import Simulator, ms, seconds
 from repro.stack import FREE, Host
+from tests.oracles.codec import EthernetFrame, RllFrame
 
 
 class TestRllFrames:
@@ -118,7 +118,7 @@ class TestReliability:
         frame = EthernetFrame("ff:ff:ff:ff:ff:ff", h1.mac, 0x4242, b"hello all")
         got = []
         h2.chain.demux.register(0x4242, got.append)
-        h1.chain.demux.send_frame(frame)
+        h1.chain.demux.on_send(frame.to_bytes())
         sim.run_until(ms(10))
         assert len(got) == 1
         assert layers[0].bypass_frames >= 1

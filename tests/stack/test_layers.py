@@ -3,10 +3,10 @@
 import pytest
 
 from repro.errors import StackError
-from repro.net import EthernetFrame
 from repro.stack import FREE, Host
 from repro.stack.layers import FrameLayer
 from tests.conftest import make_two_hosts
+from tests.oracles.codec import EthernetFrame
 
 M1 = "02:00:00:00:00:01"
 M2 = "02:00:00:00:00:02"
@@ -83,7 +83,7 @@ class TestDemux:
     def test_unclaimed_ethertype_counted(self, sim):
         _, h1, h2 = make_two_hosts(sim, costs=FREE)
         frame = EthernetFrame(h2.mac, h1.mac, 0x4242, b"mystery")
-        h1.chain.demux.send_frame(frame)
+        h1.chain.demux.on_send(frame.to_bytes())
         sim.run()
         assert h2.chain.demux.unclaimed_frames == 1
 
@@ -91,7 +91,7 @@ class TestDemux:
         _, h1, h2 = make_two_hosts(sim, costs=FREE)
         got = []
         h2.chain.demux.register(0x4242, got.append)
-        h1.chain.demux.send_frame(EthernetFrame(h2.mac, h1.mac, 0x4242, b"yo"))
+        h1.chain.demux.on_send(EthernetFrame(h2.mac, h1.mac, 0x4242, b"yo").to_bytes())
         sim.run()
         assert len(got) == 1
         assert EthernetFrame.from_bytes(got[0]).payload == b"yo"

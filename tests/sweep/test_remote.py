@@ -728,6 +728,10 @@ class TestWorkerLoss:
             assert assassin.status == "FAILED" and assassin.attempts == 1
             assert "connection closed" in assassin.error_detail
             assert [row.ok for row in outcome.rows[1:]] == [True] * 3
+            # A dying process closes its sockets before it can be reaped.
+            deadline = time.monotonic() + 5.0
+            while all(w.alive for w in workers) and time.monotonic() < deadline:
+                time.sleep(0.01)
             (victim,) = [w for w in workers if not w.alive]
             victim.restart()  # raises unless the worker prints LISTENING
             assert victim.alive

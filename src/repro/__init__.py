@@ -21,7 +21,7 @@ from .core.report import EndReason, ScenarioReport
 from .core.tables import CompiledProgram
 from .core.testbed import Testbed
 from .errors import ReproError
-from .sim import Simulator, ms, seconds, us
+from .sim import Simulator, ms, seconds
 from .stack import CostModel, Host
 
 __version__ = "1.0.0"
@@ -39,6 +39,5 @@ __all__ = [
     "ms",
     "parse_script",
     "seconds",
-    "us",
     "__version__",
 ]

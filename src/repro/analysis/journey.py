@@ -50,16 +50,9 @@ class FrameJourney:
         self.hops: List[tuple] = []
         #: audit decisions: (time_ns, node, kind, detail).
         self.events: List[tuple] = []
-
-    @property
-    def first_ns(self) -> int:
-        times = [h[0] for h in self.hops] + [e[0] for e in self.events]
-        return min(times) if times else 0
-
-    @property
-    def last_ns(self) -> int:
-        times = [h[0] for h in self.hops] + [e[0] for e in self.events]
-        return max(times) if times else 0
+        #: earliest and latest sighting or decision, set once both lists
+        #: are complete (:func:`correlate_journeys`).
+        self.first_ns = self.last_ns = 0
 
     @property
     def retransmits(self) -> int:
@@ -71,10 +64,6 @@ class FrameJourney:
             return 0
         sends = sum(1 for h in self.hops if h[2] == "send" and h[1] == origin)
         return max(0, sends - 1)
-
-    @property
-    def faults(self) -> List[tuple]:
-        return [e for e in self.events if e[2] == "fault"]
 
     def as_dict(self) -> Dict[str, object]:
         """Canonical JSON-able projection (sweep payload shape)."""
@@ -94,10 +83,6 @@ class FrameJourney:
             ],
         }
 
-    def render(self) -> str:
-        """Multi-line timeline: hops and fault decisions interleaved."""
-        return render_journeys([self.as_dict()])
-
 
 def correlate_journeys(recorder, audit_log) -> List["FrameJourney"]:
     """Join tap captures and audit decisions into per-frame journeys.
@@ -107,6 +92,9 @@ def correlate_journeys(recorder, audit_log) -> List["FrameJourney"]:
     carries a frame digest (fault applications), so no journey is built
     without the faults applied to its frame.  The result is ordered by
     ``(first_ns, digest)`` — deterministic for any capture interleaving.
+
+    Both sources append in virtual-time order, so a journey's first and
+    last entries of each list bound its times.
     """
     journeys: Dict[str, FrameJourney] = {}
     for record in recorder.records:
@@ -125,6 +113,12 @@ def correlate_journeys(recorder, audit_log) -> List["FrameJourney"]:
             journey = FrameJourney(digest, f"<{event.kind}>")
             journeys[digest] = journey
         journey.events.append((event.time_ns, event.node, event.kind, event.detail))
+    for journey in journeys.values():
+        hops, events = journey.hops, journey.events
+        ends = [hops[0][0], hops[-1][0]] if hops else []
+        if events:
+            ends += (events[0][0], events[-1][0])
+        journey.first_ns, journey.last_ns = min(ends), max(ends)
     return sorted(journeys.values(), key=lambda j: (j.first_ns, j.digest))
 
 

@@ -151,18 +151,3 @@ def run_fig7(
         raise RuntimeError(f"fig7 campaign failed: {failures[0].error}")
     return [Fig7Point(**row.payload) for row in outcome.rows]
 
-
-def render_table(points: List[Fig7Point]) -> str:
-    """The figure as text: goodput by offered rate for both configurations."""
-    rates = sorted({p.offered_mbps for p in points})
-    lines = ["offered Mbps:   " + "".join(f"{r:>8.0f}" for r in rates)]
-    for with_vw, label in ((False, "baseline"), (True, "virtualwire+rll")):
-        by_rate = {
-            p.offered_mbps: p for p in points if p.with_virtualwire == with_vw
-        }
-        cells = "".join(
-            f"{by_rate[r].goodput_mbps:>8.1f}" if r in by_rate else "      --"
-            for r in rates
-        )
-        lines.append(f"{label:<16s}{cells}")
-    return "\n".join(lines)

@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence
 from ..core.tables import CompiledProgram
 from ..sim import ms, seconds
 from ..workloads.echo import EchoClient, EchoServer
-from .harness import percent_increase, two_node_testbed
+from .harness import two_node_testbed
 
 #: The paper triggers 25 actions per packet match in configuration (ii).
 ACTIONS_PER_MATCH = 25
@@ -94,10 +94,6 @@ class Fig8Point:
     n_filters: int
     mean_rtt_ns: float
     baseline_rtt_ns: float
-
-    @property
-    def overhead_percent(self) -> float:
-        return percent_increase(self.mean_rtt_ns, self.baseline_rtt_ns)
 
 
 def measure_baseline(probes: int = 50, payload: int = 1000, seed: int = 0) -> float:
@@ -223,20 +219,3 @@ def run_fig8(
         raise RuntimeError(f"fig8 campaign failed: {failures[0].error}")
     return [Fig8Point(**row.payload) for row in outcome.rows]
 
-
-def render_table(points: List[Fig8Point]) -> str:
-    """The figure as text: % RTT increase by filter count, one row per mode."""
-    counts = sorted({p.n_filters for p in points})
-    header = "filters:        " + "".join(f"{c:>8d}" for c in counts)
-    lines = [header]
-    for mode in MODES:
-        row = [p for p in points if p.mode == mode]
-        if not row:
-            continue
-        by_count = {p.n_filters: p for p in row}
-        cells = "".join(
-            f"{by_count[c].overhead_percent:>7.2f}%" if c in by_count else "      --"
-            for c in counts
-        )
-        lines.append(f"{mode:<16s}{cells}")
-    return "\n".join(lines)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from ..core.classify import Classifier
 from ..core.tables import CompiledProgram
@@ -61,12 +61,9 @@ HOTPATH_CAPTURE_NS = int(0.05 * NS_PER_SEC)
 HOTPATH_REPEATS = 3
 
 
-def capture_fig7_stream(
-    seed: int = 0,
-    offered_mbps: float = DEFAULT_OFFERED_MBPS,
-    duration_ns: int = HOTPATH_CAPTURE_NS,
-) -> Tuple[List[bytes], CompiledProgram]:
-    """Run one short Fig 7 cell and record every data-plane wire frame.
+def capture_fig7_stream(seed: int) -> Tuple[List[bytes], CompiledProgram]:
+    """Run one short Fig 7 cell (:data:`DEFAULT_OFFERED_MBPS` offered for
+    :data:`HOTPATH_CAPTURE_NS`) and record every data-plane wire frame.
 
     The tap sits at the NICs' transmit entry (below the drivers), so the
     stream holds exactly the on-wire bytes in transmission order:
@@ -91,8 +88,8 @@ def capture_fig7_stream(
             node1,
             node2.ip,
             RECEIVER_PORT,
-            offered_bps=offered_mbps * 1e6,
-            duration_ns=duration_ns,
+            offered_bps=DEFAULT_OFFERED_MBPS * 1e6,
+            duration_ns=HOTPATH_CAPTURE_NS,
             local_port=SENDER_PORT,
         )
 
@@ -100,7 +97,7 @@ def capture_fig7_stream(
     tb.run_scenario(
         script,
         workload=workload,
-        max_time=duration_ns + seconds(5),
+        max_time=HOTPATH_CAPTURE_NS + seconds(5),
         inactivity_ns=ms(200),
     )
     program = Testbed.compile_cached(script)
@@ -168,40 +165,28 @@ def _replay(stream: List[bytes], classifier, nodes) -> None:
             raise ScenarioError("frame round-trip diverged")
 
 
-def measure_hotpath_point(
-    frame_codec: str = "fast",
-    stream: Optional[List[bytes]] = None,
-    program: Optional[CompiledProgram] = None,
-    repeats: int = HOTPATH_REPEATS,
-    offered_mbps: float = DEFAULT_OFFERED_MBPS,
-    duration_ns: int = HOTPATH_CAPTURE_NS,
-    seed: int = 0,
-) -> FramesResult:
-    """Time the per-frame hot path over the captured Fig 7 stream.
+def measure_hotpath_point(frame_codec: str = "fast", seed: int = 0) -> FramesResult:
+    """Time the per-frame hot path, :data:`HOTPATH_REPEATS` times over a
+    fresh capture of the Fig 7 stream.
 
-    Pass a (*stream*, *program*) from :func:`capture_fig7_stream` to time
-    the same frames again; when omitted a fresh capture is made.
     *frame_codec* only accepts ``"fast"``: benchmarks/ledger passes it
     positionally.
     """
     if frame_codec != "fast":
         raise ValueError(f"the only frame codec is 'fast', not {frame_codec!r}")
-    if stream is None or program is None:
-        stream, program = capture_fig7_stream(
-            seed=seed, offered_mbps=offered_mbps, duration_ns=duration_ns
-        )
+    stream, program = capture_fig7_stream(seed)
     classifier = Classifier(program.filters)
     nodes = program.nodes
     started = time.perf_counter()
-    for _ in range(repeats):
+    for _ in range(HOTPATH_REPEATS):
         _replay(stream, classifier, nodes)
     wall_s = time.perf_counter() - started
-    frames = len(stream) * repeats
+    frames = len(stream) * HOTPATH_REPEATS
     return FramesResult(
         frames=frames,
         wall_s=round(wall_s, 4),
         frames_per_sec=round(frames / wall_s, 1),
-        offered_mbps=offered_mbps,
-        duration_ns=duration_ns,
+        offered_mbps=DEFAULT_OFFERED_MBPS,
+        duration_ns=HOTPATH_CAPTURE_NS,
         seed=seed,
     )

@@ -51,9 +51,3 @@ def two_node_testbed(
         tb.install_virtualwire(control="node1", rll=rll)
     return tb, node1, node2
 
-
-def percent_increase(value: float, baseline: float) -> float:
-    """Percentage by which *value* exceeds *baseline*."""
-    if baseline <= 0:
-        return 0.0
-    return (value - baseline) * 100.0 / baseline

@@ -69,15 +69,8 @@ class AuditLog:
     def __len__(self) -> int:
         return len(self.events)
 
-    def select(
-        self, kind: Optional[str] = None, node: Optional[str] = None
-    ) -> List[AuditEvent]:
-        return [
-            event
-            for event in self.events
-            if (kind is None or event.kind == kind)
-            and (node is None or event.node == node)
-        ]
+    def select(self, kind: Optional[str] = None) -> List[AuditEvent]:
+        return [event for event in self.events if kind is None or event.kind == kind]
 
     def render(self, kind: Optional[str] = None) -> str:
         events = self.select(kind=kind)
@@ -89,7 +82,3 @@ class AuditLog:
                 f"dropped (log saturated at {self.max_events})"
             )
         return "\n".join(lines)
-
-    def clear(self) -> None:
-        self.events.clear()
-        self.dropped = 0

@@ -31,6 +31,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ScenarioError
 
+#: Liveness messages a crash scenario lets through before it FAILs the node.
+CRASH_AFTER_MESSAGES = 5
+
 
 @dataclass(frozen=True)
 class MessageFlow:
@@ -195,8 +198,9 @@ class ScriptGenerator:
         lines.append("END")
         return "\n".join(lines)
 
-    def crash_scenario(self, node: str, trigger_count: int = 5) -> str:
-        """Crash *node* after the liveness flow is established."""
+    def crash_scenario(self, node: str) -> str:
+        """Crash *node* once the liveness flow has delivered
+        :data:`CRASH_AFTER_MESSAGES` messages."""
         if node not in self.spec.expendable_nodes:
             raise ScenarioError(f"node {node!r} is not marked expendable")
         live = self._liveness()
@@ -206,7 +210,7 @@ class ScriptGenerator:
         lines += [
             f"  Warm: ({live.name}, {live.src}, {live.dst}, RECV)",
             f"  Armed: ({live.dst})",
-            f"  ((Warm = {trigger_count})) >> FAIL( {node} ); "
+            f"  ((Warm = {CRASH_AFTER_MESSAGES})) >> FAIL( {node} ); "
             f"INCR_CNTR( Armed, 1 );",
         ]
         lines += self._recovery_rules("Armed")

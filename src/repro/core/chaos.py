@@ -66,9 +66,8 @@ class ControlLossLayer(FrameLayer):
             return
         self.pass_up(frame_bytes)
 
-    @property
-    def dropped(self) -> int:
-        return self.dropped_send + self.dropped_recv
-
     def __repr__(self) -> str:
-        return f"ControlLossLayer(rate={self.rate}, dropped={self.dropped})"
+        return (
+            f"ControlLossLayer(rate={self.rate}, "
+            f"dropped={self.dropped_send}+{self.dropped_recv})"
+        )

@@ -96,9 +96,9 @@ class Parser:
     def _cur(self) -> Token:
         return self._tokens[self._pos]
 
-    def _peek(self, ahead: int = 1) -> Token:
-        index = min(self._pos + ahead, len(self._tokens) - 1)
-        return self._tokens[index]
+    def _peek(self) -> Token:
+        """The token after the current one."""
+        return self._tokens[min(self._pos + 1, len(self._tokens) - 1)]
 
     def _advance(self) -> Token:
         token = self._cur

@@ -194,14 +194,6 @@ class ReliableControlPlane:
         if self.on_peer_failed is not None:
             self.on_peer_failed(dst)
 
-    def inflight_count(self, dst: MacAddress) -> int:
-        state = self._peers.get(dst.packed)
-        return len(state.inflight) if state else 0
-
-    def peer_dead(self, dst: MacAddress) -> bool:
-        state = self._peers.get(dst.packed)
-        return state.dead if state else False
-
     # ------------------------------------------------------------------
     # Receiver side
     # ------------------------------------------------------------------

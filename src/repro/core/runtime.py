@@ -676,9 +676,6 @@ class NodeRuntime:
     # Introspection (reports and tests)
     # ------------------------------------------------------------------
 
-    def counter_value(self, name: str) -> int:
-        return self.values[self.program.counter_by_name(name).counter_id]
-
     def counters_snapshot(self) -> Dict[str, int]:
         return {c.name: self.values[c.counter_id] for c in self.program.counters}
 

@@ -135,12 +135,6 @@ class FilterTable:
     def __contains__(self, name: str) -> bool:
         return name in self._by_name
 
-    def get(self, name: str) -> FilterEntry:
-        try:
-            return self._by_name[name]
-        except KeyError:
-            raise FslCompileError(f"unknown packet type {name!r}") from None
-
     def restricted_to(self, names: Set[str]) -> "FilterTable":
         """The table pruned to *names*, preserving order.
 
@@ -488,12 +482,6 @@ class CompiledProgram:
     actions: List[ActionSpec]
     #: names of VAR declarations used by filter tuples.
     variables: Tuple[str, ...] = ()
-
-    def counter_by_name(self, name: str) -> CounterSpec:
-        for spec in self.counters:
-            if spec.name == name:
-                return spec
-        raise FslCompileError(f"unknown counter {name!r}")
 
     def table_sizes(self) -> Dict[str, int]:
         """Entry counts per table (for INIT control frames and reports)."""

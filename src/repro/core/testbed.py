@@ -49,6 +49,10 @@ from .tables import CompiledProgram
 
 HostRef = Union[str, Host]
 
+#: Events one :meth:`Testbed.run_scenario` may fire before it is cut short
+#: as MAX_TIME: a guard against a runaway self-scheduling loop.
+MAX_EVENTS = 50_000_000
+
 #: The compile cache behind :meth:`Testbed.compile_cached`, keyed by
 #: ``(script text, scenario name)``; bounded so generated script families
 #: cannot grow it without limit.
@@ -218,14 +222,6 @@ class Testbed:
         host.chain.splice_above_driver(layer)
         return layer
 
-    def partition(self, ref: HostRef) -> None:
-        """Sever *ref* from the network entirely (NIC down, host alive).
-
-        Models an un-scripted node loss: liveness supervision must end the
-        scenario with :class:`EndReason.NODE_UNREACHABLE` naming the node.
-        """
-        self.host(ref).nic.bring_down()
-
     def crash_node(self, ref: HostRef) -> None:
         """Crash *ref* with amnesia, as a ``CRASH(node)`` action would.
 
@@ -282,13 +278,13 @@ class Testbed:
         workload: Optional[Callable[[], None]] = None,
         max_time: int = seconds(60),
         inactivity_ns: Optional[int] = None,
-        max_events: int = 50_000_000,
     ) -> ScenarioReport:
         """Compile *script*, run it to completion, and return the report.
 
         *workload* is invoked shortly after every engine has started, so
         protocol traffic begins only once fault injection is armed.
-        *max_time* bounds virtual time as a fail-safe.
+        *max_time* bounds virtual time as a fail-safe, and
+        :data:`MAX_EVENTS` the number of events (a runaway guard).
         """
         if self.frontend is None:
             raise ScenarioError("call install_virtualwire() before run_scenario()")
@@ -302,7 +298,7 @@ class Testbed:
         frontend.start_scenario(program, on_running=workload, inactivity_ns=inactivity_ns)
         sim = self.sim
         deadline = sim.now + max_time
-        last_event = sim.events_processed + max_events
+        last_event = sim.events_processed + MAX_EVENTS
         # Drain unpolled up to the idle mark: a finish stops the drain itself
         # through sim.stop(), and no event at or before the mark can leave
         # the scenario idle.  Activity may have moved the mark meanwhile:
@@ -346,10 +342,6 @@ class Testbed:
             ]
             report.metrics = self.metrics.snapshot()
         return report
-
-    def run_for(self, duration: int) -> None:
-        """Advance the simulation without a scenario (workload warm-up)."""
-        self.sim.run_for(duration)
 
     def __repr__(self) -> str:
         return (

@@ -9,7 +9,6 @@ the data path once used is a test oracle (tests/oracles/codec.py).
 """
 
 from .addresses import IpAddress, MacAddress
-from .bytesutil import hexdump, internet_checksum, patch_bytes, verify_checksum
 from .frame import (
     ETHERTYPE_ARP,
     ETHERTYPE_IPV4,
@@ -75,8 +74,4 @@ __all__ = [
     "Topology",
     "UdpDatagram",
     "flags_to_str",
-    "hexdump",
-    "internet_checksum",
-    "patch_bytes",
-    "verify_checksum",
 ]

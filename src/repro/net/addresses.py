@@ -50,14 +50,6 @@ class MacAddress:
         """The 6-byte wire representation."""
         return self._bytes
 
-    @property
-    def is_broadcast(self) -> bool:
-        return self._bytes == b"\xff" * 6
-
-    @property
-    def is_multicast(self) -> bool:
-        return bool(self._bytes[0] & 0x01)
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, MacAddress) and self._bytes == other._bytes
 
@@ -101,12 +93,11 @@ class IpAddress:
             raise AddressError(f"cannot build IPv4 address from {type(value).__name__}")
 
     @classmethod
-    def from_index(cls, index: int, network: str = "192.168.1.0") -> "IpAddress":
-        """Deterministic host address inside a /24 for auto-generated testbeds."""
+    def from_index(cls, index: int) -> "IpAddress":
+        """Deterministic host address in 192.168.1.0/24 for auto-generated testbeds."""
         if not 1 <= index <= 254:
             raise AddressError(f"host index must be in 1..254, got {index}")
-        base = IpAddress(network)
-        return cls(base._bytes[:3] + bytes([index]))
+        return cls(b"\xc0\xa8\x01" + bytes([index]))
 
     @property
     def packed(self) -> bytes:

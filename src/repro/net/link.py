@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import deque
 from functools import partial
-from typing import Callable, Deque, Dict, List, Tuple
+from typing import Callable, Deque, List, Tuple
 
 from ..errors import TopologyError
 from ..sim import NS_PER_SEC, Simulator
@@ -33,17 +33,13 @@ DeliverFn = Callable[[bytes, bool], None]
 class _Transmitter:
     """One serialising FIFO: models a single wire direction (or shared bus)."""
 
-    __slots__ = ("queue", "busy", "drops", "frames", "bytes")
+    __slots__ = ("queue", "busy", "drops")
 
     def __init__(self) -> None:
         self.queue: Deque[Tuple[bytes, DeliverFn]] = deque()
         self.busy = False
+        #: frames tail-dropped on a full queue.
         self.drops = 0
-        self.frames = 0
-        self.bytes = 0
-
-    def stats(self) -> Dict[str, int]:
-        return {"frames": self.frames, "bytes": self.bytes, "queue_drops": self.drops}
 
 
 class Medium:
@@ -115,8 +111,6 @@ class Medium:
     def _start_next(self, tx: _Transmitter) -> None:
         frame_bytes, deliver = tx.queue.popleft()
         tx.busy = True
-        tx.frames += 1
-        tx.bytes += len(frame_bytes)
         self.sim.after(
             self.serialization_ns(frame_bytes),
             self._finish_transmission,
@@ -159,14 +153,6 @@ class PointToPointLink(Medium):
         peer = self._nics[1 - port]
         self._serve(self._directions[port], frame_bytes, peer.deliver)
 
-    def stats(self) -> Dict[str, int]:
-        """Aggregate frame/drop counters across both directions."""
-        totals = {"frames": 0, "bytes": 0, "queue_drops": 0}
-        for tx in self._directions.values():
-            for key, value in tx.stats().items():
-                totals[key] += value
-        return totals
-
 
 def _deliver_to(nics: Tuple[Nic, ...], frame_bytes: bytes, corrupted: bool) -> None:
     for nic in nics:
@@ -201,9 +187,6 @@ class Hub(Medium):
         if port >= len(self._nics):
             raise TopologyError(f"{self.name}: unknown port {port}")
         self._serve(self._shared, frame_bytes, self._fan_out[port])
-
-    def stats(self) -> Dict[str, int]:
-        return self._shared.stats()
 
 
 #: A shared bus (the medium Rether regulates) behaves identically to a hub.

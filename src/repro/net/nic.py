@@ -37,12 +37,12 @@ class Nic:
         sim: Simulator,
         mac: Union[str, bytes, MacAddress],
         name: str = "",
-        promiscuous: bool = False,
     ) -> None:
         self.sim = sim
         self.mac = MacAddress(mac)
         self.name = name or f"nic-{self.mac}"
-        self.promiscuous = promiscuous
+        #: accept unicast frames for other stations too (a test sniffer).
+        self.promiscuous = False
         self.is_up = True
         self._medium = None
         self._port: Optional[int] = None

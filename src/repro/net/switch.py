@@ -16,7 +16,6 @@ from typing import Dict
 
 from ..errors import TopologyError
 from ..sim import Simulator
-from .addresses import MacAddress
 from .frame import HEADER_LEN
 from .link import DEFAULT_BANDWIDTH_BPS, DEFAULT_PROPAGATION_NS, Medium, _Transmitter
 
@@ -82,18 +81,3 @@ class LearningSwitch(Medium):
     def _enqueue(self, egress_port: int, frame_bytes: bytes) -> None:
         nic = self._nics[egress_port]
         self._serve(self._egress[egress_port], frame_bytes, nic.deliver)
-
-    # -- observability ------------------------------------------------------
-
-    def mac_table(self) -> Dict[str, int]:
-        """A copy of the learned MAC-to-port mapping (stringified keys)."""
-        return {str(MacAddress(mac)): port for mac, port in self._mac_table.items()}
-
-    def stats(self) -> Dict[str, int]:
-        totals = {"frames": 0, "bytes": 0, "queue_drops": 0}
-        for tx in self._egress.values():
-            for key, value in tx.stats().items():
-                totals[key] += value
-        totals["flooded"] = self.flooded_frames
-        totals["forwarded"] = self.forwarded_frames
-        return totals

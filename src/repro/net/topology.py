@@ -8,7 +8,7 @@ exactly once.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, Optional
 
 from ..errors import TopologyError
 from ..sim import Simulator
@@ -62,10 +62,6 @@ class Topology:
             return self._media[name]
         except KeyError:
             raise TopologyError(f"unknown medium: {name!r}") from None
-
-    @property
-    def media(self) -> List[Medium]:
-        return list(self._media.values())
 
     def validate(self, nics: Optional[Iterable[Nic]] = None) -> None:
         """Check structural soundness; raises :class:`TopologyError` if broken.

@@ -152,16 +152,16 @@ END
 """
 
 
-def rether_crash_restart_script(
-    node_table_fsl: str,
-    data_threshold: int = 1000,
-    restart_delay_ms: int = 300,
-) -> str:
+#: How long after its CRASH the extended Fig 6 script RESTARTs the node.
+RESTART_DELAY_MS = 300
+
+
+def rether_crash_restart_script(node_table_fsl: str, data_threshold: int = 1000) -> str:
     """The extended Fig 6 script: crash, reboot, re-sync, rejoin.
 
     Like :func:`rether_failover_script` up to the node loss, but the node
     is CRASHed (soft state destroyed, not just the NIC) and RESTARTed
-    *restart_delay_ms* later.  Success requires the healed ring *and* the
+    :data:`RESTART_DELAY_MS` later.  Success requires the healed ring *and* the
     rebooted node forwarding the token again (``Healed``); the scenario
     fails if node2 hands the token to the dead node more than its three
     eviction attempts.
@@ -171,7 +171,7 @@ def rether_crash_restart_script(
         + node_table_fsl
         + "\n"
         + _CRASH_RESTART_SCENARIO.format(
-            data_threshold=data_threshold, restart_delay_ms=restart_delay_ms
+            data_threshold=data_threshold, restart_delay_ms=RESTART_DELAY_MS
         )
     )
 
@@ -190,28 +190,3 @@ def canonical_node_table(n_hosts: int) -> str:
     lines.append("END")
     return "\n".join(lines)
 
-
-def write_standard_scripts(directory) -> list:
-    """Materialise the paper's scripts as standalone ``.fsl`` files.
-
-    The repository ships the output under ``scenarios/`` for use with the
-    ``python -m repro`` CLI; this function regenerates them (e.g. after
-    editing the templates).  Returns the written paths.
-    """
-    import pathlib
-
-    directory = pathlib.Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    files = {
-        "fig5_tcp_congestion.fsl": tcp_congestion_script(canonical_node_table(2)),
-        "fig6_rether_failover.fsl": rether_failover_script(canonical_node_table(4)),
-        "fig6_crash_restart.fsl": rether_crash_restart_script(
-            canonical_node_table(4)
-        ),
-    }
-    written = []
-    for name, content in files.items():
-        path = directory / name
-        path.write_text(content)
-        written.append(path)
-    return written

@@ -13,14 +13,8 @@ from .clock import (
     Clock,
     format_time,
     ms,
-    ns,
-    parse_duration,
     quantize_to_jiffies,
     seconds,
-    to_ms,
-    to_seconds,
-    to_us,
-    us,
 )
 from .events import Callback, EventHandle, EventQueue
 from .random import RandomRegistry, RandomStream
@@ -42,12 +36,6 @@ __all__ = [
     "Timer",
     "format_time",
     "ms",
-    "ns",
-    "parse_duration",
     "quantize_to_jiffies",
     "seconds",
-    "to_ms",
-    "to_seconds",
-    "to_us",
-    "us",
 ]

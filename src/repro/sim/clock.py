@@ -3,10 +3,10 @@
 Time is kept as an integer count of **nanoseconds** since simulation start.
 Integers keep the simulation exactly reproducible: there is no floating-point
 accumulation error, and two runs with the same inputs produce bit-identical
-schedules.  Helper constructors and accessors convert to and from the human
-units used throughout the paper (microseconds for packet latencies,
-milliseconds for protocol timers, 10 ms "jiffies" for the Linux timer
-granularity the DELAY primitive inherits).
+schedules.  Helper constructors convert from the human units used
+throughout the paper (milliseconds for protocol timers, seconds for run
+caps, 10 ms "jiffies" for the Linux timer granularity the DELAY primitive
+inherits).
 """
 
 from __future__ import annotations
@@ -22,16 +22,6 @@ NS_PER_SEC = 1_000_000_000
 JIFFY_NS = 10 * NS_PER_MS
 
 
-def ns(value: float) -> int:
-    """Return *value* nanoseconds as an integer tick count."""
-    return int(round(value))
-
-
-def us(value: float) -> int:
-    """Return *value* microseconds in nanoseconds."""
-    return int(round(value * NS_PER_US))
-
-
 def ms(value: float) -> int:
     """Return *value* milliseconds in nanoseconds."""
     return int(round(value * NS_PER_MS))
@@ -40,21 +30,6 @@ def ms(value: float) -> int:
 def seconds(value: float) -> int:
     """Return *value* seconds in nanoseconds."""
     return int(round(value * NS_PER_SEC))
-
-
-def to_us(ticks: int) -> float:
-    """Convert a nanosecond tick count to microseconds."""
-    return ticks / NS_PER_US
-
-
-def to_ms(ticks: int) -> float:
-    """Convert a nanosecond tick count to milliseconds."""
-    return ticks / NS_PER_MS
-
-
-def to_seconds(ticks: int) -> float:
-    """Convert a nanosecond tick count to seconds."""
-    return ticks / NS_PER_SEC
 
 
 def quantize_to_jiffies(ticks: int) -> int:
@@ -68,35 +43,6 @@ def quantize_to_jiffies(ticks: int) -> int:
         return JIFFY_NS
     whole, rem = divmod(ticks, JIFFY_NS)
     return (whole + (1 if rem else 0)) * JIFFY_NS
-
-
-def parse_duration(text: str) -> int:
-    """Parse an FSL duration literal such as ``1sec``, ``250ms`` or ``40us``.
-
-    Returns the duration in nanoseconds.  A bare number is interpreted as
-    milliseconds, matching the DELAY primitive's natural unit.
-    """
-    raw = text.strip().lower()
-    for suffix, scale in (
-        ("nsec", 1),
-        ("usec", NS_PER_US),
-        ("msec", NS_PER_MS),
-        ("sec", NS_PER_SEC),
-        ("ns", 1),
-        ("us", NS_PER_US),
-        ("ms", NS_PER_MS),
-        ("s", NS_PER_SEC),
-    ):
-        if raw.endswith(suffix):
-            number = raw[: -len(suffix)].strip()
-            try:
-                return int(round(float(number) * scale))
-            except ValueError as exc:
-                raise SimulationError(f"bad duration literal: {text!r}") from exc
-    try:
-        return int(round(float(raw) * NS_PER_MS))
-    except ValueError as exc:
-        raise SimulationError(f"bad duration literal: {text!r}") from exc
 
 
 def format_time(ticks: int) -> str:
@@ -120,8 +66,8 @@ class Clock:
 
     __slots__ = ("_now",)
 
-    def __init__(self, start: int = 0) -> None:
-        self._now = int(start)
+    def __init__(self) -> None:
+        self._now = 0
 
     @property
     def now(self) -> int:

@@ -73,11 +73,6 @@ class EventHandle:
         if self.queue is not None:
             self.queue._on_cancel()
 
-    @property
-    def pending(self) -> bool:
-        """True if the event has neither fired nor been cancelled."""
-        return not self.cancelled and self.callback is not None
-
     def __repr__(self) -> str:
         state = "cancelled" if self.cancelled else "pending"
         return f"EventHandle(t={self.when}, seq={self.seq}, {state}, {self.label!r})"
@@ -129,16 +124,8 @@ class EventQueue:
         heapq.heappush(self._heap, (when, seq, handle))
         return handle
 
-    def cancel(self, handle: EventHandle) -> None:
-        """Cancel *handle*; the heap entry is discarded lazily on pop."""
-        if handle is None:
-            raise SchedulingError(
-                "cannot cancel None: a fire-and-forget event never hands out a handle"
-            )
-        handle.cancel()
-
     def _on_cancel(self) -> None:
-        """Bookkeeping for a cancellation (also via ``handle.cancel()``)."""
+        """Bookkeeping for a ``handle.cancel()``."""
         self._live -= 1
         dead = len(self._heap) - self._live
         if dead > COMPACT_MIN_DEAD and dead * 2 > len(self._heap):
@@ -180,16 +167,6 @@ class EventQueue:
         handle.queue = None
         return handle
 
-    def clear(self) -> None:
-        """Drop every pending event (used when tearing a simulator down)."""
-        for entry in self._heap:
-            handle = entry[2]
-            if handle is not None:
-                handle.queue = None  # detach first: no per-handle accounting
-                handle.cancel()
-        self._heap.clear()
-        self._live = 0
-
     def _discard_dead(self) -> None:
         heap = self._heap
         while heap and heap[0][2] is not None and heap[0][2].cancelled:
@@ -203,6 +180,6 @@ class EventQueue:
         live = sorted(
             (e[0], e[1], e[5] if e[2] is None else e[2].label)
             for e in self._heap
-            if e[2] is None or e[2].pending
+            if e[2] is None or e[2].callback is not None
         )
         return [(when, label) for when, _, label in live]

@@ -27,50 +27,26 @@ def _derive_seed(master_seed: int, name: str) -> int:
 class RandomStream:
     """A single named stream; a thin deterministic wrapper over ``random.Random``."""
 
-    __slots__ = ("name", "_rng", "_draws")
+    __slots__ = ("name", "_rng")
 
     def __init__(self, name: str, seed: int) -> None:
         self.name = name
         self._rng = _stdlib_random.Random(seed)
-        self._draws = 0
-
-    @property
-    def draws(self) -> int:
-        """Number of values drawn so far (useful in tests)."""
-        return self._draws
-
-    def uniform(self, low: float, high: float) -> float:
-        """Uniform float in [low, high]."""
-        self._draws += 1
-        return self._rng.uniform(low, high)
 
     def randint(self, low: int, high: int) -> int:
         """Uniform integer in [low, high] inclusive."""
-        self._draws += 1
         return self._rng.randint(low, high)
 
     def chance(self, probability: float) -> bool:
         """Return True with the given probability."""
-        self._draws += 1
         return self._rng.random() < probability
-
-    def choice(self, seq):
-        """Uniformly pick one element of a non-empty sequence."""
-        self._draws += 1
-        return self._rng.choice(seq)
-
-    def shuffle(self, seq) -> None:
-        """Shuffle *seq* in place."""
-        self._draws += 1
-        self._rng.shuffle(seq)
 
     def exponential(self, mean: float) -> float:
         """Exponentially distributed value with the given mean (for traffic)."""
-        self._draws += 1
         return self._rng.expovariate(1.0 / mean) if mean > 0 else 0.0
 
     def __repr__(self) -> str:
-        return f"RandomStream({self.name!r}, draws={self._draws})"
+        return f"RandomStream({self.name!r})"
 
 
 class RandomRegistry:

@@ -25,6 +25,10 @@ from .clock import Clock, format_time
 from .events import Callback, EventHandle, EventQueue
 from .random import RandomRegistry
 
+#: Events one run may fire before :meth:`Simulator.run_until` gives up with
+#: a :class:`SimulationError`: a guard against a runaway self-scheduling loop.
+MAX_EVENTS = 50_000_000
+
 
 class DrainEnd(enum.Enum):
     """Why :meth:`Simulator.drain` returned."""
@@ -125,10 +129,6 @@ class Simulator:
         """A disarmed :class:`Timer` that runs ``callback(*args)`` as *label*."""
         return Timer(self, callback, label, args)
 
-    def cancel(self, handle: EventHandle) -> None:
-        """Cancel a previously scheduled one-shot event."""
-        self.queue.cancel(handle)
-
     # -- observation --------------------------------------------------------
 
     def add_trace_hook(self, hook: Callable[[EventHandle], None]) -> None:
@@ -156,7 +156,7 @@ class Simulator:
             callback()
         return True
 
-    def drain(self, deadline: Optional[int] = None, max_events: int = 50_000_000) -> DrainEnd:
+    def drain(self, deadline: Optional[int] = None, max_events: int = MAX_EVENTS) -> DrainEnd:
         """The event loop every run method shares; returns why it ended.
 
         Fires events in ``(time, sequence)`` order while the next one is due
@@ -216,30 +216,31 @@ class Simulator:
             f"event cap of {max_events} exceeded at t={format_time(self.clock.now)}"
         )
 
-    def run(self, max_events: int = 50_000_000) -> None:
-        """Run until the queue drains or *max_events* have been processed.
+    def run(self) -> None:
+        """Run until the queue drains; more than :data:`MAX_EVENTS` events
+        raise :class:`SimulationError` rather than hang."""
+        if self.drain(None, MAX_EVENTS) is DrainEnd.BUDGET:
+            raise self._event_cap_exceeded(MAX_EVENTS)
 
-        The event cap guards against accidental infinite self-scheduling
-        loops; hitting it raises :class:`SimulationError` rather than hanging.
+    def run_until(self, deadline: int) -> None:
+        """Run events with timestamps <= *deadline*, then set clock = deadline.
+
+        Firing more than :data:`MAX_EVENTS` events raises
+        :class:`SimulationError` rather than hanging.
         """
-        if self.drain(None, max_events) is DrainEnd.BUDGET:
-            raise self._event_cap_exceeded(max_events)
-
-    def run_until(self, deadline: int, max_events: int = 50_000_000) -> None:
-        """Run events with timestamps <= *deadline*, then set clock = deadline."""
         if deadline < self.clock.now:
             raise SchedulingError(
                 f"deadline {deadline} is before current time {self.clock.now}"
             )
-        ended = self.drain(deadline, max_events)
+        ended = self.drain(deadline, MAX_EVENTS)
         if ended is DrainEnd.BUDGET:
-            raise self._event_cap_exceeded(max_events)
+            raise self._event_cap_exceeded(MAX_EVENTS)
         if ended is not DrainEnd.STOPPED:
             self.clock.advance_to(deadline)
 
-    def run_for(self, duration: int, max_events: int = 50_000_000) -> None:
+    def run_for(self, duration: int) -> None:
         """Convenience wrapper: run for *duration* nanoseconds of virtual time."""
-        self.run_until(self.clock.now + duration, max_events)
+        self.run_until(self.clock.now + duration)
 
     def stop(self) -> None:
         """Request the current :meth:`run`/:meth:`run_until` loop to exit.

@@ -61,7 +61,3 @@ class DriverLayer(FrameLayer):
             self.nic.down_drops += 1
             return
         self.pass_up(frame_bytes)
-
-    def on_receive(self, frame_bytes: bytes) -> None:
-        # Nothing sits below the driver; reception enters via the NIC upcall.
-        raise RuntimeError("driver layer receives frames only from its NIC")

@@ -99,9 +99,6 @@ class EthertypeDemux(FrameLayer):
             raise StackError(f"ethertype {ethertype:#06x} already has a handler")
         self._handlers[ethertype] = handler
 
-    def unregister(self, ethertype: int) -> None:
-        self._handlers.pop(ethertype, None)
-
     def send_frame_bytes(self, frame_bytes: bytes) -> None:
         self.on_send(frame_bytes)
 
@@ -153,15 +150,6 @@ class LayerChain:
         self._layers.insert(index, layer)
         self._relink()
         layer.attached()
-
-    def remove(self, layer: FrameLayer) -> None:
-        """Unsplice *layer*; the chain closes around the gap."""
-        try:
-            self._layers.remove(layer)
-        except ValueError:
-            raise StackError(f"layer {layer.name!r} is not in the chain") from None
-        layer.lower = layer.upper = None
-        self._relink()
 
     def _relink(self) -> None:
         ordered: List[FrameLayer] = []

@@ -70,11 +70,6 @@ class Host:
         """Teach this host another station's IP-to-MAC binding."""
         self.ip_layer.add_neighbor(ip, mac)
 
-    def learn_neighbors(self, hosts) -> None:
-        """Add neighbour entries for every host in *hosts* (self included OK)."""
-        for other in hosts:
-            self.ip_layer.add_neighbor(other.ip, other.mac)
-
     def enable_metrics(self, node_metrics) -> None:
         """Arm telemetry: layers spliced later pick the registry up in
         ``attached()``; the driver (built before metrics existed) is
@@ -88,11 +83,6 @@ class Host:
         """Crash the node (the FAIL(node) fault primitive)."""
         self.is_alive = False
         self.nic.bring_down()
-
-    def recover(self) -> None:
-        """Bring a crashed node back (used by extension scenarios)."""
-        self.is_alive = True
-        self.nic.bring_up()
 
     # -- crash/restart lifecycle (the CRASH/RESTART fault primitives) -----------
 

@@ -247,12 +247,6 @@ class SweepOutcome:
             separators=(",", ":"),
         ).encode("utf-8")
 
-    def row(self, name: str) -> SweepResult:
-        for candidate in self.rows:
-            if candidate.name == name:
-                return candidate
-        raise KeyError(name)
-
     def render(self) -> str:
         """Human-readable campaign table (one line per task + totals)."""
         from ..sim import format_time  # local: avoid import at module load
@@ -313,9 +307,6 @@ class SweepSpec:
         self.base_seed = base_seed
         self._cases: List[Dict[str, Any]] = []
 
-    def __len__(self) -> int:
-        return len(self._cases)
-
     def add(self, name: str, fn: TaskFn, **params: Any) -> "SweepSpec":
         """Append one case; returns self for chaining."""
         if not callable(fn):
@@ -343,25 +334,19 @@ class SweepSpec:
         self,
         fn: TaskFn,
         axes: Mapping[str, Sequence[Any]],
-        name: Optional[Callable[[Mapping[str, Any]], str]] = None,
         **fixed: Any,
     ) -> "SweepSpec":
         """Append the Cartesian product of *axes* (insertion-order major).
 
-        *name* builds each case's display name from its axis point; the
-        default joins ``key=value`` pairs.  *fixed* params are shared by
-        every generated case.
+        Each case is named by its axis point's ``key=value`` pairs; *fixed*
+        params are shared by every generated case.
         """
         import itertools
 
         keys = list(axes.keys())
         for values in itertools.product(*(axes[k] for k in keys)):
             point = dict(zip(keys, values))
-            label = (
-                name(point)
-                if name is not None
-                else ",".join(f"{k}={v}" for k, v in point.items())
-            )
+            label = ",".join(f"{k}={v}" for k, v in point.items())
             self.add(label, fn, **{**fixed, **point})
         return self
 

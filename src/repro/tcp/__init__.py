@@ -24,7 +24,7 @@ from .connection import (
 )
 from .layer import TcpLayer, TcpListener
 from .rto import RttEstimator
-from .seqmath import seq_add, seq_diff, seq_ge, seq_gt, seq_le, seq_lt
+from .seqmath import seq_add, seq_diff, seq_gt, seq_le
 from .variants import (
     VARIANTS,
     AggressiveSlowStart,
@@ -55,8 +55,6 @@ __all__ = [
     "VARIANTS",
     "seq_add",
     "seq_diff",
-    "seq_ge",
     "seq_gt",
     "seq_le",
-    "seq_lt",
 ]

@@ -23,6 +23,9 @@ perturb one rule at a time.
 
 from __future__ import annotations
 
+#: Initial congestion window, in segments: the paper allows 1, 2 or 4
+#: (§6.1) and every run here starts at 1.
+INITIAL_CWND = 1
 #: Default initial slow-start threshold, in segments: 64 KB at 1 KB MSS.
 DEFAULT_INITIAL_SSTHRESH = 64
 #: Lower bound on ssthresh after a retransmission, in segments ("not less
@@ -35,18 +38,9 @@ class CongestionControl:
 
     name = "tahoe"
 
-    def __init__(
-        self,
-        initial_cwnd: int = 1,
-        initial_ssthresh: int = DEFAULT_INITIAL_SSTHRESH,
-    ) -> None:
-        if initial_cwnd not in (1, 2, 4):
-            raise ValueError(
-                f"initial cwnd must be 1, 2 or 4 segments, got {initial_cwnd}"
-            )
-        self.initial_cwnd = initial_cwnd
-        self.cwnd = initial_cwnd
-        self.ssthresh = initial_ssthresh
+    def __init__(self) -> None:
+        self.cwnd = INITIAL_CWND
+        self.ssthresh = DEFAULT_INITIAL_SSTHRESH
         self._ca_acks = 0
         # Observability for tests and ablations.
         self.retransmit_events = 0

@@ -32,7 +32,7 @@ from ..sim import NS_PER_SEC, Simulator
 from .buffers import SendBuffer
 from .congestion import CongestionControl
 from .rto import RttEstimator
-from .seqmath import seq_add, seq_diff, seq_gt, seq_le, seq_lt
+from .seqmath import seq_add, seq_diff, seq_gt, seq_le
 
 #: Default maximum segment size, chosen so 64 KB of ssthresh is 64 segments.
 DEFAULT_MSS = 1024

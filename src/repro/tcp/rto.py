@@ -34,10 +34,6 @@ class RttEstimator:
         self.timeouts = 0
 
     @property
-    def srtt_ns(self) -> int:
-        return self._srtt
-
-    @property
     def rto_ns(self) -> int:
         """Current retransmission timeout, backed off and jiffy-quantised."""
         rto = self._base_rto * self._backoff

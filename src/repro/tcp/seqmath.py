@@ -17,18 +17,9 @@ def seq_diff(a: int, b: int) -> int:
     return delta - MOD if delta >= _HALF else delta
 
 
-def seq_lt(a: int, b: int) -> bool:
-    """True when *a* precedes *b* in sequence space."""
-    return seq_diff(a, b) < 0
-
-
 def seq_le(a: int, b: int) -> bool:
     return seq_diff(a, b) <= 0
 
 
 def seq_gt(a: int, b: int) -> bool:
     return seq_diff(a, b) > 0
-
-
-def seq_ge(a: int, b: int) -> bool:
-    return seq_diff(a, b) >= 0

@@ -12,7 +12,7 @@ a host chain via :class:`TapLayer`, or subscribed to a NIC.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, List, Optional
+from typing import Callable, Iterator, List, Optional
 
 from ..net.packet import FrameView
 from ..sim import Simulator, format_time
@@ -33,10 +33,6 @@ class TraceRecord:
         self.where = where
         self.direction = direction  # "send" | "recv"
         self.view = FrameView(data)
-
-    @property
-    def data(self) -> bytes:
-        return self.view.data
 
     def render(self) -> str:
         """tcpdump-style one-liner."""
@@ -75,36 +71,17 @@ class TraceRecorder:
     def select(
         self,
         where: Optional[str] = None,
-        direction: Optional[str] = None,
         predicate: Optional[Callable[[TraceRecord], bool]] = None,
     ) -> List[TraceRecord]:
-        """Filter records by capture point, direction and/or a predicate."""
+        """Filter records by capture point and/or a predicate."""
         out = []
         for record in self.records:
             if where is not None and record.where != where:
-                continue
-            if direction is not None and record.direction != direction:
                 continue
             if predicate is not None and not predicate(record):
                 continue
             out.append(record)
         return out
-
-    def render(self, records: Optional[Iterable[TraceRecord]] = None) -> str:
-        """Multi-line text dump of *records* (default: everything)."""
-        lines = [r.render() for r in (self.records if records is None else records)]
-        if records is None and self.dropped_records:
-            # A saturated capture must never read as a complete trace.
-            lines.append(
-                f"... {self.dropped_records} record"
-                f"{'s' if self.dropped_records != 1 else ''} dropped "
-                f"(capture saturated at {self.max_records})"
-            )
-        return "\n".join(lines)
-
-    def clear(self) -> None:
-        self.records.clear()
-        self.dropped_records = 0
 
 
 class TapLayer(FrameLayer):

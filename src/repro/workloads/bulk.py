@@ -14,14 +14,21 @@ from ..sim import NS_PER_SEC, Simulator
 from ..stack.node import Host
 from ..tcp.connection import TcpConnection
 
+#: BulkSender keeps at most this many bytes queued in TCP at a time.
+BULK_CHUNK = 64 * 1024
+#: PacedSender offers one chunk per tick and stops offering (counts the
+#: chunk refused) while TCP holds this many unsent bytes.
+PACED_CHUNK = 1024
+PACED_BUFFER_CAP = 256 * 1024
+
 
 class BulkReceiver:
-    """Listens and counts received bytes (optionally retaining them)."""
+    """Listens and counts received bytes (set ``retain`` to keep them)."""
 
-    def __init__(self, host: Host, port: int, retain: bool = False) -> None:
+    def __init__(self, host: Host, port: int) -> None:
         self.host = host
         self.port = port
-        self.retain = retain
+        self.retain = False
         self.bytes_received = 0
         self.data = bytearray()
         self.connection: Optional[TcpConnection] = None
@@ -63,11 +70,10 @@ class BulkSender:
         server_port: int,
         total_bytes: int,
         local_port: int = 0,
-        chunk: int = 64 * 1024,
     ) -> None:
         self.host = host
         self.total_bytes = total_bytes
-        self.chunk = chunk
+        self.chunk = BULK_CHUNK
         self._sent = 0
         self.connection = host.tcp.connect(
             server_ip, server_port, local_port=local_port
@@ -106,15 +112,13 @@ class PacedSender:
         offered_bps: float,
         duration_ns: int,
         local_port: int = 0,
-        chunk: int = 1024,
-        buffer_cap: int = 256 * 1024,
     ) -> None:
         self.host = host
         self.sim: Simulator = host.sim
         self.offered_bps = offered_bps
         self.duration_ns = duration_ns
-        self.chunk = chunk
-        self.buffer_cap = buffer_cap
+        self.chunk = PACED_CHUNK
+        self.buffer_cap = PACED_BUFFER_CAP
         self.offered_bytes = 0
         self.refused_bytes = 0
         self._deadline = None

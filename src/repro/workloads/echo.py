@@ -20,9 +20,9 @@ DEFAULT_PORT = 7  # the traditional echo port
 class EchoServer:
     """Echoes every datagram back to its sender."""
 
-    def __init__(self, host: Host, port: int = DEFAULT_PORT) -> None:
+    def __init__(self, host: Host) -> None:
         self.host = host
-        self.socket = host.udp.bind(port)
+        self.socket = host.udp.bind(DEFAULT_PORT)
         self.socket.on_receive = self._echo
         self.echoed = 0
 
@@ -100,7 +100,3 @@ class EchoClient:
         if not self.rtts_ns:
             return 0.0
         return sum(self.rtts_ns) / len(self.rtts_ns)
-
-    def close(self) -> None:
-        self.socket.close()
-        self._timer.stop()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis import correlate_journeys, frame_digest
+from repro.analysis import correlate_journeys, frame_digest, render_journeys
 from repro.core.audit import AuditLog
 from repro.net.tcp_segment import TcpSegment
 from repro.sim import Simulator
@@ -92,13 +92,14 @@ class TestCorrelation:
         recorder.capture("node2", "recv", retransmit)
         (journey,) = correlate_journeys(recorder, audit)
         assert journey.retransmits == 1
-        assert journey.faults == [(10, "node2", "fault", "DROP applied")]
-        text = journey.render()
+        assert journey.events == [(10, "node2", "fault", "DROP applied")]
+        assert (journey.first_ns, journey.last_ns) == (0, 30)
+        text = render_journeys([journey.as_dict()])
         assert "DROP applied" in text and "1 retransmit" in text
 
     def test_render_of_faulted_retransmitted_journey_is_pinned(self):
-        """``render`` is ``render_journeys`` over ``as_dict``: hops and the
-        fault interleave by time, the header counts both retransmits."""
+        """``render_journeys`` over ``as_dict``: hops and the fault
+        interleave by time, the header counts both retransmits."""
         sim = Simulator(seed=1)
         recorder = TraceRecorder(sim)
         audit = AuditLog(sim)
@@ -113,7 +114,7 @@ class TestCorrelation:
         sim.run_for(10)
         recorder.capture("node1", "send", retransmit)
         (journey,) = correlate_journeys(recorder, audit)
-        assert journey.render() == "\n".join([
+        assert render_journeys([journey.as_dict()]) == "\n".join([
             "journey 70b4ee7a047ca939  TCP 192.168.1.1:24576 > 192.168.1.2:16384 "
             "[SYN] seq=100 ack=0 len=0  (2 retransmits)",
             "           0ns  node1      send ",
@@ -158,3 +159,22 @@ class TestCorrelation:
         payload = journey.as_dict()
         assert json.loads(json.dumps(payload, sort_keys=True)) == payload
         assert payload["hops"][0]["node"] == "node1"
+
+
+class TestTimeBounds:
+    """``first_ns``/``last_ns`` read only the ends of ``hops`` and
+    ``events``, which holds because both sources append in time order."""
+
+    def test_sources_append_in_time_order_and_bounds_are_min_max(self):
+        from tests.differential.golden import FIG6_SEED, fig6_crash_run
+
+        tb, _ = fig6_crash_run(FIG6_SEED)
+        times = [record.when for record in tb.recorder.records]
+        assert times == sorted(times)
+        times = [event.time_ns for event in tb.audit_log.events]
+        assert times == sorted(times)
+        journeys = correlate_journeys(tb.recorder, tb.audit_log)
+        assert any(len(j.hops) > 1 for j in journeys)
+        for journey in journeys:
+            times = [t for t, *_ in journey.hops + journey.events]
+            assert (journey.first_ns, journey.last_ns) == (min(times), max(times))

@@ -21,8 +21,8 @@ class TestPrimitives:
     def test_counter(self):
         c = Counter()
         c.inc()
-        c.inc(4)
-        assert c.snapshot() == 5
+        c.inc()
+        assert c.snapshot() == 2
 
     def test_gauge_tracks_extremes(self):
         g = Gauge()
@@ -113,9 +113,9 @@ class TestMerge:
 
     def test_merge_snapshots_unions_nodes(self):
         reg1, reg2 = MetricsRegistry(), MetricsRegistry()
-        reg1.node("node1").counter("tcp", "rtx").inc(2)
-        reg2.node("node1").counter("tcp", "rtx").inc(3)
-        reg2.node("node2").counter("tcp", "rtx").inc(1)
+        reg1.node("node1").counter("tcp", "rtx").value += 2
+        reg2.node("node1").counter("tcp", "rtx").value += 3
+        reg2.node("node2").counter("tcp", "rtx").value += 1
         merged = merge_snapshots([reg1.snapshot(), reg2.snapshot()])
         assert merged == {
             "node1": {"tcp.rtx": 5},
@@ -127,7 +127,7 @@ class TestRender:
     def test_render_all_kinds(self):
         reg = MetricsRegistry()
         node = reg.node("node1")
-        node.counter("tcp", "rtx").inc(3)
+        node.counter("tcp", "rtx").value += 3
         node.gauge("tcp", "cwnd").set(8)
         node.histogram("tcp", "rtt_ns").observe(100)
         text = render_metrics(reg.snapshot())

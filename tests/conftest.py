@@ -34,6 +34,17 @@ def every(sim: Simulator, interval_ns: int, fn) -> None:
     timer.start(interval_ns)
 
 
+def counter_spec(program, name: str):
+    """The compiled counter an FSL script names *name*."""
+    (spec,) = [spec for spec in program.counters if spec.name == name]
+    return spec
+
+
+def counter_value(runtime, name: str) -> int:
+    """A node runtime's current value of the counter named *name*."""
+    return runtime.values[counter_spec(runtime.program, name).counter_id]
+
+
 def make_two_hosts(sim: Simulator, costs: CostModel = None):
     """Two hosts on a switch with neighbour tables filled."""
     from repro.net.topology import Topology
@@ -43,7 +54,8 @@ def make_two_hosts(sim: Simulator, costs: CostModel = None):
     h1 = Host(sim, "node1", "02:00:00:00:00:01", "192.168.1.1", costs=costs)
     h2 = Host(sim, "node2", "02:00:00:00:00:02", "192.168.1.2", costs=costs)
     for h in (h1, h2):
-        h.learn_neighbors([h1, h2])
+        for other in (h1, h2):
+            h.add_neighbor(other.ip, other.mac)
     topo.connect("sw0", h1.nic, h2.nic)
     return topo, h1, h2
 

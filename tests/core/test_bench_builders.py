@@ -1,24 +1,16 @@
 """Tests for the benchmark workload builders (repro.bench)."""
 
+from dataclasses import asdict
+
 import pytest
 
-from repro.bench.fig7 import Fig7Point, fig7_script, render_table as render_fig7
-from repro.bench.fig8 import (
-    ACTIONS_PER_MATCH,
-    Fig8Point,
-    build_script,
-    fig8_script,
-    render_table as render_fig8,
-)
+from repro.bench.fig7 import Fig7Point, fig7_script
+from repro.bench.fig8 import ACTIONS_PER_MATCH, Fig8Point, build_script, fig8_script
 from repro.bench.frames import measure_hotpath_point
-from repro.bench.harness import (
-    RECEIVER_PORT,
-    SENDER_PORT,
-    percent_increase,
-    two_node_testbed,
-)
+from repro.bench.harness import RECEIVER_PORT, SENDER_PORT, two_node_testbed
 from repro.core.fsl import compile_text
 from repro.core.tables import ActionKind
+from tests.paper.figures import overhead_percent, percent_increase, render_fig7, render_fig8
 
 NODE_TABLE = """NODE_TABLE
   node1 02:00:00:00:00:01 192.168.1.1
@@ -137,4 +129,4 @@ class TestRenderers:
 
     def test_overhead_property(self):
         point = Fig8Point("filters", 25, 107_000, 100_000)
-        assert point.overhead_percent == pytest.approx(7.0)
+        assert overhead_percent(asdict(point)) == pytest.approx(7.0)

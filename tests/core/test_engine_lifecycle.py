@@ -7,7 +7,7 @@ from repro.core.fsl import compile_text
 from repro.core.tables import Direction
 from repro.errors import ControlPlaneError
 from repro.sim import ms, seconds
-from tests.conftest import make_testbed
+from tests.conftest import counter_spec, counter_value, make_testbed
 
 SCRIPT = """
 FILTER_TABLE
@@ -142,7 +142,7 @@ class TestControlInputsMustBeRemoteState:
         engine.start_scenario()
         runtime = engine.runtime
         runtime.on_classified_packet("probe", "node2", "node1", Direction.RECV)
-        a, b = (program.counter_by_name(name).counter_id for name in "AB")
+        a, b = (counter_spec(program, name).counter_id for name in "AB")
         owned_term, remote_only, consumed, mirror = range(4)
 
         def deliver(kind, first, second):
@@ -153,14 +153,14 @@ class TestControlInputsMustBeRemoteState:
         for term_id in (owned_term, remote_only, mirror):
             deliver(ControlType.TERM_STATUS, term_id, 1)
         assert engine.control_rejected == 4
-        assert runtime.counter_value("A") == 1 and runtime.term_status == {}
+        assert counter_value(runtime, "A") == 1 and runtime.term_status == {}
         runtime.on_classified_packet("probe", "node2", "node1", Direction.RECV)
-        assert runtime.counter_value("A") == 2  # the script's own count goes on
+        assert counter_value(runtime, "A") == 2  # the script's own count goes on
 
         deliver(ControlType.COUNTER_UPDATE, b, 5)  # (A < B) holds: A += 2
         deliver(ControlType.TERM_STATUS, consumed, 1)  # (B > 3) holds: A += 1
         assert engine.control_rejected == 4
-        assert runtime.counter_value("A") == 2 + 2 + 1
+        assert counter_value(runtime, "A") == 2 + 2 + 1
 
 
 class TestFailedNodeEngine:

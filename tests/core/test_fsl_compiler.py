@@ -11,6 +11,7 @@ from repro.core.tables import (
     VarRef,
 )
 from repro.errors import FslCompileError
+from tests.conftest import counter_spec
 
 HEADER = """
 FILTER_TABLE
@@ -37,12 +38,12 @@ class TestCounters:
             S: (pkt_a, node1, node2, SEND)
             """
         )
-        assert program.counter_by_name("R").home_node == "node2"
-        assert program.counter_by_name("S").home_node == "node1"
+        assert counter_spec(program, "R").home_node == "node2"
+        assert counter_spec(program, "S").home_node == "node1"
 
     def test_local_counter(self):
         program = compile_scenario("X: (node3)")
-        spec = program.counter_by_name("X")
+        spec = counter_spec(program, "X")
         assert spec.kind is CounterKind.LOCAL
         assert spec.home_node == "node3"
         assert spec.initially_enabled
@@ -55,8 +56,8 @@ class TestCounters:
             ((A = 1)) >> ENABLE_CNTR( B );
             """
         )
-        assert program.counter_by_name("A").initially_enabled
-        assert not program.counter_by_name("B").initially_enabled
+        assert counter_spec(program, "A").initially_enabled
+        assert not counter_spec(program, "B").initially_enabled
 
     def test_duplicate_counter_rejected(self):
         with pytest.raises(FslCompileError):
@@ -100,7 +101,7 @@ class TestTermsAndRouting:
         (term,) = program.terms
         assert term.mode is TermMode.MIRROR
         # The rule home is A's home (node2); B's value must be mirrored there.
-        b_spec = program.counter_by_name("B")
+        b_spec = counter_spec(program, "B")
         assert "node2" in b_spec.mirror_subscribers
 
     def test_terms_interned_across_rules(self):
@@ -240,7 +241,8 @@ class TestVarFilters:
             END
             """
         )
-        pattern = program.filters.get("rt").tuples[0].pattern
+        (rt,) = [entry for entry in program.filters.entries if entry.name == "rt"]
+        pattern = rt.tuples[0].pattern
         assert pattern == VarRef("Seq")
 
     def test_undeclared_var_rejected(self):

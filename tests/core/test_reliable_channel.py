@@ -22,6 +22,16 @@ PEER = MacAddress.from_index(2)
 OTHER = MacAddress.from_index(3)
 
 
+def inflight_count(channel, dst: MacAddress) -> int:
+    state = channel._peers.get(dst.packed)
+    return len(state.inflight) if state else 0
+
+
+def peer_dead(channel, dst: MacAddress) -> bool:
+    state = channel._peers.get(dst.packed)
+    return state.dead if state else False
+
+
 class Harness:
     def __init__(self, seed=1):
         self.sim = Simulator(seed=seed)
@@ -57,7 +67,7 @@ class TestSending:
         assert raw.flags == 0 and not raw.reliable
         assert h.channel.on_frame(PEER, raw) == [raw]
         assert h.wire == []
-        assert h.channel.inflight_count(PEER) == 0
+        assert inflight_count(h.channel, PEER) == 0
 
     def test_ack_stops_retransmission_and_fires_callback(self):
         h = Harness()
@@ -65,7 +75,7 @@ class TestSending:
         h.channel.send(PEER, ControlMessage(ControlType.START, 1), on_acked=lambda: fired.append(1))
         h.ack(1)
         assert fired == [1]
-        assert h.channel.inflight_count(PEER) == 0
+        assert inflight_count(h.channel, PEER) == 0
         h.sim.run_for(ms(500))
         assert h.stats.control_retransmits == 0
         assert len(h.sent_to(PEER)) == 1  # no ghost retransmits after the ACK
@@ -103,8 +113,8 @@ class TestRetransmission:
         assert h.stats.control_retransmits == MAX_RETRIES
         assert h.stats.control_peer_failures == 1
         assert failures == [PEER]
-        assert h.channel.peer_dead(PEER)
-        assert not h.channel.peer_dead(OTHER)
+        assert peer_dead(h.channel, PEER)
+        assert not peer_dead(h.channel, OTHER)
 
     def test_total_silence_budget_is_bounded(self):
         """The backoff schedule gives up within ~2x MAX_RTO_NS * MAX_RETRIES."""
@@ -112,7 +122,7 @@ class TestRetransmission:
         h.channel.send(PEER, ControlMessage(ControlType.START, 1))
         budget = sum(min(INITIAL_RTO_NS * 2**i, MAX_RTO_NS) for i in range(MAX_RETRIES + 1))
         h.sim.run_for(budget + 1)
-        assert h.channel.peer_dead(PEER)
+        assert peer_dead(h.channel, PEER)
 
     def test_sends_to_dead_peer_are_suppressed(self):
         h = Harness()
@@ -128,7 +138,7 @@ class TestRetransmission:
         h.channel.send(PEER, ControlMessage(ControlType.START, 1))
         h.sim.run_for(ms(2000))
         h.ack(1)  # peer's ACK finally limps in after we gave up
-        assert h.channel.peer_dead(PEER)
+        assert peer_dead(h.channel, PEER)
 
 
 class TestReceiving:
@@ -189,7 +199,7 @@ class TestReset:
         h.channel.reset()
         h.sim.run_for(ms(2000))
         assert h.stats.control_retransmits == 0
-        assert not h.channel.peer_dead(PEER)
+        assert not peer_dead(h.channel, PEER)
         # Sequencing starts over after a reset.
         m = h.channel.send(PEER, ControlMessage(ControlType.START, 1))
         assert m.seq == 1
@@ -198,8 +208,8 @@ class TestReset:
         h = Harness()
         h.channel.send(PEER, ControlMessage(ControlType.START, 1))
         h.sim.run_for(ms(2000))
-        assert h.channel.peer_dead(PEER)
+        assert peer_dead(h.channel, PEER)
         h.channel.reset()
         h.channel.send(PEER, ControlMessage(ControlType.HEARTBEAT))
         assert h.stats.control_sends_suppressed == 0
-        assert h.channel.inflight_count(PEER) == 1
+        assert inflight_count(h.channel, PEER) == 1

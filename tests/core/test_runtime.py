@@ -9,6 +9,7 @@ from repro.core.fsl import compile_text
 from repro.core.runtime import NodeRuntime, RuntimeHooks
 from repro.core.tables import Direction
 from repro.errors import EngineError
+from tests.conftest import counter_spec, counter_value
 
 HEADER = """
 FILTER_TABLE
@@ -64,7 +65,7 @@ class TestCountersAndEvents:
         runtime.start()
         for _ in range(3):
             runtime.on_classified_packet("pkt", "node2", "node1", Direction.RECV)
-        assert runtime.counter_value("A") == 3
+        assert counter_value(runtime, "A") == 3
 
     def test_direction_and_endpoints_must_match(self):
         runtime, _ = make_runtime("A: (pkt, node2, node1, RECV)")
@@ -72,7 +73,7 @@ class TestCountersAndEvents:
         runtime.on_classified_packet("pkt", "node2", "node1", Direction.SEND)
         runtime.on_classified_packet("pkt", "node1", "node2", Direction.RECV)
         runtime.on_classified_packet("other", "node2", "node1", Direction.RECV)
-        assert runtime.counter_value("A") == 0
+        assert counter_value(runtime, "A") == 0
 
     def test_disabled_counter_ignores_events(self):
         runtime, _ = make_runtime(
@@ -85,10 +86,10 @@ class TestCountersAndEvents:
         runtime.start()
         for _ in range(4):
             runtime.on_classified_packet("pkt", "node2", "node1", Direction.RECV)
-        assert runtime.counter_value("A") == 4
+        assert counter_value(runtime, "A") == 4
         # B was enabled after the second event; the enabling event itself
         # is not counted (ENABLE takes effect on subsequent packets).
-        assert runtime.counter_value("B") == 2
+        assert counter_value(runtime, "B") == 2
 
     def test_true_rules_fire_at_start(self):
         runtime, _ = make_runtime(
@@ -98,7 +99,7 @@ class TestCountersAndEvents:
             """
         )
         runtime.start()
-        assert runtime.counter_value("X") == 42
+        assert counter_value(runtime, "X") == 42
 
     def test_all_counter_primitives(self):
         runtime, hooks = make_runtime(
@@ -113,8 +114,8 @@ class TestCountersAndEvents:
         )
         hooks.time = 7_000_000  # 7 ms
         runtime.start()
-        assert runtime.counter_value("X") == 12
-        assert runtime.timestamps[runtime.program.counter_by_name("Y").counter_id] == 7_000_000
+        assert counter_value(runtime, "X") == 12
+        assert runtime.timestamps[counter_spec(runtime.program, "Y").counter_id] == 7_000_000
 
     def test_elapsed_time_in_ms(self):
         runtime, hooks = make_runtime(
@@ -129,7 +130,7 @@ class TestCountersAndEvents:
         runtime.start()
         hooks.time = 25_000_000  # 25 ms later
         runtime.on_classified_packet("pkt", "node2", "node1", Direction.RECV)
-        assert runtime.counter_value("Y") == 25
+        assert counter_value(runtime, "Y") == 25
 
     def test_counter_can_go_negative(self):
         runtime, hooks = make_runtime(
@@ -142,7 +143,7 @@ class TestCountersAndEvents:
         )
         runtime.start()
         runtime.on_classified_packet("pkt", "node2", "node1", Direction.RECV)
-        assert runtime.counter_value("X") == -3
+        assert counter_value(runtime, "X") == -3
         assert hooks.errors  # the invariant rule saw the negative value
 
 
@@ -274,7 +275,7 @@ class TestDistribution:
             node="node1",
         )
         runtime.start()
-        b_id = runtime.program.counter_by_name("B").counter_id
+        b_id = counter_spec(runtime.program, "B").counter_id
         assert not hooks.failed
         runtime.on_counter_update(b_id, 3)  # B (homed on node2) reaches 3
         assert hooks.failed  # 3 > 0: the local FAIL fired

@@ -35,6 +35,7 @@ from repro.core.tables import ActionSpec, Direction
 from repro.scripts import canonical_node_table
 from repro.sim import ms, seconds
 from repro.sweep import SweepSpec, run_script_task
+from tests.conftest import counter_spec, counter_value
 from tests.core.runtime_oracle import OracleRuntime, StubHooks, recording
 from tests.core.test_runtime import HEADER, RecordingHooks
 
@@ -66,8 +67,8 @@ class TestFig7Fig8Coverage:
                     assert stats.actions_fired == ACTIONS_PER_MATCH
                     # the event counter, then one table touch per action
                     assert stats.counter_touches == 1 + ACTIONS_PER_MATCH
-                    assert runtime.counter_value(counter) == 0  # the RESET re-armed the rule
-                    assert runtime.counter_value(rule_counter) == packet * (ACTIONS_PER_MATCH - 1)
+                    assert counter_value(runtime, counter) == 0  # the RESET re-armed the rule
+                    assert counter_value(runtime, rule_counter) == packet * (ACTIONS_PER_MATCH - 1)
             local = [c for c in program.conditions if node in c.nodes()]
             assert len(local) == 2
             for condition in local:  # each generated by its first firing, none executes
@@ -206,7 +207,7 @@ def _trails(steps, script=ALL_KINDS):
     """*steps* driven into node1 under the generated kernels and under the
     oracle: the two recorded trails."""
     program = compile_text(script)
-    remote = program.counter_by_name("R").counter_id
+    remote = counter_spec(program, "R").counter_id
     remote_terms = [
         t.term_id for t in program.terms if t.lhs.counter_id == remote and t.rhs.constant is not None
     ]
@@ -242,7 +243,7 @@ def _events(trail):
 
 def _counter(trail, script, name):
     """A counter's value after the last event of *trail*."""
-    return _events(trail)[-1][3][compile_text(script).counter_by_name(name).counter_id]
+    return _events(trail)[-1][3][counter_spec(compile_text(script), name).counter_id]
 
 
 def _generated_sources(monkeypatch):
@@ -297,7 +298,7 @@ class TestEveryOpInLockstep:
         # the (B >= 2) rule's four actions, the (Q < 0) rule's three it set
         # off, then two of the CRASH rule's three
         assert stats[1] == 4 + 3 + 2
-        assert values[program.counter_by_name("P").counter_id] == 3 + 1  # never the +100
+        assert values[counter_spec(program, "P").counter_id] == 3 + 1  # never the +100
 
     @settings(max_examples=200, deadline=None)
     @given(steps=STEPS)
@@ -315,7 +316,7 @@ class TestEveryOpInLockstep:
         ours, theirs = _trails([("send",), ("remote", 5), ("send",)], EDGE_CASES)
         assert ours == theirs
         program = compile_text(EDGE_CASES)
-        b = program.counter_by_name("B").counter_id
+        b = counter_spec(program, "B").counter_id
         pushes = [entry[2] for entry in ours if entry[1] == "send_counter_update"]
         assert pushes == [(b, 1, ("node2",)), (b, 2, ("node2",))]  # B > R, evaluated at node2
         assert _counter(ours, EDGE_CASES, "P") == 2  # B < R, from the mirrored R

@@ -13,10 +13,32 @@ from repro.scripts import (
     rether_crash_restart_script,
     rether_failover_script,
     tcp_congestion_script,
-    write_standard_scripts,
 )
 
 SCENARIOS_DIR = pathlib.Path(__file__).resolve().parents[2] / "scenarios"
+
+
+def write_standard_scripts(directory) -> list:
+    """Materialise the paper's scripts as standalone ``.fsl`` files.
+
+    The repository ships the output under ``scenarios/`` for use with the
+    ``python -m repro`` CLI; call this with that directory to regenerate
+    them after editing the templates in ``repro.scripts``.  Returns the
+    written paths.
+    """
+    directory = pathlib.Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    files = {
+        "fig5_tcp_congestion.fsl": tcp_congestion_script(canonical_node_table(2)),
+        "fig6_rether_failover.fsl": rether_failover_script(canonical_node_table(4)),
+        "fig6_crash_restart.fsl": rether_crash_restart_script(canonical_node_table(4)),
+    }
+    written = []
+    for name, content in files.items():
+        path = directory / name
+        path.write_text(content)
+        written.append(path)
+    return written
 
 
 class TestShippedFiles:
@@ -28,7 +50,7 @@ class TestShippedFiles:
     def test_files_match_templates(self):
         """The checked-in files are exactly what the templates generate —
 
-        regenerate with scripts.write_standard_scripts() after edits.
+        regenerate with write_standard_scripts() above after edits.
         """
         fig5 = (SCENARIOS_DIR / "fig5_tcp_congestion.fsl").read_text()
         assert fig5 == tcp_congestion_script(canonical_node_table(2))

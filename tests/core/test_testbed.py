@@ -165,7 +165,7 @@ END
 
     def test_run_for_advances_clock(self):
         tb = Testbed()
-        tb.run_for(ms(5))
+        tb.sim.run_for(ms(5))
         assert tb.sim.now == ms(5)
 
 
@@ -182,12 +182,13 @@ def _two_node_vw_testbed():
 class TestRunScenarioGuards:
     """The run loop's three exit guards, exercised one by one."""
 
-    def test_max_events_exhaustion_ends_as_max_time(self):
+    def test_max_events_exhaustion_ends_as_max_time(self, monkeypatch):
         """An event budget too small for even the INIT handshake trips the
         runaway guard: the run is force-finished as MAX_TIME."""
         tb = _two_node_vw_testbed()
         script = tcp_congestion_script(tb.node_table_fsl())
-        report = tb.run_scenario(script, max_time=seconds(60), max_events=3)
+        monkeypatch.setattr(testbed_module, "MAX_EVENTS", 3)
+        report = tb.run_scenario(script, max_time=seconds(60))
         assert report.end_reason is EndReason.MAX_TIME
 
     def test_empty_queue_before_start_is_quiesced(self, monkeypatch):
@@ -271,7 +272,13 @@ def _run(run, script=None, inert=None, prepare=None, **limits):
     reason, ``(reason, sim.now, events_processed)`` at the finish, the final
     ``sim.now`` and ``events_processed``, the counters, the duration, and
     the *hooked* list.  *prepare(tb, hooked)* runs before the scenario and
-    may record into *hooked*; *script* maps the node table to FSL."""
+    may record into *hooked*; *script* maps the node table to FSL.  A
+    ``max_events`` limit is the reference loop's argument and
+    ``run_scenario``'s module constant ``MAX_EVENTS``."""
+    if run is Testbed.run_scenario and "max_events" in limits:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(testbed_module, "MAX_EVENTS", limits.pop("max_events"))
+            return _run(run, script, inert, prepare, **limits)
     tb = _two_node_vw_testbed()
     node1, node2 = tb.host("node1"), tb.host("node2")
     finished_at, hooked = [], []

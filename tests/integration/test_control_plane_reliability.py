@@ -52,7 +52,8 @@ def run_fig5(
         conn = node1.tcp.connect(node2.ip, RECEIVER_PORT, local_port=SENDER_PORT)
         conn.on_established = lambda: conn.send(bytes(48 * 1024))
         if partition_at is not None:
-            tb.sim.after(partition_at, lambda: tb.partition("node2"))
+            # sever node2 entirely (NIC down, host alive): an un-scripted loss
+            tb.sim.after(partition_at, tb.host("node2").nic.bring_down)
         if during is not None:
             during(tb)
 
@@ -74,7 +75,7 @@ class TestLossyControlPath:
         """
         baseline, _ = run_fig5()
         lossy, loss = run_fig5(control_loss=0.2)
-        assert loss.dropped > 0  # the layer really did interfere
+        assert loss.dropped_send + loss.dropped_recv > 0  # the layer really did interfere
         assert lossy.passed, lossy.render()
         assert not lossy.degraded
         assert lossy.end_reason == baseline.end_reason
@@ -88,7 +89,6 @@ class TestLossyControlPath:
         duplicates = sum(s["control_duplicates_dropped"] for s in stats.values())
         assert retransmits > 0, "loss never triggered a retransmission"
         assert duplicates > 0, "no lost ACK ever forced a duplicate delivery"
-        assert loss.dropped_send + loss.dropped_recv == loss.dropped
 
     def test_five_percent_loss_also_converges(self):
         baseline, _ = run_fig5()

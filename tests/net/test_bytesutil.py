@@ -1,15 +1,15 @@
-"""Tests for checksum and byte-manipulation helpers."""
+"""Tests for checksum and byte-manipulation helpers: ``repro.net.bytesutil``
+and the reference codec's (tests/oracles/codec.py)."""
 
 import pytest
 
 from repro.errors import PacketError
-from repro.net.bytesutil import (
+from repro.net.bytesutil import patch_bytes, read_u16
+from tests.oracles.codec import (
     hexdump,
     internet_checksum,
     pack_u16,
     pack_u32,
-    patch_bytes,
-    read_u16,
     read_u32,
     verify_checksum,
 )

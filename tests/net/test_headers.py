@@ -18,8 +18,10 @@ from repro.net import (
     UdpDatagram,
     flags_to_str,
 )
-from repro.net.bytesutil import read_u16, read_u32
+from repro.net.bytesutil import read_u16
 from tests.oracles.codec import (
+    read_u32,
+    verify_checksum,
     EthernetFrame,
     build_tcp_frame,
     build_udp_frame,
@@ -73,8 +75,6 @@ class TestIpv4:
         assert parsed.ttl == 33 and parsed.ident == 7
 
     def test_header_checksum_valid(self):
-        from repro.net.bytesutil import verify_checksum
-
         wire = ip_to_bytes(Ipv4Packet(SRC_IP, DST_IP, 6, b"x"))
         assert verify_checksum(wire[:20])
 

@@ -14,7 +14,11 @@ through one readable object per layer.  Those readable forms live here:
 * the whole-frame builders :func:`build_udp_frame` and :func:`build_tcp_frame`,
   which is how a test writes a frame by hand;
 * :class:`ReferenceFrameView` and :func:`reference_frame_digest`, the trace
-  view and the journey digest as they parsed through these classes.
+  view and the journey digest as they parsed through these classes;
+* the byte helpers they build with: the per-word RFC 1071
+  :func:`internet_checksum` (the reference for ``repro.net.bytesutil``'s
+  one-pass ``checksum_sum16``), :func:`verify_checksum`, the range-checked
+  :func:`pack_u16`/:func:`pack_u32`, :func:`read_u32` and :func:`hexdump`.
 
 The differential properties (tests/props/test_props_codec.py,
 test_props_frameview.py, test_props_control_codec.py) hold the production
@@ -27,7 +31,7 @@ from typing import Optional, Union
 
 from repro.errors import ChecksumError, PacketError
 from repro.net.addresses import IpAddress, MacAddress
-from repro.net.bytesutil import internet_checksum, pack_u16, pack_u32, read_u16, read_u32
+from repro.net.bytesutil import read_u16
 from repro.net.frame import (
     ETHERTYPE_IPV4,
     ETHERTYPE_RETHER,
@@ -48,6 +52,62 @@ from repro.net.tcp_segment import HEADER_LEN as TCP_HEADER_LEN
 from repro.net.udp import HEADER_LEN as UDP_HEADER_LEN
 from repro.net.udp import UdpDatagram
 from repro.rll.frames import KIND_ACK, KIND_DATA, SEQ_MOD, SHIM_LEN
+
+# -- byte helpers --------------------------------------------------------------
+
+
+def internet_checksum(data: bytes) -> int:
+    """RFC 1071 ones-complement sum over *data* (odd length is zero-padded).
+
+    The per-word form; the data path gets the identical value (pinned by
+    tests/props/test_props_codec.py) in one C-level pass from
+    ``fold_checksum(checksum_sum16(data))``.
+    """
+    if len(data) % 2:
+        data = data + b"\x00"
+    total = 0
+    for i in range(0, len(data), 2):
+        total += (data[i] << 8) | data[i + 1]
+    while total >> 16:
+        total = (total & 0xFFFF) + (total >> 16)
+    return (~total) & 0xFFFF
+
+
+def verify_checksum(data: bytes) -> bool:
+    """True if *data* (checksum field included) sums to the magic 0."""
+    return internet_checksum(data) == 0
+
+
+def pack_u16(value: int) -> bytes:
+    if not 0 <= value <= 0xFFFF:
+        raise PacketError(f"u16 out of range: {value}")
+    return value.to_bytes(2, "big")
+
+
+def pack_u32(value: int) -> bytes:
+    if not 0 <= value <= 0xFFFFFFFF:
+        raise PacketError(f"u32 out of range: {value}")
+    return value.to_bytes(4, "big")
+
+
+def read_u32(data: bytes, offset: int) -> int:
+    if offset < 0 or offset + 4 > len(data):
+        raise PacketError(
+            f"read of 4 bytes at offset {offset} exceeds packet length {len(data)}"
+        )
+    return int.from_bytes(data[offset : offset + 4], "big")
+
+
+def hexdump(data: bytes, width: int = 16) -> str:
+    """Classic offset/hex/ascii dump, for reading a frame in a failing test."""
+    lines = []
+    for start in range(0, len(data), width):
+        chunk = data[start : start + width]
+        hex_part = " ".join(f"{b:02x}" for b in chunk)
+        ascii_part = "".join(chr(b) if 32 <= b < 127 else "." for b in chunk)
+        lines.append(f"{start:08x}  {hex_part:<{width * 3}} {ascii_part}")
+    return "\n".join(lines)
+
 
 # -- Ethernet ----------------------------------------------------------------
 

@@ -31,7 +31,8 @@ from repro.core import engine as engine_module
 from repro.core.control import _KNOWN_FLAGS, WIRE_SIZE, ControlMessage, ControlType
 from repro.core.engine import VirtualWireEngine
 from repro.errors import ControlPlaneError, PacketError
-from repro.net.bytesutil import pack_u16, pack_u32, read_u16, read_u32
+from repro.net.addresses import MacAddress
+from repro.net.bytesutil import read_u16
 from repro.net.frame import ETHERTYPE_IPV4, ETHERTYPE_RETHER, ETHERTYPE_VW_CONTROL
 from repro.net.ip import Ipv4Packet
 from repro.rll.frames import KIND_ACK, KIND_DATA, seq_add, seq_diff
@@ -46,6 +47,9 @@ from tests.oracles.codec import (
     RllFrame,
     ip_from_bytes,
     ip_to_bytes,
+    pack_u16,
+    pack_u32,
+    read_u32,
     tcp_from_bytes,
     tcp_to_bytes,
     udp_from_bytes,
@@ -96,7 +100,7 @@ def _parse_tcp_segment(data, flow):
 
 def _rll_on_send(self, frame_bytes):
     parsed = EthernetFrame.from_bytes(frame_bytes)
-    if parsed.dst.is_multicast:
+    if parsed.dst.packed[0] & 0x01:  # group bit: broadcast or multicast
         self.bypass_frames += 1
         self.pass_down(frame_bytes)
         return
@@ -225,7 +229,7 @@ def _rether_live(self):
 
 def _rether_handle_control(self, frame_bytes):
     frame = EthernetFrame.from_bytes(frame_bytes)
-    if frame.dst != self._mac and not frame.dst.is_broadcast:
+    if frame.dst != self._mac and frame.dst != MacAddress.BROADCAST:
         return  # control for someone else (shared segment)
     try:
         message = RetherMessage.parse(frame.payload)

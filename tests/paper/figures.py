@@ -16,15 +16,10 @@ import pathlib
 from dataclasses import asdict, replace
 from typing import Callable, Dict, List, Optional
 
-from repro.bench.fig7 import Fig7Point, render_table as render_fig7, run_fig7
-from repro.bench.fig8 import (
-    Fig8Point,
-    build_script,
-    measure_point as measure_fig8_point,
-    render_table as render_fig8,
-    run_fig8,
-)
-from repro.bench.harness import RECEIVER_PORT, SENDER_PORT, percent_increase, two_node_testbed
+from repro.bench.fig7 import Fig7Point, run_fig7
+from repro.bench.fig8 import MODES, Fig8Point, build_script, run_fig8
+from repro.bench.fig8 import measure_point as measure_fig8_point
+from repro.bench.harness import RECEIVER_PORT, SENDER_PORT, two_node_testbed
 from repro.core.classify import Classifier
 from repro.core.tables import FilterEntry, FilterTable, FilterTuple
 from repro.net import FLAG_ACK, TcpSegment
@@ -231,9 +226,49 @@ def generate() -> Dict[str, List[dict]]:
     }
 
 
+def percent_increase(value: float, baseline: float) -> float:
+    """Percentage by which *value* exceeds *baseline*."""
+    if baseline <= 0:
+        return 0.0
+    return (value - baseline) * 100.0 / baseline
+
+
 def overhead_percent(row: dict) -> float:
     """% RTT increase over the baseline of a fig8-shaped row."""
     return percent_increase(row["mean_rtt_ns"], row["baseline_rtt_ns"])
+
+
+def render_fig7(points: List[Fig7Point]) -> str:
+    """Fig 7 as text: goodput by offered rate for both configurations."""
+    rates = sorted({p.offered_mbps for p in points})
+    lines = ["offered Mbps:   " + "".join(f"{r:>8.0f}" for r in rates)]
+    for with_vw, label in ((False, "baseline"), (True, "virtualwire+rll")):
+        by_rate = {
+            p.offered_mbps: p for p in points if p.with_virtualwire == with_vw
+        }
+        cells = "".join(
+            f"{by_rate[r].goodput_mbps:>8.1f}" if r in by_rate else "      --"
+            for r in rates
+        )
+        lines.append(f"{label:<16s}{cells}")
+    return "\n".join(lines)
+
+
+def render_fig8(points: List[Fig8Point]) -> str:
+    """Fig 8 as text: % RTT increase by filter count, one row per mode."""
+    counts = sorted({p.n_filters for p in points})
+    lines = ["filters:        " + "".join(f"{c:>8d}" for c in counts)]
+    for mode in MODES:
+        row = [p for p in points if p.mode == mode]
+        if not row:
+            continue
+        by_count = {p.n_filters: asdict(p) for p in row}
+        cells = "".join(
+            f"{overhead_percent(by_count[c]):>7.2f}%" if c in by_count else "      --"
+            for c in counts
+        )
+        lines.append(f"{mode:<16s}{cells}")
+    return "\n".join(lines)
 
 
 #: Text-table columns of each ablation section: header -> cell from a row.

@@ -35,12 +35,7 @@ from repro.net import (
     TcpSegment,
     UdpDatagram,
 )
-from repro.net.bytesutil import (
-    checksum_sum16,
-    fold_checksum,
-    internet_checksum,
-    patch_bytes,
-)
+from repro.net.bytesutil import checksum_sum16, fold_checksum, patch_bytes
 from repro.net.fastpath import (
     encode_ipv4_frame,
     encode_tcp_segment,
@@ -64,6 +59,7 @@ from tests.oracles.classifiers import LinearClassifier
 from tests.oracles.codec import (
     EthernetFrame,
     RllFrame,
+    internet_checksum,
     ip_from_bytes,
     ip_to_bytes,
     pseudo_header,

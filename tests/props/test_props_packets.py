@@ -11,8 +11,8 @@ from repro.net import (
     TcpSegment,
     UdpDatagram,
 )
-from repro.net.bytesutil import internet_checksum
 from tests.oracles.codec import (
+    internet_checksum,
     EthernetFrame,
     ip_from_bytes,
     ip_to_bytes,

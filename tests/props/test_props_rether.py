@@ -59,7 +59,8 @@ class TestSingleCrashRecovery:
         sim.run_until(ms(20))
         hosts[victim].fail()
         sim.run_until(seconds(2))
-        hosts[victim].recover()
+        hosts[victim].is_alive = True  # back from FAIL, no amnesia
+        hosts[victim].nic.bring_up()
         hosts[victim].rether.rejoin()
         sim.run_until(seconds(4))
         before = hosts[victim].rether.tokens_received

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from repro.core.fsl import compile_text
 from repro.core.runtime import NodeRuntime
 from repro.core.tables import Direction
+from tests.conftest import counter_value
 from tests.core.test_runtime import RecordingHooks
 
 HEADER = """
@@ -90,9 +91,9 @@ class TestRuntimeMatchesModel:
             else:
                 runtime.on_classified_packet("pkt", "node2", "node2", Direction.RECV)
             model.step(event)
-            assert runtime.counter_value("A") == model.a
-            assert runtime.counter_value("B") == model.b
-            assert runtime.counter_value("X") == model.x
+            assert counter_value(runtime, "A") == model.a
+            assert counter_value(runtime, "B") == model.b
+            assert counter_value(runtime, "X") == model.x
         assert len(hooks.errors) == model.errors
 
     @given(events=EVENTS)

@@ -40,7 +40,8 @@ def rll_pair(seed=1):
     h1 = Host(sim, "node1", "02:00:00:00:00:01", "192.168.1.1", costs=FREE)
     h2 = Host(sim, "node2", "02:00:00:00:00:02", "192.168.1.2", costs=FREE)
     for h in (h1, h2):
-        h.learn_neighbors([h1, h2])
+        for other in (h1, h2):
+            h.add_neighbor(other.ip, other.mac)
         h.chain.splice_above_driver(RllLayer(sim))
     topo.connect("l0", h1.nic, h2.nic)
     return sim, h1, h2
@@ -89,7 +90,8 @@ class TestTcpStreamIntegrity:
         h1 = Host(sim, "node1", "02:00:00:00:00:01", "192.168.1.1", costs=FREE)
         h2 = Host(sim, "node2", "02:00:00:00:00:02", "192.168.1.2", costs=FREE)
         for h in (h1, h2):
-            h.learn_neighbors([h1, h2])
+            for other in (h1, h2):
+                h.add_neighbor(other.ip, other.mac)
         topo.connect("sw0", h1.nic, h2.nic)
         h2.chain.splice_below_ip(LossLayer(drop_data_indices=drops))
 

@@ -23,7 +23,8 @@ class TestRejoin:
         victim.fail()
         sim.run_until(ms(600))
         assert layers["node2"].evicted(victim.mac)
-        victim.recover()
+        victim.is_alive = True  # back from FAIL, no amnesia
+        victim.nic.bring_up()
         victim.rether.rejoin()
         return sim, hosts, layers, victim
 

@@ -75,7 +75,8 @@ def build_ring(n=4, seed=3):
         host = Host(sim, f"node{i}", f"02:00:00:00:00:0{i}", f"192.168.1.{i}", costs=FREE)
         hosts.append(host)
     for host in hosts:
-        host.learn_neighbors(hosts)
+        for other in hosts:
+            host.add_neighbor(other.ip, other.mac)
         topo.connect("bus0", host.nic)
     layers = install_rether(hosts)
     return sim, hosts, layers

@@ -58,7 +58,8 @@ def build_rll_pair(seed=7, bit_error_rate=0.0):
     h2 = Host(sim, "node2", "02:00:00:00:00:02", "192.168.1.2", costs=FREE)
     layers = []
     for h in (h1, h2):
-        h.learn_neighbors([h1, h2])
+        for other in (h1, h2):
+            h.add_neighbor(other.ip, other.mac)
         layer = RllLayer(sim)
         h.chain.splice_above_driver(layer)
         layers.append(layer)
@@ -132,7 +133,8 @@ class TestReliability:
         h1 = Host(sim, "node1", "02:00:00:00:00:01", "192.168.1.1", costs=FREE)
         h2 = Host(sim, "node2", "02:00:00:00:00:02", "192.168.1.2", costs=FREE)
         for h in (h1, h2):
-            h.learn_neighbors([h1, h2])
+            for other in (h1, h2):
+                h.add_neighbor(other.ip, other.mac)
         h2.chain.splice_above_driver(RllLayer(sim))  # only the receiver has RLL
         topo.connect("l0", h1.nic, h2.nic)
         got = []

@@ -1,26 +1,44 @@
-"""Tests for virtual time: units, jiffy quantisation, duration parsing."""
+"""Tests for virtual time: units, jiffy quantisation, duration literals."""
 
 import pytest
 
-from repro.errors import SimulationError
+from repro.core.fsl import compile_text
+from repro.core.tables import ActionKind
+from repro.errors import FslError, SimulationError
 from repro.sim import clock
 from repro.sim.clock import (
+    NS_PER_MS,
+    NS_PER_SEC,
+    NS_PER_US,
     Clock,
     format_time,
     ms,
-    parse_duration,
     quantize_to_jiffies,
     seconds,
-    to_ms,
-    to_seconds,
-    to_us,
-    us,
 )
+
+
+def us(value):
+    return value * NS_PER_US
+
+
+def fsl_duration(text: str) -> int:
+    """A DELAY's duration as a script writes it, in nanoseconds: the FSL
+    lexer reads the unit, and a bare number means milliseconds."""
+    program = compile_text(
+        "FILTER_TABLE pkt: (12 2 0x0800) END "
+        "NODE_TABLE node1 02:00:00:00:00:01 192.168.1.1 "
+        "node2 02:00:00:00:00:02 192.168.1.2 END "
+        "SCENARIO t A: (pkt, node1, node2, RECV) "
+        f"((A = 1)) >> DELAY pkt, node1, node2, RECV, {text}; END"
+    )
+    (delay,) = [a for a in program.actions if a.kind is ActionKind.DELAY]
+    return delay.delay_ns
 
 
 class TestUnits:
     def test_us(self):
-        assert us(1) == 1_000
+        assert NS_PER_US == 1_000
 
     def test_ms(self):
         assert ms(1) == 1_000_000
@@ -29,13 +47,12 @@ class TestUnits:
         assert seconds(1) == 1_000_000_000
 
     def test_fractional_values_round(self):
-        assert us(1.5) == 1_500
         assert ms(0.25) == 250_000
+        assert ms(0.0015) == 1_500
 
     def test_round_trips(self):
-        assert to_us(us(123.0)) == 123.0
-        assert to_ms(ms(5.5)) == 5.5
-        assert to_seconds(seconds(2)) == 2.0
+        assert ms(5.5) / NS_PER_MS == 5.5
+        assert seconds(2) / NS_PER_SEC == 2.0
 
     def test_jiffy_constant_is_10ms(self):
         # Paper §5.2: Linux 2.4 software timers tick every 10 ms.
@@ -58,6 +75,8 @@ class TestJiffyQuantisation:
 
 
 class TestParseDuration:
+    """FSL duration literals (``repro.core.fsl``'s lexer and compiler)."""
+
     @pytest.mark.parametrize(
         "text,expected",
         [
@@ -73,15 +92,15 @@ class TestParseDuration:
         ],
     )
     def test_accepts(self, text, expected):
-        assert parse_duration(text) == expected
+        assert fsl_duration(text) == expected
 
     def test_rejects_garbage(self):
-        with pytest.raises(SimulationError):
-            parse_duration("fastish")
+        with pytest.raises(FslError):
+            fsl_duration("fastish")
 
     def test_rejects_bad_number(self):
-        with pytest.raises(SimulationError):
-            parse_duration("1.2.3ms")
+        with pytest.raises(FslError):
+            fsl_duration("1.2.3ms")
 
 
 class TestClock:
@@ -94,12 +113,14 @@ class TestClock:
         assert c.now == 500
 
     def test_same_instant_is_fine(self):
-        c = Clock(100)
+        c = Clock()
+        c.advance_to(100)
         c.advance_to(100)
         assert c.now == 100
 
     def test_refuses_to_run_backwards(self):
-        c = Clock(100)
+        c = Clock()
+        c.advance_to(100)
         with pytest.raises(SimulationError):
             c.advance_to(99)
 

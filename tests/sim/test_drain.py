@@ -154,8 +154,8 @@ class TestDrainMatchesStep:
             return sim, log
 
         fused, stepped = respawning(), respawning()
-        with pytest.raises(SimulationError):
-            fused[0].run_until(10_000, max_events=100)
+        with mock.patch.object(simulator, "MAX_EVENTS", 100), pytest.raises(SimulationError):
+            fused[0].run_until(10_000)
         with pytest.raises(SimulationError):
             step_until(stepped[0], 10_000, max_events=100)
         assert fused[1] == stepped[1]
@@ -165,7 +165,8 @@ class TestDrainMatchesStep:
         sim = Simulator()
         for t in range(5):
             sim.after(t, lambda: None)
-        sim.run(max_events=5)
+        with mock.patch.object(simulator, "MAX_EVENTS", 5):
+            sim.run()
         assert sim.events_processed == 5
 
 

@@ -40,15 +40,15 @@ class TestCancellation:
         q = EventQueue()
         keep = q.push(10, lambda: None, "keep")
         drop = q.push(5, lambda: None, "drop")
-        q.cancel(drop)
+        drop.cancel()
         assert len(q) == 1
         assert q.pop() is keep
 
     def test_double_cancel_is_safe(self):
         q = EventQueue()
         handle = q.push(10, lambda: None)
-        q.cancel(handle)
-        q.cancel(handle)
+        handle.cancel()
+        handle.cancel()
         assert len(q) == 0
 
     def test_cancel_clears_callback_reference(self):
@@ -56,7 +56,7 @@ class TestCancellation:
         handle = q.push(10, lambda: None)
         handle.cancel()
         assert handle.callback is None
-        assert not handle.pending
+        assert handle.cancelled
 
     def test_pop_empty_raises(self):
         q = EventQueue()
@@ -67,19 +67,11 @@ class TestCancellation:
         q = EventQueue()
         first = q.push(1, lambda: None)
         second = q.push(2, lambda: None)
-        q.cancel(first)
+        first.cancel()
         assert q.pop() is second
 
 
 class TestHousekeeping:
-    def test_clear(self):
-        q = EventQueue()
-        for t in range(10):
-            q.push(t, lambda: None)
-        q.clear()
-        assert len(q) == 0
-        assert not q
-
     def test_none_callback_rejected(self):
         q = EventQueue()
         with pytest.raises(SchedulingError):
@@ -90,7 +82,7 @@ class TestHousekeeping:
         q.push(30, lambda: None, "c")
         q.push(10, lambda: None, "a")
         b = q.push(20, lambda: None, "b")
-        q.cancel(b)
+        b.cancel()
         assert q.snapshot() == [(10, "a"), (30, "c")]
 
 
@@ -187,7 +179,7 @@ class TestFireAndForget:
         q, fired, kept = self.mixed()
         first = q.pop()
         assert (first.when, first.label) == (10, "f10")
-        assert first.queue is None and first.pending
+        assert first.queue is None and first.callback is not None and not first.cancelled
         first.cancel()  # detached: cancelling it cannot skew the live count
         assert len(q) == 3
         assert q.pop() is kept
@@ -202,13 +194,6 @@ class TestFireAndForget:
         assert q.push(1, lambda: fired.append("no args"), args=()) is None
         q.pop().callback()
         assert fired == ["no args"]
-
-    def test_clear_drops_both_shapes(self):
-        q, _, kept = self.mixed()
-        q.clear()
-        assert len(q) == 0 and not q and q.heap_size == 0
-        assert q.peek_time() is None and q.snapshot() == []
-        assert not kept.pending
 
     def test_compaction_keeps_every_handle_free_entry(self):
         q = EventQueue()
@@ -228,8 +213,8 @@ class TestFireAndForget:
 
     def test_nothing_to_cancel_is_an_error_not_a_noop(self):
         q = EventQueue()
-        with pytest.raises(SchedulingError, match="fire-and-forget"):
-            q.cancel(q.push(5, print, args=("never cancelled",)))
+        with pytest.raises(AttributeError):
+            q.push(5, print, args=("never cancelled",)).cancel()  # no handle
         assert len(q) == 1  # the event itself is untouched
 
     def test_args_need_a_callback(self):

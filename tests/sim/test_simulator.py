@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SchedulingError, SimulationError
-from repro.sim import Simulator
+from repro.sim import Simulator, simulator
 
 
 class TestScheduling:
@@ -32,7 +32,7 @@ class TestScheduling:
     def test_cancel(self, sim):
         seen = []
         handle = sim.after(10, lambda: seen.append(1))
-        sim.cancel(handle)
+        handle.cancel()
         sim.run()
         assert seen == []
 
@@ -72,13 +72,14 @@ class TestRunLoops:
         sim.run_for(200)
         assert sim.now == 500
 
-    def test_event_cap_trips(self, sim):
+    def test_event_cap_trips(self, sim, monkeypatch):
         def respawn():
             sim.after(1, respawn)
 
         sim.after(1, respawn)
+        monkeypatch.setattr(simulator, "MAX_EVENTS", 1000)
         with pytest.raises(SimulationError):
-            sim.run(max_events=1000)
+            sim.run()
 
     def test_stop_exits_loop(self, sim):
         seen = []

@@ -218,7 +218,8 @@ class TestNoFrameOutlivesCrash:
         tb, (n1, n2) = make_testbed(medium="hub", rll=True)
         sim = tb.sim
         sniffed = []  # (time, frame) of everything that crosses the hub
-        sniffer = Nic(sim, "02:00:00:00:00:99", name="sniffer", promiscuous=True)
+        sniffer = Nic(sim, "02:00:00:00:00:99", name="sniffer")
+        sniffer.promiscuous = True
         sniffer.set_receive_handler(lambda frame: sniffed.append((sim.now, frame)))
         tb.topology.connect("m0", sniffer)
 

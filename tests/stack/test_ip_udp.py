@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import SocketError, StackError
 from repro.stack import FREE
-from repro.sim import us
 from repro.stack.costs import CostModel
 from tests.conftest import make_two_hosts
 
@@ -66,7 +65,7 @@ class TestIpLayer:
 
         sim = Simulator(seed=0)
         costs = CostModel(
-            driver_tx_ns=0, driver_rx_ns=0, ip_ns=us(10), udp_ns=0, tcp_ns=0
+            driver_tx_ns=0, driver_rx_ns=0, ip_ns=10_000, udp_ns=0, tcp_ns=0
         )
         _, h1, h2 = make_two_hosts(sim, costs=costs)
         got = []
@@ -74,7 +73,7 @@ class TestIpLayer:
         h1.udp.bind(0).sendto(b"x", h2.ip, 9)
         sim.run()
         # Two IP traversals of 10 us each, plus wire time.
-        assert got and got[0] >= us(20)
+        assert got and got[0] >= 20_000
 
 
 class TestUdpSockets:

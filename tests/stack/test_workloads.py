@@ -74,7 +74,8 @@ class TestBulk:
 
     def test_retain_mode_keeps_bytes(self, sim):
         _, h1, h2 = make_two_hosts(sim, costs=FREE)
-        receiver = BulkReceiver(h2, 80, retain=True)
+        receiver = BulkReceiver(h2, 80)
+        receiver.retain = True
         BulkSender(h1, h2.ip, 80, 4096)
         sim.run_until(seconds(5))
         assert bytes(receiver.data) == bytes(4096)
@@ -102,8 +103,8 @@ class TestPaced:
             0x4000,
             offered_bps=500e6,  # 5x the wire
             duration_ns=ms(50),
-            buffer_cap=32 * 1024,
         )
+        sender.buffer_cap = 32 * 1024
         sim.run_until(seconds(5))
         assert sender.refused_bytes > 0
 

@@ -20,6 +20,12 @@ def strict_loads(data: bytes):
     return json.loads(data, parse_constant=refuse)
 
 
+def row_named(outcome: SweepOutcome, name: str):
+    """The campaign's row for the case *name*."""
+    (row,) = [row for row in outcome.rows if row.name == name]
+    return row
+
+
 @pytest.fixture(autouse=True)
 def canonical_bytes_are_strict_json(monkeypatch):
     canonical_bytes = SweepOutcome.canonical_bytes

@@ -10,6 +10,7 @@ stop explicitly.
 import time
 
 from repro.sweep import SweepSpec, run_sweep
+from tests.sweep.conftest import row_named
 
 
 def _ok_task(task):
@@ -124,7 +125,7 @@ class TestParallelFailFast:
         # Both were running (2 slots) when the failure landed: both rows
         # survive.
         assert "slow" in names
-        assert outcome.row("slow").payload["passed"] is True
+        assert row_named(outcome, "slow").payload["passed"] is True
 
     def test_full_pass_matches_serial_bytes(self):
         """fail_fast on a healthy campaign must not disturb the

@@ -543,7 +543,7 @@ class TestLoopbackDifferential:
         from tests.sweep.test_runner import mixed_campaign
 
         spec = mixed_campaign()
-        assert len(spec) >= 12
+        assert len(spec.tasks()) >= 12
         serial = run_sweep(spec, backend="serial")
         pool = run_sweep(spec, backend="parallel", workers=2)
         tcp = run_sweep(spec, backend="tcp", hosts=fleet)

@@ -27,6 +27,7 @@ from repro.sweep import (
 )
 from repro.sweep import runner
 from repro.sweep.remote import WorkerServer
+from tests.sweep.conftest import row_named
 
 
 def _ok_task(task):
@@ -148,7 +149,7 @@ class TestDifferential:
         seeds and loss rates merges to byte-identical rows on the serial
         reference backend and on >=2 parallel slot processes."""
         spec = mixed_campaign()
-        assert len(spec) >= 12
+        assert len(spec.tasks()) >= 12
         serial = run_sweep(spec, backend="serial")
         parallel = run_sweep(spec, backend="parallel", workers=2)
         assert serial.backend == "serial" and serial.workers == 1
@@ -293,7 +294,7 @@ class TestCrashIsolation:
             if row.name != "dies":
                 assert row.ok and row.attempts == 1, outcome.render()
                 assert len(_noted_pids(pids, row.index)) == 1
-        dead = outcome.row("dies")
+        dead = row_named(outcome, "dies")
         assert dead.status == "FAILED" and dead.error.startswith("worker died:")
         assert dead.attempts == retries + 1
         assert len(_noted_pids(pids, dead.index)) == retries + 1

@@ -15,6 +15,7 @@ from repro.sweep import (
 )
 from repro.sweep.remote import WorkerServer
 from repro.sweep.runner import TIMEOUT_PAUSE_S, execute_task, timeout_error
+from tests.sweep.conftest import row_named
 
 
 def _ok_task(task):
@@ -49,14 +50,14 @@ class TestTimeoutRows:
         started = time.monotonic()
         outcome = run_sweep(_mixed_spec(), backend="serial", task_timeout=0.2)
         assert time.monotonic() - started < 10.0  # did not hang
-        row = outcome.row("hung")
+        row = row_named(outcome, "hung")
         assert row.status == SweepResult.TIMEOUT
         assert not row.ok
         assert row.attempts == 2  # one bounded retry, then recorded
         assert row.error == "task exceeded 0.2s wall-clock deadline"
         assert outcome.timed_out == 1
         assert not outcome.passed
-        assert outcome.row("ok0").ok and outcome.row("ok1").ok
+        assert row_named(outcome, "ok0").ok and row_named(outcome, "ok1").ok
 
     def test_serial_and_parallel_timeout_rows_are_byte_identical(self):
         serial = run_sweep(_mixed_spec(), backend="serial", task_timeout=0.2)
@@ -85,7 +86,7 @@ class TestTimeoutRows:
             server.stop()
         serial = run_sweep(_mixed_spec(), backend="serial", task_timeout=0.2)
         assert tcp.canonical_bytes() == serial.canonical_bytes()
-        assert tcp.row("hung").attempts == 2
+        assert row_named(tcp, "hung").attempts == 2
 
     def test_watchdog_defeats_exception_swallowers(self):
         spec = SweepSpec("swallow", base_seed=1).add("evil", _swallowing_task)

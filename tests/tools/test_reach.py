@@ -1,0 +1,56 @@
+"""The reach list's standing gate, static half (``ast`` only): every line
+of tests/tools/reach.txt names a def or parameter that exists, every
+verdict is ``keep`` with a reason from the closed set, and every defaulted
+parameter no non-test call passes is listed.  The traced half is
+``python tests/tools/reach.py --check``."""
+
+import pytest
+
+from tests.tools import reach
+
+
+@pytest.fixture(scope="module")
+def entries():
+    return reach.read_list()
+
+
+def test_the_committed_list_passes(entries):
+    assert reach.list_problems(entries) == []
+
+
+def test_every_line_is_keep_with_a_closed_reason(entries):
+    for name, (verdict, reason, why) in entries.items():
+        allowed = reach.PARAM_REASONS if name.endswith("=)") else reach.DEF_REASONS
+        assert verdict == "keep" and reason in allowed and why, name
+
+
+def test_a_name_that_is_gone_fails(entries):
+    stale = dict(entries, **{"repro.sim.clock:parse_duration": ("keep", "api", "x")})
+    assert reach.list_problems(stale) == [
+        "repro.sim.clock:parse_duration: listed, but no such def in src/repro"
+    ]
+
+
+def test_a_delete_verdict_fails(entries):
+    name = next(n for n in entries if not n.endswith("=)"))
+    assert reach.list_problems(dict(entries, **{name: ("delete", None, "x")})) == [
+        f"{name}: verdict delete"
+    ]
+
+
+def test_a_reason_outside_the_closed_set_fails(entries):
+    name = next(n for n in entries if not n.endswith("=)"))
+    param = next(n for n in entries if n.endswith("=)"))
+    bad = dict(entries, **{name: ("keep", "input", "x"), param: ("keep", "paper", "x")})
+    assert len(reach.list_problems(bad)) == 2
+
+
+def test_an_unlisted_unpassed_default_fails(entries):
+    param = next(n for n in entries if n.endswith("=)"))
+    trimmed = {n: e for n, e in entries.items() if n != param}
+    assert reach.list_problems(trimmed) == [f"{param}: no call passes it, and it is not listed"]
+
+
+def test_def_and_default_counts_are_the_ones_reported():
+    # ROADMAP aim 2 quotes these; a change that moves them says so there.
+    assert len(reach.src_defs()) < 963 and reach.count_def_defaults() <= 190

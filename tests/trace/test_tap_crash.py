@@ -84,7 +84,7 @@ class TestTapAcrossCrash:
             max_time=seconds(5),
             inactivity_ns=ms(100),
         )
-        (first, *_) = tb.recorder.select(where="node2", direction="recv")
+        (first, *_) = tb.recorder.select(where="node2", predicate=lambda r: r.direction == "recv")
         return first.when
 
     def test_no_tap_capture_from_a_dead_host(self):
@@ -105,7 +105,7 @@ class TestTapAcrossCrash:
             max_time=seconds(5),
             inactivity_ns=ms(100),
         )
-        assert tb.recorder.select(where="node2", direction="recv") == []
+        assert tb.recorder.select(where="node2", predicate=lambda r: r.direction == "recv") == []
 
     def test_capture_resumes_after_restart_without_duplicates(self):
         """The tap survives the crash/reboot arc: captures stop while the
@@ -126,7 +126,7 @@ class TestTapAcrossCrash:
             max_time=seconds(5),
             inactivity_ns=ms(200),
         )
-        recv = tb.recorder.select(where="node2", direction="recv")
+        recv = tb.recorder.select(where="node2", predicate=lambda r: r.direction == "recv")
         assert recv, report.render()
         # Nothing captured while the host was down (crash .. reboot+resync).
         assert all(r.when >= release_ns - 1 + ms(20) for r in recv)

@@ -146,18 +146,18 @@ def _replay(stream: List[bytes], classifier, nodes) -> None:
         classifier.classify(inner_bytes)  # receiver-side hook
         nodes.by_mac_bytes(inner_bytes[6:12])
         nodes.by_mac_bytes(inner_bytes[0:6])
-        packet = parse_ipv4_frame(inner_bytes)
-        if packet.protocol != PROTO_TCP:
+        src, dst, protocol, payload = parse_ipv4_frame(inner_bytes)
+        if protocol != PROTO_TCP:
             continue
-        flow_sum = tcp_flow_sum(packet.src, packet.dst)
-        seg = parse_tcp_segment(packet.payload, flow_sum)
+        flow_sum = tcp_flow_sum(src, dst)
+        seg = parse_tcp_segment(payload, flow_sum)
         frame2 = encode_ipv4_frame(
             inner_bytes[:6],
             inner_bytes[6:12],
-            packet.src.packed,
-            packet.dst.packed,
-            packet.protocol,
-            packet.ident,
+            src.packed,
+            dst.packed,
+            protocol,
+            (inner_bytes[18] << 8) | inner_bytes[19],  # the IP ident
             encode_tcp_segment(seg, flow_sum),
         )
         out = encap_data_fast(frame2, shim_seq, shim_ack) if rll else frame2

@@ -88,17 +88,27 @@ class Frontend:
                 node, kind
             )
 
-        # Per-scenario state.
-        self.program: Optional[CompiledProgram] = None
+        self._heartbeat = sim.timer(self._heartbeat_tick, "frontend:heartbeat")
         self.program_id = 0
-        self._pending_acks: Set[str] = set()
+        self.inactivity_ns = DEFAULT_INACTIVITY_NS
+        self._reset_scenario(None, None)
+
+    def _reset_scenario(
+        self,
+        program: Optional[CompiledProgram],
+        on_running: Optional[Callable[[], None]],
+    ) -> None:
+        """The per-scenario state, blank for *program* (None before the
+        first scenario)."""
+        nodes = program.nodes.names() if program is not None else []
+        self.program = program
+        self._pending_acks: Set[str] = set(nodes)
         self._pending_start_acks: Set[str] = set()
         self._workload_scheduled = False
         self._init_resends: Dict[str, int] = {}
-        self._heartbeat = sim.timer(self._heartbeat_tick, "frontend:heartbeat")
         self.started = False
         self.start_time = 0
-        self.last_activity = 0
+        self.last_activity = self.sim.now
         self.errors: list = []
         self.control_errors: List[str] = []
         self.unreachable_nodes: List[str] = []
@@ -107,10 +117,11 @@ class Frontend:
         self.stop_time: Optional[int] = None
         self.finished = False
         self.end_reason: Optional[EndReason] = None
-        self.on_running: Optional[Callable[[], None]] = None
-        self.inactivity_ns = DEFAULT_INACTIVITY_NS
+        self.on_running = on_running
         #: per-node crash/restart state machine (docs/NODE_LIFECYCLE.md).
-        self.lifecycle: Dict[str, NodeLifecycle] = {}
+        self.lifecycle: Dict[str, NodeLifecycle] = {
+            node: NodeLifecycle.ALIVE for node in nodes
+        }
         self.crash_timeline: List[CrashRecord] = []
         self._active_crash: Dict[str, CrashRecord] = {}
         #: per-resyncing-node outstanding handshake tokens ("init",
@@ -150,32 +161,9 @@ class Frontend:
                     f"{action.kind.value}({control_name}) targets the control "
                     f"node; the orchestrator cannot crash or reboot itself"
                 )
-        self.program = program
+        self._reset_scenario(program, on_running)
         self.program_id = next(self._program_ids)
         self._registry[self.program_id] = program
-        self._pending_acks = set(program.nodes.names())
-        self._pending_start_acks = set()
-        self._workload_scheduled = False
-        self._init_resends = {}
-        self.started = False
-        self.start_time = 0
-        self.last_activity = self.sim.now
-        self.errors = []
-        self.control_errors = []
-        self.unreachable_nodes = []
-        self.failed_nodes = []
-        self.stop_node = None
-        self.stop_time = None
-        self.finished = False
-        self.end_reason = None
-        self.on_running = on_running
-        self.lifecycle = {
-            node: NodeLifecycle.ALIVE for node in program.nodes.names()
-        }
-        self.crash_timeline = []
-        self._active_crash = {}
-        self._resync = {}
-        self._pending_restart = {}
         if inactivity_ns is not None:
             self.inactivity_ns = inactivity_ns
         elif program.timeout_ns > 0:

@@ -1,9 +1,10 @@
 """Byte-accurate network substrate.
 
 One Ethernet/IPv4/UDP/TCP frame codec (:mod:`repro.net.fastpath`) whose wire
-offsets match the paper's filter scripts, the stack's header value classes,
-a lazy byte view for traces (:class:`FrameView`), plus NICs, links,
-hubs/buses and learning switches with a shared
+offsets match the paper's filter scripts — below TCP it passes addresses,
+ports and payload bytes; TCP alone keeps a value class
+(:class:`TcpSegment`) — a lazy byte view for traces (:class:`FrameView`),
+plus NICs, links, hubs/buses and learning switches with a shared
 bandwidth/propagation/bit-error service model.  The object-per-layer codec
 the data path once used is a test oracle (tests/oracles/codec.py).
 """
@@ -16,7 +17,7 @@ from .frame import (
     ETHERTYPE_RLL,
     ETHERTYPE_VW_CONTROL,
 )
-from .ip import PROTO_ICMP, PROTO_TCP, PROTO_UDP, Ipv4Packet
+from .ip import PROTO_TCP, PROTO_UDP
 from .link import (
     DEFAULT_BANDWIDTH_BPS,
     DEFAULT_PROPAGATION_NS,
@@ -40,7 +41,6 @@ from .tcp_segment import (
     flags_to_str,
 )
 from .topology import Topology
-from .udp import UdpDatagram
 
 __all__ = [
     "DEFAULT_BANDWIDTH_BPS",
@@ -60,18 +60,15 @@ __all__ = [
     "FrameView",
     "Hub",
     "IpAddress",
-    "Ipv4Packet",
     "LearningSwitch",
     "MacAddress",
     "Medium",
     "Nic",
-    "PROTO_ICMP",
     "PROTO_TCP",
     "PROTO_UDP",
     "PointToPointLink",
     "SharedBus",
     "TcpSegment",
     "Topology",
-    "UdpDatagram",
     "flags_to_str",
 ]

@@ -13,9 +13,11 @@ tests/oracles/codec.py — pinned by the differential property tests
   headers are never serialised twice and pseudo-headers never materialise;
 * whole headers are packed/unpacked with precompiled :mod:`struct` layouts
   instead of per-field ``bytes`` concatenation;
-* parsed packets are built with ``__new__``, skipping constructor
-  revalidation of fields that came off the wire and are in range by
-  construction;
+* below TCP the parsers hand back plain fields — ``(src, dst, protocol,
+  payload)`` for IPv4, ``(src_port, dst_port, payload)`` for UDP — and the
+  UDP encoder takes them; only TCP's segment, the vocabulary of its state
+  machine, is an object, built with ``__new__`` to skip constructor
+  revalidation of fields that came off the wire in range by construction;
 * MAC/IP addresses are interned: a testbed has a handful of stations, so
   every parse returns the same immutable address objects instead of
   allocating new ones per packet.
@@ -29,7 +31,7 @@ sender MACs here.  See docs/PERF.md.
 from __future__ import annotations
 
 import struct
-from typing import Dict
+from typing import Dict, Tuple
 
 from ..errors import ChecksumError, PacketError
 from .addresses import IpAddress, MacAddress
@@ -37,9 +39,8 @@ from .bytesutil import checksum_sum16, fold_checksum
 from .frame import ETHERTYPE_IPV4, MAX_PAYLOAD
 from .frame import HEADER_LEN as ETH_HEADER_LEN
 from .ip import HEADER_LEN as IP_HEADER_LEN
-from .ip import PROTO_TCP, PROTO_UDP, Ipv4Packet
+from .ip import PROTO_TCP, PROTO_UDP
 from .tcp_segment import TcpSegment
-from .udp import UdpDatagram
 
 __all__ = [
     "intern_ip",
@@ -142,22 +143,24 @@ def encode_tcp_segment(seg: TcpSegment, flow_sum: int) -> bytes:
     return header + payload if payload else header
 
 
-def encode_udp_datagram(dgram: UdpDatagram, src_ip: IpAddress, dst_ip: IpAddress) -> bytes:
-    """The reference's ``udp_to_bytes(dgram, src_ip, dst_ip)``, without the
-    object tree."""
-    payload = dgram.payload
+def encode_udp_datagram(
+    src_port: int, dst_port: int, payload: bytes, src_ip: IpAddress, dst_ip: IpAddress
+) -> bytes:
+    """The reference's ``udp_to_bytes`` of the datagram with these fields,
+    without the object.  The ports are the caller's to range-check (the
+    socket API does)."""
     length = 8 + len(payload)
     total = (
         pseudo_header_sum(src_ip.packed, dst_ip.packed, PROTO_UDP, length)
-        + dgram.src_port
-        + dgram.dst_port
+        + src_port
+        + dst_port
         + length
     )
     if payload:
         total += checksum_sum16(payload)
     # RFC 768: a computed zero is transmitted as all-ones.
     checksum = fold_checksum(total) or 0xFFFF
-    header = UDP_HEADER.pack(dgram.src_port, dgram.dst_port, length, checksum)
+    header = UDP_HEADER.pack(src_port, dst_port, length, checksum)
     return header + payload if payload else header
 
 
@@ -173,7 +176,7 @@ def encode_ipv4_frame(
     """One-shot Ethernet+IPv4 frame builder (ttl 64, tos 0, DF set).
 
     Byte-identical to the reference codec's Ethernet frame around
-    ``ip_to_bytes(Ipv4Packet(...))`` for the defaults the IP layer uses,
+    ``ip_to_bytes`` of an IPv4 packet with the defaults the IP layer uses,
     including the Ethernet MTU check.
     """
     total_len = IP_HEADER_LEN + len(payload)
@@ -215,12 +218,14 @@ def encode_ipv4_frame(
 # -- parsers ----------------------------------------------------------------
 
 
-def parse_ipv4_frame(frame_bytes: bytes) -> Ipv4Packet:
-    """Equals the reference's ``ip_from_bytes(frame_bytes[14:], verify=True)``.
+def parse_ipv4_frame(frame_bytes: bytes) -> Tuple[IpAddress, IpAddress, int, bytes]:
+    """``(src, dst, protocol, payload)`` of the reference's
+    ``ip_from_bytes(frame_bytes[14:], verify=True)``.
 
     Operates on the whole frame (no intermediate slice of the IP packet)
     and accepts/rejects exactly the same inputs as that parser — every
     reject raises the same :class:`PacketError`/:class:`ChecksumError`.
+    No reader needs ttl, tos, ident or the DF bit, so they stay unread.
     """
     n = len(frame_bytes) - ETH_HEADER_LEN
     if n < IP_HEADER_LEN:
@@ -237,19 +242,14 @@ def parse_ipv4_frame(frame_bytes: bytes) -> Ipv4Packet:
         )
     if fold_checksum(checksum_sum16(frame_bytes[14:34])) != 0:
         raise ChecksumError("IPv4 header checksum mismatch")
-    flags_frag = (frame_bytes[20] << 8) | frame_bytes[21]
-    if flags_frag & 0x3FFF:
+    if frame_bytes[20] & 0x3F or frame_bytes[21]:
         raise PacketError("IPv4 fragmentation is not modelled")
-    packet = Ipv4Packet.__new__(Ipv4Packet)
-    packet.src = intern_ip(frame_bytes[26:30])
-    packet.dst = intern_ip(frame_bytes[30:34])
-    packet.protocol = frame_bytes[23]
-    packet.payload = frame_bytes[34 : 14 + total_length]
-    packet.ttl = frame_bytes[22]
-    packet.tos = frame_bytes[15]
-    packet.ident = (frame_bytes[18] << 8) | frame_bytes[19]
-    packet.dont_fragment = bool(flags_frag & 0x4000)
-    return packet
+    return (
+        intern_ip(frame_bytes[26:30]),
+        intern_ip(frame_bytes[30:34]),
+        frame_bytes[23],
+        frame_bytes[34 : 14 + total_length],
+    )
 
 
 def parse_tcp_segment(data: bytes, flow_sum: int) -> TcpSegment:
@@ -276,9 +276,11 @@ def parse_tcp_segment(data: bytes, flow_sum: int) -> TcpSegment:
     return seg
 
 
-def parse_udp_datagram(data: bytes, src_ip: IpAddress, dst_ip: IpAddress) -> UdpDatagram:
-    """Equals the reference's ``udp_from_bytes(data, src_ip, dst_ip,
-    verify=True)``."""
+def parse_udp_datagram(
+    data: bytes, src_ip: IpAddress, dst_ip: IpAddress
+) -> Tuple[int, int, bytes]:
+    """``(src_port, dst_port, payload)`` of the reference's
+    ``udp_from_bytes(data, src_ip, dst_ip, verify=True)``."""
     if len(data) < 8:
         raise PacketError(f"UDP datagram of {len(data)} bytes is too short")
     length = (data[4] << 8) | data[5]
@@ -291,8 +293,4 @@ def parse_udp_datagram(data: bytes, src_ip: IpAddress, dst_ip: IpAddress) -> Udp
         total = pseudo_header_sum(src_ip.packed, dst_ip.packed, PROTO_UDP, length)
         if fold_checksum(total + checksum_sum16(data[:length])) != 0:
             raise ChecksumError("UDP checksum mismatch")
-    dgram = UdpDatagram.__new__(UdpDatagram)
-    dgram.src_port = (data[0] << 8) | data[1]
-    dgram.dst_port = (data[2] << 8) | data[3]
-    dgram.payload = data[8:length]
-    return dgram
+    return (data[0] << 8) | data[1], (data[2] << 8) | data[3], data[8:length]

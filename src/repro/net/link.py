@@ -33,13 +33,11 @@ DeliverFn = Callable[[bytes, bool], None]
 class _Transmitter:
     """One serialising FIFO: models a single wire direction (or shared bus)."""
 
-    __slots__ = ("queue", "busy", "drops")
+    __slots__ = ("queue", "busy")
 
     def __init__(self) -> None:
         self.queue: Deque[Tuple[bytes, DeliverFn]] = deque()
         self.busy = False
-        #: frames tail-dropped on a full queue.
-        self.drops = 0
 
 
 class Medium:
@@ -98,15 +96,13 @@ class Medium:
         per_frame = 1.0 - (1.0 - self.bit_error_rate) ** (len(frame_bytes) * 8)
         return self._errors.chance(per_frame)
 
-    def _serve(self, tx: _Transmitter, frame_bytes: bytes, deliver: DeliverFn) -> bool:
-        """Enqueue onto *tx*; returns False on tail drop."""
+    def _serve(self, tx: _Transmitter, frame_bytes: bytes, deliver: DeliverFn) -> None:
+        """Enqueue onto *tx*, or tail-drop the frame when its queue is full."""
         if tx.busy and len(tx.queue) >= self.queue_frames:
-            tx.drops += 1
-            return False
+            return
         tx.queue.append((frame_bytes, deliver))
         if not tx.busy:
             self._start_next(tx)
-        return True
 
     def _start_next(self, tx: _Transmitter) -> None:
         frame_bytes, deliver = tx.queue.popleft()

@@ -20,9 +20,8 @@ from typing import Optional, Tuple
 
 from .fastpath import TCP_HEADER, UDP_HEADER
 from .frame import ETHERTYPE_IPV4, ETHERTYPE_RETHER, MAX_PAYLOAD
-from .ip import PROTO_TCP, PROTO_UDP, Ipv4Packet
+from .ip import PROTO_TCP, PROTO_UDP
 from .tcp_segment import FLAG_FIN, FLAG_RST, FLAG_SYN, TcpSegment, flags_to_str
-from .udp import UdpDatagram
 
 #: dst_mac, src_mac, ethertype.
 _ETHERNET = struct.Struct(">6s6sH")
@@ -96,16 +95,6 @@ class FrameView:
         return None if eth is None else eth[2]
 
     @property
-    def ip(self) -> Optional[Ipv4Packet]:
-        """The IPv4 layer (checksum not enforced), or None."""
-        ip = self._parsed()[1]
-        if ip is None:
-            return None
-        _, tos, total_length, ident, flags_frag, ttl, protocol, _, src, dst = ip
-        payload = self.data[_L4_AT : _IP_AT + total_length]
-        return Ipv4Packet(src, dst, protocol, payload, ttl, tos, ident, bool(flags_frag & 0x4000))
-
-    @property
     def tcp(self) -> Optional[TcpSegment]:
         """The TCP layer if this is a parseable TCP frame, else None."""
         _, ip, tcp, _ = self._parsed()
@@ -114,14 +103,6 @@ class FrameView:
         src_port, dst_port, seq, ack, offset_flags, window, _, _ = tcp
         payload = self.data[_TCP_DATA_AT : _IP_AT + ip[2]]
         return TcpSegment(src_port, dst_port, seq, ack, offset_flags & 0x3F, window, payload)
-
-    @property
-    def udp(self) -> Optional[UdpDatagram]:
-        """The UDP layer if this is a parseable UDP frame, else None."""
-        udp = self._parsed()[3]
-        if udp is None:
-            return None
-        return UdpDatagram(udp[0], udp[1], self.data[_L4_AT + 8 : _L4_AT + udp[2]])
 
     @property
     def is_rether(self) -> bool:

@@ -43,8 +43,6 @@ class LearningSwitch(Medium):
         #: learned source MAC -> port, keyed by the raw 6 wire bytes.
         self._mac_table: Dict[bytes, int] = {}
         self._egress: Dict[int, _Transmitter] = {}
-        self.flooded_frames = 0
-        self.forwarded_frames = 0
 
     def attach(self, nic) -> int:
         port = super().attach(nic)
@@ -68,12 +66,10 @@ class LearningSwitch(Medium):
         egress = None if frame_bytes[0] & 0x01 else self._mac_table.get(frame_bytes[0:6])
         if egress is not None:
             if egress != ingress_port:
-                self.forwarded_frames += 1
                 self._enqueue(egress, frame_bytes)
             # Destination hangs off the ingress port: nothing to do.
             return
         # Unknown unicast, broadcast, or multicast: flood.
-        self.flooded_frames += 1
         for port in range(len(self._nics)):
             if port != ingress_port:
                 self._enqueue(port, frame_bytes)

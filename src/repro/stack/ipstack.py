@@ -4,7 +4,8 @@ Routing is the degenerate LAN case the paper's testbeds use: every
 destination is on-link, resolved through a static neighbour table the
 testbed builder fills in (no ARP traffic to pollute fault scripts).
 Received packets are checksum-verified and demultiplexed to the registered
-transport protocol.
+transport protocol, which gets the source address and the payload bytes
+(the destination is this host's address by then).
 """
 
 from __future__ import annotations
@@ -16,13 +17,12 @@ from ..errors import PacketError, StackError
 from ..net.addresses import IpAddress, MacAddress
 from ..net.fastpath import encode_ipv4_frame, parse_ipv4_frame
 from ..net.frame import ETHERTYPE_IPV4
-from ..net.ip import Ipv4Packet
 from ..sim import Simulator
 from .costs import CostModel
 from .layers import EthertypeDemux
 
-#: Transport handler: (ip_packet) -> None.
-ProtocolHandler = Callable[[Ipv4Packet], None]
+#: Transport handler: (src_ip, payload) -> None.
+ProtocolHandler = Callable[[IpAddress, bytes], None]
 
 
 class IpLayer:
@@ -106,25 +106,27 @@ class IpLayer:
 
     def _receive_frame(self, frame_bytes: bytes) -> None:
         try:
-            packet = parse_ipv4_frame(frame_bytes)
+            src, dst, protocol, payload = parse_ipv4_frame(frame_bytes)
         except PacketError:  # malformed header or (ChecksumError) bad checksum
             self.checksum_drops += 1
             return
-        if packet.dst != self.local_ip:
+        if dst != self.local_ip:
             self.misaddressed_drops += 1
             return
         if self.costs.ip_ns > 0:
-            self.sim.after(self.costs.ip_ns, self._dispatch, "ip:rx", args=(packet,))
+            self.sim.after(
+                self.costs.ip_ns, self._dispatch, "ip:rx", args=(src, protocol, payload)
+            )
         else:
-            self._dispatch(packet)
+            self._dispatch(src, protocol, payload)
 
-    def _dispatch(self, packet: Ipv4Packet) -> None:
-        handler = self._protocols.get(packet.protocol)
+    def _dispatch(self, src: IpAddress, protocol: int, payload: bytes) -> None:
+        handler = self._protocols.get(protocol)
         if handler is None:
             self.unclaimed_protocol_drops += 1
             return
         self.rx_packets += 1
-        handler(packet)
+        handler(src, payload)
 
     def __repr__(self) -> str:
         return f"IpLayer({self.local_ip}, {len(self._neighbors)} neighbours)"

@@ -1,4 +1,10 @@
-"""UDP layer and datagram sockets."""
+"""UDP layer and datagram sockets.
+
+The layer passes ports and payload bytes, never a datagram object: it
+encodes from the socket's fields and parses to ``(src_port, dst_port,
+payload)`` (:mod:`repro.net.fastpath`).  Ports are range-checked where a
+user hands them in — ``bind`` and ``sendto`` — before any state changes.
+"""
 
 from __future__ import annotations
 
@@ -7,8 +13,7 @@ from typing import Callable, Dict, Optional, Union
 from ..errors import ChecksumError, PacketError, SocketError
 from ..net.addresses import IpAddress
 from ..net.fastpath import encode_udp_datagram, parse_udp_datagram
-from ..net.ip import PROTO_UDP, Ipv4Packet
-from ..net.udp import UdpDatagram
+from ..net.ip import PROTO_UDP
 from ..sim import Simulator
 from .costs import CostModel
 from .ipstack import IpLayer
@@ -34,6 +39,8 @@ class UdpSocket:
         """Send *payload* to (dst_ip, dst_port)."""
         if self.closed:
             raise SocketError(f"sendto on closed UDP socket port {self.port}")
+        if not 0 <= dst_port <= 0xFFFF:
+            raise SocketError(f"UDP destination port out of range: {dst_port}")
         self.tx_datagrams += 1
         self._layer.send_datagram(self.port, IpAddress(dst_ip), dst_port, payload)
 
@@ -70,9 +77,11 @@ class UdpLayer:
     # -- socket management ----------------------------------------------------
 
     def bind(self, port: int = 0) -> UdpSocket:
-        """Bind a socket to *port* (0 picks an ephemeral port)."""
+        """Bind a socket to *port* (1..65535; 0 picks an ephemeral port)."""
         if port == 0:
             port = self._pick_ephemeral()
+        elif not 0 < port <= 0xFFFF:
+            raise SocketError(f"UDP port out of range: {port}")
         if port in self._sockets:
             raise SocketError(f"UDP port {port} is already bound")
         socket = UdpSocket(self, port)
@@ -103,8 +112,7 @@ class UdpLayer:
     def send_datagram(
         self, src_port: int, dst_ip: IpAddress, dst_port: int, payload: bytes
     ) -> None:
-        datagram = UdpDatagram(src_port, dst_port, payload)
-        wire = encode_udp_datagram(datagram, self.ip_layer.local_ip, dst_ip)
+        wire = encode_udp_datagram(src_port, dst_port, payload, self.ip_layer.local_ip, dst_ip)
         if self.costs.udp_ns > 0:
             self.sim.after(
                 self.costs.udp_ns, self.ip_layer.send, "udp:tx", args=(dst_ip, PROTO_UDP, wire)
@@ -112,22 +120,19 @@ class UdpLayer:
         else:
             self.ip_layer.send(dst_ip, PROTO_UDP, wire)
 
-    def _receive(self, packet: Ipv4Packet) -> None:
+    def _receive(self, src: IpAddress, data: bytes) -> None:
         try:
-            datagram = parse_udp_datagram(packet.payload, packet.src, packet.dst)
+            src_port, dst_port, payload = parse_udp_datagram(data, src, self.ip_layer.local_ip)
         except (ChecksumError, PacketError):
             self.checksum_drops += 1
             return
-        socket = self._sockets.get(datagram.dst_port)
+        socket = self._sockets.get(dst_port)
         if socket is None:
             self.unclaimed_port_drops += 1
             return
         if self.costs.udp_ns > 0:
             self.sim.after(
-                self.costs.udp_ns,
-                socket.deliver,
-                "udp:rx",
-                args=(datagram.payload, packet.src, datagram.src_port),
+                self.costs.udp_ns, socket.deliver, "udp:rx", args=(payload, src, src_port)
             )
         else:
-            socket.deliver(datagram.payload, packet.src, datagram.src_port)
+            socket.deliver(payload, src, src_port)

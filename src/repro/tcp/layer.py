@@ -7,7 +7,7 @@ from typing import Callable, Dict, Optional, Tuple, Union
 from ..errors import ChecksumError, PacketError, SocketError
 from ..net.addresses import IpAddress
 from ..net.fastpath import encode_tcp_segment, parse_tcp_segment, tcp_flow_sum
-from ..net.ip import PROTO_TCP, Ipv4Packet
+from ..net.ip import PROTO_TCP
 from ..net.tcp_segment import FLAG_ACK, FLAG_RST, TcpSegment
 from ..sim import Simulator
 from .congestion import CongestionControl
@@ -38,10 +38,10 @@ class TcpListener:
             self.closed = True
             self.layer._listeners.pop(self.port, None)
 
-    def _incoming_syn(self, packet: Ipv4Packet, seg: TcpSegment) -> TcpConnection:
+    def _incoming_syn(self, src: IpAddress, seg: TcpSegment) -> TcpConnection:
         conn = self.layer._create_connection(
             local_port=self.port,
-            remote_ip=packet.src,
+            remote_ip=src,
             remote_port=seg.src_port,
             congestion=CongestionControl(),
         )
@@ -81,7 +81,12 @@ class TcpLayer:
         """Open an active connection; returns immediately with the
 
         connection object while the handshake proceeds in virtual time.
+        Ports are 0..65535 (a local port of 0 picks an ephemeral one); a bad
+        one raises :class:`SocketError` before any state is made.
         """
+        for port in (remote_port, local_port):
+            if not 0 <= port <= 0xFFFF:
+                raise SocketError(f"TCP port out of range: {port}")
         remote_ip = IpAddress(remote_ip)
         if local_port == 0:
             local_port = self._pick_ephemeral(remote_ip, remote_port)
@@ -102,7 +107,9 @@ class TcpLayer:
         on_accept: Optional[Callable[[TcpConnection], None]] = None,
     ) -> TcpListener:
         """Start accepting connections on *port*; the server side always
-        runs the stock :class:`CongestionControl`."""
+        runs the stock :class:`CongestionControl`.  *port* is 1..65535."""
+        if not 0 < port <= 0xFFFF:
+            raise SocketError(f"TCP port out of range: {port}")
         if port in self._listeners:
             raise SocketError(f"TCP port {port} is already listening")
         listener = TcpListener(self, port, on_accept)
@@ -183,31 +190,31 @@ class TcpLayer:
     def _key(local_port: int, remote_ip: IpAddress, remote_port: int) -> _ConnKey:
         return (local_port, remote_ip.packed, remote_port)
 
-    def _receive(self, packet: Ipv4Packet) -> None:
+    def _receive(self, src: IpAddress, payload: bytes) -> None:
         try:
-            seg = parse_tcp_segment(packet.payload, tcp_flow_sum(packet.dst, packet.src))
+            seg = parse_tcp_segment(payload, tcp_flow_sum(self.host.ip_layer.local_ip, src))
         except (ChecksumError, PacketError):
             self.checksum_drops += 1
             return
         if self.costs.tcp_ns > 0:
-            self.sim.after(self.costs.tcp_ns, self._dispatch, "tcp:rx", args=(packet, seg))
+            self.sim.after(self.costs.tcp_ns, self._dispatch, "tcp:rx", args=(src, seg))
         else:
-            self._dispatch(packet, seg)
+            self._dispatch(src, seg)
 
-    def _dispatch(self, packet: Ipv4Packet, seg: TcpSegment) -> None:
-        conn = self._connections.get(self._key(seg.dst_port, packet.src, seg.src_port))
+    def _dispatch(self, src: IpAddress, seg: TcpSegment) -> None:
+        conn = self._connections.get(self._key(seg.dst_port, src, seg.src_port))
         if conn is not None and conn.state is not TcpState.CLOSED:
             conn.handle_segment(seg)
             return
         listener = self._listeners.get(seg.dst_port)
         if listener is not None and seg.is_syn and not seg.is_ack:
-            listener._incoming_syn(packet, seg)
+            listener._incoming_syn(src, seg)
             return
         self.orphan_segments += 1
         if not seg.is_rst:
-            self._send_reset(packet, seg)
+            self._send_reset(src, seg)
 
-    def _send_reset(self, packet: Ipv4Packet, seg: TcpSegment) -> None:
+    def _send_reset(self, src: IpAddress, seg: TcpSegment) -> None:
         self.resets_sent += 1
         rst_seq = seg.ack if seg.is_ack else 0
         rst = TcpSegment(
@@ -218,5 +225,5 @@ class TcpLayer:
             FLAG_RST | FLAG_ACK,
             0,
         )
-        wire = encode_tcp_segment(rst, tcp_flow_sum(self.host.ip_layer.local_ip, packet.src))
-        self.host.ip_layer.send(packet.src, PROTO_TCP, wire)
+        wire = encode_tcp_segment(rst, tcp_flow_sum(self.host.ip_layer.local_ip, src))
+        self.host.ip_layer.send(src, PROTO_TCP, wire)

@@ -1,5 +1,5 @@
-"""Tests for the Ethernet/IPv4/UDP/TCP reference codec and the header value
-classes — including the exact wire offsets the paper's filter scripts rely
+"""Tests for the Ethernet/IPv4/UDP/TCP reference codec, its IPv4 and UDP
+header classes and TCP's value class — including the exact wire offsets the paper's filter scripts rely
 on (Fig 2): TCP ports at frame offsets 34/36, sequence number at 38, ack
 at 42, flags byte at 47, and the Rether EtherType at offset 12.
 """
@@ -13,9 +13,7 @@ from repro.net import (
     FLAG_ACK,
     FLAG_SYN,
     IpAddress,
-    Ipv4Packet,
     TcpSegment,
-    UdpDatagram,
     flags_to_str,
 )
 from repro.net.bytesutil import read_u16
@@ -23,6 +21,8 @@ from tests.oracles.codec import (
     read_u32,
     verify_checksum,
     EthernetFrame,
+    Ipv4Packet,
+    UdpDatagram,
     build_tcp_frame,
     build_udp_frame,
     ip_from_bytes,

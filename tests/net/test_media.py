@@ -112,7 +112,6 @@ class TestLinkTiming:
         sim.run()
         # 1 transmitting + 2 queued survive; 7 tail-dropped.
         assert len(inbox2) == 3
-        assert sum(tx.drops for tx in link._directions.values()) == 7
 
     def test_third_station_rejected(self, sim):
         link, n1, n2, _, _ = rig_link(sim)
@@ -180,16 +179,18 @@ class TestSwitch:
 
     def test_learning_stops_flooding(self, sim):
         switch, nics, inboxes = self.rig(sim)
+        nics[2].promiscuous = True  # a bystander's inbox shows every flood
         # First frame to an unknown destination floods.
         nics[0].transmit(frame_bytes(M2, M1))
         sim.run()
-        assert switch.flooded_frames == 1
-        # The reply teaches the switch where M1 is; M2 is now known too.
+        assert [len(inbox) for inbox in inboxes] == [0, 1, 1]
+        # The reply teaches the switch where M1 is; M2 is now known too, so
+        # neither the reply nor the next frame reaches the bystander.
         nics[1].transmit(frame_bytes(M1, M2))
         sim.run()
         nics[0].transmit(frame_bytes(M2, M1))
         sim.run()
-        assert switch.forwarded_frames >= 2
+        assert [len(inbox) for inbox in inboxes] == [1, 2, 1]
         learned = {str(MacAddress(mac)): port for mac, port in switch._mac_table.items()}
         assert learned == {M1: 0, M2: 1}
 

@@ -8,8 +8,11 @@ Before the data path kept only the byte-level codec
 through one readable object per layer.  Those readable forms live here:
 
 * :class:`EthernetFrame` and :class:`RllFrame`;
-* the wire form of the stack's value classes, as free functions —
-  ``ip_to_bytes``/``ip_from_bytes``, ``tcp_to_bytes``/``tcp_from_bytes``,
+* :class:`Ipv4Packet` and :class:`UdpDatagram`, the header objects the IP
+  and UDP layers once built per packet (the data path now passes their
+  fields: addresses, ports and payload bytes);
+* the wire form of those classes and of TCP's value class, as free
+  functions — ``ip_to_bytes``/``ip_from_bytes``, ``tcp_to_bytes``/``tcp_from_bytes``,
   ``udp_to_bytes``/``udp_from_bytes`` and the byte-form ``pseudo_header``;
 * the whole-frame builders :func:`build_udp_frame` and :func:`build_tcp_frame`,
   which is how a test writes a frame by hand;
@@ -40,7 +43,7 @@ from repro.net.frame import (
     MAX_PAYLOAD,
 )
 from repro.net.ip import HEADER_LEN as IP_HEADER_LEN
-from repro.net.ip import PROTO_TCP, PROTO_UDP, Ipv4Packet
+from repro.net.ip import PROTO_TCP, PROTO_UDP
 from repro.net.tcp_segment import (
     FLAG_FIN,
     FLAG_RST,
@@ -49,8 +52,6 @@ from repro.net.tcp_segment import (
     flags_to_str,
 )
 from repro.net.tcp_segment import HEADER_LEN as TCP_HEADER_LEN
-from repro.net.udp import HEADER_LEN as UDP_HEADER_LEN
-from repro.net.udp import UdpDatagram
 from repro.rll.frames import KIND_ACK, KIND_DATA, SEQ_MOD, SHIM_LEN
 
 # -- byte helpers --------------------------------------------------------------
@@ -178,6 +179,55 @@ class EthernetFrame:
 # -- IPv4 ----------------------------------------------------------------------
 
 
+class Ipv4Packet:
+    """An IPv4 packet's header fields and payload (fixed-length header)."""
+
+    __slots__ = (
+        "src",
+        "dst",
+        "protocol",
+        "payload",
+        "ttl",
+        "tos",
+        "ident",
+        "dont_fragment",
+    )
+
+    def __init__(
+        self,
+        src: Union[str, bytes, IpAddress],
+        dst: Union[str, bytes, IpAddress],
+        protocol: int,
+        payload: bytes,
+        ttl: int = 64,
+        tos: int = 0,
+        ident: int = 0,
+        dont_fragment: bool = True,
+    ) -> None:
+        self.src = IpAddress(src)
+        self.dst = IpAddress(dst)
+        if not 0 <= protocol <= 0xFF:
+            raise PacketError(f"IP protocol out of range: {protocol}")
+        if not 0 <= ttl <= 0xFF:
+            raise PacketError(f"TTL out of range: {ttl}")
+        if not 0 <= ident <= 0xFFFF:
+            raise PacketError(f"IP ident out of range: {ident}")
+        if not 0 <= tos <= 0xFF:
+            raise PacketError(f"TOS out of range: {tos}")
+        self.protocol = protocol
+        self.payload = bytes(payload)
+        self.ttl = ttl
+        self.tos = tos
+        self.ident = ident
+        self.dont_fragment = dont_fragment
+
+    def __repr__(self) -> str:
+        return (
+            f"Ipv4Packet({self.src} -> {self.dst}, proto={self.protocol}, "
+            f"{len(self.payload)}B payload, ttl={self.ttl})"
+        )
+
+
 def pseudo_header(src: IpAddress, dst: IpAddress, protocol: int, length: int) -> bytes:
     """RFC 793/768 pseudo header for the TCP/UDP checksum."""
     return src.packed + dst.packed + bytes([0, protocol]) + pack_u16(length)
@@ -288,6 +338,28 @@ def tcp_from_bytes(
 
 
 # -- UDP -----------------------------------------------------------------------
+
+UDP_HEADER_LEN = 8
+
+
+class UdpDatagram:
+    """A UDP datagram's ports and payload (RFC 768)."""
+
+    __slots__ = ("src_port", "dst_port", "payload")
+
+    def __init__(self, src_port: int, dst_port: int, payload: bytes) -> None:
+        for name, port in (("src_port", src_port), ("dst_port", dst_port)):
+            if not 0 <= port <= 0xFFFF:
+                raise PacketError(f"UDP {name} out of range: {port}")
+        self.src_port = src_port
+        self.dst_port = dst_port
+        self.payload = bytes(payload)
+
+    def __repr__(self) -> str:
+        return (
+            f"UdpDatagram({self.src_port} -> {self.dst_port}, "
+            f"{len(self.payload)}B payload)"
+        )
 
 
 def udp_to_bytes(dgram: UdpDatagram, src_ip: IpAddress, dst_ip: IpAddress) -> bytes:

@@ -9,7 +9,9 @@ readable codec of :mod:`tests.oracles.codec` — :class:`EthernetFrame`, the
 
 * the IP, UDP and TCP layers differed from production only in which codec
   call they made, so the codec names those modules import are patched with
-  the class-based expressions;
+  the class-based expressions (the IP and UDP arms build the
+  :class:`Ipv4Packet` or :class:`UdpDatagram` and hand the layer its
+  fields, the shape the production codec passes);
 * the RLL kept parsed :class:`EthernetFrame` objects in its windows and
   backlogs, so its five per-frame methods are replaced whole;
 * Rether parsed every token, ack and join into a :class:`RetherMessage`
@@ -34,7 +36,6 @@ from repro.errors import ControlPlaneError, PacketError
 from repro.net.addresses import MacAddress
 from repro.net.bytesutil import read_u16
 from repro.net.frame import ETHERTYPE_IPV4, ETHERTYPE_RETHER, ETHERTYPE_VW_CONTROL
-from repro.net.ip import Ipv4Packet
 from repro.rll.frames import KIND_ACK, KIND_DATA, seq_add, seq_diff
 from repro.rether import layer as rether_layer
 from repro.rether.layer import RetherLayer
@@ -44,7 +45,9 @@ from repro.stack import ipstack, udp_stack
 from repro.tcp import layer as tcp_layer
 from tests.oracles.codec import (
     EthernetFrame,
+    Ipv4Packet,
     RllFrame,
+    UdpDatagram,
     ip_from_bytes,
     ip_to_bytes,
     pack_u16,
@@ -70,15 +73,17 @@ def _encode_ipv4_frame(dst_mac, src_mac, src_ip, dst_ip, protocol, ident, payloa
 
 
 def _parse_ipv4_frame(frame_bytes):
-    return ip_from_bytes(frame_bytes[14:], verify=True)
+    packet = ip_from_bytes(frame_bytes[14:], verify=True)
+    return packet.src, packet.dst, packet.protocol, packet.payload
 
 
-def _encode_udp_datagram(datagram, src_ip, dst_ip):
-    return udp_to_bytes(datagram, src_ip, dst_ip)
+def _encode_udp_datagram(src_port, dst_port, payload, src_ip, dst_ip):
+    return udp_to_bytes(UdpDatagram(src_port, dst_port, payload), src_ip, dst_ip)
 
 
 def _parse_udp_datagram(data, src_ip, dst_ip):
-    return udp_from_bytes(data, src_ip, dst_ip, verify=True)
+    datagram = udp_from_bytes(data, src_ip, dst_ip, verify=True)
+    return datagram.src_port, datagram.dst_port, datagram.payload
 
 
 def _tcp_flow_sum(local_ip, remote_ip):

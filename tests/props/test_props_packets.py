@@ -6,14 +6,14 @@ from hypothesis import strategies as st
 
 from repro.net import (
     IpAddress,
-    Ipv4Packet,
     MacAddress,
     TcpSegment,
-    UdpDatagram,
 )
 from tests.oracles.codec import (
     internet_checksum,
     EthernetFrame,
+    Ipv4Packet,
+    UdpDatagram,
     ip_from_bytes,
     ip_to_bytes,
     tcp_from_bytes,

@@ -58,7 +58,7 @@ class TestIpLayer:
     def test_duplicate_protocol_registration_rejected(self, sim):
         _, h1, _ = make_two_hosts(sim, costs=FREE)
         with pytest.raises(StackError):
-            h1.ip_layer.register_protocol(17, lambda p: None)  # UDP owns 17
+            h1.ip_layer.register_protocol(17, lambda src, payload: None)  # UDP owns 17
 
     def test_ip_cost_charged(self):
         from repro.sim import Simulator
@@ -103,6 +103,24 @@ class TestUdpSockets:
         sock.close()
         with pytest.raises(SocketError):
             sock.sendto(b"x", h2.ip, 9)
+
+    @pytest.mark.parametrize("port", [70000, 0x10000, -1])
+    def test_out_of_range_bind_refused(self, sim, port):
+        """No datagram could ever reach such a port: the bind is refused and
+        leaves nothing bound."""
+        _, h1, _ = make_two_hosts(sim, costs=FREE)
+        with pytest.raises(SocketError):
+            h1.udp.bind(port)
+        assert h1.udp._sockets == {}
+
+    @pytest.mark.parametrize("port", [70000, -1])
+    def test_out_of_range_destination_refused_before_sending(self, sim, port):
+        _, h1, h2 = make_two_hosts(sim, costs=FREE)
+        sock = h1.udp.bind(0)
+        with pytest.raises(SocketError):
+            sock.sendto(b"x", h2.ip, port)
+        assert sock.tx_datagrams == 0
+        assert h1.ip_layer.tx_packets == 0
 
     def test_ephemeral_ports_unique(self, sim):
         _, h1, _ = make_two_hosts(sim, costs=FREE)

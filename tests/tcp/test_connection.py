@@ -6,7 +6,7 @@ tests cover TCP recovery behaviour without depending on the engine.
 
 import pytest
 
-from repro.errors import TcpError
+from repro.errors import SocketError, TcpError
 from repro.net.packet import FrameView
 from repro.sim import Simulator, ms, seconds
 from repro.stack import FREE
@@ -254,6 +254,28 @@ class TestLayerBehaviour:
         sim.run_until(seconds(2))
         assert resets == [True]
         assert conn.state is TcpState.CLOSED
+
+    @pytest.mark.parametrize("port", [70000, -5, 0])
+    def test_out_of_range_listen_refused(self, sim, port):
+        _, h1, _ = make_two_hosts(sim, costs=FREE)
+        with pytest.raises(SocketError):
+            h1.tcp.listen(port)
+        assert h1.tcp._listeners == {}
+
+    @pytest.mark.parametrize(
+        "remote_port, local_port", [(70000, 0), (-1, 0), (80, 70000), (80, -3)]
+    )
+    def test_out_of_range_connect_leaves_no_state(self, sim, remote_port, local_port):
+        """A bad port is refused before a connection, an ephemeral port or a
+        SYN exists: the demux table stays empty."""
+        _, h1, h2 = make_two_hosts(sim, costs=FREE)
+        next_ephemeral = h1.tcp._next_ephemeral
+        with pytest.raises(SocketError):
+            h1.tcp.connect(h2.ip, remote_port, local_port=local_port)
+        assert h1.tcp.connections() == []
+        assert h1.tcp._next_ephemeral == next_ephemeral
+        sim.run()
+        assert h1.ip_layer.tx_packets == 0
 
     def test_connection_table_cleanup(self, sim):
         _, h1, h2 = make_two_hosts(sim, costs=FREE)

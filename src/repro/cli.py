@@ -527,8 +527,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-dir",
         default=None,
         metavar="DIR",
-        help="content-addressed result cache: clean cells replay from DIR, "
-        "only dirty cells execute",
+        help="result cache, a directory of campaign journals (a --journal is "
+        "linked there): clean cells replay from DIR, only dirty cells execute",
     )
     sweep.add_argument(
         "--task-timeout",

@@ -1,23 +1,29 @@
-"""Incremental result cache: content-addressed campaign rows.
+"""Incremental result cache: a directory of campaign journals.
 
 Re-running a 10k-cell grid after editing one scenario should re-execute
-one cell, not 10k.  :class:`ResultCache` stores each completed ``OK`` row
+one cell, not 10k.  :class:`ResultCache` serves each completed ``OK`` row
 under its cell's :func:`~repro.sweep.spec.task_fingerprint` — the SHA-256
 of the cell's canonical JSON (task fn name, knobs with the script text
 byte for byte, seed, cell identity) — so a warm re-run serves every clean
-cell from disk and executes exactly the dirty ones.  Cached rows re-enter the deterministic
-task-order merge untouched: a warm outcome's ``canonical_bytes()`` is
-byte-identical to a cold full run (asserted in
-``tests/sweep/test_cache.py``).
+cell from disk and executes exactly the dirty ones.  Cached rows re-enter
+the deterministic task-order merge untouched: a warm outcome's
+``canonical_bytes()`` is byte-identical to a cold full run.
 
-Policy:
+The directory holds campaign journals (:mod:`repro.sweep.journal`), the
+one on-disk row format: every ``*.journal`` in it — the cache's own, or
+a link to a campaign's ``--journal`` — is replayed once, when the cache
+is opened.  Policy:
 
-* only ``OK`` rows are cached.  ``FAILED`` rows may be environmental
+* only ``OK`` rows are served.  ``FAILED`` rows may be environmental
   (dead worker, resource exhaustion) and ``TIMEOUT`` rows are a property
   of the machine's wall clock — both must re-execute on the next run;
-* entries are CRC-checked journal-style records written atomically
-  (temp file + ``os.replace``), so a crash mid-write can never serve a
-  torn row; a corrupt entry is treated as a miss and deleted;
+* a journal serves what resume replays from it — its last row per task
+  index — and a torn tail loses only the torn row; a journal that does
+  not replay (unreadable, a dangling link, corrupt mid-file) serves
+  nothing, so its cells are misses.  Nothing in DIR is ever deleted;
+* rows this process adds go to its own journal, created on the first
+  :meth:`ResultCache.put` under a unique name, so concurrent campaigns
+  never share a file;
 * the store is content-addressed and append-only by nature — no
   invalidation protocol.  Editing a script — reformatting included,
   since FLAG_ERROR reports script lines — changes the fingerprint, which
@@ -26,95 +32,82 @@ Policy:
 
 from __future__ import annotations
 
+import dataclasses
+import glob
+import hashlib
 import os
 import tempfile
-from typing import Optional
+from typing import Dict, Optional
 
-from .journal import JournalError, decode_record, encode_record
-from .spec import SweepResult, SweepTask, task_fingerprint
+from .journal import JournalWriter, read_journal
+from .spec import SweepError, SweepResult, SweepTask
 
 
 class ResultCache:
-    """A directory of content-addressed campaign rows."""
+    """A directory of campaign journals, read once into
+    ``{fingerprint: row}``."""
 
     def __init__(self, root: str) -> None:
         self.root = os.path.abspath(root)
         os.makedirs(self.root, exist_ok=True)
         self.hits = 0
         self.misses = 0
-        self.stores = 0
+        self._rows: Dict[str, SweepResult] = {}
+        self._writer: Optional[JournalWriter] = None
+        for path in sorted(glob.glob(os.path.join(glob.escape(self.root), "*.journal"))):
+            try:
+                state = read_journal(path)
+            except (OSError, SweepError):
+                continue  # JournalError is a SweepError: corrupt mid-file
+            for fingerprint, row in state.rows.values():
+                if row.ok:
+                    self._rows[fingerprint] = row
 
-    def _entry_path(self, key: str) -> str:
-        # Two-level fan-out keeps directories small at 10k-cell scale.
-        return os.path.join(self.root, key[:2], key + ".json")
-
-    # ------------------------------------------------------------------
-    # Lookup / store
-    # ------------------------------------------------------------------
-
-    def get(
-        self, task: SweepTask, fingerprint: Optional[str] = None
-    ) -> Optional[SweepResult]:
-        """The cached row for *task*, or ``None``.
+    def get(self, task: SweepTask, fingerprint: str) -> Optional[SweepResult]:
+        """A copy of the stored row for *task*, or ``None``.
 
         A hit is returned with ``cached=True`` and the task's own
         ``index``/``name``/``seed`` (they are part of the key, so they
         always match — this is a belt-and-braces normalisation).
         """
-        key = fingerprint if fingerprint is not None else task_fingerprint(task)
-        path = self._entry_path(key)
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                record = decode_record(handle.read().strip())
-            row = SweepResult.from_record(record)
-        except FileNotFoundError:
-            self.misses += 1
-            return None
-        except (JournalError, OSError):
-            # Torn or corrupt entry: drop it and re-execute the cell.
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
+        row = self._rows.get(fingerprint)
+        if row is None:
             self.misses += 1
             return None
         self.hits += 1
-        row.index, row.name, row.seed = task.index, task.name, task.seed
-        row.cached = True
-        return row
-
-    def put(
-        self,
-        task: SweepTask,
-        row: SweepResult,
-        fingerprint: Optional[str] = None,
-    ) -> bool:
-        """Store *row* under *task*'s fingerprint; returns whether it was
-        cached (only ``OK`` rows are)."""
-        if row.status != SweepResult.OK:
-            return False
-        key = fingerprint if fingerprint is not None else task_fingerprint(task)
-        path = self._entry_path(key)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        record = row.to_record()
-        record["cached"] = False  # a replayed hit sets its own flag
-        descriptor, temp_path = tempfile.mkstemp(
-            dir=os.path.dirname(path), suffix=".tmp"
+        return dataclasses.replace(
+            row, index=task.index, name=task.name, seed=task.seed, cached=True
         )
-        try:
-            with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
-                handle.write(encode_record(record) + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(temp_path, path)
-        except OSError:
-            try:
-                os.unlink(temp_path)
-            except OSError:
-                pass
+
+    def put(self, task: SweepTask, row: SweepResult, fingerprint: str) -> bool:
+        """Append *row* to this cache's journal under *fingerprint*;
+        returns whether it was cached (only ``OK`` rows are)."""
+        if not row.ok:
             return False
-        self.stores += 1
+        if self._writer is None:
+            descriptor, path = tempfile.mkstemp(dir=self.root, suffix=".journal")
+            os.close(descriptor)
+            self._writer = JournalWriter(path)
+        self._writer.write_row(row, fingerprint)
+        self._rows[fingerprint] = row
         return True
+
+    def link(self, journal: str) -> None:
+        """Serve *journal*'s rows to later runs: a link in the directory,
+        named by a hash of the journal's absolute path, so a resume finds
+        its link already there.  A journal read from here gets none."""
+        path = os.path.abspath(journal)
+        if os.path.dirname(path) == self.root and path.endswith(".journal"):
+            return
+        name = hashlib.sha256(path.encode("utf-8")).hexdigest()[:16] + ".journal"
+        try:
+            os.symlink(path, os.path.join(self.root, name))
+        except FileExistsError:
+            pass
+
+    def close(self) -> None:
+        if self._writer is not None:
+            self._writer.close()
 
 
 __all__ = ["ResultCache"]

@@ -516,13 +516,15 @@ def run_sweep(
 
     *journal* appends every completed row (CRC-checked, fsync'd) to a
     JSONL file; *resume* replays an existing journal at that path first
-    and executes only the missing cells.  *cache_dir* consults a
-    content-addressed result cache before executing each cell and stores
-    every fresh ``OK`` row.  *task_timeout* arms a per-task wall-clock
-    deadline: a task that overruns it runs once more, 50 ms later, and
-    overrunning again lands as a deterministic ``TIMEOUT`` row.  Replayed
-    and cached rows re-enter the task-order merge unchanged, so a resumed or warm-cache outcome's canonical bytes are
-    identical to a cold uninterrupted run's.
+    and executes only the missing cells.  *cache_dir* is a directory of
+    campaign journals (:mod:`repro.sweep.cache`) whose ``OK`` rows serve
+    matching cells before anything executes; fresh rows go to *journal*,
+    which gets a link in *cache_dir*, or else to the cache's own journal
+    there.  *task_timeout* arms a per-task wall-clock deadline: a task
+    that overruns it runs once more, 50 ms later, and overrunning again
+    lands as a deterministic ``TIMEOUT`` row.  Replayed and cached rows
+    re-enter the task-order merge unchanged, so a resumed or warm-cache
+    outcome's canonical bytes are identical to a cold uninterrupted run's.
     """
     # Consulted even when backend= is explicit: a stale REPRO_SWEEP_* name
     # is refused on every campaign, not only where a default is needed.
@@ -605,6 +607,8 @@ def run_sweep(
         from .cache import ResultCache
 
         cache = ResultCache(cache_dir)
+        if journal is not None:
+            cache.link(journal)
         still_pending: List[SweepTask] = []
         for task in pending:
             hit = cache.get(task, fingerprints[task.index])
@@ -625,7 +629,7 @@ def run_sweep(
     def on_row(row: SweepResult) -> None:
         if writer is not None:
             writer.write_row(row, fingerprints[row.index])
-        if cache is not None and not row.cached:
+        elif cache is not None:
             cache.put(tasks_by_index[row.index], row, fingerprints[row.index])
 
     context = ExecutorContext(
@@ -653,6 +657,8 @@ def run_sweep(
             aborted=ran.aborted, interrupted=ran.interrupted, rows=len(rows)
         )
         writer.close()
+    if cache is not None:
+        cache.close()
     return SweepOutcome(
         spec_name=meta["name"],
         base_seed=meta["base_seed"],

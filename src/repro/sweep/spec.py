@@ -156,7 +156,7 @@ class SweepResult:
         }
 
     def to_record(self) -> Dict[str, Any]:
-        """The full on-disk projection (journal rows, cache entries):
+        """The full on-disk projection (journal rows, the cache's too):
         canonical fields plus the real-world accounting, so a replayed row
         reconstructs exactly."""
         record = self.canonical()
@@ -386,19 +386,20 @@ class SweepSpec:
 def coerce_jsonable(value: Any, path: str = "payload") -> Any:
     """Normalise a task payload or param into canonical-JSON-able builtins.
 
-    Tuples become lists, enums their values, mappings are key-sorted (the
-    order a canonical JSON round trip leaves them in); anything else
-    non-builtin is rejected so nondeterministic reprs can never leak into
-    the canonical merge or a cell's encoding.
+    Tuples become lists, enums their values, subclasses of int, str and
+    float the exact builtin, mappings are key-sorted (all as a canonical
+    JSON round trip leaves them); anything else non-builtin is rejected so
+    nondeterministic reprs never leak into the merge or a cell's encoding.
     """
-    if value is None or isinstance(value, (bool, int, str)):
+    if value is None or type(value) in (bool, int, str):
         return value
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise SweepError(f"{path}: non-finite float {value!r} is not JSON")
-        return value
-    if isinstance(value, enum.Enum):
+    if isinstance(value, enum.Enum):  # an IntEnum is an int, a (str, Enum) a str
         return coerce_jsonable(value.value, path)
+    if isinstance(value, float) and not math.isfinite(value):
+        raise SweepError(f"{path}: non-finite float {value!r} is not JSON")
+    for builtin in (int, str, float):  # a subclass as the builtin JSON decodes
+        if isinstance(value, builtin):
+            return builtin(value)
     if isinstance(value, (list, tuple)):
         return [coerce_jsonable(v, f"{path}[{i}]") for i, v in enumerate(value)]
     if isinstance(value, Mapping):

@@ -5,12 +5,14 @@ import json
 import os
 import subprocess
 import sys
+import threading
 
 import pytest
 
 from repro.scripts import canonical_node_table, tcp_congestion_script
 from repro.sweep import (
     ResultCache,
+    SweepError,
     SweepResult,
     SweepSpec,
     run_script_task,
@@ -38,10 +40,28 @@ def _raising_task(task):
     raise ValueError("boom")
 
 
+#: Set by the concurrency test: each cell of two campaigns waits for its
+#: twin in the other, so both append to one directory at once.
+_RENDEZVOUS = None
+
+
+def _rendezvous_task(task):
+    _RENDEZVOUS.wait()
+    return {"campaign": task.param("campaign"), "index": task.index, "passed": True}
+
+
 def _executions(probe) -> int:
     if not os.path.exists(probe):
         return 0
     return len(open(probe, encoding="utf-8").read().splitlines())
+
+
+def _journals(directory):
+    return sorted(path for path in directory.iterdir() if path.name.endswith(".journal"))
+
+
+def _links(directory):
+    return [path for path in _journals(directory) if path.is_symlink()]
 
 
 def _grid(probe, total=6, knobs=None):
@@ -134,16 +154,23 @@ class TestResultCache:
     def test_miss_then_hit(self, tmp_path):
         cache = ResultCache(str(tmp_path / "cache"))
         task = _grid(tmp_path / "p").tasks()[0]
-        assert cache.get(task) is None
+        fingerprint = task_fingerprint(task)
+        assert cache.get(task, fingerprint) is None
         row = SweepResult(
             index=task.index, name=task.name, seed=task.seed,
             status=SweepResult.OK, payload={"passed": True},
         )
-        assert cache.put(task, row)
-        hit = cache.get(task)
-        assert hit is not None and hit.cached
+        assert cache.put(task, row, fingerprint)
+        hit = cache.get(task, fingerprint)
+        assert hit is not None and hit.cached and not row.cached
         assert hit.canonical() == row.canonical()
-        assert cache.hits == 1 and cache.misses == 1 and cache.stores == 1
+        assert cache.hits == 1 and cache.misses == 1
+        cache.close()
+        # Stored durably, in one journal: a second cache over the
+        # directory serves the row.
+        assert len(_journals(tmp_path / "cache")) == 1
+        again = ResultCache(str(tmp_path / "cache"))
+        assert again.get(task, fingerprint).canonical() == row.canonical()
 
     @pytest.mark.parametrize("status", [SweepResult.FAILED, SweepResult.TIMEOUT])
     def test_non_ok_rows_are_not_cached(self, tmp_path, status):
@@ -153,22 +180,42 @@ class TestResultCache:
             index=task.index, name=task.name, seed=task.seed,
             status=status, error="nope",
         )
-        assert not cache.put(task, row)
-        assert cache.get(task) is None
+        assert not cache.put(task, row, task_fingerprint(task))
+        assert cache.get(task, task_fingerprint(task)) is None
 
-    def test_corrupt_entry_is_a_miss_and_deleted(self, tmp_path):
-        cache = ResultCache(str(tmp_path / "cache"))
-        task = _grid(tmp_path / "p").tasks()[0]
-        row = SweepResult(
-            index=task.index, name=task.name, seed=task.seed,
-            status=SweepResult.OK, payload={},
-        )
-        cache.put(task, row)
-        path = cache._entry_path(task_fingerprint(task))
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write('{"half a reco')
-        assert cache.get(task) is None
-        assert not os.path.exists(path)
+    def test_a_corrupt_record_mid_journal_serves_nothing_from_it(self, tmp_path):
+        """A journal that does not replay is skipped whole: its cells
+        re-execute, the run completes, and the file stays where it is."""
+        probe, cache_dir = tmp_path / "probe", tmp_path / "cache"
+        cold = run_sweep(_grid(probe), backend="serial", cache_dir=str(cache_dir))
+        (journal,) = _journals(cache_dir)
+        lines = journal.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[2] = lines[2].replace('"passed":true', '"passed":false')
+        journal.write_text("".join(lines), encoding="utf-8")
+        warm = run_sweep(_grid(probe), backend="serial", cache_dir=str(cache_dir))
+        assert warm.cached_rows == 0 and _executions(probe) == 12
+        assert warm.canonical_bytes() == cold.canonical_bytes()
+        assert journal.exists()
+
+    def test_a_torn_tail_serves_every_row_before_the_tear(self, tmp_path):
+        probe, cache_dir = tmp_path / "probe", tmp_path / "cache"
+        cold = run_sweep(_grid(probe), backend="serial", cache_dir=str(cache_dir))
+        (journal,) = _journals(cache_dir)
+        content = journal.read_bytes()
+        journal.write_bytes(content[: content.rindex(b"\n", 0, -1) + 20])
+        warm = run_sweep(_grid(probe), backend="serial", cache_dir=str(cache_dir))
+        assert warm.cached_rows == 5 and _executions(probe) == 7
+        assert not warm.rows[5].cached
+        assert warm.canonical_bytes() == cold.canonical_bytes()
+
+    def test_a_dangling_link_is_skipped(self, tmp_path):
+        probe, cache_dir = tmp_path / "probe", tmp_path / "cache"
+        run_sweep(_grid(probe), backend="serial", cache_dir=str(cache_dir))
+        dangling = cache_dir / "gone.journal"
+        os.symlink(str(tmp_path / "deleted.jsonl"), str(dangling))
+        warm = run_sweep(_grid(probe), backend="serial", cache_dir=str(cache_dir))
+        assert warm.cached_rows == 6 and _executions(probe) == 6
+        assert os.path.islink(dangling)
 
 
 class TestWarmRuns:
@@ -228,3 +275,87 @@ class TestWarmRuns:
         second = run_sweep(spec, backend="serial", cache_dir=cache_dir)
         assert second.cached_rows == 0  # FAILED rows are never cached
         assert not second.rows[0].cached
+
+
+class TestOneStore:
+    """The cache directory is journals and links to journals: a campaign
+    journal given with ``--journal`` serves later runs through its link."""
+
+    def test_a_journaled_run_fills_the_cache_for_a_cache_only_run(self, tmp_path):
+        probe, cache_dir = tmp_path / "probe", tmp_path / "cache"
+        journal = tmp_path / "runs" / "cold.jsonl"
+        cold = run_sweep(
+            _grid(probe), backend="serial", journal=str(journal), cache_dir=str(cache_dir)
+        )
+        (link,) = _journals(cache_dir)
+        assert link.is_symlink() and os.readlink(link) == str(journal)
+        warm = run_sweep(_grid(probe), backend="serial", cache_dir=str(cache_dir))
+        assert warm.cached_rows == 6 and _executions(probe) == 6
+        assert warm.canonical_bytes() == cold.canonical_bytes()
+        assert _journals(cache_dir) == [link]  # every hit; nothing written
+
+    def test_a_journal_inside_the_cache_dir_gets_no_link(self, tmp_path):
+        probe, cache_dir = tmp_path / "probe", tmp_path / "cache"
+        journal = cache_dir / "own.journal"
+        run_sweep(_grid(probe), backend="serial", journal=str(journal), cache_dir=str(cache_dir))
+        assert _journals(cache_dir) == [journal] and not _links(cache_dir)
+        warm = run_sweep(_grid(probe), backend="serial", cache_dir=str(cache_dir))
+        assert warm.cached_rows == 6
+
+    def test_two_campaigns_writing_one_dir_at_once_both_land(self, tmp_path):
+        global _RENDEZVOUS
+        _RENDEZVOUS = threading.Barrier(2, timeout=30)
+        cache_dir = str(tmp_path / "cache")
+        specs = []
+        for campaign in ("a", "b"):
+            spec = SweepSpec(f"together-{campaign}", base_seed=5)
+            spec.add_grid(_rendezvous_task, axes={"cell": [0, 1, 2]}, campaign=campaign)
+            specs.append(spec)
+        outcomes = {}
+
+        def campaign(spec):
+            outcomes[spec.name] = run_sweep(spec, backend="serial", cache_dir=cache_dir)
+
+        threads = [threading.Thread(target=campaign, args=(spec,)) for spec in specs]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+        assert sorted(outcomes) == ["together-a", "together-b"]
+        assert all(outcome.passed for outcome in outcomes.values())
+        assert len(_journals(tmp_path / "cache")) == 2  # one file per writer
+        _RENDEZVOUS = None  # a third run executes nothing
+        for spec in specs:
+            third = run_sweep(spec, backend="serial", cache_dir=cache_dir)
+            assert third.cached_rows == 3
+            assert third.canonical_bytes() == outcomes[spec.name].canonical_bytes()
+
+    def test_a_resume_adds_no_second_link(self, tmp_path):
+        probe, cache_dir = tmp_path / "probe", tmp_path / "cache"
+        journal = str(tmp_path / "j.jsonl")
+        first = run_sweep(
+            _grid(probe, total=3), backend="serial", journal=journal, cache_dir=str(cache_dir)
+        )
+        grown = _grid(probe, total=6)
+        resumed = run_sweep(
+            grown, backend="serial", journal=journal, resume=True, cache_dir=str(cache_dir)
+        )
+        assert (first.cached_rows, resumed.resumed, _executions(probe)) == (0, 3, 6)
+        assert len(_links(cache_dir)) == 1 and _journals(cache_dir) == _links(cache_dir)
+        warm = run_sweep(grown, backend="serial", cache_dir=str(cache_dir))
+        assert warm.cached_rows == 6 and _executions(probe) == 6
+
+    def test_a_refused_run_leaves_the_dir_as_it_was(self, tmp_path):
+        probe, cache_dir = tmp_path / "probe", tmp_path / "cache"
+        journal = str(tmp_path / "j.jsonl")
+        run_sweep(_grid(probe), backend="serial", journal=journal)
+        run_sweep(_grid(probe), backend="serial", cache_dir=str(cache_dir))
+        before = _journals(cache_dir)
+        with pytest.raises(SweepError, match="already exists"):
+            run_sweep(_grid(probe), backend="serial", journal=journal, cache_dir=str(cache_dir))
+        other = SweepSpec("another", base_seed=7).add("cell0", _probe_task, probe=str(probe))
+        with pytest.raises(SweepError, match="refusing to mix"):
+            run_sweep(
+                other, backend="serial", journal=journal, resume=True, cache_dir=str(cache_dir)
+            )
+        assert _journals(cache_dir) == before and not _links(cache_dir)

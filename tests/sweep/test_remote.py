@@ -632,6 +632,36 @@ class TestLoopbackDifferential:
         assert cached.cached_rows == 5
         assert cached.canonical_bytes() == first.canonical_bytes()
 
+    @pytest.mark.parametrize("backend", ["serial", "parallel", "tcp"])
+    def test_cold_warm_resumed_and_resumed_warm_bytes_agree(self, fleet, tmp_path, backend):
+        """One store on every backend: a journaled run fills the cache
+        through its link, a warm run serves it, and a journal cut after
+        two rows resumes — with and without the cache — to the bytes of
+        the uninterrupted cold run."""
+        spec = SweepSpec("one-store", base_seed=4)
+        for i in range(5):
+            spec.add(f"t{i}", ok_task)
+        dial = {"hosts": fleet} if backend == "tcp" else {}
+        cache, journal = str(tmp_path / "cache"), tmp_path / "cold.jsonl"
+
+        def run(**durable):
+            return run_sweep(spec, backend=backend, **dial, **durable)
+
+        cold = run()
+        filled = run(journal=str(journal), cache_dir=cache)
+        warm = run(cache_dir=cache)
+        header_and_two_rows = journal.read_text().splitlines(keepends=True)[:3]
+        cut = [tmp_path / "cut.jsonl", tmp_path / "cut-warm.jsonl"]
+        for path in cut:
+            path.write_text("".join(header_and_two_rows))
+        resumed = run(journal=str(cut[0]), resume=True)
+        resumed_warm = run(journal=str(cut[1]), resume=True, cache_dir=cache)
+        assert (filled.cached_rows, warm.cached_rows) == (0, 5)
+        assert (resumed.resumed, resumed.cached_rows) == (2, 0)
+        assert (resumed_warm.resumed, resumed_warm.cached_rows) == (2, 3)
+        outcomes = [filled, warm, resumed, resumed_warm]
+        assert [o.canonical_bytes() for o in outcomes] == [cold.canonical_bytes()] * 4
+
 
 # ---------------------------------------------------------------------------
 # Fleet configuration

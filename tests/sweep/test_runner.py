@@ -1,5 +1,6 @@
 """Backend tests: the serial/parallel differential and crash isolation."""
 
+import enum
 import multiprocessing
 import os
 import signal
@@ -32,6 +33,24 @@ from tests.sweep.conftest import row_named
 
 def _ok_task(task):
     return {"index": task.index, "seed": task.seed}
+
+
+class _Mode(str, enum.Enum):
+    X = "x"
+
+
+class _Level(enum.IntEnum):
+    HIGH = 3
+
+
+class _Ratio(float):
+    pass
+
+
+def _typed_params_task(task):
+    """Each param as the cell sees it: the value, and its text and type."""
+    shown = {key: f"{value}/{type(value).__name__}" for key, value in task.params.items()}
+    return {"values": dict(task.params), "shown": shown}
 
 
 def _raising_task(task):
@@ -169,6 +188,26 @@ class TestDifferential:
         spec = SweepSpec("seeds", base_seed=21).add("a", _ok_task)
         outcome = run_sweep(spec, backend="serial")
         assert outcome.rows[0].payload["seed"] == outcome.rows[0].seed
+
+    def test_enum_and_builtin_subclass_params_are_exact_builtins_on_both(self):
+        """A (str, Enum) member, an IntEnum and a float subclass reach the
+        cell as the exact str, int and float a JSON round trip gives: serial
+        used to hand over the objects themselves, parallel their decoded
+        values, under one fingerprint (so the cache mixed the two)."""
+        spec = SweepSpec("typed", base_seed=3)
+        spec.add_grid(
+            _typed_params_task, axes={"cell": [0]}, m=_Mode.X, n=_Level.HIGH, r=_Ratio(0.5)
+        )
+        serial = run_sweep(spec, backend="serial")
+        parallel = run_sweep(spec, backend="parallel", workers=2)
+        assert serial.canonical_bytes() == parallel.canonical_bytes()
+        for outcome in (serial, parallel):
+            payload = outcome.rows[0].payload
+            assert payload["shown"] == {
+                "cell": "0/int", "m": "x/str", "n": "3/int", "r": "0.5/float"
+            }
+            values = payload["values"]
+            assert (type(values["m"]), type(values["n"]), type(values["r"])) == (str, int, float)
 
 
 class TestCanonicalPayload:

@@ -219,6 +219,17 @@ class TestCoerceJsonable:
     def test_tuples_and_enums_normalise(self):
         assert coerce_jsonable((1, _Colour.RED)) == [1, "red"]
 
+    def test_enums_and_builtin_subclasses_become_exact_builtins(self):
+        class Mode(str, enum.Enum):
+            X = "x"
+
+        class Ratio(float):
+            pass
+
+        coerced = coerce_jsonable([Mode.X, enum.IntEnum("Level", "HIGH").HIGH, Ratio(0.5)])
+        assert coerced == ["x", 1, 0.5]
+        assert [type(value) for value in coerced] == [str, int, float]
+
     def test_non_builtin_rejected_with_path(self):
         with pytest.raises(SweepError, match=r"payload\.a\[1\]"):
             coerce_jsonable({"a": [0, object()]})

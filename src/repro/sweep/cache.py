@@ -17,9 +17,10 @@ is opened.  Policy:
 * only ``OK`` rows are served.  ``FAILED`` rows may be environmental
   (dead worker, resource exhaustion) and ``TIMEOUT`` rows are a property
   of the machine's wall clock — both must re-execute on the next run;
-* a journal serves what resume replays from it — its last row per task
-  index — and a torn tail loses only the torn row; a journal that does
-  not replay (unreadable, a dangling link, corrupt mid-file) serves
+* a journal serves every ``OK`` row it holds, keyed by its fingerprint
+  (resume replays only the last row per task index; the cache has no
+  such rule), and a torn tail loses only the torn row; a journal that
+  does not replay (unreadable, a dangling link, corrupt mid-file) serves
   nothing, so its cells are misses.  Nothing in DIR is ever deleted;
 * rows this process adds go to its own journal, created on the first
   :meth:`ResultCache.put` under a unique name, so concurrent campaigns
@@ -59,7 +60,7 @@ class ResultCache:
                 state = read_journal(path)
             except (OSError, SweepError):
                 continue  # JournalError is a SweepError: corrupt mid-file
-            for fingerprint, row in state.rows.values():
+            for fingerprint, row in state.history:
                 if row.ok:
                     self._rows[fingerprint] = row
 

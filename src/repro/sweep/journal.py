@@ -89,6 +89,9 @@ class JournalState:
     meta: Optional[Dict[str, Any]] = None
     #: latest journaled row per task index, with its fingerprint.
     rows: Dict[int, Tuple[str, SweepResult]] = field(default_factory=dict)
+    #: every journaled row in file order, with its fingerprint: what the
+    #: result cache serves, where resume needs only ``rows``.
+    history: List[Tuple[str, SweepResult]] = field(default_factory=list)
     #: an ``end`` record was seen (the previous run exited cleanly, even
     #: if aborted); its payload is kept for tooling.
     end: Optional[Dict[str, Any]] = None
@@ -132,7 +135,9 @@ def read_journal(path: str) -> JournalState:
                 state.meta = record
         elif kind == "row":
             row = SweepResult.from_record(record)
-            state.rows[row.index] = (str(record.get("fingerprint", "")), row)
+            entry = (str(record.get("fingerprint", "")), row)
+            state.rows[row.index] = entry
+            state.history.append(entry)
         elif kind == "resume":
             state.resumes += 1
             state.end = None  # the campaign is open again

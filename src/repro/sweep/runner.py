@@ -38,6 +38,7 @@ journal is already flushed per-row, and the outcome truthfully reports
 
 from __future__ import annotations
 
+import gc
 import os
 import signal
 import threading
@@ -315,48 +316,67 @@ def execute_task(task: SweepTask, task_timeout: Optional[float] = None) -> Sweep
     abort): exceptions become deterministic ``FAILED`` rows, and a task
     that overruns *task_timeout* seconds — again on its one retry,
     :data:`TIMEOUT_PAUSE_S` later — a deterministic ``TIMEOUT`` row,
-    identical under every backend."""
-    started = time.perf_counter()
-    attempts = 0
-    while True:
-        attempts += 1
-        try:
-            with _deadline(task_timeout):
-                payload = task.fn(task)
-            if payload is None:
+    identical under every backend.
+
+    The cell gives its memory back when it ends.  A testbed is a web of
+    reference cycles (host and layer back-references, timers bound to
+    their owners, the NIC and its driver), so it outlives the cell until
+    the cyclic collector next runs.  Every backend runs its cells through
+    here, so the collector is scoped to the cell here: ``gc.freeze()``
+    parks everything that existed before it, and ``gc.collect()`` after
+    it — on every exit, ``KeyboardInterrupt`` included — walks only what
+    the cell allocated and frees its testbed.  ``gc.unfreeze()`` then
+    moves the parked heap to the oldest generation, so a caller that had
+    frozen its own heap finds it unfrozen after its first cell.
+    Concurrent campaigns in two threads interleave their freezes, which
+    only delays when one cell's garbage is freed.
+    """
+    gc.freeze()
+    try:
+        started = time.perf_counter()
+        attempts = 0
+        while True:
+            attempts += 1
+            try:
+                with _deadline(task_timeout):
+                    payload = task.fn(task)
+                if payload is None:
+                    payload = {}
+                payload = coerce_jsonable(dict(payload))
+                status, error, detail = SweepResult.OK, "", ""
+                break
+            except TaskDeadlineExceeded:
+                if attempts <= TIMEOUT_RETRIES:
+                    time.sleep(TIMEOUT_PAUSE_S)
+                    continue
                 payload = {}
-            payload = coerce_jsonable(dict(payload))
-            status, error, detail = SweepResult.OK, "", ""
-            break
-        except TaskDeadlineExceeded:
-            if attempts <= TIMEOUT_RETRIES:
-                time.sleep(TIMEOUT_PAUSE_S)
-                continue
-            payload = {}
-            status = SweepResult.TIMEOUT
-            error = timeout_error(task_timeout)
-            detail = (
-                f"task {task.index} ({task.name!r}) hit its {task_timeout:g}s "
-                f"deadline on all {attempts} attempts ({TIMEOUT_PAUSE_S:g}s apart)"
-            )
-            break
-        except Exception as exc:  # noqa: BLE001 — isolation is the contract
-            payload = {}
-            status = SweepResult.FAILED
-            error = f"{type(exc).__name__}: {exc}"
-            detail = traceback.format_exc()
-            break
-    return SweepResult(
-        index=task.index,
-        name=task.name,
-        seed=task.seed,
-        status=status,
-        payload=payload,
-        error=error,
-        error_detail=detail,
-        attempts=attempts,
-        wall_seconds=time.perf_counter() - started,
-    )
+                status = SweepResult.TIMEOUT
+                error = timeout_error(task_timeout)
+                detail = (
+                    f"task {task.index} ({task.name!r}) hit its {task_timeout:g}s "
+                    f"deadline on all {attempts} attempts ({TIMEOUT_PAUSE_S:g}s apart)"
+                )
+                break
+            except Exception as exc:  # noqa: BLE001 — isolation is the contract
+                payload = {}
+                status = SweepResult.FAILED
+                error = f"{type(exc).__name__}: {exc}"
+                detail = traceback.format_exc()
+                break
+        return SweepResult(
+            index=task.index,
+            name=task.name,
+            seed=task.seed,
+            status=status,
+            payload=payload,
+            error=error,
+            error_detail=detail,
+            attempts=attempts,
+            wall_seconds=time.perf_counter() - started,
+        )
+    finally:
+        gc.collect()
+        gc.unfreeze()
 
 
 def _is_failure(row: SweepResult) -> bool:
@@ -607,8 +627,6 @@ def run_sweep(
         from .cache import ResultCache
 
         cache = ResultCache(cache_dir)
-        if journal is not None:
-            cache.link(journal)
         still_pending: List[SweepTask] = []
         for task in pending:
             hit = cache.get(task, fingerprints[task.index])
@@ -626,9 +644,17 @@ def run_sweep(
     # ------------------------------------------------------------------
     tasks_by_index = {task.index: task for task in tasks}
 
+    # The journal is linked into DIR once it holds a row the cache lacks,
+    # so a fully warm run leaves DIR as it was.
+    unlinked = cache is not None and writer is not None
+
     def on_row(row: SweepResult) -> None:
+        nonlocal unlinked
         if writer is not None:
             writer.write_row(row, fingerprints[row.index])
+            if unlinked and row.ok:
+                cache.link(journal)
+                unlinked = False
         elif cache is not None:
             cache.put(tasks_by_index[row.index], row, fingerprints[row.index])
 

@@ -172,6 +172,26 @@ class TestResultCache:
         again = ResultCache(str(tmp_path / "cache"))
         assert again.get(task, fingerprint).canonical() == row.canonical()
 
+    def test_a_reopened_cache_serves_every_fingerprint_of_one_index(self, tmp_path):
+        """Two rows of task index 0 under two fingerprints (one cache
+        reused across campaigns): both are served after a reopen, not
+        only the later one."""
+        cache = ResultCache(str(tmp_path / "cache"))
+        tasks = [_grid(tmp_path / "p", total=1, knobs=[knob]).tasks()[0] for knob in (0, 1)]
+        fingerprints = [task_fingerprint(task) for task in tasks]
+        assert fingerprints[0] != fingerprints[1]
+        for knob, task, fingerprint in zip((0, 1), tasks, fingerprints):
+            row = SweepResult(
+                index=task.index, name=task.name, seed=task.seed,
+                status=SweepResult.OK, payload={"knob": knob},
+            )
+            assert cache.put(task, row, fingerprint)
+        cache.close()
+        again = ResultCache(str(tmp_path / "cache"))
+        for knob, task, fingerprint in zip((0, 1), tasks, fingerprints):
+            assert again.get(task, fingerprint).payload == {"knob": knob}
+        assert again.hits == 2
+
     @pytest.mark.parametrize("status", [SweepResult.FAILED, SweepResult.TIMEOUT])
     def test_non_ok_rows_are_not_cached(self, tmp_path, status):
         cache = ResultCache(str(tmp_path / "cache"))
@@ -293,6 +313,32 @@ class TestOneStore:
         assert warm.cached_rows == 6 and _executions(probe) == 6
         assert warm.canonical_bytes() == cold.canonical_bytes()
         assert _journals(cache_dir) == [link]  # every hit; nothing written
+
+    def test_warm_runs_with_fresh_journals_leave_the_dir_unchanged(self, tmp_path):
+        """A journal is linked only once it holds a row this campaign
+        executed: fully warm runs add nothing to DIR, so later opens do
+        not read the campaign's rows again and again."""
+        probe, cache_dir = tmp_path / "probe", tmp_path / "cache"
+        cold = run_sweep(_grid(probe), backend="serial", cache_dir=str(cache_dir))
+        before = _journals(cache_dir)
+        for attempt in range(3):
+            warm = run_sweep(
+                _grid(probe), backend="serial",
+                journal=str(tmp_path / f"warm{attempt}.jsonl"), cache_dir=str(cache_dir),
+            )
+            assert warm.cached_rows == 6 and _executions(probe) == 6
+            assert warm.canonical_bytes() == cold.canonical_bytes()
+            assert _journals(cache_dir) == before
+        dirty = _grid(probe, knobs=[0, 0, 9, 0, 0, 0])
+        journal = tmp_path / "dirty.jsonl"
+        edited = run_sweep(
+            dirty, backend="serial", journal=str(journal), cache_dir=str(cache_dir)
+        )
+        assert edited.cached_rows == 5 and _executions(probe) == 7
+        (link,) = set(_journals(cache_dir)) - set(before)
+        assert link.is_symlink() and os.readlink(link) == str(journal)
+        again = run_sweep(dirty, backend="serial", cache_dir=str(cache_dir))
+        assert again.cached_rows == 6 and _executions(probe) == 7
 
     def test_a_journal_inside_the_cache_dir_gets_no_link(self, tmp_path):
         probe, cache_dir = tmp_path / "probe", tmp_path / "cache"

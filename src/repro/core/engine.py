@@ -112,7 +112,7 @@ class VirtualWireEngine(FrameLayer, RuntimeHooks):
         self.channel.on_peer_failed = self._on_peer_failed
         self._busy_until = 0
         self._delay_queue = DelayQueue(sim, self._forward)
-        self._reorder_buffer = ReorderBuffer(sim, self._forward)
+        self._reorder_buffer = ReorderBuffer(self._forward)
         self._modify_rng = None
         #: bumped by every crash: deferred forwards from a previous life
         #: check it and die instead of delivering frames post-crash.
@@ -283,7 +283,11 @@ class VirtualWireEngine(FrameLayer, RuntimeHooks):
             if kind is ActionKind.REORDER:
                 self.stats.packets_reordered += 1
                 self._charge(cost)
-                self._reorder_buffer.hold(action, data, direction)
+                burst = self._reorder_buffer.hold(action, data, direction)
+                if burst is not None:
+                    # "Released in burst when the bottom half is scheduled
+                    # next": the next simulator tick, not a jiffy later.
+                    self.sim.after(1, self._burst, "fault:reorder-burst", args=(burst,))
                 return
             if kind is ActionKind.MODIFY:
                 self.stats.packets_modified += 1
@@ -319,6 +323,10 @@ class VirtualWireEngine(FrameLayer, RuntimeHooks):
             return  # the host crashed while this frame sat on the CPU
         self._forward(data, direction)
         if duplicate:
+            self._forward(data, direction)
+
+    def _burst(self, burst: list) -> None:
+        for data, direction in burst:
             self._forward(data, direction)
 
     def _forward(self, data: bytes, direction: Direction) -> None:

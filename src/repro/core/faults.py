@@ -10,7 +10,7 @@ consistent is the script author's responsibility.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..net.bytesutil import patch_bytes
 from ..sim import RandomStream, Simulator, Timer, quantize_to_jiffies
@@ -68,32 +68,25 @@ class DelayQueue:
 class ReorderBuffer:
     """Per-action buffers implementing REORDER."""
 
-    def __init__(self, sim: Simulator, forward: ForwardFn) -> None:
-        self.sim = sim
+    def __init__(self, forward: ForwardFn) -> None:
         self.forward = forward
         self._buffers: Dict[int, List[_Held]] = {}
         self.reordered_bursts = 0
         self.flushed_packets = 0
 
-    def hold(self, action: ActionSpec, data: bytes, direction: Direction) -> None:
+    def hold(
+        self, action: ActionSpec, data: bytes, direction: Direction
+    ) -> Optional[List[_Held]]:
+        """Buffer one packet; once *action*'s count is reached, return the
+        permuted burst for the caller to release."""
         buffer = self._buffers.setdefault(action.action_id, [])
         buffer.append((data, direction))
-        if len(buffer) >= action.reorder_count:
-            self._release(action)
-
-    def _release(self, action: ActionSpec) -> None:
-        buffer = self._buffers.pop(action.action_id, [])
+        if len(buffer) < action.reorder_count:
+            return None
+        del self._buffers[action.action_id]
         order = action.reorder_order or tuple(range(len(buffer), 0, -1))
         self.reordered_bursts += 1
-        permuted = [buffer[i - 1] for i in order]
-
-        def burst() -> None:
-            for data, direction in permuted:
-                self.forward(data, direction)
-
-        # "Released in burst when the bottom half is scheduled next": the
-        # next simulator tick, not a jiffy later.
-        self.sim.after(1, burst, "fault:reorder-burst")
+        return [buffer[i - 1] for i in order]
 
     def flush(self) -> None:
         """Release everything still buffered (scenario teardown)."""

@@ -1,8 +1,8 @@
 """Deterministic discrete-event simulation kernel.
 
 This package is the substrate replacing the paper's physical testbed: an
-integer-nanosecond virtual clock, a deterministic event queue, re-armable
-timers, and named seeded random streams.
+integer-nanosecond virtual clock, a deterministic event queue with one
+entry shape, re-armable timers, and named seeded random streams.
 """
 
 from .clock import (
@@ -10,13 +10,12 @@ from .clock import (
     NS_PER_MS,
     NS_PER_SEC,
     NS_PER_US,
-    Clock,
     format_time,
     ms,
     quantize_to_jiffies,
     seconds,
 )
-from .events import Callback, EventHandle, EventQueue
+from .events import Callback, EventQueue
 from .random import RandomRegistry, RandomStream
 from .simulator import DrainEnd, Simulator, Timer
 
@@ -25,10 +24,8 @@ __all__ = [
     "NS_PER_MS",
     "NS_PER_SEC",
     "NS_PER_US",
-    "Clock",
     "Callback",
     "DrainEnd",
-    "EventHandle",
     "EventQueue",
     "RandomRegistry",
     "RandomStream",

@@ -1,4 +1,4 @@
-"""Virtual time for the discrete-event simulator.
+"""Units of virtual time for the discrete-event simulator.
 
 Time is kept as an integer count of **nanoseconds** since simulation start.
 Integers keep the simulation exactly reproducible: there is no floating-point
@@ -10,8 +10,6 @@ inherits).
 """
 
 from __future__ import annotations
-
-from ..errors import SimulationError
 
 #: Number of nanoseconds in one microsecond / millisecond / second.
 NS_PER_US = 1_000
@@ -55,32 +53,3 @@ def format_time(ticks: int) -> str:
         return f"{ticks / NS_PER_US:.3f}us"
     return f"{ticks}ns"
 
-
-class Clock:
-    """Monotonic virtual clock owned by the simulator.
-
-    Only the event loop advances the clock; everything else reads it.  The
-    clock refuses to move backwards, which converts scheduler bugs into loud
-    failures instead of silently corrupted orderings.
-    """
-
-    __slots__ = ("_now",)
-
-    def __init__(self) -> None:
-        self._now = 0
-
-    @property
-    def now(self) -> int:
-        """Current virtual time in nanoseconds."""
-        return self._now
-
-    def advance_to(self, when: int) -> None:
-        """Move the clock forward to *when* (idempotent at the same instant)."""
-        if when < self._now:
-            raise SimulationError(
-                f"clock cannot run backwards: at {self._now}, asked for {when}"
-            )
-        self._now = when
-
-    def __repr__(self) -> str:
-        return f"Clock({format_time(self._now)})"

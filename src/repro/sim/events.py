@@ -3,42 +3,37 @@
 The queue is a binary heap keyed by ``(time, sequence)`` where *sequence* is
 a global insertion counter.  Ties at the same virtual instant therefore fire
 in the order they were scheduled, which makes every run deterministic without
-any reliance on hash ordering or object identity.  Heap entries are tuples
-in one of two shapes:
+any reliance on hash ordering or object identity.  Every heap entry is one
+tuple shape, ``(when, seq, arm, callback, args, label)``, and firing one is
+``callback(*args)``.  Sift comparisons stop at the two integers and run at C
+speed: sequence numbers are unique, so *arm* and what follows it are never
+compared (docs/PERF.md).
 
-* ``(when, seq, handle)`` — a **cancellable** event; the caller holds the
-  :class:`EventHandle`;
-* ``(when, seq, None, callback, args, label)`` — a **fire-and-forget** event
-  (scheduled with ``args=``): it carries its arguments and no handle exists,
-  so none can be retained or cancelled by mistake, and scheduling one is a
-  counter tick and a ``heappush``.
+*arm* is ``None`` for a fire-and-forget event (:meth:`Simulator.at` /
+:meth:`Simulator.after`): nothing can cancel it.  A :class:`Timer` entry's
+arm is a one-slot list holding the timer.  Stopping or re-arming the timer
+empties the list (:meth:`EventQueue.kill`), which kills the entry and drops
+its only reference to the timer, and through it to the timer's owner.
 
-Sift comparisons stop at the integer fields and run at C speed — sequence
-numbers are unique, so the third element (a handle, or ``None``) and
-everything after it is never compared, and the two shapes mix freely
-(docs/PERF.md).
-
-Cancellation marks the handle and the event loop skips dead entries lazily
-(the standard heapq idiom), so cancellation is O(1) and pop stays O(log n)
-amortised.  Long runs that cancel timers constantly — a TCP transfer re-arms
-its RTO on every ACK — would otherwise accumulate dead entries until they
-happen to reach the heap top, so the queue **compacts** itself once the dead
-outnumber the live beyond a fixed floor (:data:`COMPACT_MIN_DEAD`): live
-entries are copied out and re-heapified, an O(n) operation amortised over
-the >n cancellations that triggered it.
+Dead entries are skipped lazily when they reach the heap top (the standard
+heapq idiom), so a kill is O(1) and pop stays O(log n) amortised.  Long runs
+that kill constantly — a TCP transfer re-arms its RTO on every ACK — would
+otherwise accumulate dead entries until they happen to reach the top, so the
+queue **compacts** itself once the dead outnumber the live beyond a fixed
+floor (:data:`COMPACT_MIN_DEAD`): live entries are copied out and
+re-heapified, an O(n) operation amortised over the >n kills that triggered it.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from functools import partial
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, Iterable, List, Optional
 
 from ..errors import SchedulingError
 
 #: Type of an event callback: called with the ``args`` tuple it was scheduled
-#: with, or with nothing (bind state with a bound method or a closure).
+#: with (bind state with a bound method and its arguments).
 Callback = Callable[..., None]
 
 #: Compaction floor: never compact below this many dead entries, so small
@@ -47,35 +42,8 @@ Callback = Callable[..., None]
 COMPACT_MIN_DEAD = 1024
 
 
-class EventHandle:
-    """A scheduled event, returned so the caller may cancel or inspect it."""
-
-    __slots__ = ("when", "seq", "callback", "label", "cancelled", "queue")
-
-    def __init__(self, when: int, seq: int, callback: Optional[Callback], label: str) -> None:
-        self.when = when
-        self.seq = seq
-        self.callback = callback
-        self.label = label
-        self.cancelled = False
-        #: the owning queue, while the entry sits in its heap; the queue
-        #: clears it on pop so post-fire cancels cannot skew accounting.
-        #: A handle synthesised for a fire-and-forget entry (``pop``, trace
-        #: hooks) is *detached*: it never had a queue.
-        self.queue: Optional["EventQueue"] = None
-
-    def cancel(self) -> None:
-        """Prevent this event from firing.  Safe to call more than once."""
-        if self.cancelled or self.callback is None:
-            return  # already cancelled, or already fired: nothing to undo
-        self.cancelled = True
-        self.callback = None  # break reference cycles promptly
-        if self.queue is not None:
-            self.queue._on_cancel()
-
-    def __repr__(self) -> str:
-        state = "cancelled" if self.cancelled else "pending"
-        return f"EventHandle(t={self.when}, seq={self.seq}, {state}, {self.label!r})"
+def _is_live(entry: tuple) -> bool:
+    return entry[2] is None or entry[2][0] is not None
 
 
 class EventQueue:
@@ -102,45 +70,49 @@ class EventQueue:
         return len(self._heap)
 
     def push(
-        self, when: int, callback: Callback, label: str = "", args: Optional[tuple] = None
-    ) -> Optional[EventHandle]:
-        """Schedule *callback* at absolute time *when* and return its handle.
-
-        With *args* (a tuple, possibly empty) the event is fire-and-forget:
-        ``callback(*args)`` runs at *when*, no handle object is built and
-        ``None`` is returned — a per-frame deferral allocates one tuple and
-        nothing that could be retained or cancelled.
-        """
+        self, when: int, arm: Optional[list], callback: Callback, args: tuple, label: str
+    ) -> None:
+        """Schedule ``callback(*args)`` at absolute time *when*, as *label*."""
         if callback is None:
             raise SchedulingError("cannot schedule a None callback")
-        when = int(when)
-        seq = next(self._counter)
         self._live += 1
-        if args is not None:
-            heapq.heappush(self._heap, (when, seq, None, callback, args, label))
-            return None
-        handle = EventHandle(when, seq, callback, label)
-        handle.queue = self
-        heapq.heappush(self._heap, (when, seq, handle))
-        return handle
+        heapq.heappush(self._heap, (int(when), next(self._counter), arm, callback, args, label))
 
-    def _on_cancel(self) -> None:
-        """Bookkeeping for a ``handle.cancel()``."""
+    def kill(self, arm: list) -> None:
+        """Empty a live *arm*: its entry is dead and never fires."""
+        arm[0] = None
         self._live -= 1
         dead = len(self._heap) - self._live
         if dead > COMPACT_MIN_DEAD and dead * 2 > len(self._heap):
             self._compact()
 
+    def discard(self, owners: Iterable[object]) -> None:
+        """Drop every fire-and-forget entry whose callback is a bound
+        method of one of *owners* (a rebooting host's deferrals from its
+        last life; :meth:`repro.stack.node.Host.reboot` states which).  A
+        closure or a ``partial`` has no owner and is never dropped."""
+        owned = {id(owner) for owner in owners}
+        heap = self._heap
+        kept = [
+            e for e in heap
+            if e[2] is not None or id(getattr(e[3], "__self__", None)) not in owned
+        ]
+        self._live -= len(heap) - len(kept)
+        self._rebuild(kept)
+
     def _compact(self) -> None:
-        """Rebuild the heap from its live entries, in place.
+        self._rebuild([e for e in self._heap if _is_live(e)])
+
+    def _rebuild(self, entries: List[tuple]) -> None:
+        """Make *entries* the heap, in place.
 
         ``heapify`` over the entry tuples uses the same ordering as the
         incremental pushes, so firing order — including same-instant
         insertion-order ties — is unchanged.  The list object must
         survive: the simulator's drain loop holds it in a local while the
-        callback that triggered this compaction is still running.
+        callback that triggered this rebuild is still running.
         """
-        self._heap[:] = [e for e in self._heap if e[2] is None or not e[2].cancelled]
+        self._heap[:] = entries
         heapq.heapify(self._heap)
 
     def peek_time(self) -> Optional[int]:
@@ -148,38 +120,24 @@ class EventQueue:
         self._discard_dead()
         return self._heap[0][0] if self._heap else None
 
-    def pop(self) -> EventHandle:
-        """Remove and return the next live event.
-
-        A fire-and-forget entry comes back as a freshly built *detached*
-        handle whose callback has the arguments bound, so callers see one
-        shape.  Raises :class:`SchedulingError` when no live event remains.
-        """
+    def pop(self) -> tuple:
+        """Remove and return the next live entry; fire it with
+        ``entry[3](*entry[4])``.  Raises :class:`SchedulingError` when no
+        live event remains."""
         self._discard_dead()
         if not self._heap:
             raise SchedulingError("pop from an empty event queue")
-        entry = heapq.heappop(self._heap)
         self._live -= 1
-        handle = entry[2]
-        if handle is None:
-            when, seq, _, callback, args, label = entry
-            return EventHandle(when, seq, partial(callback, *args), label)
-        handle.queue = None
-        return handle
+        return heapq.heappop(self._heap)
 
     def _discard_dead(self) -> None:
         heap = self._heap
-        while heap and heap[0][2] is not None and heap[0][2].cancelled:
-            heapq.heappop(heap)[2].queue = None
+        while heap and not _is_live(heap[0]):
+            heapq.heappop(heap)
 
     def snapshot(self) -> List[Any]:
         """Return (time, label) for each live event, soonest first.
 
         Intended for debugging and tests; the cost is O(n log n).
         """
-        live = sorted(
-            (e[0], e[1], e[5] if e[2] is None else e[2].label)
-            for e in self._heap
-            if e[2] is None or e[2].callback is not None
-        )
-        return [(when, label) for when, _, label in live]
+        return [(e[0], e[5]) for e in sorted(filter(_is_live, self._heap))]

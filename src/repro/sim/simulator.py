@@ -1,10 +1,13 @@
 """The discrete-event simulator facade.
 
-:class:`Simulator` owns the clock, the event queue and the random registry,
-and exposes the scheduling API that every other subsystem uses:
+:class:`Simulator` owns the virtual clock (an integer nanosecond count,
+:attr:`Simulator.now`), the event queue and the random registry, and
+exposes the scheduling API that every other subsystem uses:
 
-* :meth:`Simulator.at` / :meth:`Simulator.after` — schedule one-shot events;
-* :meth:`Simulator.timer` — a re-armable one-shot :class:`Timer`;
+* :meth:`Simulator.at` / :meth:`Simulator.after` — schedule one-shot
+  fire-and-forget events;
+* :meth:`Simulator.timer` — a re-armable one-shot :class:`Timer`, the one
+  event that can be cancelled;
 * :meth:`Simulator.run` / :meth:`run_until` / :meth:`step` — drive the loop
   (:meth:`Simulator.drain` is the one loop behind all but ``step``).
 
@@ -21,8 +24,8 @@ import heapq
 from typing import Callable, List, Optional
 
 from ..errors import SchedulingError, SimulationError
-from .clock import Clock, format_time
-from .events import Callback, EventHandle, EventQueue
+from .clock import format_time
+from .events import Callback, EventQueue
 from .random import RandomRegistry
 
 #: Events one run may fire before :meth:`Simulator.run_until` gives up with
@@ -44,86 +47,93 @@ class Timer:
 
     :meth:`start` arms it, or re-arms it and drops the pending firing;
     :meth:`stop` disarms it and is safe to repeat; :attr:`armed` says
-    whether a firing is pending.  Each arm is one :meth:`Simulator.after`,
-    and a firing disarms the timer before ``callback(*args)`` runs, so the
+    whether a firing is pending.  Each arm is one heap entry whose arm slot
+    is a one-slot list holding the timer (see :mod:`repro.sim.events`), and
+    a firing disarms the timer before ``callback(*args)`` runs, so the
     callback may start it again.
     """
 
-    __slots__ = ("_sim", "_callback", "_label", "_args", "_event")
+    __slots__ = ("_sim", "_callback", "_label", "_args", "_arm")
 
     def __init__(self, sim: "Simulator", callback: Callback, label: str, args: tuple) -> None:
         self._sim = sim
         self._callback = callback
         self._label = label
         self._args = args
-        self._event: Optional[EventHandle] = None
+        self._arm: Optional[list] = None
 
     @property
     def armed(self) -> bool:
-        return self._event is not None
+        return self._arm is not None
 
     def start(self, delay: int) -> None:
         """Fire *delay* nanoseconds from now, and not at any earlier deadline."""
-        if self._event is not None:
-            self._event.cancel()
-        self._event = self._sim.after(delay, self._fire, self._label)
+        if delay < 0:
+            raise SchedulingError(f"negative delay: {delay}")
+        queue = self._sim.queue
+        if self._arm is not None:
+            queue.kill(self._arm)
+        arm = self._arm = [self]
+        queue.push(self._sim._now + delay, arm, _fire, (arm,), self._label)
 
     def stop(self) -> None:
         """Drop the pending firing, if any."""
-        if self._event is not None:
-            self._event.cancel()
-            self._event = None
+        if self._arm is not None:
+            self._sim.queue.kill(self._arm)
+            self._arm = None
 
-    def _fire(self) -> None:
-        self._event = None
-        self._callback(*self._args)
+
+def _fire(arm: list) -> None:
+    """A live :class:`Timer` entry's callback: the entry reaches its timer
+    only through *arm*, so killing the arm releases the timer."""
+    timer = arm[0]
+    timer._arm = None
+    timer._callback(*timer._args)
 
 
 class Simulator:
     """Deterministic discrete-event simulation kernel."""
 
     def __init__(self, seed: int = 0) -> None:
-        self.clock = Clock()
+        self._now = 0
         self.queue = EventQueue()
         self.random = RandomRegistry(seed)
         self.events_processed = 0
         self._running = False
         self._stop_requested = False
-        self._trace_hooks: List[Callable[[EventHandle], None]] = []
+        self._trace_hooks: List[Callable[[int, int, str], None]] = []
 
     # -- time ---------------------------------------------------------------
 
     @property
     def now(self) -> int:
-        """Current virtual time in nanoseconds."""
-        return self.clock._now
+        """Current virtual time in nanoseconds; only the event loop moves it."""
+        return self._now
+
+    def _advance(self, when: int) -> None:
+        """Move the clock to *when*; it refuses to run backwards, which turns
+        scheduler bugs into loud failures instead of corrupted orderings."""
+        if when < self._now:
+            raise SimulationError(f"clock cannot run backwards: at {self._now}, asked for {when}")
+        self._now = when
 
     # -- scheduling ---------------------------------------------------------
 
-    def at(
-        self, when: int, callback: Callback, label: str = "", args: Optional[tuple] = None
-    ) -> Optional[EventHandle]:
-        """Schedule *callback* at absolute virtual time *when*.
+    def at(self, when: int, callback: Callback, label: str = "", args: tuple = ()) -> None:
+        """Schedule ``callback(*args)`` at absolute virtual time *when*.
 
-        Returns a cancellable handle — unless *args* is given (a tuple,
-        possibly empty), which makes the event fire-and-forget, as every
-        per-frame deferral is: ``callback(*args)`` runs at *when*, no
-        handle is built and the call returns ``None``, so there is nothing
-        to retain or cancel.
+        Fire and forget: nothing is returned, so nothing can be retained
+        or cancelled.  A :class:`Timer` is the one cancellable event.
         """
-        if when < self.clock.now:
-            raise SchedulingError(
-                f"cannot schedule into the past: now={self.clock.now}, when={when}"
-            )
-        return self.queue.push(when, callback, label, args)
+        if when < self._now:
+            raise SchedulingError(f"cannot schedule into the past: now={self._now}, when={when}")
+        self.queue.push(when, None, callback, args, label)
 
-    def after(
-        self, delay: int, callback: Callback, label: str = "", args: Optional[tuple] = None
-    ) -> Optional[EventHandle]:
-        """Schedule *callback* *delay* nanoseconds from now (see :meth:`at`)."""
+    def after(self, delay: int, callback: Callback, label: str = "", args: tuple = ()) -> None:
+        """Schedule ``callback(*args)`` *delay* nanoseconds from now (see :meth:`at`)."""
         if delay < 0:
             raise SchedulingError(f"negative delay: {delay}")
-        return self.queue.push(self.clock._now + delay, callback, label, args)
+        self.queue.push(self._now + delay, None, callback, args, label)
 
     def timer(self, callback: Callback, label: str, *args) -> Timer:
         """A disarmed :class:`Timer` that runs ``callback(*args)`` as *label*."""
@@ -131,8 +141,8 @@ class Simulator:
 
     # -- observation --------------------------------------------------------
 
-    def add_trace_hook(self, hook: Callable[[EventHandle], None]) -> None:
-        """Register a hook invoked before each event fires (for debugging)."""
+    def add_trace_hook(self, hook: Callable[[int, int, str], None]) -> None:
+        """Register ``hook(when, seq, label)``, called before each event fires."""
         self._trace_hooks.append(hook)
 
     # -- execution ----------------------------------------------------------
@@ -140,20 +150,17 @@ class Simulator:
     def step(self) -> bool:
         """Run the single next event.  Returns False when the queue is empty.
 
-        The readable reference for :meth:`drain`: ``queue.pop()`` hands back
-        a handle for either entry shape.
+        The readable reference for :meth:`drain`, through the queue's
+        public :meth:`~repro.sim.events.EventQueue.pop`.
         """
         if not self.queue:
             return False
-        handle = self.queue.pop()
-        self.clock.advance_to(handle.when)
-        callback = handle.callback
-        handle.callback = None  # the event is consumed; free the closure
+        when, seq, _, callback, args, label = self.queue.pop()
+        self._advance(when)
         for hook in self._trace_hooks:
-            hook(handle)
+            hook(when, seq, label)
         self.events_processed += 1
-        if callback is not None:
-            callback()
+        callback(*args)
         return True
 
     def drain(self, deadline: Optional[int] = None, max_events: int = MAX_EVENTS) -> DrainEnd:
@@ -164,23 +171,22 @@ class Simulator:
         *max_events* have fired, and leaves the clock at the last event
         fired.  :meth:`stop` from a callback ends the loop after that
         event.  One event here is exactly one :meth:`step`, with the
-        queue's dead-entry discard and pop inlined on local bindings; a
-        fire-and-forget entry is fired straight from its tuple, and gets a
-        detached handle only while a trace hook is registered to look at it.
+        queue's dead-entry discard and pop inlined on local bindings, and
+        one firing path for every entry: ``entry[3](*entry[4])``.
         """
         self._enter_run()
-        queue, clock, hooks = self.queue, self.clock, self._trace_hooks
+        queue, hooks = self.queue, self._trace_hooks
         heap, heappop = queue._heap, heapq.heappop
         limit = float("inf") if deadline is None else deadline
         remaining = max_events
         try:
             while not self._stop_requested:
-                while heap and heap[0][2] is not None and heap[0][2].cancelled:
-                    heappop(heap)[2].queue = None
+                while heap and heap[0][2] is not None and heap[0][2][0] is None:
+                    heappop(heap)  # a stopped or re-armed Timer's dead entry
                 if not heap:
                     return DrainEnd.DRAINED
                 entry = heap[0]
-                when, handle = entry[0], entry[2]
+                when = entry[0]
                 if when > limit:
                     return DrainEnd.DEADLINE
                 if remaining <= 0:
@@ -188,32 +194,21 @@ class Simulator:
                 remaining -= 1
                 heappop(heap)
                 queue._live -= 1
-                if when < clock._now:
-                    clock.advance_to(when)  # raises: the clock never runs backwards
-                clock._now = when
-                if handle is None:
-                    if hooks:
-                        handle = EventHandle(when, entry[1], None, entry[5])
-                        for hook in hooks:
-                            hook(handle)
-                    self.events_processed += 1
-                    entry[3](*entry[4])
-                    continue
-                handle.queue = None
-                callback = handle.callback
-                handle.callback = None  # the event is consumed; free the closure
-                for hook in hooks:
-                    hook(handle)
+                if when < self._now:
+                    self._advance(when)  # raises: the clock never runs backwards
+                self._now = when
+                if hooks:
+                    for hook in hooks:
+                        hook(when, entry[1], entry[5])
                 self.events_processed += 1
-                if callback is not None:
-                    callback()
+                entry[3](*entry[4])
             return DrainEnd.STOPPED
         finally:
             self._exit_run()
 
     def _event_cap_exceeded(self, max_events: int) -> SimulationError:
         return SimulationError(
-            f"event cap of {max_events} exceeded at t={format_time(self.clock.now)}"
+            f"event cap of {max_events} exceeded at t={format_time(self._now)}"
         )
 
     def run(self) -> None:
@@ -228,19 +223,19 @@ class Simulator:
         Firing more than :data:`MAX_EVENTS` events raises
         :class:`SimulationError` rather than hanging.
         """
-        if deadline < self.clock.now:
+        if deadline < self._now:
             raise SchedulingError(
-                f"deadline {deadline} is before current time {self.clock.now}"
+                f"deadline {deadline} is before current time {self._now}"
             )
         ended = self.drain(deadline, MAX_EVENTS)
         if ended is DrainEnd.BUDGET:
             raise self._event_cap_exceeded(MAX_EVENTS)
         if ended is not DrainEnd.STOPPED:
-            self.clock.advance_to(deadline)
+            self._now = deadline
 
     def run_for(self, duration: int) -> None:
         """Convenience wrapper: run for *duration* nanoseconds of virtual time."""
-        self.run_until(self.clock.now + duration)
+        self.run_until(self._now + duration)
 
     def stop(self) -> None:
         """Request the current :meth:`run`/:meth:`run_until` loop to exit.
@@ -261,6 +256,6 @@ class Simulator:
 
     def __repr__(self) -> str:
         return (
-            f"Simulator(t={format_time(self.clock.now)}, "
+            f"Simulator(t={format_time(self._now)}, "
             f"pending={len(self.queue)}, processed={self.events_processed})"
         )

@@ -38,10 +38,15 @@ class DriverLayer(FrameLayer):
         self.tx_frames += 1
         if self.costs.driver_tx_ns > 0:
             self.sim.after(
-                self.costs.driver_tx_ns, self.nic.transmit, self._tx_label, args=(frame_bytes,)
+                self.costs.driver_tx_ns, self._tx_continue, self._tx_label, args=(frame_bytes,)
             )
         else:
             self.nic.transmit(frame_bytes)
+
+    def _tx_continue(self, frame_bytes: bytes) -> None:
+        # A method of the driver, not the NIC's own: a reboot discards the
+        # driver's deferrals and must leave the medium's NIC deliveries be.
+        self.nic.transmit(frame_bytes)
 
     def _nic_receive(self, frame_bytes: bytes) -> None:
         """NIC upcall: charge rx cost, then continue up the chain."""

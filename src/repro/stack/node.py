@@ -102,13 +102,26 @@ class Host:
         """Boot the crashed node back up into a blank-state machine.
 
         Re-runs the teardown first so a node taken down with plain
-        :meth:`fail` still comes up with amnesia, then raises the NIC and
-        marks the host as awaiting resynchronisation: layers get their
-        ``on_host_resynced`` hook (and resume protocol work) only once
-        :meth:`on_engine_started` reports the re-shipped fault tables are
-        armed.
+        :meth:`fail` still comes up with amnesia, and drops every
+        per-frame deferral the last life left in the event queue (a frame
+        parked in ``tcp:tx``, ``ip:tx``, a driver queue, ... would
+        otherwise reach the wire after a fast RESTART).  Then it raises
+        the NIC and marks the host as awaiting resynchronisation: layers
+        get their ``on_host_resynced`` hook (and resume protocol work)
+        only once :meth:`on_engine_started` reports the re-shipped fault
+        tables are armed.
+
+        The discard holds only under one rule: every per-frame deferral
+        of this host is a bound method of its IP, TCP or UDP layer or of
+        a chain layer (the driver and the demux included), scheduled
+        with the frame in ``args``.  A closure or a ``partial`` escapes
+        it.  The one exception is ``udp:rx``, whose socket drops the
+        datagram itself once closed.  The NIC is not an owner: the
+        medium's deliveries to it are frames already on the wire, and
+        they still arrive.
         """
         self._wipe_soft_state()
+        self.sim.queue.discard([self.ip_layer, self.tcp, self.udp, *self.chain.layers])
         self.is_alive = True
         self.nic.bring_up()
         self._awaiting_resync = True

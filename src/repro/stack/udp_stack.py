@@ -45,7 +45,14 @@ class UdpSocket:
         self._layer.send_datagram(self.port, IpAddress(dst_ip), dst_port, payload)
 
     def deliver(self, payload: bytes, src_ip: IpAddress, src_port: int) -> None:
-        """Called by the layer when a datagram for this socket arrives."""
+        """Called by the layer when a datagram for this socket arrives.
+
+        A socket closed while the datagram sat in ``udp:rx`` — by its
+        application, or by a host crash — drops it as an unclaimed port.
+        """
+        if self.closed:
+            self._layer.unclaimed_port_drops += 1
+            return
         self.rx_datagrams += 1
         if self.on_receive is not None:
             self.on_receive(payload, src_ip, src_port)

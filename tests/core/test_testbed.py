@@ -419,7 +419,7 @@ class TestRunScenarioMatchesTheParentLoop:
     @pytest.mark.parametrize("limits", [dict(), dict(inactivity_ns=ms(1)), dict(max_events=400)])
     def test_trace_hook_sees_every_event_alike(self, limits):
         def prepare(tb, hooked):
-            tb.sim.add_trace_hook(lambda handle: hooked.append((handle.when, handle.label)))
+            tb.sim.add_trace_hook(lambda when, seq, label: hooked.append((when, label)))
 
         ours = _run(Testbed.run_scenario, prepare=prepare, **limits)
         assert ours == _run(_parent_run_scenario, prepare=prepare, **limits)

@@ -4,13 +4,12 @@ import pytest
 
 from repro.core.fsl import compile_text
 from repro.core.tables import ActionKind
-from repro.errors import FslError, SimulationError
-from repro.sim import clock
+from repro.errors import FslError, SchedulingError, SimulationError
+from repro.sim import Simulator, clock
 from repro.sim.clock import (
     NS_PER_MS,
     NS_PER_SEC,
     NS_PER_US,
-    Clock,
     format_time,
     ms,
     quantize_to_jiffies,
@@ -104,25 +103,37 @@ class TestParseDuration:
 
 
 class TestClock:
+    """The clock is ``Simulator.now``: it starts at zero and only the event
+    loop moves it, never backwards."""
+
     def test_starts_at_zero(self):
-        assert Clock().now == 0
+        assert Simulator().now == 0
 
     def test_advances(self):
-        c = Clock()
-        c.advance_to(500)
-        assert c.now == 500
+        sim = Simulator()
+        seen = []
+        sim.at(100, lambda: seen.append(sim.now))
+        sim.run_until(500)
+        assert seen == [100] and sim.now == 500
 
     def test_same_instant_is_fine(self):
-        c = Clock()
-        c.advance_to(100)
-        c.advance_to(100)
-        assert c.now == 100
+        sim = Simulator()
+        seen = []
+        sim.at(100, lambda: seen.append(sim.now))
+        sim.at(100, lambda: seen.append(sim.now))
+        sim.run_until(100)
+        sim.run_until(100)
+        assert seen == [100, 100] and sim.now == 100
 
     def test_refuses_to_run_backwards(self):
-        c = Clock()
-        c.advance_to(100)
+        sim = Simulator()
+        sim.run_until(100)
+        with pytest.raises(SchedulingError):
+            sim.run_until(99)
+        sim.queue.push(99, None, print, (), "late")  # at() refuses the past; the raw queue does not
         with pytest.raises(SimulationError):
-            c.advance_to(99)
+            sim.step()
+        assert sim.now == 100
 
 
 class TestFormatTime:

@@ -1,13 +1,12 @@
 """The fused drain loop against a ``step()``-driven loop.
 
-``Simulator.step`` is the readable one-event reference (pop — which hands
-back a handle for either heap-entry shape — advance, hooks, fire, through
-the queue's public methods); ``Simulator.drain`` — which ``run``,
-``run_until`` and ``Testbed.run_scenario`` share — inlines all of that on
-local bindings and fires a fire-and-forget entry straight from its tuple.
-Every scenario here is built twice from one recipe and must come out the
-same either way: fire order (same-instant ties included), clock,
-``events_processed``, trace-hook sequence, live queue length.
+``Simulator.step`` is the readable one-event reference (pop, advance,
+hooks, fire, through the queue's public methods); ``Simulator.drain`` —
+which ``run``, ``run_until`` and ``Testbed.run_scenario`` share — inlines
+all of that on local bindings.  Every scenario here is built twice from one
+recipe and must come out the same either way: fire order (same-instant ties
+included), clock, ``events_processed``, trace-hook sequence, live queue
+length.
 """
 
 from unittest import mock
@@ -18,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.scripts import tcp_congestion_script
-from repro.sim import DrainEnd, Simulator, events, seconds, simulator
+from repro.sim import DrainEnd, Simulator, Timer, events, seconds, simulator
 from repro.sim.events import COMPACT_MIN_DEAD
 from tests.conftest import make_testbed
 
@@ -26,35 +25,40 @@ from tests.conftest import make_testbed
 def build(recipe, hooks=False):
     """A simulator loaded from *recipe*: ``(delay, forget, action)`` triples.
 
-    With *forget* the event is a fire-and-forget (handle-free) heap entry
-    carrying its ``(tag, action)`` as scheduling-time arguments; otherwise
-    it is a closure whose handle is kept for the cancel actions.
-    *action* is what the event's callback does besides logging itself:
-    ``("spawn", delay)`` schedules a child, ``("cancel", k)`` cancels the
-    k-th root event (possibly a later one of the same instant, possibly
-    one that already fired), ``("stop",)`` calls ``sim.stop()``.
+    With *forget* the event is fire-and-forget (``sim.after``, carrying its
+    ``(tag, action)`` as arguments); otherwise it is a :class:`Timer`, kept
+    for the stop and re-arm actions.  *action* is what the event's callback
+    does besides logging itself: ``("spawn", delay)`` schedules a
+    fire-and-forget child, ``("stop", k)`` stops the k-th timer and
+    ``("rearm", k, delay)`` re-arms it if it is still pending (possibly a
+    later one of the same instant, possibly one that already fired, possibly
+    itself), ``("halt",)`` calls ``sim.stop()``.
     """
     sim = Simulator(seed=1)
-    log, hooked, handles = [], [], []
+    log, hooked, timers = [], [], []
     if hooks:
-        sim.add_trace_hook(lambda handle: hooked.append((handle.when, handle.seq, handle.label)))
+        sim.add_trace_hook(lambda when, seq, label: hooked.append((when, seq, label)))
 
     def fire(tag, action):
         log.append((sim.now, tag))
         if action[0] == "spawn":
             child = f"{tag}+"
-            assert sim.after(action[1], fire, child, args=(child, ("none",))) is None
-        elif action[0] == "cancel":
-            handles[action[1] % len(handles)].cancel()
+            sim.after(action[1], fire, child, args=(child, ("none",)))
         elif action[0] == "stop":
+            timers[action[1] % len(timers)].stop()
+        elif action[0] == "rearm":
+            timer = timers[action[1] % len(timers)]
+            if timer.armed:  # so that every timer fires at most once
+                timer.start(action[2])
+        elif action[0] == "halt":
             sim.stop()
 
     for index, (delay, forget, action) in enumerate(recipe):
-        if forget and action[0] != "cancel":
-            # nothing is handed out, so nothing can be kept or cancelled
-            assert sim.after(delay, fire, str(index), args=(index, action)) is None
-        else:  # a cancel action needs at least one handle to aim at: its own
-            handles.append(sim.after(delay, lambda i=index, a=action: fire(i, a), str(index)))
+        if forget and action[0] not in ("stop", "rearm"):
+            sim.after(delay, fire, str(index), args=(index, action))
+        else:  # a stop or re-arm needs at least one timer to aim at: its own
+            timers.append(sim.timer(fire, str(index), index, action))
+            timers[-1].start(delay)
     return sim, log, hooked
 
 
@@ -72,7 +76,8 @@ def step_until(sim, deadline=None, max_events=50_000_000):
         fired += 1
     stopped, sim._stop_requested = sim._stop_requested, False
     if deadline is not None and not stopped:
-        sim.clock.advance_to(deadline)
+        assert deadline >= sim.now
+        sim._now = deadline
 
 
 def outcome(sim, log, hooked):
@@ -82,8 +87,9 @@ def outcome(sim, log, hooked):
 ACTIONS = st.one_of(
     st.just(("none",)),
     st.tuples(st.just("spawn"), st.integers(0, 30)),
-    st.tuples(st.just("cancel"), st.integers(0, 40)),
-    st.just(("stop",)),
+    st.tuples(st.just("stop"), st.integers(0, 40)),
+    st.tuples(st.just("rearm"), st.integers(0, 40), st.integers(0, 30)),
+    st.just(("halt",)),
 )
 RECIPES = st.lists(
     st.tuples(st.integers(0, 20), st.booleans(), ACTIONS), min_size=1, max_size=40
@@ -96,8 +102,8 @@ class TestDrainMatchesStep:
         recipe=RECIPES,
         hooks=st.booleans(),
         deadline=st.one_of(st.none(), st.integers(0, 40)),
-        # patched low, a few cancels compact the heap in the middle of the
-        # loop while fire-and-forget entries sit in it
+        # patched low, a few stops and re-arms compact the heap in the
+        # middle of the loop while fire-and-forget entries sit in it
         compact_floor=st.sampled_from([0, 2, COMPACT_MIN_DEAD]),
     )
     def test_same_outcome_as_a_step_loop(self, recipe, hooks, deadline, compact_floor):
@@ -117,17 +123,22 @@ class TestDrainMatchesStep:
         [
             # five same-instant ties fire in scheduling order
             [(7, False, ("none",))] * 5,
-            # the first of three same-instant events cancels the last
-            [(5, False, ("cancel", 2)), (5, False, ("none",)), (5, False, ("none",))],
-            # an event cancels itself / one that already fired: both no-ops
-            [(1, False, ("none",)), (2, False, ("cancel", 0)), (3, False, ("cancel", 2))],
+            # the first of three same-instant timers stops the last
+            [(5, False, ("stop", 2)), (5, False, ("none",)), (5, False, ("none",))],
+            # a timer stops itself / one that already fired: both no-ops
+            [(1, False, ("none",)), (2, False, ("stop", 0)), (3, False, ("stop", 2))],
+            # re-arming a pending same-instant timer moves it behind a later one
+            [(5, False, ("rearm", 1, 0)), (5, False, ("none",)), (5, True, ("none",))],
+            # re-arming a timer that already fired, or itself, does nothing
+            [(1, False, ("none",)), (2, False, ("rearm", 0, 5)), (3, False, ("rearm", 2, 5))],
             # stop() inside a callback leaves the same-instant sibling queued
-            [(4, False, ("stop",)), (4, True, ("none",)), (9, True, ("spawn", 0))],
-            # both entry shapes interleaved at one instant, children spawned at +0
+            [(4, False, ("halt",)), (4, True, ("none",)), (9, True, ("spawn", 0))],
+            # timers and fire-and-forget events interleaved at one instant,
+            # children spawned at +0
             [(3, True, ("spawn", 0)), (3, False, ("spawn", 0)), (3, True, ("none",))],
-            # a cancellable event between two fire-and-forget ones cancels a
-            # later same-instant handle; the handle-free entries are untouched
-            [(6, True, ("none",)), (6, False, ("cancel", 1)), (6, True, ("spawn", 0)),
+            # a timer between two fire-and-forget events stops a later
+            # same-instant timer; the fire-and-forget entries are untouched
+            [(6, True, ("none",)), (6, False, ("stop", 1)), (6, True, ("spawn", 0)),
              (6, False, ("none",)), (6, True, ("none",))],
         ],
     )
@@ -208,37 +219,41 @@ class TestDrainContract:
         assert sim.drain() is DrainEnd.DRAINED  # the guard was released
 
     def test_clock_never_runs_backwards(self, sim):
-        sim.after(10, lambda: None)
-        sim.clock.advance_to(50)  # someone moved the clock past a queued event
-        with pytest.raises(SimulationError):
-            sim.run()
+        sim.run_until(50)
+        for loop in (sim.run, sim.step):
+            sim.queue.push(10, None, print, (), "late")  # at() refuses the past; the raw queue does not
+            with pytest.raises(SimulationError):
+                loop()
+            assert sim.now == 50
 
 
 class TestCompactionMidLoop:
     """``EventQueue._compact`` used to rebind the heap to a new list; a loop
-    holding the old list kept draining stale entries (cancelled timers
+    holding the old list kept draining stale entries (stopped timers
     fired, the clock ran backwards).  Fire-and-forget entries share the
-    heap with the cancelled timers and must all survive the rebuild."""
+    heap with the stopped timers' dead entries and must all survive the
+    rebuild."""
 
     def test_mass_cancel_inside_a_callback(self, sim):
         fired = []
         timers = []
         for t in range(4 * COMPACT_MIN_DEAD):
-            timers.append(sim.after(1000 + t, lambda t=t: fired.append(("timer", t))))
+            timers.append(sim.timer(fired.append, "", ("timer", t)))
+            timers[-1].start(1000 + t)
             if t % 64 == 0:  # same instant as the timer, scheduled after it
                 sim.after(1000 + t, fired.append, args=(("frame", t),))
         keep = set(range(0, len(timers), 16))
         frames = set(range(0, len(timers), 64))
 
-        def cancel_most():
-            fired.append(("cancel", sim.now))
-            for t, handle in enumerate(timers):
+        def stop_most():
+            fired.append(("stop", sim.now))
+            for t, timer in enumerate(timers):
                 if t not in keep:
-                    handle.cancel()
+                    timer.stop()
             # compaction ran while the drain loop was mid-iteration
             assert sim.queue.heap_size < len(timers) // 2
 
-        sim.after(500, cancel_most)
+        sim.after(500, stop_most)
         sim.after(600, lambda: fired.append(("after", sim.now)))
         sim.after(10_000, lambda: fired.append(("last", sim.now)))
         sim.run_until(20_000)
@@ -247,7 +262,7 @@ class TestCompactionMidLoop:
             survivors.append(("timer", t))
             if t in frames:
                 survivors.append(("frame", t))
-        assert fired == [("cancel", 500), ("after", 600)] + survivors + [("last", 10_000)]
+        assert fired == [("stop", 500), ("after", 600)] + survivors + [("last", 10_000)]
         assert len(sim.queue) == 0
         assert sim.queue.heap_size == 0
         assert sim.events_processed == 3 + len(keep) + len(frames)
@@ -263,26 +278,23 @@ ENGINE_HOP_LABELS = {"rll:tx", "rll:rx", "vw:forward"}
 
 
 class TestHopsBuildNoHandle:
-    """Every per-frame hop is fire-and-forget: over a TCP transfer not one
-    :class:`EventHandle` is constructed for a hop label — unless a trace
-    hook is registered, which is what the detached handle exists for."""
+    """Over a TCP transfer every heap entry is ``(when, seq, arm, callback,
+    args, label)``: each per-frame hop is fire-and-forget (``arm`` is None)
+    and every arm is a one-slot list that held a :class:`Timer`; a trace
+    hook sees ``(when, seq, label)`` of every event fired, in order."""
 
     @staticmethod
-    def transfer(monkeypatch, hook):
-        built = []
+    def transfer(monkeypatch):
+        pushed, seen = [], []
+        push = events.EventQueue.push
 
-        class CountedHandle(events.EventHandle):
-            __slots__ = ()
+        def recording(queue, when, arm, callback, args, label):
+            pushed.append((label, arm, callback))
+            push(queue, when, arm, callback, args, label)
 
-            def __init__(self, when, seq, callback, label):
-                built.append(label)
-                super().__init__(when, seq, callback, label)
-
-        monkeypatch.setattr(events, "EventHandle", CountedHandle)
-        monkeypatch.setattr(simulator, "EventHandle", CountedHandle)
+        monkeypatch.setattr(events.EventQueue, "push", recording)
         tb, (n1, n2) = make_testbed(medium="hub", rll=True)
-        if hook is not None:
-            tb.sim.add_trace_hook(hook)
+        tb.sim.add_trace_hook(lambda when, seq, label: seen.append((when, seq, label)))
 
         def workload():
             n2.tcp.listen(0x4000)
@@ -293,19 +305,26 @@ class TestHopsBuildNoHandle:
             tcp_congestion_script(tb.node_table_fsl()), workload=workload, max_time=seconds(30)
         )
         assert report.passed, report.render()
-        return built
+        return tb.sim, pushed, seen
 
     def test_no_handle_per_hop(self, monkeypatch):
-        built = self.transfer(monkeypatch, hook=None)
-        assert built  # timers (tcp:rto, rll:rto, ...) do get handles
-        assert not set(built) & (HOP_LABELS | ENGINE_HOP_LABELS)
+        sim, pushed, _ = self.transfer(monkeypatch)
+        hops = HOP_LABELS | ENGINE_HOP_LABELS
+        assert hops <= {label for label, _, _ in pushed}
+        assert all(arm is None for label, arm, _ in pushed if label in hops)
+        arms = [(arm, callback) for _, arm, callback in pushed if arm is not None]
+        assert arms  # tcp:rto, rll:rto, control:rto, ... are timers
+        assert all(len(arm) == 1 and isinstance(arm[0], (Timer, type(None))) for arm, _ in arms)
+        assert all(not hasattr(callback, "__self__") for _, callback in arms)  # holds no timer
+        assert all(len(entry) == 6 for entry in sim.queue._heap)
 
-    def test_trace_hook_sees_hops_as_detached_handles(self, monkeypatch):
-        seen = []
-        built = self.transfer(monkeypatch, hook=seen.append)
-        labels = {handle.label for handle in seen}
-        assert HOP_LABELS | ENGINE_HOP_LABELS <= labels
-        hops = [handle for handle in seen if handle.label in HOP_LABELS | ENGINE_HOP_LABELS]
-        assert all(h.queue is None and h.callback is None and not h.cancelled for h in hops)
-        assert sorted((h.when, h.seq) for h in seen) == [(h.when, h.seq) for h in seen]
-        assert len(hops) == sum(label in HOP_LABELS | ENGINE_HOP_LABELS for label in built)
+    def test_trace_hook_sees_every_hop(self, monkeypatch):
+        sim, pushed, seen = self.transfer(monkeypatch)
+        hops = HOP_LABELS | ENGINE_HOP_LABELS
+        assert hops <= {label for _, _, label in seen}
+        assert sorted((when, seq) for when, seq, _ in seen) == [(w, s) for w, s, _ in seen]
+        assert len(seen) == sim.events_processed
+        fired_hops = sum(label in hops for _, _, label in seen)
+        assert fired_hops == sum(label in hops for label, _, _ in pushed) - sum(
+            label in hops for _, label in sim.queue.snapshot()
+        )

@@ -1,224 +1,283 @@
-"""Tests for the deterministic event queue."""
+"""Tests for the deterministic event queue: one entry shape,
+``(when, seq, arm, callback, args, label)``, where only a :class:`Timer`
+arm can be killed (``Timer.stop()`` and a re-arm are the one way to
+cancel an event)."""
 
 import pytest
 
 from repro.errors import SchedulingError
+from repro.sim import Simulator
 from repro.sim.events import COMPACT_MIN_DEAD, EventQueue
+
+
+def fire(entry):
+    entry[3](*entry[4])
+
+
+def push(q, when, callback, label="", args=()):
+    """A fire-and-forget entry, as ``Simulator.at`` pushes it."""
+    q.push(when, None, callback, args, label)
+
+
+def armed(q, when, label="", callback=print, args=()):
+    """A live arm, as ``Timer.start`` pushes it; returns the arm."""
+    arm = [label]
+    q.push(when, arm, callback, args, label)
+    return arm
 
 
 class TestOrdering:
     def test_pops_in_time_order(self):
         q = EventQueue()
         fired = []
-        q.push(30, lambda: fired.append(30))
-        q.push(10, lambda: fired.append(10))
-        q.push(20, lambda: fired.append(20))
+        for when in (30, 10, 20):
+            push(q, when, fired.append, args=(when,))
         while q:
-            handle = q.pop()
-            handle.callback()
+            fire(q.pop())
         assert fired == [10, 20, 30]
 
     def test_ties_break_by_insertion_order(self):
         q = EventQueue()
         order = []
         for tag in range(5):
-            q.push(100, lambda t=tag: order.append(t))
+            push(q, 100, order.append, args=(tag,))
         while q:
-            q.pop().callback()
+            fire(q.pop())
         assert order == [0, 1, 2, 3, 4]
 
     def test_peek_time(self):
         q = EventQueue()
         assert q.peek_time() is None
-        q.push(50, lambda: None)
-        q.push(40, lambda: None)
+        push(q, 50, print)
+        push(q, 40, print)
         assert q.peek_time() == 40
 
 
 class TestCancellation:
     def test_cancelled_event_never_pops(self):
         q = EventQueue()
-        keep = q.push(10, lambda: None, "keep")
-        drop = q.push(5, lambda: None, "drop")
-        drop.cancel()
+        push(q, 10, print, "keep")
+        q.kill(armed(q, 5, "drop"))
         assert len(q) == 1
-        assert q.pop() is keep
+        assert q.pop()[5] == "keep"
 
     def test_double_cancel_is_safe(self):
-        q = EventQueue()
-        handle = q.push(10, lambda: None)
-        handle.cancel()
-        handle.cancel()
-        assert len(q) == 0
+        sim = Simulator()
+        timer = sim.timer(print, "t")
+        timer.start(10)
+        timer.stop()
+        timer.stop()
+        assert len(sim.queue) == 0 and sim.queue.heap_size == 1
 
     def test_cancel_clears_callback_reference(self):
-        q = EventQueue()
-        handle = q.push(10, lambda: None)
-        handle.cancel()
-        assert handle.callback is None
-        assert handle.cancelled
+        """A killed entry keeps no reference to what its arm held: the
+        entry's callback and arguments reach the timer only through it."""
+        sim = Simulator()
+        timer = sim.timer(print, "t")
+        timer.start(10)
+        (entry,) = sim.queue._heap
+        timer.stop()
+        assert entry[2] == [None] and entry[4] == ([None],)
+        assert not hasattr(entry[3], "__self__")  # a module function, not timer._fire
 
     def test_pop_empty_raises(self):
         q = EventQueue()
         with pytest.raises(SchedulingError):
             q.pop()
+        q.kill(armed(q, 1))
+        with pytest.raises(SchedulingError):
+            q.pop()  # the only entry is dead
 
     def test_pop_skips_leading_cancelled(self):
         q = EventQueue()
-        first = q.push(1, lambda: None)
-        second = q.push(2, lambda: None)
-        first.cancel()
-        assert q.pop() is second
+        first = armed(q, 1, "first")
+        second = armed(q, 2, "second")
+        q.kill(first)
+        assert q.pop()[2] is second
 
 
 class TestHousekeeping:
     def test_none_callback_rejected(self):
         q = EventQueue()
         with pytest.raises(SchedulingError):
-            q.push(1, None)
+            push(q, 1, None)
+        with pytest.raises(SchedulingError):
+            q.push(1, ["a timer"], None, (), "")
+        assert len(q) == 0 and q.heap_size == 0
 
     def test_snapshot_sorted_and_labelled(self):
         q = EventQueue()
-        q.push(30, lambda: None, "c")
-        q.push(10, lambda: None, "a")
-        b = q.push(20, lambda: None, "b")
-        b.cancel()
-        assert q.snapshot() == [(10, "a"), (30, "c")]
+        push(q, 30, print, "c")
+        push(q, 10, print, "a")
+        q.kill(armed(q, 20, "b"))
+        armed(q, 10, "a2")
+        assert q.snapshot() == [(10, "a"), (10, "a2"), (30, "c")]
 
 
 class TestCompaction:
-    """Mass cancellation must not leave the heap full of dead entries."""
+    """Mass killing must not leave the heap full of dead entries."""
 
     def test_mass_cancellation_compacts_heap(self):
         q = EventQueue()
-        handles = [q.push(t, lambda: None) for t in range(4000)]
-        # Cancel all but every 8th event — the RTO-timer churn pattern.
-        survivors = []
-        for i, handle in enumerate(handles):
+        arms = [armed(q, t) for t in range(4000)]
+        # Kill all but every 8th entry — the RTO-timer churn pattern.
+        for i, arm in enumerate(arms):
             if i % 8:
-                handle.cancel()
-            else:
-                survivors.append(handle)
-        assert len(q) == len(survivors)
+                q.kill(arm)
+        assert len(q) == 500
         # Dead entries beyond the floor and >50% of the heap are swept.
         assert q.heap_size - len(q) <= COMPACT_MIN_DEAD
-        assert q.heap_size < len(handles) // 2
+        assert q.heap_size < len(arms) // 2
 
     def test_small_queues_stay_lazy(self):
         q = EventQueue()
-        handles = [q.push(t, lambda: None) for t in range(100)]
-        for handle in handles[:-1]:
-            handle.cancel()
+        arms = [armed(q, t) for t in range(100)]
+        for arm in arms[:-1]:
+            q.kill(arm)
         # Below the floor nothing compacts: lazy discard is cheaper.
         assert q.heap_size == 100
         assert len(q) == 1
 
     def test_firing_order_preserved_across_compaction(self):
         q = EventQueue()
-        fired = []
-        keep = []
+        fired, keep = [], []
         for t in range(3000):
-            handle = q.push(t // 3, lambda t=t: fired.append(t))
+            arm = armed(q, t // 3, callback=fired.append, args=(t,))
             if t % 2:
                 keep.append(t)
             else:
-                handle.cancel()
+                q.kill(arm)
         while q:
-            q.pop().callback()
+            fire(q.pop())
         assert fired == keep  # (when, seq) order survives the heapify
 
     def test_direct_handle_cancel_updates_live_count(self):
-        """TCP timers cancel through the handle, not the queue: the live
-        count (and thus ``while queue:`` loops) must stay exact."""
-        q = EventQueue()
-        a = q.push(1, lambda: None)
-        q.push(2, lambda: None)
-        a.cancel()
-        assert len(q) == 1
-        q.pop()
-        assert len(q) == 0
-        assert not q
+        """A timer kills its arm straight through the queue: the live count
+        (and thus ``while queue:`` loops) must stay exact."""
+        sim = Simulator()
+        timer = sim.timer(print, "t")
+        timer.start(1)
+        sim.after(2, print)
+        timer.stop()
+        assert len(sim.queue) == 1
+        sim.queue.pop()
+        assert len(sim.queue) == 0
+        assert not sim.queue
 
     def test_cancel_after_fire_is_a_noop(self):
-        q = EventQueue()
-        handle = q.push(1, lambda: None)
-        popped = q.pop()
-        assert popped is handle
-        handle.callback = None  # the simulator consumes it on step()
-        handle.cancel()
-        assert not handle.cancelled  # never marked: there was nothing to undo
-        assert len(q) == 0
+        sim = Simulator()
+        timer = sim.timer(print, "t")
+        timer.start(1)
+        sim.after(5, print)
+        assert sim.step()  # the timer fires
+        timer.stop()
+        assert len(sim.queue) == 1  # nothing was left to undo
 
 
 class TestFireAndForget:
-    """The handle-free entry shape (``args=``): every piece of queue
-    bookkeeping is total over both shapes, and nothing cancellable is ever
-    handed out."""
+    """Every ``at``/``after`` entry has no arm: queue bookkeeping is total
+    over both kinds of entry, and nothing cancellable is handed out."""
 
     @staticmethod
     def mixed():
-        """Both shapes interleaved: 10 f, 10 h, 20 f, 20 h(cancelled), 30 f."""
+        """Both kinds interleaved: 10 f, 10 t, 20 f, 20 t(killed), 30 f."""
         q = EventQueue()
         fired = []
-        assert q.push(30, fired.append, "f30", args=(30,)) is None
-        assert q.push(10, fired.append, "f10", args=(10,)) is None
-        kept = q.push(10, lambda: fired.append("h10"), "h10")
-        assert q.push(20, fired.append, "f20", args=(20,)) is None
-        dropped = q.push(20, lambda: fired.append("h20"), "h20")
-        dropped.cancel()
-        return q, fired, kept
+        push(q, 30, fired.append, "f30", args=(30,))
+        push(q, 10, fired.append, "f10", args=(10,))
+        armed(q, 10, "t10", fired.append, ("t10",))
+        push(q, 20, fired.append, "f20", args=(20,))
+        q.kill(armed(q, 20, "t20", fired.append, ("t20",)))
+        return q, fired
 
     def test_len_bool_peek_and_snapshot_count_both_shapes(self):
-        q, _, _ = self.mixed()
+        q, _ = self.mixed()
         assert len(q) == 4 and q
-        assert q.heap_size == 5  # the cancelled handle is discarded lazily
+        assert q.heap_size == 5  # the killed arm is discarded lazily
         assert q.peek_time() == 10
-        assert q.snapshot() == [(10, "f10"), (10, "h10"), (20, "f20"), (30, "f30")]
+        assert q.snapshot() == [(10, "f10"), (10, "t10"), (20, "f20"), (30, "f30")]
 
-    def test_pop_synthesises_a_detached_handle(self):
-        q, fired, kept = self.mixed()
-        first = q.pop()
-        assert (first.when, first.label) == (10, "f10")
-        assert first.queue is None and first.callback is not None and not first.cancelled
-        first.cancel()  # detached: cancelling it cannot skew the live count
+    def test_pop_hands_back_the_entry_tuple(self):
+        q, fired = self.mixed()
+        when, seq, arm, callback, args, label = first = q.pop()
+        assert (when, seq, arm, callback, args, label) == (10, 1, None, fired.append, (10,), "f10")
         assert len(q) == 3
-        assert q.pop() is kept
+        assert q.pop()[2] == ["t10"]
+        fire(first)
         while q:
-            q.pop().callback()  # the arguments come bound
-        assert fired == [20, 30]
+            fire(q.pop())
+        assert fired == [10, 20, 30]
         assert q.heap_size == 0
 
     def test_empty_args_are_still_fire_and_forget(self):
-        q = EventQueue()
+        sim = Simulator()
         fired = []
-        assert q.push(1, lambda: fired.append("no args"), args=()) is None
-        q.pop().callback()
-        assert fired == ["no args"]
+        assert sim.after(1, lambda: fired.append("no args")) is None
+        assert sim.after(1, fired.append, args=("args",)) is None
+        sim.run()
+        assert fired == ["no args", "args"]
 
     def test_compaction_keeps_every_handle_free_entry(self):
         q = EventQueue()
         fired = []
-        handles = []
+        arms = []
         for t in range(4 * COMPACT_MIN_DEAD):
-            handles.append(q.push(t, lambda t=t: fired.append(("h", t))))
+            arms.append(armed(q, t, callback=fired.append, args=(("timer", t),)))
             if t % 7 == 0:
-                q.push(t, fired.append, args=(("f", t),))
-        for handle in handles:
-            handle.cancel()
-        assert q.heap_size < len(handles) // 2  # compacted, more than once
-        assert len(q) == len(range(0, len(handles), 7))
+                push(q, t, fired.append, args=(("frame", t),))
+        for arm in arms:
+            q.kill(arm)
+        assert q.heap_size < len(arms) // 2  # compacted, more than once
+        assert len(q) == len(range(0, len(arms), 7))
         while q:
-            q.pop().callback()
-        assert fired == [("f", t) for t in range(0, len(handles), 7)]
+            fire(q.pop())
+        assert fired == [("frame", t) for t in range(0, len(arms), 7)]
 
     def test_nothing_to_cancel_is_an_error_not_a_noop(self):
-        q = EventQueue()
+        sim = Simulator()
         with pytest.raises(AttributeError):
-            q.push(5, print, args=("never cancelled",)).cancel()  # no handle
-        assert len(q) == 1  # the event itself is untouched
+            sim.after(5, print, args=("never cancelled",)).cancel()  # no handle
+        assert len(sim.queue) == 1  # the event itself is untouched
 
     def test_args_need_a_callback(self):
-        q = EventQueue()
+        sim = Simulator()
         with pytest.raises(SchedulingError):
-            q.push(1, None, args=(b"frame",))
-        assert len(q) == 0 and q.heap_size == 0
+            sim.after(1, None, args=(b"frame",))
+        assert len(sim.queue) == 0 and sim.queue.heap_size == 0
+
+
+class Owner:
+    def method(self, log, tag):
+        log.append(tag)
+
+
+class TestDiscard:
+    """A rebooting host drops its last life's fire-and-forget entries: those
+    whose callback is a method of one of the owners it names."""
+
+    def test_drops_only_the_owners_fire_and_forget_entries(self):
+        q = EventQueue()
+        mine, theirs = Owner(), Owner()
+        fired = []
+        push(q, 5, mine.method, "mine", args=(fired, "mine@5"))
+        push(q, 5, theirs.method, "theirs", args=(fired, "theirs@5"))
+        armed(q, 5, "timer", mine.method, (fired, "timer@5"))  # a timer's own business
+        push(q, 6, fired.append, "closure", args=("closure@6",))
+        push(q, 7, mine.method, "mine", args=(fired, "mine@7"))
+        q.discard([mine])
+        assert len(q) == 3 and q.heap_size == 3
+        while q:
+            fire(q.pop())
+        assert fired == ["theirs@5", "timer@5", "closure@6"]
+
+    def test_owners_match_by_identity(self):
+        class Equal(Owner):
+            def __eq__(self, other):
+                return True
+
+            __hash__ = object.__hash__
+
+        q = EventQueue()
+        push(q, 1, Equal().method, args=([], "kept"))
+        q.discard([Equal()])
+        assert len(q) == 1

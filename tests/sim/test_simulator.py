@@ -1,5 +1,8 @@
 """Tests for the simulator facade: scheduling, run loops, re-armable timers."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.errors import SchedulingError, SimulationError
@@ -30,11 +33,16 @@ class TestScheduling:
             sim.after(-1, lambda: None)
 
     def test_cancel(self, sim):
+        """A :class:`Timer` is the one cancellable event; ``at``/``after``
+        hand out nothing to keep or cancel."""
         seen = []
-        handle = sim.after(10, lambda: seen.append(1))
-        handle.cancel()
+        timer = sim.timer(seen.append, "t", 1)
+        timer.start(10)
+        timer.stop()
+        assert sim.after(10, seen.append, "a", args=(2,)) is None
+        assert sim.at(5, lambda: seen.append(0)) is None
         sim.run()
-        assert seen == []
+        assert seen == [0, 2]
 
     def test_nested_scheduling(self, sim):
         seen = []
@@ -181,7 +189,7 @@ class TestTimer:
 
     def test_same_instant_timers_fire_in_start_order(self, sim):
         fired, labels = [], []
-        sim.add_trace_hook(lambda handle: labels.append((handle.label, handle.seq)))
+        sim.add_trace_hook(lambda when, seq, label: labels.append((label, seq)))
         late = sim.timer(fired.append, "late", "late")
         early = sim.timer(fired.append, "early", "early")
         early.start(10)
@@ -196,6 +204,42 @@ class TestTimer:
         timer = sim.timer(lambda: None, "t")
         with pytest.raises(SchedulingError):
             timer.start(-1)
+        assert not timer.armed and len(sim.queue) == 0
+
+    @pytest.mark.parametrize("disarm", ["stop", "re-arm"])
+    def test_dead_entry_releases_the_timer_and_its_owner(self, sim, disarm):
+        """A stopped or re-armed timer's old entry waits in the heap until
+        it surfaces, but it no longer reaches the timer: a crashed peer's
+        state hanging off the timer is free at once."""
+
+        class Owner:
+            def expire(self):
+                pass
+
+        owner = Owner()
+        owner.timer = sim.timer(owner.expire, "t")
+        owner.timer.start(100)
+        if disarm == "stop":
+            owner.timer.stop()
+        else:
+            owner.timer.start(200)
+            sim.timer(lambda: None, "other").start(300)
+            owner.timer.stop()  # the re-arm's own entry dies too
+        gone = weakref.ref(owner)
+        del owner
+        gc.collect()
+        assert gone() is None
+        assert sim.queue.heap_size >= 1 and len(sim.queue) == (disarm == "re-arm")
+
+    def test_stopped_timer_entry_skips_the_hooks(self, sim):
+        """A dead entry is not an event: no hook call, no count."""
+        hooked = []
+        sim.add_trace_hook(lambda when, seq, label: hooked.append(label))
+        timer = sim.timer(lambda: None, "dead")
+        timer.start(5)
+        timer.start(10)
+        sim.run()
+        assert hooked == ["dead"] and sim.events_processed == 1 and sim.now == 10
 
 
 class TestDeterminism:

@@ -13,10 +13,11 @@ import types
 
 import pytest
 
+from repro.core.testbed import Testbed
 from repro.net.nic import Nic
 from repro.rll import RllLayer
 from repro.rll.frames import encap_data_fast
-from repro.sim import ms, seconds
+from repro.sim import NS_PER_US, ms, seconds
 from tests.conftest import make_testbed, make_two_hosts
 
 
@@ -91,6 +92,26 @@ class TestSoftStateAmnesia:
         sim.run_until(seconds(1))
         assert got == []  # the binding did not survive the reboot
         h2.udp.bind(9)  # and the port is free again, no SocketError
+
+    @pytest.mark.parametrize("closer", ["crash", "close"])
+    def test_datagram_parked_in_udp_rx_dies_with_its_socket(self, sim, closer):
+        """A datagram still in ``udp:rx`` when its socket closes — the host
+        crashed, or the application closed it — never reaches
+        ``on_receive``: it counts as an unclaimed-port drop."""
+        _, h1, h2 = make_two_hosts(sim)
+        got = []
+        socket = h2.udp.bind(9)
+        socket.on_receive = lambda p, ip, port: got.append(p)
+        h1.udp.bind(0).sendto(b"before the crash", h2.ip, 9)
+        while "udp:rx" not in [label for _, label in sim.queue.snapshot()]:
+            assert sim.step()
+        if closer == "crash":
+            h2.crash()
+        else:
+            socket.close()
+        sim.run_until(ms(10))
+        assert got == [] and socket.rx_datagrams == 0
+        assert h2.udp.unclaimed_port_drops == 1
 
     def test_tcp_connections_destroyed_without_fin(self, sim):
         _, h1, h2 = make_two_hosts(sim)
@@ -193,28 +214,42 @@ def sentinel_holders(roots, prune=()):
     return found
 
 
+#: every per-frame deferral of node2's a TCP frame passes through
+PARKING_LABELS = [
+    "tcp:tx",
+    "ip:tx",
+    "vw:forward",
+    "rll:tx",
+    "driver:node2-eth0:tx",
+    "driver:node2-eth0:rx",
+    "rll:rx",
+    "ip:rx",
+    "tcp:rx",
+]
+
+
+#: the label prefixes of every per-frame deferral a host's layers schedule
+HOP_PREFIXES = ("tcp:", "ip:", "udp:", "vw:", "rll:", "driver:", "fault:")
+
+
+def reboot_owners(host):
+    """The objects whose deferrals :meth:`Host.reboot` discards."""
+    return [host.ip_layer, host.tcp, host.udp, *host.chain.layers]
+
+
 class TestNoFrameOutlivesCrash:
     """CRASH with a sentinel-bearing frame parked in one of node2's
     deferrals: after a run past every deferral and a reboot, nothing
     reachable from the event queue or from any layer of either host still
     holds the sentinel, and no frame bearing it crosses the wire or reaches
-    an application in the new life."""
+    an application in the new life.  A reboot that lands before the
+    deferrals drain hands the medium no frame of the last life either,
+    and still receives the frames already on the wire."""
 
-    @pytest.mark.parametrize(
-        "label",
-        [
-            "tcp:tx",
-            "ip:tx",
-            "vw:forward",
-            "rll:tx",
-            "driver:node2-eth0:tx",
-            "driver:node2-eth0:rx",
-            "rll:rx",
-            "ip:rx",
-            "tcp:rx",
-        ],
-    )
-    def test_frame_parked_in(self, label):
+    @staticmethod
+    def park(label):
+        """A hub testbed (with a sniffer) stepped until node2 holds a
+        sentinel frame in a fire-and-forget entry labelled *label*."""
         tb, (n1, n2) = make_testbed(medium="hub", rll=True)
         sim = tb.sim
         sniffed = []  # (time, frame) of everything that crosses the hub
@@ -230,7 +265,20 @@ class TestNoFrameOutlivesCrash:
 
         program = tb.compile_cached(PASSIVE_SCRIPT.format(nodes=tb.node_table_fsl()))
         tb.frontend.start_scenario(program, on_running=workload)
-        node2 = [n2.nic, n2.driver, n2.ip_layer, n2.chain.demux, n2.tcp, *n2.chain.layers]
+        node2 = reboot_owners(n2)
+        owners = {id(owner) for host in (n1, n2) for owner in reboot_owners(host)}
+        push = sim.queue.push
+
+        def owned_push(when, arm, callback, args, label):
+            """The rule the reboot's discard rests on: every hop deferral
+            either host schedules is a bound method of one of its owners
+            (``udp:rx``'s socket drops the datagram itself once closed)."""
+            if arm is None and label.startswith(HOP_PREFIXES) and label != "udp:rx":
+                owner = getattr(callback, "__self__", None)
+                assert id(owner) in owners, f"{label} deferral {callback!r} has no owner"
+            push(when, arm, callback, args, label)
+
+        sim.queue.push = owned_push
 
         def parked():
             """A fire-and-forget entry *label* of node2's holding the sentinel.
@@ -242,12 +290,18 @@ class TestNoFrameOutlivesCrash:
                 entry[2] is None
                 and entry[5] == label
                 and any(entry[3].__self__ is owner for owner in node2)
-                and sentinel_holders([entry[4]], prune=[sim, *node2])
+                and sentinel_holders([entry[4]], prune=[sim, n2.nic, *node2])
                 for entry in sim.queue._heap
             )
 
         while not parked():
             assert sim.step(), f"no sentinel frame was ever parked in {label}"
+        return tb, n1, n2, sniffed
+
+    @pytest.mark.parametrize("label", PARKING_LABELS)
+    def test_frame_parked_in(self, label):
+        tb, n1, n2, sniffed = self.park(label)
+        sim = tb.sim
         tb.crash_node("node2")
         n1.crash()  # silence the peer too: it would rightly retransmit its own copy
         assert sentinel_holders([sim.queue])
@@ -272,6 +326,53 @@ class TestNoFrameOutlivesCrash:
         assert [t for t, frame in sniffed if t >= rebooted and SENTINEL in frame] == []
         assert n1.nic.tx_frames + n2.nic.tx_frames > wire_frames_at_crash  # the stacks work
         assert sentinel_holders([sim.queue, *layers], prune=[sniffed]) == []
+
+    @pytest.mark.parametrize("gap", [0, NS_PER_US], ids=["zero-gap", "1us-gap"])
+    @pytest.mark.parametrize("label", PARKING_LABELS)
+    def test_fast_reboot_hands_the_medium_nothing_of_the_last_life(self, label, gap):
+        """RESTART compiles to a delay of 0: the reboot can land before the
+        crashed host's deferrals drain.  What each NIC hands the medium
+        afterwards is the new life's alone (frames already on the wire at
+        the crash still arrive at the sniffer: that is physics)."""
+        tb, n1, n2, _ = self.park(label)
+        sim = tb.sim
+        tb.crash_node("node2")
+        n1.crash()
+        sim.run_for(gap)
+        n1.reboot()
+        n2.reboot()
+        medium = n2.nic.medium
+        assert n1.nic.medium is medium
+        handed = []
+        transmit = medium.transmit
+
+        def recording(port, frame):
+            handed.append(frame)
+            transmit(port, frame)
+
+        medium.transmit = recording
+        n2.udp.bind(0).sendto(b"new life, from node2", n1.ip, 9)
+        sim.run_for(ms(20))
+        assert b"new life, from node2" in b"".join(handed)  # the NIC does transmit
+        assert [frame for frame in handed if SENTINEL in frame] == []
+
+    @pytest.mark.parametrize("medium", ["switch", "link", "hub", "bus"])
+    def test_fast_reboot_still_receives_frames_in_flight(self, medium):
+        """A reboot discards the host's own deferrals, not the medium's: a
+        peer's frame still inside its propagation delay at a zero-gap
+        reboot reaches the rebooted NIC, whatever the medium."""
+        tb = Testbed(seed=7)
+        n1, n2 = tb.add_host("node1"), tb.add_host("node2")
+        getattr(tb, f"add_{medium}")("m0")
+        tb.connect("m0", n1, n2)
+        n1.udp.bind(0).sendto(b"in flight at the reboot", n2.ip, 9)
+        while "m0:deliver" not in [label for _, label in tb.sim.queue.snapshot()]:
+            assert tb.sim.step()
+        received = n2.nic.rx_frames
+        n2.crash()
+        n2.reboot()
+        tb.sim.run_for(ms(1))
+        assert n2.nic.rx_frames == received + 1 and n2.nic.down_drops == 0
 
     def test_parked_rll_rx_cannot_revive_the_dead_window(self, sim):
         """The other door back in: an ``rll:rx`` parked at the crash whose

@@ -146,7 +146,7 @@ class TestWorkloadEventLabels:
 
         def init(sim, *args, **kwargs):
             original_init(sim, *args, **kwargs)
-            sim.add_trace_hook(lambda handle: fired.append(handle.label))
+            sim.add_trace_hook(lambda when, seq, label: fired.append(label))
 
         monkeypatch.setattr(Simulator, "__init__", init)
         scripts = {

@@ -1,5 +1,5 @@
-"""Event labels are part of the simulator's observable trace (trace hooks,
-``EventHandle.label``): the media and the RTO timer build theirs once per
+"""Event labels are part of the simulator's observable trace (the ``label``
+a trace hook is called with): the media and the RTO timer build theirs once per
 object instead of once per frame, and the strings must not change.
 
 The pinned digest was taken at the commit before the labels were hoisted.
@@ -52,7 +52,7 @@ def short_exchange_labels():
     _, h1, h2 = make_two_hosts(sim)
     h1.chain.splice_below_ip(DropFirstSynack())
     labels = []
-    sim.add_trace_hook(lambda handle: labels.append(handle.label))
+    sim.add_trace_hook(lambda when, seq, label: labels.append(label))
     h2.tcp.listen(0x4000, lambda accepted: setattr(accepted, "on_remote_close", accepted.close))
     conn = h1.tcp.connect(h2.ip, 0x4000, local_port=0x6000)
 

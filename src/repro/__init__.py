@@ -16,9 +16,6 @@ Quick start::
     report = tb.run_scenario(script_text, workload=start_traffic)
 """
 
-from .core.fsl import compile_text, parse_script
-from .core.report import EndReason, ScenarioReport
-from .core.tables import CompiledProgram
 from .core.testbed import Testbed
 from .errors import ReproError
 from .sim import Simulator, ms, seconds
@@ -27,17 +24,12 @@ from .stack import CostModel, Host
 __version__ = "1.0.0"
 
 __all__ = [
-    "CompiledProgram",
     "CostModel",
-    "EndReason",
     "Host",
     "ReproError",
-    "ScenarioReport",
     "Simulator",
     "Testbed",
-    "compile_text",
     "ms",
-    "parse_script",
     "seconds",
     "__version__",
 ]

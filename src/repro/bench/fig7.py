@@ -16,14 +16,16 @@ produced: the baseline without VirtualWire and the full
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
-from ..core.tables import CompiledProgram
 from ..scripts import canonical_node_table
 from ..sim import NS_PER_SEC, ms, seconds
 from ..workloads.bulk import BulkReceiver, PacedSender
 from .fig8 import build_script
 from .harness import RECEIVER_PORT, SENDER_PORT, two_node_testbed
+
+if TYPE_CHECKING:
+    from ..core.tables import CompiledProgram
 
 #: The paper's engine configuration for this figure.
 N_FILTERS = 25

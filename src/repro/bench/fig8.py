@@ -18,12 +18,14 @@ echo RTT against a VirtualWire-free baseline testbed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
-from ..core.tables import CompiledProgram
 from ..sim import ms, seconds
 from ..workloads.echo import EchoClient, EchoServer
 from .harness import two_node_testbed
+
+if TYPE_CHECKING:
+    from ..core.tables import CompiledProgram
 
 #: The paper triggers 25 actions per packet match in configuration (ii).
 ACTIONS_PER_MATCH = 25

@@ -28,24 +28,27 @@ scripts never hard-code addresses.
 from __future__ import annotations
 
 import functools
-from typing import Callable, Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Union
 
-from ..analysis import MetricsRegistry, correlate_journeys
 from ..errors import ScenarioError, TopologyError
 from ..net.addresses import IpAddress, MacAddress
 from ..net.topology import Topology
-from ..rll import RllLayer
 from ..sim import DrainEnd, Simulator, seconds
 from ..stack.costs import CostModel
 from ..stack.node import Host
-from ..trace import TapLayer, TraceRecorder
-from .audit import AuditLog
-from .chaos import ControlLossLayer
-from .engine import VirtualWireEngine
-from .frontend import Frontend
-from .fsl import compile_text
-from .report import EndReason, ScenarioReport
-from .tables import CompiledProgram
+
+# The FIE, the FSL compiler and the analysis tier are imported where they
+# are used: a testbed without VirtualWire (Fig 7's baseline) never loads them.
+if TYPE_CHECKING:
+    from ..analysis import MetricsRegistry
+    from ..rll import RllLayer
+    from ..trace import TraceRecorder
+    from .audit import AuditLog
+    from .chaos import ControlLossLayer
+    from .engine import VirtualWireEngine
+    from .frontend import Frontend
+    from .report import ScenarioReport
+    from .tables import CompiledProgram
 
 HostRef = Union[str, Host]
 
@@ -56,7 +59,11 @@ MAX_EVENTS = 50_000_000
 #: The compile cache behind :meth:`Testbed.compile_cached`, keyed by
 #: ``(script text, scenario name)``; bounded so generated script families
 #: cannot grow it without limit.
-_compile_cached = functools.lru_cache(maxsize=64)(compile_text)
+@functools.lru_cache(maxsize=64)
+def _compile_cached(script: str, scenario: Optional[str]) -> CompiledProgram:
+    from .fsl import compile_text
+
+    return compile_text(script, scenario)
 
 
 class Testbed:
@@ -167,6 +174,13 @@ class Testbed:
         layer feeds a shared :class:`~repro.analysis.MetricsRegistry`
         (``testbed.metrics``, exported via ``report.metrics``).
         """
+        from ..analysis import MetricsRegistry
+        from ..rll import RllLayer
+        from ..trace import TapLayer, TraceRecorder
+        from .audit import AuditLog
+        from .engine import VirtualWireEngine
+        from .frontend import Frontend
+
         if self.frontend is not None:
             raise ScenarioError("VirtualWire is already installed")
         targets = (
@@ -176,7 +190,14 @@ class Testbed:
         )
         if not targets:
             raise ScenarioError("no hosts to install VirtualWire on")
+        names = [host.name for host in targets]
+        twice = sorted({name for name in names if names.count(name) > 1})
+        if twice:
+            raise ScenarioError(f"nodes= names {', '.join(twice)} more than once")
         control_host = self.host(control) if control is not None else targets[0]
+        if control_host.name not in names:
+            # A dedicated control node gets the same stack as the targets.
+            targets.append(control_host)
         if telemetry:
             self.recorder = TraceRecorder(self.sim)
             self.audit_log = AuditLog(self.sim)
@@ -195,11 +216,6 @@ class Testbed:
             self.engines[host.name] = engine
             if self.recorder is not None:
                 host.chain.splice_below_ip(TapLayer(self.recorder, host.name))
-        if control_host.name not in self.engines:
-            engine = VirtualWireEngine(self.sim)
-            engine.audit_log = self.audit_log
-            control_host.chain.splice_below_ip(engine)
-            self.engines[control_host.name] = engine
         self.frontend = Frontend(
             self.sim, self.engines[control_host.name], self.engines
         )
@@ -217,6 +233,8 @@ class Testbed:
         must mask the loss; returns the layer so tests can read its drop
         counters.  Call after :meth:`install_virtualwire`.
         """
+        from .chaos import ControlLossLayer
+
         host = self.host(ref)
         layer = ControlLossLayer(self.sim, rate)
         host.chain.splice_above_driver(layer)
@@ -286,6 +304,10 @@ class Testbed:
         *max_time* bounds virtual time as a fail-safe, and
         :data:`MAX_EVENTS` the number of events (a runaway guard).
         """
+        from ..analysis import correlate_journeys
+        from .report import EndReason
+        from .tables import CompiledProgram
+
         if self.frontend is None:
             raise ScenarioError("call install_virtualwire() before run_scenario()")
         program = (

@@ -19,14 +19,16 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Any, Dict, List, Mapping, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional
 
 from ..bench.harness import RECEIVER_PORT, SENDER_PORT
-from ..core.tables import CompiledProgram
 from ..core.testbed import Testbed
 from ..sim import ms, seconds
 from ..stack.costs import CostModel
 from .spec import SweepError, SweepTask, reads_params
+
+if TYPE_CHECKING:
+    from ..core.tables import CompiledProgram
 
 
 _COST_FIELDS = frozenset(f.name for f in dataclasses.fields(CostModel))

@@ -32,6 +32,11 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
+# A slot is forked and inherits its owner's modules.  The testbed imports
+# the FIE, the FSL compiler and the analysis tier only when a scenario uses
+# them, so load them here, once, rather than in every slot's first cell.
+from .. import analysis, rll, trace  # noqa: F401
+from ..core import audit, chaos, engine, frontend, fsl, report, tables  # noqa: F401
 from .fleet import Action, Close, Dial, FleetScheduler
 from .runner import (
     BackendRun,

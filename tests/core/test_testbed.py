@@ -103,6 +103,46 @@ class TestInstallation:
         assert "ctrl" in tb.engines
         assert tb.frontend.control_engine is tb.engines["ctrl"]
 
+    @staticmethod
+    def _fig5_with_dedicated_control(**install):
+        """Fig 5 between node1 and node2, driven from a third host."""
+        tb = Testbed(seed=11)
+        ctl, node1, node2 = (tb.add_host(name) for name in ("ctl", "node1", "node2"))
+        tb.add_switch("sw0")
+        tb.connect("sw0", ctl, node1, node2)
+        tb.install_virtualwire(nodes=["node1", "node2"], control="ctl", **install)
+
+        def workload():
+            node2.tcp.listen(0x4000)
+            conn = node1.tcp.connect(node2.ip, 0x4000, local_port=0x6000)
+            conn.on_established = lambda: conn.send(bytes(48 * 1024))
+
+        script = tcp_congestion_script(tb.node_table_fsl("node1", "node2"))
+        return tb, tb.run_scenario(script, workload=workload, max_time=seconds(60))
+
+    def test_dedicated_control_host_gets_the_rll(self):
+        """The control host's frames cross the targets' RLL: it needs one too."""
+        tb, report = self._fig5_with_dedicated_control(rll=True)
+        assert sorted(tb.rll_layers) == ["ctl", "node1", "node2"]
+        assert report.passed, report.render()
+        assert report.unreachable_nodes == []
+
+    def test_dedicated_control_host_gets_telemetry(self):
+        tb, report = self._fig5_with_dedicated_control(telemetry=True)
+        assert "tap:ctl" in [layer.name for layer in tb.hosts["ctl"].chain.layers]
+        assert sorted(report.metrics) == ["ctl", "node1", "node2"]
+        assert report.passed, report.render()
+
+    def test_host_named_twice_rejected_before_any_splice(self):
+        tb = Testbed()
+        for name in ("node1", "node2"):
+            tb.add_host(name)
+        with pytest.raises(ScenarioError, match="node1"):
+            tb.install_virtualwire(nodes=["node1", tb.hosts["node1"], "node2"])
+        assert tb.engines == {} and tb.frontend is None
+        for host in tb.hosts.values():
+            assert [layer.name for layer in host.chain.layers][1:] == ["demux"]
+
     def test_rll_spliced_below_engine(self):
         tb = Testbed()
         tb.add_host("n")

@@ -311,12 +311,9 @@ class VirtualWireEngine(FrameLayer, RuntimeHooks):
     def _forward_after(
         self, cost_ns: int, data: bytes, direction: Direction, duplicate: bool = False
     ) -> None:
-        release = self._charge(cost_ns)
-        args = (self._life_epoch, data, direction, duplicate)
-        if release <= self.sim.now:
-            self._emit(*args)
-        else:
-            self.sim.at(release, self._emit, "vw:forward", args=args)
+        delay = self._charge(cost_ns) - self.sim.now
+        epoch = self._life_epoch
+        self.sim.defer(delay, self._emit, "vw:forward", epoch, data, direction, duplicate)
 
     def _emit(self, epoch: int, data: bytes, direction: Direction, duplicate: bool) -> None:
         if epoch != self._life_epoch:

@@ -166,7 +166,7 @@ class Frontend:
         self._registry[self.program_id] = program
         if inactivity_ns is not None:
             self.inactivity_ns = inactivity_ns
-        elif program.timeout_ns > 0:
+        elif program.timeout_ns:  # 0: the script declares none
             self.inactivity_ns = program.timeout_ns
         else:
             self.inactivity_ns = DEFAULT_INACTIVITY_NS

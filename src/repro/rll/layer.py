@@ -44,7 +44,8 @@ from .frames import (
 
 #: Outstanding unacked frames allowed per peer.
 DEFAULT_WINDOW = 8
-#: Retransmission timeout: a couple of LAN round trips.
+#: Retransmission timeout: a couple of LAN round trips on a fast medium;
+#: a slow one stretches it to a full window (:meth:`RllLayer._rto_ns`).
 DEFAULT_RTO_NS = 2 * NS_PER_MS
 #: Give up on a frame after this many retransmissions (dead peer).
 DEFAULT_MAX_RETRIES = 20
@@ -61,6 +62,7 @@ class _PeerState:
         "backlog",
         "rcv_next",
         "retries",
+        "rto_ns",
         "timer",
     )
 
@@ -72,6 +74,7 @@ class _PeerState:
         self.backlog: Deque[bytes] = deque()
         self.rcv_next = 0
         self.retries = 0
+        self.rto_ns = layer._rto_ns()
         #: the retransmission timer, ``rll:rto``.
         self.timer = layer.sim.timer(layer._on_timeout, "rll:rto", mac, self)
 
@@ -106,12 +109,15 @@ class RllLayer(FrameLayer):
             metrics.read("rll", self, "retransmissions", "abandoned_frames")
             self._m_backlog = metrics.gauge("rll", "backlog_depth")
 
-    def _charge(self, step, label: str, *args) -> None:
-        """Run ``step(*args)`` once the per-frame CPU cost has elapsed."""
-        if self._cost_ns:
-            self.sim.after(self._cost_ns, step, label, args=args)
-        else:
-            step(*args)
+    def _rto_ns(self) -> int:
+        """:data:`DEFAULT_RTO_NS`, or a full window of MTU frames on the
+        attached medium if longer: an ack can wait behind the whole window,
+        and resending frames still in flight floods a slow medium."""
+        medium = self.host.nic.medium if self.host is not None else None
+        if medium is None:
+            return DEFAULT_RTO_NS
+        window_ns = DEFAULT_WINDOW * medium.serialization_ns(bytes(HEADER_LEN + MAX_PAYLOAD))
+        return max(DEFAULT_RTO_NS, window_ns)
 
     def _peer(self, mac: MacAddress) -> _PeerState:
         state = self._peers.get(mac)
@@ -171,7 +177,7 @@ class RllLayer(FrameLayer):
             if self._m_backlog is not None:
                 self._m_backlog.set(len(peer.backlog))
             return
-        self._charge(self._send_data, "rll:tx", dst, peer, frame_bytes)
+        self.sim.defer(self._cost_ns, self._send_data, "rll:tx", dst, peer, frame_bytes)
 
     def _send_data(self, dst: MacAddress, peer: _PeerState, frame: bytes) -> None:
         if self._peers.get(dst) is not peer:
@@ -183,7 +189,7 @@ class RllLayer(FrameLayer):
         self.data_sent += 1
         self._emit_data(dst, frame, seq, peer.rcv_next)
         if not peer.timer.armed:
-            peer.timer.start(DEFAULT_RTO_NS)
+            peer.timer.start(peer.rto_ns)
 
     def _emit_data(self, dst: MacAddress, frame: bytes, seq: int, ack: int) -> None:
         self.pass_down(encap_data_fast(frame, seq, ack))
@@ -219,7 +225,9 @@ class RllLayer(FrameLayer):
             self._process_ack(src, peer, ack)
             return
         seq = (frame_bytes[16] << 8) | frame_bytes[17]
-        self._charge(self._process_data, "rll:rx", frame_bytes, src, seq, ack, peer)
+        self.sim.defer(
+            self._cost_ns, self._process_data, "rll:rx", frame_bytes, src, seq, ack, peer
+        )
 
     def _process_data(
         self, frame_bytes: bytes, src: MacAddress, seq: int, ack: int, peer: _PeerState
@@ -259,7 +267,7 @@ class RllLayer(FrameLayer):
             peer.snd_base = ack
             peer.retries = 0
             if peer.window:
-                peer.timer.start(DEFAULT_RTO_NS)
+                peer.timer.start(peer.rto_ns)
             else:
                 peer.timer.stop()
             self._drain_backlog(dst, peer)
@@ -294,7 +302,7 @@ class RllLayer(FrameLayer):
         for seq, frame in peer.window:
             self.retransmissions += 1
             self._emit_data(dst, frame, seq, peer.rcv_next)
-        peer.timer.start(DEFAULT_RTO_NS)
+        peer.timer.start(peer.rto_ns)
 
     def __repr__(self) -> str:
         return (

@@ -6,6 +6,8 @@ exposes the scheduling API that every other subsystem uses:
 
 * :meth:`Simulator.at` / :meth:`Simulator.after` — schedule one-shot
   fire-and-forget events;
+* :meth:`Simulator.defer` — a layer's per-frame hop: the frame goes on
+  once the layer's cost has elapsed, at once when the cost is zero;
 * :meth:`Simulator.timer` — a re-armable one-shot :class:`Timer`, the one
   event that can be cancelled;
 * :meth:`Simulator.run` / :meth:`run_until` / :meth:`step` — drive the loop
@@ -134,6 +136,16 @@ class Simulator:
         if delay < 0:
             raise SchedulingError(f"negative delay: {delay}")
         self.queue.push(self._now + delay, None, callback, args, label)
+
+    def defer(self, delay: int, callback: Callback, label: str, *args) -> None:
+        """The hop every layer charges its host cost through: ``callback(
+        *args)`` *delay* ns from now as one event labelled *label*, or at
+        once when *delay* is 0.  *delay* is a ``CostModel`` sum, a
+        non-negative int by construction, and is not checked here."""
+        if delay:
+            self.queue.push(self._now + delay, None, callback, args, label)
+        else:
+            callback(*args)
 
     def timer(self, callback: Callback, label: str, *args) -> Timer:
         """A disarmed :class:`Timer` that runs ``callback(*args)`` as *label*."""

@@ -36,12 +36,7 @@ class DriverLayer(FrameLayer):
     def on_send(self, frame_bytes: bytes) -> None:
         """Frame arriving from above: charge tx cost, then hit the wire."""
         self.tx_frames += 1
-        if self.costs.driver_tx_ns > 0:
-            self.sim.after(
-                self.costs.driver_tx_ns, self._tx_continue, self._tx_label, args=(frame_bytes,)
-            )
-        else:
-            self.nic.transmit(frame_bytes)
+        self.sim.defer(self.costs.driver_tx_ns, self._tx_continue, self._tx_label, frame_bytes)
 
     def _tx_continue(self, frame_bytes: bytes) -> None:
         # A method of the driver, not the NIC's own: a reboot discards the
@@ -51,12 +46,7 @@ class DriverLayer(FrameLayer):
     def _nic_receive(self, frame_bytes: bytes) -> None:
         """NIC upcall: charge rx cost, then continue up the chain."""
         self.rx_frames += 1
-        if self.costs.driver_rx_ns > 0:
-            self.sim.after(
-                self.costs.driver_rx_ns, self._rx_continue, self._rx_label, args=(frame_bytes,)
-            )
-        else:
-            self._rx_continue(frame_bytes)
+        self.sim.defer(self.costs.driver_rx_ns, self._rx_continue, self._rx_label, frame_bytes)
 
     def _rx_continue(self, frame_bytes: bytes) -> None:
         # The NIC may have been brought down (crash) between delivery and

@@ -95,12 +95,7 @@ class IpLayer:
             payload,
         )
         self.tx_packets += 1
-        if self.costs.ip_ns > 0:
-            self.sim.after(
-                self.costs.ip_ns, self.demux.send_frame_bytes, "ip:tx", args=(frame_bytes,)
-            )
-        else:
-            self.demux.send_frame_bytes(frame_bytes)
+        self.sim.defer(self.costs.ip_ns, self.demux.send_frame_bytes, "ip:tx", frame_bytes)
 
     # -- input path ---------------------------------------------------------
 
@@ -113,12 +108,7 @@ class IpLayer:
         if dst != self.local_ip:
             self.misaddressed_drops += 1
             return
-        if self.costs.ip_ns > 0:
-            self.sim.after(
-                self.costs.ip_ns, self._dispatch, "ip:rx", args=(src, protocol, payload)
-            )
-        else:
-            self._dispatch(src, protocol, payload)
+        self.sim.defer(self.costs.ip_ns, self._dispatch, "ip:rx", src, protocol, payload)
 
     def _dispatch(self, src: IpAddress, protocol: int, payload: bytes) -> None:
         handler = self._protocols.get(protocol)

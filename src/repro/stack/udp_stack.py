@@ -120,12 +120,7 @@ class UdpLayer:
         self, src_port: int, dst_ip: IpAddress, dst_port: int, payload: bytes
     ) -> None:
         wire = encode_udp_datagram(src_port, dst_port, payload, self.ip_layer.local_ip, dst_ip)
-        if self.costs.udp_ns > 0:
-            self.sim.after(
-                self.costs.udp_ns, self.ip_layer.send, "udp:tx", args=(dst_ip, PROTO_UDP, wire)
-            )
-        else:
-            self.ip_layer.send(dst_ip, PROTO_UDP, wire)
+        self.sim.defer(self.costs.udp_ns, self.ip_layer.send, "udp:tx", dst_ip, PROTO_UDP, wire)
 
     def _receive(self, src: IpAddress, data: bytes) -> None:
         try:
@@ -137,9 +132,4 @@ class UdpLayer:
         if socket is None:
             self.unclaimed_port_drops += 1
             return
-        if self.costs.udp_ns > 0:
-            self.sim.after(
-                self.costs.udp_ns, socket.deliver, "udp:rx", args=(payload, src, src_port)
-            )
-        else:
-            socket.deliver(payload, src, src_port)
+        self.sim.defer(self.costs.udp_ns, socket.deliver, "udp:rx", payload, src, src_port)

@@ -23,6 +23,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional
 
 from ..bench.harness import RECEIVER_PORT, SENDER_PORT
 from ..core.testbed import Testbed
+from ..errors import StackError
 from ..sim import ms, seconds
 from ..stack.costs import CostModel
 from .spec import SweepError, SweepTask, reads_params
@@ -30,8 +31,6 @@ from .spec import SweepError, SweepTask, reads_params
 if TYPE_CHECKING:
     from ..core.tables import CompiledProgram
 
-
-_COST_FIELDS = frozenset(f.name for f in dataclasses.fields(CostModel))
 
 #: The keys each workload kind reads (see _install_workload), besides
 #: ``kind``, ``sender`` and ``receiver``, which every kind reads.
@@ -64,9 +63,10 @@ def _check_script_params(params: Mapping[str, Any]) -> Optional[str]:
     costs = params.get("costs", {})
     if not isinstance(costs, Mapping):
         return f"costs= must be a mapping, not {type(costs).__name__}"
-    unknown = sorted(set(costs) - _COST_FIELDS)
-    if unknown:
-        return f"unknown cost-model fields: {unknown}"
+    try:
+        CostModel(**costs)
+    except (TypeError, StackError) as exc:  # an unknown field; a negative, float or bool cost
+        return f"costs=: {exc}"
     return None
 
 
@@ -163,8 +163,7 @@ def run_script_task(task: SweepTask) -> Dict[str, Any]:
     """
     program = _compile(task)
     seed = int(task.param("seed", task.seed))
-    costs = dataclasses.replace(CostModel(), **task.param("costs", {}))
-    tb = Testbed(seed=seed, costs=costs)
+    tb = Testbed(seed=seed, costs=CostModel(**task.param("costs", {})))
     hosts = [
         tb.add_host(entry.name, mac=str(entry.mac), ip=str(entry.ip))
         for entry in program.nodes.entries

@@ -125,15 +125,9 @@ class TcpLayer:
     def send_segment(self, conn: TcpConnection, seg: TcpSegment) -> None:
         """Serialise and hand a segment to IP, charging the TCP CPU cost."""
         wire = encode_tcp_segment(seg, conn.flow_sum)
-        if self.costs.tcp_ns > 0:
-            self.sim.after(
-                self.costs.tcp_ns,
-                self.host.ip_layer.send,
-                "tcp:tx",
-                args=(conn.remote_ip, PROTO_TCP, wire),
-            )
-        else:
-            self.host.ip_layer.send(conn.remote_ip, PROTO_TCP, wire)
+        self.sim.defer(
+            self.costs.tcp_ns, self.host.ip_layer.send, "tcp:tx", conn.remote_ip, PROTO_TCP, wire
+        )
 
     def forget(self, conn: TcpConnection) -> None:
         """Remove a closed connection from the demux table."""
@@ -196,10 +190,7 @@ class TcpLayer:
         except (ChecksumError, PacketError):
             self.checksum_drops += 1
             return
-        if self.costs.tcp_ns > 0:
-            self.sim.after(self.costs.tcp_ns, self._dispatch, "tcp:rx", args=(src, seg))
-        else:
-            self._dispatch(src, seg)
+        self.sim.defer(self.costs.tcp_ns, self._dispatch, "tcp:rx", src, seg)
 
     def _dispatch(self, src: IpAddress, seg: TcpSegment) -> None:
         conn = self._connections.get(self._key(seg.dst_port, src, seg.src_port))

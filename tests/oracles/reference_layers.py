@@ -117,7 +117,7 @@ def _rll_on_send(self, frame_bytes):
         if self._m_backlog is not None:
             self._m_backlog.set(len(peer.backlog))
         return
-    self._charge(self._send_data, "rll:tx", dst, peer, frame)
+    self.sim.defer(self._cost_ns, self._send_data, "rll:tx", dst, peer, frame)
 
 
 def _rll_emit_data(self, dst, frame, seq, ack):
@@ -139,7 +139,7 @@ def _rll_on_receive(self, frame_bytes):
         self._process_ack(outer.src, peer, shim.ack)
         return
     if shim.kind == KIND_DATA:
-        self._charge(self._process_data, "rll:rx", outer, shim, peer)
+        self.sim.defer(self._cost_ns, self._process_data, "rll:rx", outer, shim, peer)
 
 
 def _rll_process_data(self, outer, shim, peer):

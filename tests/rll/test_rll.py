@@ -2,12 +2,17 @@
 
 import pytest
 
+from repro.bench.fig7 import _tcp_script
+from repro.bench.harness import RECEIVER_PORT, SENDER_PORT
+from repro.core.testbed import Testbed
 from repro.errors import PacketError
 from repro.net.topology import Topology
 from repro.rll import DEFAULT_WINDOW, RllLayer, KIND_ACK, KIND_DATA
+from repro.rll.layer import DEFAULT_RTO_NS
 from repro.rll.frames import SEQ_MOD, seq_diff
 from repro.sim import Simulator, ms, seconds
 from repro.stack import FREE, Host
+from repro.workloads.bulk import BulkReceiver, PacedSender
 from tests.oracles.codec import EthernetFrame, RllFrame
 
 
@@ -184,3 +189,68 @@ class TestReceiveIsTotal:
         assert layers[1].malformed_discarded == 1
         assert got == [b"after"]  # well-formed traffic is unaffected
         assert layers[1].data_received == 1
+
+
+class TestTimeoutFollowsTheMedium:
+    """A full window of MTU frames takes 9.7 ms on a 10 Mbps medium.  With
+    the fixed 2 ms timeout the RLL resent windows still in flight, the
+    resends filled the medium's queue, and Fig 7's pump at 12 Mbps offered
+    ended ``FAIL (node-unreachable)`` at 1.5 Mbps where the bare stack
+    passes at 9.1 Mbps (2 060 retransmissions for 122 data frames)."""
+
+    SLOW_BPS = 10_000_000
+
+    @staticmethod
+    def pump(medium, senders=1, offered_mbps=12):
+        """*senders* hosts each offer *offered_mbps* of Fig 7's paced TCP
+        to node1 for 200 ms, VirtualWire and the RLL on every host."""
+        tb = Testbed(seed=0)
+        hosts = [tb.add_host(f"node{i}") for i in range(1, senders + 2)]
+        {"hub": tb.add_hub, "bus": tb.add_bus, "switch": tb.add_switch}[medium](
+            "m0", bandwidth_bps=TestTimeoutFollowsTheMedium.SLOW_BPS
+        )
+        tb.connect("m0", *hosts)
+        tb.install_virtualwire(control="node1", rll=True)
+        sink = hosts[0]
+        receivers = [BulkReceiver(sink, RECEIVER_PORT + i) for i in range(senders)]
+
+        def workload():
+            for i, host in enumerate(hosts[1:]):
+                PacedSender(
+                    host, sink.ip, RECEIVER_PORT + i, offered_bps=offered_mbps * 1e6,
+                    duration_ns=ms(200), local_port=SENDER_PORT + i,
+                )
+
+        report = tb.run_scenario(
+            _tcp_script(tb.node_table_fsl()), workload=workload, max_time=seconds(6),
+            inactivity_ns=ms(200),
+        )
+        rlls = [tb.rll_layers[host.name] for host in hosts]
+        goodput = sum(r.goodput_bps() for r in receivers) / 1e6
+        return report, rlls, goodput
+
+    @pytest.mark.parametrize("medium", ["hub", "bus"])
+    def test_saturated_shared_medium_passes_without_retransmission(self, medium):
+        report, rlls, goodput = self.pump(medium)
+        assert report.passed, report.render()
+        assert [rll.retransmissions for rll in rlls] == [0, 0]
+        assert goodput > 8.0
+
+    def test_switch_port_shared_by_two_senders_needs_no_retransmission(self):
+        """Two senders offering 6 Mbps each converge on the sink's 10 Mbps
+        port, where the acks for the sink's own frames queue behind their
+        data: a 2 ms timeout resent 80 of the sink's frames still in flight."""
+        report, rlls, goodput = self.pump("switch", senders=2, offered_mbps=6)
+        assert report.passed, report.render()
+        assert [rll.retransmissions for rll in rlls] == [0, 0, 0]
+        assert goodput > 9.0
+
+    def test_timeout_is_the_window_on_a_slow_medium_and_the_default_on_a_fast_one(self):
+        for bandwidth, expected in ((10_000_000, 9_689_600), (100_000_000, DEFAULT_RTO_NS)):
+            tb = Testbed(seed=0)
+            hosts = [tb.add_host("node1"), tb.add_host("node2")]
+            tb.add_hub("m0", bandwidth_bps=bandwidth)
+            tb.connect("m0", *hosts)
+            rll = RllLayer(tb.sim)
+            hosts[0].chain.splice_above_driver(rll)
+            assert rll._peer(hosts[1].mac).rto_ns == expected

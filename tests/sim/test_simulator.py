@@ -7,6 +7,7 @@ import pytest
 
 from repro.errors import SchedulingError, SimulationError
 from repro.sim import Simulator, simulator
+from tests.conftest import make_two_hosts
 
 
 class TestScheduling:
@@ -54,6 +55,45 @@ class TestScheduling:
         sim.after(10, outer)
         sim.run()
         assert seen == [("outer", 10), ("inner", 15)]
+
+
+class TestDefer:
+    """``Simulator.defer``, the one hop primitive every layer charges its
+    host cost through."""
+
+    def test_zero_delay_calls_at_once_and_schedules_nothing(self, sim):
+        seen = []
+        sim.defer(0, lambda *args: seen.append((sim.now, args)), "hop", 1, 2)
+        assert seen == [(0, (1, 2))]
+        assert sim.queue.heap_size == 0 and len(sim.queue) == 0
+        assert sim.events_processed == 0
+        sim.run()
+        assert sim.events_processed == 0
+
+    def test_positive_delay_pushes_the_entry_after_would(self):
+        def hop(*args):
+            pass
+
+        deferred, scheduled = Simulator(seed=1), Simulator(seed=1)
+        for sim in (deferred, scheduled):
+            sim.after(3, hop, "warm-up")
+            sim.run()
+        deferred.defer(250, hop, "ip:tx", b"frame", 7)
+        scheduled.after(250, hop, "ip:tx", args=(b"frame", 7))
+        assert deferred.queue._heap == scheduled.queue._heap
+        assert deferred.queue._heap[0][:3] == (253, 1, None)
+
+    def test_reboot_discards_a_deferred_hop_of_the_host(self, sim):
+        _, h1, h2 = make_two_hosts(sim)
+        got = []
+        h2.udp.bind(9).on_receive = lambda payload, ip, port: got.append(payload)
+        h1.udp.bind(5).sendto(b"previous life", h2.ip, 9)
+        assert sim.queue.snapshot() == [(h1.costs.udp_ns, "udp:tx")]
+        h1.crash()
+        h1.reboot()
+        assert len(sim.queue) == 0
+        sim.run()
+        assert got == []
 
 
 class TestRunLoops:

@@ -133,6 +133,12 @@ class TestDeclaredParams:
             (dict(workload="tcp_bulk"), "mapping"),
             # a bad cost field used to fail only when its cell ran
             (dict(costs={"engine_base": 5}), "'engine_base'"),
+            # a bad cost value used to run: a negative engine cost landed OK
+            # with a negative cost_charged_ns, -1 ran as 0, 1500.7 as 1500
+            (dict(costs={"engine_base_ns": -100000}), "engine_base_ns .*-100000"),
+            (dict(costs={"tcp_ns": -1}), "tcp_ns .*-1"),
+            (dict(costs={"ip_ns": 1500.7}), "ip_ns .*1500.7"),
+            (dict(costs={"udp_ns": True}), "udp_ns .*True"),
         ],
     )
     def test_nested_workload_and_cost_keys_are_checked_at_enumeration(self, params, named):

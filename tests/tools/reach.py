@@ -6,7 +6,8 @@ paper figures, the golden runs and the ledger's ``--quick``) as
 subprocesses under ``sys.settrace``.  A ``sitecustomize.py`` put first on
 ``PYTHONPATH`` installs the tracer in every process, forked slots and
 ``repro worker`` included, and appends each newly entered code object to a
-per-pid file at once, so a slot's ``os._exit`` loses nothing.
+per-pid file at once, so a slot's ``os._exit`` loses nothing.  A write that
+fails is recorded, and the survey then fails naming the process.
 
 ``tests/tools/reach.txt`` lists every ``def`` no entry point entered and
 every defaulted parameter no non-test call passes, one sorted line each:
@@ -43,8 +44,21 @@ def _trace(frame, event, arg):
     if id(code) not in _seen:
         _seen[id(code)] = code  # held, so an id is never reused
         if code.co_filename.startswith(%(roots)r):
-            with open(os.path.join(%(out)r, str(os.getpid())), "a") as f:
-                f.write(code.co_filename + "\\t" + code.co_qualname + "\\n")
+            # CPython unsets a tracer that raises, for the rest of the
+            # thread: a failed write must not hide every later entry.
+            try:
+                with open(os.path.join(%(out)r, str(os.getpid())), "a") as f:
+                    f.write(code.co_filename + "\\t" + code.co_qualname + "\\n")
+            except Exception as exc:
+                del _seen[id(code)]  # a later entry of it writes again
+                _failed(exc)
+def _failed(exc):
+    note = "pid %%d (%%s): %%r\\n" %% (os.getpid(), " ".join(sys.argv), exc)
+    try:
+        with open(os.path.join(%(err)r, str(os.getpid())), "a") as f:
+            f.write(note)
+    except Exception:
+        sys.stderr.write("reach tracer: " + note)
 sys.settrace(_trace)
 threading.settrace(_trace)
 '''
@@ -256,13 +270,14 @@ def entry_points(work: pathlib.Path) -> list:
 
 def trace(commands, roots=(SRC,)) -> set:
     """Run *commands* traced; returns the (file, qualname) pairs entered
-    under *roots*.  *commands* may be a callable of the work directory."""
+    under *roots*.  *commands* may be a callable of the work directory.
+    Raises, naming each process, if a tracer failed to record an entry."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = pathlib.Path(tmp)
-        site, out = tmp / "site", tmp / "out"
-        site.mkdir(), out.mkdir()
+        site, out, err = tmp / "site", tmp / "out", tmp / "err"
+        site.mkdir(), out.mkdir(), err.mkdir()
         (site / "sitecustomize.py").write_text(SITECUSTOMIZE % {
-            "roots": tuple(str(r) for r in roots), "out": str(out)})
+            "roots": tuple(str(r) for r in roots), "out": str(out), "err": str(err)})
         env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_SWEEP_")}
         env["PYTHONPATH"] = os.pathsep.join([str(site), str(ROOT / "src"), str(ROOT)])
         work = tmp / "work"
@@ -278,6 +293,9 @@ def trace(commands, roots=(SRC,)) -> set:
         finally:
             os.killpg(worker.pid, signal.SIGTERM)
             worker.wait()
+        failures = sorted(line for f in err.iterdir() for line in f.read_text().splitlines())
+        if failures:
+            raise RuntimeError("tracer failed, entries lost:\n" + "\n".join(failures))
         return {tuple(line.split("\t")) for f in out.iterdir()
                 for line in f.read_text().splitlines()}
 

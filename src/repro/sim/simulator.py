@@ -27,7 +27,7 @@ from typing import Callable, List, Optional
 
 from ..errors import SchedulingError, SimulationError
 from .clock import format_time
-from .events import Callback, EventQueue
+from .events import Callback, EventQueue, _rekey
 from .random import RandomRegistry
 
 #: Events one run may fire before :meth:`Simulator.run_until` gives up with
@@ -49,13 +49,17 @@ class Timer:
 
     :meth:`start` arms it, or re-arms it and drops the pending firing;
     :meth:`stop` disarms it and is safe to repeat; :attr:`armed` says
-    whether a firing is pending.  Each arm is one heap entry whose arm slot
-    is a one-slot list holding the timer (see :mod:`repro.sim.events`), and
-    a firing disarms the timer before ``callback(*args)`` runs, so the
-    callback may start it again.
+    whether a firing is pending.  An armed timer has one heap entry, whose
+    arm slot is a one-slot list holding the timer (see
+    :mod:`repro.sim.events`).  A re-arm to a deadline no earlier than that
+    entry's keeps the entry and moves the timer's stamp, ``(_when, _seq)``;
+    the queue re-keys the entry to the stamp when it reaches the heap top.
+    A re-arm to an earlier deadline, and :meth:`stop`, kill the entry.
+    ``_due`` is the entry's own time.  A firing disarms the timer before
+    ``callback(*args)`` runs, so the callback may start it again.
     """
 
-    __slots__ = ("_sim", "_callback", "_label", "_args", "_arm")
+    __slots__ = ("_sim", "_callback", "_label", "_args", "_arm", "_due", "_when", "_seq")
 
     def __init__(self, sim: "Simulator", callback: Callback, label: str, args: tuple) -> None:
         self._sim = sim
@@ -63,6 +67,7 @@ class Timer:
         self._label = label
         self._args = args
         self._arm: Optional[list] = None
+        self._due = self._when = self._seq = 0
 
     @property
     def armed(self) -> bool:
@@ -70,13 +75,19 @@ class Timer:
 
     def start(self, delay: int) -> None:
         """Fire *delay* nanoseconds from now, and not at any earlier deadline."""
-        if delay < 0:
-            raise SchedulingError(f"negative delay: {delay}")
-        queue = self._sim.queue
+        if type(delay) is not int or delay < 0:
+            raise SchedulingError(f"delay is not a non-negative int: {delay!r}")
+        sim = self._sim
+        when = sim._now + delay
+        queue = sim.queue
         if self._arm is not None:
+            if when >= self._due:  # the entry stays; its stamp moves
+                self._when, self._seq = when, next(queue._counter)
+                return
             queue.kill(self._arm)
         arm = self._arm = [self]
-        queue.push(self._sim._now + delay, arm, _fire, (arm,), self._label)
+        self._due = self._when = when
+        self._seq = queue.push(when, arm, _fire, (arm,), self._label)
 
     def stop(self) -> None:
         """Drop the pending firing, if any."""
@@ -127,14 +138,16 @@ class Simulator:
         Fire and forget: nothing is returned, so nothing can be retained
         or cancelled.  A :class:`Timer` is the one cancellable event.
         """
+        if type(when) is not int:
+            raise SchedulingError(f"time is not an int: {when!r}")
         if when < self._now:
             raise SchedulingError(f"cannot schedule into the past: now={self._now}, when={when}")
         self.queue.push(when, None, callback, args, label)
 
     def after(self, delay: int, callback: Callback, label: str = "", args: tuple = ()) -> None:
         """Schedule ``callback(*args)`` *delay* nanoseconds from now (see :meth:`at`)."""
-        if delay < 0:
-            raise SchedulingError(f"negative delay: {delay}")
+        if type(delay) is not int or delay < 0:
+            raise SchedulingError(f"delay is not a non-negative int: {delay!r}")
         self.queue.push(self._now + delay, None, callback, args, label)
 
     def defer(self, delay: int, callback: Callback, label: str, *args) -> None:
@@ -183,7 +196,8 @@ class Simulator:
         *max_events* have fired, and leaves the clock at the last event
         fired.  :meth:`stop` from a callback ends the loop after that
         event.  One event here is exactly one :meth:`step`, with the
-        queue's dead-entry discard and pop inlined on local bindings, and
+        queue's settling of the heap top (dead entries popped, stale ones
+        re-keyed) and pop inlined on local bindings, and
         one firing path for every entry: ``entry[3](*entry[4])``.
         """
         self._enter_run()
@@ -193,11 +207,18 @@ class Simulator:
         remaining = max_events
         try:
             while not self._stop_requested:
-                while heap and heap[0][2] is not None and heap[0][2][0] is None:
-                    heappop(heap)  # a stopped or re-armed Timer's dead entry
                 if not heap:
                     return DrainEnd.DRAINED
                 entry = heap[0]
+                arm = entry[2]
+                if arm is not None:
+                    timer = arm[0]
+                    if timer is None:
+                        heappop(heap)  # a stopped Timer's dead entry
+                        continue
+                    if timer._seq != entry[1]:
+                        _rekey(heap, entry)  # a re-armed Timer's stale entry
+                        continue
                 when = entry[0]
                 if when > limit:
                     return DrainEnd.DEADLINE

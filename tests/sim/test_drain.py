@@ -284,31 +284,33 @@ class TestHopsBuildNoHandle:
     hook sees ``(when, seq, label)`` of every event fired, in order."""
 
     @staticmethod
-    def transfer(monkeypatch):
-        pushed, seen = [], []
+    def transfer(monkeypatch, size=8 * 1024):
+        pushed, seen, sizes = [], [], []
         push = events.EventQueue.push
 
         def recording(queue, when, arm, callback, args, label):
             pushed.append((label, arm, callback))
-            push(queue, when, arm, callback, args, label)
+            return push(queue, when, arm, callback, args, label)
 
         monkeypatch.setattr(events.EventQueue, "push", recording)
         tb, (n1, n2) = make_testbed(medium="hub", rll=True)
         tb.sim.add_trace_hook(lambda when, seq, label: seen.append((when, seq, label)))
+        queue = tb.sim.queue
+        tb.sim.add_trace_hook(lambda *_: sizes.append((queue.heap_size, len(queue))))
 
         def workload():
             n2.tcp.listen(0x4000)
             conn = n1.tcp.connect(n2.ip, 0x4000, local_port=0x6000)
-            conn.on_established = lambda: conn.send(bytes(8 * 1024))
+            conn.on_established = lambda: conn.send(bytes(size))
 
         report = tb.run_scenario(
             tcp_congestion_script(tb.node_table_fsl()), workload=workload, max_time=seconds(30)
         )
         assert report.passed, report.render()
-        return tb.sim, pushed, seen
+        return tb.sim, pushed, seen, sizes
 
     def test_no_handle_per_hop(self, monkeypatch):
-        sim, pushed, _ = self.transfer(monkeypatch)
+        sim, pushed, _, _ = self.transfer(monkeypatch)
         hops = HOP_LABELS | ENGINE_HOP_LABELS
         assert hops <= {label for label, _, _ in pushed}
         assert all(arm is None for label, arm, _ in pushed if label in hops)
@@ -319,7 +321,7 @@ class TestHopsBuildNoHandle:
         assert all(len(entry) == 6 for entry in sim.queue._heap)
 
     def test_trace_hook_sees_every_hop(self, monkeypatch):
-        sim, pushed, seen = self.transfer(monkeypatch)
+        sim, pushed, seen, _ = self.transfer(monkeypatch)
         hops = HOP_LABELS | ENGINE_HOP_LABELS
         assert hops <= {label for _, _, label in seen}
         assert sorted((when, seq) for when, seq, _ in seen) == [(w, s) for w, s, _ in seen]
@@ -328,3 +330,12 @@ class TestHopsBuildNoHandle:
         assert fired_hops == sum(label in hops for label, _, _ in pushed) - sum(
             label in hops for _, label in sim.queue.snapshot()
         )
+
+    def test_the_heap_holds_what_will_fire(self, monkeypatch):
+        """The RLL's and TCP's retransmission timers are re-armed on every
+        ack; each keeps one heap entry, so over a 1 MiB transfer the heap
+        stays near the live count (at most 25 entries against 18 live)
+        instead of piling up a dead entry per re-arm (1 040 when every
+        re-arm killed and pushed)."""
+        _, _, _, sizes = self.transfer(monkeypatch, size=1 << 20)
+        assert max(heap for heap, _ in sizes) <= 2 * max(live for _, live in sizes) + COMPACT_MIN_DEAD

@@ -1,6 +1,7 @@
 """Tests for the simulator facade: scheduling, run loops, re-armable timers."""
 
 import gc
+import re
 import weakref
 
 import pytest
@@ -32,6 +33,22 @@ class TestScheduling:
     def test_negative_delay_rejected(self, sim):
         with pytest.raises(SchedulingError):
             sim.after(-1, lambda: None)
+
+    @pytest.mark.parametrize("time", [float("nan"), float("inf"), -float("inf"), True, 2.7, 3.0, "5"])
+    def test_a_time_that_is_not_an_int_is_refused(self, sim, time):
+        """A NaN or infinite time used to count as pending with nothing in
+        the heap, a bool scheduled at +1 ns, a fraction was truncated."""
+        timer = sim.timer(lambda: None, "t")
+        for schedule in (
+            lambda: sim.at(time, lambda: None),
+            lambda: sim.after(time, lambda: None),
+            lambda: timer.start(time),
+        ):
+            with pytest.raises(SchedulingError, match=f"int: {re.escape(repr(time))}$"):
+                schedule()
+        assert len(sim.queue) == 0 and sim.queue.heap_size == 0 and not timer.armed
+        assert "pending=0" in repr(sim)
+        assert sim.step() is False
 
     def test_cancel(self, sim):
         """A :class:`Timer` is the one cancellable event; ``at``/``after``

@@ -271,6 +271,27 @@ class TestHedging:
         assert copy[0] - original[0] >= 0.2  # not before twice the p95
         assert len(fleet.landed) == 18  # the duplicate never landed
 
+    def test_hedging_shortens_the_makespan(self):
+        """What a user sees of hedging: one cell stuck on one worker does
+        not hold the campaign open.  Its copy on an idle slot elsewhere
+        lands at about the p95, so the campaign ends well before the
+        stuck original would (2.1 virtual seconds without hedging)."""
+        spec = _campaign("hedge-makespan", 18, base_seed=17)
+        stuck = []
+
+        def on_a(index):
+            if index >= 10 and not stuck:
+                stuck.append(index)  # the first late cell served on a
+            return 2.0 if index in stuck else 0.1
+
+        workers = [ModelWorker(f"{name}:1", slots=3) for name in "abc"]
+        workers[0].service_s = on_a
+        tcp = FleetSim(spec, workers).run()
+        assert stuck
+        assert tcp.passed, tcp.render()
+        assert tcp.wall_seconds < 1.0
+        assert tcp.canonical_bytes() == serial_bytes(spec)
+
 
 class TestLossForgiveness:
     def test_rejoin_refunds_one_charged_loss(self):

@@ -110,10 +110,7 @@ class Endpoint:
                 conn.timeout_retransmits,
                 conn.duplicate_segments,
             ),
-            "rtx_deadline": next(  # the queue entry whose arm holds the timer
-                (e[0] for e in self.sim.queue._heap if e[2] is not None and e[2][0] is timer),
-                None,
-            ),
+            "rtx_deadline": timer._when if timer.armed else None,  # the timer's stamp
             "now": self.sim.now,
             "pending_events": len(self.sim.queue),
             "wire": list(self.wire),

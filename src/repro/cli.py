@@ -536,7 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="S",
         help="per-task wall-clock deadline in seconds; a hung task is "
-        "retried once, 50 ms later, then recorded as a TIMEOUT row",
+        "retried once, then recorded as a TIMEOUT row",
     )
     sweep.add_argument(
         "--retries",

@@ -71,8 +71,6 @@ class ReorderBuffer:
     def __init__(self, forward: ForwardFn) -> None:
         self.forward = forward
         self._buffers: Dict[int, List[_Held]] = {}
-        self.reordered_bursts = 0
-        self.flushed_packets = 0
 
     def hold(
         self, action: ActionSpec, data: bytes, direction: Direction
@@ -85,14 +83,12 @@ class ReorderBuffer:
             return None
         del self._buffers[action.action_id]
         order = action.reorder_order or tuple(range(len(buffer), 0, -1))
-        self.reordered_bursts += 1
         return [buffer[i - 1] for i in order]
 
     def flush(self) -> None:
         """Release everything still buffered (scenario teardown)."""
         for action_id in list(self._buffers):
             buffer = self._buffers.pop(action_id)
-            self.flushed_packets += len(buffer)
             for data, direction in buffer:
                 self.forward(data, direction)
 

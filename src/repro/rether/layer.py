@@ -117,12 +117,10 @@ class RetherLayer(FrameLayer):
 
         # Statistics.
         self.tokens_received = 0
-        self.tokens_passed = 0
         self.token_retransmissions = 0
         self.acks_sent = 0
         self.acks_received = 0
         self.nodes_evicted = 0
-        self.joins_sent = 0
         self.joins_accepted = 0
         self.regenerations = 0
         self.stale_tokens_discarded = 0
@@ -379,8 +377,6 @@ class RetherLayer(FrameLayer):
         self._handoff_attempts += 1
         if self._handoff_attempts > 1:
             self.token_retransmissions += 1
-        else:
-            self.tokens_passed += 1
         self.pass_down(self._handoff_msg)
         self._handoff_timer.start(DEFAULT_ACK_TIMEOUT_NS)
 
@@ -430,7 +426,6 @@ class RetherLayer(FrameLayer):
         self._handoff_attempts = 0
         self._dead.clear()
         self._ring_changed()
-        self.joins_sent += 1
         self.pass_down(encode_frame(_BROADCAST, self._mac_packed, TYPE_JOIN, self.generation, 0))
         self._regen_timer.start(self.regeneration_timeout_ns)
 

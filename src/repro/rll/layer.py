@@ -55,10 +55,8 @@ class _PeerState:
     """Window state for one (local, remote) unicast pairing."""
 
     __slots__ = (
-        "snd_base",
         "snd_next",
         "window",
-        "unacked",
         "backlog",
         "rcv_next",
         "retries",
@@ -67,10 +65,8 @@ class _PeerState:
     )
 
     def __init__(self, layer: "RllLayer", mac: MacAddress) -> None:
-        self.snd_base = 0
         self.snd_next = 0
         self.window: Deque[Tuple[int, bytes]] = deque()  # (seq, raw frame)
-        self.unacked = 0  # frames currently in the window
         self.backlog: Deque[bytes] = deque()
         self.rcv_next = 0
         self.retries = 0
@@ -172,7 +168,7 @@ class RllLayer(FrameLayer):
             return
         dst = intern_mac(frame_bytes[:6])
         peer = self._peer(dst)
-        if peer.unacked >= DEFAULT_WINDOW:
+        if len(peer.window) >= DEFAULT_WINDOW:
             peer.backlog.append(frame_bytes)
             if self._m_backlog is not None:
                 self._m_backlog.set(len(peer.backlog))
@@ -185,7 +181,6 @@ class RllLayer(FrameLayer):
         seq = peer.snd_next
         peer.snd_next = seq_add(peer.snd_next, 1)
         peer.window.append((seq, frame))
-        peer.unacked += 1
         self.data_sent += 1
         self._emit_data(dst, frame, seq, peer.rcv_next)
         if not peer.timer.armed:
@@ -261,10 +256,8 @@ class RllLayer(FrameLayer):
         advanced = False
         while peer.window and seq_diff(peer.window[0][0], ack) < 0:
             peer.window.popleft()
-            peer.unacked -= 1
             advanced = True
         if advanced:
-            peer.snd_base = ack
             peer.retries = 0
             if peer.window:
                 peer.timer.start(peer.rto_ns)
@@ -274,9 +267,9 @@ class RllLayer(FrameLayer):
 
     def _drain_backlog(self, dst: MacAddress, peer: _PeerState) -> None:
         backlog = peer.backlog
-        if not backlog or peer.unacked >= DEFAULT_WINDOW:
+        if not backlog or len(peer.window) >= DEFAULT_WINDOW:
             return
-        while backlog and peer.unacked < DEFAULT_WINDOW:
+        while backlog and len(peer.window) < DEFAULT_WINDOW:
             self._send_data(dst, peer, backlog.popleft())
         if self._m_backlog is not None:
             self._m_backlog.set(len(backlog))
@@ -295,7 +288,6 @@ class RllLayer(FrameLayer):
             self.abandoned_frames += len(peer.window) + len(peer.backlog)
             peer.window.clear()
             self._clear_backlog(peer)
-            peer.unacked = 0
             peer.retries = 0
             return
         # Go-back-N: resend everything outstanding, oldest first.

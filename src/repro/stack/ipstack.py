@@ -47,7 +47,6 @@ class IpLayer:
         self._protocols: Dict[int, ProtocolHandler] = {}
         self._ident = itertools.count(1)
         self.tx_packets = 0
-        self.rx_packets = 0
         self.checksum_drops = 0
         self.misaddressed_drops = 0
         self.unclaimed_protocol_drops = 0
@@ -115,7 +114,6 @@ class IpLayer:
         if handler is None:
             self.unclaimed_protocol_drops += 1
             return
-        self.rx_packets += 1
         handler(src, payload)
 
     def __repr__(self) -> str:

@@ -44,7 +44,7 @@ second timeout costing microseconds).  The policy, per docs/SWEEP.md
 * **Straggler hedging.**  Once :data:`HEDGE_MIN_ROWS` rows give a p95,
   an in-flight cell running past :data:`HEDGE_FACTOR` times it is copied
   to an idle slot on another worker; the first row wins and the loser is
-  byte-checked against it.
+  dropped.
 * **Totality.**  Nothing a worker sends can raise out of the scheduler:
   undecodable, oversized, corrupt or out-of-grammar bytes lose that
   worker and nothing else.
@@ -182,7 +182,6 @@ class FleetScheduler:
             "forgiven_losses": 0,
             "hedges": 0,
             "hedge_duplicates": 0,
-            "hedge_mismatches": 0,
         }
         #: when each unconnected host is next due for a dial: all of them
         #: at once, from the first tick.
@@ -367,7 +366,7 @@ class FleetScheduler:
                 if address in self._dial_errors
             ]
             raise SweepError(
-                "tcp backend could not reach any worker: "
+                "the fleet could not reach any worker: "
                 + "; ".join(errors or ["no hosts"])
             )
         how = (
@@ -378,7 +377,7 @@ class FleetScheduler:
             f"are safe; resume with a live fleet)"
         )
         raise SweepError(
-            f"tcp backend lost every worker with "
+            f"the fleet lost every worker with "
             f"{len(self.tasks) - len(self.rows)} task(s) unfinished and {how}"
         )
 
@@ -428,16 +427,11 @@ class FleetScheduler:
             if worker.inflight.pop(row.index, None) is None:
                 return  # unsolicited, or a second copy of a row: drop
             self.health.record_row(address, row.wall_seconds)
-            landed = self.rows.get(row.index)
-            if landed is not None:
+            if row.index in self.rows:
                 # The losing copy of a hedged cell (or a cell already
-                # FAILED by the retry budget).  Deterministic tasks make
-                # duplicates byte-identical; verify rather than trust.
+                # FAILED by the retry budget): deterministic tasks make it
+                # the row that landed, so it is dropped.
                 self.stats["hedge_duplicates"] += 1
-                if landed.status == SweepResult.OK and (
-                    row.canonical() != landed.canonical()
-                ):
-                    self.stats["hedge_mismatches"] += 1
                 return
             self._durations.append(now - self._started[row.index])
             self._land(row)
@@ -500,7 +494,7 @@ class FleetScheduler:
     def _hedge_stragglers(self, now: float) -> None:
         """Speculatively re-dispatch the slowest in-flight cells to idle
         slots on other workers.  First completion wins; the duplicate row
-        is discarded (and byte-checked) when it arrives."""
+        is dropped when it arrives."""
         if len(self._durations) < HEDGE_MIN_ROWS:
             return
         ordered = sorted(self._durations)

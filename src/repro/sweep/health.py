@@ -92,9 +92,9 @@ class FleetHealth:
 
         Returns True when this is a *rejoin* — the address had served
         before — so the scheduler can run its loss-forgiveness pass.
-        Connecting always clears the consecutive-failure streak and any
-        remaining quarantine (the handshake is itself evidence of
-        health).
+        Connecting clears the consecutive-failure streak (the handshake is
+        itself evidence of health).  It leaves a quarantine alone: the
+        scheduler redials no sooner than the quarantine ends.
         """
         metrics = self._metrics(address)
         rejoin = metrics.counter("fleet", "connects").snapshot() > 0
@@ -103,7 +103,6 @@ class FleetHealth:
             metrics.counter("fleet", "rejoins").inc()
         state = self._worker(address)
         state.consecutive_failures = 0
-        state.quarantined_until = 0.0
         state.last_heartbeat = None
         return rejoin
 
@@ -133,13 +132,11 @@ class FleetHealth:
             metrics.histogram("fleet", "heartbeat_gap_ms").observe(gap_ms)
         state.last_heartbeat = now
 
-    def record_failure(self, address: str, kind: str, now: float) -> Optional[float]:
+    def record_failure(self, address: str, kind: str, now: float) -> None:
         """Score one failure: ``kind`` is ``"loss"`` for a connection that
         died — EOF, reset, a failed send, heartbeat silence — and
-        ``"error"`` for a task casualty the worker reported itself.
-
-        Returns the quarantine duration in seconds when this failure
-        crossed the threshold and quarantined the worker, else ``None``.
+        ``"error"`` for a task casualty the worker reported itself.  The
+        :data:`FAILURE_THRESHOLD`-th in a row quarantines the worker.
         """
         metrics = self._metrics(address)
         metrics.counter("fleet", f"failures_{kind}").inc()
@@ -150,13 +147,12 @@ class FleetHealth:
             state.consecutive_failures
         )
         if state.consecutive_failures < FAILURE_THRESHOLD:
-            return None
+            return
         duration = min(QUARANTINE_BASE_S * (2 ** state.level), QUARANTINE_CAP_S)
         state.quarantined_until = now + duration
         state.level += 1
         state.consecutive_failures = 0
         metrics.counter("fleet", "quarantines").inc()
-        return duration
 
     # -- queries ---------------------------------------------------------
 

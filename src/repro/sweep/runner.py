@@ -62,11 +62,9 @@ from .spec import (
 #: Bounded retry budget for cells whose worker process dies under them.
 DEFAULT_RETRIES = 1
 
-#: A cell that overruns its deadline runs this many more times ...
+#: A cell that overruns its deadline runs this many more times before it
+#: lands as ``TIMEOUT``.
 TIMEOUT_RETRIES = 1
-
-#: ... each after this pause (seconds), before it lands as ``TIMEOUT``.
-TIMEOUT_PAUSE_S = 0.05
 
 # ---------------------------------------------------------------------------
 # Deployment settings: the four REPRO_SWEEP_* variables, read at one site
@@ -314,9 +312,8 @@ def execute_task(task: SweepTask, task_timeout: Optional[float] = None) -> Sweep
     """Run one task to a result row.  Never raises (except for
     :class:`KeyboardInterrupt`, which must reach the backend's graceful
     abort): exceptions become deterministic ``FAILED`` rows, and a task
-    that overruns *task_timeout* seconds — again on its one retry,
-    :data:`TIMEOUT_PAUSE_S` later — a deterministic ``TIMEOUT`` row,
-    identical under every backend.
+    that overruns *task_timeout* seconds — again on its one retry — a
+    deterministic ``TIMEOUT`` row, identical under every backend.
 
     The cell gives its memory back when it ends.  A testbed is a web of
     reference cycles (host and layer back-references, timers bound to
@@ -347,14 +344,13 @@ def execute_task(task: SweepTask, task_timeout: Optional[float] = None) -> Sweep
                 break
             except TaskDeadlineExceeded:
                 if attempts <= TIMEOUT_RETRIES:
-                    time.sleep(TIMEOUT_PAUSE_S)
                     continue
                 payload = {}
                 status = SweepResult.TIMEOUT
                 error = timeout_error(task_timeout)
                 detail = (
                     f"task {task.index} ({task.name!r}) hit its {task_timeout:g}s "
-                    f"deadline on all {attempts} attempts ({TIMEOUT_PAUSE_S:g}s apart)"
+                    f"deadline on all {attempts} attempts"
                 )
                 break
             except Exception as exc:  # noqa: BLE001 — isolation is the contract
@@ -541,7 +537,7 @@ def run_sweep(
     matching cells before anything executes; fresh rows go to *journal*,
     which gets a link in *cache_dir*, or else to the cache's own journal
     there.  *task_timeout* arms a per-task wall-clock deadline: a task
-    that overruns it runs once more, 50 ms later, and overrunning again
+    that overruns it runs once more at once, and overrunning again
     lands as a deterministic ``TIMEOUT`` row.  Replayed and cached rows
     re-enter the task-order merge unchanged, so a resumed or warm-cache
     outcome's canonical bytes are identical to a cold uninterrupted run's.

@@ -42,9 +42,6 @@ class CongestionControl:
         self.cwnd = INITIAL_CWND
         self.ssthresh = DEFAULT_INITIAL_SSTHRESH
         self._ca_acks = 0
-        # Observability for tests and ablations.
-        self.retransmit_events = 0
-        self.acks_seen = 0
 
     # -- queries --------------------------------------------------------------
 
@@ -60,7 +57,6 @@ class CongestionControl:
 
     def on_new_ack(self) -> None:
         """An ACK advancing ``snd_una`` arrived."""
-        self.acks_seen += 1
         if self.in_slow_start:
             self.cwnd += 1
             self._ca_acks = 0
@@ -72,7 +68,6 @@ class CongestionControl:
 
     def on_retransmit(self) -> None:
         """A segment was retransmitted (timeout or fast retransmit)."""
-        self.retransmit_events += 1
         self.ssthresh = max(self.cwnd // 2, MIN_SSTHRESH)
         self.cwnd = 1
         self._ca_acks = 0
@@ -113,7 +108,6 @@ class RenoCongestionControl(CongestionControl):
     name = "reno"
 
     def on_fast_retransmit(self) -> None:
-        self.retransmit_events += 1
         self.ssthresh = max(self.cwnd // 2, MIN_SSTHRESH)
         self.cwnd = self.ssthresh
         self._ca_acks = 0

@@ -30,7 +30,6 @@ class TcpListener:
         self.layer = layer
         self.port = port
         self.on_accept = on_accept
-        self.accepted = 0
         self.closed = False
 
     def close(self) -> None:
@@ -46,7 +45,6 @@ class TcpListener:
             congestion=CongestionControl(),
         )
         conn.open_passive(seg)
-        self.accepted += 1
         if self.on_accept is not None:
             self.on_accept(conn)
         return conn
@@ -64,7 +62,6 @@ class TcpLayer:
         self._next_ephemeral = _EPHEMERAL_BASE
         self._iss_stream = sim.random.stream(f"tcp:iss:{host.name}")
         self.checksum_drops = 0
-        self.resets_sent = 0
         self.orphan_segments = 0
         host.ip_layer.register_protocol(PROTO_TCP, self._receive)
 
@@ -206,7 +203,6 @@ class TcpLayer:
             self._send_reset(src, seg)
 
     def _send_reset(self, src: IpAddress, seg: TcpSegment) -> None:
-        self.resets_sent += 1
         rst_seq = seg.ack if seg.is_ack else 0
         rst = TcpSegment(
             seg.dst_port,

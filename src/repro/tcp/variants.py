@@ -24,7 +24,6 @@ class NoCongestionAvoidance(CongestionControl):
     name = "bug-no-congestion-avoidance"
 
     def on_new_ack(self) -> None:
-        self.acks_seen += 1
         self.cwnd += 1
 
 
@@ -39,7 +38,6 @@ class IgnoresSsthreshReset(CongestionControl):
     name = "bug-ignores-ssthresh-reset"
 
     def on_retransmit(self) -> None:
-        self.retransmit_events += 1
         self.cwnd = 1
         self._ca_acks = 0  # ssthresh untouched: the bug
 
@@ -50,7 +48,6 @@ class AggressiveSlowStart(CongestionControl):
     name = "bug-aggressive-slow-start"
 
     def on_new_ack(self) -> None:
-        self.acks_seen += 1
         if self.in_slow_start:
             self.cwnd += 2
             self._ca_acks = 0
@@ -71,7 +68,6 @@ class EagerCongestionAvoidance(CongestionControl):
     name = "bug-eager-congestion-avoidance"
 
     def on_new_ack(self) -> None:
-        self.acks_seen += 1
         if self.in_slow_start:
             self.cwnd += 1
             self._ca_acks = 0
@@ -95,7 +91,7 @@ class FrozenWindow(CongestionControl):
     name = "bug-frozen-window"
 
     def on_new_ack(self) -> None:
-        self.acks_seen += 1
+        pass
 
 
 #: Registry used by example/regression drivers: name -> factory.

@@ -112,7 +112,7 @@ def _rll_on_send(self, frame_bytes):
     dst = parsed.dst
     frame = parsed
     peer = self._peer(dst)
-    if peer.unacked >= DEFAULT_WINDOW:
+    if len(peer.window) >= DEFAULT_WINDOW:
         peer.backlog.append(frame)
         if self._m_backlog is not None:
             self._m_backlog.set(len(peer.backlog))
@@ -318,8 +318,6 @@ def _rether_transmit_token(self):
     self._handoff_attempts += 1
     if self._handoff_attempts > 1:
         self.token_retransmissions += 1
-    else:
-        self.tokens_passed += 1
     self.pass_down(self._handoff_msg.wrap(self._handoff_target, self._mac).to_bytes())
     self._handoff_timer.start(rether_layer.DEFAULT_ACK_TIMEOUT_NS)
 

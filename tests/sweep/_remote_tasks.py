@@ -59,3 +59,11 @@ def server_killer_task(task):
     os.kill(os.getppid(), signal.SIGKILL)
     time.sleep(30)  # never reached; keeps the slot busy until the kill lands
     return {"unreachable": True}
+
+
+def sigint_self_task(task):
+    """SIGINT the executing process, as a terminal Ctrl-C reaches every
+    process in the group: a slot ignores it, so the cell lands OK."""
+    os.kill(os.getpid(), signal.SIGINT)
+    time.sleep(0.05)  # the handler, if any, runs here
+    return {"index": task.index, "passed": True}

@@ -11,7 +11,10 @@ ticks the scheduler every 0.2 s, carries out its ``Send`` / ``Dial`` /
 ``Close`` actions over links with latency, and reports back ``connected``
 / ``dial_failed`` / ``received`` / ``closed`` — and checks, on every
 action, that none is addressed to a connection the scheduler was told is
-gone.
+gone.  A dial is the shell's one blocking call: to a frozen host it holds
+the parent's loop for the dial's whole timeout, so the rest of that batch
+of actions, every tick and everything arriving from a worker waits until
+it fails.
 
 Faults are scripted at protocol events, the way an FSL script would:
 ``fleet.on_task(kill, worker="a:1", nth=3)`` (kill worker A on its 3rd
@@ -328,6 +331,8 @@ class FleetSim:
         self._arrival: Dict[Tuple[str, str], int] = {}
         self._rules: List[Tuple[Optional[str], Optional[int], Optional[int], Callable]] = []
         self._finished = False
+        #: virtual ns until which a blocking dial holds the parent's loop.
+        self._blocked_until = 0
 
     # -- scripting ------------------------------------------------------
 
@@ -384,19 +389,37 @@ class FleetSim:
             fleet=self.scheduler.snapshot(self.now),
         )
 
+    def _parent(self, callback: Callable[[], None]) -> Callable[[], None]:
+        """*callback* as parent-side work: it waits out a blocking dial."""
+
+        def run() -> None:
+            if self.sim.now < self._blocked_until:
+                self.sim.at(self._blocked_until, run)
+            else:
+                callback()
+
+        return run
+
     def _tick(self) -> None:
         if self._finished:
             return
         self.execute(self.scheduler.tick(self.now))
         if not self._finished:
-            self.sim.after(int(TICK_S * NS_PER_SEC), self._tick)
+            self.sim.after(int(TICK_S * NS_PER_SEC), self._parent(self._tick))
 
     def execute(self, actions: Sequence[Action]) -> None:
-        for action in actions:
+        for position, action in enumerate(actions):
             self.actions.append((self.now, action))
             if isinstance(action, Dial):
                 assert action.address not in self.open, f"dialled twice: {action}"
-                self._dial(action)
+                if self._dial(action):
+                    # Blocked: the rest of the batch goes out after the
+                    # dial fails, and what the failure causes after that.
+                    rest, address = list(actions[position + 1 :]), action.address
+                    self.sim.at(self._blocked_until, lambda: self.execute(
+                        rest + self.scheduler.dial_failed(address, "timed out", False, self.now)
+                    ))
+                    return
                 continue
             # No socket ever fails a write here, so the shell's "died
             # earlier in this batch" excuse does not exist: a Send or
@@ -422,9 +445,10 @@ class FleetSim:
             self._arrival.get((worker.address, direction), 0),
         )
         self._arrival[(worker.address, direction)] = when
-        self.sim.at(when, arrive)
+        self.sim.at(when, self._parent(arrive) if direction == "up" else arrive)
 
-    def _dial(self, action: Dial) -> None:
+    def _dial(self, action: Dial) -> bool:
+        """Start a dial; True when it holds the parent until it times out."""
         worker = self.workers[action.address]
         address = action.address
         if self.local:
@@ -434,7 +458,7 @@ class FleetSim:
             self.open[address] = conn = self._connections
             worker.serve(conn)
             self.execute(self.scheduler.connected(address, 1, self.now))
-            return
+            return False
 
         def failed(reason: str, permanent: bool = False) -> Callable[[], None]:
             return lambda: self.execute(
@@ -443,10 +467,10 @@ class FleetSim:
 
         if not worker.up:
             self._link(worker, "up", failed("[Errno 111] Connection refused"))
-            return
+            return False
         if worker.frozen:  # the kernel accepts, nobody answers HELLO
-            self.at(self.now + action.timeout_s, failed("timed out"))
-            return
+            self._blocked_until = self.sim.now + int(action.timeout_s * NS_PER_SEC)
+            return True
         self._connections += 1
         conn = self._connections
         nonce = f"parent#{conn:024d}"
@@ -456,7 +480,7 @@ class FleetSim:
         except ProtocolError as exc:
             self._link(worker, "up", failed(str(exc), isinstance(exc, Refused)))
             self._link(worker, "down", partial(worker.deliver, conn, None))
-            return
+            return False
 
         def admitted() -> None:
             self.open[address] = conn
@@ -464,6 +488,7 @@ class FleetSim:
             self.execute(self.scheduler.connected(address, slots, self.now))
 
         self._link(worker, "up", admitted)
+        return False
 
     # -- what workers do to the parent ------------------------------------
 

@@ -243,7 +243,7 @@ class TestHedging:
         copied to an idle slot on *another* worker — never the idle slot
         next to it, never a third time — the first row wins, and the
         second — arriving while a long honest cell keeps the campaign
-        open — is discarded after a byte check."""
+        open — is dropped."""
         spec = _campaign("chaos-hedge", 18, base_seed=17)
         cells = {}
 
@@ -265,7 +265,6 @@ class TestHedging:
         scheduler = tcp.fleet["scheduler"]
         assert scheduler["hedges"] >= 1
         assert scheduler["hedge_duplicates"] >= 1
-        assert scheduler["hedge_mismatches"] == 0
         original, copy = fleet.task_sends()[cells["stuck"]]  # two, not three
         assert original[1] == "a:1" and copy[1] != "a:1"
         assert copy[0] - original[0] >= 0.2  # not before twice the p95
@@ -292,6 +291,63 @@ class TestHedging:
         assert tcp.wall_seconds < 1.0
         assert tcp.canonical_bytes() == serial_bytes(spec)
 
+    @pytest.mark.parametrize("fault", ["slot-crash", "worker-loss"])
+    def test_a_lost_original_leaves_its_running_copy_to_land(self, fault):
+        """The same layout with no retry budget.  Cell 10 goes to a:1 and
+        is hedged to another worker at twice the p95; then the original
+        is lost while the copy still runs (for 1 s, far past the loss):
+        its slot crashes 0.5 s in, or a:1 dies at 0.5 s.  The copy still
+        holds the cell, so no FAILED row lands: the copy's row does."""
+        spec = _campaign("hedge-loss", 18, base_seed=17)
+        workers = [ModelWorker(f"{name}:1", slots=3) for name in "abc"]
+        for worker, stuck_s in zip(workers, (0.5, 1.0, 1.0)):
+            worker.service_s = lambda index, stuck_s=stuck_s: stuck_s if index == 10 else 0.1
+        fleet = FleetSim(spec, workers, retries=0)
+        if fault == "slot-crash":
+            fleet.on_task(lambda worker: CRASH_SLOT, worker="a:1", index=10)
+        else:
+            fleet.at(0.5, workers[0].kill)
+        tcp = fleet.run()
+        (original_at, original_to), (copy_at, copy_to) = fleet.task_sends()[10][:2]
+        assert original_to == "a:1" and copy_to != "a:1"
+        assert copy_at < original_at + 0.5  # out before the loss
+        assert tcp.passed, tcp.render()
+        assert (tcp.rows[10].status, tcp.rows[10].attempts) == ("OK", 1)
+        assert tcp.canonical_bytes() == serial_bytes(spec)
+
+    def test_a_brisk_cell_is_never_hedged(self):
+        """Cells of 10 ms make a p95 of about 12 ms, so twice it is a
+        few tens of ms and every 50 ms cell would look a straggler.  No
+        cell is copied before it has run 0.1 s: each TASK goes out once."""
+        spec = _campaign("brisk", 20)
+        workers = [
+            ModelWorker(f"{name}:1", slots=2, service_s=lambda index: 0.05 if index % 10 == 9 else 0.01)
+            for name in "ab"
+        ]
+        fleet = FleetSim(spec, workers)
+        tcp = fleet.run()
+        assert tcp.passed and tcp.canonical_bytes() == serial_bytes(spec)
+        assert [len(sends) for sends in fleet.task_sends().values()] == [1] * 20
+
+
+class TestRedialBackoff:
+    def test_redials_to_a_frozen_host_back_off(self):
+        """A dial to a frozen host holds the parent's whole loop for the
+        dial timeout: the kernel accepts, nobody answers HELLO.  b:1
+        freezes for 30 s early in a 240-cell campaign that a:1 alone
+        finishes in 12 s.  Redialling b:1 with a backoff that doubles to
+        5 s keeps the parent mostly free, and the campaign ends at 16.0
+        virtual seconds; redialling at every tick would block it nearly
+        all the time, until b:1 thaws (30.8 s)."""
+        spec = _campaign("frozen-host", 240, base_seed=3)
+        a, b = _pair(slots=2)
+        fleet = FleetSim(spec, [a, b])
+        fleet.at(0.3, lambda: b.freeze(30.0))
+        tcp = fleet.run()
+        assert tcp.passed, tcp.render()
+        assert tcp.wall_seconds < 20.0
+        assert tcp.canonical_bytes() == serial_bytes(spec)
+
 
 class TestLossForgiveness:
     def test_rejoin_refunds_one_charged_loss(self):
@@ -316,9 +372,9 @@ class TestLossForgiveness:
         assassin = tcp.rows[0]
         assert assassin.status == "FAILED"
         assert assassin.attempts == 2
-        assert tcp.fleet["scheduler"]["forgiven_losses"] == 1
         # retries + 1 executions, plus the one the pardon bought.
         assert len(fleet.task_sends()[0]) == 3
+        assert tcp.fleet["scheduler"]["forgiven_losses"] == 1
         assert [row.ok for row in tcp.rows[1:]] == [True, True]
 
     def test_landed_rows_are_never_refunded(self):
@@ -507,6 +563,63 @@ class TestQuarantine:
         assert self._sick_host_failed_rows(cells, slots) <= 2
         monkeypatch.setattr(health, "FAILURE_THRESHOLD", 10**9)
         assert self._sick_host_failed_rows(cells, slots) >= cells // 2
+
+    @pytest.mark.parametrize("cells, slots", [(200, 1), (400, 4)])
+    def test_a_repeat_offender_is_benched_longer_each_time(self, cells, slots):
+        """Escalation: each quarantine of the sick host lasts twice the
+        one before, so over a long campaign it is back in the race for
+        cells ever more rarely: 5 of 200 and 4 of 400 cells fail.  Benched
+        for the base second every time, it would fail 17 and 18."""
+        assert self._sick_host_failed_rows(cells, slots) <= 8
+
+    @staticmethod
+    def _fast_host_with_crashes(cells, crashes):
+        """a:1 serves a cell in 0.05 s, b:1 in 0.2 s; a:1's slot crashes
+        on its TASKs numbered *crashes*.  Returns the outcome and the gaps
+        between consecutive TASKs sent to a:1."""
+        spec = _campaign("fast-host", cells)
+        a, b = ModelWorker("a:1", service_s=0.05), ModelWorker("b:1", service_s=0.2)
+        fleet = FleetSim(spec, [a, b], retries=3)
+        for nth in crashes:
+            fleet.on_task(lambda worker: CRASH_SLOT, worker="a:1", nth=nth)
+        tcp = fleet.run()
+        assert tcp.passed and tcp.canonical_bytes() == serial_bytes(spec)
+        to_a = _task_times(fleet, "a:1")
+        return tcp, [later - earlier for earlier, later in zip(to_a, to_a[1:])]
+
+    def test_good_rows_shorten_the_next_quarantine(self):
+        """Decay: a:1 is benched after its first three crashes, then
+        serves ten good rows, then crashes three times again.  Eight good
+        rows forgave the first offence, so the second bench lasts the base
+        second again (1.18 s between TASKs, not 2.18 s), and the campaign
+        ends at 5.29 virtual seconds, not 6.08."""
+        tcp, gaps = self._fast_host_with_crashes(80, (1, 2, 3, 14, 15, 16))
+        assert 1.0 <= gaps[15] < 1.5  # after its 16th TASK, the second crash streak
+        assert tcp.wall_seconds < 5.7
+
+    def test_a_respawned_slot_starts_with_a_clean_slate(self):
+        """``parallel``: a poisoned cell kills its one slot on each of its
+        four attempts.  A death is two strikes (the crash, the loss) and a
+        fresh process's handshake clears them, so each death costs one
+        redial backoff and the campaign ends at 1.9 virtual seconds; a
+        slot that kept its predecessors' strikes would be benched after
+        the second death, and the campaign would end at 4.5."""
+        spec = _campaign("poisoned", 4)
+        fleet = FleetSim(spec, local_slots(1), retries=3, local=True)
+        fleet.on_task(lambda slot: slot.kill(), index=0)
+        outcome = fleet.run()
+        assert [(row.status, row.attempts) for row in outcome.rows] == [
+            ("FAILED", 4), ("OK", 1), ("OK", 1), ("OK", 1),
+        ]
+        assert outcome.wall_seconds < 2.5
+
+    def test_a_good_row_ends_the_failure_streak(self):
+        """Two crashes, three good rows, one more crash: three crashes,
+        but never three in a row, so a:1 is never benched (its TASKs are
+        at most 0.05 s apart; counted across the good rows, it would sit
+        out 1.14 s)."""
+        tcp, gaps = self._fast_host_with_crashes(40, (1, 2, 6))
+        assert max(gaps) < 0.5
 
 
 class TestFailFast:

@@ -292,7 +292,6 @@ class FleetMachine(RuleBasedStateMachine):
         stats = self.scheduler.stats
         assert stats["requeues"] <= len(self.tasks) * self.retries + stats["forgiven_losses"]
         assert self.task_sends <= len(self.tasks) + stats["requeues"] + stats["hedges"]
-        assert stats["hedge_mismatches"] == 0
 
     # -- and an honest fleet can always finish ------------------------------
 

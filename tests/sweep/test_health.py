@@ -1,7 +1,11 @@
-"""FleetHealth: scoring, quarantine backoff/decay, snapshots."""
+"""FleetHealth: scoring, quarantine durations, snapshots.
+
+What a quarantine costs a campaign — escalation, decay, a good row ending
+a failure streak — is asserted where a user sees it, on the TASK timing
+and makespan of ``tests/sweep/test_fleet_chaos.py``'s ``TestQuarantine``.
+"""
 
 from repro.sweep.health import (
-    DECAY_ROWS,
     FAILURE_THRESHOLD,
     QUARANTINE_BASE_S,
     QUARANTINE_CAP_S,
@@ -10,10 +14,10 @@ from repro.sweep.health import (
 
 
 def _quarantine(health, address="w:1", now=0.0):
-    """Score failures up to the threshold; the last one's quarantine."""
-    for _ in range(FAILURE_THRESHOLD - 1):
-        assert health.record_failure(address, "loss", now=now) is None
-    return health.record_failure(address, "loss", now=now)
+    """Score failures up to the threshold; the quarantine left at *now*."""
+    for _ in range(FAILURE_THRESHOLD):
+        health.record_failure(address, "loss", now=now)
+    return health.quarantine_remaining(address, now)
 
 
 class TestScoring:
@@ -25,8 +29,9 @@ class TestScoring:
     def test_failures_below_threshold_do_not_quarantine(self):
         health = FleetHealth()
         for _ in range(FAILURE_THRESHOLD - 1):
-            assert health.record_failure("w:1", "loss", now=0.0) is None
+            health.record_failure("w:1", "loss", now=0.0)
         assert not health.is_quarantined("w:1", now=0.0)
+        assert health.quarantine_remaining("w:1", now=0.0) == 0.0
 
     def test_threshold_crossing_quarantines(self):
         assert (FAILURE_THRESHOLD, QUARANTINE_BASE_S) == (3, 1.0)
@@ -36,36 +41,11 @@ class TestScoring:
         assert not health.is_quarantined("w:1", now=1.5)  # expired
         assert health.quarantine_remaining("w:1", now=0.25) == 0.75
 
-    def test_rows_clear_the_failure_streak(self):
-        health = FleetHealth()
-        for _ in range(FAILURE_THRESHOLD - 1):
-            health.record_failure("w:1", "error", now=0.0)
-        health.record_row("w:1", 0.1)  # streak reset
-        assert health.record_failure("w:1", "error", now=0.0) is None
-        assert not health.is_quarantined("w:1", now=0.0)
-
     def test_quarantine_backs_off_exponentially_and_caps(self):
         assert QUARANTINE_CAP_S == 30.0
         health = FleetHealth()
         durations = [_quarantine(health, now=100.0 * k) for k in range(7)]
         assert durations == [1.0, 2.0, 4.0, 8.0, 16.0, 30.0, 30.0]  # capped
-
-    def test_good_rows_decay_the_quarantine_level(self):
-        assert DECAY_ROWS == 8
-        health = FleetHealth()
-        for address, rows in (("w:1", DECAY_ROWS), ("w:2", DECAY_ROWS - 1)):
-            _quarantine(health, address)  # level 0 -> 1
-            for _ in range(rows):
-                health.record_row(address, 0.1)
-        assert _quarantine(health, "w:1", now=100.0) == 1.0  # decayed: base again
-        assert _quarantine(health, "w:2", now=100.0) == 2.0  # one row short
-
-    def test_reconnect_clears_quarantine(self):
-        health = FleetHealth()
-        _quarantine(health)
-        assert health.is_quarantined("w:1", now=0.5)
-        health.record_connect("w:1")
-        assert not health.is_quarantined("w:1", now=0.5)
 
     def test_workers_are_scored_independently(self):
         health = FleetHealth()

@@ -32,6 +32,7 @@ from repro.sweep import (
     resolve_secret,
     run_sweep,
 )
+from repro.sweep import fleet as fleet_policy
 from repro.sweep import remote
 from repro.sweep.remote import WorkerServer, _fresh_nonce, read_frame
 from repro.sweep.runner import execute_task
@@ -67,6 +68,8 @@ from tests.sweep._remote_tasks import (
     ok_task,
     params_repr_task,
     server_killer_task,
+    sigint_self_task,
+    sleepy_task,
     slot_killer_task,
 )
 from tests.sweep.chaos import ChaosWorker
@@ -703,6 +706,26 @@ class TestFleetConfig:
         assert "127.0.0.1:9: [Errno 111] Connection refused" in str(failure.value)
         assert 10.0 <= sim.now < 10.5
 
+    def test_a_parallel_fleet_that_never_starts_names_no_backend(self, monkeypatch):
+        """Real dials.  The scheduler is shared by ``parallel`` and
+        ``tcp``, so its error names the fleet and why, not a backend the
+        user did not choose."""
+
+        def no_fork(*args):
+            raise OSError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(remote, "_fork_slot", no_fork)
+        monkeypatch.setattr(fleet_policy, "FLEET_WINDOW_S", 0.5)
+        spec = SweepSpec("nofork", base_seed=1).add("a", ok_task)
+        with pytest.raises(SweepError) as failure:
+            run_sweep(spec, backend="parallel", workers=2)
+        message = str(failure.value)
+        assert message.startswith(
+            "the fleet could not reach any worker: slot-0: cannot start slot process: "
+            "[Errno 11] Resource temporarily unavailable"
+        )
+        assert "tcp" not in message
+
     def test_invalid_workers_still_validated(self, monkeypatch):
         spec = SweepSpec("w", base_seed=1).add("a", ok_task)
         with pytest.raises(SweepError, match="workers"):
@@ -712,6 +735,29 @@ class TestFleetConfig:
 # ---------------------------------------------------------------------------
 # The failure model
 # ---------------------------------------------------------------------------
+
+
+class TestSlotProcess:
+    """Real processes: what a slot does for itself, seen in its row."""
+
+    def test_a_ctrl_c_reaching_a_slot_costs_its_cell_nothing(self):
+        """A terminal Ctrl-C reaches every process in the group.  The
+        owner decides what it means, so a slot ignores SIGINT and its cell
+        lands OK on the first attempt; a slot that took it would die, and
+        the cell with it, on every attempt."""
+        spec = SweepSpec("ctrl-c", base_seed=1).add("interrupted", sigint_self_task)
+        outcome = run_sweep(spec, backend="parallel", workers=1)
+        assert [(row.status, row.attempts) for row in outcome.rows] == [("OK", 1)]
+
+    def test_a_slot_heartbeats_while_its_cell_runs(self, monkeypatch):
+        """A cell that runs longer than the heartbeat timeout keeps its
+        slot alive, because the slot beats from a thread of its own; a
+        silent slot would be declared lost mid-cell, on every attempt."""
+        monkeypatch.setattr(fleet_policy, "HEARTBEAT_TIMEOUT_S", 0.5)
+        monkeypatch.setattr(remote, "HEARTBEAT_INTERVAL_S", 0.1)
+        spec = SweepSpec("long-cell", base_seed=1).add("long", sleepy_task, sleep_s=1.0)
+        outcome = run_sweep(spec, backend="parallel", workers=1)
+        assert [(row.status, row.attempts) for row in outcome.rows] == [("OK", 1)]
 
 
 class TestWorkerLoss:
@@ -844,8 +890,8 @@ class TestWorkerLoss:
         outcome = sim.run()
         assert outcome.passed, outcome.render()
         assert outcome.canonical_bytes() == serial_bytes(spec)
-        assert outcome.fleet["workers"]["silent:1"]["fleet.failures_loss"] == 1
         assert 10.0 < sim.now < 10.5  # lost at the timeout, finished at once
+        assert outcome.fleet["workers"]["silent:1"]["fleet.failures_loss"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -1048,6 +1094,9 @@ class TestWorkerSession:
             ]
             sock.sendall(encode_frame(MSG_BYE, b"{}"))
         finally:
+            # The slots hold copies of this end: only a shutdown is an EOF
+            # for the relay, which then reaps them even if an assert failed.
+            sock.shutdown(socket.SHUT_RDWR)
             sock.close()
         self._assert_no_slot_left_and_still_serving(server, tmp_path, served=1)
         assert len(set(_noted_pids(tmp_path))) == 2

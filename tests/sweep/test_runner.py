@@ -524,8 +524,7 @@ class TestThreeBackends:
         else:
             assert sorted(outcome.fleet) == ["scheduler", "workers"]
             assert sorted(outcome.fleet["scheduler"]) == [
-                "forgiven_losses", "hedge_duplicates", "hedge_mismatches",
-                "hedges", "rejoins", "requeues",
+                "forgiven_losses", "hedge_duplicates", "hedges", "rejoins", "requeues",
             ]
 
     def test_a_serial_campaign_loads_no_fleet_code(self):

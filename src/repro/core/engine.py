@@ -207,6 +207,7 @@ class VirtualWireEngine(FrameLayer, RuntimeHooks):
         us again.
         """
         self.channel.reset()
+        # The front-end's own node is the control node: nobody to register with.
         if self.control_mac is not None and self.frontend is None:
             self._send_control(
                 self.control_mac, ControlMessage(ControlType.REGISTER)
@@ -342,6 +343,14 @@ class VirtualWireEngine(FrameLayer, RuntimeHooks):
         self.pass_down(message.to_frame(dst_mac.packed, self.host.mac.packed))
 
     def _send_control(self, dst_mac, message: ControlMessage, on_acked=None) -> None:
+        """The one local-or-remote decision: a message to this engine's own
+        MAC (the control node addressing itself) is handled in place, with
+        no frame, no sequence number and no count."""
+        if dst_mac == self.host.mac:
+            self._CONTROL_HANDLERS[message.msg_type](self, dst_mac, message)
+            if on_acked is not None:
+                on_acked()
+            return
         self.channel.send(dst_mac, message, on_acked=on_acked)
 
     def _on_peer_failed(self, peer_mac) -> None:
@@ -543,18 +552,14 @@ class VirtualWireEngine(FrameLayer, RuntimeHooks):
             )
 
     def report_error(self, condition_id: int, action_id: int) -> None:
-        if self.frontend is not None:
-            self.frontend.record_error(self.node_name, condition_id, action_id)
-        elif self.control_mac is not None:
+        if self.control_mac is not None:
             self._send_control(
                 self.control_mac,
                 ControlMessage(ControlType.ERROR_REPORT, condition_id, action_id),
             )
 
     def report_stop(self, condition_id: int) -> None:
-        if self.frontend is not None:
-            self.frontend.record_stop(self.node_name, condition_id)
-        elif self.control_mac is not None:
+        if self.control_mac is not None:
             self._send_control(
                 self.control_mac, ControlMessage(ControlType.STOP_REPORT, condition_id)
             )
@@ -574,9 +579,6 @@ class VirtualWireEngine(FrameLayer, RuntimeHooks):
 
     def request_restart(self, target_node: str, delay_ns: int) -> None:
         """Execute a RESTART action: ask the front-end to reboot *target*."""
-        if self.frontend is not None:
-            self.frontend.schedule_restart(target_node, delay_ns)
-            return
         if self.control_mac is None or self.program is None:
             return
         for index, entry in enumerate(self.program.nodes.entries):

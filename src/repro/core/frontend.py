@@ -151,6 +151,7 @@ class Frontend:
         for node in program.nodes.names():
             if self._is_control_node(program.nodes.get(node).mac):
                 control_name = node
+        # The control node hosts the front-end: crashing it would end the run.
         for action in program.actions:
             if (
                 action.kind in (ActionKind.CRASH, ActionKind.RESTART)
@@ -176,15 +177,9 @@ class Frontend:
             engine.channel.reset()
         checksum = program.checksum()
         for node in program.nodes.names():
-            mac = program.nodes.get(node).mac
-            if self._is_control_node(mac):
-                # The control node participates too: install directly.
-                self.control_engine.install_program(program)
-                self._pending_acks.discard(node)
-            else:
-                self.control_engine.send_init(mac, self.program_id, checksum)
-        if not self._pending_acks:
-            self._broadcast_start()
+            self.control_engine.send_init(
+                program.nodes.get(node).mac, self.program_id, checksum
+            )
 
     def _is_control_node(self, mac: MacAddress) -> bool:
         return self.control_engine.host is not None and mac == self.control_engine.host.mac
@@ -229,25 +224,17 @@ class Frontend:
         self.started = True
         self.start_time = self.sim.now
         self.last_activity = self.sim.now
-        remote: List[str] = []
+        # Gate the workload on every engine acknowledging START, so fault
+        # injection is armed everywhere before protocol traffic begins even
+        # when the START frame itself needs retransmitting.
+        self._pending_start_acks = set(self.program.nodes.names())
         for node in self.program.nodes.names():
-            mac = self.program.nodes.get(node).mac
-            if self._is_control_node(mac):
-                self.control_engine.start_scenario()
-            else:
-                remote.append(node)
-        # Gate the workload on every remote engine acknowledging START, so
-        # fault injection is armed everywhere before protocol traffic
-        # begins even when the START frame itself needs retransmitting.
-        self._pending_start_acks = set(remote)
-        for node in remote:
-            mac = self.program.nodes.get(node).mac
             self.control_engine.send_start(
-                mac, self.program_id, on_acked=lambda n=node: self._on_start_acked(n)
+                self.program.nodes.get(node).mac,
+                self.program_id,
+                on_acked=lambda n=node: self._on_start_acked(n),
             )
         self._heartbeat.start(HEARTBEAT_INTERVAL_NS)
-        if not self._pending_start_acks:
-            self._schedule_workload()
 
     def _on_start_acked(self, node: str) -> None:
         self._pending_start_acks.discard(node)
@@ -266,11 +253,9 @@ class Frontend:
         if self.program is None:
             return
         for node in self.program.nodes.names():
-            mac = self.program.nodes.get(node).mac
-            if self._is_control_node(mac):
-                self.control_engine.disable()
-            else:
-                self.control_engine.send_shutdown(mac, self.program_id)
+            self.control_engine.send_shutdown(
+                self.program.nodes.get(node).mac, self.program_id
+            )
 
     # ------------------------------------------------------------------
     # Liveness supervision
@@ -291,7 +276,7 @@ class Frontend:
                 continue
             mac = self.program.nodes.get(node).mac
             if self._is_control_node(mac):
-                continue
+                continue  # a looped heartbeat would count in the pinned reports
             self.control_engine.send_heartbeat(mac)
         if not self.finished:
             self._heartbeat.start(HEARTBEAT_INTERVAL_NS)
@@ -428,6 +413,8 @@ class Frontend:
                 continue
             peer_mac = self.program.nodes.get(peer).mac
             if self._is_control_node(peer_mac):
+                # A looped NODE_RESET would restart our sequence numbers toward
+                # the node after our INIT: it would drop the START as a duplicate.
                 continue
             if self.lifecycle.get(peer) is not NodeLifecycle.ALIVE:
                 continue

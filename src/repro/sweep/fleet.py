@@ -200,6 +200,9 @@ class FleetScheduler:
         self._charges: Dict[int, List[Optional[str]]] = {}
         #: (task, worker) pairs already forgiven — one flap, one pardon.
         self._forgiven: Dict[int, Set[str]] = {}
+        #: per cell, the workers whose copy of it died (an ERROR frame or
+        #: a loss): never hedged there again.
+        self._died_on: Dict[int, Set[str]] = {}
         self._started: Dict[int, float] = {}
         #: dispatch-to-row times as the parent saw them; feeds the p95.
         self._durations: List[float] = []
@@ -329,6 +332,7 @@ class FleetScheduler:
             return
         self.health.record_failure(address, "loss", now)
         for index in sorted(worker.inflight):
+            self._died_on.setdefault(index, set()).add(address)
             if index not in self.rows and not self._in_flight(index):
                 self._record_casualty(
                     index, f"worker {address} lost: {reason}", now, charge=address
@@ -445,6 +449,7 @@ class FleetScheduler:
             # A slot crash is the cell's own doing until proven otherwise:
             # it burns the retry budget and is never forgiven on rejoin.
             self.health.record_failure(address, "error", now)
+            self._died_on.setdefault(index, set()).add(address)
             if self._in_flight(index):
                 return  # a hedged copy is still running elsewhere
             self._record_casualty(
@@ -520,6 +525,7 @@ class FleetScheduler:
                 if (
                     worker.idle > 0
                     and address not in holders[index]
+                    and address not in self._died_on.get(index, ())
                     and not self.health.is_quarantined(address, now)
                 ):
                     self._assign(address, worker, index, now)

@@ -29,8 +29,8 @@ class TestOrchestration:
     def test_init_start_handshake_enables_engines(self):
         tb, n1, n2, script = build()
         report = tb.run_scenario(script, max_time=seconds(10))
-        # Both engines got INIT over the control plane (node1 is the
-        # control node and installs directly; node2 acked in-band).
+        # Both engines got INIT (node1 is the control node and handles
+        # its own in place; node2's came and was acked over the wire).
         assert tb.engines["node2"].stats.control_frames_received >= 2
 
     def test_workload_starts_after_engines(self):

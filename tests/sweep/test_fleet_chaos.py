@@ -315,6 +315,25 @@ class TestHedging:
         assert (tcp.rows[10].status, tcp.rows[10].attempts) == ("OK", 1)
         assert tcp.canonical_bytes() == serial_bytes(spec)
 
+    def test_a_cell_is_never_hedged_back_to_where_its_copy_died(self):
+        """The same layout with the default retry budget.  Cell 10 goes to
+        a:1 and is hedged to another worker; then its slot on a:1 crashes
+        0.5 s in.  The copy still runs, and a:1 has idle slots again, but
+        no hedge sends the cell back there to crash once more: a:1 gets
+        its TASK once, first, and every later one goes elsewhere."""
+        spec = _campaign("hedge-crash", 18, base_seed=17)
+        workers = [ModelWorker(f"{name}:1", slots=3) for name in "abc"]
+        for worker, stuck_s in zip(workers, (0.5, 1.0, 1.0)):
+            worker.service_s = lambda index, stuck_s=stuck_s: stuck_s if index == 10 else 0.1
+        fleet = FleetSim(spec, workers)
+        fleet.on_task(lambda worker: CRASH_SLOT, worker="a:1", index=10)
+        tcp = fleet.run()
+        sends = fleet.task_sends()[10]
+        assert [to for _, to in sends].count("a:1") == 1 and sends[0][1] == "a:1", sends
+        assert tcp.passed, tcp.render()
+        assert (tcp.rows[10].status, tcp.rows[10].attempts) == ("OK", 1)
+        assert tcp.canonical_bytes() == serial_bytes(spec)
+
     def test_a_brisk_cell_is_never_hedged(self):
         """Cells of 10 ms make a p95 of about 12 ms, so twice it is a
         few tens of ms and every 50 ms cell would look a straggler.  No

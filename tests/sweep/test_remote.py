@@ -9,6 +9,7 @@ budget, whole-fleet loss, heartbeat silence, an unreachable fleet) runs
 in virtual time on ``fleet_sim.py``.
 """
 
+import contextlib
 import hashlib
 import json
 import multiprocessing
@@ -920,6 +921,14 @@ class TestWorkerSession:
         return sock
 
     @staticmethod
+    def _hang_up(sock):
+        """Forked slots hold copies of this end: only a shutdown is an EOF
+        for the other side, which then reaps them even if an assert failed."""
+        with contextlib.suppress(OSError):  # the other side hung up first
+            sock.shutdown(socket.SHUT_RDWR)
+        sock.close()
+
+    @staticmethod
     def _frames(sock, rows=0, gets=0):
         """Read until that many ROWs and GETs have arrived; the frame
         types in arrival order, heartbeats aside."""
@@ -1019,7 +1028,7 @@ class TestWorkerSession:
             with pytest.raises(ConnectionLost):
                 self._frames(sock, rows=1)
         finally:
-            sock.close()
+            self._hang_up(sock)
         assert server.campaigns_served == 0  # a broken session is no campaign
         self._assert_no_slot_left_and_still_serving(server, tmp_path)
 
@@ -1040,7 +1049,7 @@ class TestWorkerSession:
                 with pytest.raises(ConnectionLost):
                     self._frames(sock, rows=1)
             finally:
-                sock.close()
+                self._hang_up(sock)
         self._assert_no_slot_left_and_still_serving(server, tmp_path)
 
     def test_slots_forked_by_two_threads_each_die_to_their_own_eof(self):
@@ -1071,7 +1080,7 @@ class TestWorkerSession:
                         read_frame(sock)
         finally:
             for sock, process in slots:
-                sock.close()
+                self._hang_up(sock)
                 remote._kill_slot(process)
 
     def test_an_idle_slot_killed_from_outside_costs_nobody(self, server, tmp_path):
@@ -1094,9 +1103,6 @@ class TestWorkerSession:
             ]
             sock.sendall(encode_frame(MSG_BYE, b"{}"))
         finally:
-            # The slots hold copies of this end: only a shutdown is an EOF
-            # for the relay, which then reaps them even if an assert failed.
-            sock.shutdown(socket.SHUT_RDWR)
-            sock.close()
+            self._hang_up(sock)
         self._assert_no_slot_left_and_still_serving(server, tmp_path, served=1)
         assert len(set(_noted_pids(tmp_path))) == 2

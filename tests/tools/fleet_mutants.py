@@ -165,6 +165,13 @@ MUTANTS = (
         "if index not in self.rows",
         _CHAOS + "TestHedging::test_stuck_worker_cell_is_hedged_to_an_idle_slot",
     ),
+    Mutant(
+        "no hedge to a worker a copy of the cell died on",
+        "sweep/fleet.py",
+        "                    and address not in self._died_on.get(index, ())\n",
+        "",
+        _CHAOS + "TestHedging::test_a_cell_is_never_hedged_back_to_where_its_copy_died",
+    ),
     # -- sweep/health.py ------------------------------------------------
     Mutant(
         "a handshake ends the failure streak",
